@@ -58,6 +58,7 @@ from .solver import (
     dual_objective,
     recover_weights,
     solve,
+    solve_batch,
     truncate_and_rebalance,
 )
 from .weighting import cap_weights, estimate_weights
@@ -104,6 +105,7 @@ __all__ = [
     "run_replication",
     "run_scenario",
     "solve",
+    "solve_batch",
     "standardize",
     "truncate_and_rebalance",
     "uniform_weights",

@@ -95,22 +95,24 @@ def balance_report(w, dataset: Dataset, method_tag: str = "") -> BalanceReport:
     """Weighted treatment-covariate correlations for every covariate.
 
     Called with uniform weights this reproduces the plain unweighted Pearson
-    correlations. Degenerate columns are skipped with a warning flag rather
-    than failing the whole report.
+    correlations. All covariates go through one weighted pass with the
+    formulas of ``weighted_pearson``; degenerate columns are skipped with a
+    warning flag rather than failing the whole report.
     """
     if isinstance(w, BalancingWeights) and not method_tag:
         method_tag = w.method_tag
     weights = _weight_vector(w)
-    t = dataset.treatment
-    correlations = np.empty(dataset.k)
-    degenerate = []
-    for j in range(dataset.k):
-        try:
-            correlations[j] = weighted_pearson(weights, t, dataset.covariates[:, j])
-        except ZeroVariance:
-            correlations[j] = np.nan
-            degenerate.append(dataset.covariate_names[j])
-    finite = np.abs(correlations[~np.isnan(correlations)])
+    dt = dataset.treatment - weights @ dataset.treatment
+    dx = dataset.covariates - weights @ dataset.covariates
+    cov = (weights * dt) @ dx
+    var_t = weights @ (dt * dt)
+    dx *= dx
+    var_x = weights @ dx
+    bad = (var_x < _VARIANCE_FLOOR) | (var_t < _VARIANCE_FLOOR)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        correlations = np.clip(cov / np.sqrt(var_t * var_x), -1.0, 1.0)
+    correlations[bad] = np.nan
+    finite = np.abs(correlations[~bad])
     return BalanceReport(
         covariate_names=dataset.covariate_names,
         per_covariate_correlation=correlations,
@@ -118,7 +120,9 @@ def balance_report(w, dataset: Dataset, method_tag: str = "") -> BalanceReport:
         mean_abs_correlation=float(finite.mean()) if finite.size else float("nan"),
         max_weight_share=float(weights.max()),
         method_tag=method_tag or "uniform",
-        degenerate_columns=tuple(degenerate),
+        degenerate_columns=tuple(
+            name for name, flag in zip(dataset.covariate_names, bad) if flag
+        ),
     )
 
 

@@ -62,10 +62,12 @@ def fit_gps(dataset: Dataset) -> GpsModel:
     x = dataset.covariates
     n, k = dataset.n, dataset.k
     design = np.column_stack([np.ones(n), x])
-    if np.linalg.matrix_rank(design) < k + 1:
+    # rcond=None counts singular values above eps * max(n, K+1) * s_max, the
+    # tolerance matrix_rank uses, so the one SVD serves both the fit and the
+    # rank check.
+    beta, _, rank, _ = np.linalg.lstsq(design, t, rcond=None)
+    if rank < k + 1:
         raise RankDeficientDesign("design matrix [1 | X] is rank deficient")
-
-    beta, _, _, _ = np.linalg.lstsq(design, t, rcond=None)
     residuals = t - design @ beta
     sigma = float(np.sqrt(residuals @ residuals / (n - k - 1)))
 

@@ -17,10 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, standardize
 from .diagnostics import balance_report
 from .drf import fit_wls
 from .errors import EbctError, NegativeBase, ScenarioDegenerate
+from .solver import solve_batch
 from .weighting import estimate_weights
 
 SAMPLE_SIZES = (200, 500, 1000)
@@ -30,6 +31,12 @@ SPECIFICATIONS = (1, 2, 3)
 METHODS = ("unweighted", "ipw", "ebct")
 
 TRUE_EFFECT = 1.0
+
+# Replications drawn and solved together. Fixed, never derived from the
+# worker count, so the output bytes do not depend on --jobs. Larger groups
+# save little more per-call overhead but hold more draws and stacked
+# constraint matrices in memory at once.
+CHUNK_REPLICATIONS = 8
 
 # Treatment equation coefficients on X1..X10.
 _TREATMENT_COEF = np.array([1.0, 0.6, 1.2, 1.0, 0.5, 1.0, 0.8, 0.8, 0.8, 0.8])
@@ -165,6 +172,60 @@ class ReplicationRecord:
         )
 
 
+def _draw(config: ScenarioConfig, replicate_index: int) -> Dataset:
+    """The replication's sample, with the specification's covariate set."""
+    rng = replication_rng(config.master_seed, replicate_index)
+    x = gen_covariates(config.n, rng)
+    t = gen_treatment(x, config.sigma, rng)
+    y = gen_outcome(x, t, config.eta, rng)
+    return Dataset(treatment=t, covariates=apply_specification(x, config.spec), outcome=y)
+
+
+def _ebct_weights(datasets: Sequence[Dataset]) -> list:
+    """EBCT weights for every dataset from one stacked solve.
+
+    Each entry is the dataset's BalancingWeights or the exception that
+    standardizing or solving it raised; a failure stays with its dataset.
+    """
+    outcomes = [None] * len(datasets)
+    samples, slots = [], []
+    for slot, dataset in enumerate(datasets):
+        try:
+            samples.append(standardize(dataset))
+            slots.append(slot)
+        except EbctError as err:
+            outcomes[slot] = err
+    for slot, outcome in zip(slots, solve_batch(samples)):
+        outcomes[slot] = outcome if isinstance(outcome, Exception) else outcome[0]
+    return outcomes
+
+
+def _run_replications(config: ScenarioConfig, indices: Sequence[int]) -> list:
+    """Records for a group of replications, EBCT solved as one stack."""
+    datasets = [_draw(config, index) for index in indices]
+    ebct = _ebct_weights(datasets) if "ebct" in config.methods else None
+    results = []
+    for slot, dataset in enumerate(datasets):
+        design = np.column_stack([np.ones(config.n), dataset.treatment])
+        records = {}
+        for method in config.methods:
+            try:
+                weights = ebct[slot] if method == "ebct" else estimate_weights(dataset, method)
+                if isinstance(weights, Exception):
+                    raise weights
+                slope = fit_wls(dataset.outcome, design, weights.weights)[1]
+                report = balance_report(weights, dataset)
+                records[method] = ReplicationRecord(
+                    estimate=float(slope),
+                    max_abs_correlation=report.max_abs_correlation,
+                    max_weight_share=report.max_weight_share,
+                )
+            except (EbctError, np.linalg.LinAlgError):
+                records[method] = ReplicationRecord.failure()
+        results.append(records)
+    return results
+
+
 def run_replication(config: ScenarioConfig, replicate_index: int) -> dict:
     """One DGP draw followed by weighting and a linear effect regression.
 
@@ -172,30 +233,10 @@ def run_replication(config: ScenarioConfig, replicate_index: int) -> dict:
     regress the outcome on an intercept and the treatment by weighted least
     squares, and record the slope together with balance diagnostics. A
     method failure (non-convergence, infeasibility) is recorded without
-    aborting the replication. Deterministic given (master_seed, index).
+    aborting the replication. Deterministic given (master_seed, index), and
+    equal to the record ``run_scenario`` computes for the same index.
     """
-    rng = replication_rng(config.master_seed, replicate_index)
-    x = gen_covariates(config.n, rng)
-    t = gen_treatment(x, config.sigma, rng)
-    y = gen_outcome(x, t, config.eta, rng)
-    x_weighting = apply_specification(x, config.spec)
-    weight_data = Dataset(treatment=t, covariates=x_weighting, outcome=y)
-    design = np.column_stack([np.ones(config.n), t])
-
-    records = {}
-    for method in config.methods:
-        try:
-            weights = estimate_weights(weight_data, method)
-            slope = fit_wls(y, design, weights.weights)[1]
-            report = balance_report(weights, weight_data)
-            records[method] = ReplicationRecord(
-                estimate=float(slope),
-                max_abs_correlation=report.max_abs_correlation,
-                max_weight_share=report.max_weight_share,
-            )
-        except (EbctError, np.linalg.LinAlgError):
-            records[method] = ReplicationRecord.failure()
-    return records
+    return _run_replications(config, [replicate_index])[0]
 
 
 @dataclass(frozen=True)
@@ -236,23 +277,27 @@ def _summarize(estimates, correlations, shares, failures) -> MethodSummary:
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Aggregate one cell over its replications.
 
-    Failed replicates are excluded per method; the scenario aborts if any
-    method loses more than 5% of them.
+    Replications run in groups of ``CHUNK_REPLICATIONS``; each group's EBCT
+    problems are solved in one stacked Newton run and the group is dropped
+    before the next is drawn, so memory does not grow with the replication
+    count. Failed replicates are excluded per method; the scenario aborts if
+    any method loses more than 5% of them.
     """
     collected = {
         method: {"estimates": [], "correlations": [], "shares": [], "failures": 0}
         for method in config.methods
     }
-    for index in range(config.replications):
-        records = run_replication(config, index)
-        for method, record in records.items():
-            bucket = collected[method]
-            if record.failed:
-                bucket["failures"] += 1
-            else:
-                bucket["estimates"].append(record.estimate)
-                bucket["correlations"].append(record.max_abs_correlation)
-                bucket["shares"].append(record.max_weight_share)
+    for start in range(0, config.replications, CHUNK_REPLICATIONS):
+        stop = min(start + CHUNK_REPLICATIONS, config.replications)
+        for records in _run_replications(config, range(start, stop)):
+            for method, record in records.items():
+                bucket = collected[method]
+                if record.failed:
+                    bucket["failures"] += 1
+                else:
+                    bucket["estimates"].append(record.estimate)
+                    bucket["correlations"].append(record.max_abs_correlation)
+                    bucket["shares"].append(record.max_weight_share)
 
     per_method = {}
     for method, bucket in collected.items():

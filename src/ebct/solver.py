@@ -19,10 +19,10 @@ the residual imbalance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from .data import BalancingWeights, StandardizedSample
 from .errors import (
@@ -38,6 +38,8 @@ from .errors import (
 _GAMMA_BOUND = 1e6
 
 _MIN_STEP = 1e-14
+
+_OVERFLOW = "dual exponent overflowed; multipliers are pathological"
 
 
 @dataclass(frozen=True)
@@ -87,16 +89,42 @@ def _prepare_base_weights(n: int, base_weights) -> np.ndarray:
     return q
 
 
-def _log_scores(gamma, matrix, log_q) -> np.ndarray:
-    s = matrix @ np.asarray(gamma, dtype=float) + log_q
-    if not np.all(np.isfinite(s)):
-        raise NonFiniteDual("dual exponent overflowed; multipliers are pathological")
-    return s
+def _dual_state(G, log_q, gamma) -> tuple:
+    """J, implied weights and gradient at gamma for every problem of a stack.
+
+    ``G`` is a (B, n, m) stack of constraint matrices, ``log_q`` the (B, n)
+    log base weights and ``gamma`` the (B, m) multipliers. Returns the values
+    J (B,), the weights w_i = q_i e^{gamma.g_i} / Z (B, n), the gradients
+    G'w (B, m) and a (B,) flag that is False where an exponent is not finite.
+    Rows flagged False carry meaningless numbers. The max-shift keeps every
+    finite exponent representable.
+    """
+    s = (G @ gamma[:, :, None])[:, :, 0]
+    s += log_q
+    finite = np.isfinite(s).all(axis=1)
+    if not finite.all():
+        s[~finite] = 0.0
+    top = s.max(axis=1, keepdims=True)
+    s -= top
+    np.exp(s, out=s)
+    total = s.sum(axis=1)
+    s /= total[:, None]
+    value = top[:, 0] + np.log(total)
+    return value, s, (s[:, None, :] @ G)[:, 0, :], finite
 
 
-def _softmax(s: np.ndarray) -> np.ndarray:
-    z = np.exp(s - s.max())
-    return z / z.sum()
+def _hessian(G, w, grad) -> np.ndarray:
+    """Weighted covariance of the balance columns, (B, m, m)."""
+    return (G * w[:, :, None]).transpose(0, 2, 1) @ G - grad[:, :, None] * grad[:, None, :]
+
+
+def _single_state(gamma, sample: StandardizedSample, base_weights) -> tuple:
+    q = _prepare_base_weights(sample.n, base_weights)
+    gamma = np.asarray(gamma, dtype=float).reshape(1, -1)
+    value, w, grad, finite = _dual_state(sample.constraint_matrix[None], np.log(q)[None], gamma)
+    if not finite[0]:
+        raise NonFiniteDual(_OVERFLOW)
+    return value[0], w[0], grad[0]
 
 
 def dual_objective(gamma, sample: StandardizedSample, base_weights=None) -> float:
@@ -105,11 +133,7 @@ def dual_objective(gamma, sample: StandardizedSample, base_weights=None) -> floa
     Evaluated with a max-shift so no representable gamma overflows; this is
     the negated dual, so the solver minimizes it.
     """
-    matrix = sample.constraint_matrix
-    q = _prepare_base_weights(sample.n, base_weights)
-    s = _log_scores(gamma, matrix, np.log(q))
-    m = s.max()
-    return float(m + np.log(np.exp(s - m).sum()))
+    return float(_single_state(gamma, sample, base_weights)[0])
 
 
 def dual_gradient(gamma, sample: StandardizedSample, base_weights=None) -> np.ndarray:
@@ -118,10 +142,7 @@ def dual_gradient(gamma, sample: StandardizedSample, base_weights=None) -> np.nd
     Uses the implied weights w_i(gamma), base weights included in numerator
     and denominator alike.
     """
-    matrix = sample.constraint_matrix
-    q = _prepare_base_weights(sample.n, base_weights)
-    w = _softmax(_log_scores(gamma, matrix, np.log(q)))
-    return matrix.T @ w
+    return _single_state(gamma, sample, base_weights)[2]
 
 
 def dual_hessian(gamma, sample: StandardizedSample, base_weights=None) -> np.ndarray:
@@ -129,11 +150,8 @@ def dual_hessian(gamma, sample: StandardizedSample, base_weights=None) -> np.nda
 
     Positive semidefinite by construction.
     """
-    matrix = sample.constraint_matrix
-    q = _prepare_base_weights(sample.n, base_weights)
-    w = _softmax(_log_scores(gamma, matrix, np.log(q)))
-    mean = matrix.T @ w
-    return (matrix * w[:, None]).T @ matrix - np.outer(mean, mean)
+    _, w, grad = _single_state(gamma, sample, base_weights)
+    return _hessian(sample.constraint_matrix[None], w[None], grad[None])[0]
 
 
 def recover_weights(gamma, sample: StandardizedSample, base_weights=None) -> np.ndarray:
@@ -142,9 +160,171 @@ def recover_weights(gamma, sample: StandardizedSample, base_weights=None) -> np.
     Strictly positive and normalized to sum one; any constant factor on the
     base weights cancels.
     """
-    matrix = sample.constraint_matrix
-    q = _prepare_base_weights(sample.n, base_weights)
-    return _softmax(_log_scores(gamma, matrix, np.log(q)))
+    return _single_state(gamma, sample, base_weights)[1]
+
+
+def _newton(G, q, opts: SolverOptions) -> list:
+    """Damped Newton on every problem of a (B, n, m) stack at once.
+
+    Each problem keeps its own phase, step size, trace and iteration count,
+    and reaches exactly the iterates it would reach alone: every stacked
+    operation acts row by row, and the Newton systems are factored one
+    problem at a time. Problems that finish leave the stack, so the rest do
+    not pay for them. Returns per problem either ``(BalancingWeights,
+    ConvergenceReport)`` or the exception that problem raises.
+    """
+    B, _, m = G.shape
+    outcomes = [None] * B
+    log_q = np.log(q)
+    gamma = np.zeros((B, m))
+    value, w, grad, finite = _dual_state(G, log_q, gamma)
+    traces = [[v] for v in value.tolist()]
+    iterations = np.zeros(B, dtype=int)
+    errors = [None if ok else NonFiniteDual(_OVERFLOW) for ok in finite]
+    stopped = ~finite
+    live = np.arange(B)  # problem index of each row still in the stack
+    ridge = opts.ridge * np.eye(m) if opts.ridge else None
+
+    def retire(rows) -> None:
+        for i in rows:
+            b = live[i]
+            if errors[i] is not None:
+                outcomes[b] = errors[i]
+                continue
+            grad_norm = float(np.abs(grad[i]).max())
+            converged = grad_norm <= opts.gradient_tolerance
+            report = ConvergenceReport(
+                converged=converged,
+                iterations=int(iterations[i]),
+                dual_value_trace=traces[b],
+                final_gradient_norm=grad_norm,
+            )
+            try:
+                weights = BalancingWeights(
+                    weights=w[i],
+                    base_weights=q[b],
+                    gamma=gamma[i],
+                    converged=converged,
+                    iterations=int(iterations[i]),
+                    final_gradient_norm=grad_norm,
+                    method_tag="ebct",
+                )
+            except ValueError as err:  # a weight underflowed to zero
+                outcomes[b] = err
+                continue
+            outcomes[b] = (weights, report) if converged else NotConverged(weights, report)
+
+    for _ in range(opts.max_iterations):
+        grad_norm = np.abs(grad).max(axis=1)
+        stopped |= grad_norm <= opts.gradient_tolerance
+        if stopped.any():
+            retire(np.flatnonzero(stopped))
+            keep = ~stopped
+            if not keep.any():
+                return outcomes
+            live, G, log_q, gamma, value, w, grad, grad_norm, iterations = (
+                a[keep] for a in (live, G, log_q, gamma, value, w, grad, grad_norm, iterations)
+            )
+            errors = [e for e, k in zip(errors, keep) if k]
+            stopped = np.zeros(live.size, dtype=bool)
+
+        hessian = _hessian(G, w, grad)
+        if ridge is not None:
+            hessian += ridge
+        direction = np.zeros_like(gamma)
+        slope = np.zeros(live.size)
+        for i in range(live.size):
+            factor, info = scipy.linalg.lapack.dpotrf(hessian[i], lower=0, clean=0)
+            if info > 0:
+                errors[i] = SingularHessian(
+                    "dual Hessian is singular; rerun with a positive ridge"
+                )
+                stopped[i] = True
+                continue
+            direction[i] = -scipy.linalg.lapack.dpotrs(factor, grad[i], lower=0)[0]
+            slope[i] = grad[i] @ direction[i]
+
+        # Local phase: the certifiable Armijo decrease (half the Newton
+        # decrement squared) is below the objective's float resolution, so
+        # objective comparisons are pure noise. Take the full Newton step as
+        # long as it shrinks the gradient.
+        local = -slope <= 1e-13 * (1.0 + np.abs(value))
+        step = np.ones(live.size)
+        searching = ~stopped
+        while searching.any():
+            rows = np.flatnonzero(searching)
+            sub = slice(None) if rows.size == live.size else rows
+            candidate = gamma[sub] + step[sub, None] * direction[sub]
+            c_value, c_w, c_grad, c_finite = _dual_state(G[sub], log_q[sub], candidate)
+            for j, i in enumerate(rows):
+                if not c_finite[j]:
+                    errors[i] = NonFiniteDual(_OVERFLOW)
+                    ok = False
+                elif local[i]:
+                    ok = np.abs(c_grad[j]).max() < grad_norm[i]
+                else:
+                    ok = c_value[j] <= value[i] + opts.armijo_c * step[i] * slope[i]
+                    if not ok:
+                        step[i] *= opts.line_search_shrink
+                        if step[i] >= _MIN_STEP:
+                            continue
+                searching[i] = False
+                if not ok:
+                    # No acceptable step (or an overflow): the numerical
+                    # floor is reached and the final gradient check decides.
+                    stopped[i] = True
+                    continue
+                gamma[i], value[i], w[i], grad[i] = candidate[j], c_value[j], c_w[j], c_grad[j]
+                iterations[i] += 1
+                traces[live[i]].append(float(c_value[j]))
+                if float(np.linalg.norm(gamma[i])) > _GAMMA_BOUND:
+                    errors[i] = InfeasibleConstraints(
+                        "dual multipliers diverged; the balance constraints admit no "
+                        "strictly positive weights"
+                    )
+                    stopped[i] = True
+
+    retire(range(live.size))
+    return outcomes
+
+
+def solve_batch(
+    samples: Sequence[StandardizedSample],
+    base_weights=None,
+    options: Optional[SolverOptions] = None,
+) -> list:
+    """Solve many same-shape problems in one stacked Newton run.
+
+    ``base_weights`` is None (uniform for every problem) or one entry per
+    sample, each None or a positive vector. A problem that fails does not
+    disturb the others, and each problem's weights, iterations and trace are
+    exactly those ``solve`` gives it alone.
+
+    Returns:
+        One entry per sample: ``(BalancingWeights, ConvergenceReport)`` on
+        success, otherwise the exception ``solve`` would raise for it
+        (``NotConverged``, ``InfeasibleConstraints``, ``NonFiniteDual``,
+        ``SingularHessian``, or ``ValueError`` when a weight underflows to
+        zero).
+    """
+    samples = list(samples)
+    if not samples:
+        return []
+    shape = samples[0].constraint_matrix.shape
+    if any(sample.constraint_matrix.shape != shape for sample in samples):
+        raise ValueError("stacked problems must share n and K")
+    if base_weights is None:
+        base_weights = [None] * len(samples)
+    elif len(base_weights) != len(samples):
+        raise ValueError(f"got {len(base_weights)} base weight vectors for {len(samples)} samples")
+    q = np.stack([_prepare_base_weights(shape[0], bw) for bw in base_weights])
+    q /= q.sum(axis=1, keepdims=True)
+    if len(samples) == 1:
+        # A view, not a copy: at large n a copy would double peak memory.
+        G = samples[0].constraint_matrix[None]
+    else:
+        G = np.stack([sample.constraint_matrix for sample in samples])
+    return _newton(G, q, options or SolverOptions())
 
 
 def solve(
@@ -158,7 +338,8 @@ def solve(
     dual values are non-increasing up to float rounding. On success the
     weighted mean of every balance column is below the gradient tolerance,
     which makes the weighted Pearson correlation between treatment and each
-    covariate zero to numerical precision.
+    covariate zero to numerical precision. This is the one-problem case of
+    ``solve_batch``.
 
     Returns:
         (BalancingWeights, ConvergenceReport)
@@ -168,99 +349,13 @@ def solve(
             iterate for callers that want to accept it.
         InfeasibleConstraints: the dual diverged, meaning no strictly
             positive weights can satisfy the constraints.
+        NonFiniteDual: an exponent overflowed.
         SingularHessian: only possible when ridge is forced to zero.
     """
-    opts = options or SolverOptions()
-    matrix = sample.constraint_matrix
-    n, m = matrix.shape
-    q = _prepare_base_weights(n, base_weights)
-    q = q / q.sum()
-    log_q = np.log(q)
-
-    def objective(g):
-        s = _log_scores(g, matrix, log_q)
-        top = s.max()
-        return float(top + np.log(np.exp(s - top).sum()))
-
-    gamma = np.zeros(m)
-    value = objective(gamma)
-    grad = matrix.T @ _softmax(_log_scores(gamma, matrix, log_q))
-    trace = [value]
-    iterations = 0
-
-    for _ in range(opts.max_iterations):
-        grad_norm = float(np.abs(grad).max())
-        if grad_norm <= opts.gradient_tolerance:
-            break
-
-        weights = _softmax(_log_scores(gamma, matrix, log_q))
-        mean = matrix.T @ weights
-        hessian = (matrix * weights[:, None]).T @ matrix - np.outer(mean, mean)
-        if opts.ridge:
-            hessian = hessian + opts.ridge * np.eye(m)
-        try:
-            factor = scipy.linalg.cho_factor(hessian)
-        except scipy.linalg.LinAlgError:
-            raise SingularHessian(
-                "dual Hessian is singular; rerun with a positive ridge"
-            ) from None
-        direction = -scipy.linalg.cho_solve(factor, grad)
-        slope = float(grad @ direction)
-
-        accepted = None
-        if -slope <= 1e-13 * (1.0 + abs(value)):
-            # Local phase: the certifiable Armijo decrease (half the Newton
-            # decrement squared) is below the objective's float resolution,
-            # so objective comparisons are pure noise. Take the full Newton
-            # step as long as it shrinks the gradient.
-            candidate = gamma + direction
-            cand_grad = matrix.T @ _softmax(_log_scores(candidate, matrix, log_q))
-            if float(np.abs(cand_grad).max()) < grad_norm:
-                accepted = (candidate, objective(candidate))
-        else:
-            step = 1.0
-            while step >= _MIN_STEP:
-                candidate = gamma + step * direction
-                cand_value = objective(candidate)
-                if cand_value <= value + opts.armijo_c * step * slope:
-                    accepted = (candidate, cand_value)
-                    break
-                step *= opts.line_search_shrink
-        if accepted is None:
-            # Numerical floor reached; leave the loop and let the final
-            # gradient check decide.
-            break
-
-        gamma, value = accepted
-        grad = matrix.T @ _softmax(_log_scores(gamma, matrix, log_q))
-        iterations += 1
-        trace.append(value)
-        if float(np.linalg.norm(gamma)) > _GAMMA_BOUND:
-            raise InfeasibleConstraints(
-                "dual multipliers diverged; the balance constraints admit no "
-                "strictly positive weights"
-            )
-
-    grad_norm = float(np.abs(grad).max())
-    converged = grad_norm <= opts.gradient_tolerance
-    report = ConvergenceReport(
-        converged=converged,
-        iterations=iterations,
-        dual_value_trace=trace,
-        final_gradient_norm=grad_norm,
-    )
-    weights = BalancingWeights(
-        weights=_softmax(_log_scores(gamma, matrix, log_q)),
-        base_weights=q,
-        gamma=gamma,
-        converged=converged,
-        iterations=iterations,
-        final_gradient_norm=grad_norm,
-        method_tag="ebct",
-    )
-    if not converged:
-        raise NotConverged(weights, report)
-    return weights, report
+    (outcome,) = solve_batch([sample], [base_weights], options)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def truncate_and_rebalance(

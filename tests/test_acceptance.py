@@ -268,10 +268,12 @@ def test_criterion_8_diagnostics_logic_substitute():
 
 
 def test_criterion_9_cli_determinism(tmp_path):
+    # 18 cells, so --jobs 2 runs them in worker processes; 20 replications
+    # per cell, so every cell solves full and partial stacked groups.
     def run(out, jobs):
         argv = [
-            "simulate", "--n", "200", "--sigma", "4", "--eta", "1", "--spec", "1",
-            "--replications", "50", "--seed", "77", "--jobs", jobs, "--out", str(out),
+            "simulate", "--paper-grid", "--sizes", "200", "--replications", "20",
+            "--seed", "77", "--jobs", jobs, "--out", str(out),
         ]
         assert cli.main(argv) == 0
         return (out / "scenarios.csv").read_bytes(), (out / "scenarios_table.txt").read_bytes()

@@ -142,6 +142,30 @@ class TestBalanceReport:
         assert np.isnan(report.per_covariate_correlation[1])
         assert np.isfinite(report.max_abs_correlation)
 
+    def test_one_pass_matches_weighted_pearson(self, rng):
+        # Constant and near-constant columns among regular ones.
+        x = rng.standard_normal((30, 5))
+        x[:, 1] = 2.0
+        x[:, 3] = 1.0 + 1e-14 * rng.standard_normal(30)
+        ds = Dataset(treatment=rng.standard_normal(30), covariates=x)
+        w = rng.uniform(0.2, 2.0, size=30)
+        report = balance_report(w, ds)
+        assert report.degenerate_columns == ("X2", "X4")
+        for j in range(5):
+            try:
+                expected = weighted_pearson(w, ds.treatment, x[:, j])
+            except ZeroVariance:
+                assert np.isnan(report.per_covariate_correlation[j])
+            else:
+                assert report.per_covariate_correlation[j] == pytest.approx(expected, abs=1e-12)
+
+    def test_constant_treatment_degenerates_every_column(self, rng):
+        ds = Dataset(treatment=np.ones(12), covariates=rng.standard_normal((12, 2)))
+        report = balance_report(uniform_weights(12), ds)
+        assert report.degenerate_columns == ("X1", "X2")
+        assert np.isnan(report.max_abs_correlation)
+        assert np.isnan(report.mean_abs_correlation)
+
     def test_json_round_trip(self, rng):
         ds = random_dataset(rng, 25, 2)
         report = balance_report(uniform_weights(25), ds)

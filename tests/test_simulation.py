@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -271,16 +273,45 @@ class TestRunScenario:
         assert result.failures == 0
 
     def test_degenerate_scenario_aborts(self, monkeypatch):
-        def broken(dataset, method, truncation=None, options=None):
+        def broken(samples, base_weights=None, options=None):
             from ebct.errors import InfeasibleConstraints
 
-            raise InfeasibleConstraints("synthetic")
+            return [InfeasibleConstraints("synthetic") for _ in samples]
 
-        monkeypatch.setattr(sim, "estimate_weights", broken)
+        monkeypatch.setattr(sim, "solve_batch", broken)
         config = ScenarioConfig(n=200, sigma=4.0, eta=1.0, spec=1, replications=5,
                                 methods=("ebct",), master_seed=1)
         with pytest.raises(ScenarioDegenerate):
             run_scenario(config)
+
+    def test_estimates_equal_single_replications(self):
+        # More replications than one stacked group, so a partial group runs.
+        config = ScenarioConfig(n=200, sigma=2.0, eta=1.25, spec=2,
+                                replications=sim.CHUNK_REPLICATIONS + 4, master_seed=13)
+        result = run_scenario(config)
+        assert result.failures == 0
+        for method, summary in result.per_method.items():
+            expected = [
+                run_replication(config, index)[method].estimate
+                for index in range(config.replications)
+            ]
+            npt.assert_array_equal(summary.estimates, expected)
+
+    def test_memory_does_not_grow_with_replications(self):
+        # Replications are drawn and solved in fixed-size groups that are
+        # dropped before the next, so the peak heap stays that of one group.
+        # Stacking all of them would make R=100 peak about five times R=20.
+        def peak(replications):
+            config = ScenarioConfig(n=1000, sigma=4.0, eta=1.0, spec=1, methods=("ebct",),
+                                    replications=replications, master_seed=3)
+            tracemalloc.start()
+            try:
+                run_scenario(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(100) <= 1.1 * peak(20)
 
 
 class TestGrid:

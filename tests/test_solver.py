@@ -11,11 +11,14 @@ from ebct import (
     dual_objective,
     recover_weights,
     solve,
+    solve_batch,
     standardize,
     truncate_and_rebalance,
 )
 from ebct.errors import (
+    EbctError,
     InfeasibleConstraints,
+    NonFiniteDual,
     NotConverged,
     SingularHessian,
     ThresholdInfeasible,
@@ -356,6 +359,78 @@ class TestSolve:
             solve(sample, options=SolverOptions(ridge=0.0))
         weights, report = solve(sample)
         assert report.converged
+
+
+def selected_sample(seed, n=50):
+    """Strong selection on a skewed covariate; some seeds are infeasible."""
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([rng.exponential(1.0, n), rng.standard_normal(n)])
+    t = 2.0 * x[:, 0] + x[:, 1] + 0.7 * rng.standard_normal(n)
+    from ebct import Dataset
+
+    return standardize(Dataset(treatment=t, covariates=x))
+
+
+class TestSolveBatch:
+
+    def test_matches_one_problem_solves(self, rng):
+        # Non-uniform base weights; the problems need different iteration
+        # counts, two of them diverge and one underflows a weight to zero
+        # while the others still iterate.
+        samples = [selected_sample(seed) for seed in range(12)]
+        base = [rng.uniform(0.5, 2.0, size=50) for _ in samples]
+        batch = solve_batch(samples, base)
+        iterations = set()
+        for sample, q, outcome in zip(samples, base, batch):
+            try:
+                alone, alone_report = solve(sample, base_weights=q)
+            except (EbctError, ValueError) as err:
+                assert type(outcome) is type(err)
+                continue
+            weights, report = outcome
+            npt.assert_allclose(weights.weights, alone.weights, rtol=0, atol=1e-12)
+            npt.assert_allclose(weights.base_weights, alone.base_weights, rtol=0, atol=1e-15)
+            assert report.iterations == alone_report.iterations
+            assert report.dual_value_trace == pytest.approx(alone_report.dual_value_trace, abs=1e-12)
+            iterations.add(report.iterations)
+        assert len(iterations) > 1
+        assert sum(isinstance(outcome, InfeasibleConstraints) for outcome in batch) == 2
+
+    def test_failures_stay_with_their_problem(self):
+        feasible = [random_sample(np.random.default_rng(seed), n=6, k=1) for seed in (2, 5, 10)]
+        t = np.array([-2.0, -1.0, -1.0, 1.0, 1.0, 2.0])
+        # Cross-product column strictly positive: no balancing weights exist.
+        infeasible = StandardizedSample.from_standardized(
+            t_std=t, x_std=np.array([[-1.0], [-2.0], [-1.0], [1.0], [2.0], [1.0]])
+        )
+        non_finite = StandardizedSample.from_standardized(
+            t_std=t, x_std=np.array([[-1.0], [1.0], [0.0], [np.nan], [1.0], [-1.0]])
+        )
+        samples = [feasible[0], infeasible, feasible[1], non_finite, feasible[2]]
+        batch = solve_batch(samples)
+        assert isinstance(batch[1], InfeasibleConstraints)
+        assert isinstance(batch[3], NonFiniteDual)
+        for sample, outcome in zip(samples, batch):
+            try:
+                alone, _ = solve(sample)
+            except EbctError as err:
+                assert type(outcome) is type(err)
+            else:
+                npt.assert_allclose(outcome[0].weights, alone.weights, rtol=0, atol=1e-12)
+
+    def test_not_converged_per_problem(self, rng):
+        samples = [random_sample(rng, n=30, k=2) for _ in range(3)]
+        options = SolverOptions(max_iterations=2, gradient_tolerance=1e-12)
+        for outcome in solve_batch(samples, options=options):
+            assert isinstance(outcome, NotConverged)
+            assert outcome.report.iterations == 2
+
+    def test_shapes_must_agree(self, rng):
+        assert solve_batch([]) == []
+        with pytest.raises(ValueError):
+            solve_batch([random_sample(rng, n=30), random_sample(rng, n=31)])
+        with pytest.raises(ValueError):
+            solve_batch([random_sample(rng, n=30)], base_weights=[None, None])
 
 
 class TestSolverOptions:
