@@ -12,14 +12,13 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .data import Dataset, uniform_weights
+from .data import METHODS, Dataset, uniform_weights
 from .diagnostics import balance_report, render_balance_table
 from .drf import DrfPipeline, attach_bootstrap, bootstrap_se, default_grid, estimate_drf
 from .errors import (
@@ -31,9 +30,10 @@ from .errors import (
     ScenarioDegenerate,
 )
 from .simulation import (
-    METHODS,
+    METHODS as SIMULATION_METHODS,
     SAMPLE_SIZES,
     ScenarioConfig,
+    cell_seed,
     paper_grid,
     render_grid_table,
     run_grid,
@@ -46,26 +46,6 @@ EXIT_INPUT_ERROR = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_BOOTSTRAP_FAILED = 3
 EXIT_SCENARIO_DEGENERATE = 4
-
-
-@dataclass
-class RunConfig:
-    """Parsed command configuration."""
-
-    command: str
-    input_path: Optional[Path] = None
-    treatment_col: str = ""
-    outcome_col: Optional[str] = None
-    covariate_cols: tuple = ()
-    method: str = "ebct"
-    truncation_threshold: Optional[float] = None
-    drf_degree: int = 3
-    bootstrap_reps: int = 1000
-    grid_points: int = 50
-    seed: int = 0
-    output_dir: Path = Path(".")
-    force: bool = False
-    jobs: int = 1
 
 
 def read_csv(
@@ -149,22 +129,23 @@ def _write_weights_csv(path: Path, dataset: Dataset, weights) -> None:
             writer.writerow([unit_id, repr(float(weight))])
 
 
-def cmd_balance(config: RunConfig) -> int:
+def _read_input(args) -> Dataset:
+    covariates = tuple(name for name in args.covariate_cols.split(",") if name)
+    return read_csv(args.input, args.treatment_col, covariates, args.outcome_col)
+
+
+def cmd_balance(args) -> int:
     """Estimate weights, write weights.csv, balance_report.json and a table."""
-    dataset = read_csv(
-        config.input_path, config.treatment_col, config.covariate_cols, config.outcome_col
-    )
+    dataset = _read_input(args)
     weights_path, report_path, table_path = _prepare_outputs(
-        config.output_dir,
+        Path(args.out),
         ["weights.csv", "balance_report.json", "balance_table.txt"],
-        config.force,
+        args.force,
     )
 
     exit_code = EXIT_OK
     try:
-        weights = estimate_weights(
-            dataset, config.method, truncation=config.truncation_threshold
-        )
+        weights = estimate_weights(dataset, args.method, truncation=args.truncate)
     except NotConverged as err:
         print(f"warning: {err}; writing outputs for the last iterate", file=sys.stderr)
         weights = err.weights
@@ -175,11 +156,11 @@ def cmd_balance(config: RunConfig) -> int:
 
     _write_weights_csv(weights_path, dataset, weights)
     payload = {
-        "input": str(config.input_path),
+        "input": str(Path(args.input)),
         "method": weights.method_tag,
         "converged": weights.converged,
         "iterations": weights.iterations,
-        "truncation_threshold": config.truncation_threshold,
+        "truncation_threshold": args.truncate,
         "unweighted": unweighted.to_dict(),
         "weighted": weighted.to_dict(),
         "version": __version__,
@@ -191,45 +172,35 @@ def cmd_balance(config: RunConfig) -> int:
     return exit_code
 
 
-def cmd_drf(config: RunConfig) -> int:
+def cmd_drf(args) -> int:
     """Fit the dose-response polynomial and write drf.csv plus a sidecar."""
-    if not config.outcome_col:
+    if not args.outcome_col:
         raise MissingColumn("<outcome>")
-    dataset = read_csv(
-        config.input_path, config.treatment_col, config.covariate_cols, config.outcome_col
-    )
-    csv_path, meta_path = _prepare_outputs(
-        config.output_dir, ["drf.csv", "drf.json"], config.force
-    )
+    dataset = _read_input(args)
+    csv_path, meta_path = _prepare_outputs(Path(args.out), ["drf.csv", "drf.json"], args.force)
 
     exit_code = EXIT_OK
     try:
-        weights = estimate_weights(
-            dataset, config.method, truncation=config.truncation_threshold
-        )
+        weights = estimate_weights(dataset, args.method, truncation=args.truncate)
     except NotConverged as err:
         print(f"warning: {err}; continuing with the last iterate", file=sys.stderr)
         weights = err.weights
         exit_code = EXIT_NOT_CONVERGED
 
-    grid = default_grid(dataset.treatment, config.grid_points)
-    fit = estimate_drf(dataset, weights, degree=config.drf_degree, grid=grid)
-    if config.bootstrap_reps > 0:
-        pipeline = DrfPipeline(
-            method=config.method,
-            degree=config.drf_degree,
-            truncation=config.truncation_threshold,
-        )
-        result = bootstrap_se(dataset, pipeline, config.bootstrap_reps, grid, config.seed)
+    grid = default_grid(dataset.treatment, args.grid_points)
+    fit = estimate_drf(dataset, weights, degree=args.degree, grid=grid)
+    if args.bootstrap > 0:
+        pipeline = DrfPipeline(method=args.method, degree=args.degree, truncation=args.truncate)
+        result = bootstrap_se(dataset, pipeline, args.bootstrap, grid, args.seed)
         fit = attach_bootstrap(fit, result)
 
     fit.write_csv(csv_path)
     meta = {
-        "input": str(config.input_path),
-        "method": config.method,
-        "degree": config.drf_degree,
-        "bootstrap_reps": config.bootstrap_reps,
-        "seed": config.seed,
+        "input": str(Path(args.input)),
+        "method": args.method,
+        "degree": args.degree,
+        "bootstrap_reps": args.bootstrap,
+        "seed": args.seed,
         "grid_min": float(grid[0]),
         "grid_max": float(grid[-1]),
         "coefficients": [repr(float(c)) for c in fit.coefficients],
@@ -240,7 +211,7 @@ def cmd_drf(config: RunConfig) -> int:
     return exit_code
 
 
-def cmd_simulate(config: RunConfig, args) -> int:
+def cmd_simulate(args) -> int:
     """Run one scenario cell or the full grid; write CSV plus text table."""
     if args.paper_grid:
         sizes = tuple(int(s) for s in args.sizes.split(",")) if args.sizes else SAMPLE_SIZES
@@ -248,12 +219,9 @@ def cmd_simulate(config: RunConfig, args) -> int:
             sizes=sizes,
             replications=args.replications,
             methods=tuple(args.methods.split(",")),
-            seed=config.seed,
+            seed=args.seed,
         )
     else:
-        cell_seed = int(
-            np.random.SeedSequence(config.seed, spawn_key=(0,)).generate_state(1, np.uint64)[0]
-        )
         configs = [
             ScenarioConfig(
                 n=args.n,
@@ -262,21 +230,21 @@ def cmd_simulate(config: RunConfig, args) -> int:
                 spec=args.spec,
                 replications=args.replications,
                 methods=tuple(args.methods.split(",")),
-                master_seed=cell_seed,
+                master_seed=cell_seed(args.seed, 0),
             )
         ]
 
     csv_path, table_path, meta_path = _prepare_outputs(
-        config.output_dir,
+        Path(args.out),
         ["scenarios.csv", "scenarios_table.txt", "scenarios.json"],
-        config.force,
+        args.force,
     )
-    results = run_grid(configs, jobs=config.jobs)
+    results = run_grid(configs, jobs=args.jobs)
     write_grid_csv(results, csv_path)
     table = render_grid_table(results)
     table_path.write_text(table)
     meta = {
-        "seed": config.seed,
+        "seed": args.seed,
         "replications": args.replications,
         "methods": args.methods,
         "paper_grid": bool(args.paper_grid),
@@ -302,9 +270,7 @@ def _add_io_arguments(parser, outcome_required: bool) -> None:
         default=None,
         help="outcome column name",
     )
-    parser.add_argument(
-        "--method", choices=("ebct", "ipw", "uniform"), default="ebct"
-    )
+    parser.add_argument("--method", choices=METHODS, default="ebct")
     parser.add_argument(
         "--truncate",
         type=float,
@@ -343,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--spec", type=int, default=1, choices=(1, 2, 3))
     simulate.add_argument("--replications", type=int, default=1000)
     simulate.add_argument(
-        "--methods", default=",".join(METHODS), help="comma-separated method names"
+        "--methods", default=",".join(SIMULATION_METHODS), help="comma-separated method names"
     )
     simulate.add_argument(
         "--paper-grid",
@@ -365,39 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    config = RunConfig(command=args.command)
-    config.output_dir = Path(args.out)
-    config.force = args.force
-    if args.command in ("balance", "drf"):
-        config.input_path = Path(args.input)
-        config.treatment_col = args.treatment_col
-        config.covariate_cols = tuple(
-            name for name in args.covariate_cols.split(",") if name
-        )
-        config.outcome_col = args.outcome_col
-        config.method = args.method
-        config.truncation_threshold = args.truncate
-    if args.command == "drf":
-        config.drf_degree = args.degree
-        config.bootstrap_reps = args.bootstrap
-        config.grid_points = args.grid_points
-        config.seed = args.seed
-    if args.command == "simulate":
-        config.seed = args.seed
-        config.jobs = args.jobs
-    return config
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = _config_from_args(args)
     try:
         if args.command == "balance":
-            return cmd_balance(config)
+            return cmd_balance(args)
         if args.command == "drf":
-            return cmd_drf(config)
-        return cmd_simulate(config, args)
+            return cmd_drf(args)
+        return cmd_simulate(args)
     except ResampleDegenerate as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BOOTSTRAP_FAILED

@@ -3,7 +3,7 @@
 The constraint matrix collects, per unit, the treatment, the covariates and
 their cross-products, all on the standardized scale. Zero weighted means of
 these columns are exactly the zero-correlation balance conditions the solver
-enforces.
+enforces. The weighting-method names are registered here once.
 """
 
 from __future__ import annotations
@@ -126,11 +126,6 @@ class Dataset:
         )
 
 
-def _balance_columns(t_std: np.ndarray, x_std: np.ndarray) -> np.ndarray:
-    # Column order is fixed: [T, X1..XK, T*X1..T*XK].
-    return np.column_stack([t_std[:, None], x_std, t_std[:, None] * x_std])
-
-
 @dataclass(frozen=True)
 class StandardizedSample:
     """Centered and unit-variance treatment/covariates with recorded scales.
@@ -181,7 +176,9 @@ class StandardizedSample:
         object.__setattr__(self, "x_means", _frozen_array(np.ravel(self.x_means)))
         object.__setattr__(self, "x_scales", _frozen_array(x_scales))
         object.__setattr__(self, "unit_ids", ids)
-        object.__setattr__(self, "constraint_matrix", _frozen_array(_balance_columns(t, x)))
+        # Column order is fixed: [T, X1..XK, T*X1..T*XK].
+        columns = np.column_stack([t[:, None], x, t[:, None] * x])
+        object.__setattr__(self, "constraint_matrix", _frozen_array(columns))
 
     @property
     def n(self) -> int:
@@ -255,13 +252,19 @@ def standardize(dataset: Dataset) -> StandardizedSample:
     )
 
 
-def build_constraint_matrix(sample: StandardizedSample) -> np.ndarray:
-    """Recompute the n x (2K+1) balance-constraint matrix from a sample.
+# Weighting methods, in the order the CLI lists them. "unweighted" is an alias
+# of "uniform"; BalancingWeights carries only the canonical names.
+METHODS = ("ebct", "ipw", "uniform")
+_ALIASES = {"unweighted": "uniform"}
 
-    Returns a fresh array equal to ``sample.constraint_matrix``; exposed so
-    callers can verify or rebuild the matrix independently of construction.
-    """
-    return _balance_columns(sample.t_std, sample.x_std)
+
+def method_name(method: str) -> str:
+    """Canonical name of a weighting method: case-insensitive, aliases resolved."""
+    name = method.lower()
+    name = _ALIASES.get(name, name)
+    if name not in METHODS:
+        raise ValueError(f"unknown weighting method {method!r}")
+    return name
 
 
 @dataclass(frozen=True)
@@ -291,7 +294,7 @@ class BalancingWeights:
             raise ValueError("weights must be strictly positive")
         if abs(w.sum() - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
-        if self.method_tag not in ("ebct", "ipw", "uniform"):
+        if self.method_tag not in METHODS:
             raise ValueError(f"unknown method tag {self.method_tag!r}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "base_weights", q)

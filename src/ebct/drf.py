@@ -24,11 +24,13 @@ from .errors import (
     RankDeficientDesign,
     ResampleDegenerate,
 )
-from .solver import SolverOptions
 from .weighting import estimate_weights
 
 # Normal critical value for a two-sided test at the 10% level.
 _Z_10PCT = 1.645
+
+# A bootstrap gives up after this many draws per requested replicate.
+_MAX_DRAW_FACTOR = 10
 
 
 def fit_wls(y, design, w) -> np.ndarray:
@@ -151,12 +153,9 @@ class DrfPipeline:
     method: str = "ebct"
     degree: int = 3
     truncation: Optional[float] = None
-    solver_options: Optional[SolverOptions] = None
 
     def derivatives(self, dataset: Dataset, grid) -> np.ndarray:
-        weights = estimate_weights(
-            dataset, self.method, truncation=self.truncation, options=self.solver_options
-        )
+        weights = estimate_weights(dataset, self.method, truncation=self.truncation)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ExtrapolationWarning)
             fit = estimate_drf(dataset, weights, degree=self.degree, grid=grid)
@@ -168,7 +167,6 @@ def bootstrap_statistic(
     statistic: Callable[[np.ndarray], np.ndarray],
     replications: int,
     seed: int,
-    max_draw_factor: int = 10,
 ) -> np.ndarray:
     """Unit-level bootstrap of an arbitrary statistic.
 
@@ -179,15 +177,14 @@ def bootstrap_statistic(
     execution order.
 
     Raises:
-        ResampleDegenerate: more than ``max_draw_factor * replications``
-            draws were needed.
+        ResampleDegenerate: more than ten draws per replicate were needed.
     """
     if replications < 2:
         raise ValueError("at least 2 bootstrap replications are required")
     rows = []
     attempt = 0
     while len(rows) < replications:
-        if attempt >= max_draw_factor * replications:
+        if attempt >= _MAX_DRAW_FACTOR * replications:
             raise ResampleDegenerate(
                 f"{attempt} resampling attempts produced only {len(rows)} "
                 f"usable replicates out of {replications}"

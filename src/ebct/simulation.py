@@ -28,7 +28,9 @@ SAMPLE_SIZES = (200, 500, 1000)
 SELECTION_SCALES = (4.0, 2.0)
 OUTCOME_ETAS = (1.0, 1.25, 1.5)
 SPECIFICATIONS = (1, 2, 3)
-METHODS = ("unweighted", "ipw", "ebct")
+
+# Methods a scenario compares, in default order, with their table labels.
+METHODS = {"unweighted": "Unweighted", "ipw": "IPW", "ebct": "EBCT"}
 
 TRUE_EFFECT = 1.0
 
@@ -59,6 +61,11 @@ def replication_rng(master_seed: int, replicate_index: int) -> np.random.Generat
     return np.random.default_rng(
         np.random.SeedSequence(master_seed, spawn_key=(replicate_index,))
     )
+
+
+def cell_seed(seed: int, index: int) -> int:
+    """Integer master seed of the scenario cell at ``index`` under a base seed."""
+    return int(np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(1, np.uint64)[0])
 
 
 def gen_covariates(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -130,7 +137,7 @@ class ScenarioConfig:
     eta: float
     spec: int
     replications: int = 1000
-    methods: tuple = METHODS
+    methods: tuple = tuple(METHODS)
     master_seed: int = 0
 
     def __post_init__(self):
@@ -315,7 +322,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 def paper_grid(
     sizes: Sequence[int] = SAMPLE_SIZES,
     replications: int = 1000,
-    methods: Sequence[str] = METHODS,
+    methods: Sequence[str] = tuple(METHODS),
     seed: int = 0,
 ) -> list:
     """The full scenario cross: sizes x selection scales x etas x specs.
@@ -330,11 +337,6 @@ def paper_grid(
         for sigma in SELECTION_SCALES:
             for eta in OUTCOME_ETAS:
                 for spec in SPECIFICATIONS:
-                    cell_seed = int(
-                        np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(
-                            1, np.uint64
-                        )[0]
-                    )
                     configs.append(
                         ScenarioConfig(
                             n=n,
@@ -343,7 +345,7 @@ def paper_grid(
                             spec=spec,
                             replications=replications,
                             methods=tuple(methods),
-                            master_seed=cell_seed,
+                            master_seed=cell_seed(seed, index),
                         )
                     )
                     index += 1
@@ -401,9 +403,6 @@ def write_grid_csv(results: Sequence[ScenarioResult], path) -> None:
                 )
 
 
-_METHOD_LABELS = {"unweighted": "Unweighted", "ipw": "IPW", "ebct": "EBCT"}
-
-
 def render_grid_table(results: Sequence[ScenarioResult]) -> str:
     """Text table per sample size: bias/RMSE columns over the (sigma, eta) cross.
 
@@ -435,7 +434,7 @@ def render_grid_table(results: Sequence[ScenarioResult]) -> str:
                 cells.append(
                     f"{summary.bias_pct:>{cell_width}.2f}{summary.rmse_pct:>{cell_width}.2f}"
                 )
-        return _METHOD_LABELS[method].ljust(label_width) + "".join(cells)
+        return METHODS[method].ljust(label_width) + "".join(cells)
 
     lines = []
     for n in sizes:

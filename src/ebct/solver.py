@@ -39,6 +39,10 @@ _GAMMA_BOUND = 1e6
 
 _MIN_STEP = 1e-14
 
+# Backtracking factor and Armijo sufficient-decrease constant.
+_SHRINK = 0.5
+_ARMIJO_C = 1e-4
+
 _OVERFLOW = "dual exponent overflowed; multipliers are pathological"
 
 
@@ -54,8 +58,6 @@ class SolverOptions:
     gradient_tolerance: float = 1e-8
     max_iterations: int = 200
     ridge: float = 1e-9
-    line_search_shrink: float = 0.5
-    armijo_c: float = 1e-4
 
     def __post_init__(self):
         if self.gradient_tolerance <= 0:
@@ -64,10 +66,6 @@ class SolverOptions:
             raise ValueError("max_iterations must be at least 1")
         if self.ridge < 0:
             raise ValueError("ridge must be non-negative")
-        if not 0 < self.line_search_shrink < 1:
-            raise ValueError("line_search_shrink must lie in (0, 1)")
-        if self.armijo_c <= 0:
-            raise ValueError("armijo_c must be positive")
 
 
 @dataclass
@@ -188,6 +186,11 @@ def _newton(G, q, opts: SolverOptions) -> list:
     def retire(rows) -> None:
         for i in rows:
             b = live[i]
+            if errors[i] is None and not w[i].min() > 0:
+                errors[i] = InfeasibleConstraints(
+                    "a weight underflowed to zero; the balance constraints admit no "
+                    "strictly positive weights at float precision"
+                )
             if errors[i] is not None:
                 outcomes[b] = errors[i]
                 continue
@@ -199,19 +202,15 @@ def _newton(G, q, opts: SolverOptions) -> list:
                 dual_value_trace=traces[b],
                 final_gradient_norm=grad_norm,
             )
-            try:
-                weights = BalancingWeights(
-                    weights=w[i],
-                    base_weights=q[b],
-                    gamma=gamma[i],
-                    converged=converged,
-                    iterations=int(iterations[i]),
-                    final_gradient_norm=grad_norm,
-                    method_tag="ebct",
-                )
-            except ValueError as err:  # a weight underflowed to zero
-                outcomes[b] = err
-                continue
+            weights = BalancingWeights(
+                weights=w[i],
+                base_weights=q[b],
+                gamma=gamma[i],
+                converged=converged,
+                iterations=int(iterations[i]),
+                final_gradient_norm=grad_norm,
+                method_tag="ebct",
+            )
             outcomes[b] = (weights, report) if converged else NotConverged(weights, report)
 
     for _ in range(opts.max_iterations):
@@ -263,9 +262,9 @@ def _newton(G, q, opts: SolverOptions) -> list:
                 elif local[i]:
                     ok = np.abs(c_grad[j]).max() < grad_norm[i]
                 else:
-                    ok = c_value[j] <= value[i] + opts.armijo_c * step[i] * slope[i]
+                    ok = c_value[j] <= value[i] + _ARMIJO_C * step[i] * slope[i]
                     if not ok:
-                        step[i] *= opts.line_search_shrink
+                        step[i] *= _SHRINK
                         if step[i] >= _MIN_STEP:
                             continue
                 searching[i] = False
@@ -303,9 +302,8 @@ def solve_batch(
     Returns:
         One entry per sample: ``(BalancingWeights, ConvergenceReport)`` on
         success, otherwise the exception ``solve`` would raise for it
-        (``NotConverged``, ``InfeasibleConstraints``, ``NonFiniteDual``,
-        ``SingularHessian``, or ``ValueError`` when a weight underflows to
-        zero).
+        (``NotConverged``, ``InfeasibleConstraints``, ``NonFiniteDual`` or
+        ``SingularHessian``).
     """
     samples = list(samples)
     if not samples:
@@ -347,8 +345,8 @@ def solve(
     Raises:
         NotConverged: iteration limit reached; the exception carries the last
             iterate for callers that want to accept it.
-        InfeasibleConstraints: the dual diverged, meaning no strictly
-            positive weights can satisfy the constraints.
+        InfeasibleConstraints: the dual diverged or a weight underflowed to
+            zero, meaning no strictly positive weights satisfy the constraints.
         NonFiniteDual: an exponent overflowed.
         SingularHessian: only possible when ridge is forced to zero.
     """
@@ -358,12 +356,17 @@ def solve(
     return outcome
 
 
+def check_threshold(threshold: float, n: int) -> None:
+    """Raise ThresholdInfeasible if no n weights summing to one fit under the cap."""
+    if threshold < 1.0 / n:
+        raise ThresholdInfeasible(f"threshold {threshold} is below 1/n = {1.0 / n}")
+
+
 def truncate_and_rebalance(
     sample: StandardizedSample,
     weights: BalancingWeights,
     threshold: float,
     max_rounds: int = 100,
-    options: Optional[SolverOptions] = None,
 ) -> BalancingWeights:
     """Cap extreme weights and re-solve until no weight exceeds the threshold.
 
@@ -371,27 +374,29 @@ def truncate_and_rebalance(
     solver with the capped weights as base weights. The result still satisfies
     the balance constraints within tolerance but concentrates less mass on
     single units. Stops once the maximum weight is at or below the threshold
-    (within 1e-10) or after ``max_rounds``; the excess over the threshold
-    shrinks geometrically, so the default round budget is generous.
+    (within 1e-10); the excess over the threshold shrinks geometrically, so
+    the default round budget is generous.
 
     Raises:
         ThresholdInfeasible: threshold below 1/n (no weight vector summing to
-            one can satisfy the cap).
+            one can satisfy the cap), or the cap is still exceeded after
+            ``max_rounds`` re-solves.
         NotConverged: propagated from an inner solve.
     """
-    n = weights.n
-    if threshold < 1.0 / n:
-        raise ThresholdInfeasible(
-            f"threshold {threshold} is below 1/n = {1.0 / n}"
-        )
+    check_threshold(threshold, weights.n)
     if max_rounds < 0:
         raise ValueError("max_rounds must be non-negative")
 
     current = weights
-    for _ in range(max_rounds):
-        if current.weights.max() <= threshold + 1e-10:
-            break
+    rounds = 0
+    while current.max_share > threshold + 1e-10:
+        if rounds == max_rounds:
+            raise ThresholdInfeasible(
+                f"max weight share {current.max_share!r} still exceeds threshold "
+                f"{threshold} after {rounds} rebalancing rounds"
+            )
         capped = np.minimum(current.weights, threshold)
         capped = capped / capped.sum()
-        current, _ = solve(sample, base_weights=capped, options=options)
+        current, _ = solve(sample, base_weights=capped)
+        rounds += 1
     return current

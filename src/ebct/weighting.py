@@ -2,49 +2,55 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
 
-from .data import BalancingWeights, Dataset, standardize, uniform_weights
+from .data import BalancingWeights, Dataset, method_name, standardize, uniform_weights
 from .ipw import ipw_weights
-from .solver import SolverOptions, solve, truncate_and_rebalance
-
-METHODS = ("ebct", "ipw", "uniform")
+from .solver import check_threshold, solve, truncate_and_rebalance
 
 
 def cap_weights(weights: BalancingWeights, threshold: float) -> BalancingWeights:
-    """Iteratively cap weights at a threshold and renormalize.
+    """Cap weights at a threshold, renormalizing the rest in proportion.
 
     Plain capping without re-solving any constraints; used for optional IPW
-    robustness runs. Entropy-balancing weights should go through
-    ``truncate_and_rebalance`` instead so balance is restored.
+    robustness runs. The result is the fixed point of repeated
+    cap-and-renormalize, computed in closed form: the largest units sit
+    exactly at the cap and the others keep their ratios. Entropy-balancing
+    weights should go through ``truncate_and_rebalance`` instead so balance
+    is restored.
+
+    Raises:
+        ThresholdInfeasible: threshold below 1/n.
     """
-    w = weights.weights.copy()
+    w = weights.weights
     n = w.size
-    if threshold < 1.0 / n:
-        raise ValueError(f"threshold {threshold} is below 1/n = {1.0 / n}")
-    for _ in range(100):
-        if w.max() <= threshold + 1e-12:
-            break
-        w = np.minimum(w, threshold)
-        w = w / w.sum()
-    return BalancingWeights(
-        weights=w,
-        base_weights=weights.base_weights,
-        gamma=weights.gamma,
-        converged=weights.converged,
-        iterations=weights.iterations,
-        final_gradient_norm=weights.final_gradient_norm,
-        method_tag=weights.method_tag,
-    )
+    check_threshold(threshold, n)
+    if w.max() <= threshold:
+        return weights
+    # Capping the k largest units scales the rest by (1 - k c) / (their sum);
+    # the smallest k that leaves the largest remaining unit at or below the
+    # cap is the fixed point.
+    order = np.argsort(-w, kind="stable")
+    desc = w[order]
+    tails = np.cumsum(desc[::-1])[::-1]
+    k = np.arange(n)
+    fits = desc * (1.0 - k * threshold) <= threshold * tails
+    fits[-1] = True
+    capped = int(np.argmax(fits))
+    out = np.empty(n)
+    out[order[:capped]] = threshold
+    rest = order[capped:]
+    out[rest] = w[rest] * ((1.0 - capped * threshold) / w[rest].sum())
+    return replace(weights, weights=out)
 
 
 def estimate_weights(
     dataset: Dataset,
     method: str,
     truncation: Optional[float] = None,
-    options: Optional[SolverOptions] = None,
 ) -> BalancingWeights:
     """Estimate weights for one of the supported methods.
 
@@ -52,9 +58,7 @@ def estimate_weights(
     accepted as an alias for ``uniform``). A truncation threshold triggers
     truncate-and-rebalance for ebct and a simple cap-and-renormalize for ipw.
     """
-    name = method.lower()
-    if name == "unweighted":
-        name = "uniform"
+    name = method_name(method)
     if name == "uniform":
         return uniform_weights(dataset.n)
     if name == "ipw":
@@ -62,10 +66,8 @@ def estimate_weights(
         if truncation is not None:
             weights = cap_weights(weights, truncation)
         return weights
-    if name == "ebct":
-        sample = standardize(dataset)
-        weights, _ = solve(sample, options=options)
-        if truncation is not None:
-            weights = truncate_and_rebalance(sample, weights, truncation, options=options)
-        return weights
-    raise ValueError(f"unknown weighting method {method!r}")
+    sample = standardize(dataset)
+    weights, _ = solve(sample)
+    if truncation is not None:
+        weights = truncate_and_rebalance(sample, weights, truncation)
+    return weights

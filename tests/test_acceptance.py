@@ -15,19 +15,16 @@ import ebct.cli as cli
 from ebct import (
     Dataset,
     ScenarioConfig,
-    dual_gradient,
-    dual_hessian,
-    dual_objective,
     estimate_drf,
-    run_replication,
     run_scenario,
     solve,
     standardize,
     truncate_and_rebalance,
-    uniform_weights,
 )
+from ebct.data import uniform_weights
 from ebct.errors import EbctError
-from ebct.simulation import TRUE_EFFECT
+from ebct.simulation import TRUE_EFFECT, run_replication
+from ebct.solver import dual_gradient, dual_hessian, dual_objective
 
 from conftest import random_dataset
 from test_solver import (

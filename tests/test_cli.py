@@ -133,6 +133,28 @@ class TestBalanceCommand:
         assert report["weighted"]["max_weight_share"] <= 0.04 + 1e-6
         assert report["weighted"]["max_abs_correlation"] < 1e-6
 
+    def test_relative_input_recorded_normalized(self, tmp_path, monkeypatch):
+        write_simulated_csv(tmp_path / "x.csv")
+        monkeypatch.chdir(tmp_path)
+        argv = [
+            "balance", "--input", "./x.csv",
+            "--treatment-col", "T", "--covariate-cols", COVARIATES + ",",
+            "--out", "out",
+        ]
+        assert main(argv) == 0
+        report = json.loads((tmp_path / "out" / "balance_report.json").read_text())
+        assert report["input"] == "x.csv"
+
+    def test_method_choices(self, tmp_path, capsys):
+        for command in ("balance", "drf"):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.build_parser().parse_args(
+                    [command, "--input", "d.csv", "--treatment-col", "T",
+                     "--covariate-cols", "X1", "--outcome-col", "Y", "--method", "unweighted"]
+                )
+            assert excinfo.value.code == 2
+            assert "choose from 'ebct', 'ipw', 'uniform'" in capsys.readouterr().err
+
     def test_refuses_overwrite_without_force(self, tmp_path):
         code, out = self.run_balance(tmp_path)
         assert code == 0
@@ -154,11 +176,11 @@ class TestBalanceCommand:
         assert main(argv) == 1
 
     def test_non_convergence_still_writes_outputs(self, tmp_path, monkeypatch):
-        from ebct import uniform_weights
+        from ebct.data import uniform_weights
         from ebct.errors import NotConverged
         from ebct.solver import ConvergenceReport
 
-        def stubborn(dataset, method, truncation=None, options=None):
+        def stubborn(dataset, method, truncation=None):
             weights = uniform_weights(dataset.n)
             object.__setattr__(weights, "method_tag", "ebct")
             object.__setattr__(weights, "converged", False)
@@ -263,10 +285,27 @@ class TestSimulateCommand:
         assert (out1 / "scenarios.csv").read_bytes() == (out2 / "scenarios.csv").read_bytes()
 
     def test_jobs_do_not_change_bytes(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(self.simulate_argv(out1, jobs="1")) == 0
-        assert main(self.simulate_argv(out2, jobs="2")) == 0
-        assert (out1 / "scenarios.csv").read_bytes() == (out2 / "scenarios.csv").read_bytes()
+        # Several cells, so that --jobs 2 really hands them to worker processes.
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            argv = [
+                "simulate", "--paper-grid", "--sizes", "200", "--replications", "3",
+                "--seed", "9", "--jobs", jobs, "--out", str(out),
+            ]
+            assert main(argv) == 0
+            assert json.loads((out / "scenarios.json").read_text())["cells"] >= 2
+            outputs.append((out / "scenarios.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_method_names(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(self.simulate_argv(out, reps="2") + ["--methods", "uniform"]) == 1
+        assert "unknown methods: ['uniform']" in capsys.readouterr().err
+        assert main(self.simulate_argv(out, reps="2") + ["--methods", "ebct,unweighted"]) == 0
+        header, *rows = (out / "scenarios.csv").read_text().splitlines()
+        assert [row.split(",")[4] for row in rows] == ["ebct", "unweighted"]
+        assert cli.build_parser().parse_args(["simulate"]).methods == "unweighted,ipw,ebct"
 
     def test_different_seed_changes_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

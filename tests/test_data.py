@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ebct import Dataset, StandardizedSample, build_constraint_matrix, standardize
+from ebct import Dataset, StandardizedSample, standardize
 from ebct.errors import ConstantColumn, NonFiniteInput
 
 from conftest import random_dataset
@@ -109,7 +109,8 @@ class TestConstraintMatrix:
             t_std=np.array([-1.0, 1.0]), x_std=np.array([[1.0], [-1.0]])
         )
         npt.assert_array_equal(sample.constraint_matrix, [[-1, 1, -1], [1, -1, -1]])
-        npt.assert_array_equal(build_constraint_matrix(sample), sample.constraint_matrix)
+        t, x = sample.t_std[:, None], sample.x_std
+        npt.assert_array_equal(sample.constraint_matrix, np.column_stack([t, x, t * x]))
 
     def test_k_zero_single_column(self):
         sample = StandardizedSample.from_standardized(

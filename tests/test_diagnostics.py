@@ -3,16 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from ebct import (
-    Dataset,
-    balance_report,
-    max_weight_share,
-    render_balance_table,
-    solve,
-    standardize,
-    uniform_weights,
-    weighted_pearson,
-)
+from ebct import Dataset, balance_report, solve, standardize
+from ebct.data import uniform_weights
+from ebct.diagnostics import max_weight_share, render_balance_table, weighted_pearson
 from ebct.errors import ZeroVariance
 
 from conftest import random_dataset

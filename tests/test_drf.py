@@ -7,13 +7,11 @@ from ebct import (
     DrfPipeline,
     attach_bootstrap,
     bootstrap_se,
-    bootstrap_statistic,
-    default_grid,
     estimate_drf,
     estimate_weights,
-    fit_wls,
-    uniform_weights,
 )
+from ebct.data import uniform_weights
+from ebct.drf import bootstrap_statistic, default_grid, fit_wls
 from ebct.errors import EbctError, ExtrapolationWarning, RankDeficientDesign, ResampleDegenerate
 from ebct.simulation import gen_covariates, gen_outcome, gen_treatment, replication_rng
 

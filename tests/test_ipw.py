@@ -3,7 +3,8 @@ import numpy.testing as npt
 import pytest
 from scipy import stats
 
-from ebct import Dataset, fit_gps, gps_density, ipw_weights
+from ebct import Dataset
+from ebct.ipw import fit_gps, gps_density, ipw_weights
 from ebct.errors import DegenerateResidual, RankDeficientDesign
 from ebct.simulation import gen_covariates, gen_treatment, replication_rng
 
@@ -147,7 +148,8 @@ class TestIpwWeights:
     def test_moderate_selection_balance_is_erratic(self):
         # Simulated selection data: IPW balance varies a lot and sometimes
         # worsens the raw imbalance.
-        from ebct import balance_report, uniform_weights
+        from ebct import balance_report
+        from ebct.data import uniform_weights
 
         ipw_metric, raw_metric = [], []
         for index in range(60):

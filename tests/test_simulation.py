@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 import ebct.simulation as sim
-from ebct import ScenarioConfig, paper_grid, run_grid, run_replication, run_scenario
+from ebct import ScenarioConfig, paper_grid, run_grid, run_scenario
 from ebct.errors import ScenarioDegenerate
 from ebct.simulation import (
     apply_specification,
@@ -14,6 +14,7 @@ from ebct.simulation import (
     gen_outcome,
     gen_treatment,
     replication_rng,
+    run_replication,
 )
 
 

@@ -2,8 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ebct import balance_report, cap_weights, estimate_weights
+from ebct import balance_report, estimate_weights
+from ebct.errors import ThresholdInfeasible
 from ebct.simulation import gen_covariates, gen_treatment, replication_rng
+from ebct.weighting import cap_weights
 
 from conftest import random_dataset
 
@@ -24,12 +26,15 @@ class TestEstimateWeights:
         assert estimate_weights(ds, "ebct").method_tag == "ebct"
         assert estimate_weights(ds, "ipw").method_tag == "ipw"
         assert estimate_weights(ds, "uniform").method_tag == "uniform"
+        assert estimate_weights(ds, "EBCT").method_tag == "ebct"
+        assert estimate_weights(ds, "Ipw").method_tag == "ipw"
 
     def test_unweighted_alias(self, rng):
         ds = random_dataset(rng, 40, 1)
-        weights = estimate_weights(ds, "unweighted")
-        assert weights.method_tag == "uniform"
-        npt.assert_allclose(weights.weights, np.full(40, 1.0 / 40))
+        for name in ("unweighted", "UNWEIGHTED"):
+            weights = estimate_weights(ds, name)
+            assert weights.method_tag == "uniform"
+            npt.assert_allclose(weights.weights, np.full(40, 1.0 / 40))
 
     def test_unknown_method_rejected(self, rng):
         with pytest.raises(ValueError, match="unknown weighting method"):
@@ -65,5 +70,37 @@ class TestCapWeights:
     def test_threshold_below_uniform_rejected(self, rng):
         ds = random_dataset(rng, 30, 1)
         weights = estimate_weights(ds, "uniform")
-        with pytest.raises(ValueError):
+        with pytest.raises(ThresholdInfeasible):
             cap_weights(weights, 1.0 / 60)
+
+    def test_tight_cap_is_exact(self):
+        # Repeated cap-and-renormalize needs 715 rounds here; a 100-round
+        # loop stopped 0.15% above the cap.
+        weights = estimate_weights(selection_dataset(n=200, sigma=2.0, seed=1), "ipw")
+        threshold = 1.01 / 200
+        capped = cap_weights(weights, threshold).weights
+        assert capped.max() <= threshold
+        assert capped.sum() == pytest.approx(1.0, abs=1e-12)
+        at_cap = capped == threshold
+        assert at_cap.sum() > 1
+        # Units below the cap keep their original ratios.
+        below = ~at_cap
+        ratios = capped[below] / weights.weights[below]
+        npt.assert_allclose(ratios, ratios[0], rtol=1e-12)
+        # Exactly the largest units are capped.
+        assert weights.weights[at_cap].min() > weights.weights[below].max()
+
+    def test_loose_cap_matches_iterated_capping(self):
+        weights = estimate_weights(selection_dataset(n=200, sigma=2.0, seed=1), "ipw")
+        threshold = 2.0 / 200
+        w = weights.weights.copy()
+        for _ in range(100):
+            if w.max() <= threshold + 1e-12:
+                break
+            w = np.minimum(w, threshold)
+            w = w / w.sum()
+        npt.assert_allclose(cap_weights(weights, threshold).weights, w, rtol=0, atol=1e-10)
+
+    def test_cap_above_max_returns_input(self, rng):
+        weights = estimate_weights(random_dataset(rng, 30, 1), "ipw")
+        assert cap_weights(weights, weights.max_share) is weights
