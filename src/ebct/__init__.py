@@ -13,9 +13,9 @@ example ``ebct.simulation`` or ``ebct.solver``.
 
 __version__ = "0.1.0"
 
-from .data import BalancingWeights, Dataset, StandardizedSample, standardize
+from .data import BalancingWeights, Dataset, standardize
 from .diagnostics import BalanceReport, balance_report
-from .drf import BootstrapResult, DrfFit, DrfPipeline, attach_bootstrap, bootstrap_se, estimate_drf
+from .drf import DrfFit, DrfPipeline, bootstrap_se, estimate_drf
 from .simulation import ScenarioConfig, ScenarioResult, paper_grid, run_grid, run_scenario
 from .solver import ConvergenceReport, SolverOptions, solve, solve_batch, truncate_and_rebalance
 from .weighting import estimate_weights
@@ -23,7 +23,6 @@ from .weighting import estimate_weights
 __all__ = [
     "BalanceReport",
     "BalancingWeights",
-    "BootstrapResult",
     "ConvergenceReport",
     "Dataset",
     "DrfFit",
@@ -31,8 +30,6 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioResult",
     "SolverOptions",
-    "StandardizedSample",
-    "attach_bootstrap",
     "balance_report",
     "bootstrap_se",
     "estimate_drf",

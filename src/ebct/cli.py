@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .data import METHODS, Dataset, uniform_weights
 from .diagnostics import balance_report, render_balance_table
-from .drf import DrfPipeline, attach_bootstrap, bootstrap_se, default_grid, estimate_drf
+from .drf import DrfPipeline, bootstrap_se, default_grid, estimate_drf
 from .errors import (
     EbctError,
     MissingColumn,
@@ -191,8 +191,7 @@ def cmd_drf(args) -> int:
     fit = estimate_drf(dataset, weights, degree=args.degree, grid=grid)
     if args.bootstrap > 0:
         pipeline = DrfPipeline(method=args.method, degree=args.degree, truncation=args.truncate)
-        result = bootstrap_se(dataset, pipeline, args.bootstrap, grid, args.seed)
-        fit = attach_bootstrap(fit, result)
+        fit = bootstrap_se(fit, dataset, pipeline, args.bootstrap, args.seed)
 
     fit.write_csv(csv_path)
     meta = {
@@ -211,8 +210,20 @@ def cmd_drf(args) -> int:
     return exit_code
 
 
+def _simulation_jobs(args) -> int:
+    """Worker count: ``--jobs``, else $EBCT_JOBS, else 1."""
+    if args.jobs is not None:
+        return args.jobs
+    value = os.environ.get("EBCT_JOBS", "1")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"EBCT_JOBS must be an integer, got {value!r}") from None
+
+
 def cmd_simulate(args) -> int:
     """Run one scenario cell or the full grid; write CSV plus text table."""
+    jobs = _simulation_jobs(args)
     if args.paper_grid:
         sizes = tuple(int(s) for s in args.sizes.split(",")) if args.sizes else SAMPLE_SIZES
         configs = paper_grid(
@@ -239,7 +250,7 @@ def cmd_simulate(args) -> int:
         ["scenarios.csv", "scenarios_table.txt", "scenarios.json"],
         args.force,
     )
-    results = run_grid(configs, jobs=args.jobs)
+    results = run_grid(configs, jobs=jobs)
     write_grid_csv(results, csv_path)
     table = render_grid_table(results)
     table_path.write_text(table)
@@ -323,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--jobs",
         type=int,
-        default=int(os.environ.get("EBCT_JOBS", "1")),
+        default=None,
         help="worker processes for scenario cells (default $EBCT_JOBS or 1)",
     )
     simulate.add_argument("--out", default=".", help="output directory")

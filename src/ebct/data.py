@@ -1,21 +1,21 @@
-"""Core data model: datasets, standardization, and the balance-constraint matrix.
+"""Core data model: datasets, the balance-column matrix and balancing weights.
 
-The constraint matrix collects, per unit, the treatment, the covariates and
-their cross-products, all on the standardized scale. Zero weighted means of
-these columns are exactly the zero-correlation balance conditions the solver
-enforces. The weighting-method names are registered here once.
+``standardize`` turns a dataset into the matrix of balance columns: per unit,
+the treatment, the covariates and their cross-products, all on the
+standardized scale. Zero weighted means of these columns are exactly the
+zero-correlation balance conditions the solver enforces. The weighting-method
+names are registered here once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConstantColumn, NonFiniteInput
 
-_CENTERING_TOL = 1e-12
 _WEIGHT_SUM_TOL = 1e-12
 
 
@@ -126,93 +126,15 @@ class Dataset:
         )
 
 
-@dataclass(frozen=True)
-class StandardizedSample:
-    """Centered and unit-variance treatment/covariates with recorded scales.
+def standardize(dataset: Dataset) -> np.ndarray:
+    """Balance columns of the standardized sample: the solver's input.
 
-    ``constraint_matrix`` has one row per unit, stacking the standardized
-    treatment, covariates and treatment-covariate products; it has exactly
-    2K+1 columns for K covariates.
-    """
-
-    t_std: np.ndarray
-    x_std: np.ndarray
-    t_mean: float
-    t_scale: float
-    x_means: np.ndarray
-    x_scales: np.ndarray
-    unit_ids: tuple = ()
-    constraint_matrix: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        t = _frozen_array(np.ravel(self.t_std))
-        x = _as_matrix(self.x_std, t.size)
-        n, k = t.size, x.shape[1]
-        if x.shape[0] != n:
-            raise ValueError("t_std and x_std disagree on the number of units")
-
-        if self.t_scale <= 0:
-            raise ConstantColumn("treatment")
-        x_scales = np.ravel(np.asarray(self.x_scales, dtype=float))
-        if np.any(x_scales <= 0):
-            bad = int(np.argmax(x_scales <= 0))
-            raise ConstantColumn(f"X{bad + 1}")
-
-        cols = np.column_stack([t[:, None], x])
-        col_scales = np.concatenate([[np.std(t)], np.std(x, axis=0)])
-        tol = _CENTERING_TOL * np.maximum(col_scales, 1.0)
-        means = np.abs(cols.mean(axis=0))
-        if np.any(means > tol):
-            raise ValueError("standardized columns are not centered to tolerance")
-
-        ids = tuple(self.unit_ids) or tuple(range(n))
-        if len(ids) != n:
-            raise ValueError(f"expected {n} unit ids, got {len(ids)}")
-
-        object.__setattr__(self, "t_std", t)
-        object.__setattr__(self, "x_std", x)
-        object.__setattr__(self, "t_mean", float(self.t_mean))
-        object.__setattr__(self, "t_scale", float(self.t_scale))
-        object.__setattr__(self, "x_means", _frozen_array(np.ravel(self.x_means)))
-        object.__setattr__(self, "x_scales", _frozen_array(x_scales))
-        object.__setattr__(self, "unit_ids", ids)
-        # Column order is fixed: [T, X1..XK, T*X1..T*XK].
-        columns = np.column_stack([t[:, None], x, t[:, None] * x])
-        object.__setattr__(self, "constraint_matrix", _frozen_array(columns))
-
-    @property
-    def n(self) -> int:
-        return self.t_std.size
-
-    @property
-    def k(self) -> int:
-        return self.x_std.shape[1]
-
-    @classmethod
-    def from_standardized(cls, t_std, x_std, unit_ids=()) -> "StandardizedSample":
-        """Wrap already-centered columns (scales default to one).
-
-        Useful for hand-built solver inputs; ``standardize`` is the front door
-        for raw data.
-        """
-        x = _as_matrix(x_std, np.ravel(t_std).size)
-        k = x.shape[1]
-        return cls(
-            t_std=t_std,
-            x_std=x,
-            t_mean=0.0,
-            t_scale=1.0,
-            x_means=np.zeros(k),
-            x_scales=np.ones(k),
-            unit_ids=unit_ids,
-        )
-
-
-def standardize(dataset: Dataset) -> StandardizedSample:
-    """Center and scale treatment and covariates to mean zero, variance one.
-
-    Scaling uses the sample standard deviation (denominator n-1). Original
-    units stay recoverable through the recorded means and scales.
+    Treatment and covariates are centered and scaled to unit sample variance
+    (denominator n-1). The returned read-only n x (2K+1) matrix stacks, per
+    unit, the standardized treatment, the K standardized covariates and their
+    K products with the treatment, in the order [T, X1..XK, T*X1..T*XK].
+    Zero weighted means of these columns are exactly the zero-correlation
+    balance conditions.
 
     Raises:
         ValueError: fewer units than dual parameters plus one (n < 2K+2),
@@ -221,35 +143,28 @@ def standardize(dataset: Dataset) -> StandardizedSample:
     """
     t = dataset.treatment
     x = dataset.covariates
-    if dataset.n < 2 * dataset.k + 2:
+    n, k = dataset.n, dataset.k
+    if n < 2 * k + 2:
         raise ValueError(
-            f"need at least 2K+2 = {2 * dataset.k + 2} units for K={dataset.k} "
-            f"covariates, got {dataset.n}"
+            f"need at least 2K+2 = {2 * k + 2} units for K={k} covariates, got {n}"
         )
     t_mean = float(t.mean())
     t_scale = float(t.std(ddof=1))
     if not t_scale > 0:
         raise ConstantColumn(dataset.treatment_name)
-    if x.shape[1]:
-        x_means = x.mean(axis=0)
+    G = np.empty((n, 2 * k + 1))
+    G[:, 0] = (t - t_mean) / t_scale
+    if k:
         x_scales = x.std(axis=0, ddof=1)
         for j, s in enumerate(x_scales):
             if not s > 0:
                 raise ConstantColumn(dataset.covariate_names[j])
-        x_std = (x - x_means) / x_scales
-    else:
-        x_means = np.empty(0)
-        x_scales = np.empty(0)
-        x_std = np.empty((t.size, 0))
-    return StandardizedSample(
-        t_std=(t - t_mean) / t_scale,
-        x_std=x_std,
-        t_mean=t_mean,
-        t_scale=t_scale,
-        x_means=x_means,
-        x_scales=x_scales,
-        unit_ids=dataset.unit_ids,
-    )
+        x_std = G[:, 1 : k + 1]
+        np.subtract(x, x.mean(axis=0), out=x_std)
+        x_std /= x_scales
+        np.multiply(G[:, :1], x_std, out=G[:, k + 1 :])
+    G.setflags(write=False)
+    return G
 
 
 # Weighting methods, in the order the CLI lists them. "unweighted" is an alias

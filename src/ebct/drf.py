@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -199,61 +199,46 @@ def bootstrap_statistic(
     return np.vstack(rows)
 
 
-@dataclass(frozen=True)
-class BootstrapResult:
-    derivative_se: np.ndarray
-    significant_10pct: np.ndarray
-    replications: int
-    point_derivatives: np.ndarray = field(repr=False, default=None)
-
-
 def bootstrap_se(
+    fit: DrfFit,
     dataset: Dataset,
     pipeline: DrfPipeline,
     replications: int,
-    grid,
     seed: int,
     interval: str = "normal",
-) -> BootstrapResult:
+) -> DrfFit:
     """Bootstrap standard errors for the dose-response derivative.
 
     Resamples units with replacement and re-runs the full pipeline (weight
-    estimation included) per replicate, which propagates weight-estimation
-    uncertainty. The SE at each grid point is the sample standard deviation
-    (denominator B-1) across replicates; a point is flagged significant at
-    the 10% level when |derivative| / SE exceeds 1.645. ``interval="percentile"``
-    flags points whose central 90% bootstrap interval excludes zero instead.
+    estimation included) per replicate on the grid of ``fit``, which
+    propagates weight-estimation uncertainty. The SE at each grid point is
+    the sample standard deviation (denominator B-1) across replicates; a
+    point is flagged significant at the 10% level when |derivative| / SE
+    exceeds 1.645, with the derivatives of ``fit`` as the point estimates.
+    ``interval="percentile"`` flags points whose central 90% bootstrap
+    interval excludes zero instead.
+
+    Returns:
+        ``fit`` with ``derivative_se`` and ``significant_10pct`` filled in.
     """
     if interval not in ("normal", "percentile"):
         raise ValueError(f"unknown interval rule {interval!r}")
-    grid = np.ravel(np.asarray(grid, dtype=float))
-    point = pipeline.derivatives(dataset, grid)
+    if pipeline.degree != fit.degree:
+        raise ValueError(
+            f"pipeline degree {pipeline.degree} does not match the fit's degree {fit.degree}"
+        )
     draws = bootstrap_statistic(
         dataset.n,
-        lambda idx: pipeline.derivatives(dataset.subset(idx), grid),
+        lambda idx: pipeline.derivatives(dataset.subset(idx), fit.grid),
         replications,
         seed,
     )
     se = draws.std(axis=0, ddof=1)
     if interval == "normal":
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.abs(point) / se
+            ratio = np.abs(fit.drf_derivatives) / se
         significant = np.where(np.isnan(ratio), False, ratio > _Z_10PCT)
     else:
         lo, hi = np.percentile(draws, [5.0, 95.0], axis=0)
         significant = (lo > 0) | (hi < 0)
-    return BootstrapResult(
-        derivative_se=se,
-        significant_10pct=significant.astype(bool),
-        replications=replications,
-        point_derivatives=point,
-    )
-
-
-def attach_bootstrap(fit: DrfFit, result: BootstrapResult) -> DrfFit:
-    """Return the fit with bootstrap SEs and significance flags filled in."""
-    return replace(
-        fit,
-        derivative_se=result.derivative_se,
-        significant_10pct=result.significant_10pct,
-    )
+    return replace(fit, derivative_se=se, significant_10pct=significant.astype(bool))

@@ -195,14 +195,14 @@ def _ebct_weights(datasets: Sequence[Dataset]) -> list:
     standardizing or solving it raised; a failure stays with its dataset.
     """
     outcomes = [None] * len(datasets)
-    samples, slots = [], []
+    matrices, slots = [], []
     for slot, dataset in enumerate(datasets):
         try:
-            samples.append(standardize(dataset))
+            matrices.append(standardize(dataset))
             slots.append(slot)
         except EbctError as err:
             outcomes[slot] = err
-    for slot, outcome in zip(slots, solve_batch(samples)):
+    for slot, outcome in zip(slots, solve_batch(matrices)):
         outcomes[slot] = outcome if isinstance(outcome, Exception) else outcome[0]
     return outcomes
 
@@ -356,12 +356,13 @@ def run_grid(configs: Sequence[ScenarioConfig], jobs: int = 1) -> list:
     """Run scenario cells, optionally across processes.
 
     Cells are independent; results come back in input order regardless of
-    worker count, so output files do not depend on parallelism.
+    worker count, so output files do not depend on parallelism. The pool
+    never starts more workers than there are cells.
     """
     configs = list(configs)
     if jobs <= 1 or len(configs) <= 1:
         return [run_scenario(config) for config in configs]
-    with ProcessPoolExecutor(max_workers=jobs) as executor:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as executor:
         return list(executor.map(run_scenario, configs))
 
 

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg.lapack
 
-from .data import BalancingWeights, StandardizedSample
+from .data import BalancingWeights
 from .errors import (
     InfeasibleConstraints,
     NonFiniteDual,
@@ -90,7 +90,7 @@ def _prepare_base_weights(n: int, base_weights) -> np.ndarray:
 def _dual_state(G, log_q, gamma) -> tuple:
     """J, implied weights and gradient at gamma for every problem of a stack.
 
-    ``G`` is a (B, n, m) stack of constraint matrices, ``log_q`` the (B, n)
+    ``G`` is a (B, n, m) stack of balance-column matrices, ``log_q`` the (B, n)
     log base weights and ``gamma`` the (B, m) multipliers. Returns the values
     J (B,), the weights w_i = q_i e^{gamma.g_i} / Z (B, n), the gradients
     G'w (B, m) and a (B,) flag that is False where an exponent is not finite.
@@ -116,49 +116,58 @@ def _hessian(G, w, grad) -> np.ndarray:
     return (G * w[:, :, None]).transpose(0, 2, 1) @ G - grad[:, :, None] * grad[:, None, :]
 
 
-def _single_state(gamma, sample: StandardizedSample, base_weights) -> tuple:
-    q = _prepare_base_weights(sample.n, base_weights)
+def _balance_matrix(G) -> np.ndarray:
+    G = np.asarray(G, dtype=float)
+    if G.ndim != 2:
+        raise ValueError(f"the balance-column matrix must be 2-d, got {G.ndim}-d")
+    return G
+
+
+def _single_state(gamma, G, base_weights) -> tuple:
+    G = _balance_matrix(G)
+    q = _prepare_base_weights(G.shape[0], base_weights)
     gamma = np.asarray(gamma, dtype=float).reshape(1, -1)
-    value, w, grad, finite = _dual_state(sample.constraint_matrix[None], np.log(q)[None], gamma)
+    value, w, grad, finite = _dual_state(G[None], np.log(q)[None], gamma)
     if not finite[0]:
         raise NonFiniteDual(_OVERFLOW)
     return value[0], w[0], grad[0]
 
 
-def dual_objective(gamma, sample: StandardizedSample, base_weights=None) -> float:
+def dual_objective(gamma, G, base_weights=None) -> float:
     """Value of J(gamma) = log sum_i q_i exp(gamma . g_i).
 
     Evaluated with a max-shift so no representable gamma overflows; this is
     the negated dual, so the solver minimizes it.
     """
-    return float(_single_state(gamma, sample, base_weights)[0])
+    return float(_single_state(gamma, G, base_weights)[0])
 
 
-def dual_gradient(gamma, sample: StandardizedSample, base_weights=None) -> np.ndarray:
+def dual_gradient(gamma, G, base_weights=None) -> np.ndarray:
     """Gradient of J: the weighted means of the balance columns at gamma.
 
     Uses the implied weights w_i(gamma), base weights included in numerator
     and denominator alike.
     """
-    return _single_state(gamma, sample, base_weights)[2]
+    return _single_state(gamma, G, base_weights)[2]
 
 
-def dual_hessian(gamma, sample: StandardizedSample, base_weights=None) -> np.ndarray:
+def dual_hessian(gamma, G, base_weights=None) -> np.ndarray:
     """Hessian of J: the weighted covariance of the balance columns at gamma.
 
     Positive semidefinite by construction.
     """
-    _, w, grad = _single_state(gamma, sample, base_weights)
-    return _hessian(sample.constraint_matrix[None], w[None], grad[None])[0]
+    G = _balance_matrix(G)
+    _, w, grad = _single_state(gamma, G, base_weights)
+    return _hessian(G[None], w[None], grad[None])[0]
 
 
-def recover_weights(gamma, sample: StandardizedSample, base_weights=None) -> np.ndarray:
+def recover_weights(gamma, G, base_weights=None) -> np.ndarray:
     """Weights implied by the multipliers: w_i = q_i e^{gamma.g_i} / Z.
 
     Strictly positive and normalized to sum one; any constant factor on the
     base weights cancels.
     """
-    return _single_state(gamma, sample, base_weights)[1]
+    return _single_state(gamma, G, base_weights)[1]
 
 
 def _newton(G, q, opts: SolverOptions) -> list:
@@ -288,45 +297,46 @@ def _newton(G, q, opts: SolverOptions) -> list:
 
 
 def solve_batch(
-    samples: Sequence[StandardizedSample],
+    matrices: Sequence[np.ndarray],
     base_weights=None,
     options: Optional[SolverOptions] = None,
 ) -> list:
     """Solve many same-shape problems in one stacked Newton run.
 
-    ``base_weights`` is None (uniform for every problem) or one entry per
-    sample, each None or a positive vector. A problem that fails does not
-    disturb the others, and each problem's weights, iterations and trace are
-    exactly those ``solve`` gives it alone.
+    ``matrices`` holds one balance-column matrix per problem, as
+    ``standardize`` returns it. ``base_weights`` is None (uniform for every
+    problem) or one entry per matrix, each None or a positive vector. A
+    problem that fails does not disturb the others, and each problem's
+    weights, iterations and trace are exactly those ``solve`` gives it alone.
 
     Returns:
-        One entry per sample: ``(BalancingWeights, ConvergenceReport)`` on
+        One entry per matrix: ``(BalancingWeights, ConvergenceReport)`` on
         success, otherwise the exception ``solve`` would raise for it
         (``NotConverged``, ``InfeasibleConstraints``, ``NonFiniteDual`` or
         ``SingularHessian``).
     """
-    samples = list(samples)
-    if not samples:
+    matrices = [_balance_matrix(G) for G in matrices]
+    if not matrices:
         return []
-    shape = samples[0].constraint_matrix.shape
-    if any(sample.constraint_matrix.shape != shape for sample in samples):
+    shape = matrices[0].shape
+    if any(G.shape != shape for G in matrices):
         raise ValueError("stacked problems must share n and K")
     if base_weights is None:
-        base_weights = [None] * len(samples)
-    elif len(base_weights) != len(samples):
-        raise ValueError(f"got {len(base_weights)} base weight vectors for {len(samples)} samples")
+        base_weights = [None] * len(matrices)
+    elif len(base_weights) != len(matrices):
+        raise ValueError(f"got {len(base_weights)} base weight vectors for {len(matrices)} problems")
     q = np.stack([_prepare_base_weights(shape[0], bw) for bw in base_weights])
     q /= q.sum(axis=1, keepdims=True)
-    if len(samples) == 1:
+    if len(matrices) == 1:
         # A view, not a copy: at large n a copy would double peak memory.
-        G = samples[0].constraint_matrix[None]
+        G = matrices[0][None]
     else:
-        G = np.stack([sample.constraint_matrix for sample in samples])
+        G = np.stack(matrices)
     return _newton(G, q, options or SolverOptions())
 
 
 def solve(
-    sample: StandardizedSample,
+    G: np.ndarray,
     base_weights=None,
     options: Optional[SolverOptions] = None,
 ) -> tuple:
@@ -336,8 +346,9 @@ def solve(
     dual values are non-increasing up to float rounding. On success the
     weighted mean of every balance column is below the gradient tolerance,
     which makes the weighted Pearson correlation between treatment and each
-    covariate zero to numerical precision. This is the one-problem case of
-    ``solve_batch``.
+    covariate zero to numerical precision. ``G`` is the n x (2K+1)
+    balance-column matrix that ``standardize`` returns. This is the
+    one-problem case of ``solve_batch``.
 
     Returns:
         (BalancingWeights, ConvergenceReport)
@@ -350,7 +361,7 @@ def solve(
         NonFiniteDual: an exponent overflowed.
         SingularHessian: only possible when ridge is forced to zero.
     """
-    (outcome,) = solve_batch([sample], [base_weights], options)
+    (outcome,) = solve_batch([G], [base_weights], options)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -363,7 +374,7 @@ def check_threshold(threshold: float, n: int) -> None:
 
 
 def truncate_and_rebalance(
-    sample: StandardizedSample,
+    G: np.ndarray,
     weights: BalancingWeights,
     threshold: float,
     max_rounds: int = 100,
@@ -397,6 +408,6 @@ def truncate_and_rebalance(
             )
         capped = np.minimum(current.weights, threshold)
         capped = capped / capped.sum()
-        current, _ = solve(sample, base_weights=capped)
+        current, _ = solve(G, base_weights=capped)
         rounds += 1
     return current

@@ -66,8 +66,8 @@ def estimate_weights(
         if truncation is not None:
             weights = cap_weights(weights, truncation)
         return weights
-    sample = standardize(dataset)
-    weights, _ = solve(sample)
+    G = standardize(dataset)
+    weights, _ = solve(G)
     if truncation is not None:
-        weights = truncate_and_rebalance(sample, weights, truncation)
+        weights = truncate_and_rebalance(G, weights, truncation)
     return weights

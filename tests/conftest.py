@@ -4,6 +4,17 @@ import pytest
 from ebct import Dataset
 
 
+def balance_columns(t_std, x_std):
+    """A hand-built solver input: [T, X, T*X] from already standardized columns.
+
+    ``x_std`` is an n x K matrix (K may be 0); the column order is the one
+    ``standardize`` returns.
+    """
+    t = np.asarray(t_std, dtype=float)[:, None]
+    x = np.asarray(x_std, dtype=float)
+    return np.column_stack([t, x, t * x])
+
+
 def random_dataset(rng, n, k, outcome=False):
     """A generic solvable instance: smooth covariates, mildly selected treatment."""
     x = rng.standard_normal((n, k))

@@ -152,19 +152,19 @@ def test_criterion_5_solver_correctness_suite():
     for _ in range(20):
         n = int(rng.integers(15, 40))
         k = int(rng.integers(1, 4))
-        sample = random_sample(rng, n=n, k=k)
+        G = random_sample(rng, n=n, k=k)
         m = 2 * k + 1
         for _ in range(10):
             gamma = rng.uniform(-0.8, 0.8, size=m)
-            grad = dual_gradient(gamma, sample)
-            fd_grad = finite_difference_gradient(lambda g: dual_objective(g, sample), gamma)
+            grad = dual_gradient(gamma, G)
+            fd_grad = finite_difference_gradient(lambda g: dual_objective(g, G), gamma)
             scale = max(1.0, np.abs(grad).max())
             worst_grad = max(worst_grad, np.abs(grad - fd_grad).max() / scale)
-            hess = dual_hessian(gamma, sample)
+            hess = dual_hessian(gamma, G)
             fd_hess = np.column_stack(
                 [
                     finite_difference_gradient(
-                        lambda g, j=j: dual_gradient(g, sample)[j], gamma
+                        lambda g, j=j: dual_gradient(g, G)[j], gamma
                     )
                     for j in range(m)
                 ]
@@ -176,15 +176,15 @@ def test_criterion_5_solver_correctness_suite():
     entropy_ok = True
     solved = 0
     while solved < 5:
-        sample = random_sample(rng, n=25, k=2)
+        G = random_sample(rng, n=25, k=2)
         try:
-            weights, _ = solve(sample)
+            weights, _ = solve(G)
         except EbctError:
             continue  # infeasible draw; the property concerns solvable instances
         solved += 1
         w, q = weights.weights, weights.base_weights
         baseline = kl_divergence(w, q)
-        constraints = np.column_stack([np.ones(25), sample.constraint_matrix])
+        constraints = np.column_stack([np.ones(25), G])
         for _ in range(100):
             noise = rng.standard_normal(25)
             coef, *_ = np.linalg.lstsq(constraints, noise, rcond=None)
@@ -195,9 +195,9 @@ def test_criterion_5_solver_correctness_suite():
     brute_ok = True
     worst_brute = 0.0
     for seed, n in [(0, 5), (4, 5), (9, 5), (2, 6), (5, 6), (10, 6)]:
-        sample = random_sample(np.random.default_rng(seed), n=n, k=1)
-        weights, _ = solve(sample)
-        gap = np.abs(weights.weights - brute_force_weights(sample)).max()
+        G = random_sample(np.random.default_rng(seed), n=n, k=1)
+        weights, _ = solve(G)
+        gap = np.abs(weights.weights - brute_force_weights(G)).max()
         worst_brute = max(worst_brute, gap)
         brute_ok &= gap <= 1e-5
 
@@ -215,11 +215,11 @@ def test_criterion_6_truncation_contract():
     n = 50
     x = np.column_stack([rng.exponential(1.0, n), rng.standard_normal(n)])
     t = 0.8 * x[:, 0] + 0.5 * x[:, 1] ** 2 + rng.standard_normal(n)
-    sample = standardize(Dataset(treatment=t, covariates=x))
-    weights, _ = solve(sample)
+    G = standardize(Dataset(treatment=t, covariates=x))
+    weights, _ = solve(G)
     assert weights.weights.max() > 0.04, "instance must start above the cap"
-    truncated = truncate_and_rebalance(sample, weights, threshold=0.04)
-    residual = np.abs(sample.constraint_matrix.T @ truncated.weights).max()
+    truncated = truncate_and_rebalance(G, weights, threshold=0.04)
+    residual = np.abs(G.T @ truncated.weights).max()
     ok = truncated.weights.max() <= 0.04 + 1e-6 and residual <= 1e-7
     report(
         "criterion 6 (truncate-and-rebalance at 4%)",

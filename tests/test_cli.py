@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ebct.cli as cli
+import ebct.drf as drf
 from ebct.cli import main, read_csv
 from ebct.errors import MissingColumn, ParseError, ResampleDegenerate, ScenarioDegenerate
 from ebct.simulation import gen_covariates, gen_outcome, gen_treatment, replication_rng
@@ -243,6 +244,39 @@ class TestDrfCommand:
         assert all(float(row["se"]) > 0 for row in rows)
         assert all(row["significant"] in ("0", "1") for row in rows)
 
+    def test_non_convergence_with_bootstrap_still_writes_outputs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # The full-sample solve stops after one Newton step; the resamples
+        # solve normally. Only the full sample has every unit once, in order.
+        from ebct import SolverOptions, estimate_weights, solve, standardize
+
+        data = write_simulated_csv(tmp_path / "data.csv")
+        full_ids = read_csv(data, "T", COVARIATES.split(","), "Y").unit_ids
+
+        def one_step_on_full_sample(dataset, method, truncation=None):
+            if dataset.unit_ids == full_ids:
+                options = SolverOptions(max_iterations=1)
+                return solve(standardize(dataset), options=options)[0]  # raises NotConverged
+            return estimate_weights(dataset, method, truncation=truncation)
+
+        monkeypatch.setattr(cli, "estimate_weights", one_step_on_full_sample)
+        monkeypatch.setattr(drf, "estimate_weights", one_step_on_full_sample)
+        out = tmp_path / "out"
+        argv = [
+            "drf", "--input", str(data),
+            "--treatment-col", "T", "--covariate-cols", COVARIATES,
+            "--outcome-col", "Y", "--bootstrap", "5", "--grid-points", "4",
+            "--out", str(out),
+        ]
+        assert main(argv) == 2
+        assert "warning:" in capsys.readouterr().err
+        with open(out / "drf.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 4
+        assert all(float(row["se"]) > 0 for row in rows)
+        assert json.loads((out / "drf.json").read_text())["bootstrap_reps"] == 5
+
     def test_bootstrap_failure_exit_code(self, tmp_path, monkeypatch):
         data = write_simulated_csv(tmp_path / "data.csv")
 
@@ -337,17 +371,35 @@ class TestSimulateCommand:
 
 class TestJobsEnvironment:
 
-    def test_env_var_sets_default_jobs(self, monkeypatch):
+    def run_simulate(self, tmp_path, monkeypatch, *extra):
+        """Exit code and the worker count handed to run_grid (no cells run)."""
+        recorded = []
+
+        def record(configs, jobs=1):
+            recorded.append(jobs)
+            return []
+
+        monkeypatch.setattr(cli, "run_grid", record)
+        argv = ["simulate", "--replications", "1", "--out", str(tmp_path), "--force", *extra]
+        return main(argv), recorded
+
+    def test_env_var_sets_default_jobs(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EBCT_JOBS", "3")
-        args = cli.build_parser().parse_args(
-            ["simulate", "--n", "200", "--replications", "1"]
-        )
-        assert args.jobs == 3
+        assert self.run_simulate(tmp_path, monkeypatch) == (0, [3])
+        assert self.run_simulate(tmp_path, monkeypatch, "--jobs", "2") == (0, [2])
         monkeypatch.delenv("EBCT_JOBS")
-        args = cli.build_parser().parse_args(
-            ["simulate", "--n", "200", "--replications", "1"]
-        )
-        assert args.jobs == 1
+        assert self.run_simulate(tmp_path, monkeypatch) == (0, [1])
+
+    def test_malformed_env_var_is_an_input_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("EBCT_JOBS", "two")
+        assert self.run_simulate(tmp_path, monkeypatch) == (1, [])
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "EBCT_JOBS" in err
+        assert len(err.splitlines()) == 1
+        # Only simulate reads the variable.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--version"])
+        assert excinfo.value.code == 0
 
 
 class TestVersionFlag:

@@ -5,7 +5,6 @@ import pytest
 from ebct import (
     Dataset,
     DrfPipeline,
-    attach_bootstrap,
     bootstrap_se,
     estimate_drf,
     estimate_weights,
@@ -192,40 +191,44 @@ class TestBootstrapSe:
         y = gen_outcome(x, t, 1.0, rng)
         return Dataset(treatment=t, covariates=x, outcome=y)
 
+    def drf_fit(self, ds, points, method="uniform"):
+        weights = estimate_weights(ds, method)
+        return estimate_drf(ds, weights, degree=1, grid=default_grid(ds.treatment, points))
+
     def test_pipeline_bootstrap_and_flags(self):
         ds = self.drf_dataset()
-        grid = default_grid(ds.treatment, 10)
+        fit = self.drf_fit(ds, 10)
         pipeline = DrfPipeline(method="uniform", degree=1)
-        result = bootstrap_se(ds, pipeline, replications=60, grid=grid, seed=4)
+        result = bootstrap_se(fit, ds, pipeline, replications=60, seed=4)
         assert result.derivative_se.shape == (10,)
         assert np.all(result.derivative_se > 0)
-        expected_flags = np.abs(result.point_derivatives) / result.derivative_se > 1.645
+        expected_flags = np.abs(fit.drf_derivatives) / result.derivative_se > 1.645
         npt.assert_array_equal(result.significant_10pct, expected_flags)
 
     def test_percentile_variant(self):
         ds = self.drf_dataset()
-        grid = default_grid(ds.treatment, 5)
+        fit = self.drf_fit(ds, 5)
         pipeline = DrfPipeline(method="uniform", degree=1)
-        result = bootstrap_se(ds, pipeline, replications=60, grid=grid, seed=4, interval="percentile")
+        result = bootstrap_se(fit, ds, pipeline, replications=60, seed=4, interval="percentile")
         assert result.significant_10pct.dtype == bool
 
-    def test_attach_bootstrap(self):
+    def test_returns_the_fit_with_se_filled(self):
         ds = self.drf_dataset()
-        grid = default_grid(ds.treatment, 5)
-        weights = uniform_weights(ds.n)
-        fit = estimate_drf(ds, weights, degree=1, grid=grid)
-        assert fit.derivative_se is None
-        result = bootstrap_se(ds, DrfPipeline(method="uniform", degree=1), 30, grid, seed=2)
-        augmented = attach_bootstrap(fit, result)
-        npt.assert_array_equal(augmented.derivative_se, result.derivative_se)
-        npt.assert_array_equal(augmented.significant_10pct, result.significant_10pct)
+        fit = self.drf_fit(ds, 5)
+        assert fit.derivative_se is None and fit.significant_10pct is None
+        result = bootstrap_se(fit, ds, DrfPipeline(method="uniform", degree=1), 30, seed=2)
+        assert result.derivative_se.shape == (5,) and result.significant_10pct.shape == (5,)
+        for name in ("degree", "coefficients", "grid", "drf_values", "drf_derivatives"):
+            npt.assert_array_equal(getattr(result, name), getattr(fit, name))
+        with pytest.raises(ValueError, match="degree"):
+            bootstrap_se(fit, ds, DrfPipeline(method="uniform", degree=3), 30, seed=2)
 
     def test_reestimates_weights_per_replicate(self):
         # The ebct pipeline re-solves on each resample, so its spread must
         # reflect more than outcome noise: SEs strictly positive and finite.
         ds = self.drf_dataset()
-        grid = default_grid(ds.treatment, 5)
-        result = bootstrap_se(ds, DrfPipeline(method="ebct", degree=1), 30, grid, seed=21)
+        fit = self.drf_fit(ds, 5, method="ebct")
+        result = bootstrap_se(fit, ds, DrfPipeline(method="ebct", degree=1), 30, seed=21)
         assert np.all(np.isfinite(result.derivative_se))
         assert np.all(result.derivative_se > 0)
 

@@ -341,6 +341,29 @@ class TestGrid:
         sim.write_grid_csv(parallel, paths[1])
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_pool_never_exceeds_cell_count(self, monkeypatch):
+        # A stand-in executor records the pool size and starts no process.
+        sizes = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return iter(items)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingExecutor)
+        configs = paper_grid(sizes=(200,), replications=4, seed=5)
+        run_grid(configs[:3], jobs=8)
+        run_grid(configs, jobs=2)
+        assert sizes == [3, 2]
+
     def test_csv_and_table_rendering(self, tmp_path):
         config = ScenarioConfig(n=200, sigma=4.0, eta=1.0, spec=1, replications=4, master_seed=2)
         results = run_grid([config])

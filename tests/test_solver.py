@@ -5,7 +5,6 @@ from scipy.optimize import minimize_scalar
 
 from ebct import (
     SolverOptions,
-    StandardizedSample,
     solve,
     solve_batch,
     standardize,
@@ -22,14 +21,12 @@ from ebct.errors import (
 from ebct.simulation import gen_covariates, gen_treatment, replication_rng
 from ebct.solver import dual_gradient, dual_hessian, dual_objective, recover_weights
 
-from conftest import random_dataset
+from conftest import balance_columns, random_dataset
 
 
 def two_point_sample():
     # K=0 with balance column g = (-1, 1).
-    return StandardizedSample.from_standardized(
-        t_std=np.array([-1.0, 1.0]), x_std=np.empty((2, 0))
-    )
+    return balance_columns([-1.0, 1.0], np.empty((2, 0)))
 
 
 def random_sample(rng, n=30, k=2):
@@ -62,14 +59,13 @@ def feasible_affine_basis(matrix):
     return particular, vt[rank:].T
 
 
-def brute_force_weights(sample, tol=1e-12):
+def brute_force_weights(matrix, tol=1e-12):
     """Search the feasible affine set directly for the entropy minimum.
 
     Independent of the dual path: parameterizes all weight vectors meeting
     the constraints, then minimizes sum w log(n w) by bounded line searches
     over the one or two free coordinates (infinite outside positivity).
     """
-    matrix = sample.constraint_matrix
     n = matrix.shape[0]
     particular, null_basis = feasible_affine_basis(matrix)
     free = null_basis.shape[1]
@@ -127,8 +123,8 @@ def brute_force_weights(sample, tol=1e-12):
 class TestDualObjective:
 
     def test_zero_gamma_uniform_base(self, rng):
-        sample = random_sample(rng)
-        assert dual_objective(np.zeros(5), sample) == pytest.approx(0.0, abs=1e-12)
+        G = random_sample(rng)
+        assert dual_objective(np.zeros(5), G) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_point_log_cosh(self):
         # ln(0.5 e^{-1} + 0.5 e^{1}) = ln cosh(1)
@@ -137,12 +133,12 @@ class TestDualObjective:
         assert value == pytest.approx(0.43378, abs=1e-5)
 
     def test_log_sum_exp_lower_bound(self, rng):
-        sample = random_sample(rng, n=20, k=1)
+        G = random_sample(rng, n=20, k=1)
         q = np.full(20, 0.05)
-        gbar = sample.constraint_matrix.T @ q
+        gbar = G.T @ q
         for _ in range(10):
             gamma = rng.standard_normal(3)
-            assert dual_objective(gamma, sample, q) >= float(gamma @ gbar) - 1e-12
+            assert dual_objective(gamma, G, q) >= float(gamma @ gbar) - 1e-12
 
     def test_no_overflow_with_large_gamma(self):
         # Max-shift keeps huge exponents representable.
@@ -157,35 +153,35 @@ class TestDualObjective:
             dual_objective(np.array([np.inf]), two_point_sample())
 
     def test_convexity_along_segments(self, rng):
-        sample = random_sample(rng, n=25, k=2)
+        G = random_sample(rng, n=25, k=2)
         for _ in range(10):
             g1, g2 = rng.standard_normal((2, 5))
             alpha = rng.uniform(0.05, 0.95)
-            lhs = dual_objective(alpha * g1 + (1 - alpha) * g2, sample)
-            rhs = alpha * dual_objective(g1, sample) + (1 - alpha) * dual_objective(g2, sample)
+            lhs = dual_objective(alpha * g1 + (1 - alpha) * g2, G)
+            rhs = alpha * dual_objective(g1, G) + (1 - alpha) * dual_objective(g2, G)
             assert lhs <= rhs + 1e-10
 
 
 class TestDualGradient:
 
     def test_zero_gamma_is_column_means(self, rng):
-        sample = random_sample(rng, n=40, k=3)
-        grad = dual_gradient(np.zeros(7), sample)
-        npt.assert_allclose(grad, sample.constraint_matrix.mean(axis=0), atol=1e-14)
+        G = random_sample(rng, n=40, k=3)
+        grad = dual_gradient(np.zeros(7), G)
+        npt.assert_allclose(grad, G.mean(axis=0), atol=1e-14)
         npt.assert_allclose(grad[:4], np.zeros(4), atol=1e-12)
 
     def test_matches_finite_differences(self, rng):
-        sample = random_sample(rng, n=30, k=2)
+        G = random_sample(rng, n=30, k=2)
         for _ in range(10):
             gamma = rng.uniform(-1.0, 1.0, size=5)
-            grad = dual_gradient(gamma, sample)
-            fd = finite_difference_gradient(lambda g: dual_objective(g, sample), gamma)
+            grad = dual_gradient(gamma, G)
+            fd = finite_difference_gradient(lambda g: dual_objective(g, G), gamma)
             npt.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
 
     def test_zero_at_solution(self, rng):
-        sample = random_sample(rng)
-        weights, report = solve(sample)
-        grad = dual_gradient(weights.gamma, sample)
+        G = random_sample(rng)
+        weights, report = solve(G)
+        grad = dual_gradient(weights.gamma, G)
         assert np.abs(grad).max() <= SolverOptions().gradient_tolerance
 
 
@@ -196,14 +192,14 @@ class TestDualHessian:
         npt.assert_allclose(hessian, [[1.0]], atol=1e-14)
 
     def test_matches_finite_differences_of_gradient(self, rng):
-        sample = random_sample(rng, n=20, k=1)
+        G = random_sample(rng, n=20, k=1)
         for _ in range(5):
             gamma = rng.uniform(-0.5, 0.5, size=3)
-            hessian = dual_hessian(gamma, sample)
+            hessian = dual_hessian(gamma, G)
             fd = np.column_stack(
                 [
                     finite_difference_gradient(
-                        lambda g, j=j: dual_gradient(g, sample)[j], gamma, step=1e-6
+                        lambda g, j=j: dual_gradient(g, G)[j], gamma, step=1e-6
                     )
                     for j in range(3)
                 ]
@@ -211,20 +207,20 @@ class TestDualHessian:
             npt.assert_allclose(hessian, fd, rtol=1e-5, atol=1e-7)
 
     def test_positive_semidefinite(self, rng):
-        sample = random_sample(rng, n=25, k=2)
+        G = random_sample(rng, n=25, k=2)
         for _ in range(5):
             gamma = rng.standard_normal(5)
-            eigvals = np.linalg.eigvalsh(dual_hessian(gamma, sample))
+            eigvals = np.linalg.eigvalsh(dual_hessian(gamma, G))
             assert eigvals.min() >= -1e-10
 
 
 class TestRecoverWeights:
 
     def test_zero_gamma_returns_base(self, rng):
-        sample = random_sample(rng, n=15, k=1)
+        G = random_sample(rng, n=15, k=1)
         q = rng.uniform(0.5, 2.0, size=15)
         q = q / q.sum()
-        npt.assert_allclose(recover_weights(np.zeros(3), sample, q), q, atol=1e-14)
+        npt.assert_allclose(recover_weights(np.zeros(3), G, q), q, atol=1e-14)
 
     def test_two_point_closed_form(self):
         # e^{2 gamma} = 3 puts weights (1/4, 3/4) on g = (-1, 1).
@@ -232,18 +228,18 @@ class TestRecoverWeights:
         npt.assert_allclose(weights, [0.25, 0.75], atol=1e-14)
 
     def test_base_weight_scale_cancels(self, rng):
-        sample = random_sample(rng, n=15, k=1)
+        G = random_sample(rng, n=15, k=1)
         gamma = rng.standard_normal(3)
         q = rng.uniform(0.5, 2.0, size=15)
         npt.assert_allclose(
-            recover_weights(gamma, sample, q),
-            recover_weights(gamma, sample, 7.3 * q),
+            recover_weights(gamma, G, q),
+            recover_weights(gamma, G, 7.3 * q),
             atol=1e-14,
         )
 
     def test_positive_and_normalized(self, rng):
-        sample = random_sample(rng)
-        weights = recover_weights(rng.standard_normal(5), sample)
+        G = random_sample(rng)
+        weights = recover_weights(rng.standard_normal(5), G)
         assert np.all(weights > 0)
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -252,12 +248,9 @@ class TestSolve:
 
     def test_presatisfied_constraints_stay_uniform(self):
         # All balance columns have exact zero means, so gamma* = 0.
-        sample = StandardizedSample.from_standardized(
-            t_std=np.array([-1.0, -1.0, 1.0, 1.0]),
-            x_std=np.array([[-1.0], [1.0], [-1.0], [1.0]]),
-        )
-        npt.assert_array_equal(sample.constraint_matrix.mean(axis=0), np.zeros(3))
-        weights, report = solve(sample)
+        G = balance_columns([-1.0, -1.0, 1.0, 1.0], [[-1.0], [1.0], [-1.0], [1.0]])
+        npt.assert_array_equal(G.mean(axis=0), np.zeros(3))
+        weights, report = solve(G)
         assert report.iterations <= 1
         npt.assert_allclose(weights.gamma, np.zeros(3), atol=1e-12)
         npt.assert_allclose(weights.weights, np.full(4, 0.25), atol=1e-12)
@@ -267,9 +260,9 @@ class TestSolve:
         # Seeds chosen so the optimum sits well inside the positivity boundary.
         for seed, n in [(0, 5), (4, 5), (9, 5), (2, 6), (5, 6), (10, 6)]:
             rng = np.random.default_rng(seed)
-            sample = random_sample(rng, n=n, k=1)
-            weights, _ = solve(sample)
-            oracle = brute_force_weights(sample)
+            G = random_sample(rng, n=n, k=1)
+            weights, _ = solve(G)
+            oracle = brute_force_weights(G)
             assert oracle.min() > 1e-3, "instance too close to the boundary"
             npt.assert_allclose(weights.weights, oracle, atol=1e-5)
 
@@ -285,19 +278,19 @@ class TestSolve:
         assert balance_report(weights, ds).max_abs_correlation < 1e-6
 
     def test_custom_base_weights_respected(self, rng):
-        sample = random_sample(rng, n=20, k=1)
+        G = random_sample(rng, n=20, k=1)
         q = rng.uniform(0.5, 2.0, size=20)
-        weights, _ = solve(sample, base_weights=q)
+        weights, _ = solve(G, base_weights=q)
         npt.assert_allclose(weights.base_weights, q / q.sum(), atol=1e-14)
-        balance = sample.constraint_matrix.T @ weights.weights
+        balance = G.T @ weights.weights
         assert np.abs(balance).max() <= 1e-8
 
     def test_entropy_beats_feasible_perturbations(self, rng):
-        sample = random_sample(rng, n=20, k=3)
-        weights, _ = solve(sample)
+        G = random_sample(rng, n=20, k=3)
+        weights, _ = solve(G)
         w, q = weights.weights, weights.base_weights
         baseline = kl_divergence(w, q)
-        constraints = np.column_stack([np.ones(20), sample.constraint_matrix])
+        constraints = np.column_stack([np.ones(20), G])
         for _ in range(100):
             noise = rng.standard_normal(20)
             coef, *_ = np.linalg.lstsq(constraints, noise, rcond=None)
@@ -308,14 +301,14 @@ class TestSolve:
             assert kl_divergence(perturbed, q) >= baseline - 1e-9
 
     def test_deterministic_traces(self, rng):
-        sample = random_sample(rng, n=40, k=2)
-        _, first = solve(sample)
-        _, second = solve(sample)
+        G = random_sample(rng, n=40, k=2)
+        _, first = solve(G)
+        _, second = solve(G)
         assert first.dual_value_trace == second.dual_value_trace
 
     def test_trace_non_increasing(self, rng):
-        sample = random_sample(rng, n=40, k=3)
-        _, report = solve(sample)
+        G = random_sample(rng, n=40, k=3)
+        _, report = solve(G)
         trace = np.asarray(report.dual_value_trace)
         assert np.all(np.diff(trace) <= 1e-12)
 
@@ -328,9 +321,9 @@ class TestSolve:
         npt.assert_allclose(shuffled.weights, base.weights[perm], atol=1e-8)
 
     def test_not_converged_carries_last_iterate(self, rng):
-        sample = random_sample(rng, n=30, k=2)
+        G = random_sample(rng, n=30, k=2)
         with pytest.raises(NotConverged) as excinfo:
-            solve(sample, options=SolverOptions(max_iterations=1, gradient_tolerance=1e-12))
+            solve(G, options=SolverOptions(max_iterations=1, gradient_tolerance=1e-12))
         err = excinfo.value
         assert err.report.iterations == 1
         assert not err.weights.converged
@@ -339,22 +332,20 @@ class TestSolve:
     def test_infeasible_constraints_detected(self):
         # Cross-product column is strictly positive: no positive weights can
         # zero its weighted mean, so the dual diverges.
-        sample = StandardizedSample.from_standardized(
-            t_std=np.array([-1.0, 1.0]), x_std=np.array([[-1.0], [1.0]])
-        )
-        assert np.all(sample.constraint_matrix[:, 2] > 0)
+        G = balance_columns([-1.0, 1.0], [[-1.0], [1.0]])
+        assert np.all(G[:, 2] > 0)
         with pytest.raises(InfeasibleConstraints):
-            solve(sample)
+            solve(G)
 
     def test_singular_hessian_requires_ridge(self):
         # Duplicated covariate makes the Hessian singular; only a forced
         # zero ridge surfaces it, the default ridge still converges.
         t = np.array([-1.0, 0.0, 1.0, -1.0, 1.0, 0.0])
         x1 = np.array([1.0, -1.0, 0.0, 0.5, -0.5, 0.0])
-        sample = StandardizedSample.from_standardized(t_std=t, x_std=np.column_stack([x1, x1]))
+        G = balance_columns(t, np.column_stack([x1, x1]))
         with pytest.raises(SingularHessian):
-            solve(sample, options=SolverOptions(ridge=0.0))
-        weights, report = solve(sample)
+            solve(G, options=SolverOptions(ridge=0.0))
+        weights, report = solve(G)
         assert report.converged
 
 
@@ -374,13 +365,13 @@ class TestSolveBatch:
         # Non-uniform base weights; the problems need different iteration
         # counts, two of them diverge and one underflows a weight to zero
         # while the others still iterate.
-        samples = [selected_sample(seed) for seed in range(12)]
-        base = [rng.uniform(0.5, 2.0, size=50) for _ in samples]
-        batch = solve_batch(samples, base)
+        matrices = [selected_sample(seed) for seed in range(12)]
+        base = [rng.uniform(0.5, 2.0, size=50) for _ in matrices]
+        batch = solve_batch(matrices, base)
         iterations = set()
-        for sample, q, outcome in zip(samples, base, batch):
+        for G, q, outcome in zip(matrices, base, batch):
             try:
-                alone, alone_report = solve(sample, base_weights=q)
+                alone, alone_report = solve(G, base_weights=q)
             except EbctError as err:
                 assert type(outcome) is type(err)
                 continue
@@ -399,28 +390,24 @@ class TestSolveBatch:
         feasible = [random_sample(np.random.default_rng(seed), n=6, k=1) for seed in (2, 5, 10)]
         t = np.array([-2.0, -1.0, -1.0, 1.0, 1.0, 2.0])
         # Cross-product column strictly positive: no balancing weights exist.
-        infeasible = StandardizedSample.from_standardized(
-            t_std=t, x_std=np.array([[-1.0], [-2.0], [-1.0], [1.0], [2.0], [1.0]])
-        )
-        non_finite = StandardizedSample.from_standardized(
-            t_std=t, x_std=np.array([[-1.0], [1.0], [0.0], [np.nan], [1.0], [-1.0]])
-        )
-        samples = [feasible[0], infeasible, feasible[1], non_finite, feasible[2]]
-        batch = solve_batch(samples)
+        infeasible = balance_columns(t, [[-1.0], [-2.0], [-1.0], [1.0], [2.0], [1.0]])
+        non_finite = balance_columns(t, [[-1.0], [1.0], [0.0], [np.nan], [1.0], [-1.0]])
+        matrices = [feasible[0], infeasible, feasible[1], non_finite, feasible[2]]
+        batch = solve_batch(matrices)
         assert isinstance(batch[1], InfeasibleConstraints)
         assert isinstance(batch[3], NonFiniteDual)
-        for sample, outcome in zip(samples, batch):
+        for G, outcome in zip(matrices, batch):
             try:
-                alone, _ = solve(sample)
+                alone, _ = solve(G)
             except EbctError as err:
                 assert type(outcome) is type(err)
             else:
                 npt.assert_allclose(outcome[0].weights, alone.weights, rtol=0, atol=1e-12)
 
     def test_not_converged_per_problem(self, rng):
-        samples = [random_sample(rng, n=30, k=2) for _ in range(3)]
+        matrices = [random_sample(rng, n=30, k=2) for _ in range(3)]
         options = SolverOptions(max_iterations=2, gradient_tolerance=1e-12)
-        for outcome in solve_batch(samples, options=options):
+        for outcome in solve_batch(matrices, options=options):
             assert isinstance(outcome, NotConverged)
             assert outcome.report.iterations == 2
 
@@ -430,6 +417,10 @@ class TestSolveBatch:
             solve_batch([random_sample(rng, n=30), random_sample(rng, n=31)])
         with pytest.raises(ValueError):
             solve_batch([random_sample(rng, n=30)], base_weights=[None, None])
+        with pytest.raises(ValueError, match="2-d"):
+            solve(random_sample(rng, n=30)[:, 0])
+        with pytest.raises(ValueError, match="2-d"):
+            dual_objective(np.zeros(5), random_sample(rng, n=30)[None])
 
 
 class TestSolverOptions:
@@ -459,33 +450,33 @@ class TestTruncateAndRebalance:
         return standardize(Dataset(treatment=t, covariates=x))
 
     def test_noop_when_already_under_threshold(self, rng):
-        sample = random_sample(rng, n=40, k=1)
-        weights, _ = solve(sample)
+        G = random_sample(rng, n=40, k=1)
+        weights, _ = solve(G)
         assert weights.weights.max() < 0.2
-        result = truncate_and_rebalance(sample, weights, threshold=0.2)
+        result = truncate_and_rebalance(G, weights, threshold=0.2)
         assert result is weights
 
     def test_threshold_below_uniform_rejected(self, rng):
-        sample = random_sample(rng, n=20, k=1)
-        weights, _ = solve(sample)
+        G = random_sample(rng, n=20, k=1)
+        weights, _ = solve(G)
         with pytest.raises(ThresholdInfeasible):
-            truncate_and_rebalance(sample, weights, threshold=1.0 / 20 - 1e-6)
+            truncate_and_rebalance(G, weights, threshold=1.0 / 20 - 1e-6)
 
     def test_threshold_at_uniform_fails_to_reduce(self):
         # Uniform is the only candidate and violates the constraints, so the
         # rounds run out with the cap still exceeded, which is an error.
-        sample = self.heavy_instance()
-        weights, _ = solve(sample)
+        G = self.heavy_instance()
+        weights, _ = solve(G)
         with pytest.raises(ThresholdInfeasible, match=r"after 5 rebalancing rounds") as excinfo:
-            truncate_and_rebalance(sample, weights, threshold=1.0 / 50, max_rounds=5)
+            truncate_and_rebalance(G, weights, threshold=1.0 / 50, max_rounds=5)
         share = float(str(excinfo.value).split()[3])
         assert share > 1.0 / 50 + 1e-10
 
     def test_four_percent_cap_with_balance(self):
-        sample = self.heavy_instance()
-        weights, _ = solve(sample)
+        G = self.heavy_instance()
+        weights, _ = solve(G)
         assert weights.weights.max() > 0.06
-        result = truncate_and_rebalance(sample, weights, threshold=0.04)
+        result = truncate_and_rebalance(G, weights, threshold=0.04)
         assert result.weights.max() <= 0.04 + 1e-6
-        balance = sample.constraint_matrix.T @ result.weights
+        balance = G.T @ result.weights
         assert np.abs(balance).max() <= 1e-7
