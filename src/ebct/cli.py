@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import Optional
 
@@ -58,7 +60,34 @@ def read_csv(
 
     Rows are counted from 1 including the header, so the first data row is
     row 2. An ``id`` column, when present, supplies unit identifiers;
-    otherwise the data-row index is used.
+    otherwise the data-row index is used. ``_parse_reference`` defines the
+    accepted grammar; numpy's C reader parses the files it reads the same
+    way, and the reference parser parses the rest.
+    """
+    wanted = [treatment_col, *covariate_cols]
+    if outcome_col:
+        wanted.append(outcome_col)
+    parsed = _parse_fast(path, wanted)
+    if parsed is None:
+        parsed = _parse_reference(path, wanted)
+    values, ids = parsed
+    k = len(covariate_cols)
+    return Dataset(
+        treatment=values[:, 0],
+        covariates=values[:, 1 : k + 1],
+        outcome=values[:, k + 1] if outcome_col else None,
+        column_names=(treatment_col, *covariate_cols, outcome_col or "Y"),
+        unit_ids=ids,
+    )
+
+
+def _parse_reference(path, wanted) -> tuple:
+    """The wanted columns as an n x len(wanted) matrix, plus the unit ids.
+
+    Cells are split by ``csv.reader`` (quotes, CR, LF and CRLF line ends) and
+    converted by ``float(cell)``, one column after another, so the first
+    failure reported is the first bad row of the first bad column. A blank
+    line is a row of empty cells, and a missing cell is empty.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -69,44 +98,77 @@ def read_csv(
         rows = list(reader)
 
     positions = {name: i for i, name in enumerate(header)}
-    wanted = [treatment_col, *covariate_cols]
-    if outcome_col:
-        wanted.append(outcome_col)
     for name in wanted:
         if name not in positions:
             raise MissingColumn(name)
 
-    def parse_column(name: str) -> np.ndarray:
+    values = np.empty((len(rows), len(wanted)))
+    for name, column in zip(wanted, values.T):
         col = positions[name]
-        values = np.empty(len(rows))
         for i, row in enumerate(rows):
             cell = row[col] if col < len(row) else ""
             try:
-                values[i] = float(cell)
+                column[i] = float(cell)
             except ValueError:
                 raise ParseError(i + 2, name, cell) from None
-        return values
 
-    treatment = parse_column(treatment_col)
-    covariates = (
-        np.column_stack([parse_column(name) for name in covariate_cols])
-        if covariate_cols
-        else np.empty((len(rows), 0))
-    )
-    outcome = parse_column(outcome_col) if outcome_col else None
+    if "id" not in positions:
+        return values, tuple(range(1, len(rows) + 1))
+    col = positions["id"]
+    for i, row in enumerate(rows):
+        if col >= len(row):
+            raise ParseError(i + 2, "id", "")
+    return values, tuple(row[col] for row in rows)
 
+
+def _parse_fast(path, wanted) -> Optional[tuple]:
+    """``_parse_reference`` through ``np.loadtxt``, or None to run it instead.
+
+    Both convert a cell with ``PyOS_string_to_double``, so a value that both
+    accept is the same double. loadtxt skips blank lines and joins a quoted
+    line break into one record; either makes its record count differ from
+    the line count, and then, as on any error, the reference parser reads
+    the file and reports what it finds.
+    """
+    try:
+        # Universal newlines end every line, CR, LF or CRLF, in one "\n". A
+        # header that is one line splits into the same cells either way.
+        with open(path, encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None or reader.line_num != 1:
+                return None
+            lines, last = 0, "\n"
+            for chunk in iter(functools.partial(handle.read, 1 << 20), ""):
+                lines += chunk.count("\n")
+                last = chunk[-1]
+    except UnicodeDecodeError:
+        return None
+    lines += last != "\n"
+    positions = {name: i for i, name in enumerate(header)}
+    if lines == 0 or any(name not in positions for name in wanted):
+        return None
+
+    fields = [("values", float, (len(wanted),))]
+    usecols = [positions[name] for name in wanted]
     if "id" in positions:
-        ids = tuple(row[positions["id"]] for row in rows)
-    else:
-        ids = tuple(range(1, len(rows) + 1))
-    names = (treatment_col, *covariate_cols, outcome_col or "Y")
-    return Dataset(
-        treatment=treatment,
-        covariates=covariates,
-        outcome=outcome,
-        column_names=names,
-        unit_ids=ids,
-    )
+        # object, not str: numpy strings drop trailing NULs.
+        fields.append(("id", object))
+        usecols.append(positions["id"])
+    try:
+        with warnings.catch_warnings():
+            # A file of blank lines is "no data" to loadtxt: not worth a warning.
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(
+                path, dtype=fields, delimiter=",", comments=None, quotechar='"',
+                skiprows=1, usecols=usecols, ndmin=1, encoding="utf-8",
+            )
+    except ValueError:
+        return None
+    if table.size != lines:
+        return None
+    ids = tuple(table["id"].tolist()) if "id" in positions else tuple(range(1, lines + 1))
+    return table["values"], ids
 
 
 def _prepare_outputs(directory: Path, filenames, force: bool) -> list:

@@ -176,6 +176,17 @@ class TestBalanceCommand:
         ]
         assert main(argv) == 1
 
+    def test_row_without_id_cell_is_an_input_error(self, tmp_path, capsys):
+        data = tmp_path / "short.csv"
+        data.write_text("T,X,id\n1.0,2.0,a\n3.0,4.0\n5.0,7.0,c\n")
+        argv = [
+            "balance", "--input", str(data),
+            "--treatment-col", "T", "--covariate-cols", "X",
+            "--out", str(tmp_path / "out"),
+        ]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: cannot parse '' in column 'id', row 3\n"
+
     def test_non_convergence_still_writes_outputs(self, tmp_path, monkeypatch):
         from ebct.data import uniform_weights
         from ebct.errors import NotConverged

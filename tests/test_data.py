@@ -46,6 +46,33 @@ class TestDataset:
         assert sub.unit_ids == ("f", "a", "a", "b", "c", "d")
         npt.assert_array_equal(sub.treatment, [5, 0, 0, 1, 2, 3])
 
+    def test_subset_matches_a_dataset_of_the_rows(self, rng):
+        ds = random_dataset(rng, 30, 3, outcome=True)
+        ids = tuple(f"u{i}" for i in range(30))
+        ds = Dataset(ds.treatment, ds.covariates, ds.outcome, unit_ids=ids)
+        idx = rng.integers(-30, 30, 50)
+        sub = ds.subset(idx)
+        rows = Dataset(
+            treatment=ds.treatment[idx],
+            covariates=ds.covariates[idx],
+            outcome=ds.outcome[idx],
+            unit_ids=tuple(ds.unit_ids[i] for i in idx),
+        )
+        for name in ("treatment", "covariates", "outcome"):
+            npt.assert_array_equal(getattr(sub, name), getattr(rows, name))
+            assert not getattr(sub, name).flags.writeable
+        assert sub.unit_ids == rows.unit_ids
+        assert sub.column_names == rows.column_names
+        assert ds.subset([1, 2]).outcome.shape == (2,)
+        no_outcome = Dataset(ds.treatment, ds.covariates).subset([0, 0, 1])
+        assert no_outcome.outcome is None and no_outcome.unit_ids == (0, 0, 1)
+
+    @pytest.mark.parametrize("indices", [[], [3], [[0, 1], [2, 3]]])
+    def test_subset_needs_two_rows(self, indices):
+        ds = Dataset(treatment=np.arange(4.0), covariates=np.arange(4.0).reshape(-1, 1))
+        with pytest.raises(ValueError):
+            ds.subset(indices)
+
     def test_arrays_are_read_only(self):
         ds = Dataset(treatment=np.arange(4.0), covariates=np.arange(4.0).reshape(-1, 1))
         with pytest.raises(ValueError):
