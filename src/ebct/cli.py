@@ -128,8 +128,13 @@ def _parse_fast(path, wanted) -> Optional[tuple]:
     accept is the same double. loadtxt skips blank lines and joins a quoted
     line break into one record; either makes its record count differ from
     the line count, and then, as on any error, the reference parser reads
-    the file and reports what it finds.
+    the file and reports what it finds. So does a file that ``csv.reader``
+    may reject where loadtxt does not: one with a NUL character (an error
+    before Python 3.11) or a line longer than ``csv.field_size_limit()``.
     """
+    # A line longer than the field limit covers a whole aligned block of
+    # limit // 2 characters, so a block with no line break is a fallback.
+    block = max(1, csv.field_size_limit() // 2)
     try:
         # Universal newlines end every line, CR, LF or CRLF, in one "\n". A
         # header that is one line splits into the same cells either way.
@@ -139,10 +144,16 @@ def _parse_fast(path, wanted) -> Optional[tuple]:
             if header is None or reader.line_num != 1:
                 return None
             lines, last = 0, "\n"
-            for chunk in iter(functools.partial(handle.read, 1 << 20), ""):
+            size = block * max(1, (1 << 20) // block)
+            for chunk in iter(functools.partial(handle.read, size), ""):
+                if "\x00" in chunk or any(
+                    "\n" not in chunk[i : i + block]
+                    for i in range(0, len(chunk) - block + 1, block)
+                ):
+                    return None
                 lines += chunk.count("\n")
                 last = chunk[-1]
-    except UnicodeDecodeError:
+    except (UnicodeDecodeError, csv.Error):
         return None
     lines += last != "\n"
     positions = {name: i for i, name in enumerate(header)}

@@ -116,25 +116,19 @@ class Dataset:
         return self.column_names[-1]
 
     def subset(self, indices) -> "Dataset":
-        """New Dataset keeping the rows in ``indices`` (repeats allowed).
-
-        The rows were validated with this dataset, so only the size is checked.
-        """
+        """New Dataset keeping the rows in ``indices`` (repeats allowed)."""
         idx = np.asarray(indices, dtype=int)
         if idx.ndim != 1:
             raise ValueError("indices must be a 1-d sequence")
         if idx.size < 2:
             raise ValueError("at least two units are required")
-        out = object.__new__(Dataset)
-        for name in ("treatment", "covariates", "outcome"):
-            values = getattr(self, name)
-            if values is not None:
-                values = values[idx]
-                values.setflags(write=False)
-            object.__setattr__(out, name, values)
-        object.__setattr__(out, "column_names", self.column_names)
-        object.__setattr__(out, "unit_ids", operator.itemgetter(*idx.tolist())(self.unit_ids))
-        return out
+        return Dataset(
+            treatment=self.treatment[idx],
+            covariates=self.covariates[idx],
+            outcome=None if self.outcome is None else self.outcome[idx],
+            column_names=self.column_names,
+            unit_ids=operator.itemgetter(*idx.tolist())(self.unit_ids),
+        )
 
 
 def standardize(dataset: Dataset) -> np.ndarray:
