@@ -12,6 +12,7 @@ import csv
 import functools
 import json
 import os
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -48,6 +49,9 @@ EXIT_INPUT_ERROR = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_BOOTSTRAP_FAILED = 3
 EXIT_SCENARIO_DEGENERATE = 4
+
+# The characters that make csv.writer's default dialect quote a field.
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 def read_csv(
@@ -87,15 +91,19 @@ def _parse_reference(path, wanted) -> tuple:
     Cells are split by ``csv.reader`` (quotes, CR, LF and CRLF line ends) and
     converted by ``float(cell)``, one column after another, so the first
     failure reported is the first bad row of the first bad column. A blank
-    line is a row of empty cells, and a missing cell is empty.
+    line is a row of empty cells, and a missing cell is empty. A row that
+    ``csv.reader`` rejects is a ParseError naming that row.
     """
+    rows = []
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(1, "", "<empty file>") from None
-        rows = list(reader)
+            for row in csv.reader(handle):
+                rows.append(row)
+        except csv.Error as err:
+            raise ParseError(len(rows) + 1, None, str(err)) from None
+    if not rows:
+        raise ParseError(1, "", "<empty file>")
+    header, rows = rows[0], rows[1:]
 
     positions = {name: i for i, name in enumerate(header)}
     for name in wanted:
@@ -195,11 +203,16 @@ def _prepare_outputs(directory: Path, filenames, force: bool) -> list:
 
 
 def _write_weights_csv(path: Path, dataset: Dataset, weights) -> None:
+    """weights.csv byte for byte as ``csv.writer`` writes it, in one write."""
+    ids = (
+        '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
+        for text in map(str, dataset.unit_ids)
+    )
+    body = "".join(
+        [f"{text},{weight!r}\r\n" for text, weight in zip(ids, weights.weights.tolist())]
+    )
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", "weight"])
-        for unit_id, weight in zip(dataset.unit_ids, weights.weights):
-            writer.writerow([unit_id, repr(float(weight))])
+        handle.write("id,weight\r\n" + body)
 
 
 def _read_input(args) -> Dataset:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 from numpy.polynomial import polynomial as npoly
 
 from .data import Dataset
@@ -32,6 +31,8 @@ _Z_10PCT = 1.645
 # A bootstrap gives up after this many draws per requested replicate.
 _MAX_DRAW_FACTOR = 10
 
+_NON_FINITE = "array must not contain infs or NaNs"
+
 
 def fit_wls(y, design, w) -> np.ndarray:
     """Coefficients minimizing the weighted residual sum of squares.
@@ -40,6 +41,7 @@ def fit_wls(y, design, w) -> np.ndarray:
     scale is irrelevant (doubling all weights changes nothing).
 
     Raises:
+        ValueError: the normal equations are not finite.
         RankDeficientDesign: the design is rank deficient under the weights.
     """
     y = np.ravel(np.asarray(y, dtype=float))
@@ -48,13 +50,18 @@ def fit_wls(y, design, w) -> np.ndarray:
     weighted = design * w[:, None]
     gram = weighted.T @ design
     rhs = weighted.T @ y
+    # numpy's Cholesky passes NaN and inf through without raising.
+    if not np.isfinite(gram).all():
+        raise ValueError(_NON_FINITE)
     try:
-        factor = scipy.linalg.cho_factor(gram)
-    except scipy.linalg.LinAlgError:
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
         raise RankDeficientDesign(
             "design matrix is rank deficient under the weight metric"
         ) from None
-    return scipy.linalg.cho_solve(factor, rhs)
+    if not np.isfinite(rhs).all():
+        raise ValueError(_NON_FINITE)
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
 
 
 def default_grid(treatment, points: int = 50) -> np.ndarray:

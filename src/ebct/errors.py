@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class EbctError(Exception):
     """Base class for all errors raised by this package."""
@@ -45,7 +47,7 @@ class InfeasibleConstraints(EbctError):
 
 
 class SingularHessian(EbctError):
-    """Newton system is singular (only possible with ridge forced to zero)."""
+    """Newton system has no Cholesky factor: its Hessian is singular or not finite."""
 
 
 class ThresholdInfeasible(EbctError):
@@ -77,13 +79,21 @@ class NegativeBase(EbctError):
 
 
 class ParseError(EbctError):
-    """A CSV cell could not be parsed as a number."""
+    """A CSV cell could not be parsed as a number, or a row not read at all.
 
-    def __init__(self, row: int, column: str, value: str):
+    For a row the CSV reader rejects (a field over its size limit, or a NUL
+    character before Python 3.11), ``column`` is None and ``value`` is the
+    reader's reason.
+    """
+
+    def __init__(self, row: int, column: Optional[str], value: str):
         self.row = row
         self.column = column
         self.value = value
-        super().__init__(f"cannot parse {value!r} in column {column!r}, row {row}")
+        if column is None:
+            super().__init__(f"cannot read row {row}: {value}")
+        else:
+            super().__init__(f"cannot parse {value!r} in column {column!r}, row {row}")
 
 
 class MissingColumn(EbctError):

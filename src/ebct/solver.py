@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg.lapack
 
 from .data import BalancingWeights
 from .errors import (
@@ -170,15 +169,40 @@ def recover_weights(gamma, G, base_weights=None) -> np.ndarray:
     return _single_state(gamma, G, base_weights)[1]
 
 
+def _newton_directions(hessian, grad) -> tuple:
+    """Newton directions -H^{-1} g for a (B, m, m) stack, and which exist.
+
+    One stacked Cholesky certifies every Hessian positive definite, then one
+    stacked solve gives every direction. numpy raises for the whole stack
+    when one factorization fails, so only then is each problem taken alone,
+    and a singular Hessian stops its own problem only. numpy passes NaN and
+    inf through its Cholesky without raising, so a Hessian that is not
+    finite counts as singular. Returns the (B, m) directions, zero where
+    none exists, and a (B,) flag that is False for a singular Hessian.
+    """
+    try:
+        if np.isfinite(hessian).all():
+            np.linalg.cholesky(hessian)
+            direction = np.linalg.solve(hessian, grad[:, :, None])[:, :, 0]
+            return -direction, np.ones(len(grad), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    if len(grad) == 1:
+        return np.zeros_like(grad), np.zeros(1, dtype=bool)
+    parts = [_newton_directions(hessian[i : i + 1], grad[i : i + 1]) for i in range(len(grad))]
+    return np.concatenate([d for d, _ in parts]), np.concatenate([ok for _, ok in parts])
+
+
 def _newton(G, q, opts: SolverOptions) -> list:
     """Damped Newton on every problem of a (B, n, m) stack at once.
 
     Each problem keeps its own phase, step size, trace and iteration count,
     and reaches exactly the iterates it would reach alone: every stacked
-    operation acts row by row, and the Newton systems are factored one
-    problem at a time. Problems that finish leave the stack, so the rest do
-    not pay for them. Returns per problem either ``(BalancingWeights,
-    ConvergenceReport)`` or the exception that problem raises.
+    operation acts row by row, and numpy's linear algebra factors each
+    Newton system of the stack by itself. Problems that finish leave the
+    stack, so the rest do not pay for them. Returns per problem either
+    ``(BalancingWeights, ConvergenceReport)`` or the exception that problem
+    raises.
     """
     B, _, m = G.shape
     outcomes = [None] * B
@@ -239,18 +263,11 @@ def _newton(G, q, opts: SolverOptions) -> list:
         hessian = _hessian(G, w, grad)
         if ridge is not None:
             hessian += ridge
-        direction = np.zeros_like(gamma)
-        slope = np.zeros(live.size)
-        for i in range(live.size):
-            factor, info = scipy.linalg.lapack.dpotrf(hessian[i], lower=0, clean=0)
-            if info > 0:
-                errors[i] = SingularHessian(
-                    "dual Hessian is singular; rerun with a positive ridge"
-                )
-                stopped[i] = True
-                continue
-            direction[i] = -scipy.linalg.lapack.dpotrs(factor, grad[i], lower=0)[0]
-            slope[i] = grad[i] @ direction[i]
+        direction, solvable = _newton_directions(hessian, grad)
+        for i in np.flatnonzero(~solvable):
+            errors[i] = SingularHessian("dual Hessian is singular; rerun with a positive ridge")
+            stopped[i] = True
+        slope = (grad * direction).sum(axis=1)
 
         # Local phase: the certifiable Armijo decrease (half the Newton
         # decrement squared) is below the objective's float resolution, so
@@ -305,9 +322,11 @@ def solve_batch(
 
     ``matrices`` holds one balance-column matrix per problem, as
     ``standardize`` returns it. ``base_weights`` is None (uniform for every
-    problem) or one entry per matrix, each None or a positive vector. A
-    problem that fails does not disturb the others, and each problem's
-    weights, iterations and trace are exactly those ``solve`` gives it alone.
+    problem) or one entry per matrix, each None or a positive vector. Each
+    Newton iteration factors and solves the Newton systems of the whole
+    stack in one numpy call. A problem that fails, a singular Hessian
+    included, does not disturb the others, and each problem's weights,
+    iterations and trace are exactly those ``solve`` gives it alone.
 
     Returns:
         One entry per matrix: ``(BalancingWeights, ConvergenceReport)`` on
@@ -359,7 +378,9 @@ def solve(
         InfeasibleConstraints: the dual diverged or a weight underflowed to
             zero, meaning no strictly positive weights satisfy the constraints.
         NonFiniteDual: an exponent overflowed.
-        SingularHessian: only possible when ridge is forced to zero.
+        SingularHessian: a Hessian is not finite, or has no Cholesky factor
+            at float precision despite the ridge (collinear columns with
+            ridge forced to zero).
     """
     (outcome,) = solve_batch([G], [base_weights], options)
     if isinstance(outcome, Exception):

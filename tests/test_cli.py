@@ -1,11 +1,18 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import ebct
 import ebct.cli as cli
 import ebct.drf as drf
+from ebct import Dataset
 from ebct.cli import main, read_csv
 from ebct.errors import MissingColumn, ParseError, ResampleDegenerate, ScenarioDegenerate
 from ebct.simulation import gen_covariates, gen_outcome, gen_treatment, replication_rng
@@ -186,6 +193,60 @@ class TestBalanceCommand:
         ]
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: cannot parse '' in column 'id', row 3\n"
+
+    def test_oversized_field_is_an_input_error(self, tmp_path, capsys):
+        data = tmp_path / "long.csv"
+        data.write_text("T,X,id\n1.0,2.0,a\n3.0,4.0," + "x" * 140_000 + "\n5.0,7.0,c\n")
+        argv = [
+            "balance", "--input", str(data),
+            "--treatment-col", "T", "--covariate-cols", "X",
+            "--out", str(tmp_path / "out"),
+        ]
+        assert main(argv) == 1
+        limit = csv.field_size_limit()
+        assert capsys.readouterr().err == (
+            f"error: cannot read row 3: field larger than field limit ({limit})\n"
+        )
+
+    def test_nul_rejected_by_the_reader_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        # csv.reader before Python 3.11 rejects a line holding a NUL character.
+        real_reader = csv.reader
+
+        def reader_without_nul(lines, *args, **kwargs):
+            def checked():
+                for line in lines:
+                    if "\x00" in line:
+                        raise csv.Error("line contains NUL")
+                    yield line
+
+            return real_reader(checked(), *args, **kwargs)
+
+        monkeypatch.setattr(csv, "reader", reader_without_nul)
+        data = tmp_path / "nul.csv"
+        data.write_text("T,X,id\n1.0,2.0,a\n3.0,4.0,b\x00\n5.0,7.0,c\n")
+        argv = [
+            "balance", "--input", str(data),
+            "--treatment-col", "T", "--covariate-cols", "X",
+            "--out", str(tmp_path / "out"),
+        ]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: cannot read row 3: line contains NUL\n"
+
+    def test_weights_csv_matches_csv_writer(self, tmp_path):
+        ids = ("plain", "a,b", 'say "hi"', '"', "cr\rid", "lf\nid", "crlf\r\nid", " spaced ", "", 7)
+        rng = np.random.default_rng(3)
+        n = len(ids)
+        dataset = Dataset(
+            treatment=rng.standard_normal(n), covariates=rng.standard_normal((n, 1)), unit_ids=ids
+        )
+        weights = SimpleNamespace(weights=rng.dirichlet(np.full(n, 0.05)))
+        cli._write_weights_csv(tmp_path / "weights.csv", dataset, weights)
+        with open(tmp_path / "oracle.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["id", "weight"])
+            for unit_id, weight in zip(ids, weights.weights):
+                writer.writerow([unit_id, repr(float(weight))])
+        assert (tmp_path / "weights.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_non_convergence_still_writes_outputs(self, tmp_path, monkeypatch):
         from ebct.data import uniform_weights
@@ -419,3 +480,28 @@ class TestVersionFlag:
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
+
+
+def imported_modules(*args):
+    """Every module a fresh interpreter imports to run ``python args``."""
+    src = str(Path(ebct.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = [line for line in result.stderr.splitlines() if line.startswith("import time:")]
+    return {line.rsplit("|", 1)[-1].strip() for line in lines[1:]}
+
+
+class TestImports:
+
+    @pytest.mark.parametrize(
+        "args", [("-c", "import ebct.cli"), ("-m", "ebct.cli", "--version")], ids=["import", "version"]
+    )
+    def test_cli_does_not_import_scipy(self, args):
+        modules = imported_modules(*args)
+        assert {"numpy", "ebct.solver", "ebct.drf"} <= modules
+        assert not [name for name in modules if name.split(".")[0] == "scipy"]

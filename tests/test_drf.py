@@ -69,6 +69,17 @@ class TestFitWls:
         with pytest.raises(RankDeficientDesign):
             fit_wls(rng.standard_normal(10), design, np.full(10, 0.1))
 
+    def test_non_finite_normal_equations_rejected(self, rng):
+        design = np.column_stack([np.ones(10), rng.standard_normal(10)])
+        y, w = rng.standard_normal(10), np.full(10, 0.1)
+        bad_design = design.copy()
+        bad_design[3, 1] = np.nan
+        bad_y = y.copy()
+        bad_y[4] = np.inf
+        for args in ((y, bad_design, w), (bad_y, design, w)):
+            with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+                fit_wls(*args)
+
 
 class TestEstimateDrf:
 

@@ -404,6 +404,25 @@ class TestSolveBatch:
             else:
                 npt.assert_allclose(outcome[0].weights, alone.weights, rtol=0, atol=1e-12)
 
+    def test_singular_hessian_stays_with_its_problem(self, rng):
+        # One stacked Cholesky fails for the whole stack; the regular problems
+        # must still reach bit for bit what they reach alone.
+        t, x1 = rng.standard_normal(30), rng.standard_normal(30)
+        collinear = balance_columns(t, np.column_stack([x1, x1]))
+        overflowing = random_sample(rng) * np.array([1e200, 1, 1, 1, 1])
+        regular = [random_sample(rng), random_sample(rng)]
+        options = SolverOptions(ridge=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = solve_batch([regular[0], collinear, overflowing, regular[1]], options=options)
+        assert isinstance(batch[1], SingularHessian)
+        assert isinstance(batch[2], SingularHessian)
+        for G, (weights, report) in zip(regular, (batch[0], batch[3])):
+            alone, alone_report = solve(G, options=options)
+            assert report.converged
+            assert weights.weights.tobytes() == alone.weights.tobytes()
+            assert weights.gamma.tobytes() == alone.gamma.tobytes()
+            assert report.iterations == alone_report.iterations
+
     def test_not_converged_per_problem(self, rng):
         matrices = [random_sample(rng, n=30, k=2) for _ in range(3)]
         options = SolverOptions(max_iterations=2, gradient_tolerance=1e-12)
