@@ -276,8 +276,8 @@ def cmd_drf(args) -> int:
     grid = default_grid(dataset.treatment, args.grid_points)
     fit = estimate_drf(dataset, weights, degree=args.degree, grid=grid)
     if args.bootstrap > 0:
-        pipeline = DrfPipeline(method=args.method, degree=args.degree, truncation=args.truncate)
-        fit = bootstrap_se(fit, dataset, pipeline, args.bootstrap, args.seed)
+        pipeline = DrfPipeline(method=args.method, truncation=args.truncate)
+        fit = bootstrap_se(fit, dataset, pipeline, args.bootstrap, args.seed, start=weights.gamma)
 
     fit.write_csv(csv_path)
     meta = {

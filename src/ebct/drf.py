@@ -155,18 +155,18 @@ def estimate_drf(
 
 @dataclass(frozen=True)
 class DrfPipeline:
-    """Names the weighting method and fit settings a bootstrap must re-run."""
+    """Names the weighting settings a bootstrap must re-run."""
 
     method: str = "ebct"
-    degree: int = 3
     truncation: Optional[float] = None
 
-    def derivatives(self, dataset: Dataset, grid) -> np.ndarray:
-        weights = estimate_weights(dataset, self.method, truncation=self.truncation)
+    def derivatives(self, dataset: Dataset, fit: DrfFit, start=None) -> np.ndarray:
+        """Re-run weighting and the fit of ``fit``'s degree on its grid."""
+        weights = estimate_weights(dataset, self.method, truncation=self.truncation, start=start)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ExtrapolationWarning)
-            fit = estimate_drf(dataset, weights, degree=self.degree, grid=grid)
-        return fit.drf_derivatives
+            refit = estimate_drf(dataset, weights, degree=fit.degree, grid=fit.grid)
+        return refit.drf_derivatives
 
 
 def bootstrap_statistic(
@@ -213,12 +213,17 @@ def bootstrap_se(
     replications: int,
     seed: int,
     interval: str = "normal",
+    start=None,
 ) -> DrfFit:
     """Bootstrap standard errors for the dose-response derivative.
 
     Resamples units with replacement and re-runs the full pipeline (weight
-    estimation included) per replicate on the grid of ``fit``, which
-    propagates weight-estimation uncertainty. The SE at each grid point is
+    estimation included) per replicate at the degree and on the grid of
+    ``fit``, which propagates weight-estimation uncertainty. ``start`` is
+    handed to each replicate's ``estimate_weights``: the full-sample
+    multipliers (``weights.gamma``) start every replicate's dual solve next
+    to its optimum, which saves Newton steps and moves the SEs only within
+    the solver tolerance. The SE at each grid point is
     the sample standard deviation (denominator B-1) across replicates; a
     point is flagged significant at the 10% level when |derivative| / SE
     exceeds 1.645, with the derivatives of ``fit`` as the point estimates.
@@ -230,13 +235,9 @@ def bootstrap_se(
     """
     if interval not in ("normal", "percentile"):
         raise ValueError(f"unknown interval rule {interval!r}")
-    if pipeline.degree != fit.degree:
-        raise ValueError(
-            f"pipeline degree {pipeline.degree} does not match the fit's degree {fit.degree}"
-        )
     draws = bootstrap_statistic(
         dataset.n,
-        lambda idx: pipeline.derivatives(dataset.subset(idx), fit.grid),
+        lambda idx: pipeline.derivatives(dataset.subset(idx), fit, start),
         replications,
         seed,
     )

@@ -111,8 +111,24 @@ def _dual_state(G, log_q, gamma) -> tuple:
 
 
 def _hessian(G, w, grad) -> np.ndarray:
-    """Weighted covariance of the balance columns, (B, m, m)."""
-    return (G * w[:, :, None]).transpose(0, 2, 1) @ G - grad[:, :, None] * grad[:, None, :]
+    """Weighted covariance of the balance columns, (B, m, m).
+
+    A column whose square overflows leaves inf or NaN entries without a
+    warning; the Newton driver reports them as a typed error.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (G * w[:, :, None]).transpose(0, 2, 1) @ G - grad[:, :, None] * grad[:, None, :]
+
+
+def _singular(hessian) -> SingularHessian:
+    """The error for one (m, m) Hessian that has no Newton direction."""
+    if np.isfinite(hessian).all():
+        return SingularHessian("dual Hessian is singular; rerun with a positive ridge")
+    bad = np.flatnonzero(~np.isfinite(np.diagonal(hessian)))
+    column = f"balance column {bad[0]}" if bad.size else "a balance column"
+    return SingularHessian(
+        f"dual Hessian is not finite: {column} overflows when squared; rescale it"
+    )
 
 
 def _balance_matrix(G) -> np.ndarray:
@@ -193,21 +209,22 @@ def _newton_directions(hessian, grad) -> tuple:
     return np.concatenate([d for d, _ in parts]), np.concatenate([ok for _, ok in parts])
 
 
-def _newton(G, q, opts: SolverOptions) -> list:
+def _newton(G, q, opts: SolverOptions, start: np.ndarray) -> list:
     """Damped Newton on every problem of a (B, n, m) stack at once.
 
     Each problem keeps its own phase, step size, trace and iteration count,
     and reaches exactly the iterates it would reach alone: every stacked
     operation acts row by row, and numpy's linear algebra factors each
     Newton system of the stack by itself. Problems that finish leave the
-    stack, so the rest do not pay for them. Returns per problem either
+    stack, so the rest do not pay for them. Every problem starts at the
+    m-vector ``start``. Returns per problem either
     ``(BalancingWeights, ConvergenceReport)`` or the exception that problem
     raises.
     """
     B, _, m = G.shape
     outcomes = [None] * B
     log_q = np.log(q)
-    gamma = np.zeros((B, m))
+    gamma = np.tile(start, (B, 1))
     value, w, grad, finite = _dual_state(G, log_q, gamma)
     traces = [[v] for v in value.tolist()]
     iterations = np.zeros(B, dtype=int)
@@ -265,7 +282,7 @@ def _newton(G, q, opts: SolverOptions) -> list:
             hessian += ridge
         direction, solvable = _newton_directions(hessian, grad)
         for i in np.flatnonzero(~solvable):
-            errors[i] = SingularHessian("dual Hessian is singular; rerun with a positive ridge")
+            errors[i] = _singular(hessian[i])
             stopped[i] = True
         slope = (grad * direction).sum(axis=1)
 
@@ -313,26 +330,46 @@ def _newton(G, q, opts: SolverOptions) -> list:
     return outcomes
 
 
+def _prepare_start(m: int, start) -> np.ndarray:
+    if start is None:
+        return np.zeros(m)
+    gamma = np.asarray(start, dtype=float)
+    if gamma.shape != (m,):
+        raise ValueError(f"start has shape {gamma.shape}, expected ({m},)")
+    if not np.isfinite(gamma).all():
+        raise ValueError("start must be finite")
+    return gamma
+
+
 def solve_batch(
     matrices: Sequence[np.ndarray],
     base_weights=None,
     options: Optional[SolverOptions] = None,
+    start=None,
 ) -> list:
     """Solve many same-shape problems in one stacked Newton run.
 
     ``matrices`` holds one balance-column matrix per problem, as
     ``standardize`` returns it. ``base_weights`` is None (uniform for every
-    problem) or one entry per matrix, each None or a positive vector. Each
+    problem) or one entry per matrix, each None or a positive vector.
+    ``start`` is the m-vector of multipliers every problem's Newton run
+    starts from; None starts at zero. The dual is convex, so the start
+    changes how many steps a problem takes, not the optimum it reaches
+    (beyond the gradient tolerance); each trace begins at J(start). Each
     Newton iteration factors and solves the Newton systems of the whole
     stack in one numpy call. A problem that fails, a singular Hessian
     included, does not disturb the others, and each problem's weights,
-    iterations and trace are exactly those ``solve`` gives it alone.
+    iterations and trace are exactly those ``solve`` gives it alone from
+    the same start.
 
     Returns:
         One entry per matrix: ``(BalancingWeights, ConvergenceReport)`` on
         success, otherwise the exception ``solve`` would raise for it
         (``NotConverged``, ``InfeasibleConstraints``, ``NonFiniteDual`` or
         ``SingularHessian``).
+
+    Raises:
+        ValueError: shapes disagree, or ``start`` is not a finite m-vector.
     """
     matrices = [_balance_matrix(G) for G in matrices]
     if not matrices:
@@ -344,6 +381,7 @@ def solve_batch(
         base_weights = [None] * len(matrices)
     elif len(base_weights) != len(matrices):
         raise ValueError(f"got {len(base_weights)} base weight vectors for {len(matrices)} problems")
+    gamma = _prepare_start(shape[1], start)
     q = np.stack([_prepare_base_weights(shape[0], bw) for bw in base_weights])
     q /= q.sum(axis=1, keepdims=True)
     if len(matrices) == 1:
@@ -351,13 +389,14 @@ def solve_batch(
         G = matrices[0][None]
     else:
         G = np.stack(matrices)
-    return _newton(G, q, options or SolverOptions())
+    return _newton(G, q, options or SolverOptions(), gamma)
 
 
 def solve(
     G: np.ndarray,
     base_weights=None,
     options: Optional[SolverOptions] = None,
+    start=None,
 ) -> tuple:
     """Solve for entropy-balancing weights.
 
@@ -366,7 +405,10 @@ def solve(
     weighted mean of every balance column is below the gradient tolerance,
     which makes the weighted Pearson correlation between treatment and each
     covariate zero to numerical precision. ``G`` is the n x (2K+1)
-    balance-column matrix that ``standardize`` returns. This is the
+    balance-column matrix that ``standardize`` returns. ``start`` is the
+    m-vector of initial multipliers (None: zero); a start near the optimum,
+    such as the multipliers of a closely related sample, saves Newton steps
+    and reaches the same weights within the tolerance. This is the
     one-problem case of ``solve_batch``.
 
     Returns:
@@ -378,11 +420,12 @@ def solve(
         InfeasibleConstraints: the dual diverged or a weight underflowed to
             zero, meaning no strictly positive weights satisfy the constraints.
         NonFiniteDual: an exponent overflowed.
-        SingularHessian: a Hessian is not finite, or has no Cholesky factor
-            at float precision despite the ridge (collinear columns with
-            ridge forced to zero).
+        SingularHessian: a Hessian is not finite (a balance column overflows
+            when squared), or has no Cholesky factor at float precision
+            despite the ridge (collinear columns with ridge forced to zero).
+        ValueError: ``start`` is not a finite m-vector.
     """
-    (outcome,) = solve_batch([G], [base_weights], options)
+    (outcome,) = solve_batch([G], [base_weights], options, start)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

@@ -51,12 +51,16 @@ def estimate_weights(
     dataset: Dataset,
     method: str,
     truncation: Optional[float] = None,
+    start=None,
 ) -> BalancingWeights:
     """Estimate weights for one of the supported methods.
 
     ``method`` is one of ``ebct``, ``ipw`` or ``uniform`` (``unweighted`` is
     accepted as an alias for ``uniform``). A truncation threshold triggers
     truncate-and-rebalance for ebct and a simple cap-and-renormalize for ipw.
+    ``start`` gives the initial multipliers of the first ebct solve (see
+    ``solve``); truncation rounds re-solve on their capped base weights from
+    zero. ``ipw`` and ``uniform`` solve no dual and ignore ``start``.
     """
     name = method_name(method)
     if name == "uniform":
@@ -67,7 +71,7 @@ def estimate_weights(
             weights = cap_weights(weights, truncation)
         return weights
     G = standardize(dataset)
-    weights, _ = solve(G)
+    weights, _ = solve(G, start=start)
     if truncation is not None:
         weights = truncate_and_rebalance(G, weights, truncation)
     return weights

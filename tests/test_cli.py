@@ -316,6 +316,20 @@ class TestDrfCommand:
         assert all(float(row["se"]) > 0 for row in rows)
         assert all(row["significant"] in ("0", "1") for row in rows)
 
+    def test_same_seed_byte_identical(self, tmp_path):
+        data = write_simulated_csv(tmp_path / "data.csv")
+        outputs = []
+        for run in ("first", "second"):
+            out = tmp_path / run
+            argv = [
+                "drf", "--input", str(data),
+                "--treatment-col", "T", "--covariate-cols", COVARIATES,
+                "--outcome-col", "Y", "--bootstrap", "20", "--seed", "3", "--out", str(out),
+            ]
+            assert main(argv) == 0
+            outputs.append([(out / name).read_bytes() for name in ("drf.csv", "drf.json")])
+        assert outputs[0] == outputs[1]
+
     def test_non_convergence_with_bootstrap_still_writes_outputs(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -326,11 +340,11 @@ class TestDrfCommand:
         data = write_simulated_csv(tmp_path / "data.csv")
         full_ids = read_csv(data, "T", COVARIATES.split(","), "Y").unit_ids
 
-        def one_step_on_full_sample(dataset, method, truncation=None):
+        def one_step_on_full_sample(dataset, method, truncation=None, start=None):
             if dataset.unit_ids == full_ids:
                 options = SolverOptions(max_iterations=1)
                 return solve(standardize(dataset), options=options)[0]  # raises NotConverged
-            return estimate_weights(dataset, method, truncation=truncation)
+            return estimate_weights(dataset, method, truncation=truncation, start=start)
 
         monkeypatch.setattr(cli, "estimate_weights", one_step_on_full_sample)
         monkeypatch.setattr(drf, "estimate_weights", one_step_on_full_sample)

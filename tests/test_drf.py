@@ -2,12 +2,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import ebct.weighting as weighting
 from ebct import (
     Dataset,
     DrfPipeline,
     bootstrap_se,
     estimate_drf,
     estimate_weights,
+    solve,
 )
 from ebct.data import uniform_weights
 from ebct.drf import bootstrap_statistic, default_grid, fit_wls
@@ -209,7 +211,7 @@ class TestBootstrapSe:
     def test_pipeline_bootstrap_and_flags(self):
         ds = self.drf_dataset()
         fit = self.drf_fit(ds, 10)
-        pipeline = DrfPipeline(method="uniform", degree=1)
+        pipeline = DrfPipeline(method="uniform")
         result = bootstrap_se(fit, ds, pipeline, replications=60, seed=4)
         assert result.derivative_se.shape == (10,)
         assert np.all(result.derivative_se > 0)
@@ -219,7 +221,7 @@ class TestBootstrapSe:
     def test_percentile_variant(self):
         ds = self.drf_dataset()
         fit = self.drf_fit(ds, 5)
-        pipeline = DrfPipeline(method="uniform", degree=1)
+        pipeline = DrfPipeline(method="uniform")
         result = bootstrap_se(fit, ds, pipeline, replications=60, seed=4, interval="percentile")
         assert result.significant_10pct.dtype == bool
 
@@ -227,21 +229,47 @@ class TestBootstrapSe:
         ds = self.drf_dataset()
         fit = self.drf_fit(ds, 5)
         assert fit.derivative_se is None and fit.significant_10pct is None
-        result = bootstrap_se(fit, ds, DrfPipeline(method="uniform", degree=1), 30, seed=2)
+        result = bootstrap_se(fit, ds, DrfPipeline(method="uniform"), 30, seed=2)
         assert result.derivative_se.shape == (5,) and result.significant_10pct.shape == (5,)
         for name in ("degree", "coefficients", "grid", "drf_values", "drf_derivatives"):
             npt.assert_array_equal(getattr(result, name), getattr(fit, name))
-        with pytest.raises(ValueError, match="degree"):
-            bootstrap_se(fit, ds, DrfPipeline(method="uniform", degree=3), 30, seed=2)
 
     def test_reestimates_weights_per_replicate(self):
         # The ebct pipeline re-solves on each resample, so its spread must
         # reflect more than outcome noise: SEs strictly positive and finite.
         ds = self.drf_dataset()
         fit = self.drf_fit(ds, 5, method="ebct")
-        result = bootstrap_se(fit, ds, DrfPipeline(method="ebct", degree=1), 30, seed=21)
+        result = bootstrap_se(fit, ds, DrfPipeline(method="ebct"), 30, seed=21)
         assert np.all(np.isfinite(result.derivative_se))
         assert np.all(result.derivative_se > 0)
+
+    @pytest.mark.parametrize("truncation", [None, 0.03], ids=["plain", "truncated"])
+    def test_full_sample_start_saves_steps_not_precision(self, monkeypatch, truncation):
+        # The start feeds each replicate's first solve, before truncation, so
+        # it is the untruncated full-sample optimum.
+        ds = self.drf_dataset()
+        untruncated = estimate_weights(ds, "ebct")
+        assert truncation is None or untruncated.max_share > truncation
+        weights = estimate_weights(ds, "ebct", truncation=truncation)
+        fit = estimate_drf(ds, weights, degree=1, grid=default_grid(ds.treatment, 5))
+        pipeline = DrfPipeline(method="ebct", truncation=truncation)
+        iterations = []
+
+        def counting_solve(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            iterations.append(result[1].iterations)
+            return result
+
+        monkeypatch.setattr(weighting, "solve", counting_solve)
+        cold = bootstrap_se(fit, ds, pipeline, 30, seed=21)
+        cold_iterations = sum(iterations)
+        iterations.clear()
+        warm = bootstrap_se(fit, ds, pipeline, 30, seed=21, start=untruncated.gamma)
+        assert sum(iterations) < cold_iterations
+        for name in ("coefficients", "grid", "drf_values", "drf_derivatives"):
+            assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes()
+        npt.assert_allclose(warm.derivative_se, cold.derivative_se, rtol=1e-6, atol=0)
+        npt.assert_array_equal(warm.significant_10pct, cold.significant_10pct)
 
 
 class TestDrfCsv:

@@ -85,3 +85,44 @@ def test_returned_weights_balance_every_column(dataset):
     assert report.converged
     assert np.abs(G.T @ weights.weights).max() <= tolerance
     assert balance_report(weights, dataset).max_abs_correlation <= 1e-6
+
+
+@PROPERTY
+@given(datasets(), st.data())
+def test_start_changes_steps_not_weights(dataset, data):
+    # Two converged solves' weights differ by about the gradient tolerance
+    # (up to 7.5e-9 at n=20 and the default 1e-8), so a tighter tolerance
+    # makes the 1e-10 comparison meaningful.
+    options = SolverOptions(gradient_tolerance=1e-11)
+    G = standardize(dataset)
+    m = G.shape[1]
+    start = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+    try:
+        base, base_report = solve(G, options=options)
+    except EbctError:
+        assume(False)
+    weights, report = solve(G, options=options, start=start)
+    for r in (base_report, report):
+        assert r.converged and r.final_gradient_norm <= options.gradient_tolerance
+    npt.assert_allclose(weights.weights, base.weights, rtol=0, atol=1e-10)
+
+
+@PROPERTY
+@given(datasets(), st.data())
+def test_duplicated_row_acts_as_doubled_base_weight(dataset, data):
+    # A bootstrap resample that draws a unit twice rests on this identity.
+    G = standardize(dataset)
+    n = G.shape[0]
+    k = data.draw(st.integers(0, n - 1))
+    doubled = np.ones(n)
+    doubled[k] = 2.0
+    try:
+        expected, _ = solve(G, base_weights=doubled)
+    except EbctError:
+        assume(False)
+    weights, _ = solve(np.vstack([G, G[k]]))
+    w = weights.weights
+    assert w[k] == w[n]
+    merged = w[:n].copy()
+    merged[k] += w[n]
+    npt.assert_allclose(merged, expected.weights, rtol=0, atol=WEIGHT_ATOL)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -348,6 +350,15 @@ class TestSolve:
         weights, report = solve(G)
         assert report.converged
 
+    def test_non_finite_hessian_names_the_overflowing_column(self, rng):
+        # A ridge cannot help here, and the overflow must surface as one
+        # typed error, not as RuntimeWarnings.
+        G = random_sample(rng) * np.array([1, 1, 1e200, 1, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularHessian, match="balance column 2 overflows when squared"):
+                solve(G)
+
 
 def selected_sample(seed, n=50):
     """Strong selection on a skewed covariate; some seeds are infeasible."""
@@ -440,6 +451,52 @@ class TestSolveBatch:
             solve(random_sample(rng, n=30)[:, 0])
         with pytest.raises(ValueError, match="2-d"):
             dual_objective(np.zeros(5), random_sample(rng, n=30)[None])
+
+
+class TestStart:
+
+    def test_zero_start_is_the_default(self, rng):
+        G = random_sample(rng)
+        default, default_report = solve(G)
+        zero, zero_report = solve(G, start=np.zeros(5))
+        assert zero.gamma.tobytes() == default.gamma.tobytes()
+        assert zero_report.dual_value_trace == default_report.dual_value_trace
+
+    def test_trace_begins_at_the_start(self, rng):
+        G = random_sample(rng)
+        start = rng.uniform(-0.5, 0.5, size=5)
+        _, report = solve(G, start=start)
+        assert report.dual_value_trace[0] == pytest.approx(dual_objective(start, G), abs=1e-14)
+
+    def test_batch_matches_one_problem_solves(self, rng):
+        matrices = [selected_sample(seed) for seed in range(12)]
+        start = rng.uniform(-0.5, 0.5, size=5)
+        batch = solve_batch(matrices, start=start)
+        solved = 0
+        for G, outcome in zip(matrices, batch):
+            try:
+                alone, alone_report = solve(G, start=start)
+            except EbctError as err:
+                assert type(outcome) is type(err) and str(outcome) == str(err)
+                continue
+            weights, report = outcome
+            assert weights.weights.tobytes() == alone.weights.tobytes()
+            assert weights.gamma.tobytes() == alone.gamma.tobytes()
+            assert report.dual_value_trace == alone_report.dual_value_trace
+            solved += 1
+        assert solved > 0
+
+    @pytest.mark.parametrize(
+        "start",
+        [np.zeros(4), np.zeros((1, 5)), [0.0, np.nan, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0, 0.0]],
+        ids=["short", "2-d", "nan", "inf"],
+    )
+    def test_bad_start_rejected(self, rng, start):
+        G = random_sample(rng)
+        with pytest.raises(ValueError, match="start"):
+            solve(G, start=start)
+        with pytest.raises(ValueError, match="start"):
+            solve_batch([G, G], start=start)
 
 
 class TestSolverOptions:

@@ -56,3 +56,7 @@ def test_traced_run_finds_every_site(tmp_path, command, spans):
     assert spans <= {span[0] for span in doc["spans"]}
     if command[0] == "drf":
         assert doc["counters"]["bootstrap.kept"] == 5
+        # Every replicate solve must pass through the traced weighting.solve,
+        # or the per-layer solver metrics silently lose the bootstrap.
+        solves = sum(span[0] == "solver.solve" for span in doc["spans"])
+        assert solves == 1 + doc["counters"]["bootstrap.draws"]
