@@ -204,10 +204,13 @@ def _prepare_outputs(directory: Path, filenames, force: bool) -> list:
 
 def _write_weights_csv(path: Path, dataset: Dataset, weights) -> None:
     """weights.csv byte for byte as ``csv.writer`` writes it, in one write."""
-    ids = (
-        '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
-        for text in map(str, dataset.unit_ids)
-    )
+    ids = list(map(str, dataset.unit_ids))
+    # One scan of all ids; most files have no id that needs quoting.
+    if _NEEDS_QUOTES.search("".join(ids)):
+        ids = [
+            '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
+            for text in ids
+        ]
     body = "".join(
         [f"{text},{weight!r}\r\n" for text, weight in zip(ids, weights.weights.tolist())]
     )
@@ -266,18 +269,27 @@ def cmd_drf(args) -> int:
     csv_path, meta_path = _prepare_outputs(Path(args.out), ["drf.csv", "drf.json"], args.force)
 
     exit_code = EXIT_OK
+    start = None
     try:
-        weights = estimate_weights(dataset, args.method, truncation=args.truncate)
+        weights = estimate_weights(dataset, args.method)
+        # Each replicate's first solve is untruncated, so it starts at the
+        # untruncated full-sample multipliers; the solve below begins there
+        # too and takes no Newton step before truncating.
+        start = weights.gamma
+        if args.truncate is not None:
+            weights = estimate_weights(dataset, args.method, truncation=args.truncate, start=start)
     except NotConverged as err:
         print(f"warning: {err}; continuing with the last iterate", file=sys.stderr)
         weights = err.weights
         exit_code = EXIT_NOT_CONVERGED
+    if start is None:
+        start = weights.gamma
 
     grid = default_grid(dataset.treatment, args.grid_points)
     fit = estimate_drf(dataset, weights, degree=args.degree, grid=grid)
     if args.bootstrap > 0:
         pipeline = DrfPipeline(method=args.method, truncation=args.truncate)
-        fit = bootstrap_se(fit, dataset, pipeline, args.bootstrap, args.seed, start=weights.gamma)
+        fit = bootstrap_se(fit, dataset, pipeline, args.bootstrap, args.seed, start=start)
 
     fit.write_csv(csv_path)
     meta = {

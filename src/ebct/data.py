@@ -131,7 +131,7 @@ class Dataset:
         )
 
 
-def standardize(dataset: Dataset) -> np.ndarray:
+def standardize(dataset) -> np.ndarray:
     """Balance columns of the standardized sample: the solver's input.
 
     Treatment and covariates are centered and scaled to unit sample variance
@@ -141,33 +141,66 @@ def standardize(dataset: Dataset) -> np.ndarray:
     Zero weighted means of these columns are exactly the zero-correlation
     balance conditions.
 
+    ``dataset`` may also be a sequence of B datasets that share n and K. The
+    result is then the read-only B x n x (2K+1) stack of their matrices from
+    one pass, each bit for bit the matrix its dataset gives alone.
+
     Raises:
         ValueError: fewer units than dual parameters plus one (n < 2K+2),
-            which leaves the balance problem underdetermined.
-        ConstantColumn: if the treatment or any covariate has zero variance.
+            which leaves the balance problem underdetermined, or stacked
+            datasets of different shapes.
+        ConstantColumn: if the treatment or any covariate has zero variance;
+            with a sequence, for the first dataset that has one.
     """
-    t = dataset.treatment
-    x = dataset.covariates
-    n, k = dataset.n, dataset.k
+    single = isinstance(dataset, Dataset)
+    datasets = [dataset] if single else list(dataset)
+    n, k = datasets[0].n, datasets[0].k
+    if any((d.n, d.k) != (n, k) for d in datasets):
+        raise ValueError("stacked datasets must share n and K")
     if n < 2 * k + 2:
         raise ValueError(
             f"need at least 2K+2 = {2 * k + 2} units for K={k} covariates, got {n}"
         )
-    t_mean = float(t.mean())
-    t_scale = float(t.std(ddof=1))
-    if not t_scale > 0:
-        raise ConstantColumn(dataset.treatment_name)
-    G = np.empty((n, 2 * k + 1))
-    G[:, 0] = (t - t_mean) / t_scale
-    if k:
-        x_scales = x.std(axis=0, ddof=1)
-        for j, s in enumerate(x_scales):
-            if not s > 0:
-                raise ConstantColumn(dataset.covariate_names[j])
-        x_std = G[:, 1 : k + 1]
-        np.subtract(x, x.mean(axis=0), out=x_std)
-        x_std /= x_scales
-        np.multiply(G[:, :1], x_std, out=G[:, k + 1 :])
+    if single:
+        # Views, not copies: at large n a copy of the covariates would raise
+        # the peak memory of a one-dataset call.
+        t, x = dataset.treatment[None], dataset.covariates[None]
+    else:
+        t = np.stack([d.treatment for d in datasets])
+        x = np.stack([d.covariates for d in datasets])
+    G = _balance_columns(t, x, datasets)
+    return G[0] if single else G
+
+
+def _balance_columns(t, x, datasets) -> np.ndarray:
+    """The (B, n, 2K+1) balance columns of a (B, n) treatment stack and a
+    (B, n, K) covariate stack; ``datasets`` name a zero-variance column.
+
+    The scales are ``std(ddof=1)``'s own arithmetic, with each deviation
+    computed once: it is copied into the balance columns before it is
+    squared in place, so no n x K temporary besides it is live.
+    """
+    B, n, k = x.shape
+    G = np.empty((B, n, 2 * k + 1))
+    t_dev = t - t.mean(axis=1, keepdims=True)
+    t_scale = np.sqrt(np.add.reduce(t_dev * t_dev, axis=1, keepdims=True) / (n - 1))
+    x_std = G[:, :, 1 : k + 1]
+    dev = x - x.mean(axis=1, keepdims=True)
+    x_std[...] = dev
+    dev *= dev
+    x_scales = np.add.reduce(dev, axis=1, keepdims=True)
+    del dev
+    x_scales /= n - 1
+    np.sqrt(x_scales, out=x_scales)
+    varies_t = t_scale[:, 0] > 0
+    varies_x = x_scales[:, 0] > 0
+    for b in np.flatnonzero(~(varies_t & varies_x.all(axis=1))):
+        if not varies_t[b]:
+            raise ConstantColumn(datasets[b].treatment_name)
+        raise ConstantColumn(datasets[b].covariate_names[int(np.argmin(varies_x[b]))])
+    np.divide(t_dev, t_scale, out=G[:, :, 0])
+    x_std /= x_scales
+    np.multiply(G[:, :, :1], x_std, out=G[:, :, k + 1 :])
     G.setflags(write=False)
     return G
 

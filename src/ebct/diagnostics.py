@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -19,13 +20,30 @@ from .errors import ZeroVariance
 _VARIANCE_FLOOR = 1e-24
 
 
-def _weight_vector(w) -> np.ndarray:
-    if isinstance(w, BalancingWeights):
-        w = w.weights
-    w = np.ravel(np.asarray(w, dtype=float))
-    if np.any(w <= 0) or not np.all(np.isfinite(w)):
+def _weight_rows(ws) -> np.ndarray:
+    """The weightings ``ws``, each normalized to sum one, as an M x n stack."""
+    rows = [
+        w.weights if isinstance(w, BalancingWeights) else np.ravel(np.asarray(w, dtype=float))
+        for w in ws
+    ]
+    # One weighting stays a view, so a large n pays no stacking copy.
+    stack = rows[0][None] if len(rows) == 1 else np.stack(rows)
+    if not (stack.min() > 0 and np.isfinite(stack).all()):
         raise ValueError("weights must be strictly positive and finite")
-    return w / w.sum()
+    return stack / stack.sum(axis=1, keepdims=True)
+
+
+def _weight_vector(w) -> np.ndarray:
+    return _weight_rows([w])[0]
+
+
+def _is_one_weighting(w) -> bool:
+    """True for one weighting, False for a sequence or 2-d stack of them."""
+    if isinstance(w, BalancingWeights):
+        return True
+    if isinstance(w, (list, tuple)):
+        return not w or np.ndim(getattr(w[0], "weights", w[0])) == 0
+    return np.ndim(w) < 2
 
 
 def weighted_pearson(w, a, b) -> float:
@@ -91,39 +109,69 @@ class BalanceReport:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
-def balance_report(w, dataset: Dataset, method_tag: str = "") -> BalanceReport:
+def balance_report(w, dataset: Dataset, method_tag: str = ""):
     """Weighted treatment-covariate correlations for every covariate.
 
     Called with uniform weights this reproduces the plain unweighted Pearson
     correlations. All covariates go through one weighted pass with the
     formulas of ``weighted_pearson``; degenerate columns are skipped with a
     warning flag rather than failing the whole report.
+
+    ``w`` is one weighting of ``dataset`` (``BalancingWeights`` or a positive
+    vector), giving one ``BalanceReport``, or a sequence of weightings (or an
+    M x n array), giving a list of reports in the same order from one pass
+    over the M x n stack. Each report of a stack is bit for bit the report
+    its weighting gives alone, degenerate columns included. A report is
+    tagged ``method_tag``, else its weights' method, else "uniform".
     """
-    if isinstance(w, BalancingWeights) and not method_tag:
-        method_tag = w.method_tag
-    weights = _weight_vector(w)
-    dt = dataset.treatment - weights @ dataset.treatment
-    dx = dataset.covariates - weights @ dataset.covariates
-    cov = (weights * dt) @ dx
-    var_t = weights @ (dt * dt)
+    single = _is_one_weighting(w)
+    ws = [w] if single else list(w)
+    weights = _weight_rows(ws)
+    # (M, 1, n) rows make every weighted mean one dot product or one
+    # vector-matrix product per weighting, the BLAS calls of a lone vector.
+    rows = weights[:, None, :]
+    t, x = dataset.treatment, dataset.covariates
+    dt = t - (rows @ t[:, None])[:, :, 0]
+    dx = x - rows @ x
+    cov = ((weights * dt)[:, None, :] @ dx)[:, 0]
+    var_t = (rows @ (dt * dt)[:, :, None])[:, 0]
     dx *= dx
-    var_x = weights @ dx
+    var_x = (rows @ dx)[:, 0]
     bad = (var_x < _VARIANCE_FLOOR) | (var_t < _VARIANCE_FLOOR)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        correlations = np.clip(cov / np.sqrt(var_t * var_x), -1.0, 1.0)
-    correlations[bad] = np.nan
-    finite = np.abs(correlations[~bad])
-    return BalanceReport(
-        covariate_names=dataset.covariate_names,
-        per_covariate_correlation=correlations,
-        max_abs_correlation=float(finite.max()) if finite.size else float("nan"),
-        mean_abs_correlation=float(finite.mean()) if finite.size else float("nan"),
-        max_weight_share=float(weights.max()),
-        method_tag=method_tag or "uniform",
-        degenerate_columns=tuple(
-            name for name, flag in zip(dataset.covariate_names, bad) if flag
-        ),
+    correlations = np.divide(
+        cov, np.sqrt(var_t * var_x), out=np.full_like(cov, np.nan), where=~bad
     )
+    np.clip(correlations, -1.0, 1.0, out=correlations)
+    magnitudes = np.abs(correlations)
+    # Row-wise aggregates are each row's own: only a row with a degenerate
+    # column needs them again over its finite entries.
+    if magnitudes.size:
+        maxima = magnitudes.max(axis=1).tolist()
+        means = magnitudes.mean(axis=1).tolist()
+    else:  # no covariates
+        maxima, means = [float("nan")] * len(ws), [float("nan")] * len(ws)
+    shares = weights.max(axis=1).tolist()
+    names = dataset.covariate_names
+    reports = []
+    for m, item in enumerate(ws):
+        degenerate = ()
+        if bad[m].any():
+            finite = magnitudes[m][~bad[m]]
+            maxima[m] = float(finite.max()) if finite.size else float("nan")
+            means[m] = float(finite.mean()) if finite.size else float("nan")
+            degenerate = tuple(compress(names, bad[m]))
+        reports.append(
+            BalanceReport(
+                covariate_names=names,
+                per_covariate_correlation=correlations[m],
+                max_abs_correlation=maxima[m],
+                mean_abs_correlation=means[m],
+                max_weight_share=shares[m],
+                method_tag=method_tag or getattr(item, "method_tag", "uniform"),
+                degenerate_columns=degenerate,
+            )
+        )
+    return reports[0] if single else reports
 
 
 def render_balance_table(reports: Sequence[BalanceReport]) -> str:

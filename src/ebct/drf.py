@@ -38,18 +38,31 @@ def fit_wls(y, design, w) -> np.ndarray:
     """Coefficients minimizing the weighted residual sum of squares.
 
     Solves the normal equations with a Cholesky factorization; the weight
-    scale is irrelevant (doubling all weights changes nothing).
+    scale is irrelevant (doubling all weights changes nothing). ``w`` is one
+    length-n weight vector, giving the p coefficients, or an M x n stack of
+    weightings of the same sample, giving an M x p matrix from one stacked
+    factorization. Each row of a stack is bit for bit the coefficients that
+    row alone gives.
 
     Raises:
-        ValueError: the normal equations are not finite.
+        ValueError: the normal equations are not finite, or a weighting's
+            length is not the design's row count (an n x 1 column is not a
+            weight vector but n weightings of one unit).
         RankDeficientDesign: the design is rank deficient under the weights.
+            With a stack, either error is raised for the whole call when
+            any one weighting has it.
     """
     y = np.ravel(np.asarray(y, dtype=float))
     design = np.asarray(design, dtype=float)
-    w = np.ravel(np.asarray(w, dtype=float))
-    weighted = design * w[:, None]
-    gram = weighted.T @ design
-    rhs = weighted.T @ y
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 2:
+        w = np.ravel(w)
+    if w.shape[-1] != design.shape[0]:
+        raise ValueError(f"weights have {w.shape[-1]} entries per row, expected {design.shape[0]}")
+    weighted = design * w[..., None]
+    weighted_t = np.swapaxes(weighted, -1, -2)
+    gram = weighted_t @ design
+    rhs = weighted_t @ y
     # numpy's Cholesky passes NaN and inf through without raising.
     if not np.isfinite(gram).all():
         raise ValueError(_NON_FINITE)
@@ -61,7 +74,8 @@ def fit_wls(y, design, w) -> np.ndarray:
         ) from None
     if not np.isfinite(rhs).all():
         raise ValueError(_NON_FINITE)
-    return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
+    half = np.linalg.solve(lower, rhs[..., None])
+    return np.linalg.solve(np.swapaxes(lower, -1, -2), half)[..., 0]
 
 
 def default_grid(treatment, points: int = 50) -> np.ndarray:

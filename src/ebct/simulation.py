@@ -189,47 +189,82 @@ def _draw(config: ScenarioConfig, replicate_index: int) -> Dataset:
 
 
 def _ebct_weights(datasets: Sequence[Dataset]) -> list:
-    """EBCT weights for every dataset from one stacked solve.
+    """EBCT weights for every dataset from one standardization and one stacked solve.
 
     Each entry is the dataset's BalancingWeights or the exception that
-    standardizing or solving it raised; a failure stays with its dataset.
+    standardizing or solving it raised. When any dataset fails to
+    standardize, each is standardized alone, so a failure stays with its
+    dataset.
     """
     outcomes = [None] * len(datasets)
-    matrices, slots = [], []
-    for slot, dataset in enumerate(datasets):
-        try:
-            matrices.append(standardize(dataset))
-            slots.append(slot)
-        except EbctError as err:
-            outcomes[slot] = err
+    try:
+        matrices, slots = list(standardize(datasets)), range(len(datasets))
+    except (EbctError, ValueError):
+        matrices, slots = [], []
+        for slot, dataset in enumerate(datasets):
+            try:
+                matrices.append(standardize(dataset))
+                slots.append(slot)
+            except EbctError as err:
+                outcomes[slot] = err
     for slot, outcome in zip(slots, solve_batch(matrices)):
         outcomes[slot] = outcome if isinstance(outcome, Exception) else outcome[0]
     return outcomes
 
 
+def _method_records(dataset: Dataset, weightings: dict) -> dict:
+    """Effect slope and balance record of each method whose weights fit.
+
+    One stacked ``fit_wls`` and one ``balance_report`` call cover every
+    weighting. When the stacked fit raises, each weighting is fitted alone,
+    and only a method whose own fit fails is left without a record.
+    """
+    design = np.column_stack([np.ones(dataset.n), dataset.treatment])
+    stack = np.stack([weights.weights for weights in weightings.values()])
+    try:
+        slopes = dict(zip(weightings, fit_wls(dataset.outcome, design, stack)[:, 1].tolist()))
+    except (EbctError, ValueError, np.linalg.LinAlgError):
+        slopes = {}
+        for method, weights in weightings.items():
+            try:
+                slopes[method] = float(fit_wls(dataset.outcome, design, weights.weights)[1])
+            except (EbctError, np.linalg.LinAlgError):
+                pass
+    if not slopes:
+        return {}
+    reports = balance_report([weightings[method] for method in slopes], dataset)
+    return {
+        method: ReplicationRecord(
+            estimate=slope,
+            max_abs_correlation=report.max_abs_correlation,
+            max_weight_share=report.max_weight_share,
+        )
+        for (method, slope), report in zip(slopes.items(), reports)
+    }
+
+
 def _run_replications(config: ScenarioConfig, indices: Sequence[int]) -> list:
-    """Records for a group of replications, EBCT solved as one stack."""
+    """Records for a group of replications.
+
+    The group's EBCT problems are standardized and solved as one stack, and
+    each replication's methods are fitted and diagnosed in one call each. A
+    method whose weights or fit fail records a failure.
+    """
     datasets = [_draw(config, index) for index in indices]
     ebct = _ebct_weights(datasets) if "ebct" in config.methods else None
     results = []
     for slot, dataset in enumerate(datasets):
-        design = np.column_stack([np.ones(config.n), dataset.treatment])
-        records = {}
+        weightings = {}
         for method in config.methods:
             try:
                 weights = ebct[slot] if method == "ebct" else estimate_weights(dataset, method)
-                if isinstance(weights, Exception):
-                    raise weights
-                slope = fit_wls(dataset.outcome, design, weights.weights)[1]
-                report = balance_report(weights, dataset)
-                records[method] = ReplicationRecord(
-                    estimate=float(slope),
-                    max_abs_correlation=report.max_abs_correlation,
-                    max_weight_share=report.max_weight_share,
-                )
             except (EbctError, np.linalg.LinAlgError):
-                records[method] = ReplicationRecord.failure()
-        results.append(records)
+                continue
+            if not isinstance(weights, Exception):
+                weightings[method] = weights
+        records = _method_records(dataset, weightings) if weightings else {}
+        failed = ReplicationRecord.failure
+        results.append({method: records.get(method) or failed() for method in config.methods})
     return results
 
 

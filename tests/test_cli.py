@@ -330,6 +330,45 @@ class TestDrfCommand:
             outputs.append([(out / name).read_bytes() for name in ("drf.csv", "drf.json")])
         assert outputs[0] == outputs[1]
 
+    def test_truncated_bootstrap_starts_at_untruncated_multipliers(self, tmp_path, monkeypatch):
+        # Each replicate's first solve is untruncated. The last truncation
+        # round's multipliers are zero here, so starting there saves nothing;
+        # the untruncated full-sample optimum does.
+        import ebct.weighting as weighting
+
+        data = write_simulated_csv(tmp_path / "data.csv")
+        solve, iterations = weighting.solve, []
+
+        def counting_solve(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            iterations.append(result[1].iterations)
+            return result
+
+        def run(name):
+            iterations.clear()
+            argv = [
+                "drf", "--input", str(data), "--treatment-col", "T",
+                "--covariate-cols", COVARIATES, "--outcome-col", "Y", "--truncate", "0.03",
+                "--bootstrap", "20", "--grid-points", "6", "--seed", "4",
+                "--out", str(tmp_path / name),
+            ]
+            assert main(argv) == 0
+            with open(tmp_path / name / "drf.csv", newline="") as handle:
+                return list(csv.DictReader(handle)), sum(iterations)
+
+        monkeypatch.setattr(weighting, "solve", counting_solve)
+        warm, warm_iterations = run("warm")
+        bootstrap_se = cli.bootstrap_se
+        monkeypatch.setattr(
+            cli, "bootstrap_se", lambda *args, start, **kwargs: bootstrap_se(*args, **kwargs)
+        )
+        cold, cold_iterations = run("cold")
+        assert warm_iterations < cold_iterations
+        for w, c in zip(warm, cold):
+            assert (w["t"], w["drf"], w["derivative"]) == (c["t"], c["drf"], c["derivative"])
+            assert float(w["se"]) == pytest.approx(float(c["se"]), rel=1e-7, abs=0)
+            assert w["significant"] == c["significant"]
+
     def test_non_convergence_with_bootstrap_still_writes_outputs(
         self, tmp_path, monkeypatch, capsys
     ):

@@ -106,6 +106,26 @@ class TestStandardize:
         npt.assert_allclose(linear.mean(axis=0), np.zeros(4), atol=1e-12)
         npt.assert_allclose(linear.var(axis=0, ddof=1), np.ones(4), atol=1e-12)
 
+    def test_group_matches_single_bit_for_bit(self, rng):
+        group = [random_dataset(rng, 40, 3) for _ in range(3)]
+        stack = standardize(group)
+        assert stack.shape == (3, 40, 7)
+        assert not stack.flags.writeable
+        for dataset, matrix in zip(group, stack):
+            assert matrix.tobytes() == standardize(dataset).tobytes()
+        assert standardize(group[:1])[0].tobytes() == standardize(group[0]).tobytes()
+
+    def test_group_raises_for_its_first_failing_dataset(self, rng):
+        good = random_dataset(rng, 12, 2)
+        constant = Dataset(
+            treatment=rng.standard_normal(12),
+            covariates=np.column_stack([rng.standard_normal(12), np.full(12, 3.0)]),
+        )
+        with pytest.raises(ConstantColumn, match="X2"):
+            standardize([good, constant, good])
+        with pytest.raises(ValueError, match="share n and K"):
+            standardize([good, random_dataset(rng, 13, 2)])
+
     def test_permutation_permutes_rows(self, rng):
         ds = random_dataset(rng, 30, 2)
         perm = rng.permutation(30)

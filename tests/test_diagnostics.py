@@ -152,6 +152,29 @@ class TestBalanceReport:
             else:
                 assert report.per_covariate_correlation[j] == pytest.approx(expected, abs=1e-12)
 
+    def test_stack_matches_single_reports_bit_for_bit(self, rng):
+        x = rng.standard_normal((40, 3))
+        x[:, 1] = 2.0
+        ds = Dataset(treatment=rng.standard_normal(40), covariates=x)
+        balanced = Dataset(treatment=ds.treatment, covariates=x[:, [0, 2]])
+        ebct_weights, _ = solve(standardize(balanced))
+        weightings = [uniform_weights(40), ebct_weights, rng.uniform(0.2, 2.0, size=40)]
+        reports = balance_report(weightings, ds)
+        assert [r.method_tag for r in reports] == ["uniform", "ebct", "uniform"]
+        as_array = balance_report(np.stack([w.weights for w in weightings[:2]]), ds, "x")
+        assert [r.method_tag for r in as_array] == ["x", "x"]
+        for weights, report in zip(weightings, reports):
+            alone = balance_report(weights, ds)
+            assert report.degenerate_columns == alone.degenerate_columns == ("X2",)
+            assert (
+                report.per_covariate_correlation.tobytes()
+                == alone.per_covariate_correlation.tobytes()
+            )
+            for name in ("max_abs_correlation", "mean_abs_correlation", "max_weight_share"):
+                bits = [np.float64(getattr(r, name)).tobytes() for r in (report, alone)]
+                assert bits[0] == bits[1]
+            assert report.to_dict() == alone.to_dict()
+
     def test_constant_treatment_degenerates_every_column(self, rng):
         ds = Dataset(treatment=np.ones(12), covariates=rng.standard_normal((12, 2)))
         report = balance_report(uniform_weights(12), ds)

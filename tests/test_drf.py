@@ -82,6 +82,34 @@ class TestFitWls:
             with pytest.raises(ValueError, match="must not contain infs or NaNs"):
                 fit_wls(*args)
 
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_stack_matches_single_fits_bit_for_bit(self, rng, degree):
+        n = 200
+        t = 2.0 * rng.standard_normal(n) + 1.0
+        design = np.polynomial.polynomial.polyvander(t, degree)
+        y = rng.standard_normal(n)
+        stack = rng.uniform(0.05, 2.0, size=(4, n))
+        coefficients = fit_wls(y, design, stack)
+        assert coefficients.shape == (4, degree + 1)
+        for w, row in zip(stack, coefficients):
+            assert row.tobytes() == fit_wls(y, design, w).tobytes()
+        with pytest.raises(ValueError, match="entries per row"):
+            fit_wls(y, design, stack[0][:, None])
+
+    def test_one_rank_deficient_weighting_fails_the_stack(self, rng):
+        # All weight on one unit leaves a rank-one Gram matrix for a line.
+        design = np.column_stack([np.ones(10), rng.standard_normal(10)])
+        y = rng.standard_normal(10)
+        point_mass = np.zeros(10)
+        point_mass[3] = 1.0
+        stack = np.stack([np.full(10, 0.1), point_mass, rng.uniform(0.5, 1.0, 10)])
+        with pytest.raises(RankDeficientDesign):
+            fit_wls(y, design, stack)
+        with pytest.raises(RankDeficientDesign):
+            fit_wls(y, design, point_mass)
+        for w in stack[[0, 2]]:
+            assert np.isfinite(fit_wls(y, design, w)).all()
+
 
 class TestEstimateDrf:
 

@@ -6,8 +6,17 @@ import pytest
 from scipy import stats
 
 import ebct.simulation as sim
-from ebct import ScenarioConfig, paper_grid, run_grid, run_scenario
-from ebct.errors import ScenarioDegenerate
+from ebct import (
+    Dataset,
+    ScenarioConfig,
+    estimate_weights,
+    paper_grid,
+    run_grid,
+    run_scenario,
+    solve,
+    standardize,
+)
+from ebct.errors import ConstantColumn, RankDeficientDesign, ScenarioDegenerate
 from ebct.simulation import (
     apply_specification,
     gen_covariates,
@@ -285,18 +294,65 @@ class TestRunScenario:
         with pytest.raises(ScenarioDegenerate):
             run_scenario(config)
 
-    def test_estimates_equal_single_replications(self):
+    def test_estimates_equal_single_replications(self, monkeypatch):
         # More replications than one stacked group, so a partial group runs.
         config = ScenarioConfig(n=200, sigma=2.0, eta=1.25, spec=2,
                                 replications=sim.CHUNK_REPLICATIONS + 4, master_seed=13)
+        grouped = []
+
+        def recording(config, indices):
+            records = run_group(config, indices)
+            grouped.extend(records)
+            return records
+
+        run_group = sim._run_replications
+        monkeypatch.setattr(sim, "_run_replications", recording)
         result = run_scenario(config)
+        monkeypatch.undo()
         assert result.failures == 0
+        alone = [run_replication(config, index) for index in range(config.replications)]
+        # Whole records, every field of every method, not only the estimate.
+        assert len(grouped) == config.replications
+        assert grouped == alone
+        assert set(alone[0]) == set(sim.METHODS)
         for method, summary in result.per_method.items():
-            expected = [
-                run_replication(config, index)[method].estimate
-                for index in range(config.replications)
-            ]
+            expected = [records[method].estimate for records in alone]
             npt.assert_array_equal(summary.estimates, expected)
+
+    def test_constant_covariate_fails_only_its_dataset(self):
+        config = ScenarioConfig(n=200, sigma=4.0, eta=1.0, spec=1, master_seed=5)
+        first, second = sim._draw(config, 0), sim._draw(config, 1)
+        x = second.covariates.copy()
+        x[:, 3] = 1.0
+        constant = Dataset(treatment=second.treatment, covariates=x, outcome=second.outcome)
+        outcomes = sim._ebct_weights([first, constant, second])
+        assert isinstance(outcomes[1], ConstantColumn)
+        assert "X4" in str(outcomes[1])
+        for dataset, weights in ((first, outcomes[0]), (second, outcomes[2])):
+            expected, _ = solve(standardize(dataset))
+            assert weights.weights.tobytes() == expected.weights.tobytes()
+            assert weights.iterations == expected.iterations
+
+    def test_rank_deficient_weighting_fails_only_its_method(self, monkeypatch):
+        # fit_wls fails any call whose weights include the IPW weighting, as
+        # a rank-deficient design under those weights would.
+        config = ScenarioConfig(n=200, sigma=4.0, eta=1.0, spec=1, master_seed=5)
+        expected = run_replication(config, 2)
+        ipw = estimate_weights(sim._draw(config, 2), "ipw").weights
+        fit_wls, calls = sim.fit_wls, []
+
+        def failing_for_ipw(y, design, w):
+            calls.append(np.shape(w))
+            if (np.atleast_2d(w) == ipw).all(axis=1).any():
+                raise RankDeficientDesign("synthetic")
+            return fit_wls(y, design, w)
+
+        monkeypatch.setattr(sim, "fit_wls", failing_for_ipw)
+        records = run_replication(config, 2)
+        assert calls == [(3, 200), (200,), (200,), (200,)]
+        assert records["ipw"].failed
+        assert records["unweighted"] == expected["unweighted"]
+        assert records["ebct"] == expected["ebct"]
 
     def test_memory_does_not_grow_with_replications(self):
         # Replications are drawn and solved in fixed-size groups that are

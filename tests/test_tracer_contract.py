@@ -60,3 +60,25 @@ def test_traced_run_finds_every_site(tmp_path, command, spans):
         # or the per-layer solver metrics silently lose the bootstrap.
         solves = sum(span[0] == "solver.solve" for span in doc["spans"])
         assert solves == 1 + doc["counters"]["bootstrap.draws"]
+
+
+def test_traced_simulation_finds_every_site(tmp_path):
+    # The grid must reach fit_wls, balance_report and estimate_weights
+    # through the module names the tracer wraps; a call to a private kernel
+    # instead would drop those layers from the sim_grid metrics.
+    spans_path = tmp_path / "spans.json"
+    argv = [
+        sys.executable, str(TRACER), str(spans_path), "0",
+        "simulate", "--paper-grid", "--sizes", "200", "--replications", "2",
+        "--jobs", "1", "--out", str(tmp_path / "out"),
+    ]
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(spans_path.read_text())
+    assert doc["missing"] == []
+    assert {
+        "diagnostics.balance_report", "drf.fit_wls", "weighting.estimate_weights",
+        "ipw.ipw_weights", "simulation.dgp",
+    } <= {span[0] for span in doc["spans"]}
