@@ -15,9 +15,9 @@ __version__ = "0.1.0"
 
 from .data import BalancingWeights, Dataset, standardize
 from .diagnostics import BalanceReport, balance_report
-from .drf import DrfFit, DrfPipeline, bootstrap_se, estimate_drf
+from .drf import DrfFit, bootstrap_se, estimate_drf
 from .simulation import ScenarioConfig, ScenarioResult, paper_grid, run_grid, run_scenario
-from .solver import ConvergenceReport, SolverOptions, solve, solve_batch, truncate_and_rebalance
+from .solver import ConvergenceReport, solve, solve_batch, truncate_and_rebalance
 from .weighting import estimate_weights
 
 __all__ = [
@@ -26,10 +26,8 @@ __all__ = [
     "ConvergenceReport",
     "Dataset",
     "DrfFit",
-    "DrfPipeline",
     "ScenarioConfig",
     "ScenarioResult",
-    "SolverOptions",
     "balance_report",
     "bootstrap_se",
     "estimate_drf",

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .data import METHODS, Dataset, uniform_weights
 from .diagnostics import balance_report, render_balance_table
-from .drf import DrfPipeline, bootstrap_se, default_grid, estimate_drf
+from .drf import bootstrap_se, default_grid, estimate_drf
 from .errors import (
     EbctError,
     MissingColumn,
@@ -265,7 +265,10 @@ def cmd_drf(args) -> int:
     """Fit the dose-response polynomial and write drf.csv plus a sidecar."""
     if not args.outcome_col:
         raise MissingColumn("<outcome>")
+    if args.bootstrap < 0:
+        raise ValueError(f"--bootstrap must be non-negative, got {args.bootstrap}")
     dataset = _read_input(args)
+    grid = default_grid(dataset.treatment, args.grid_points)
     csv_path, meta_path = _prepare_outputs(Path(args.out), ["drf.csv", "drf.json"], args.force)
 
     exit_code = EXIT_OK
@@ -285,11 +288,11 @@ def cmd_drf(args) -> int:
     if start is None:
         start = weights.gamma
 
-    grid = default_grid(dataset.treatment, args.grid_points)
     fit = estimate_drf(dataset, weights, degree=args.degree, grid=grid)
     if args.bootstrap > 0:
-        pipeline = DrfPipeline(method=args.method, truncation=args.truncate)
-        fit = bootstrap_se(fit, dataset, pipeline, args.bootstrap, args.seed, start=start)
+        fit = bootstrap_se(
+            fit, dataset, args.method, args.truncate, args.bootstrap, args.seed, start=start
+        )
 
     fit.write_csv(csv_path)
     meta = {

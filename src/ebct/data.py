@@ -111,10 +111,6 @@ class Dataset:
     def covariate_names(self) -> tuple:
         return self.column_names[1:-1]
 
-    @property
-    def outcome_name(self) -> str:
-        return self.column_names[-1]
-
     def subset(self, indices) -> "Dataset":
         """New Dataset keeping the rows in ``indices`` (repeats allowed)."""
         idx = np.asarray(indices, dtype=int)

@@ -7,7 +7,6 @@ by a single unit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import compress
 from typing import Sequence
@@ -15,7 +14,6 @@ from typing import Sequence
 import numpy as np
 
 from .data import BalancingWeights, Dataset
-from .errors import ZeroVariance
 
 _VARIANCE_FLOOR = 1e-24
 
@@ -33,10 +31,6 @@ def _weight_rows(ws) -> np.ndarray:
     return stack / stack.sum(axis=1, keepdims=True)
 
 
-def _weight_vector(w) -> np.ndarray:
-    return _weight_rows([w])[0]
-
-
 def _is_one_weighting(w) -> bool:
     """True for one weighting, False for a sequence or 2-d stack of them."""
     if isinstance(w, BalancingWeights):
@@ -44,34 +38,6 @@ def _is_one_weighting(w) -> bool:
     if isinstance(w, (list, tuple)):
         return not w or np.ndim(getattr(w[0], "weights", w[0])) == 0
     return np.ndim(w) < 2
-
-
-def weighted_pearson(w, a, b) -> float:
-    """Weighted Pearson correlation of a and b.
-
-    Weighted covariance over the product of weighted standard deviations,
-    with weighted means; no effective-sample-size correction is applied since
-    any common factor cancels in the ratio.
-
-    Raises:
-        ZeroVariance: either variable has (numerically) zero weighted spread.
-    """
-    w = _weight_vector(w)
-    a = np.ravel(np.asarray(a, dtype=float))
-    b = np.ravel(np.asarray(b, dtype=float))
-    da = a - w @ a
-    db = b - w @ b
-    var_a = w @ (da * da)
-    var_b = w @ (db * db)
-    if var_a < _VARIANCE_FLOOR or var_b < _VARIANCE_FLOOR:
-        raise ZeroVariance("weighted variance is numerically zero")
-    corr = w @ (da * db) / np.sqrt(var_a * var_b)
-    return float(np.clip(corr, -1.0, 1.0))
-
-
-def max_weight_share(w) -> float:
-    """Largest single normalized weight."""
-    return float(_weight_vector(w).max())
 
 
 @dataclass(frozen=True)
@@ -105,17 +71,17 @@ class BalanceReport:
             "degenerate_columns": list(self.degenerate_columns),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
 
 def balance_report(w, dataset: Dataset, method_tag: str = ""):
     """Weighted treatment-covariate correlations for every covariate.
 
     Called with uniform weights this reproduces the plain unweighted Pearson
-    correlations. All covariates go through one weighted pass with the
-    formulas of ``weighted_pearson``; degenerate columns are skipped with a
-    warning flag rather than failing the whole report.
+    correlations. All covariates go through one weighted pass: weighted
+    covariance over the product of weighted standard deviations, around
+    weighted means, with no effective-sample-size correction since any
+    common factor cancels in the ratio. Columns whose weighted variance is
+    numerically zero are skipped with a warning flag rather than failing the
+    whole report.
 
     ``w`` is one weighting of ``dataset`` (``BalancingWeights`` or a positive
     vector), giving one ``BalanceReport``, or a sequence of weightings (or an

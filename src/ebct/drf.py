@@ -82,7 +82,12 @@ def default_grid(treatment, points: int = 50) -> np.ndarray:
     """Evaluation grid: equally spaced between the 2nd and 98th percentiles.
 
     Keeps the fit away from the unstable tails of the treatment distribution.
+
+    Raises:
+        ValueError: ``points`` is below 1.
     """
+    if points < 1:
+        raise ValueError(f"grid points must be at least 1, got {points}")
     lo, hi = np.percentile(np.asarray(treatment, dtype=float), [2.0, 98.0])
     return np.linspace(lo, hi, points)
 
@@ -167,20 +172,15 @@ def estimate_drf(
     )
 
 
-@dataclass(frozen=True)
-class DrfPipeline:
-    """Names the weighting settings a bootstrap must re-run."""
-
-    method: str = "ebct"
-    truncation: Optional[float] = None
-
-    def derivatives(self, dataset: Dataset, fit: DrfFit, start=None) -> np.ndarray:
-        """Re-run weighting and the fit of ``fit``'s degree on its grid."""
-        weights = estimate_weights(dataset, self.method, truncation=self.truncation, start=start)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ExtrapolationWarning)
-            refit = estimate_drf(dataset, weights, degree=fit.degree, grid=fit.grid)
-        return refit.drf_derivatives
+def _replicate_derivatives(
+    dataset: Dataset, fit: DrfFit, method: str, truncation: Optional[float], start
+) -> np.ndarray:
+    """Re-run weighting and the fit of ``fit``'s degree on its grid."""
+    weights = estimate_weights(dataset, method, truncation=truncation, start=start)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtrapolationWarning)
+        refit = estimate_drf(dataset, weights, degree=fit.degree, grid=fit.grid)
+    return refit.drf_derivatives
 
 
 def bootstrap_statistic(
@@ -223,44 +223,37 @@ def bootstrap_statistic(
 def bootstrap_se(
     fit: DrfFit,
     dataset: Dataset,
-    pipeline: DrfPipeline,
+    method: str,
+    truncation: Optional[float],
     replications: int,
     seed: int,
-    interval: str = "normal",
     start=None,
 ) -> DrfFit:
     """Bootstrap standard errors for the dose-response derivative.
 
-    Resamples units with replacement and re-runs the full pipeline (weight
-    estimation included) per replicate at the degree and on the grid of
-    ``fit``, which propagates weight-estimation uncertainty. ``start`` is
-    handed to each replicate's ``estimate_weights``: the full-sample
-    multipliers (``weights.gamma``) start every replicate's dual solve next
-    to its optimum, which saves Newton steps and moves the SEs only within
-    the solver tolerance. The SE at each grid point is
-    the sample standard deviation (denominator B-1) across replicates; a
-    point is flagged significant at the 10% level when |derivative| / SE
-    exceeds 1.645, with the derivatives of ``fit`` as the point estimates.
-    ``interval="percentile"`` flags points whose central 90% bootstrap
-    interval excludes zero instead.
+    Resamples units with replacement and re-runs the full pipeline per
+    replicate: ``estimate_weights`` with ``method`` and ``truncation``, then
+    the fit at the degree and on the grid of ``fit``, which propagates
+    weight-estimation uncertainty. ``start`` is handed to each replicate's
+    ``estimate_weights``: the full-sample multipliers (``weights.gamma``)
+    start every replicate's dual solve next to its optimum, which saves
+    Newton steps and moves the SEs only within the solver tolerance. The SE
+    at each grid point is the sample standard deviation (denominator B-1)
+    across replicates; a point is flagged significant at the 10% level when
+    |derivative| / SE exceeds 1.645, with the derivatives of ``fit`` as the
+    point estimates.
 
     Returns:
         ``fit`` with ``derivative_se`` and ``significant_10pct`` filled in.
     """
-    if interval not in ("normal", "percentile"):
-        raise ValueError(f"unknown interval rule {interval!r}")
     draws = bootstrap_statistic(
         dataset.n,
-        lambda idx: pipeline.derivatives(dataset.subset(idx), fit, start),
+        lambda idx: _replicate_derivatives(dataset.subset(idx), fit, method, truncation, start),
         replications,
         seed,
     )
     se = draws.std(axis=0, ddof=1)
-    if interval == "normal":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.abs(fit.drf_derivatives) / se
-        significant = np.where(np.isnan(ratio), False, ratio > _Z_10PCT)
-    else:
-        lo, hi = np.percentile(draws, [5.0, 95.0], axis=0)
-        significant = (lo > 0) | (hi < 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.abs(fit.drf_derivatives) / se
+    significant = np.where(np.isnan(ratio), False, ratio > _Z_10PCT)
     return replace(fit, derivative_se=se, significant_10pct=significant.astype(bool))

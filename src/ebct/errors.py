@@ -62,20 +62,12 @@ class DegenerateResidual(EbctError):
     """Residual scale is (numerically) zero; conditional density degenerate."""
 
 
-class ZeroVariance(EbctError):
-    """Weighted variance too small for a correlation to be defined."""
-
-
 class ResampleDegenerate(EbctError):
     """Too many bootstrap replicates failed; resampling aborted."""
 
 
 class ScenarioDegenerate(EbctError):
     """More than 5% of replications failed for some method in a scenario."""
-
-
-class NegativeBase(EbctError):
-    """Power-transform base went negative (unreachable under the shipped DGP)."""
 
 
 class ParseError(EbctError):

@@ -92,13 +92,6 @@ def _normal_logpdf(t, mu, sigma):
     return -0.5 * z * z - np.log(sigma) - 0.5 * _LOG_2PI
 
 
-def gps_density(t, mu, sigma) -> np.ndarray:
-    """N(mu, sigma^2) density at t (sigma is the standard deviation)."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    return np.exp(_normal_logpdf(t, mu, sigma))
-
-
 def ipw_weights(dataset: Dataset) -> BalancingWeights:
     """Normalized stabilized weights f_T(T_i) / f_{T|X}(T_i | X_i).
 

@@ -19,7 +19,6 @@ the residual imbalance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -42,29 +41,20 @@ _MIN_STEP = 1e-14
 _SHRINK = 0.5
 _ARMIJO_C = 1e-4
 
+# Infinity-norm bound on the dual gradient in standardized units: it keeps
+# weighted correlations at zero to reporting precision.
+_GRADIENT_TOLERANCE = 1e-8
+_MAX_ITERATIONS = 200
+
+# Added to the Hessian's diagonal so collinear balance columns still give a
+# Newton direction.
+_RIDGE = 1e-9
+
+# Re-solves truncate_and_rebalance makes before it gives up; the excess over
+# the cap shrinks geometrically, so the budget is generous.
+_MAX_ROUNDS = 100
+
 _OVERFLOW = "dual exponent overflowed; multipliers are pathological"
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Tuning knobs for the Newton iteration.
-
-    ``gradient_tolerance`` is an infinity-norm bound on the dual gradient in
-    standardized units; the default keeps weighted correlations at zero to
-    reporting precision.
-    """
-
-    gradient_tolerance: float = 1e-8
-    max_iterations: int = 200
-    ridge: float = 1e-9
-
-    def __post_init__(self):
-        if self.gradient_tolerance <= 0:
-            raise ValueError("gradient_tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.ridge < 0:
-            raise ValueError("ridge must be non-negative")
 
 
 @dataclass
@@ -123,7 +113,9 @@ def _hessian(G, w, grad) -> np.ndarray:
 def _singular(hessian) -> SingularHessian:
     """The error for one (m, m) Hessian that has no Newton direction."""
     if np.isfinite(hessian).all():
-        return SingularHessian("dual Hessian is singular; rerun with a positive ridge")
+        return SingularHessian(
+            "dual Hessian is singular: the balance columns are collinear at float precision"
+        )
     bad = np.flatnonzero(~np.isfinite(np.diagonal(hessian)))
     column = f"balance column {bad[0]}" if bad.size else "a balance column"
     return SingularHessian(
@@ -209,7 +201,7 @@ def _newton_directions(hessian, grad) -> tuple:
     return np.concatenate([d for d, _ in parts]), np.concatenate([ok for _, ok in parts])
 
 
-def _newton(G, q, opts: SolverOptions, start: np.ndarray) -> list:
+def _newton(G, q, start: np.ndarray) -> list:
     """Damped Newton on every problem of a (B, n, m) stack at once.
 
     Each problem keeps its own phase, step size, trace and iteration count,
@@ -231,7 +223,7 @@ def _newton(G, q, opts: SolverOptions, start: np.ndarray) -> list:
     errors = [None if ok else NonFiniteDual(_OVERFLOW) for ok in finite]
     stopped = ~finite
     live = np.arange(B)  # problem index of each row still in the stack
-    ridge = opts.ridge * np.eye(m) if opts.ridge else None
+    ridge = _RIDGE * np.eye(m)
 
     def retire(rows) -> None:
         for i in rows:
@@ -245,7 +237,7 @@ def _newton(G, q, opts: SolverOptions, start: np.ndarray) -> list:
                 outcomes[b] = errors[i]
                 continue
             grad_norm = float(np.abs(grad[i]).max())
-            converged = grad_norm <= opts.gradient_tolerance
+            converged = grad_norm <= _GRADIENT_TOLERANCE
             report = ConvergenceReport(
                 converged=converged,
                 iterations=int(iterations[i]),
@@ -263,9 +255,9 @@ def _newton(G, q, opts: SolverOptions, start: np.ndarray) -> list:
             )
             outcomes[b] = (weights, report) if converged else NotConverged(weights, report)
 
-    for _ in range(opts.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         grad_norm = np.abs(grad).max(axis=1)
-        stopped |= grad_norm <= opts.gradient_tolerance
+        stopped |= grad_norm <= _GRADIENT_TOLERANCE
         if stopped.any():
             retire(np.flatnonzero(stopped))
             keep = ~stopped
@@ -277,9 +269,7 @@ def _newton(G, q, opts: SolverOptions, start: np.ndarray) -> list:
             errors = [e for e, k in zip(errors, keep) if k]
             stopped = np.zeros(live.size, dtype=bool)
 
-        hessian = _hessian(G, w, grad)
-        if ridge is not None:
-            hessian += ridge
+        hessian = _hessian(G, w, grad) + ridge
         direction, solvable = _newton_directions(hessian, grad)
         for i in np.flatnonzero(~solvable):
             errors[i] = _singular(hessian[i])
@@ -341,26 +331,22 @@ def _prepare_start(m: int, start) -> np.ndarray:
     return gamma
 
 
-def solve_batch(
-    matrices: Sequence[np.ndarray],
-    base_weights=None,
-    options: Optional[SolverOptions] = None,
-    start=None,
-) -> list:
+def solve_batch(matrices, base_weights=None, start=None) -> list:
     """Solve many same-shape problems in one stacked Newton run.
 
-    ``matrices`` holds one balance-column matrix per problem, as
-    ``standardize`` returns it. ``base_weights`` is None (uniform for every
-    problem) or one entry per matrix, each None or a positive vector.
-    ``start`` is the m-vector of multipliers every problem's Newton run
-    starts from; None starts at zero. The dual is convex, so the start
-    changes how many steps a problem takes, not the optimum it reaches
-    (beyond the gradient tolerance); each trace begins at J(start). Each
-    Newton iteration factors and solves the Newton systems of the whole
-    stack in one numpy call. A problem that fails, a singular Hessian
-    included, does not disturb the others, and each problem's weights,
-    iterations and trace are exactly those ``solve`` gives it alone from
-    the same start.
+    ``matrices`` is the B x n x m stack of balance-column matrices that
+    ``standardize`` returns for B datasets, or a sequence of B n x m
+    matrices; a stack is used as it is, without a copy. ``base_weights`` is
+    None (uniform for every problem) or one entry per matrix, each None or a
+    positive vector. ``start`` is the m-vector of multipliers every
+    problem's Newton run starts from; None starts at zero. The dual is
+    convex, so the start changes how many steps a problem takes, not the
+    optimum it reaches (beyond the gradient tolerance); each trace begins at
+    J(start). Each Newton iteration factors and solves the Newton systems of
+    the whole stack in one numpy call. A problem that fails, a singular
+    Hessian included, does not disturb the others, and each problem's
+    weights, iterations and trace are exactly those ``solve`` gives it alone
+    from the same start.
 
     Returns:
         One entry per matrix: ``(BalancingWeights, ConvergenceReport)`` on
@@ -371,33 +357,26 @@ def solve_batch(
     Raises:
         ValueError: shapes disagree, or ``start`` is not a finite m-vector.
     """
-    matrices = [_balance_matrix(G) for G in matrices]
-    if not matrices:
+    if len(matrices) == 0:
         return []
-    shape = matrices[0].shape
-    if any(G.shape != shape for G in matrices):
-        raise ValueError("stacked problems must share n and K")
+    try:
+        G = np.asarray(matrices, dtype=float)
+    except ValueError:  # matrices of unequal shapes
+        raise ValueError("stacked problems must share n and K") from None
+    if G.ndim != 3:
+        raise ValueError(f"stacked problems must be n x m matrices, got a {G.ndim}-d stack")
+    B, n, m = G.shape
     if base_weights is None:
-        base_weights = [None] * len(matrices)
-    elif len(base_weights) != len(matrices):
-        raise ValueError(f"got {len(base_weights)} base weight vectors for {len(matrices)} problems")
-    gamma = _prepare_start(shape[1], start)
-    q = np.stack([_prepare_base_weights(shape[0], bw) for bw in base_weights])
+        base_weights = [None] * B
+    elif len(base_weights) != B:
+        raise ValueError(f"got {len(base_weights)} base weight vectors for {B} problems")
+    gamma = _prepare_start(m, start)
+    q = np.stack([_prepare_base_weights(n, bw) for bw in base_weights])
     q /= q.sum(axis=1, keepdims=True)
-    if len(matrices) == 1:
-        # A view, not a copy: at large n a copy would double peak memory.
-        G = matrices[0][None]
-    else:
-        G = np.stack(matrices)
-    return _newton(G, q, options or SolverOptions(), gamma)
+    return _newton(G, q, gamma)
 
 
-def solve(
-    G: np.ndarray,
-    base_weights=None,
-    options: Optional[SolverOptions] = None,
-    start=None,
-) -> tuple:
+def solve(G: np.ndarray, base_weights=None, start=None) -> tuple:
     """Solve for entropy-balancing weights.
 
     Damped Newton with an analytic Hessian (plus a tiny ridge); the accepted
@@ -422,10 +401,11 @@ def solve(
         NonFiniteDual: an exponent overflowed.
         SingularHessian: a Hessian is not finite (a balance column overflows
             when squared), or has no Cholesky factor at float precision
-            despite the ridge (collinear columns with ridge forced to zero).
+            despite the ridge (collinear balance columns).
         ValueError: ``start`` is not a finite m-vector.
     """
-    (outcome,) = solve_batch([G], [base_weights], options, start)
+    # G[None] is a view: at large n a copy would double peak memory.
+    (outcome,) = solve_batch(_balance_matrix(G)[None], [base_weights], start)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -441,7 +421,6 @@ def truncate_and_rebalance(
     G: np.ndarray,
     weights: BalancingWeights,
     threshold: float,
-    max_rounds: int = 100,
 ) -> BalancingWeights:
     """Cap extreme weights and re-solve until no weight exceeds the threshold.
 
@@ -450,22 +429,20 @@ def truncate_and_rebalance(
     the balance constraints within tolerance but concentrates less mass on
     single units. Stops once the maximum weight is at or below the threshold
     (within 1e-10); the excess over the threshold shrinks geometrically, so
-    the default round budget is generous.
+    a budget of 100 rounds is generous.
 
     Raises:
         ThresholdInfeasible: threshold below 1/n (no weight vector summing to
             one can satisfy the cap), or the cap is still exceeded after
-            ``max_rounds`` re-solves.
+            the round budget of re-solves.
         NotConverged: propagated from an inner solve.
     """
     check_threshold(threshold, weights.n)
-    if max_rounds < 0:
-        raise ValueError("max_rounds must be non-negative")
 
     current = weights
     rounds = 0
     while current.max_share > threshold + 1e-10:
-        if rounds == max_rounds:
+        if rounds == _MAX_ROUNDS:
             raise ThresholdInfeasible(
                 f"max weight share {current.max_share!r} still exceeds threshold "
                 f"{threshold} after {rounds} rebalancing rounds"

@@ -57,13 +57,17 @@ def estimate_weights(
 
     ``method`` is one of ``ebct``, ``ipw`` or ``uniform`` (``unweighted`` is
     accepted as an alias for ``uniform``). A truncation threshold triggers
-    truncate-and-rebalance for ebct and a simple cap-and-renormalize for ipw.
+    truncate-and-rebalance for ebct and a simple cap-and-renormalize for ipw;
+    uniform weights meet any threshold of at least 1/n unchanged. A threshold
+    below 1/n raises ThresholdInfeasible for every method.
     ``start`` gives the initial multipliers of the first ebct solve (see
     ``solve``); truncation rounds re-solve on their capped base weights from
     zero. ``ipw`` and ``uniform`` solve no dual and ignore ``start``.
     """
     name = method_name(method)
     if name == "uniform":
+        if truncation is not None:
+            check_threshold(truncation, dataset.n)
         return uniform_weights(dataset.n)
     if name == "ipw":
         weights = ipw_weights(dataset)

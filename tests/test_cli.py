@@ -141,6 +141,26 @@ class TestBalanceCommand:
         assert report["weighted"]["max_weight_share"] <= 0.04 + 1e-6
         assert report["weighted"]["max_abs_correlation"] < 1e-6
 
+    @pytest.mark.parametrize(
+        "command, method",
+        [("balance", "uniform"), ("balance", "ipw"), ("balance", "ebct"), ("drf", "uniform")],
+    )
+    def test_threshold_below_one_over_n_is_an_input_error(self, tmp_path, capsys, command, method):
+        data = write_simulated_csv(tmp_path / "data.csv", n=60)
+        out = tmp_path / "out"
+        argv = [
+            command, "--input", str(data), "--treatment-col", "T",
+            "--covariate-cols", COVARIATES, "--method", method,
+            "--truncate", "0.001", "--out", str(out),
+        ]
+        if command == "drf":
+            argv += ["--outcome-col", "Y", "--bootstrap", "0"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: threshold 0.001 is below 1/n = {1.0 / 60}\n"
+        )
+        assert list(out.iterdir()) == []
+
     def test_relative_input_recorded_normalized(self, tmp_path, monkeypatch):
         write_simulated_csv(tmp_path / "x.csv")
         monkeypatch.chdir(tmp_path)
@@ -300,6 +320,26 @@ class TestDrfCommand:
         meta = json.loads((out / "drf.json").read_text())
         assert meta["degree"] == 3 and meta["bootstrap_reps"] == 0
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--grid-points", "0", "grid points must be at least 1, got 0"),
+            ("--bootstrap", "-2", "--bootstrap must be non-negative, got -2"),
+        ],
+        ids=["grid-points", "bootstrap"],
+    )
+    def test_bad_counts_are_input_errors(self, tmp_path, capsys, flag, value, message):
+        data = write_simulated_csv(tmp_path / "data.csv")
+        out = tmp_path / "out"
+        argv = [
+            "drf", "--input", str(data),
+            "--treatment-col", "T", "--covariate-cols", COVARIATES,
+            "--outcome-col", "Y", flag, value, "--out", str(out),
+        ]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_small_bootstrap_fills_columns(self, tmp_path):
         data = write_simulated_csv(tmp_path / "data.csv")
         out = tmp_path / "out"
@@ -374,15 +414,17 @@ class TestDrfCommand:
     ):
         # The full-sample solve stops after one Newton step; the resamples
         # solve normally. Only the full sample has every unit once, in order.
-        from ebct import SolverOptions, estimate_weights, solve, standardize
+        from unittest import mock
+
+        from ebct import estimate_weights, solve, solver, standardize
 
         data = write_simulated_csv(tmp_path / "data.csv")
         full_ids = read_csv(data, "T", COVARIATES.split(","), "Y").unit_ids
 
         def one_step_on_full_sample(dataset, method, truncation=None, start=None):
             if dataset.unit_ids == full_ids:
-                options = SolverOptions(max_iterations=1)
-                return solve(standardize(dataset), options=options)[0]  # raises NotConverged
+                with mock.patch.object(solver, "_MAX_ITERATIONS", 1):
+                    return solve(standardize(dataset))[0]  # raises NotConverged
             return estimate_weights(dataset, method, truncation=truncation, start=start)
 
         monkeypatch.setattr(cli, "estimate_weights", one_step_on_full_sample)

@@ -5,14 +5,37 @@ import pytest
 
 from ebct import Dataset, balance_report, solve, standardize
 from ebct.data import uniform_weights
-from ebct.diagnostics import max_weight_share, render_balance_table, weighted_pearson
-from ebct.errors import ZeroVariance
+from ebct.diagnostics import render_balance_table
 
 from conftest import random_dataset
 
 # Printed unweighted correlation column of a 13-covariate balance table;
 # the aggregation contract is that its mean absolute value rounds to 0.14.
 TABLE_COLUMN = [0.21, -0.03, 0.04, 0.29, 0.03, 0.07, 0.03, 0.13, 0.19, 0.21, 0.21, 0.16, 0.17]
+
+
+def weighted_pearson(w, a, b) -> float:
+    """Weighted Pearson correlation of a and b: the reference for balance_report.
+
+    Weighted covariance over the product of weighted standard deviations,
+    with weighted means; no effective-sample-size correction is applied since
+    any common factor cancels in the ratio.
+
+    Raises:
+        ValueError: either variable has (numerically) zero weighted spread.
+    """
+    w = np.ravel(np.asarray(w, dtype=float))
+    w = w / w.sum()
+    a = np.ravel(np.asarray(a, dtype=float))
+    b = np.ravel(np.asarray(b, dtype=float))
+    da = a - w @ a
+    db = b - w @ b
+    var_a = w @ (da * da)
+    var_b = w @ (db * db)
+    if var_a < 1e-24 or var_b < 1e-24:
+        raise ValueError("weighted variance is numerically zero")
+    corr = w @ (da * db) / np.sqrt(var_a * var_b)
+    return float(np.clip(corr, -1.0, 1.0))
 
 
 def naive_weighted_corr(w, a, b):
@@ -54,7 +77,7 @@ class TestWeightedPearson:
         assert weighted_pearson(w, a, b) == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_variance_raises(self):
-        with pytest.raises(ZeroVariance):
+        with pytest.raises(ValueError, match="numerically zero"):
             weighted_pearson([0.5, 0.3, 0.2], [1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
     def test_symmetry(self, rng):
@@ -76,17 +99,22 @@ class TestWeightedPearson:
 
 
 class TestMaxWeightShare:
+    """The largest normalized weight, as ``balance_report`` records it."""
 
-    def test_uniform_share(self):
-        assert max_weight_share(np.full(200, 1.0 / 200)) == pytest.approx(0.005)
+    @staticmethod
+    def share(w, rng):
+        return balance_report(w, random_dataset(rng, len(w), 1)).max_weight_share
 
-    def test_dominant_weight(self):
+    def test_uniform_share(self, rng):
+        assert self.share(np.full(200, 1.0 / 200), rng) == pytest.approx(0.005)
+
+    def test_dominant_weight(self, rng):
         w = np.full(31, 0.001)
         w[7] = 0.97
-        assert max_weight_share(w) == pytest.approx(0.97)
+        assert self.share(w, rng) == pytest.approx(0.97)
 
-    def test_unnormalized_input_is_normalized(self):
-        assert max_weight_share([2.0, 1.0, 1.0]) == pytest.approx(0.5)
+    def test_unnormalized_input_is_normalized(self, rng):
+        assert self.share([2.0, 1.0, 1.0], rng) == pytest.approx(0.5)
 
 
 class TestBalanceReport:
@@ -147,7 +175,7 @@ class TestBalanceReport:
         for j in range(5):
             try:
                 expected = weighted_pearson(w, ds.treatment, x[:, j])
-            except ZeroVariance:
+            except ValueError:
                 assert np.isnan(report.per_covariate_correlation[j])
             else:
                 assert report.per_covariate_correlation[j] == pytest.approx(expected, abs=1e-12)
@@ -185,7 +213,7 @@ class TestBalanceReport:
     def test_json_round_trip(self, rng):
         ds = random_dataset(rng, 25, 2)
         report = balance_report(uniform_weights(25), ds)
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.to_dict(), indent=2, sort_keys=True))
         assert payload["method"] == "uniform"
         assert set(payload["correlations"]) == {"X1", "X2"}
         assert payload["max_weight_share"] == pytest.approx(1.0 / 25)

@@ -5,7 +5,6 @@ import pytest
 import ebct.weighting as weighting
 from ebct import (
     Dataset,
-    DrfPipeline,
     bootstrap_se,
     estimate_drf,
     estimate_weights,
@@ -145,6 +144,9 @@ class TestEstimateDrf:
         assert grid[0] == pytest.approx(np.percentile(t, 2))
         assert grid[-1] == pytest.approx(np.percentile(t, 98))
         assert np.all(np.diff(grid) > 0)
+        assert default_grid(t, 1).size == 1
+        with pytest.raises(ValueError, match="grid points must be at least 1"):
+            default_grid(t, 0)
 
     def test_extrapolation_warns(self, rng):
         ds, _ = self.cubic_dataset(rng)
@@ -239,25 +241,17 @@ class TestBootstrapSe:
     def test_pipeline_bootstrap_and_flags(self):
         ds = self.drf_dataset()
         fit = self.drf_fit(ds, 10)
-        pipeline = DrfPipeline(method="uniform")
-        result = bootstrap_se(fit, ds, pipeline, replications=60, seed=4)
+        result = bootstrap_se(fit, ds, "uniform", None, replications=60, seed=4)
         assert result.derivative_se.shape == (10,)
         assert np.all(result.derivative_se > 0)
         expected_flags = np.abs(fit.drf_derivatives) / result.derivative_se > 1.645
         npt.assert_array_equal(result.significant_10pct, expected_flags)
 
-    def test_percentile_variant(self):
-        ds = self.drf_dataset()
-        fit = self.drf_fit(ds, 5)
-        pipeline = DrfPipeline(method="uniform")
-        result = bootstrap_se(fit, ds, pipeline, replications=60, seed=4, interval="percentile")
-        assert result.significant_10pct.dtype == bool
-
     def test_returns_the_fit_with_se_filled(self):
         ds = self.drf_dataset()
         fit = self.drf_fit(ds, 5)
         assert fit.derivative_se is None and fit.significant_10pct is None
-        result = bootstrap_se(fit, ds, DrfPipeline(method="uniform"), 30, seed=2)
+        result = bootstrap_se(fit, ds, "uniform", None, 30, seed=2)
         assert result.derivative_se.shape == (5,) and result.significant_10pct.shape == (5,)
         for name in ("degree", "coefficients", "grid", "drf_values", "drf_derivatives"):
             npt.assert_array_equal(getattr(result, name), getattr(fit, name))
@@ -267,7 +261,7 @@ class TestBootstrapSe:
         # reflect more than outcome noise: SEs strictly positive and finite.
         ds = self.drf_dataset()
         fit = self.drf_fit(ds, 5, method="ebct")
-        result = bootstrap_se(fit, ds, DrfPipeline(method="ebct"), 30, seed=21)
+        result = bootstrap_se(fit, ds, "ebct", None, 30, seed=21)
         assert np.all(np.isfinite(result.derivative_se))
         assert np.all(result.derivative_se > 0)
 
@@ -280,7 +274,6 @@ class TestBootstrapSe:
         assert truncation is None or untruncated.max_share > truncation
         weights = estimate_weights(ds, "ebct", truncation=truncation)
         fit = estimate_drf(ds, weights, degree=1, grid=default_grid(ds.treatment, 5))
-        pipeline = DrfPipeline(method="ebct", truncation=truncation)
         iterations = []
 
         def counting_solve(*args, **kwargs):
@@ -289,10 +282,10 @@ class TestBootstrapSe:
             return result
 
         monkeypatch.setattr(weighting, "solve", counting_solve)
-        cold = bootstrap_se(fit, ds, pipeline, 30, seed=21)
+        cold = bootstrap_se(fit, ds, "ebct", truncation, 30, seed=21)
         cold_iterations = sum(iterations)
         iterations.clear()
-        warm = bootstrap_se(fit, ds, pipeline, 30, seed=21, start=untruncated.gamma)
+        warm = bootstrap_se(fit, ds, "ebct", truncation, 30, seed=21, start=untruncated.gamma)
         assert sum(iterations) < cold_iterations
         for name in ("coefficients", "grid", "drf_values", "drf_derivatives"):
             assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes()

@@ -4,7 +4,7 @@ import pytest
 from scipy import stats
 
 from ebct import Dataset
-from ebct.ipw import fit_gps, gps_density, ipw_weights
+from ebct.ipw import GpsModel, _normal_logpdf, fit_gps, ipw_weights
 from ebct.errors import DegenerateResidual, RankDeficientDesign
 from ebct.simulation import gen_covariates, gen_treatment, replication_rng
 
@@ -54,7 +54,12 @@ class TestFitGps:
         npt.assert_allclose(model.sigma, np.sqrt(residuals @ residuals / 36), atol=1e-12)
 
 
+def gps_density(t, mu, sigma):
+    return np.exp(_normal_logpdf(t, mu, sigma))
+
+
 class TestGpsDensity:
+    """The normal density that ``ipw_weights`` takes the log of."""
 
     def test_mode_of_standard_normal(self):
         assert gps_density(0.0, 0.0, 1.0) == pytest.approx(1.0 / np.sqrt(2 * np.pi), abs=1e-12)
@@ -77,8 +82,11 @@ class TestGpsDensity:
         npt.assert_allclose(gps_density(t, 0.3, 1.7), stats.norm.pdf(t, 0.3, 1.7), rtol=1e-12)
 
     def test_positive_sigma_required(self):
-        with pytest.raises(ValueError):
-            gps_density(0.0, 0.0, 0.0)
+        # The model is the only source of the densities' scales.
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            GpsModel(beta=[0.0], sigma=0.0, marginal_mean=0.0, marginal_sigma=1.0)
+        with pytest.raises(ValueError, match="marginal_sigma must be positive"):
+            GpsModel(beta=[0.0], sigma=1.0, marginal_mean=0.0, marginal_sigma=0.0)
 
 
 class TestIpwWeights:

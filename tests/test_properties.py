@@ -5,12 +5,14 @@ the covariate count, the selection strength and the affine maps. Examples are
 derandomized so every run checks the same cases.
 """
 
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ebct import Dataset, SolverOptions, balance_report, solve, standardize
+from ebct import Dataset, balance_report, solve, solver, standardize
 from ebct.errors import EbctError
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -76,7 +78,7 @@ def test_weights_follow_row_permutation(dataset, random):
 @PROPERTY
 @given(datasets())
 def test_returned_weights_balance_every_column(dataset):
-    tolerance = SolverOptions().gradient_tolerance
+    tolerance = solver._GRADIENT_TOLERANCE
     G = standardize(dataset)
     try:
         weights, report = solve(G)
@@ -93,17 +95,18 @@ def test_start_changes_steps_not_weights(dataset, data):
     # Two converged solves' weights differ by about the gradient tolerance
     # (up to 7.5e-9 at n=20 and the default 1e-8), so a tighter tolerance
     # makes the 1e-10 comparison meaningful.
-    options = SolverOptions(gradient_tolerance=1e-11)
+    tolerance = 1e-11
     G = standardize(dataset)
     m = G.shape[1]
     start = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
-    try:
-        base, base_report = solve(G, options=options)
-    except EbctError:
-        assume(False)
-    weights, report = solve(G, options=options, start=start)
+    with mock.patch.object(solver, "_GRADIENT_TOLERANCE", tolerance):
+        try:
+            base, base_report = solve(G)
+        except EbctError:
+            assume(False)
+        weights, report = solve(G, start=start)
     for r in (base_report, report):
-        assert r.converged and r.final_gradient_norm <= options.gradient_tolerance
+        assert r.converged and r.final_gradient_norm <= tolerance
     npt.assert_allclose(weights.weights, base.weights, rtol=0, atol=1e-10)
 
 

@@ -1,7 +1,10 @@
-"""The README's library quick start runs as written."""
+"""The README's library quick start runs as written, and its namespace list
+names exactly ``ebct.__all__``."""
 
 import re
 from pathlib import Path
+
+import ebct
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,3 +26,10 @@ def test_quick_start_runs(tmp_path, monkeypatch, capsys):
     lines = (tmp_path / "drf.csv").read_text().splitlines()
     assert lines[0] == "t,drf,derivative,se,significant"
     assert all(float(line.split(",")[3]) > 0 for line in lines[1:])
+
+
+def test_namespace_bullets_name_the_public_api():
+    text = README.read_text(encoding="utf-8")
+    bullets = text.split("The `ebct` namespace is the user API:", 1)[1].split("\n\n", 2)[1]
+    assert bullets.startswith("- ")
+    assert sorted(re.findall(r"`(\w+)`", bullets)) == sorted(ebct.__all__)

@@ -150,14 +150,6 @@ class TestGenOutcome:
         y = gen_outcome(x, np.zeros(1), eta=1.5, rng=_StubRng(0.0))
         npt.assert_allclose(y, [8.0])  # 4^1.5
 
-    def test_negative_power_base_rejected(self):
-        x = np.zeros((2, 10))
-        x[0, 0] = -1.0
-        from ebct.errors import NegativeBase
-
-        with pytest.raises(NegativeBase):
-            gen_outcome(x, np.zeros(2), eta=1.5, rng=_StubRng(0.0))
-
     def test_large_sample_identification(self, big_draw):
         # Oracle: removing the structural covariate terms leaves slope one,
         # and the leftover noise has the documented standard deviation 5.
@@ -283,7 +275,7 @@ class TestRunScenario:
         assert result.failures == 0
 
     def test_degenerate_scenario_aborts(self, monkeypatch):
-        def broken(samples, base_weights=None, options=None):
+        def broken(samples, base_weights=None, start=None):
             from ebct.errors import InfeasibleConstraints
 
             return [InfeasibleConstraints("synthetic") for _ in samples]

@@ -6,7 +6,6 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from ebct import (
-    SolverOptions,
     solve,
     solve_batch,
     standardize,
@@ -20,6 +19,7 @@ from ebct.errors import (
     SingularHessian,
     ThresholdInfeasible,
 )
+from ebct import solver
 from ebct.simulation import gen_covariates, gen_treatment, replication_rng
 from ebct.solver import dual_gradient, dual_hessian, dual_objective, recover_weights
 
@@ -184,7 +184,7 @@ class TestDualGradient:
         G = random_sample(rng)
         weights, report = solve(G)
         grad = dual_gradient(weights.gamma, G)
-        assert np.abs(grad).max() <= SolverOptions().gradient_tolerance
+        assert np.abs(grad).max() <= solver._GRADIENT_TOLERANCE
 
 
 class TestDualHessian:
@@ -322,10 +322,12 @@ class TestSolve:
         shuffled, _ = solve(standardize(shuffled_ds))
         npt.assert_allclose(shuffled.weights, base.weights[perm], atol=1e-8)
 
-    def test_not_converged_carries_last_iterate(self, rng):
+    def test_not_converged_carries_last_iterate(self, rng, monkeypatch):
         G = random_sample(rng, n=30, k=2)
+        monkeypatch.setattr(solver, "_MAX_ITERATIONS", 1)
+        monkeypatch.setattr(solver, "_GRADIENT_TOLERANCE", 1e-12)
         with pytest.raises(NotConverged) as excinfo:
-            solve(G, options=SolverOptions(max_iterations=1, gradient_tolerance=1e-12))
+            solve(G)
         err = excinfo.value
         assert err.report.iterations == 1
         assert not err.weights.converged
@@ -339,14 +341,16 @@ class TestSolve:
         with pytest.raises(InfeasibleConstraints):
             solve(G)
 
-    def test_singular_hessian_requires_ridge(self):
+    def test_singular_hessian_requires_ridge(self, monkeypatch):
         # Duplicated covariate makes the Hessian singular; only a forced
         # zero ridge surfaces it, the default ridge still converges.
         t = np.array([-1.0, 0.0, 1.0, -1.0, 1.0, 0.0])
         x1 = np.array([1.0, -1.0, 0.0, 0.5, -0.5, 0.0])
         G = balance_columns(t, np.column_stack([x1, x1]))
-        with pytest.raises(SingularHessian):
-            solve(G, options=SolverOptions(ridge=0.0))
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_RIDGE", 0.0)
+            with pytest.raises(SingularHessian, match="collinear"):
+                solve(G)
         weights, report = solve(G)
         assert report.converged
 
@@ -415,35 +419,36 @@ class TestSolveBatch:
             else:
                 npt.assert_allclose(outcome[0].weights, alone.weights, rtol=0, atol=1e-12)
 
-    def test_singular_hessian_stays_with_its_problem(self, rng):
+    def test_singular_hessian_stays_with_its_problem(self, rng, monkeypatch):
         # One stacked Cholesky fails for the whole stack; the regular problems
         # must still reach bit for bit what they reach alone.
         t, x1 = rng.standard_normal(30), rng.standard_normal(30)
         collinear = balance_columns(t, np.column_stack([x1, x1]))
         overflowing = random_sample(rng) * np.array([1e200, 1, 1, 1, 1])
         regular = [random_sample(rng), random_sample(rng)]
-        options = SolverOptions(ridge=0.0)
+        monkeypatch.setattr(solver, "_RIDGE", 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            batch = solve_batch([regular[0], collinear, overflowing, regular[1]], options=options)
+            batch = solve_batch([regular[0], collinear, overflowing, regular[1]])
         assert isinstance(batch[1], SingularHessian)
         assert isinstance(batch[2], SingularHessian)
         for G, (weights, report) in zip(regular, (batch[0], batch[3])):
-            alone, alone_report = solve(G, options=options)
+            alone, alone_report = solve(G)
             assert report.converged
             assert weights.weights.tobytes() == alone.weights.tobytes()
             assert weights.gamma.tobytes() == alone.gamma.tobytes()
             assert report.iterations == alone_report.iterations
 
-    def test_not_converged_per_problem(self, rng):
+    def test_not_converged_per_problem(self, rng, monkeypatch):
         matrices = [random_sample(rng, n=30, k=2) for _ in range(3)]
-        options = SolverOptions(max_iterations=2, gradient_tolerance=1e-12)
-        for outcome in solve_batch(matrices, options=options):
+        monkeypatch.setattr(solver, "_MAX_ITERATIONS", 2)
+        monkeypatch.setattr(solver, "_GRADIENT_TOLERANCE", 1e-12)
+        for outcome in solve_batch(matrices):
             assert isinstance(outcome, NotConverged)
             assert outcome.report.iterations == 2
 
     def test_shapes_must_agree(self, rng):
         assert solve_batch([]) == []
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="share n and K"):
             solve_batch([random_sample(rng, n=30), random_sample(rng, n=31)])
         with pytest.raises(ValueError):
             solve_batch([random_sample(rng, n=30)], base_weights=[None, None])
@@ -499,19 +504,14 @@ class TestStart:
             solve_batch([G, G], start=start)
 
 
-class TestSolverOptions:
+class TestSolverConstants:
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverOptions(gradient_tolerance=0.0)
-        with pytest.raises(ValueError):
-            SolverOptions(max_iterations=0)
-        with pytest.raises(ValueError):
-            SolverOptions(ridge=-1e-9)
-        defaults = SolverOptions()
-        assert defaults.gradient_tolerance == 1e-8
-        assert defaults.max_iterations == 200
-        assert defaults.ridge == 1e-9
+    def test_values(self):
+        # Every output's bytes depend on these.
+        assert solver._GRADIENT_TOLERANCE == 1e-8
+        assert solver._MAX_ITERATIONS == 200
+        assert solver._RIDGE == 1e-9
+        assert solver._MAX_ROUNDS == 100
 
 
 class TestTruncateAndRebalance:
@@ -538,13 +538,14 @@ class TestTruncateAndRebalance:
         with pytest.raises(ThresholdInfeasible):
             truncate_and_rebalance(G, weights, threshold=1.0 / 20 - 1e-6)
 
-    def test_threshold_at_uniform_fails_to_reduce(self):
+    def test_threshold_at_uniform_fails_to_reduce(self, monkeypatch):
         # Uniform is the only candidate and violates the constraints, so the
         # rounds run out with the cap still exceeded, which is an error.
         G = self.heavy_instance()
         weights, _ = solve(G)
+        monkeypatch.setattr(solver, "_MAX_ROUNDS", 5)
         with pytest.raises(ThresholdInfeasible, match=r"after 5 rebalancing rounds") as excinfo:
-            truncate_and_rebalance(G, weights, threshold=1.0 / 50, max_rounds=5)
+            truncate_and_rebalance(G, weights, threshold=1.0 / 50)
         share = float(str(excinfo.value).split()[3])
         assert share > 1.0 / 50 + 1e-10
 
