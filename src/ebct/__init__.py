@@ -17,13 +17,12 @@ from .data import BalancingWeights, Dataset, standardize
 from .diagnostics import BalanceReport, balance_report
 from .drf import DrfFit, bootstrap_se, estimate_drf
 from .simulation import ScenarioConfig, ScenarioResult, paper_grid, run_grid, run_scenario
-from .solver import ConvergenceReport, solve, solve_batch, truncate_and_rebalance
+from .solver import solve, solve_batch, truncate_and_rebalance
 from .weighting import estimate_weights
 
 __all__ = [
     "BalanceReport",
     "BalancingWeights",
-    "ConvergenceReport",
     "Dataset",
     "DrfFit",
     "ScenarioConfig",

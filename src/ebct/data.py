@@ -226,7 +226,6 @@ class BalancingWeights:
     """
 
     weights: np.ndarray
-    base_weights: np.ndarray
     gamma: np.ndarray
     converged: bool
     iterations: int
@@ -235,10 +234,7 @@ class BalancingWeights:
 
     def __post_init__(self):
         w = _frozen_array(np.ravel(self.weights))
-        q = _frozen_array(np.ravel(self.base_weights))
         g = _frozen_array(np.ravel(self.gamma))
-        if w.size != q.size:
-            raise ValueError("weights and base_weights must have equal length")
         if np.any(w <= 0):
             raise ValueError("weights must be strictly positive")
         if abs(w.sum() - 1.0) > _WEIGHT_SUM_TOL:
@@ -246,7 +242,6 @@ class BalancingWeights:
         if self.method_tag not in METHODS:
             raise ValueError(f"unknown method tag {self.method_tag!r}")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "base_weights", q)
         object.__setattr__(self, "gamma", g)
 
     @property
@@ -260,10 +255,8 @@ class BalancingWeights:
 
 def uniform_weights(n: int) -> BalancingWeights:
     """Uniform 1/n weights, tagged as the unweighted baseline."""
-    w = np.full(n, 1.0 / n)
     return BalancingWeights(
-        weights=w,
-        base_weights=w,
+        weights=np.full(n, 1.0 / n),
         gamma=np.empty(0),
         converged=True,
         iterations=0,

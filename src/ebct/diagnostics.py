@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +29,10 @@ def _weight_rows(ws) -> np.ndarray:
     if not (stack.min() > 0 and np.isfinite(stack).all()):
         raise ValueError("weights must be strictly positive and finite")
     return stack / stack.sum(axis=1, keepdims=True)
+
+
+def _json_float(value) -> Optional[float]:
+    return None if np.isnan(value) else float(value)
 
 
 def _is_one_weighting(w) -> bool:
@@ -58,15 +62,16 @@ class BalanceReport:
     degenerate_columns: tuple = ()
 
     def to_dict(self) -> dict:
+        """JSON-ready fields; a NaN correlation or aggregate becomes None."""
         corr = {
-            name: (None if np.isnan(value) else float(value))
+            name: _json_float(value)
             for name, value in zip(self.covariate_names, self.per_covariate_correlation)
         }
         return {
             "method": self.method_tag,
             "correlations": corr,
-            "max_abs_correlation": self.max_abs_correlation,
-            "mean_abs_correlation": self.mean_abs_correlation,
+            "max_abs_correlation": _json_float(self.max_abs_correlation),
+            "mean_abs_correlation": _json_float(self.mean_abs_correlation),
             "max_weight_share": self.max_weight_share,
             "degenerate_columns": list(self.degenerate_columns),
         }

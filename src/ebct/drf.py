@@ -101,7 +101,6 @@ class DrfFit:
     until a bootstrap run fills them in.
     """
 
-    degree: int
     coefficients: np.ndarray
     grid: np.ndarray
     drf_values: np.ndarray
@@ -115,6 +114,11 @@ class DrfFit:
             raise ValueError("grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "coefficients", np.ravel(np.asarray(self.coefficients, dtype=float)))
+
+    @property
+    def degree(self) -> int:
+        """Polynomial degree: one less than the number of coefficients."""
+        return self.coefficients.size - 1
 
     def write_csv(self, path) -> None:
         """Plot-ready CSV with columns t, drf, derivative, se, significant."""
@@ -164,7 +168,6 @@ def estimate_drf(
     design = npoly.polyvander(t, degree)
     coefficients = fit_wls(dataset.outcome, design, w)
     return DrfFit(
-        degree=degree,
         coefficients=coefficients,
         grid=grid,
         drf_values=npoly.polyval(grid, coefficients),

@@ -29,16 +29,15 @@ class NotConverged(EbctError):
     """Solver hit its iteration limit before meeting the gradient tolerance.
 
     Carries the last iterate so callers may inspect or accept it anyway:
-    ``weights`` is a BalancingWeights with ``converged=False`` and ``report``
-    is the corresponding ConvergenceReport.
+    ``weights`` is a BalancingWeights with ``converged=False``, whose
+    ``iterations`` and ``final_gradient_norm`` the message reports.
     """
 
-    def __init__(self, weights, report):
+    def __init__(self, weights):
         self.weights = weights
-        self.report = report
         super().__init__(
-            f"no convergence after {report.iterations} iterations "
-            f"(gradient norm {report.final_gradient_norm:.3e})"
+            f"no convergence after {weights.iterations} iterations "
+            f"(gradient norm {weights.final_gradient_norm:.3e})"
         )
 
 

@@ -106,7 +106,6 @@ def ipw_weights(dataset: Dataset) -> BalancingWeights:
     weights = shifted / shifted.sum()
     return BalancingWeights(
         weights=weights,
-        base_weights=np.full(dataset.n, 1.0 / dataset.n),
         gamma=np.empty(0),
         converged=True,
         iterations=0,

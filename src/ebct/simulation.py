@@ -156,6 +156,8 @@ class ScenarioConfig:
         unknown = set(methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
+        if len(set(methods)) != len(methods):
+            raise ValueError(f"methods must not repeat, got {list(methods)}")
         object.__setattr__(self, "sigma", float(self.sigma))
         object.__setattr__(self, "eta", float(self.eta))
         object.__setattr__(self, "methods", methods)
@@ -298,10 +300,6 @@ class MethodSummary:
 class ScenarioResult:
     config: ScenarioConfig
     per_method: dict
-
-    @property
-    def failures(self) -> int:
-        return sum(summary.failures for summary in self.per_method.values())
 
 
 def _summarize(estimates, correlations, shares, failures) -> MethodSummary:

@@ -18,8 +18,6 @@ the residual imbalance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import BalancingWeights
@@ -55,14 +53,6 @@ _RIDGE = 1e-9
 _MAX_ROUNDS = 100
 
 _OVERFLOW = "dual exponent overflowed; multipliers are pathological"
-
-
-@dataclass
-class ConvergenceReport:
-    converged: bool
-    iterations: int
-    dual_value_trace: list
-    final_gradient_norm: float
 
 
 def _prepare_base_weights(n: int, base_weights) -> np.ndarray:
@@ -209,9 +199,8 @@ def _newton(G, q, start: np.ndarray) -> list:
     operation acts row by row, and numpy's linear algebra factors each
     Newton system of the stack by itself. Problems that finish leave the
     stack, so the rest do not pay for them. Every problem starts at the
-    m-vector ``start``. Returns per problem either
-    ``(BalancingWeights, ConvergenceReport)`` or the exception that problem
-    raises.
+    m-vector ``start``. Returns per problem either ``(BalancingWeights,
+    trace)`` or the exception that problem raises.
     """
     B, _, m = G.shape
     outcomes = [None] * B
@@ -238,22 +227,15 @@ def _newton(G, q, start: np.ndarray) -> list:
                 continue
             grad_norm = float(np.abs(grad[i]).max())
             converged = grad_norm <= _GRADIENT_TOLERANCE
-            report = ConvergenceReport(
-                converged=converged,
-                iterations=int(iterations[i]),
-                dual_value_trace=traces[b],
-                final_gradient_norm=grad_norm,
-            )
             weights = BalancingWeights(
                 weights=w[i],
-                base_weights=q[b],
                 gamma=gamma[i],
                 converged=converged,
                 iterations=int(iterations[i]),
                 final_gradient_norm=grad_norm,
                 method_tag="ebct",
             )
-            outcomes[b] = (weights, report) if converged else NotConverged(weights, report)
+            outcomes[b] = (weights, traces[b]) if converged else NotConverged(weights)
 
     for _ in range(_MAX_ITERATIONS):
         grad_norm = np.abs(grad).max(axis=1)
@@ -349,8 +331,9 @@ def solve_batch(matrices, base_weights=None, start=None) -> list:
     from the same start.
 
     Returns:
-        One entry per matrix: ``(BalancingWeights, ConvergenceReport)`` on
-        success, otherwise the exception ``solve`` would raise for it
+        One entry per matrix: ``(BalancingWeights, trace)`` on success,
+        where ``trace`` lists the accepted dual values from J(start) on,
+        otherwise the exception ``solve`` would raise for it
         (``NotConverged``, ``InfeasibleConstraints``, ``NonFiniteDual`` or
         ``SingularHessian``).
 
@@ -391,11 +374,13 @@ def solve(G: np.ndarray, base_weights=None, start=None) -> tuple:
     one-problem case of ``solve_batch``.
 
     Returns:
-        (BalancingWeights, ConvergenceReport)
+        (BalancingWeights, trace): the weights, which record convergence,
+        iterations and the final gradient norm, and the list of accepted
+        dual values, starting at J(start).
 
     Raises:
         NotConverged: iteration limit reached; the exception carries the last
-            iterate for callers that want to accept it.
+            iterate's weights for callers that want to accept them.
         InfeasibleConstraints: the dual diverged or a weight underflowed to
             zero, meaning no strictly positive weights satisfy the constraints.
         NonFiniteDual: an exponent overflowed.
@@ -412,7 +397,9 @@ def solve(G: np.ndarray, base_weights=None, start=None) -> tuple:
 
 
 def check_threshold(threshold: float, n: int) -> None:
-    """Raise ThresholdInfeasible if no n weights summing to one fit under the cap."""
+    """Raise ThresholdInfeasible unless n weights summing to one fit under a finite cap."""
+    if not np.isfinite(threshold):
+        raise ThresholdInfeasible(f"threshold {threshold} is not a finite weight share")
     if threshold < 1.0 / n:
         raise ThresholdInfeasible(f"threshold {threshold} is below 1/n = {1.0 / n}")
 
@@ -432,9 +419,9 @@ def truncate_and_rebalance(
     a budget of 100 rounds is generous.
 
     Raises:
-        ThresholdInfeasible: threshold below 1/n (no weight vector summing to
-            one can satisfy the cap), or the cap is still exceeded after
-            the round budget of re-solves.
+        ThresholdInfeasible: threshold not finite or below 1/n (no weight
+            vector summing to one can satisfy the cap), or the cap is still
+            exceeded after the round budget of re-solves.
         NotConverged: propagated from an inner solve.
     """
     check_threshold(threshold, weights.n)

@@ -23,7 +23,7 @@ def cap_weights(weights: BalancingWeights, threshold: float) -> BalancingWeights
     is restored.
 
     Raises:
-        ThresholdInfeasible: threshold below 1/n.
+        ThresholdInfeasible: threshold not finite or below 1/n.
     """
     w = weights.weights
     n = w.size
@@ -59,21 +59,16 @@ def estimate_weights(
     accepted as an alias for ``uniform``). A truncation threshold triggers
     truncate-and-rebalance for ebct and a simple cap-and-renormalize for ipw;
     uniform weights meet any threshold of at least 1/n unchanged. A threshold
-    below 1/n raises ThresholdInfeasible for every method.
+    that is not finite or is below 1/n raises ThresholdInfeasible for every
+    method.
     ``start`` gives the initial multipliers of the first ebct solve (see
     ``solve``); truncation rounds re-solve on their capped base weights from
     zero. ``ipw`` and ``uniform`` solve no dual and ignore ``start``.
     """
     name = method_name(method)
-    if name == "uniform":
-        if truncation is not None:
-            check_threshold(truncation, dataset.n)
-        return uniform_weights(dataset.n)
-    if name == "ipw":
-        weights = ipw_weights(dataset)
-        if truncation is not None:
-            weights = cap_weights(weights, truncation)
-        return weights
+    if name != "ebct":
+        weights = ipw_weights(dataset) if name == "ipw" else uniform_weights(dataset.n)
+        return weights if truncation is None else cap_weights(weights, truncation)
     G = standardize(dataset)
     weights, _ = solve(G, start=start)
     if truncation is not None:

@@ -182,7 +182,7 @@ def test_criterion_5_solver_correctness_suite():
         except EbctError:
             continue  # infeasible draw; the property concerns solvable instances
         solved += 1
-        w, q = weights.weights, weights.base_weights
+        w, q = weights.weights, np.full(25, 1.0 / 25)
         baseline = kl_divergence(w, q)
         constraints = np.column_stack([np.ones(25), G])
         for _ in range(100):

@@ -39,6 +39,15 @@ def write_simulated_csv(path, n=120, sigma=4.0, eta=1.0, seed=0):
 COVARIATES = ",".join(f"X{j}" for j in range(1, 11))
 
 
+def load_json(path):
+    """Parse an output sidecar as strict JSON: NaN and Infinity are errors."""
+
+    def reject(constant):
+        raise ValueError(f"{path} holds {constant}, which is not JSON")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
 class TestReadCsv:
 
     def test_minimal_file(self, tmp_path):
@@ -91,7 +100,7 @@ class TestBalanceCommand:
         table = (out / "balance_table.txt").read_text()
         weighted_cells = [line.split()[-1] for line in table.splitlines()[1:11]]
         assert all(cell == "0.00" for cell in weighted_cells)
-        report = json.loads((out / "balance_report.json").read_text())
+        report = load_json(out / "balance_report.json")
         assert report["method"] == "ebct"
         assert report["converged"] is True
         assert report["weighted"]["max_abs_correlation"] < 1e-6
@@ -125,7 +134,7 @@ class TestBalanceCommand:
                 "--method", method, "--out", str(out),
             ]
             codes[method] = main(argv)
-            reports[method] = json.loads((out / "balance_report.json").read_text())
+            reports[method] = load_json(out / "balance_report.json")
         assert codes == {"ebct": 0, "ipw": 0}
         assert reports["ebct"]["method"] == "ebct"
         assert reports["ipw"]["method"] == "ipw"
@@ -137,7 +146,7 @@ class TestBalanceCommand:
     def test_truncation_caps_weight_share(self, tmp_path):
         code, out = self.run_balance(tmp_path, "--truncate", "0.04")
         assert code == 0
-        report = json.loads((out / "balance_report.json").read_text())
+        report = load_json(out / "balance_report.json")
         assert report["weighted"]["max_weight_share"] <= 0.04 + 1e-6
         assert report["weighted"]["max_abs_correlation"] < 1e-6
 
@@ -161,6 +170,38 @@ class TestBalanceCommand:
         )
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "command, method",
+        [("balance", "uniform"), ("balance", "ipw"), ("balance", "ebct"), ("drf", "ebct")],
+    )
+    def test_non_finite_threshold_is_an_input_error(
+        self, tmp_path, capsys, command, method, value
+    ):
+        data = write_simulated_csv(tmp_path / "data.csv", n=60)
+        out = tmp_path / "out"
+        argv = [
+            command, "--input", str(data), "--treatment-col", "T",
+            "--covariate-cols", COVARIATES, "--method", method,
+            "--truncate", value, "--out", str(out),
+        ]
+        if command == "drf":
+            argv += ["--outcome-col", "Y", "--bootstrap", "0"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: threshold {float(value)} is not a finite weight share\n"
+        )
+        assert list(out.iterdir()) == []
+
+    def test_no_covariates_writes_null_aggregates(self, tmp_path):
+        code, out = self.run_balance(tmp_path, "--covariate-cols", ",")
+        assert code == 0
+        report = load_json(out / "balance_report.json")
+        for side in ("unweighted", "weighted"):
+            assert report[side]["correlations"] == {}
+            assert report[side]["max_abs_correlation"] is None
+            assert report[side]["mean_abs_correlation"] is None
+
     def test_relative_input_recorded_normalized(self, tmp_path, monkeypatch):
         write_simulated_csv(tmp_path / "x.csv")
         monkeypatch.chdir(tmp_path)
@@ -170,7 +211,7 @@ class TestBalanceCommand:
             "--out", "out",
         ]
         assert main(argv) == 0
-        report = json.loads((tmp_path / "out" / "balance_report.json").read_text())
+        report = load_json(tmp_path / "out" / "balance_report.json")
         assert report["input"] == "x.csv"
 
     def test_method_choices(self, tmp_path, capsys):
@@ -271,14 +312,14 @@ class TestBalanceCommand:
     def test_non_convergence_still_writes_outputs(self, tmp_path, monkeypatch):
         from ebct.data import uniform_weights
         from ebct.errors import NotConverged
-        from ebct.solver import ConvergenceReport
 
         def stubborn(dataset, method, truncation=None):
             weights = uniform_weights(dataset.n)
             object.__setattr__(weights, "method_tag", "ebct")
             object.__setattr__(weights, "converged", False)
-            report = ConvergenceReport(False, 200, [0.0], 1.0)
-            raise NotConverged(weights, report)
+            object.__setattr__(weights, "iterations", 200)
+            object.__setattr__(weights, "final_gradient_norm", 1.0)
+            raise NotConverged(weights)
 
         monkeypatch.setattr(cli, "estimate_weights", stubborn)
         data = write_simulated_csv(tmp_path / "data.csv")
@@ -290,7 +331,7 @@ class TestBalanceCommand:
         ]
         assert main(argv) == 2
         assert (out / "weights.csv").exists()
-        report = json.loads((out / "balance_report.json").read_text())
+        report = load_json(out / "balance_report.json")
         assert report["converged"] is False
 
 
@@ -317,7 +358,7 @@ class TestDrfCommand:
         assert lines[0] == "t,drf,derivative,se,significant"
         assert len(lines) == 51
         assert all(line.endswith(",,") for line in lines[1:])
-        meta = json.loads((out / "drf.json").read_text())
+        meta = load_json(out / "drf.json")
         assert meta["degree"] == 3 and meta["bootstrap_reps"] == 0
 
     @pytest.mark.parametrize(
@@ -381,7 +422,7 @@ class TestDrfCommand:
 
         def counting_solve(*args, **kwargs):
             result = solve(*args, **kwargs)
-            iterations.append(result[1].iterations)
+            iterations.append(result[0].iterations)
             return result
 
         def run(name):
@@ -442,7 +483,7 @@ class TestDrfCommand:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 4
         assert all(float(row["se"]) > 0 for row in rows)
-        assert json.loads((out / "drf.json").read_text())["bootstrap_reps"] == 5
+        assert load_json(out / "drf.json")["bootstrap_reps"] == 5
 
     def test_bootstrap_failure_exit_code(self, tmp_path, monkeypatch):
         data = write_simulated_csv(tmp_path / "data.csv")
@@ -477,7 +518,7 @@ class TestSimulateCommand:
         assert len(lines) == 4
         table = (out / "scenarios_table.txt").read_text()
         assert "N=200" in table
-        assert json.loads((out / "scenarios.json").read_text())["cells"] == 1
+        assert load_json(out / "scenarios.json")["cells"] == 1
 
     def test_same_seed_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -495,7 +536,7 @@ class TestSimulateCommand:
                 "--seed", "9", "--jobs", jobs, "--out", str(out),
             ]
             assert main(argv) == 0
-            assert json.loads((out / "scenarios.json").read_text())["cells"] >= 2
+            assert load_json(out / "scenarios.json")["cells"] >= 2
             outputs.append((out / "scenarios.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
@@ -503,6 +544,9 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         assert main(self.simulate_argv(out, reps="2") + ["--methods", "uniform"]) == 1
         assert "unknown methods: ['uniform']" in capsys.readouterr().err
+        assert main(self.simulate_argv(out, reps="8") + ["--methods", "ebct,ebct"]) == 1
+        assert capsys.readouterr().err == "error: methods must not repeat, got ['ebct', 'ebct']\n"
+        assert not out.exists()
         assert main(self.simulate_argv(out, reps="2") + ["--methods", "ebct,unweighted"]) == 0
         header, *rows = (out / "scenarios.csv").read_text().splitlines()
         assert [row.split(",")[4] for row in rows] == ["ebct", "unweighted"]

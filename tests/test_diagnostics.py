@@ -209,6 +209,9 @@ class TestBalanceReport:
         assert report.degenerate_columns == ("X1", "X2")
         assert np.isnan(report.max_abs_correlation)
         assert np.isnan(report.mean_abs_correlation)
+        payload = report.to_dict()
+        assert payload["max_abs_correlation"] is None
+        assert payload["mean_abs_correlation"] is None
 
     def test_json_round_trip(self, rng):
         ds = random_dataset(rng, 25, 2)

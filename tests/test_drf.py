@@ -278,7 +278,7 @@ class TestBootstrapSe:
 
         def counting_solve(*args, **kwargs):
             result = solve(*args, **kwargs)
-            iterations.append(result[1].iterations)
+            iterations.append(result[0].iterations)
             return result
 
         monkeypatch.setattr(weighting, "solve", counting_solve)

@@ -214,6 +214,8 @@ class TestScenarioConfig:
             ScenarioConfig(n=200, sigma=4.0, eta=1.0, spec=0)
         with pytest.raises(ValueError):
             ScenarioConfig(n=200, sigma=4.0, eta=1.0, spec=1, methods=("magic",))
+        with pytest.raises(ValueError, match="must not repeat"):
+            ScenarioConfig(n=200, sigma=4.0, eta=1.0, spec=1, methods=("ebct", "ipw", "ebct"))
 
 
 class TestRunReplication:
@@ -272,7 +274,7 @@ class TestRunScenario:
             variance = errors.var()
             identity = (summary.bias_pct / 100) ** 2 + variance
             assert identity == pytest.approx((summary.rmse_pct / 100) ** 2, abs=1e-9)
-        assert result.failures == 0
+        assert sum(summary.failures for summary in result.per_method.values()) == 0
 
     def test_degenerate_scenario_aborts(self, monkeypatch):
         def broken(samples, base_weights=None, start=None):
@@ -301,7 +303,7 @@ class TestRunScenario:
         monkeypatch.setattr(sim, "_run_replications", recording)
         result = run_scenario(config)
         monkeypatch.undo()
-        assert result.failures == 0
+        assert sum(summary.failures for summary in result.per_method.values()) == 0
         alone = [run_replication(config, index) for index in range(config.replications)]
         # Whole records, every field of every method, not only the estimate.
         assert len(grouped) == config.replications

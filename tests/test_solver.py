@@ -182,7 +182,7 @@ class TestDualGradient:
 
     def test_zero_at_solution(self, rng):
         G = random_sample(rng)
-        weights, report = solve(G)
+        weights, _ = solve(G)
         grad = dual_gradient(weights.gamma, G)
         assert np.abs(grad).max() <= solver._GRADIENT_TOLERANCE
 
@@ -252,8 +252,8 @@ class TestSolve:
         # All balance columns have exact zero means, so gamma* = 0.
         G = balance_columns([-1.0, -1.0, 1.0, 1.0], [[-1.0], [1.0], [-1.0], [1.0]])
         npt.assert_array_equal(G.mean(axis=0), np.zeros(3))
-        weights, report = solve(G)
-        assert report.iterations <= 1
+        weights, _ = solve(G)
+        assert weights.iterations <= 1
         npt.assert_allclose(weights.gamma, np.zeros(3), atol=1e-12)
         npt.assert_allclose(weights.weights, np.full(4, 0.25), atol=1e-12)
 
@@ -283,14 +283,14 @@ class TestSolve:
         G = random_sample(rng, n=20, k=1)
         q = rng.uniform(0.5, 2.0, size=20)
         weights, _ = solve(G, base_weights=q)
-        npt.assert_allclose(weights.base_weights, q / q.sum(), atol=1e-14)
+        npt.assert_allclose(recover_weights(weights.gamma, G, q), weights.weights, atol=1e-14)
         balance = G.T @ weights.weights
         assert np.abs(balance).max() <= 1e-8
 
     def test_entropy_beats_feasible_perturbations(self, rng):
         G = random_sample(rng, n=20, k=3)
         weights, _ = solve(G)
-        w, q = weights.weights, weights.base_weights
+        w, q = weights.weights, np.full(20, 1.0 / 20)
         baseline = kl_divergence(w, q)
         constraints = np.column_stack([np.ones(20), G])
         for _ in range(100):
@@ -306,12 +306,12 @@ class TestSolve:
         G = random_sample(rng, n=40, k=2)
         _, first = solve(G)
         _, second = solve(G)
-        assert first.dual_value_trace == second.dual_value_trace
+        assert first == second
 
     def test_trace_non_increasing(self, rng):
         G = random_sample(rng, n=40, k=3)
-        _, report = solve(G)
-        trace = np.asarray(report.dual_value_trace)
+        _, trace = solve(G)
+        trace = np.asarray(trace)
         assert np.all(np.diff(trace) <= 1e-12)
 
     def test_permutation_invariance(self, rng):
@@ -329,7 +329,7 @@ class TestSolve:
         with pytest.raises(NotConverged) as excinfo:
             solve(G)
         err = excinfo.value
-        assert err.report.iterations == 1
+        assert err.weights.iterations == 1
         assert not err.weights.converged
         assert err.weights.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -351,8 +351,8 @@ class TestSolve:
             patch.setattr(solver, "_RIDGE", 0.0)
             with pytest.raises(SingularHessian, match="collinear"):
                 solve(G)
-        weights, report = solve(G)
-        assert report.converged
+        weights, _ = solve(G)
+        assert weights.converged
 
     def test_non_finite_hessian_names_the_overflowing_column(self, rng):
         # A ridge cannot help here, and the overflow must surface as one
@@ -386,16 +386,17 @@ class TestSolveBatch:
         iterations = set()
         for G, q, outcome in zip(matrices, base, batch):
             try:
-                alone, alone_report = solve(G, base_weights=q)
+                alone, alone_trace = solve(G, base_weights=q)
             except EbctError as err:
                 assert type(outcome) is type(err)
                 continue
-            weights, report = outcome
+            weights, trace = outcome
             npt.assert_allclose(weights.weights, alone.weights, rtol=0, atol=1e-12)
-            npt.assert_allclose(weights.base_weights, alone.base_weights, rtol=0, atol=1e-15)
-            assert report.iterations == alone_report.iterations
-            assert report.dual_value_trace == pytest.approx(alone_report.dual_value_trace, abs=1e-12)
-            iterations.add(report.iterations)
+            recovered = recover_weights(weights.gamma, G, q)
+            npt.assert_allclose(recovered, alone.weights, rtol=0, atol=1e-12)
+            assert weights.iterations == alone.iterations
+            assert trace == pytest.approx(alone_trace, abs=1e-12)
+            iterations.add(weights.iterations)
         assert len(iterations) > 1
         infeasible = [str(o) for o in batch if isinstance(o, InfeasibleConstraints)]
         assert sum("diverged" in message for message in infeasible) == 2
@@ -431,12 +432,12 @@ class TestSolveBatch:
             batch = solve_batch([regular[0], collinear, overflowing, regular[1]])
         assert isinstance(batch[1], SingularHessian)
         assert isinstance(batch[2], SingularHessian)
-        for G, (weights, report) in zip(regular, (batch[0], batch[3])):
-            alone, alone_report = solve(G)
-            assert report.converged
+        for G, (weights, _) in zip(regular, (batch[0], batch[3])):
+            alone, _ = solve(G)
+            assert weights.converged
             assert weights.weights.tobytes() == alone.weights.tobytes()
             assert weights.gamma.tobytes() == alone.gamma.tobytes()
-            assert report.iterations == alone_report.iterations
+            assert weights.iterations == alone.iterations
 
     def test_not_converged_per_problem(self, rng, monkeypatch):
         matrices = [random_sample(rng, n=30, k=2) for _ in range(3)]
@@ -444,7 +445,7 @@ class TestSolveBatch:
         monkeypatch.setattr(solver, "_GRADIENT_TOLERANCE", 1e-12)
         for outcome in solve_batch(matrices):
             assert isinstance(outcome, NotConverged)
-            assert outcome.report.iterations == 2
+            assert outcome.weights.iterations == 2
 
     def test_shapes_must_agree(self, rng):
         assert solve_batch([]) == []
@@ -462,16 +463,16 @@ class TestStart:
 
     def test_zero_start_is_the_default(self, rng):
         G = random_sample(rng)
-        default, default_report = solve(G)
-        zero, zero_report = solve(G, start=np.zeros(5))
+        default, default_trace = solve(G)
+        zero, zero_trace = solve(G, start=np.zeros(5))
         assert zero.gamma.tobytes() == default.gamma.tobytes()
-        assert zero_report.dual_value_trace == default_report.dual_value_trace
+        assert zero_trace == default_trace
 
     def test_trace_begins_at_the_start(self, rng):
         G = random_sample(rng)
         start = rng.uniform(-0.5, 0.5, size=5)
-        _, report = solve(G, start=start)
-        assert report.dual_value_trace[0] == pytest.approx(dual_objective(start, G), abs=1e-14)
+        _, trace = solve(G, start=start)
+        assert trace[0] == pytest.approx(dual_objective(start, G), abs=1e-14)
 
     def test_batch_matches_one_problem_solves(self, rng):
         matrices = [selected_sample(seed) for seed in range(12)]
@@ -480,14 +481,14 @@ class TestStart:
         solved = 0
         for G, outcome in zip(matrices, batch):
             try:
-                alone, alone_report = solve(G, start=start)
+                alone, alone_trace = solve(G, start=start)
             except EbctError as err:
                 assert type(outcome) is type(err) and str(outcome) == str(err)
                 continue
-            weights, report = outcome
+            weights, trace = outcome
             assert weights.weights.tobytes() == alone.weights.tobytes()
             assert weights.gamma.tobytes() == alone.gamma.tobytes()
-            assert report.dual_value_trace == alone_report.dual_value_trace
+            assert trace == alone_trace
             solved += 1
         assert solved > 0
 
