@@ -223,6 +223,15 @@ def _read_input(args) -> Dataset:
     return read_csv(args.input, args.treatment_col, covariates, args.outcome_col)
 
 
+def _estimate(dataset: Dataset, args) -> tuple:
+    """The --method weights under --truncate, and the exit code: 2 if unconverged."""
+    try:
+        return estimate_weights(dataset, args.method, truncation=args.truncate), EXIT_OK
+    except NotConverged as err:
+        print(f"warning: {err}; writing outputs for the last iterate", file=sys.stderr)
+        return err.weights, EXIT_NOT_CONVERGED
+
+
 def cmd_balance(args) -> int:
     """Estimate weights, write weights.csv, balance_report.json and a table."""
     dataset = _read_input(args)
@@ -232,14 +241,7 @@ def cmd_balance(args) -> int:
         args.force,
     )
 
-    exit_code = EXIT_OK
-    try:
-        weights = estimate_weights(dataset, args.method, truncation=args.truncate)
-    except NotConverged as err:
-        print(f"warning: {err}; writing outputs for the last iterate", file=sys.stderr)
-        weights = err.weights
-        exit_code = EXIT_NOT_CONVERGED
-
+    weights, exit_code = _estimate(dataset, args)
     unweighted = balance_report(uniform_weights(dataset.n), dataset, method_tag="unweighted")
     weighted = balance_report(weights, dataset)
 
@@ -271,28 +273,10 @@ def cmd_drf(args) -> int:
     grid = default_grid(dataset.treatment, args.grid_points)
     csv_path, meta_path = _prepare_outputs(Path(args.out), ["drf.csv", "drf.json"], args.force)
 
-    exit_code = EXIT_OK
-    start = None
-    try:
-        weights = estimate_weights(dataset, args.method)
-        # Each replicate's first solve is untruncated, so it starts at the
-        # untruncated full-sample multipliers; the solve below begins there
-        # too and takes no Newton step before truncating.
-        start = weights.gamma
-        if args.truncate is not None:
-            weights = estimate_weights(dataset, args.method, truncation=args.truncate, start=start)
-    except NotConverged as err:
-        print(f"warning: {err}; continuing with the last iterate", file=sys.stderr)
-        weights = err.weights
-        exit_code = EXIT_NOT_CONVERGED
-    if start is None:
-        start = weights.gamma
-
+    weights, exit_code = _estimate(dataset, args)
     fit = estimate_drf(dataset, weights, degree=args.degree, grid=grid)
     if args.bootstrap > 0:
-        fit = bootstrap_se(
-            fit, dataset, args.method, args.truncate, args.bootstrap, args.seed, start=start
-        )
+        fit = bootstrap_se(fit, dataset, weights, args.truncate, args.bootstrap, args.seed)
 
     fit.write_csv(csv_path)
     meta = {

@@ -221,8 +221,9 @@ class BalancingWeights:
     """Normalized positive unit weights plus solver provenance.
 
     ``gamma`` holds the dual multipliers for entropy-balancing solutions and
-    is empty for the other methods. The normalization multiplier is
-    eliminated analytically and has no field.
+    is empty for the other methods; truncated weights keep the untruncated
+    solve's, since a round's multipliers refer to capped base weights. The
+    normalization multiplier is eliminated analytically and has no field.
     """
 
     weights: np.ndarray

@@ -175,17 +175,6 @@ def estimate_drf(
     )
 
 
-def _replicate_derivatives(
-    dataset: Dataset, fit: DrfFit, method: str, truncation: Optional[float], start
-) -> np.ndarray:
-    """Re-run weighting and the fit of ``fit``'s degree on its grid."""
-    weights = estimate_weights(dataset, method, truncation=truncation, start=start)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ExtrapolationWarning)
-        refit = estimate_drf(dataset, weights, degree=fit.degree, grid=fit.grid)
-    return refit.drf_derivatives
-
-
 def bootstrap_statistic(
     n_units: int,
     statistic: Callable[[np.ndarray], np.ndarray],
@@ -226,35 +215,37 @@ def bootstrap_statistic(
 def bootstrap_se(
     fit: DrfFit,
     dataset: Dataset,
-    method: str,
+    weights,
     truncation: Optional[float],
     replications: int,
     seed: int,
-    start=None,
 ) -> DrfFit:
     """Bootstrap standard errors for the dose-response derivative.
 
     Resamples units with replacement and re-runs the full pipeline per
-    replicate: ``estimate_weights`` with ``method`` and ``truncation``, then
-    the fit at the degree and on the grid of ``fit``, which propagates
-    weight-estimation uncertainty. ``start`` is handed to each replicate's
-    ``estimate_weights``: the full-sample multipliers (``weights.gamma``)
-    start every replicate's dual solve next to its optimum, which saves
-    Newton steps and moves the SEs only within the solver tolerance. The SE
-    at each grid point is the sample standard deviation (denominator B-1)
-    across replicates; a point is flagged significant at the 10% level when
-    |derivative| / SE exceeds 1.645, with the derivatives of ``fit`` as the
-    point estimates.
+    replicate: ``estimate_weights`` with the method of the full-sample
+    ``weights`` and ``truncation``, then the fit at the degree and on the
+    grid of ``fit``, which propagates weight-estimation uncertainty. Each
+    replicate's dual solve starts at ``weights.gamma``, the untruncated
+    full-sample multipliers, which saves Newton steps and moves the SEs only
+    within the solver tolerance. The SE at each grid point is the sample
+    standard deviation (denominator B-1) across replicates; a point is
+    flagged significant at the 10% level when |derivative| / SE exceeds
+    1.645, with the derivatives of ``fit`` as the point estimates.
 
     Returns:
         ``fit`` with ``derivative_se`` and ``significant_10pct`` filled in.
     """
-    draws = bootstrap_statistic(
-        dataset.n,
-        lambda idx: _replicate_derivatives(dataset.subset(idx), fit, method, truncation, start),
-        replications,
-        seed,
-    )
+
+    def derivatives(indices) -> np.ndarray:
+        sample = dataset.subset(indices)
+        resampled = estimate_weights(sample, weights.method_tag, truncation, weights.gamma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExtrapolationWarning)
+            refit = estimate_drf(sample, resampled, degree=fit.degree, grid=fit.grid)
+        return refit.drf_derivatives
+
+    draws = bootstrap_statistic(dataset.n, derivatives, replications, seed)
     se = draws.std(axis=0, ddof=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.abs(fit.drf_derivatives) / se

@@ -30,7 +30,8 @@ class NotConverged(EbctError):
 
     Carries the last iterate so callers may inspect or accept it anyway:
     ``weights`` is a BalancingWeights with ``converged=False``, whose
-    ``iterations`` and ``final_gradient_norm`` the message reports.
+    ``iterations`` and ``final_gradient_norm`` the message reports. After
+    truncation it carries the capped weights instead.
     """
 
     def __init__(self, weights):
@@ -50,7 +51,7 @@ class SingularHessian(EbctError):
 
 
 class ThresholdInfeasible(EbctError):
-    """Truncation threshold below 1/n cannot be met by weights summing to one."""
+    """Truncation cap not finite, below 1/n, or still exceeded when the rounds run out."""
 
 
 class RankDeficientDesign(EbctError):

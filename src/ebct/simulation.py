@@ -11,7 +11,6 @@ of the true effect over independent replications.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -396,6 +395,8 @@ def run_grid(configs: Sequence[ScenarioConfig], jobs: int = 1) -> list:
     configs = list(configs)
     if jobs <= 1 or len(configs) <= 1:
         return [run_scenario(config) for config in configs]
+    # Imported here: only a parallel grid needs the pool, and its import slows every CLI start.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as executor:
         return list(executor.map(run_scenario, configs))
 

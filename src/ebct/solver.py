@@ -18,6 +18,8 @@ the residual imbalance.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .data import BalancingWeights
@@ -412,20 +414,24 @@ def truncate_and_rebalance(
     """Cap extreme weights and re-solve until no weight exceeds the threshold.
 
     Each round caps weights at ``threshold``, renormalizes, and re-runs the
-    solver with the capped weights as base weights. The result still satisfies
+    solver with the capped weights as base weights; an iterate that stopped
+    at the iteration limit is capped all the same. The result still satisfies
     the balance constraints within tolerance but concentrates less mass on
-    single units. Stops once the maximum weight is at or below the threshold
-    (within 1e-10); the excess over the threshold shrinks geometrically, so
-    a budget of 100 rounds is generous.
+    single units, and keeps the untruncated ``gamma`` of ``weights``. Stops
+    once the maximum weight is at or below the threshold (within 1e-10); the
+    excess over the threshold shrinks geometrically, so a budget of 100
+    rounds is generous.
 
     Raises:
         ThresholdInfeasible: threshold not finite or below 1/n (no weight
             vector summing to one can satisfy the cap), or the cap is still
             exceeded after the round budget of re-solves.
-        NotConverged: propagated from an inner solve.
+        NotConverged: ``weights`` or a round stopped at the iteration limit;
+            the first such error, carrying the capped weights.
     """
     check_threshold(threshold, weights.n)
 
+    failure = None if weights.converged else NotConverged(weights)
     current = weights
     rounds = 0
     while current.max_share > threshold + 1e-10:
@@ -436,6 +442,14 @@ def truncate_and_rebalance(
             )
         capped = np.minimum(current.weights, threshold)
         capped = capped / capped.sum()
-        current, _ = solve(G, base_weights=capped)
+        try:
+            current, _ = solve(G, base_weights=capped)
+        except NotConverged as err:
+            current, failure = err.weights, failure or err
         rounds += 1
+    if current is not weights:
+        current = replace(current, gamma=weights.gamma, converged=failure is None)
+    if failure is not None:
+        failure.weights = current
+        raise failure
     return current

@@ -8,6 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .data import BalancingWeights, Dataset, method_name, standardize, uniform_weights
+from .errors import NotConverged
 from .ipw import ipw_weights
 from .solver import check_threshold, solve, truncate_and_rebalance
 
@@ -56,12 +57,12 @@ def estimate_weights(
     """Estimate weights for one of the supported methods.
 
     ``method`` is one of ``ebct``, ``ipw`` or ``uniform`` (``unweighted`` is
-    accepted as an alias for ``uniform``). A truncation threshold triggers
-    truncate-and-rebalance for ebct and a simple cap-and-renormalize for ipw;
-    uniform weights meet any threshold of at least 1/n unchanged. A threshold
-    that is not finite or is below 1/n raises ThresholdInfeasible for every
-    method.
-    ``start`` gives the initial multipliers of the first ebct solve (see
+    accepted as an alias for ``uniform``). A truncation threshold passes the
+    weights, converged or not, to truncate-and-rebalance for ebct and to a
+    simple cap-and-renormalize for ipw; uniform weights meet any threshold
+    of at least 1/n unchanged. A threshold that is not finite or is below
+    1/n raises ThresholdInfeasible for every method.
+    ``start`` gives the initial multipliers of the ebct solve (see
     ``solve``); truncation rounds re-solve on their capped base weights from
     zero. ``ipw`` and ``uniform`` solve no dual and ignore ``start``.
     """
@@ -70,7 +71,12 @@ def estimate_weights(
         weights = ipw_weights(dataset) if name == "ipw" else uniform_weights(dataset.n)
         return weights if truncation is None else cap_weights(weights, truncation)
     G = standardize(dataset)
-    weights, _ = solve(G, start=start)
+    try:
+        weights, _ = solve(G, start=start)
+    except NotConverged as err:
+        if truncation is None:
+            raise
+        weights = err.weights  # truncate_and_rebalance raises it again
     if truncation is not None:
         weights = truncate_and_rebalance(G, weights, truncation)
     return weights

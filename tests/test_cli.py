@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -412,9 +413,9 @@ class TestDrfCommand:
         assert outputs[0] == outputs[1]
 
     def test_truncated_bootstrap_starts_at_untruncated_multipliers(self, tmp_path, monkeypatch):
-        # Each replicate's first solve is untruncated. The last truncation
-        # round's multipliers are zero here, so starting there saves nothing;
-        # the untruncated full-sample optimum does.
+        # Each replicate's first solve is untruncated, so it starts at the
+        # untruncated full-sample optimum, which the truncated weights keep as
+        # their gamma. Zeroing that gamma gives the cold start.
         import ebct.weighting as weighting
 
         data = write_simulated_csv(tmp_path / "data.csv")
@@ -441,7 +442,11 @@ class TestDrfCommand:
         warm, warm_iterations = run("warm")
         bootstrap_se = cli.bootstrap_se
         monkeypatch.setattr(
-            cli, "bootstrap_se", lambda *args, start, **kwargs: bootstrap_se(*args, **kwargs)
+            cli,
+            "bootstrap_se",
+            lambda fit, dataset, weights, *args: bootstrap_se(
+                fit, dataset, replace(weights, gamma=np.zeros_like(weights.gamma)), *args
+            ),
         )
         cold, cold_iterations = run("cold")
         assert warm_iterations < cold_iterations
@@ -449,6 +454,34 @@ class TestDrfCommand:
             assert (w["t"], w["drf"], w["derivative"]) == (c["t"], c["drf"], c["derivative"])
             assert float(w["se"]) == pytest.approx(float(c["se"]), rel=1e-7, abs=0)
             assert w["significant"] == c["significant"]
+
+    @pytest.mark.parametrize("method", ["ebct", "ipw"])
+    def test_truncated_full_sample_is_estimated_once(self, tmp_path, monkeypatch, method):
+        # Truncation acts on the weights already estimated: one standardize
+        # and one solve (the rounds go through ebct.solver.solve), or one GPS
+        # fit, then one truncation.
+        import ebct.weighting as weighting
+
+        calls = []
+        for name in ("standardize", "solve", "ipw_weights", "truncate_and_rebalance"):
+            fn = getattr(weighting, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(weighting, name, counted)
+        data = write_simulated_csv(tmp_path / "data.csv")
+        argv = [
+            "drf", "--input", str(data), "--treatment-col", "T",
+            "--covariate-cols", COVARIATES, "--outcome-col", "Y", "--method", method,
+            "--truncate", "0.03", "--bootstrap", "0", "--out", str(tmp_path / "out"),
+        ]
+        assert main(argv) == 0
+        if method == "ebct":
+            assert calls == ["standardize", "solve", "truncate_and_rebalance"]
+        else:
+            assert calls == ["ipw_weights"]
 
     def test_non_convergence_with_bootstrap_still_writes_outputs(
         self, tmp_path, monkeypatch, capsys
@@ -498,6 +531,91 @@ class TestDrfCommand:
             "--outcome-col", "Y", "--bootstrap", "5", "--out", str(tmp_path / "out"),
         ]
         assert main(argv) == 3
+
+
+def limit_first_solve(monkeypatch, module, iterations):
+    """Stop the first solve looked up as ``module.solve`` after ``iterations`` steps.
+
+    ``ebct.weighting.solve`` is the untruncated full-sample solve and
+    ``ebct.solver.solve`` a rebalancing round; later solves, the bootstrap
+    replicates' included, run to convergence.
+    """
+    from unittest import mock
+
+    import ebct.solver as solver
+
+    solve, calls = module.solve, []
+
+    def limited(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > 1:
+            return solve(*args, **kwargs)
+        with mock.patch.object(solver, "_MAX_ITERATIONS", iterations):
+            return solve(*args, **kwargs)
+
+    monkeypatch.setattr(module, "solve", limited)
+    return calls
+
+
+class TestTruncationFailurePaths:
+    """A solve that stops at the iteration limit never lets weights overrun the cap.
+
+    Without the limit both commands exit 0; with it they exit 2 with a
+    warning, and the weights they use are capped all the same. The limits
+    are chosen so that the last iterate itself exceeds the cap: 0.044 for
+    the untruncated solve after 3 steps, 0.039 for the first round after 2.
+    """
+
+    CAP = 0.03
+
+    @pytest.fixture(params=["untruncated-solve", "rebalancing-round"])
+    def limited(self, request, monkeypatch):
+        import ebct.solver as solver
+        import ebct.weighting as weighting
+
+        if request.param == "untruncated-solve":
+            return limit_first_solve(monkeypatch, weighting, 3)
+        return limit_first_solve(monkeypatch, solver, 2)
+
+    def argv(self, tmp_path, command, *extra):
+        data = write_simulated_csv(tmp_path / "data.csv")
+        return [
+            command, "--input", str(data), "--treatment-col", "T",
+            "--covariate-cols", COVARIATES, "--truncate", repr(self.CAP),
+            "--out", str(tmp_path / "out"), *extra,
+        ]
+
+    def test_balance_writes_capped_weights(self, tmp_path, capsys, limited):
+        assert main(self.argv(tmp_path, "balance")) == 2
+        assert limited
+        assert "warning: no convergence" in capsys.readouterr().err
+        out = tmp_path / "out"
+        weights = np.loadtxt(out / "weights.csv", delimiter=",", skiprows=1, usecols=1)
+        assert weights.max() <= self.CAP + 1e-10
+        report = load_json(out / "balance_report.json")
+        assert report["converged"] is False
+        assert report["truncation_threshold"] == self.CAP
+        assert report["weighted"]["max_weight_share"] <= self.CAP + 1e-10
+
+    def test_drf_fits_capped_weights(self, tmp_path, capsys, monkeypatch, limited):
+        fitted = []
+        estimate_drf = cli.estimate_drf
+
+        def recording(dataset, weights, **kwargs):
+            fitted.append(weights)
+            return estimate_drf(dataset, weights, **kwargs)
+
+        monkeypatch.setattr(cli, "estimate_drf", recording)
+        argv = self.argv(tmp_path, "drf", "--outcome-col", "Y", "--bootstrap", "5",
+                         "--grid-points", "4")
+        assert main(argv) == 2
+        assert limited
+        assert "warning: no convergence" in capsys.readouterr().err
+        (weights,) = fitted
+        assert not weights.converged
+        assert weights.max_share <= self.CAP + 1e-10
+        with open(tmp_path / "out" / "drf.csv", newline="") as handle:
+            assert all(float(row["se"]) > 0 for row in csv.DictReader(handle))
 
 
 class TestSimulateCommand:
@@ -644,3 +762,10 @@ class TestImports:
         modules = imported_modules(*args)
         assert {"numpy", "ebct.solver", "ebct.drf"} <= modules
         assert not [name for name in modules if name.split(".")[0] == "scipy"]
+
+    def test_cli_does_not_import_the_process_pool(self):
+        # Only simulate --jobs 2 and up needs it; test_jobs_do_not_change_bytes
+        # covers that path.
+        modules = imported_modules("-c", "import ebct.cli")
+        assert "ebct.simulation" in modules
+        assert "concurrent.futures.process" not in modules

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -236,12 +238,13 @@ class TestBootstrapSe:
 
     def drf_fit(self, ds, points, method="uniform"):
         weights = estimate_weights(ds, method)
-        return estimate_drf(ds, weights, degree=1, grid=default_grid(ds.treatment, points))
+        fit = estimate_drf(ds, weights, degree=1, grid=default_grid(ds.treatment, points))
+        return fit, weights
 
     def test_pipeline_bootstrap_and_flags(self):
         ds = self.drf_dataset()
-        fit = self.drf_fit(ds, 10)
-        result = bootstrap_se(fit, ds, "uniform", None, replications=60, seed=4)
+        fit, weights = self.drf_fit(ds, 10)
+        result = bootstrap_se(fit, ds, weights, None, replications=60, seed=4)
         assert result.derivative_se.shape == (10,)
         assert np.all(result.derivative_se > 0)
         expected_flags = np.abs(fit.drf_derivatives) / result.derivative_se > 1.645
@@ -249,9 +252,9 @@ class TestBootstrapSe:
 
     def test_returns_the_fit_with_se_filled(self):
         ds = self.drf_dataset()
-        fit = self.drf_fit(ds, 5)
+        fit, weights = self.drf_fit(ds, 5)
         assert fit.derivative_se is None and fit.significant_10pct is None
-        result = bootstrap_se(fit, ds, "uniform", None, 30, seed=2)
+        result = bootstrap_se(fit, ds, weights, None, 30, seed=2)
         assert result.derivative_se.shape == (5,) and result.significant_10pct.shape == (5,)
         for name in ("degree", "coefficients", "grid", "drf_values", "drf_derivatives"):
             npt.assert_array_equal(getattr(result, name), getattr(fit, name))
@@ -260,19 +263,21 @@ class TestBootstrapSe:
         # The ebct pipeline re-solves on each resample, so its spread must
         # reflect more than outcome noise: SEs strictly positive and finite.
         ds = self.drf_dataset()
-        fit = self.drf_fit(ds, 5, method="ebct")
-        result = bootstrap_se(fit, ds, "ebct", None, 30, seed=21)
+        fit, weights = self.drf_fit(ds, 5, method="ebct")
+        result = bootstrap_se(fit, ds, weights, None, 30, seed=21)
         assert np.all(np.isfinite(result.derivative_se))
         assert np.all(result.derivative_se > 0)
 
     @pytest.mark.parametrize("truncation", [None, 0.03], ids=["plain", "truncated"])
     def test_full_sample_start_saves_steps_not_precision(self, monkeypatch, truncation):
         # The start feeds each replicate's first solve, before truncation, so
-        # it is the untruncated full-sample optimum.
+        # it is the untruncated full-sample optimum, which truncated weights
+        # keep as their gamma. Zeroing it gives the cold start.
         ds = self.drf_dataset()
         untruncated = estimate_weights(ds, "ebct")
         assert truncation is None or untruncated.max_share > truncation
         weights = estimate_weights(ds, "ebct", truncation=truncation)
+        assert weights.gamma.tobytes() == untruncated.gamma.tobytes()
         fit = estimate_drf(ds, weights, degree=1, grid=default_grid(ds.treatment, 5))
         iterations = []
 
@@ -282,10 +287,11 @@ class TestBootstrapSe:
             return result
 
         monkeypatch.setattr(weighting, "solve", counting_solve)
-        cold = bootstrap_se(fit, ds, "ebct", truncation, 30, seed=21)
+        zero_start = replace(weights, gamma=np.zeros_like(weights.gamma))
+        cold = bootstrap_se(fit, ds, zero_start, truncation, 30, seed=21)
         cold_iterations = sum(iterations)
         iterations.clear()
-        warm = bootstrap_se(fit, ds, "ebct", truncation, 30, seed=21, start=untruncated.gamma)
+        warm = bootstrap_se(fit, ds, weights, truncation, 30, seed=21)
         assert sum(iterations) < cold_iterations
         for name in ("coefficients", "grid", "drf_values", "drf_derivatives"):
             assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes()

@@ -1,3 +1,4 @@
+import concurrent.futures
 import tracemalloc
 
 import numpy as np
@@ -408,7 +409,8 @@ class TestGrid:
             def map(self, fn, items):
                 return iter(items)
 
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingExecutor)
+        # run_grid imports the executor when it needs one, from concurrent.futures.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         configs = paper_grid(sizes=(200,), replications=4, seed=5)
         run_grid(configs[:3], jobs=8)
         run_grid(configs, jobs=2)

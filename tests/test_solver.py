@@ -558,3 +558,50 @@ class TestTruncateAndRebalance:
         assert result.weights.max() <= 0.04 + 1e-6
         balance = G.T @ result.weights
         assert np.abs(balance).max() <= 1e-7
+
+    def test_keeps_the_untruncated_multipliers(self):
+        # A round's multipliers refer to capped base weights that no field
+        # records; the untruncated ones are the bootstrap's warm start.
+        G = self.heavy_instance()
+        weights, _ = solve(G)
+        result = truncate_and_rebalance(G, weights, threshold=0.04)
+        assert result.converged and result.max_share <= 0.04 + 1e-10 < weights.max_share
+        assert result.gamma.tobytes() == weights.gamma.tobytes()
+
+    def test_unconverged_input_is_capped_then_reraised(self, monkeypatch):
+        G = self.heavy_instance()
+        monkeypatch.setattr(solver, "_MAX_ITERATIONS", 2)
+        with pytest.raises(NotConverged) as first:
+            solve(G)
+        start = first.value.weights
+        assert start.max_share > 0.04
+        monkeypatch.setattr(solver, "_MAX_ITERATIONS", 200)
+        with pytest.raises(NotConverged) as excinfo:
+            truncate_and_rebalance(G, start, threshold=0.04)
+        assert str(excinfo.value) == str(first.value)
+        capped = excinfo.value.weights
+        assert not capped.converged
+        assert capped.max_share <= 0.04 + 1e-10
+        assert capped.gamma.tobytes() == start.gamma.tobytes()
+        assert np.abs(G.T @ capped.weights).max() <= 1e-7
+
+    def test_unconverged_round_continues_from_its_last_iterate(self, monkeypatch):
+        G = self.heavy_instance()
+        weights, _ = solve(G)
+        rounds = []
+
+        def first_round_stops_early(G, base_weights):
+            rounds.append(base_weights)
+            limit = 1 if len(rounds) == 1 else 200
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_MAX_ITERATIONS", limit)
+                return solve(G, base_weights=base_weights)
+
+        monkeypatch.setattr(solver, "solve", first_round_stops_early)
+        with pytest.raises(NotConverged, match=r"after 1 iterations") as excinfo:
+            truncate_and_rebalance(G, weights, threshold=0.04)
+        assert len(rounds) > 1
+        capped = excinfo.value.weights
+        assert not capped.converged
+        assert capped.max_share <= 0.04 + 1e-10
+        assert capped.gamma.tobytes() == weights.gamma.tobytes()

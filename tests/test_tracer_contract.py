@@ -36,8 +36,12 @@ TRACER = ROOT / "perfbench" / "traced.py"
             ["drf", "--outcome-col", "Y", "--bootstrap", "5"],
             {"solver.solve", "drf.estimate_drf", "drf.fit_wls", "data.dataset"},
         ),
+        (
+            ["drf", "--outcome-col", "Y", "--truncate", "0.03", "--bootstrap", "5"],
+            {"solver.solve", "solver.truncate", "data.standardize", "drf.fit_wls"},
+        ),
     ],
-    ids=["balance-truncate", "balance-ipw", "drf-bootstrap"],
+    ids=["balance-truncate", "balance-ipw", "drf-bootstrap", "drf-truncate-bootstrap"],
 )
 def test_traced_run_finds_every_site(tmp_path, command, spans):
     data = write_simulated_csv(tmp_path / "data.csv")
@@ -56,10 +60,23 @@ def test_traced_run_finds_every_site(tmp_path, command, spans):
     assert spans <= {span[0] for span in doc["spans"]}
     if command[0] == "drf":
         assert doc["counters"]["bootstrap.kept"] == 5
-        # Every replicate solve must pass through the traced weighting.solve,
-        # or the per-layer solver metrics silently lose the bootstrap.
-        solves = sum(span[0] == "solver.solve" for span in doc["spans"])
-        assert solves == 1 + doc["counters"]["bootstrap.draws"]
+        records = doc["spans"]
+        names = [record[0] for record in records]
+        problems = 1 + doc["counters"]["bootstrap.draws"]
+        if "--truncate" in command:
+            # The full sample is truncated once, and so is every draw; the
+            # rounds re-solve through the traced solver.solve, which is what
+            # the benchmark's solver.truncate.resolves counts.
+            assert names.count("solver.truncate") == problems
+            assert any(
+                name == "solver.solve" and parent >= 0 and records[parent][0] == "solver.truncate"
+                for name, _, _, parent, _ in records
+            )
+        else:
+            # Every replicate solve must pass through the traced
+            # weighting.solve, or the per-layer solver metrics silently lose
+            # the bootstrap.
+            assert names.count("solver.solve") == problems
 
 
 def test_traced_simulation_finds_every_site(tmp_path):
