@@ -46,7 +46,8 @@ class Dataset:
         treatment: length-n vector of treatment intensities (arbitrary units).
         covariates: n x K matrix of numeric covariates.
         outcome: optional length-n outcome vector.
-        column_names: K+2 unique labels (treatment, covariates..., outcome).
+        column_names: K+2 labels (treatment, covariates..., outcome), unique
+            among the columns the dataset holds.
         unit_ids: n opaque identifiers, preserved through every pipeline stage
             so weights can be joined back to input rows.
     """
@@ -82,7 +83,9 @@ class Dataset:
         )
         if len(names) != k + 2:
             raise ValueError(f"expected {k + 2} column names, got {len(names)}")
-        if len(set(names)) != len(names):
+        # The outcome's name is only a placeholder when there is no outcome.
+        held = names if y is not None else names[:-1]
+        if len(set(held)) != len(held):
             raise ValueError("column names must be unique")
 
         ids = tuple(self.unit_ids) or tuple(range(n))
@@ -236,7 +239,7 @@ class BalancingWeights:
     def __post_init__(self):
         w = _frozen_array(np.ravel(self.weights))
         g = _frozen_array(np.ravel(self.gamma))
-        if np.any(w <= 0):
+        if not np.all(w > 0):
             raise ValueError("weights must be strictly positive")
         if abs(w.sum() - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")

@@ -240,10 +240,9 @@ def bootstrap_se(
     def derivatives(indices) -> np.ndarray:
         sample = dataset.subset(indices)
         resampled = estimate_weights(sample, weights.method_tag, truncation, weights.gamma)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ExtrapolationWarning)
-            refit = estimate_drf(sample, resampled, degree=fit.degree, grid=fit.grid)
-        return refit.drf_derivatives
+        design = npoly.polyvander(sample.treatment, fit.degree)
+        coefficients = fit_wls(sample.outcome, design, resampled.weights)
+        return npoly.polyval(fit.grid, npoly.polyder(coefficients))
 
     draws = bootstrap_statistic(dataset.n, derivatives, replications, seed)
     se = draws.std(axis=0, ddof=1)

@@ -10,8 +10,6 @@ regressions are comparable across methods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import BalancingWeights, Dataset
@@ -20,42 +18,25 @@ from .errors import ConstantColumn, DegenerateResidual, RankDeficientDesign
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-@dataclass(frozen=True)
-class GpsModel:
-    """Fitted normal model for the treatment: T | X ~ N(beta . [1, X], sigma^2).
-
-    ``marginal_mean`` and ``marginal_sigma`` describe the unconditional
-    normal fit used to stabilize the weights. Finite-sample noise may push
-    sigma above marginal_sigma; only positivity is enforced.
-    """
-
-    beta: np.ndarray
-    sigma: float
-    marginal_mean: float
-    marginal_sigma: float
-
-    def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-        if not self.marginal_sigma > 0:
-            raise ValueError("marginal_sigma must be positive")
-        object.__setattr__(self, "beta", np.array(self.beta, dtype=float))
-
-    def conditional_mean(self, covariates) -> np.ndarray:
-        x = np.asarray(covariates, dtype=float)
-        if x.ndim == 1:
-            x = x.reshape(-1, 1)
-        return self.beta[0] + x @ self.beta[1:]
+def _normal_logpdf(t, mu, sigma):
+    z = (np.asarray(t, dtype=float) - mu) / sigma
+    return -0.5 * z * z - np.log(sigma) - 0.5 * _LOG_2PI
 
 
-def fit_gps(dataset: Dataset) -> GpsModel:
-    """OLS fit of the treatment on an intercept plus all covariates.
+def ipw_weights(dataset: Dataset) -> BalancingWeights:
+    """Normalized stabilized weights f_T(T_i) / f_{T|X}(T_i | X_i).
 
-    The residual scale uses denominator n-K-1 and the marginal scale n-1,
-    the standard unbiased choices.
+    The generalized propensity score f_{T|X} is the normal model
+    T | X ~ N(beta . [1, X], sigma^2): beta is the OLS fit of the treatment
+    on an intercept plus all covariates, and sigma the residual scale on
+    n-K-1 degrees of freedom. The marginal density f_T is the normal with
+    the treatment's mean and standard deviation (denominator n-1). The
+    ratio is computed in log space so extreme treatment values cannot
+    underflow to zero weights.
 
     Raises:
         RankDeficientDesign: the design [1 | X] is not full column rank.
+        ConstantColumn: the treatment does not vary.
         DegenerateResidual: a (near-) perfect fit leaves no residual scale.
     """
     t = dataset.treatment
@@ -71,7 +52,6 @@ def fit_gps(dataset: Dataset) -> GpsModel:
     residuals = t - design @ beta
     sigma = float(np.sqrt(residuals @ residuals / (n - k - 1)))
 
-    marginal_mean = float(t.mean())
     marginal_sigma = float(t.std(ddof=1))
     if not marginal_sigma > 0:
         raise ConstantColumn(dataset.treatment_name)
@@ -79,29 +59,8 @@ def fit_gps(dataset: Dataset) -> GpsModel:
         raise DegenerateResidual(
             "treatment is (numerically) an exact function of the covariates"
         )
-    return GpsModel(
-        beta=beta,
-        sigma=sigma,
-        marginal_mean=marginal_mean,
-        marginal_sigma=marginal_sigma,
-    )
-
-
-def _normal_logpdf(t, mu, sigma):
-    z = (np.asarray(t, dtype=float) - mu) / sigma
-    return -0.5 * z * z - np.log(sigma) - 0.5 * _LOG_2PI
-
-
-def ipw_weights(dataset: Dataset) -> BalancingWeights:
-    """Normalized stabilized weights f_T(T_i) / f_{T|X}(T_i | X_i).
-
-    Both densities come from ``fit_gps``. The ratio is computed in log space
-    so extreme treatment values cannot underflow to zero weights.
-    """
-    model = fit_gps(dataset)
-    t = dataset.treatment
-    log_ratio = _normal_logpdf(t, model.marginal_mean, model.marginal_sigma)
-    log_ratio -= _normal_logpdf(t, model.conditional_mean(dataset.covariates), model.sigma)
+    log_ratio = _normal_logpdf(t, float(t.mean()), marginal_sigma)
+    log_ratio -= _normal_logpdf(t, beta[0] + x @ beta[1:], sigma)
     shifted = np.exp(log_ratio - log_ratio.max())
     weights = shifted / shifted.sum()
     return BalancingWeights(

@@ -363,7 +363,13 @@ def paper_grid(
     Every cell gets an independent integer master seed derived from the base
     seed and the cell's position, so regenerating the grid with the same seed
     reproduces every cell bit for bit.
+
+    Raises:
+        ValueError: a sample size repeats, which would run every cell of that
+            size twice under different seeds.
     """
+    if len(set(sizes)) != len(sizes):
+        raise ValueError(f"sample sizes must not repeat, got {list(sizes)}")
     configs = []
     index = 0
     for n in sizes:

@@ -203,6 +203,26 @@ class TestBalanceCommand:
             assert report[side]["max_abs_correlation"] is None
             assert report[side]["mean_abs_correlation"] is None
 
+    def test_column_named_y_without_an_outcome(self, tmp_path, capsys):
+        # Without --outcome-col no outcome is read, so a column named Y is
+        # free to be a covariate or the treatment.
+        code, out = self.run_balance(tmp_path, "--covariate-cols", "X1,Y")
+        assert code == 0
+        assert list(load_json(out / "balance_report.json")["weighted"]["correlations"]) == [
+            "X1", "Y",
+        ]
+        code, out = self.run_balance(tmp_path, "--treatment-col", "Y", "--force")
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        data = tmp_path / "data.csv"
+        argv = [
+            "drf", "--input", str(data), "--treatment-col", "T",
+            "--covariate-cols", "X1,Y", "--outcome-col", "Y", "--bootstrap", "0",
+            "--out", str(tmp_path / "drf"),
+        ]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: column names must be unique\n"
+
     def test_relative_input_recorded_normalized(self, tmp_path, monkeypatch):
         write_simulated_csv(tmp_path / "x.csv")
         monkeypatch.chdir(tmp_path)
@@ -669,6 +689,18 @@ class TestSimulateCommand:
         header, *rows = (out / "scenarios.csv").read_text().splitlines()
         assert [row.split(",")[4] for row in rows] == ["ebct", "unweighted"]
         assert cli.build_parser().parse_args(["simulate"]).methods == "unweighted,ipw,ebct"
+
+    def test_repeated_grid_size_is_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [
+            "simulate", "--paper-grid", "--sizes", "200,200", "--replications", "2",
+            "--out", str(out),
+        ]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: sample sizes must not repeat, got [200, 200]\n"
+        )
+        assert not out.exists()
 
     def test_different_seed_changes_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ebct import Dataset, standardize
+from ebct import BalancingWeights, Dataset, standardize
 from ebct.errors import ConstantColumn, NonFiniteInput
 
 from conftest import balance_columns, random_dataset
@@ -29,6 +29,12 @@ class TestDataset:
                 covariates=np.arange(4.0).reshape(-1, 1),
                 column_names=("T", "T", "Y"),
             )
+
+    def test_outcome_name_counts_only_with_an_outcome(self):
+        t, x = np.arange(4.0), np.arange(4.0).reshape(-1, 1)
+        assert Dataset(t, x, column_names=("T", "Y", "Y")).covariate_names == ("Y",)
+        with pytest.raises(ValueError, match="unique"):
+            Dataset(t, x, outcome=np.arange(4.0), column_names=("T", "Y", "Y"))
 
     def test_default_names_and_ids(self):
         ds = Dataset(treatment=np.arange(6.0), covariates=np.arange(6.0).reshape(-1, 1) ** 2)
@@ -77,6 +83,22 @@ class TestDataset:
         ds = Dataset(treatment=np.arange(4.0), covariates=np.arange(4.0).reshape(-1, 1))
         with pytest.raises(ValueError):
             ds.treatment[0] = 99.0
+
+
+class TestBalancingWeights:
+
+    @pytest.mark.parametrize("weights", [[0.5, np.nan, 0.5], [np.nan] * 3])
+    def test_nan_weights_rejected(self, weights):
+        # NaN fails neither a "<= 0" test nor the sum check.
+        with pytest.raises(ValueError, match="strictly positive"):
+            BalancingWeights(
+                weights=weights,
+                gamma=[],
+                converged=True,
+                iterations=0,
+                final_gradient_norm=0.0,
+                method_tag="ipw",
+            )
 
 
 class TestStandardize:

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -267,6 +268,34 @@ class TestBootstrapSe:
         result = bootstrap_se(fit, ds, weights, None, 30, seed=21)
         assert np.all(np.isfinite(result.derivative_se))
         assert np.all(result.derivative_se > 0)
+
+    @pytest.mark.parametrize(
+        "method, truncation", [("ebct", None), ("ebct", 0.03), ("ipw", None), ("uniform", None)]
+    )
+    def test_se_is_the_sd_of_full_pipeline_refits(self, method, truncation):
+        # Oracle: redo each replicate with the full-sample pipeline, drawing
+        # attempt by attempt as bootstrap_statistic does and skipping the
+        # draws whose weights fail.
+        ds = self.drf_dataset()
+        weights = estimate_weights(ds, method, truncation=truncation)
+        fit = estimate_drf(ds, weights, degree=2, grid=default_grid(ds.treatment, 7))
+        replications, seed = 25, 13
+        rows, attempt = [], 0
+        while len(rows) < replications:
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(attempt,)))
+            sample = ds.subset(rng.integers(0, ds.n, size=ds.n))
+            attempt += 1
+            try:
+                resampled = estimate_weights(sample, method, truncation, weights.gamma)
+            except EbctError:
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ExtrapolationWarning)
+                refit = estimate_drf(sample, resampled, fit.degree, fit.grid)
+            rows.append(refit.drf_derivatives)
+        expected = np.std(rows, axis=0, ddof=1)
+        result = bootstrap_se(fit, ds, weights, truncation, replications, seed)
+        assert result.derivative_se.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("truncation", [None, 0.03], ids=["plain", "truncated"])
     def test_full_sample_start_saves_steps_not_precision(self, monkeypatch, truncation):

@@ -4,37 +4,46 @@ import pytest
 from scipy import stats
 
 from ebct import Dataset
-from ebct.ipw import GpsModel, _normal_logpdf, fit_gps, ipw_weights
-from ebct.errors import DegenerateResidual, RankDeficientDesign
+from ebct.ipw import _normal_logpdf, ipw_weights
+from ebct.errors import ConstantColumn, DegenerateResidual, RankDeficientDesign
 from ebct.simulation import gen_covariates, gen_treatment, replication_rng
 
 from conftest import random_dataset
 
 
-class TestFitGps:
+def density_ratio_oracle(t, fitted, residual_dof):
+    """Spreadsheet-style weights: scipy normal densities of the marginal fit
+    over the conditional fit, normalized to sum one."""
+    residuals = t - fitted
+    sigma = np.sqrt(residuals @ residuals / residual_dof)
+    ratio = stats.norm.pdf(t, t.mean(), t.std(ddof=1)) / stats.norm.pdf(t, fitted, sigma)
+    return ratio / ratio.sum()
 
-    def test_intercept_only_matches_marginal(self, rng):
-        ds = Dataset(treatment=rng.standard_normal(30), covariates=np.empty((30, 0)))
-        model = fit_gps(ds)
-        npt.assert_allclose(model.beta, [ds.treatment.mean()], atol=1e-12)
-        assert model.sigma == pytest.approx(ds.treatment.std(ddof=1), abs=1e-12)
-        assert model.marginal_sigma == pytest.approx(model.sigma, abs=1e-12)
+
+class TestFitGps:
+    """The normal treatment model inside ``ipw_weights``, seen through its
+    weights and its errors."""
+
+    def test_intercept_only_matches_marginal(self):
+        # With K=0 the conditional model is the marginal one, so even an
+        # outlying treatment gets the uniform weight.
+        t = np.array([0.1, -0.4, 0.3, 0.0, 9.0, -0.2])
+        weights = ipw_weights(Dataset(treatment=t, covariates=np.empty((6, 0))))
+        npt.assert_allclose(weights.weights, np.full(6, 1.0 / 6), rtol=1e-12)
 
     def test_exact_linear_fit_degenerates(self):
         x = np.arange(8.0).reshape(-1, 1)
         ds = Dataset(treatment=2.0 * x[:, 0] + 1.0, covariates=x)
         with pytest.raises(DegenerateResidual):
-            fit_gps(ds)
+            ipw_weights(ds)
 
     def test_three_point_normal_equations(self):
-        # Oracle: solve the 2x2 normal equations by hand formulas.
+        # The 2x2 normal equations by hand give beta = [5/6, 3/2].
         x = np.array([0.0, 1.0, 2.0])
         t = np.array([1.0, 2.0, 4.0])
-        slope = ((x - x.mean()) @ (t - t.mean())) / ((x - x.mean()) @ (x - x.mean()))
-        intercept = t.mean() - slope * x.mean()
-        model = fit_gps(Dataset(treatment=t, covariates=x.reshape(-1, 1)))
-        npt.assert_allclose(model.beta, [intercept, slope], atol=1e-12)
-        npt.assert_allclose(model.beta, [5.0 / 6.0, 1.5], atol=1e-12)
+        expected = density_ratio_oracle(t, 5.0 / 6.0 + 1.5 * x, residual_dof=1)
+        weights = ipw_weights(Dataset(treatment=t, covariates=x.reshape(-1, 1)))
+        npt.assert_allclose(weights.weights, expected, rtol=1e-12)
 
     def test_rank_deficient_design_rejected(self, rng):
         x1 = rng.standard_normal(10)
@@ -43,15 +52,28 @@ class TestFitGps:
             covariates=np.column_stack([x1, 2.0 * x1]),
         )
         with pytest.raises(RankDeficientDesign):
-            fit_gps(ds)
+            ipw_weights(ds)
+
+    def test_constant_treatment_rejected(self, rng):
+        # A constant treatment also leaves no residual scale; the constant
+        # column is the error named. A rank-deficient design comes first.
+        x1 = rng.standard_normal(10)
+        t = np.full(10, 1.5)
+        with pytest.raises(ConstantColumn, match="'D'"):
+            ipw_weights(Dataset(t, x1.reshape(-1, 1), column_names=("D", "X1", "Y")))
+        with pytest.raises(RankDeficientDesign):
+            ipw_weights(Dataset(t, np.column_stack([x1, 2.0 * x1])))
 
     def test_residual_dof_convention(self, rng):
-        # sigma uses n - K - 1; cross-check against the residuals directly.
+        # sigma uses n - K - 1: the K=3 oracle matches with that denominator
+        # and not with n - 1.
         ds = random_dataset(rng, 40, 3)
-        model = fit_gps(ds)
         design = np.column_stack([np.ones(40), ds.covariates])
-        residuals = ds.treatment - design @ np.linalg.lstsq(design, ds.treatment, rcond=None)[0]
-        npt.assert_allclose(model.sigma, np.sqrt(residuals @ residuals / 36), atol=1e-12)
+        beta = np.linalg.solve(design.T @ design, design.T @ ds.treatment)
+        fitted = design @ beta
+        weights = ipw_weights(ds).weights
+        npt.assert_allclose(weights, density_ratio_oracle(ds.treatment, fitted, 36), rtol=1e-10)
+        assert not np.allclose(weights, density_ratio_oracle(ds.treatment, fitted, 39), rtol=1e-3)
 
 
 def gps_density(t, mu, sigma):
@@ -81,13 +103,6 @@ class TestGpsDensity:
         t = rng.standard_normal(20)
         npt.assert_allclose(gps_density(t, 0.3, 1.7), stats.norm.pdf(t, 0.3, 1.7), rtol=1e-12)
 
-    def test_positive_sigma_required(self):
-        # The model is the only source of the densities' scales.
-        with pytest.raises(ValueError, match="sigma must be positive"):
-            GpsModel(beta=[0.0], sigma=0.0, marginal_mean=0.0, marginal_sigma=1.0)
-        with pytest.raises(ValueError, match="marginal_sigma must be positive"):
-            GpsModel(beta=[0.0], sigma=1.0, marginal_mean=0.0, marginal_sigma=0.0)
-
 
 class TestIpwWeights:
 
@@ -115,8 +130,8 @@ class TestIpwWeights:
         npt.assert_allclose(weights.weights, np.full(n, 1.0 / n), rtol=5e-3)
 
     def test_hand_built_density_ratio(self):
-        # Spreadsheet-style oracle: refit by formulas, take scipy normal
-        # densities, ratio and normalize.
+        # Refit by the one-covariate slope formulas, then take the oracle's
+        # density ratio.
         t = np.array([0.5, 1.5, 2.0, 4.0])
         x = np.array([[0.0], [1.0], [1.0], [3.0]])
         ds = Dataset(treatment=t, covariates=x)
@@ -124,12 +139,7 @@ class TestIpwWeights:
         xc = x[:, 0]
         slope = ((xc - xc.mean()) @ (t - t.mean())) / ((xc - xc.mean()) @ (xc - xc.mean()))
         intercept = t.mean() - slope * xc.mean()
-        fitted = intercept + slope * xc
-        sigma = np.sqrt(((t - fitted) @ (t - fitted)) / (4 - 2))
-        marginal = stats.norm.pdf(t, t.mean(), t.std(ddof=1))
-        conditional = stats.norm.pdf(t, fitted, sigma)
-        expected = marginal / conditional
-        expected = expected / expected.sum()
+        expected = density_ratio_oracle(t, intercept + slope * xc, residual_dof=4 - 2)
 
         weights = ipw_weights(ds)
         npt.assert_allclose(weights.weights, expected, rtol=1e-10)

@@ -383,6 +383,10 @@ class TestGrid:
         assert first == second
         assert paper_grid(replications=10, seed=4) != first
 
+    def test_paper_grid_rejects_a_repeated_size(self):
+        with pytest.raises(ValueError, match="must not repeat"):
+            paper_grid(sizes=(200, 500, 200), replications=2)
+
     def test_run_grid_parallel_matches_serial(self, tmp_path):
         configs = paper_grid(sizes=(200,), replications=4, seed=5)[:2]
         serial = run_grid(configs, jobs=1)
