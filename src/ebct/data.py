@@ -130,7 +130,36 @@ class Dataset:
         )
 
 
-def standardize(dataset) -> np.ndarray:
+def check_counts(counts, n: int, m: int, positive: bool = False) -> np.ndarray:
+    """Validate copy counts of n units for a problem with m dual parameters.
+
+    A bootstrap resample with counts c, where unit i is drawn c_i times,
+    is a frequency-weighted problem on the units with c_i > 0. Returns the
+    counts as an integer array. ``positive`` requires every count to be
+    positive, for rows that are already restricted to the drawn units.
+
+    Raises:
+        ValueError: ``counts`` is not a length-n vector of finite,
+            non-negative integers (positive ones with ``positive``), or
+            their total N is below m + 1 (the 2K+2 units an m = 2K+1
+            balance problem needs).
+    """
+    c = np.asarray(counts)
+    if c.shape != (n,):
+        raise ValueError(f"counts have shape {c.shape}, expected ({n},)")
+    if c.dtype.kind not in "iu":
+        if c.dtype.kind != "f" or not np.isfinite(c).all() or (c != np.trunc(c)).any():
+            raise ValueError("counts must be finite integers")
+        c = c.astype(np.int64)
+    if c.min() < int(positive):
+        raise ValueError("counts must be positive" if positive else "counts must be non-negative")
+    total = int(c.sum())
+    if total < m + 1:
+        raise ValueError(f"counts total {total}, below the {m + 1} units the problem needs")
+    return c
+
+
+def standardize(dataset, counts=None) -> np.ndarray:
     """Balance columns of the standardized sample: the solver's input.
 
     Treatment and covariates are centered and scaled to unit sample variance
@@ -140,18 +169,33 @@ def standardize(dataset) -> np.ndarray:
     Zero weighted means of these columns are exactly the zero-correlation
     balance conditions.
 
+    ``counts`` gives how often each unit of one dataset is drawn, as a
+    bootstrap resample does. The matrix then has a row for each unit with a
+    positive count, in dataset order, and the centering and scaling are the
+    count-weighted mean and standard deviation over the N = sum(counts)
+    copies (denominator N-1): each row equals the rows that the resample
+    itself, with its repeats, would give.
+
     ``dataset`` may also be a sequence of B datasets that share n and K. The
     result is then the read-only B x n x (2K+1) stack of their matrices from
     one pass, each bit for bit the matrix its dataset gives alone.
 
     Raises:
         ValueError: fewer units than dual parameters plus one (n < 2K+2),
-            which leaves the balance problem underdetermined, or stacked
-            datasets of different shapes.
+            which leaves the balance problem underdetermined, stacked
+            datasets of different shapes, ``counts`` with a sequence, or
+            invalid ``counts`` (see ``check_counts``).
         ConstantColumn: if the treatment or any covariate has zero variance;
             with a sequence, for the first dataset that has one.
     """
     single = isinstance(dataset, Dataset)
+    if counts is not None:
+        if not single:
+            raise ValueError("counts apply to one dataset, not to a sequence")
+        counts = check_counts(counts, dataset.n, 2 * dataset.k + 1)
+        kept = np.flatnonzero(counts)
+        t, x = dataset.treatment[kept], dataset.covariates[kept]
+        return _balance_columns(t[None], x[None], [dataset], counts[kept])[0]
     datasets = [dataset] if single else list(dataset)
     n, k = datasets[0].n, datasets[0].k
     if any((d.n, d.k) != (n, k) for d in datasets):
@@ -171,25 +215,42 @@ def standardize(dataset) -> np.ndarray:
     return G[0] if single else G
 
 
-def _balance_columns(t, x, datasets) -> np.ndarray:
+def _balance_columns(t, x, datasets, counts=None) -> np.ndarray:
     """The (B, n, 2K+1) balance columns of a (B, n) treatment stack and a
     (B, n, K) covariate stack; ``datasets`` name a zero-variance column.
 
-    The scales are ``std(ddof=1)``'s own arithmetic, with each deviation
-    computed once: it is copied into the balance columns before it is
-    squared in place, so no n x K temporary besides it is live.
+    ``counts`` (None: one copy each) are the n rows' copy counts, which
+    weight every sum over the rows. The scales are ``std(ddof=1)``'s own
+    arithmetic, with each deviation computed once: it is copied into the
+    balance columns before it is squared in place, so no n x K temporary
+    besides it is live.
     """
     B, n, k = x.shape
+    if counts is None:
+        size = n
+
+        def total(a):
+            return np.add.reduce(a, axis=1, keepdims=True)
+
+    else:
+        size = int(counts.sum())
+        freq = counts.astype(float)
+
+        def total(a):
+            # A matrix product: several times faster than weighting the
+            # rows and reducing them.
+            return (freq @ a if a.ndim == 3 else a @ freq)[:, None]
+
     G = np.empty((B, n, 2 * k + 1))
-    t_dev = t - t.mean(axis=1, keepdims=True)
-    t_scale = np.sqrt(np.add.reduce(t_dev * t_dev, axis=1, keepdims=True) / (n - 1))
+    t_dev = t - total(t) / size
+    t_scale = np.sqrt(total(t_dev * t_dev) / (size - 1))
     x_std = G[:, :, 1 : k + 1]
-    dev = x - x.mean(axis=1, keepdims=True)
+    dev = x - total(x) / size
     x_std[...] = dev
     dev *= dev
-    x_scales = np.add.reduce(dev, axis=1, keepdims=True)
+    x_scales = total(dev)
     del dev
-    x_scales /= n - 1
+    x_scales /= size - 1
     np.sqrt(x_scales, out=x_scales)
     varies_t = t_scale[:, 0] > 0
     varies_x = x_scales[:, 0] > 0

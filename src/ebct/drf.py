@@ -225,7 +225,13 @@ def bootstrap_se(
     Resamples units with replacement and re-runs the full pipeline per
     replicate: ``estimate_weights`` with the method of the full-sample
     ``weights`` and ``truncation``, then the fit at the degree and on the
-    grid of ``fit``, which propagates weight-estimation uncertainty. Each
+    grid of ``fit``, which propagates weight-estimation uncertainty. A
+    resample that draws unit i c_i times is the frequency-weighted problem
+    on the units it drew: each replicate passes the counts to
+    ``estimate_weights`` and fits on those units alone, with each unit's
+    weight the total of its copies', so no resampled dataset is built and
+    the solve has a row per distinct unit (about 63% of n). The SEs equal
+    those of refits on the resampled datasets up to float rounding. Each
     replicate's dual solve starts at ``weights.gamma``, the untruncated
     full-sample multipliers, which saves Newton steps and moves the SEs only
     within the solver tolerance. The SE at each grid point is the sample
@@ -236,13 +242,18 @@ def bootstrap_se(
     Returns:
         ``fit`` with ``derivative_se`` and ``significant_10pct`` filled in.
     """
+    design = npoly.polyvander(dataset.treatment, fit.degree)
+    # Row g holds d/dt t^j = j t^(j-1) at grid point g for j = 1..degree.
+    slopes = npoly.polyvander(fit.grid, fit.degree - 1) * np.arange(1, fit.degree + 1)
 
     def derivatives(indices) -> np.ndarray:
-        sample = dataset.subset(indices)
-        resampled = estimate_weights(sample, weights.method_tag, truncation, weights.gamma)
-        design = npoly.polyvander(sample.treatment, fit.degree)
-        coefficients = fit_wls(sample.outcome, design, resampled.weights)
-        return npoly.polyval(fit.grid, npoly.polyder(coefficients))
+        counts = np.bincount(indices, minlength=dataset.n)
+        kept = np.flatnonzero(counts)
+        resampled = estimate_weights(
+            dataset, weights.method_tag, truncation, weights.gamma, counts=counts
+        )
+        coefficients = fit_wls(dataset.outcome[kept], design[kept], resampled.weights)
+        return slopes @ coefficients[1:]
 
     draws = bootstrap_statistic(dataset.n, derivatives, replications, seed)
     se = draws.std(axis=0, ddof=1)

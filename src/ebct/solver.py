@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .data import BalancingWeights
+from .data import BalancingWeights, check_counts
 from .errors import (
     InfeasibleConstraints,
     NonFiniteDual,
@@ -410,6 +410,7 @@ def truncate_and_rebalance(
     G: np.ndarray,
     weights: BalancingWeights,
     threshold: float,
+    counts=None,
 ) -> BalancingWeights:
     """Cap extreme weights and re-solve until no weight exceeds the threshold.
 
@@ -417,10 +418,18 @@ def truncate_and_rebalance(
     solver with the capped weights as base weights; an iterate that stopped
     at the iteration limit is capped all the same. The result still satisfies
     the balance constraints within tolerance but concentrates less mass on
-    single units, and keeps the untruncated ``gamma`` of ``weights``. Stops
-    once the maximum weight is at or below the threshold (within 1e-10); the
-    excess over the threshold shrinks geometrically, so a budget of 100
-    rounds is generous.
+    single units, and keeps the untruncated ``gamma`` of ``weights``. Its
+    ``iterations`` are the Newton steps of the untruncated solve plus those
+    of every round. Stops once the maximum weight is at or below the
+    threshold (within 1e-10); the excess over the threshold shrinks
+    geometrically, so a budget of 100 rounds is generous.
+
+    ``counts`` gives the positive number of copies of each row of ``G``, as
+    for the frequency-weighted problem of a bootstrap resample (see
+    ``standardize``). A unit's weight is then the total of its copies', so
+    row i is capped at ``counts[i] * threshold`` and the stopping rule is
+    ``w_i <= counts[i] * (threshold + 1e-10)``: the cap applies per copy,
+    and the threshold must be at least 1/N for N = sum(counts).
 
     Raises:
         ThresholdInfeasible: threshold not finite or below 1/n (no weight
@@ -428,27 +437,40 @@ def truncate_and_rebalance(
             exceeded after the round budget of re-solves.
         NotConverged: ``weights`` or a round stopped at the iteration limit;
             the first such error, carrying the capped weights.
+        ValueError: ``counts`` are invalid (see ``check_counts``) or not
+            all positive.
     """
-    check_threshold(threshold, weights.n)
+    if counts is None:
+        check_threshold(threshold, weights.n)
+        cap, limit = threshold, threshold + 1e-10
+    else:
+        counts = check_counts(counts, weights.n, _balance_matrix(G).shape[1], positive=True)
+        check_threshold(threshold, int(counts.sum()))
+        cap, limit = counts * threshold, counts * (threshold + 1e-10)
 
     failure = None if weights.converged else NotConverged(weights)
     current = weights
     rounds = 0
-    while current.max_share > threshold + 1e-10:
+    iterations = weights.iterations
+    while (current.weights > limit).any():
         if rounds == _MAX_ROUNDS:
+            share = current.weights if counts is None else current.weights / counts
             raise ThresholdInfeasible(
-                f"max weight share {current.max_share!r} still exceeds threshold "
+                f"max weight share {float(share.max())!r} still exceeds threshold "
                 f"{threshold} after {rounds} rebalancing rounds"
             )
-        capped = np.minimum(current.weights, threshold)
+        capped = np.minimum(current.weights, cap)
         capped = capped / capped.sum()
         try:
             current, _ = solve(G, base_weights=capped)
         except NotConverged as err:
             current, failure = err.weights, failure or err
+        iterations += current.iterations
         rounds += 1
     if current is not weights:
-        current = replace(current, gamma=weights.gamma, converged=failure is None)
+        current = replace(
+            current, gamma=weights.gamma, converged=failure is None, iterations=iterations
+        )
     if failure is not None:
         failure.weights = current
         raise failure

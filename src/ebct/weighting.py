@@ -7,13 +7,20 @@ from typing import Optional
 
 import numpy as np
 
-from .data import BalancingWeights, Dataset, method_name, standardize, uniform_weights
+from .data import (
+    BalancingWeights,
+    Dataset,
+    check_counts,
+    method_name,
+    standardize,
+    uniform_weights,
+)
 from .errors import NotConverged
 from .ipw import ipw_weights
 from .solver import check_threshold, solve, truncate_and_rebalance
 
 
-def cap_weights(weights: BalancingWeights, threshold: float) -> BalancingWeights:
+def cap_weights(weights: BalancingWeights, threshold: float, counts=None) -> BalancingWeights:
     """Cap weights at a threshold, renormalizing the rest in proportion.
 
     Plain capping without re-solving any constraints; used for optional IPW
@@ -21,30 +28,42 @@ def cap_weights(weights: BalancingWeights, threshold: float) -> BalancingWeights
     cap-and-renormalize, computed in closed form: the largest units sit
     exactly at the cap and the others keep their ratios. Entropy-balancing
     weights should go through ``truncate_and_rebalance`` instead so balance
-    is restored.
+    is restored. ``counts`` gives each unit's positive number of copies, as
+    in a bootstrap resample; the cap then applies per copy, so unit i is
+    capped at ``counts[i] * threshold``, and the threshold must be at least
+    1/N for N = sum(counts).
 
     Raises:
         ThresholdInfeasible: threshold not finite or below 1/n.
+        ValueError: ``counts`` are invalid or not all positive.
     """
     w = weights.weights
     n = w.size
-    check_threshold(threshold, n)
-    if w.max() <= threshold:
+    if counts is not None:
+        counts = check_counts(counts, n, 0, positive=True)
+    check_threshold(threshold, n if counts is None else int(counts.sum()))
+    share = w if counts is None else w / counts
+    if share.max() <= threshold:
         return weights
-    # Capping the k largest units scales the rest by (1 - k c) / (their sum);
-    # the smallest k that leaves the largest remaining unit at or below the
-    # cap is the fixed point.
-    order = np.argsort(-w, kind="stable")
-    desc = w[order]
-    tails = np.cumsum(desc[::-1])[::-1]
-    k = np.arange(n)
-    fits = desc * (1.0 - k * threshold) <= threshold * tails
+    # Capping the units of the k largest shares scales the rest by
+    # (1 - (their copies) c) / (their sum); the smallest k that leaves the
+    # largest remaining share at or below the cap is the fixed point. Copies
+    # of one unit pass or fail that test together.
+    order = np.argsort(-share, kind="stable")
+    ordered = w[order]
+    desc = ordered if counts is None else share[order]
+    tails = np.cumsum(ordered[::-1])[::-1]
+    if counts is None:
+        copies = np.arange(n)
+    else:
+        copies = np.concatenate(([0], np.cumsum(counts[order])[:-1]))
+    fits = desc * (1.0 - copies * threshold) <= threshold * tails
     fits[-1] = True
     capped = int(np.argmax(fits))
     out = np.empty(n)
-    out[order[:capped]] = threshold
+    out[order[:capped]] = threshold if counts is None else counts[order[:capped]] * threshold
     rest = order[capped:]
-    out[rest] = w[rest] * ((1.0 - capped * threshold) / w[rest].sum())
+    out[rest] = w[rest] * ((1.0 - copies[capped] * threshold) / w[rest].sum())
     return replace(weights, weights=out)
 
 
@@ -53,6 +72,7 @@ def estimate_weights(
     method: str,
     truncation: Optional[float] = None,
     start=None,
+    counts=None,
 ) -> BalancingWeights:
     """Estimate weights for one of the supported methods.
 
@@ -65,18 +85,34 @@ def estimate_weights(
     ``start`` gives the initial multipliers of the ebct solve (see
     ``solve``); truncation rounds re-solve on their capped base weights from
     zero. ``ipw`` and ``uniform`` solve no dual and ignore ``start``.
+
+    ``counts`` gives how often each unit is drawn, as a bootstrap resample
+    does (see ``check_counts``). The result is then the weights of that
+    resample, each unit's weight the total of its copies', over the units
+    with a positive count in dataset order: ebct solves the
+    frequency-weighted problem, with the counts as base weights, on those
+    units only, and every threshold applies per copy.
     """
     name = method_name(method)
+    drawn = None
+    if counts is not None:
+        counts = check_counts(counts, dataset.n, 2 * dataset.k + 1)
+        drawn = counts[counts > 0]
+    if name == "ipw":
+        weights = ipw_weights(dataset, counts)
+    elif name == "uniform" and drawn is None:
+        weights = uniform_weights(dataset.n)
+    elif name == "uniform":
+        weights = replace(uniform_weights(drawn.size), weights=drawn / drawn.sum())
     if name != "ebct":
-        weights = ipw_weights(dataset) if name == "ipw" else uniform_weights(dataset.n)
-        return weights if truncation is None else cap_weights(weights, truncation)
-    G = standardize(dataset)
+        return weights if truncation is None else cap_weights(weights, truncation, drawn)
+    G = standardize(dataset, counts)
     try:
-        weights, _ = solve(G, start=start)
+        weights, _ = solve(G, base_weights=drawn, start=start)
     except NotConverged as err:
         if truncation is None:
             raise
         weights = err.weights  # truncate_and_rebalance raises it again
     if truncation is not None:
-        weights = truncate_and_rebalance(G, weights, truncation)
+        weights = truncate_and_rebalance(G, weights, truncation, drawn)
     return weights

@@ -151,6 +151,19 @@ class TestBalanceCommand:
         assert report["weighted"]["max_weight_share"] <= 0.04 + 1e-6
         assert report["weighted"]["max_abs_correlation"] < 1e-6
 
+    def test_truncated_iterations_count_every_round(self, tmp_path):
+        # The report counts the Newton steps of the untruncated solve and of
+        # every rebalancing round, not only those of the last round.
+        reports = {}
+        for name, extra in (("plain", ()), ("capped", ("--truncate", "0.03"))):
+            (tmp_path / name).mkdir()
+            code, out = self.run_balance(tmp_path / name, *extra)
+            assert code == 0
+            reports[name] = load_json(out / "balance_report.json")
+        assert reports["plain"]["weighted"]["max_weight_share"] > 0.03
+        assert reports["capped"]["weighted"]["max_weight_share"] <= 0.03 + 1e-10
+        assert reports["capped"]["iterations"] >= reports["plain"]["iterations"] > 0
+
     @pytest.mark.parametrize(
         "command, method",
         [("balance", "uniform"), ("balance", "ipw"), ("balance", "ebct"), ("drf", "uniform")],
@@ -507,19 +520,18 @@ class TestDrfCommand:
         self, tmp_path, monkeypatch, capsys
     ):
         # The full-sample solve stops after one Newton step; the resamples
-        # solve normally. Only the full sample has every unit once, in order.
+        # solve normally. Only the full sample comes without copy counts.
         from unittest import mock
 
         from ebct import estimate_weights, solve, solver, standardize
 
         data = write_simulated_csv(tmp_path / "data.csv")
-        full_ids = read_csv(data, "T", COVARIATES.split(","), "Y").unit_ids
 
-        def one_step_on_full_sample(dataset, method, truncation=None, start=None):
-            if dataset.unit_ids == full_ids:
+        def one_step_on_full_sample(dataset, method, truncation=None, start=None, counts=None):
+            if counts is None:
                 with mock.patch.object(solver, "_MAX_ITERATIONS", 1):
                     return solve(standardize(dataset))[0]  # raises NotConverged
-            return estimate_weights(dataset, method, truncation=truncation, start=start)
+            return estimate_weights(dataset, method, truncation, start, counts=counts)
 
         monkeypatch.setattr(cli, "estimate_weights", one_step_on_full_sample)
         monkeypatch.setattr(drf, "estimate_weights", one_step_on_full_sample)

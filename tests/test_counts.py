@@ -1,0 +1,265 @@
+"""Bootstrap resamples as frequency-weighted problems on the drawn units.
+
+A resample that draws unit i c_i times is the same problem as its n rows
+with repeats. The oracle is ``Dataset.subset``, which builds those rows:
+each counts path must give, per drawn unit, what the resample gives summed
+over that unit's copies, up to the order in which floats are summed.
+"""
+
+import warnings
+
+import numpy as np
+import numpy.testing as npt
+import pytest
+
+import ebct.drf as drf
+from ebct import Dataset, bootstrap_se, estimate_drf, estimate_weights, solve, standardize
+from ebct import truncate_and_rebalance
+from ebct.drf import default_grid
+from ebct.errors import ConstantColumn, EbctError, ExtrapolationWarning, ThresholdInfeasible
+from ebct.ipw import ipw_weights
+from ebct.simulation import gen_covariates, gen_outcome, gen_treatment, replication_rng
+
+
+def drf_dataset(n=120):
+    rng = replication_rng(77, 3)
+    x = gen_covariates(n, rng)
+    t = gen_treatment(x, 4.0, rng)
+    y = gen_outcome(x, t, 1.0, rng)
+    return Dataset(treatment=t, covariates=x, outcome=y)
+
+
+def draw(n, attempt, seed=13):
+    """The indices ``bootstrap_statistic`` draws at this attempt."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(attempt,)))
+    return rng.integers(0, n, size=n)
+
+
+def outcome(call, *args, **kwargs):
+    """The result of ``call``, or the class of the pipeline error it raises."""
+    try:
+        return call(*args, **kwargs)
+    except EbctError as err:
+        return type(err)
+
+
+def per_unit(indices, copy_weights, n):
+    """The resample's weights summed over each drawn unit's copies."""
+    counts = np.bincount(indices, minlength=n)
+    return np.bincount(indices, weights=copy_weights, minlength=n)[counts > 0]
+
+
+class TestStandardize:
+
+    @pytest.mark.parametrize("attempt", range(5))
+    def test_rows_match_the_resample(self, attempt):
+        ds = drf_dataset()
+        indices = draw(ds.n, attempt)
+        counts = np.bincount(indices, minlength=ds.n)
+        assert counts.max() > 1
+        # Sorted indices put the copies of each unit together, in dataset
+        # order; the first copy of each is its row.
+        ordered = np.sort(indices)
+        _, first = np.unique(ordered, return_index=True)
+        expected = standardize(ds.subset(ordered))[first]
+        G = standardize(ds, counts)
+        assert G.shape == (np.count_nonzero(counts), 2 * ds.k + 1)
+        assert not G.flags.writeable
+        npt.assert_allclose(G, expected, rtol=0, atol=1e-13)
+
+    def test_one_copy_each_is_the_sample(self):
+        ds = drf_dataset()
+        npt.assert_allclose(standardize(ds, np.ones(ds.n, dtype=int)), standardize(ds), atol=1e-14)
+
+    def test_counts_need_one_dataset(self):
+        ds = drf_dataset()
+        with pytest.raises(ValueError, match="one dataset"):
+            standardize([ds, ds], np.ones(ds.n, dtype=int))
+
+
+class TestEstimateWeights:
+
+    @pytest.mark.parametrize(
+        "method, truncation",
+        [("ebct", None), ("ebct", 0.03), ("ipw", None), ("ipw", 0.02), ("uniform", None)],
+    )
+    def test_weights_are_the_resample_summed_per_unit(self, method, truncation):
+        ds = drf_dataset()
+        full = estimate_weights(ds, method)
+        binding = 0
+        for attempt in range(8):
+            indices = draw(ds.n, attempt)
+            counts = np.bincount(indices, minlength=ds.n)
+            sample = ds.subset(indices)
+            expected = outcome(estimate_weights, sample, method, truncation, full.gamma)
+            got = outcome(estimate_weights, ds, method, truncation, full.gamma, counts=counts)
+            if isinstance(expected, type):
+                # A cap too tight for this draw fails both ways alike.
+                assert got is expected
+                continue
+            npt.assert_allclose(
+                got.weights, per_unit(indices, expected.weights, ds.n), rtol=1e-12, atol=0
+            )
+            assert got.method_tag == expected.method_tag
+            assert got.converged == expected.converged
+            if truncation is not None:
+                untruncated = estimate_weights(sample, method, None, full.gamma)
+                binding += untruncated.max_share > truncation
+                per_copy = got.weights / counts[counts > 0]
+                assert per_copy.max() <= truncation + 1e-10
+        # The cap must bind on some draws, or the per-copy rule goes untested.
+        assert truncation is None or binding > 0
+
+    def test_ipw_matches_the_resample_directly(self):
+        ds = drf_dataset()
+        indices = draw(ds.n, 0)
+        counts = np.bincount(indices, minlength=ds.n)
+        npt.assert_allclose(
+            ipw_weights(ds, counts).weights,
+            per_unit(indices, ipw_weights(ds.subset(indices)).weights, ds.n),
+            rtol=1e-12,
+            atol=0,
+        )
+
+    def test_truncation_rounds_match_the_resample(self):
+        ds = drf_dataset()
+        # This draw's largest weight share is 0.051, and the rounds reach a
+        # cap of 0.04 within their budget.
+        indices = draw(ds.n, 5)
+        counts = np.bincount(indices, minlength=ds.n)
+        kept = counts[counts > 0]
+        G_sample = standardize(ds.subset(indices))
+        sample_weights, _ = solve(G_sample)
+        G = standardize(ds, counts)
+        weights, _ = solve(G, base_weights=kept)
+        threshold = 0.04
+        assert sample_weights.max_share > threshold
+        expected = truncate_and_rebalance(G_sample, sample_weights, threshold)
+        got = truncate_and_rebalance(G, weights, threshold, kept)
+        npt.assert_allclose(
+            got.weights, per_unit(indices, expected.weights, ds.n), rtol=1e-12, atol=0
+        )
+        assert got.iterations > weights.iterations
+
+
+def rare_binary_dataset():
+    """n=30 with a binary covariate that only two units have; about one
+    resample in eight draws neither, which leaves the covariate constant."""
+    rng = np.random.default_rng(5)
+    n = 30
+    x = np.column_stack([rng.standard_normal(n), np.zeros(n)])
+    x[[3, 17], 1] = 1.0
+    t = 0.5 * x[:, 0] + rng.standard_normal(n)
+    y = t + x[:, 0] + rng.standard_normal(n)
+    return Dataset(treatment=t, covariates=x, outcome=y, column_names=("T", "X1", "rare", "Y"))
+
+
+class TestConstantColumn:
+
+    def test_a_draw_without_the_rare_units_names_the_column(self):
+        ds = rare_binary_dataset()
+        attempt = next(a for a in range(100) if not np.isin([3, 17], draw(ds.n, a)).any())
+        indices = draw(ds.n, attempt)
+        counts = np.bincount(indices, minlength=ds.n)
+        with pytest.raises(ConstantColumn, match="rare"):
+            standardize(ds.subset(indices))
+        with pytest.raises(ConstantColumn, match="rare"):
+            standardize(ds, counts)
+        with pytest.raises(ConstantColumn, match="rare"):
+            estimate_weights(ds, "ebct", counts=counts)
+
+    def test_bootstrap_redraws_where_the_resample_fails(self, monkeypatch):
+        ds = rare_binary_dataset()
+        weights = estimate_weights(ds, "ebct")
+        fit = estimate_drf(ds, weights, degree=1, grid=default_grid(ds.treatment, 5))
+        replications, seed = 20, 13
+        rows, failed, attempt = [], [], 0
+        while len(rows) < replications:
+            sample = ds.subset(draw(ds.n, attempt, seed))
+            try:
+                resampled = estimate_weights(sample, "ebct", None, weights.gamma)
+            except EbctError:
+                failed.append(attempt)
+                attempt += 1
+                continue
+            attempt += 1
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ExtrapolationWarning)
+                rows.append(estimate_drf(sample, resampled, fit.degree, fit.grid).drf_derivatives)
+        assert failed
+
+        seen = []
+        statistic_of = drf.bootstrap_statistic
+
+        def recording(n_units, statistic, *args):
+            def counted(indices):
+                attempt = len(seen)
+                seen.append(attempt)
+                try:
+                    return statistic(indices)
+                except EbctError:
+                    seen[attempt] = -1
+                    raise
+
+            return statistic_of(n_units, counted, *args)
+
+        monkeypatch.setattr(drf, "bootstrap_statistic", recording)
+        result = bootstrap_se(fit, ds, weights, None, replications, seed)
+        assert [a for a, mark in enumerate(seen) if mark < 0] == failed
+        npt.assert_allclose(result.derivative_se, np.std(rows, axis=0, ddof=1), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        (np.ones(119, dtype=int), "shape"),
+        (np.r_[-1, 2, np.ones(118, dtype=int)], "non-negative"),
+        (np.full(120, 1.5), "integers"),
+        (np.r_[np.nan, np.ones(119)], "integers"),
+        (np.r_[np.ones(21, dtype=int), np.zeros(99, dtype=int)], "below the 22 units"),
+        (np.array(["1"] * 120), "integers"),
+    ],
+    ids=["length", "negative", "fraction", "nan", "total", "strings"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ds, c: standardize(ds, c),
+        lambda ds, c: estimate_weights(ds, "ebct", counts=c),
+        lambda ds, c: estimate_weights(ds, "uniform", counts=c),
+        lambda ds, c: ipw_weights(ds, c),
+    ],
+    ids=["standardize", "estimate_weights", "uniform", "ipw_weights"],
+)
+def test_invalid_counts_rejected(call, counts, message):
+    with pytest.raises(ValueError, match=message):
+        call(drf_dataset(), counts)
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [(np.ones(119, dtype=int), "shape"), (np.r_[0, np.full(119, 2)], "positive")],
+    ids=["length", "zero"],
+)
+def test_truncation_counts_follow_the_rows(counts, message):
+    ds = drf_dataset()
+    G = standardize(ds)
+    weights, _ = solve(G)
+    with pytest.raises(ValueError, match=message):
+        truncate_and_rebalance(G, weights, 0.03, counts)
+
+
+@pytest.mark.parametrize("method", ["ebct", "ipw", "uniform"])
+def test_threshold_is_checked_per_copy(method):
+    # A resample has N = n copies, so a cap of at least 1/N fits even when
+    # fewer distinct units than 1/cap were drawn.
+    ds = drf_dataset()
+    counts = np.bincount(draw(ds.n, 0), minlength=ds.n)
+    kept = counts[counts > 0]
+    with pytest.raises(ThresholdInfeasible, match="below 1/n"):
+        estimate_weights(ds, method, truncation=1.0 / (ds.n + 10), counts=counts)
+    threshold = 1.0 / (ds.n - 20)
+    assert threshold < 1.0 / kept.size
+    if method != "ebct":  # rebalancing this close to uniform exhausts the rounds
+        weights = estimate_weights(ds, method, truncation=threshold, counts=counts)
+        assert (weights.weights / kept).max() <= threshold * (1 + 1e-12)

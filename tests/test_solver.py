@@ -568,6 +568,21 @@ class TestTruncateAndRebalance:
         assert result.converged and result.max_share <= 0.04 + 1e-10 < weights.max_share
         assert result.gamma.tobytes() == weights.gamma.tobytes()
 
+    def test_iterations_total_the_solve_and_every_round(self, monkeypatch):
+        G = self.heavy_instance()
+        weights, _ = solve(G)
+        rounds = []
+
+        def recording(G, base_weights):
+            result = solve(G, base_weights=base_weights)
+            rounds.append(result[0].iterations)
+            return result
+
+        monkeypatch.setattr(solver, "solve", recording)
+        result = truncate_and_rebalance(G, weights, threshold=0.04)
+        assert len(rounds) > 1 and sum(rounds) > 0
+        assert result.iterations == weights.iterations + sum(rounds)
+
     def test_unconverged_input_is_capped_then_reraised(self, monkeypatch):
         G = self.heavy_instance()
         monkeypatch.setattr(solver, "_MAX_ITERATIONS", 2)
