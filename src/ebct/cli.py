@@ -267,8 +267,12 @@ def cmd_drf(args) -> int:
     """Fit the dose-response polynomial and write drf.csv plus a sidecar."""
     if not args.outcome_col:
         raise MissingColumn("<outcome>")
+    if args.degree < 1:
+        raise ValueError(f"--degree must be at least 1, got {args.degree}")
     if args.bootstrap < 0:
         raise ValueError(f"--bootstrap must be non-negative, got {args.bootstrap}")
+    if args.bootstrap == 1:
+        raise ValueError("--bootstrap must be 0 or at least 2, got 1")
     dataset = _read_input(args)
     grid = default_grid(dataset.treatment, args.grid_points)
     csv_path, meta_path = _prepare_outputs(Path(args.out), ["drf.csv", "drf.json"], args.force)
@@ -296,14 +300,16 @@ def cmd_drf(args) -> int:
 
 
 def _simulation_jobs(args) -> int:
-    """Worker count: ``--jobs``, else $EBCT_JOBS, else 1."""
-    if args.jobs is not None:
-        return args.jobs
-    value = os.environ.get("EBCT_JOBS", "1")
+    """Worker count of at least 1: ``--jobs``, else $EBCT_JOBS, else 1."""
+    source = "--jobs" if args.jobs is not None else "EBCT_JOBS"
+    value = args.jobs if args.jobs is not None else os.environ.get("EBCT_JOBS", "1")
     try:
-        return int(value)
+        jobs = int(value)
     except ValueError:
-        raise ValueError(f"EBCT_JOBS must be an integer, got {value!r}") from None
+        raise ValueError(f"{source} must be an integer, got {value!r}") from None
+    if jobs < 1:
+        raise ValueError(f"{source} must be at least 1, got {jobs}")
+    return jobs
 
 
 def cmd_simulate(args) -> int:

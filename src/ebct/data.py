@@ -136,7 +136,8 @@ def check_counts(counts, n: int, m: int, positive: bool = False) -> np.ndarray:
     A bootstrap resample with counts c, where unit i is drawn c_i times,
     is a frequency-weighted problem on the units with c_i > 0. Returns the
     counts as an integer array. ``positive`` requires every count to be
-    positive, for rows that are already restricted to the drawn units.
+    positive, for rows that are already restricted to the drawn units. No
+    counts means one copy of each unit, a zero-stride view of ones.
 
     Raises:
         ValueError: ``counts`` is not a length-n vector of finite,
@@ -144,6 +145,9 @@ def check_counts(counts, n: int, m: int, positive: bool = False) -> np.ndarray:
             their total N is below m + 1 (the 2K+2 units an m = 2K+1
             balance problem needs).
     """
+    if counts is None:
+        # np.broadcast_to(np.int64(1), (n,)) at a fifth of its cost.
+        return np.ndarray((n,), np.int64, np.int64(1), strides=(0,))
     c = np.asarray(counts)
     if c.shape != (n,):
         raise ValueError(f"counts have shape {c.shape}, expected ({n},)")
@@ -170,11 +174,11 @@ def standardize(dataset, counts=None) -> np.ndarray:
     balance conditions.
 
     ``counts`` gives how often each unit of one dataset is drawn, as a
-    bootstrap resample does. The matrix then has a row for each unit with a
-    positive count, in dataset order, and the centering and scaling are the
-    count-weighted mean and standard deviation over the N = sum(counts)
-    copies (denominator N-1): each row equals the rows that the resample
-    itself, with its repeats, would give.
+    bootstrap resample does; no counts means one copy of each unit. The
+    matrix has a row for each unit with a positive count, in dataset order,
+    and the centering and scaling are the count-weighted mean and standard
+    deviation over the N = sum(counts) copies (denominator N-1): each row
+    equals the rows that the resample itself, with its repeats, would give.
 
     ``dataset`` may also be a sequence of B datasets that share n and K. The
     result is then the read-only B x n x (2K+1) stack of their matrices from
@@ -189,29 +193,29 @@ def standardize(dataset, counts=None) -> np.ndarray:
             with a sequence, for the first dataset that has one.
     """
     single = isinstance(dataset, Dataset)
-    if counts is not None:
-        if not single:
-            raise ValueError("counts apply to one dataset, not to a sequence")
-        counts = check_counts(counts, dataset.n, 2 * dataset.k + 1)
-        kept = np.flatnonzero(counts)
-        t, x = dataset.treatment[kept], dataset.covariates[kept]
-        return _balance_columns(t[None], x[None], [dataset], counts[kept])[0]
     datasets = [dataset] if single else list(dataset)
     n, k = datasets[0].n, datasets[0].k
     if any((d.n, d.k) != (n, k) for d in datasets):
         raise ValueError("stacked datasets must share n and K")
-    if n < 2 * k + 2:
+    if counts is not None:
+        if not single:
+            raise ValueError("counts apply to one dataset, not to a sequence")
+        counts = check_counts(counts, n, 2 * k + 1)
+        kept = np.flatnonzero(counts)
+        t, x = dataset.treatment[kept][None], dataset.covariates[kept][None]
+        counts = counts[kept]
+    elif n < 2 * k + 2:
         raise ValueError(
             f"need at least 2K+2 = {2 * k + 2} units for K={k} covariates, got {n}"
         )
-    if single:
+    elif single:
         # Views, not copies: at large n a copy of the covariates would raise
         # the peak memory of a one-dataset call.
         t, x = dataset.treatment[None], dataset.covariates[None]
     else:
         t = np.stack([d.treatment for d in datasets])
         x = np.stack([d.covariates for d in datasets])
-    G = _balance_columns(t, x, datasets)
+    G = _balance_columns(t, x, datasets, counts)
     return G[0] if single else G
 
 

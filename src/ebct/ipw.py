@@ -35,10 +35,10 @@ def ipw_weights(dataset: Dataset, counts=None) -> BalancingWeights:
     underflow to zero weights.
 
     ``counts`` gives how often each unit is drawn, as a bootstrap resample
-    does (see ``check_counts``). The weights are then those of the resample
-    with its repeats, summed per unit, over the units with a positive count
-    in dataset order: the OLS fit is count-weighted (on rows scaled by the
-    square roots of the counts, with the rank tolerance of N = sum(counts)
+    does (see ``check_counts``); no counts means one copy of each unit. The
+    weights are the resample's, summed per unit, over the units with a
+    positive count in dataset order: the OLS fit is count-weighted (rows
+    scaled by the counts' square roots, rank tolerance of N = sum(counts)
     rows), and the means and scales are count-weighted over N copies.
 
     Raises:
@@ -47,36 +47,28 @@ def ipw_weights(dataset: Dataset, counts=None) -> BalancingWeights:
         DegenerateResidual: a (near-) perfect fit leaves no residual scale.
         ValueError: ``counts`` are invalid.
     """
-    t = dataset.treatment
-    x = dataset.covariates
-    n, k = dataset.n, dataset.k
-    if counts is not None:
-        counts = check_counts(counts, n, 2 * k + 1)
-        kept = np.flatnonzero(counts)
-        t, x, freq, n = t[kept], x[kept], counts[kept].astype(float), int(counts.sum())
+    k = dataset.k
+    counts = check_counts(counts, dataset.n, 2 * k + 1)
+    # Gather only when a unit was not drawn: the full sample is read in place.
+    kept = slice(None) if counts.all() else np.flatnonzero(counts)
+    t, x = dataset.treatment[kept], dataset.covariates[kept]
+    freq, n = counts[kept].astype(float), int(counts.sum())
     design = np.column_stack([np.ones(t.size), x])
-    if counts is None:
-        # rcond=None counts singular values above eps * max(n, K+1) * s_max,
-        # the tolerance matrix_rank uses, so the one SVD serves both the fit
-        # and the rank check.
-        beta, _, rank, _ = np.linalg.lstsq(design, t, rcond=None)
-    else:
-        # The scaled rows have the Gram matrix of the n copies, and the
-        # tolerance is the one lstsq gives the copies themselves.
-        root = np.sqrt(freq)
-        rcond = np.finfo(float).eps * max(n, k + 1)
-        beta, _, rank, _ = np.linalg.lstsq(design * root[:, None], t * root, rcond=rcond)
+    # The scaled rows have the Gram matrix of the N copies, and rcond is the
+    # tolerance that lstsq's rcond=None and matrix_rank give the copies, so
+    # the one SVD serves both the fit and the rank check.
+    root = np.sqrt(freq)
+    rcond = np.finfo(float).eps * max(n, k + 1)
+    beta, _, rank, _ = np.linalg.lstsq(design * root[:, None], t * root, rcond=rcond)
     if rank < k + 1:
         raise RankDeficientDesign("design matrix [1 | X] is rank deficient")
     residuals = t - design @ beta
-    if counts is None:
-        rss, mean, marginal_sigma = residuals @ residuals, float(t.mean()), float(t.std(ddof=1))
-    else:
-        mean = float(freq @ t) / n
-        dev = t - mean
-        rss = freq @ (residuals * residuals)
-        marginal_sigma = float(np.sqrt(freq @ (dev * dev) / (n - 1)))
-    sigma = float(np.sqrt(rss / (n - k - 1)))
+    # Each sum is taken the way mean, std(ddof=1) and r @ r take it, so with
+    # one copy each these are the sample's own moments bit for bit.
+    mean = float((freq * t).sum()) / n
+    dev = t - mean
+    marginal_sigma = float(np.sqrt((freq * dev * dev).sum() / (n - 1)))
+    sigma = float(np.sqrt((residuals * freq) @ residuals / (n - k - 1)))
 
     if not marginal_sigma > 0:
         raise ConstantColumn(dataset.treatment_name)
@@ -87,8 +79,7 @@ def ipw_weights(dataset: Dataset, counts=None) -> BalancingWeights:
     log_ratio = _normal_logpdf(t, mean, marginal_sigma)
     log_ratio -= _normal_logpdf(t, beta[0] + x @ beta[1:], sigma)
     shifted = np.exp(log_ratio - log_ratio.max())
-    if counts is not None:
-        shifted *= freq
+    shifted *= freq
     weights = shifted / shifted.sum()
     return BalancingWeights(
         weights=weights,

@@ -426,40 +426,40 @@ def truncate_and_rebalance(
 
     ``counts`` gives the positive number of copies of each row of ``G``, as
     for the frequency-weighted problem of a bootstrap resample (see
-    ``standardize``). A unit's weight is then the total of its copies', so
-    row i is capped at ``counts[i] * threshold`` and the stopping rule is
-    ``w_i <= counts[i] * (threshold + 1e-10)``: the cap applies per copy,
-    and the threshold must be at least 1/N for N = sum(counts).
+    ``standardize``); no counts means one copy of each row. Row i is capped
+    at ``counts[i] * threshold`` until ``w_i <= counts[i] * (threshold +
+    1e-10)``: a unit's weight is the total of its copies', so the cap
+    applies per copy, and the threshold must be at least 1/sum(counts).
 
     Raises:
-        ThresholdInfeasible: threshold not finite or below 1/n (no weight
-            vector summing to one can satisfy the cap), or the cap is still
-            exceeded after the round budget of re-solves.
+        ThresholdInfeasible: threshold not finite or below 1/sum(counts) (no
+            weight vector summing to one can satisfy the cap), or the cap is
+            still exceeded after the round budget of re-solves.
         NotConverged: ``weights`` or a round stopped at the iteration limit;
             the first such error, carrying the capped weights.
-        ValueError: ``counts`` are invalid (see ``check_counts``) or not
-            all positive.
+        ValueError: ``weights`` and ``G`` differ in their number of units,
+            or ``counts`` are invalid (see ``check_counts``) or not positive.
     """
-    if counts is None:
-        check_threshold(threshold, weights.n)
-        cap, limit = threshold, threshold + 1e-10
-    else:
-        counts = check_counts(counts, weights.n, _balance_matrix(G).shape[1], positive=True)
-        check_threshold(threshold, int(counts.sum()))
-        cap, limit = counts * threshold, counts * (threshold + 1e-10)
+    G = _balance_matrix(G)
+    if weights.n != G.shape[0]:
+        raise ValueError(f"weights have length {weights.n}, but G has {G.shape[0]} rows")
+    counts = check_counts(counts, weights.n, G.shape[1], positive=True)
+    check_threshold(threshold, int(counts.sum()))
 
     failure = None if weights.converged else NotConverged(weights)
     current = weights
     rounds = 0
     iterations = weights.iterations
-    while (current.weights > limit).any():
+    # The caps are recomputed per round, not kept: at large n an n-vector
+    # alive through every re-solve would raise the peak memory.
+    while (current.weights > counts * (threshold + 1e-10)).any():
         if rounds == _MAX_ROUNDS:
-            share = current.weights if counts is None else current.weights / counts
+            share = float((current.weights / counts).max())
             raise ThresholdInfeasible(
-                f"max weight share {float(share.max())!r} still exceeds threshold "
+                f"max weight share {share!r} still exceeds threshold "
                 f"{threshold} after {rounds} rebalancing rounds"
             )
-        capped = np.minimum(current.weights, cap)
+        capped = np.minimum(current.weights, counts * threshold)
         capped = capped / capped.sum()
         try:
             current, _ = solve(G, base_weights=capped)

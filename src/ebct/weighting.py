@@ -7,14 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import (
-    BalancingWeights,
-    Dataset,
-    check_counts,
-    method_name,
-    standardize,
-    uniform_weights,
-)
+from .data import BalancingWeights, Dataset, check_counts, method_name, standardize
 from .errors import NotConverged
 from .ipw import ipw_weights
 from .solver import check_threshold, solve, truncate_and_rebalance
@@ -29,20 +22,18 @@ def cap_weights(weights: BalancingWeights, threshold: float, counts=None) -> Bal
     exactly at the cap and the others keep their ratios. Entropy-balancing
     weights should go through ``truncate_and_rebalance`` instead so balance
     is restored. ``counts`` gives each unit's positive number of copies, as
-    in a bootstrap resample; the cap then applies per copy, so unit i is
-    capped at ``counts[i] * threshold``, and the threshold must be at least
-    1/N for N = sum(counts).
+    in a bootstrap resample; no counts means one copy of each unit. The cap
+    applies per copy, so unit i is capped at ``counts[i] * threshold``, and
+    the threshold must be at least 1/N for N = sum(counts).
 
     Raises:
-        ThresholdInfeasible: threshold not finite or below 1/n.
+        ThresholdInfeasible: threshold not finite or below 1/N.
         ValueError: ``counts`` are invalid or not all positive.
     """
     w = weights.weights
-    n = w.size
-    if counts is not None:
-        counts = check_counts(counts, n, 0, positive=True)
-    check_threshold(threshold, n if counts is None else int(counts.sum()))
-    share = w if counts is None else w / counts
+    counts = check_counts(counts, w.size, 0, positive=True)
+    check_threshold(threshold, int(counts.sum()))
+    share = w / counts
     if share.max() <= threshold:
         return weights
     # Capping the units of the k largest shares scales the rest by
@@ -50,18 +41,13 @@ def cap_weights(weights: BalancingWeights, threshold: float, counts=None) -> Bal
     # largest remaining share at or below the cap is the fixed point. Copies
     # of one unit pass or fail that test together.
     order = np.argsort(-share, kind="stable")
-    ordered = w[order]
-    desc = ordered if counts is None else share[order]
-    tails = np.cumsum(ordered[::-1])[::-1]
-    if counts is None:
-        copies = np.arange(n)
-    else:
-        copies = np.concatenate(([0], np.cumsum(counts[order])[:-1]))
-    fits = desc * (1.0 - copies * threshold) <= threshold * tails
+    tails = np.cumsum(w[order][::-1])[::-1]
+    copies = np.concatenate(([0], np.cumsum(counts[order])[:-1]))
+    fits = share[order] * (1.0 - copies * threshold) <= threshold * tails
     fits[-1] = True
     capped = int(np.argmax(fits))
-    out = np.empty(n)
-    out[order[:capped]] = threshold if counts is None else counts[order[:capped]] * threshold
+    out = np.empty(w.size)
+    out[order[:capped]] = counts[order[:capped]] * threshold
     rest = order[capped:]
     out[rest] = w[rest] * ((1.0 - copies[capped] * threshold) / w[rest].sum())
     return replace(weights, weights=out)
@@ -87,28 +73,34 @@ def estimate_weights(
     zero. ``ipw`` and ``uniform`` solve no dual and ignore ``start``.
 
     ``counts`` gives how often each unit is drawn, as a bootstrap resample
-    does (see ``check_counts``). The result is then the weights of that
-    resample, each unit's weight the total of its copies', over the units
-    with a positive count in dataset order: ebct solves the
-    frequency-weighted problem, with the counts as base weights, on those
-    units only, and every threshold applies per copy.
+    does (see ``check_counts``); no counts means one copy of each unit. The
+    result is the weights of that resample, each unit's weight the total of
+    its copies', over the units with a positive count in dataset order:
+    ebct solves the frequency-weighted problem, with the counts as base
+    weights, on those units only, and every threshold applies per copy.
     """
     name = method_name(method)
-    drawn = None
-    if counts is not None:
-        counts = check_counts(counts, dataset.n, 2 * dataset.k + 1)
-        drawn = counts[counts > 0]
+    drawn = check_counts(counts, dataset.n, 2 * dataset.k + 1)
+    # Gather only when a unit was not drawn: no counts stay a zero-stride view.
+    drawn = drawn if drawn.all() else drawn[drawn > 0]
     if name == "ipw":
         weights = ipw_weights(dataset, counts)
-    elif name == "uniform" and drawn is None:
-        weights = uniform_weights(dataset.n)
     elif name == "uniform":
-        weights = replace(uniform_weights(drawn.size), weights=drawn / drawn.sum())
+        weights = BalancingWeights(
+            weights=drawn / drawn.sum(),
+            gamma=np.empty(0),
+            converged=True,
+            iterations=0,
+            final_gradient_norm=0.0,
+            method_tag="uniform",
+        )
     if name != "ebct":
         return weights if truncation is None else cap_weights(weights, truncation, drawn)
     G = standardize(dataset, counts)
     try:
-        weights, _ = solve(G, base_weights=drawn, start=start)
+        # The full sample keeps the solver's own uniform base weights:
+        # full(n, 1/n) normalized is not bit for bit ones / n.
+        weights, _ = solve(G, base_weights=None if counts is None else drawn, start=start)
     except NotConverged as err:
         if truncation is None:
             raise

@@ -400,10 +400,18 @@ class TestDrfCommand:
         [
             ("--grid-points", "0", "grid points must be at least 1, got 0"),
             ("--bootstrap", "-2", "--bootstrap must be non-negative, got -2"),
+            ("--bootstrap", "1", "--bootstrap must be 0 or at least 2, got 1"),
+            ("--degree", "0", "--degree must be at least 1, got 0"),
+            ("--degree", "-2", "--degree must be at least 1, got -2"),
         ],
-        ids=["grid-points", "bootstrap"],
+        ids=["grid-points", "bootstrap", "bootstrap-1", "degree-0", "degree-negative"],
     )
-    def test_bad_counts_are_input_errors(self, tmp_path, capsys, flag, value, message):
+    def test_bad_counts_are_input_errors(self, tmp_path, capsys, monkeypatch, flag, value,
+                                         message):
+        def unreachable(*args, **kwargs):
+            pytest.fail("the weights were estimated before the settings were checked")
+
+        monkeypatch.setattr(cli, "estimate_weights", unreachable)
         data = write_simulated_csv(tmp_path / "data.csv")
         out = tmp_path / "out"
         argv = [
@@ -762,6 +770,24 @@ class TestJobsEnvironment:
         assert self.run_simulate(tmp_path, monkeypatch, "--jobs", "2") == (0, [2])
         monkeypatch.delenv("EBCT_JOBS")
         assert self.run_simulate(tmp_path, monkeypatch) == (0, [1])
+
+    @pytest.mark.parametrize(
+        "env, extra, message",
+        [
+            (None, ("--jobs", "-3"), "--jobs must be at least 1, got -3"),
+            (None, ("--jobs", "0"), "--jobs must be at least 1, got 0"),
+            ("0", (), "EBCT_JOBS must be at least 1, got 0"),
+            ("-1", (), "EBCT_JOBS must be at least 1, got -1"),
+        ],
+        ids=["jobs-negative", "jobs-zero", "env-zero", "env-negative"],
+    )
+    def test_jobs_below_one_are_input_errors(self, tmp_path, monkeypatch, capsys, env, extra,
+                                             message):
+        if env is not None:
+            monkeypatch.setenv("EBCT_JOBS", env)
+        assert self.run_simulate(tmp_path, monkeypatch, *extra) == (1, [])
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(tmp_path.iterdir())
 
     def test_malformed_env_var_is_an_input_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("EBCT_JOBS", "two")

@@ -18,7 +18,9 @@ from ebct import truncate_and_rebalance
 from ebct.drf import default_grid
 from ebct.errors import ConstantColumn, EbctError, ExtrapolationWarning, ThresholdInfeasible
 from ebct.ipw import ipw_weights
+from ebct.data import check_counts
 from ebct.simulation import gen_covariates, gen_outcome, gen_treatment, replication_rng
+from ebct.weighting import cap_weights
 
 
 def drf_dataset(n=120):
@@ -140,6 +142,56 @@ class TestEstimateWeights:
             got.weights, per_unit(indices, expected.weights, ds.n), rtol=1e-12, atol=0
         )
         assert got.iterations > weights.iterations
+
+
+class TestOneCopyEach:
+    """All-ones counts are no counts, bit for bit: one body serves both.
+
+    ``standardize`` is left out: it sums an uncounted sample pairwise and a
+    counted one by a matrix product, which round differently.
+    """
+
+    def test_no_counts_are_a_view_of_one(self):
+        ones = check_counts(None, 100_000, 21)
+        assert ones.strides == (0,) and not ones.flags.writeable
+        assert np.array_equal(ones, np.ones(100_000, dtype=np.int64))
+
+    def assert_same(self, got, expected):
+        assert np.array_equal(got.weights, expected.weights)
+        assert got.iterations == expected.iterations
+        assert got.converged == expected.converged
+
+    def test_cap_weights(self):
+        ds = drf_dataset()
+        weights = ipw_weights(ds)
+        threshold = 0.02
+        assert weights.max_share > threshold
+        ones = np.ones(ds.n, dtype=int)
+        self.assert_same(
+            cap_weights(weights, threshold, ones), cap_weights(weights, threshold)
+        )
+
+    def test_truncate_and_rebalance(self):
+        ds = drf_dataset()
+        G = standardize(ds)
+        weights, _ = solve(G)
+        threshold = 0.03
+        assert weights.max_share > threshold
+        got = truncate_and_rebalance(G, weights, threshold, np.ones(ds.n, dtype=int))
+        expected = truncate_and_rebalance(G, weights, threshold)
+        assert expected.iterations > weights.iterations
+        self.assert_same(got, expected)
+
+    def test_ipw_weights(self):
+        ds = drf_dataset()
+        self.assert_same(ipw_weights(ds, np.ones(ds.n, dtype=int)), ipw_weights(ds))
+
+    def test_uniform_estimate_weights(self):
+        ds = drf_dataset()
+        threshold = 1.0 / (ds.n - 20)
+        got = estimate_weights(ds, "uniform", truncation=threshold, counts=np.ones(ds.n))
+        self.assert_same(got, estimate_weights(ds, "uniform", truncation=threshold))
+        assert np.array_equal(got.weights, np.full(ds.n, 1.0 / ds.n))
 
 
 def rare_binary_dataset():

@@ -533,6 +533,15 @@ class TestTruncateAndRebalance:
         result = truncate_and_rebalance(G, weights, threshold=0.2)
         assert result is weights
 
+    @pytest.mark.parametrize("threshold", [0.5, 0.03, 0.001])
+    def test_weights_of_another_sample_rejected(self, rng, threshold):
+        # 40 weights for a 50-row G: a loose cap used to return them
+        # unchanged, a binding one failed inside the re-solve.
+        weights, _ = solve(random_sample(rng, n=40, k=1))
+        G = self.heavy_instance()
+        with pytest.raises(ValueError, match="weights have length 40, but G has 50 rows"):
+            truncate_and_rebalance(G, weights, threshold)
+
     def test_threshold_below_uniform_rejected(self, rng):
         G = random_sample(rng, n=20, k=1)
         weights, _ = solve(G)
