@@ -1,8 +1,9 @@
 """Command-line entry point: balance, dose-response and simulation runs.
 
-Exit codes form a stable scripting contract: 0 success, 1 input error,
-2 solver non-convergence (outputs still written, with a warning), 3 bootstrap
-failure, 4 degenerate simulation scenario.
+Exit codes form a stable scripting contract: 0 success, 1 input error
+(a usage error that argparse reports included), 2 solver non-convergence
+(outputs still written, with a warning), 3 bootstrap failure, 4 degenerate
+simulation scenario.
 """
 
 from __future__ import annotations
@@ -434,22 +435,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as err:  # a usage error exits 2, which means "not converged"
+        if err.code == 2:
+            return EXIT_INPUT_ERROR
+        raise
+    try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         if args.command == "balance":
             return cmd_balance(args)
         if args.command == "drf":
             return cmd_drf(args)
         return cmd_simulate(args)
-    except ResampleDegenerate as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_BOOTSTRAP_FAILED
-    except ScenarioDegenerate as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SCENARIO_DEGENERATE
     except (EbctError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        if isinstance(err, ResampleDegenerate):
+            return EXIT_BOOTSTRAP_FAILED
+        return EXIT_SCENARIO_DEGENERATE if isinstance(err, ScenarioDegenerate) else EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

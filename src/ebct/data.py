@@ -130,24 +130,25 @@ class Dataset:
         )
 
 
-def check_counts(counts, n: int, m: int, positive: bool = False) -> np.ndarray:
-    """Validate copy counts of n units for a problem with m dual parameters.
+def check_counts(counts, n: int, positive: bool = False) -> tuple:
+    """Validate copy counts of n units: the drawn rows and their counts.
 
-    A bootstrap resample with counts c, where unit i is drawn c_i times,
-    is a frequency-weighted problem on the units with c_i > 0. Returns the
-    counts as an integer array. ``positive`` requires every count to be
-    positive, for rows that are already restricted to the drawn units. No
-    counts means one copy of each unit, a zero-stride view of ones.
+    A bootstrap resample that draws unit i c_i times is a frequency-weighted
+    problem on the units with c_i > 0. Returns ``(kept, copies)``: ``kept``
+    selects their rows (a full slice when every unit is drawn, so the rows
+    stay views) and ``copies`` their integer counts. No counts means one copy
+    of each unit: a full slice and a zero-stride view of ones. ``positive``
+    requires every count to be positive, for rows already restricted to the
+    drawn units. Each method checks its own minimum on N = sum(copies).
 
     Raises:
         ValueError: ``counts`` is not a length-n vector of finite,
             non-negative integers (positive ones with ``positive``), or
-            their total N is below m + 1 (the 2K+2 units an m = 2K+1
-            balance problem needs).
+            draws no unit.
     """
     if counts is None:
         # np.broadcast_to(np.int64(1), (n,)) at a fifth of its cost.
-        return np.ndarray((n,), np.int64, np.int64(1), strides=(0,))
+        return slice(None), np.ndarray((n,), np.int64, np.int64(1), strides=(0,))
     c = np.asarray(counts)
     if c.shape != (n,):
         raise ValueError(f"counts have shape {c.shape}, expected ({n},)")
@@ -157,10 +158,12 @@ def check_counts(counts, n: int, m: int, positive: bool = False) -> np.ndarray:
         c = c.astype(np.int64)
     if c.min() < int(positive):
         raise ValueError("counts must be positive" if positive else "counts must be non-negative")
-    total = int(c.sum())
-    if total < m + 1:
-        raise ValueError(f"counts total {total}, below the {m + 1} units the problem needs")
-    return c
+    if c.all():
+        return slice(None), c
+    kept = np.flatnonzero(c)
+    if kept.size == 0:
+        raise ValueError("counts must draw at least one unit")
+    return kept, c[kept]
 
 
 def standardize(dataset, counts=None) -> np.ndarray:
@@ -185,10 +188,10 @@ def standardize(dataset, counts=None) -> np.ndarray:
     one pass, each bit for bit the matrix its dataset gives alone.
 
     Raises:
-        ValueError: fewer units than dual parameters plus one (n < 2K+2),
-            which leaves the balance problem underdetermined, stacked
-            datasets of different shapes, ``counts`` with a sequence, or
-            invalid ``counts`` (see ``check_counts``).
+        ValueError: fewer copies than dual parameters plus one (N < 2K+2;
+            N = n without counts), which leaves the balance problem
+            underdetermined, stacked datasets of different shapes,
+            ``counts`` with a sequence, or invalid ``counts``.
         ConstantColumn: if the treatment or any covariate has zero variance;
             with a sequence, for the first dataset that has one.
     """
@@ -197,48 +200,40 @@ def standardize(dataset, counts=None) -> np.ndarray:
     n, k = datasets[0].n, datasets[0].k
     if any((d.n, d.k) != (n, k) for d in datasets):
         raise ValueError("stacked datasets must share n and K")
-    if counts is not None:
-        if not single:
-            raise ValueError("counts apply to one dataset, not to a sequence")
-        counts = check_counts(counts, n, 2 * k + 1)
-        kept = np.flatnonzero(counts)
+    if not single and counts is not None:
+        raise ValueError("counts apply to one dataset, not to a sequence")
+    kept, copies = check_counts(counts, n)
+    # The summation: pairwise over the sample's own rows, or weighted by the copies.
+    freq, size = (None, n) if counts is None else (copies.astype(float), int(copies.sum()))
+    if size < 2 * k + 2:
+        raise ValueError(f"need at least 2K+2 = {2 * k + 2} units for K={k} covariates, got {size}")
+    if single:
+        # Views without counts: at large n a copy would raise the peak memory.
         t, x = dataset.treatment[kept][None], dataset.covariates[kept][None]
-        counts = counts[kept]
-    elif n < 2 * k + 2:
-        raise ValueError(
-            f"need at least 2K+2 = {2 * k + 2} units for K={k} covariates, got {n}"
-        )
-    elif single:
-        # Views, not copies: at large n a copy of the covariates would raise
-        # the peak memory of a one-dataset call.
-        t, x = dataset.treatment[None], dataset.covariates[None]
     else:
         t = np.stack([d.treatment for d in datasets])
         x = np.stack([d.covariates for d in datasets])
-    G = _balance_columns(t, x, datasets, counts)
+    G = _balance_columns(t, x, datasets, size, freq)
     return G[0] if single else G
 
 
-def _balance_columns(t, x, datasets, counts=None) -> np.ndarray:
+def _balance_columns(t, x, datasets, size, freq=None) -> np.ndarray:
     """The (B, n, 2K+1) balance columns of a (B, n) treatment stack and a
     (B, n, K) covariate stack; ``datasets`` name a zero-variance column.
 
-    ``counts`` (None: one copy each) are the n rows' copy counts, which
-    weight every sum over the rows. The scales are ``std(ddof=1)``'s own
-    arithmetic, with each deviation computed once: it is copied into the
-    balance columns before it is squared in place, so no n x K temporary
-    besides it is live.
+    ``freq`` (None: one copy each) are the n rows' copy counts, ``size`` in
+    all, which weight every sum over the rows. The scales are
+    ``std(ddof=1)``'s own arithmetic, with each deviation computed once: it
+    is copied into the balance columns before it is squared in place, so no
+    n x K temporary besides it is live.
     """
     B, n, k = x.shape
-    if counts is None:
-        size = n
+    if freq is None:
 
         def total(a):
             return np.add.reduce(a, axis=1, keepdims=True)
 
     else:
-        size = int(counts.sum())
-        freq = counts.astype(float)
 
         def total(a):
             # A matrix product: several times faster than weighting the
@@ -322,10 +317,12 @@ class BalancingWeights:
         return float(self.weights.max())
 
 
-def uniform_weights(n: int) -> BalancingWeights:
-    """Uniform 1/n weights, tagged as the unweighted baseline."""
+def uniform_weights(n: int, counts=None) -> BalancingWeights:
+    """Uniform 1/n weights, tagged as the unweighted baseline; with ``counts``
+    (see ``check_counts``), c_i / sum(counts) for each drawn unit i."""
+    _, copies = check_counts(counts, n)
     return BalancingWeights(
-        weights=np.full(n, 1.0 / n),
+        weights=copies / copies.sum(),
         gamma=np.empty(0),
         converged=True,
         iterations=0,

@@ -94,10 +94,15 @@ def balance_report(w, dataset: Dataset, method_tag: str = ""):
     over the M x n stack. Each report of a stack is bit for bit the report
     its weighting gives alone, degenerate columns included. A report is
     tagged ``method_tag``, else its weights' method, else "uniform".
+
+    Raises:
+        ValueError: a weighting is not positive and finite, or not of length n.
     """
     single = _is_one_weighting(w)
     ws = [w] if single else list(w)
     weights = _weight_rows(ws)
+    if weights.shape[1] != dataset.n:
+        raise ValueError(f"weights have {weights.shape[1]} entries per row, expected {dataset.n}")
     # (M, 1, n) rows make every weighted mean one dot product or one
     # vector-matrix product per weighting, the BLAS calls of a lone vector.
     rows = weights[:, None, :]

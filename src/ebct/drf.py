@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .data import Dataset
+from .data import Dataset, check_counts
 from .errors import (
     EbctError,
     ExtrapolationWarning,
@@ -248,7 +248,7 @@ def bootstrap_se(
 
     def derivatives(indices) -> np.ndarray:
         counts = np.bincount(indices, minlength=dataset.n)
-        kept = np.flatnonzero(counts)
+        kept, _ = check_counts(counts, dataset.n)
         resampled = estimate_weights(
             dataset, weights.method_tag, truncation, weights.gamma, counts=counts
         )

@@ -42,17 +42,19 @@ def ipw_weights(dataset: Dataset, counts=None) -> BalancingWeights:
     rows), and the means and scales are count-weighted over N copies.
 
     Raises:
+        ValueError: ``counts`` are invalid, or N < K+2 copies (n without
+            counts) leave the residual scale no degree of freedom.
         RankDeficientDesign: the design [1 | X] is not full column rank.
         ConstantColumn: the treatment does not vary.
         DegenerateResidual: a (near-) perfect fit leaves no residual scale.
-        ValueError: ``counts`` are invalid.
     """
     k = dataset.k
-    counts = check_counts(counts, dataset.n, 2 * k + 1)
-    # Gather only when a unit was not drawn: the full sample is read in place.
-    kept = slice(None) if counts.all() else np.flatnonzero(counts)
+    kept, copies = check_counts(counts, dataset.n)
+    n = int(copies.sum())
+    if n < k + 2:
+        raise ValueError(f"need at least K+2 = {k + 2} units for K={k} covariates, got {n}")
     t, x = dataset.treatment[kept], dataset.covariates[kept]
-    freq, n = counts[kept].astype(float), int(counts.sum())
+    freq = copies.astype(float)
     design = np.column_stack([np.ones(t.size), x])
     # The scaled rows have the Gram matrix of the N copies, and rcond is the
     # tolerance that lstsq's rcond=None and matrix_rank give the copies, so

@@ -443,7 +443,7 @@ def truncate_and_rebalance(
     G = _balance_matrix(G)
     if weights.n != G.shape[0]:
         raise ValueError(f"weights have length {weights.n}, but G has {G.shape[0]} rows")
-    counts = check_counts(counts, weights.n, G.shape[1], positive=True)
+    _, counts = check_counts(counts, weights.n, positive=True)
     check_threshold(threshold, int(counts.sum()))
 
     failure = None if weights.converged else NotConverged(weights)

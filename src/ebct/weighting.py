@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import BalancingWeights, Dataset, check_counts, method_name, standardize
+from .data import BalancingWeights, Dataset, check_counts, method_name, standardize, uniform_weights
 from .errors import NotConverged
 from .ipw import ipw_weights
 from .solver import check_threshold, solve, truncate_and_rebalance
@@ -31,7 +31,7 @@ def cap_weights(weights: BalancingWeights, threshold: float, counts=None) -> Bal
         ValueError: ``counts`` are invalid or not all positive.
     """
     w = weights.weights
-    counts = check_counts(counts, w.size, 0, positive=True)
+    _, counts = check_counts(counts, w.size, positive=True)
     check_threshold(threshold, int(counts.sum()))
     share = w / counts
     if share.max() <= threshold:
@@ -78,33 +78,25 @@ def estimate_weights(
     its copies', over the units with a positive count in dataset order:
     ebct solves the frequency-weighted problem, with the counts as base
     weights, on those units only, and every threshold applies per copy.
+    Counted or not, ebct needs N >= 2K+2 copies, ipw K+2 and uniform one.
     """
     name = method_name(method)
-    drawn = check_counts(counts, dataset.n, 2 * dataset.k + 1)
-    # Gather only when a unit was not drawn: no counts stay a zero-stride view.
-    drawn = drawn if drawn.all() else drawn[drawn > 0]
+    _, copies = check_counts(counts, dataset.n)
     if name == "ipw":
         weights = ipw_weights(dataset, counts)
     elif name == "uniform":
-        weights = BalancingWeights(
-            weights=drawn / drawn.sum(),
-            gamma=np.empty(0),
-            converged=True,
-            iterations=0,
-            final_gradient_norm=0.0,
-            method_tag="uniform",
-        )
+        weights = uniform_weights(dataset.n, counts)
     if name != "ebct":
-        return weights if truncation is None else cap_weights(weights, truncation, drawn)
+        return weights if truncation is None else cap_weights(weights, truncation, copies)
     G = standardize(dataset, counts)
     try:
         # The full sample keeps the solver's own uniform base weights:
         # full(n, 1/n) normalized is not bit for bit ones / n.
-        weights, _ = solve(G, base_weights=None if counts is None else drawn, start=start)
+        weights, _ = solve(G, base_weights=None if counts is None else copies, start=start)
     except NotConverged as err:
         if truncation is None:
             raise
         weights = err.weights  # truncate_and_rebalance raises it again
     if truncation is not None:
-        weights = truncate_and_rebalance(G, weights, truncation, drawn)
+        weights = truncate_and_rebalance(G, weights, truncation, copies)
     return weights

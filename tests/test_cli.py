@@ -207,6 +207,20 @@ class TestBalanceCommand:
         )
         assert list(out.iterdir()) == []
 
+    def test_too_few_units_for_ipw_is_one_error_line(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("T,X1,X2\n0.5,1.0,2.0\n1.5,0.0,1.0\n-0.3,2.0,0.5\n")
+        out = tmp_path / "out"
+        argv = [
+            "balance", "--input", str(data), "--treatment-col", "T",
+            "--covariate-cols", "X1,X2", "--method", "ipw", "--out", str(out),
+        ]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: need at least K+2 = 4 units for K=2 covariates, got 3\n"
+        )
+        assert list(out.iterdir()) == []
+
     def test_no_covariates_writes_null_aggregates(self, tmp_path):
         code, out = self.run_balance(tmp_path, "--covariate-cols", ",")
         assert code == 0
@@ -403,8 +417,9 @@ class TestDrfCommand:
             ("--bootstrap", "1", "--bootstrap must be 0 or at least 2, got 1"),
             ("--degree", "0", "--degree must be at least 1, got 0"),
             ("--degree", "-2", "--degree must be at least 1, got -2"),
+            ("--seed", "-1", "--seed must be non-negative, got -1"),
         ],
-        ids=["grid-points", "bootstrap", "bootstrap-1", "degree-0", "degree-negative"],
+        ids=["grid-points", "bootstrap", "bootstrap-1", "degree-0", "degree-negative", "seed"],
     )
     def test_bad_counts_are_input_errors(self, tmp_path, capsys, monkeypatch, flag, value,
                                          message):
@@ -438,6 +453,26 @@ class TestDrfCommand:
         assert len(rows) == 8
         assert all(float(row["se"]) > 0 for row in rows)
         assert all(row["significant"] in ("0", "1") for row in rows)
+
+    @pytest.mark.parametrize("method", ["ipw", "uniform", "ebct"])
+    def test_bootstrap_on_fewer_units_than_ebct_needs(self, tmp_path, capsys, method):
+        # n=8 and K=4: below EBCT's 2K+2 = 10 units, within IPW's K+2 = 6.
+        data = write_simulated_csv(tmp_path / "data.csv", n=8)
+        out = tmp_path / "out"
+        argv = [
+            "drf", "--input", str(data), "--treatment-col", "T",
+            "--covariate-cols", "X1,X2,X3,X4", "--outcome-col", "Y", "--bootstrap", "20",
+            "--grid-points", "5", "--method", method, "--seed", "1", "--out", str(out),
+        ]
+        if method == "ebct":
+            assert main(argv) == 1
+            assert capsys.readouterr().err == (
+                "error: need at least 2K+2 = 10 units for K=4 covariates, got 8\n"
+            )
+            return
+        assert main(argv) == 0
+        with open(out / "drf.csv", newline="") as handle:
+            assert all(float(row["se"]) > 0 for row in csv.DictReader(handle))
 
     def test_same_seed_byte_identical(self, tmp_path):
         data = write_simulated_csv(tmp_path / "data.csv")
@@ -722,6 +757,12 @@ class TestSimulateCommand:
         )
         assert not out.exists()
 
+    def test_negative_seed_is_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(self.simulate_argv(out, seed="-1")) == 1
+        assert capsys.readouterr().err == "error: --seed must be non-negative, got -1\n"
+        assert not out.exists()
+
     def test_different_seed_changes_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(self.simulate_argv(out1, seed="9")) == 0
@@ -807,6 +848,34 @@ class TestVersionFlag:
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
+
+
+class TestUsageErrors:
+    """argparse exits 2 on a usage error; ``main`` makes it an input error,
+    since 2 means "not converged, outputs written"."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["balance", "--input", "x.csv"], "the following arguments are required"),
+            (["simulate", "--n", "300"], "invalid choice: 300"),
+            (["drf", "--input", "x.csv", "--seed", "one"], "invalid int value"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["missing", "choice", "type", "no-command"],
+    )
+    def test_usage_errors_exit_one(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["balance", "--help"]], ids=["top", "command"])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 0
+        assert "usage: ebct" in capsys.readouterr().out
 
 
 def imported_modules(*args):

@@ -152,7 +152,8 @@ class TestOneCopyEach:
     """
 
     def test_no_counts_are_a_view_of_one(self):
-        ones = check_counts(None, 100_000, 21)
+        kept, ones = check_counts(None, 100_000)
+        assert kept == slice(None)
         assert ones.strides == (0,) and not ones.flags.writeable
         assert np.array_equal(ones, np.ones(100_000, dtype=np.int64))
 
@@ -261,31 +262,98 @@ class TestConstantColumn:
         npt.assert_allclose(result.derivative_se, np.std(rows, axis=0, ddof=1), rtol=1e-12, atol=0)
 
 
+INVALID_COUNTS = {
+    "length": (np.ones(119, dtype=int), "shape"),
+    "negative": (np.r_[-1, 2, np.ones(118, dtype=int)], "non-negative"),
+    "fraction": (np.full(120, 1.5), "integers"),
+    "nan": (np.r_[np.nan, np.ones(119)], "integers"),
+    # 21 copies are below EBCT's 2K+2 but not below IPW's K+2 (see below).
+    "total": (np.r_[np.ones(21, dtype=int), np.zeros(99, dtype=int)], r"2K\+2 = 22 units"),
+    "strings": (np.array(["1"] * 120), "integers"),
+}
+COUNTED_CALLS = {
+    "standardize": lambda ds, c: standardize(ds, c),
+    "estimate_weights": lambda ds, c: estimate_weights(ds, "ebct", counts=c),
+    "uniform": lambda ds, c: estimate_weights(ds, "uniform", counts=c),
+    "ipw_weights": lambda ds, c: ipw_weights(ds, c),
+}
+
+
 @pytest.mark.parametrize(
-    "counts, message",
+    "call, counts, message",
     [
-        (np.ones(119, dtype=int), "shape"),
-        (np.r_[-1, 2, np.ones(118, dtype=int)], "non-negative"),
-        (np.full(120, 1.5), "integers"),
-        (np.r_[np.nan, np.ones(119)], "integers"),
-        (np.r_[np.ones(21, dtype=int), np.zeros(99, dtype=int)], "below the 22 units"),
-        (np.array(["1"] * 120), "integers"),
+        pytest.param(call, *INVALID_COUNTS[case], id=f"{name}-{case}")
+        for name, call in COUNTED_CALLS.items()
+        for case in INVALID_COUNTS
+        if case != "total" or name in ("standardize", "estimate_weights")
     ],
-    ids=["length", "negative", "fraction", "nan", "total", "strings"],
-)
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda ds, c: standardize(ds, c),
-        lambda ds, c: estimate_weights(ds, "ebct", counts=c),
-        lambda ds, c: estimate_weights(ds, "uniform", counts=c),
-        lambda ds, c: ipw_weights(ds, c),
-    ],
-    ids=["standardize", "estimate_weights", "uniform", "ipw_weights"],
 )
 def test_invalid_counts_rejected(call, counts, message):
     with pytest.raises(ValueError, match=message):
         call(drf_dataset(), counts)
+
+
+def test_counts_must_draw_a_unit():
+    for call in COUNTED_CALLS.values():
+        with pytest.raises(ValueError, match="at least one unit"):
+            call(drf_dataset(), np.zeros(120, dtype=int))
+
+
+def small_dataset(n, k=3, seed=4):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, k))
+    t = x.sum(axis=1) + rng.standard_normal(n)
+    y = t + x[:, 0] + rng.standard_normal(n)
+    return Dataset(treatment=t, covariates=x, outcome=y)
+
+
+class TestSizeRules:
+    """Each method has one size rule on the N copies, counted or not: EBCT
+    needs 2K+2, IPW K+2 and uniform weights one drawn unit. Between K+2 and
+    2K+2 only EBCT is out of reach."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [ipw_weights, lambda ds, c=None: estimate_weights(ds, "uniform", counts=c)],
+        ids=["ipw_weights", "uniform"],
+    )
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_one_copy_each_below_2k_plus_2(self, call, n):
+        ds = small_dataset(n)
+        assert ds.k + 2 <= n < 2 * ds.k + 2
+        assert np.array_equal(call(ds, np.ones(n, dtype=int)).weights, call(ds).weights)
+        with pytest.raises(ValueError, match=r"2K\+2 = 8 units for K=3 covariates, got"):
+            estimate_weights(ds, "ebct", counts=np.ones(n, dtype=int))
+
+    @pytest.mark.parametrize("method", ["ipw", "uniform"])
+    def test_total_below_2k_plus_2_is_the_drawn_sample(self, method):
+        # The 21 copies that EBCT rejects are enough for IPW and uniform
+        # weights, which are then those of the drawn units alone.
+        ds = drf_dataset()
+        counts = INVALID_COUNTS["total"][0]
+        got = estimate_weights(ds, method, counts=counts)
+        expected = estimate_weights(ds.subset(np.flatnonzero(counts)), method)
+        npt.assert_allclose(got.weights, expected.weights, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("method", ["ipw", "uniform"])
+    def test_bootstrap_below_2k_plus_2_matches_resampled_refits(self, method):
+        ds = small_dataset(7)
+        weights = estimate_weights(ds, method)
+        fit = estimate_drf(ds, weights, degree=1, grid=default_grid(ds.treatment, 5))
+        replications, seed = 20, 13
+        rows, attempt = [], 0
+        while len(rows) < replications:
+            sample = ds.subset(draw(ds.n, attempt, seed))
+            attempt += 1
+            try:
+                resampled = estimate_weights(sample, method)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", ExtrapolationWarning)
+                    rows.append(estimate_drf(sample, resampled, 1, fit.grid).drf_derivatives)
+            except EbctError:
+                continue
+        result = bootstrap_se(fit, ds, weights, None, replications, seed)
+        npt.assert_allclose(result.derivative_se, np.std(rows, axis=0, ddof=1), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize(

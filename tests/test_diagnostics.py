@@ -213,6 +213,13 @@ class TestBalanceReport:
         assert payload["max_abs_correlation"] is None
         assert payload["mean_abs_correlation"] is None
 
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    def test_weights_of_another_length_are_named(self, rng, stacked):
+        ds = random_dataset(rng, 25, 2)
+        w = np.full(24, 1.0 / 24)
+        with pytest.raises(ValueError, match="weights have 24 entries per row, expected 25"):
+            balance_report([w, w] if stacked else w, ds)
+
     def test_json_round_trip(self, rng):
         ds = random_dataset(rng, 25, 2)
         report = balance_report(uniform_weights(25), ds)

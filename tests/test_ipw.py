@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -44,6 +46,16 @@ class TestFitGps:
         expected = density_ratio_oracle(t, 5.0 / 6.0 + 1.5 * x, residual_dof=1)
         weights = ipw_weights(Dataset(treatment=t, covariates=x.reshape(-1, 1)))
         npt.assert_allclose(weights.weights, expected, rtol=1e-12)
+
+    def test_fewer_than_k_plus_2_units_rejected_before_the_fit(self, rng):
+        # K+1 units fit exactly and leave the residual scale no degree of
+        # freedom: one error, and no division by zero on the way.
+        ds = random_dataset(rng, 3, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = r"^need at least K\+2 = 4 units for K=2 covariates, got 3$"
+            with pytest.raises(ValueError, match=message):
+                ipw_weights(ds)
 
     def test_rank_deficient_design_rejected(self, rng):
         x1 = rng.standard_normal(10)
