@@ -284,9 +284,10 @@ class BalancingWeights:
     """Normalized positive unit weights plus solver provenance.
 
     ``gamma`` holds the dual multipliers for entropy-balancing solutions and
-    is empty for the other methods; truncated weights keep the untruncated
-    solve's, since a round's multipliers refer to capped base weights. The
-    normalization multiplier is eliminated analytically and has no field.
+    is empty for the other methods. Truncated weights keep the untruncated
+    solve's, the warm start of bootstrap replicates and of the capped solve.
+    The normalization multiplier has no field: without a cap it is
+    eliminated analytically, and with one it follows from gamma.
     """
 
     weights: np.ndarray

@@ -51,7 +51,16 @@ class SingularHessian(EbctError):
 
 
 class ThresholdInfeasible(EbctError):
-    """Truncation cap not finite, below 1/n, or still exceeded when the rounds run out."""
+    """Truncation cap not finite, below 1/n, or too tight for balancing weights.
+
+    In the last case ``certificate`` holds the Farkas direction r = (r_0,
+    r_gamma) that proves it: r_0 > sum_i u_i max(0, r_0 + r_gamma.g_i) for
+    the per-row caps u and balance columns g_i. Otherwise it is None.
+    """
+
+    def __init__(self, message: str, certificate=None):
+        self.certificate = certificate
+        super().__init__(message)
 
 
 class RankDeficientDesign(EbctError):

@@ -14,6 +14,12 @@ falls below the objective's float resolution, full Newton steps are accepted
 on gradient decrease instead. At the optimum the gradient of J is the vector
 of weighted balance-column means, so the gradient tolerance directly bounds
 the residual imbalance.
+
+Truncation caps every weight, w_i <= u_i. The problem stays convex, and the
+same Newton kernel solves its dual over the normalization multiplier eta
+and gamma, which is no longer eliminated in closed form (the bounded-weights
+form of stable balancing weights, Zubizarreta 2015). When no weights meet
+the cap, a Newton direction that passes Farkas' test for the box proves it.
 """
 
 from __future__ import annotations
@@ -50,56 +56,95 @@ _MAX_ITERATIONS = 200
 # Newton direction.
 _RIDGE = 1e-9
 
-# Re-solves truncate_and_rebalance makes before it gives up; the excess over
-# the cap shrinks geometrically, so the budget is generous.
-_MAX_ROUNDS = 100
+# Relative rounding margin a Farkas certificate of an infeasible cap must clear.
+_CERTIFICATE_TOLERANCE = 1e-9
 
 _OVERFLOW = "dual exponent overflowed; multipliers are pathological"
 
 
-def _prepare_base_weights(n: int, base_weights) -> np.ndarray:
+def _prepare_base_weights(n: int, base_weights, name="base_weights") -> np.ndarray:
     if base_weights is None:
         return np.full(n, 1.0 / n)
     q = np.ravel(np.asarray(base_weights, dtype=float))
     if q.size != n:
-        raise ValueError(f"base_weights has length {q.size}, expected {n}")
+        raise ValueError(f"{name} has length {q.size}, expected {n}")
     if np.any(q <= 0) or not np.all(np.isfinite(q)):
-        raise ValueError("base_weights must be strictly positive and finite")
+        raise ValueError(f"{name} must be strictly positive and finite")
     return q
 
 
-def _dual_state(G, log_q, gamma) -> tuple:
-    """J, implied weights and gradient at gamma for every problem of a stack.
+def _dual_state(G, log_q, theta, cap=None) -> tuple:
+    """Dual value, implied weights and gradient for every problem of a stack.
 
-    ``G`` is a (B, n, m) stack of balance-column matrices, ``log_q`` the (B, n)
-    log base weights and ``gamma`` the (B, m) multipliers. Returns the values
-    J (B,), the weights w_i = q_i e^{gamma.g_i} / Z (B, n), the gradients
-    G'w (B, m) and a (B,) flag that is False where an exponent is not finite.
-    Rows flagged False carry meaningless numbers. The max-shift keeps every
-    finite exponent representable.
+    ``G`` is a (B, n, m) stack of balance-column matrices and ``log_q`` the
+    (B, n) log base weights. Without ``cap``, ``theta`` holds the (B, m)
+    multipliers gamma, and the values are J(gamma), the weights
+    w_i = q_i e^{gamma.g_i} / Z and the gradients G'w; the max-shift keeps
+    every finite exponent representable. With ``cap = (u, log u)``, each a
+    (B, n) array of per-row weight caps, ``theta`` holds (eta, gamma) as
+    (B, m+1) and the values are those of the capped dual
+
+        F(theta) = sum_i psi_i(s_i) - eta,  s_i = log q_i + eta + gamma.g_i,
+
+    where psi_i(s) is e^s up to log u_i and continues along its tangent, so
+    w_i = min(u_i, e^{s_i}) and the gradient is [sum w - 1, G'w]. Also
+    returns a (B,) flag that is False where an exponent is not finite; rows
+    flagged False carry meaningless numbers.
     """
+    gamma = theta if cap is None else theta[:, 1:]
     s = (G @ gamma[:, :, None])[:, :, 0]
     s += log_q
+    if cap is not None:
+        s += theta[:, :1]
     finite = np.isfinite(s).all(axis=1)
     if not finite.all():
         s[~finite] = 0.0
-    top = s.max(axis=1, keepdims=True)
-    s -= top
+    if cap is None:
+        top = s.max(axis=1, keepdims=True)
+        s -= top
+        np.exp(s, out=s)
+        total = s.sum(axis=1)
+        s /= total[:, None]
+        value = top[:, 0] + np.log(total)
+        return value, s, (s[:, None, :] @ G)[:, 0, :], finite
+    u, log_u = cap
+    excess = s - log_u
+    np.minimum(s, log_u, out=s)
     np.exp(s, out=s)
+    # e^{log u} rounds either way: rows at their cap get u itself, and no
+    # row exceeds it.
+    np.minimum(s, u, out=s)
+    np.copyto(s, u, where=excess >= 0.0)
+    np.maximum(excess, 0.0, out=excess)
     total = s.sum(axis=1)
-    s /= total[:, None]
-    value = top[:, 0] + np.log(total)
-    return value, s, (s[:, None, :] @ G)[:, 0, :], finite
+    value = total + (excess[:, None, :] @ u[:, :, None])[:, 0, 0] - theta[:, 0]
+    grad = np.concatenate([(total - 1.0)[:, None], (s[:, None, :] @ G)[:, 0, :]], axis=1)
+    return value, s, grad, finite
 
 
-def _hessian(G, w, grad) -> np.ndarray:
-    """Weighted covariance of the balance columns, (B, m, m).
+def _hessian(G, w, grad, u=None) -> np.ndarray:
+    """Hessian of the dual, (B, m, m), or (B, m+1, m+1) under per-row caps ``u``.
 
-    A column whose square overflows leaves inf or NaN entries without a
-    warning; the Newton driver reports them as a typed error.
+    Without caps it is the weighted covariance of the balance columns. With
+    caps it sums [1, g_i][1, g_i]' w_i over the rows below their cap only,
+    built in blocks from G. A column whose square overflows leaves inf or
+    NaN entries without a warning; the Newton driver reports them as a typed
+    error.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return (G * w[:, :, None]).transpose(0, 2, 1) @ G - grad[:, :, None] * grad[:, None, :]
+        if u is None:
+            return (G * w[:, :, None]).transpose(0, 2, 1) @ G - grad[:, :, None] * grad[:, None, :]
+        # No n-vector outlives its line, so the n x m product is the only
+        # large temporary.
+        free = w < u
+        B, _, m = G.shape
+        hessian = np.empty((B, m + 1, m + 1))
+        hessian[:, 0, 0] = np.sum(w, axis=1, where=free)
+        hessian[:, 0, 1:] = hessian[:, 1:, 0] = (np.where(free, w, 0.0)[:, None, :] @ G)[:, 0, :]
+        block = G * w[:, :, None]
+        block[~free] = 0.0
+        hessian[:, 1:, 1:] = block.transpose(0, 2, 1) @ G
+        return hessian
 
 
 def _singular(hessian) -> SingularHessian:
@@ -193,32 +238,78 @@ def _newton_directions(hessian, grad) -> tuple:
     return np.concatenate([d for d, _ in parts]), np.concatenate([ok for _, ok in parts])
 
 
-def _newton(G, q, start: np.ndarray) -> list:
+def _certifies(G, u, r) -> bool:
+    """Whether r = (r_0, r_gamma) proves that no weights 0 <= w <= u balance G.
+
+    Weights with sum w = 1 and G'w = 0 give r_0 = sum_i w_i (r_0 + r_gamma.g_i),
+    at most sum_i u_i max(0, r_0 + r_gamma.g_i) when 0 <= w <= u (Farkas'
+    lemma for a box). So r certifies infeasibility when r_0 exceeds that
+    bound, by more than a rounding margin relative to
+    sum_i u_i |r_0 + r_gamma.g_i|.
+    """
+    t = G @ r[1:]
+    t += r[0]
+    bound = u @ np.maximum(t, 0.0)
+    return bool(r[0] - bound > _CERTIFICATE_TOLERANCE * (u @ np.abs(t)))
+
+
+def _newton(G, log_q, start: np.ndarray, u=None) -> list:
     """Damped Newton on every problem of a (B, n, m) stack at once.
 
     Each problem keeps its own phase, step size, trace and iteration count,
     and reaches exactly the iterates it would reach alone: every stacked
     operation acts row by row, and numpy's linear algebra factors each
     Newton system of the stack by itself. Problems that finish leave the
-    stack, so the rest do not pay for them. Every problem starts at the
-    m-vector ``start``. Returns per problem either ``(BalancingWeights,
-    trace)`` or the exception that problem raises.
+    stack, so the rest do not pay for them. ``log_q`` holds the (B, n) log
+    base weights, each row normalized to sum one before the log. Every
+    problem starts at the m-vector ``start``. With (B, n) per-row caps
+    ``u`` the problems are the capped duals of ``_dual_state``, each
+    started at (-J(start), start), which are the uncapped weights of
+    ``start``. Returns per problem either ``(BalancingWeights, trace)`` or
+    the exception that problem raises.
     """
     B, _, m = G.shape
     outcomes = [None] * B
-    log_q = np.log(q)
-    gamma = np.tile(start, (B, 1))
-    value, w, grad, finite = _dual_state(G, log_q, gamma)
+    theta = np.tile(start, (B, 1))
+    cap = None
+    if u is not None:
+        cap = (u, np.log(u))
+        theta = np.column_stack([-_dual_state(G, log_q, theta)[0], theta])
+    value, w, grad, finite = _dual_state(G, log_q, theta, cap)
     traces = [[v] for v in value.tolist()]
     iterations = np.zeros(B, dtype=int)
     errors = [None if ok else NonFiniteDual(_OVERFLOW) for ok in finite]
     stopped = ~finite
     live = np.arange(B)  # problem index of each row still in the stack
-    ridge = _RIDGE * np.eye(m)
+    ridge = _RIDGE * np.eye(theta.shape[1])
+
+    def certified(i, r):
+        if not _certifies(G[i], cap[0][i], r):
+            return None
+        return ThresholdInfeasible(
+            "no weights at or below the cap balance the sample (Farkas certificate verified)",
+            certificate=r,
+        )
+
+    def capped_failure(i):
+        # A capped problem that stops short of its optimum: certified
+        # infeasible by the Newton direction at its last iterate, or not.
+        rows = slice(i, i + 1)
+        hessian = _hessian(G[rows], w[rows], grad[rows], cap[0][rows]) + ridge
+        error = certified(i, _newton_directions(hessian, grad[rows])[0][0])
+        if error is not None:
+            return error
+        if not w[i].min() > 0:
+            return NonFiniteDual("a capped weight underflowed to zero")
+        return None
 
     def retire(rows) -> None:
         for i in rows:
             b = live[i]
+            grad_norm = float(np.abs(grad[i]).max())
+            converged = grad_norm <= _GRADIENT_TOLERANCE
+            if cap is not None and errors[i] is None and not (converged and w[i].min() > 0):
+                errors[i] = capped_failure(i)
             if errors[i] is None and not w[i].min() > 0:
                 errors[i] = InfeasibleConstraints(
                     "a weight underflowed to zero; the balance constraints admit no "
@@ -227,11 +318,9 @@ def _newton(G, q, start: np.ndarray) -> list:
             if errors[i] is not None:
                 outcomes[b] = errors[i]
                 continue
-            grad_norm = float(np.abs(grad[i]).max())
-            converged = grad_norm <= _GRADIENT_TOLERANCE
             weights = BalancingWeights(
-                weights=w[i],
-                gamma=gamma[i],
+                weights=w[i] if cap is None else w[i] / w[i].sum(),
+                gamma=theta[i] if cap is None else theta[i, 1:],
                 converged=converged,
                 iterations=int(iterations[i]),
                 final_gradient_norm=grad_norm,
@@ -247,17 +336,25 @@ def _newton(G, q, start: np.ndarray) -> list:
             keep = ~stopped
             if not keep.any():
                 return outcomes
-            live, G, log_q, gamma, value, w, grad, grad_norm, iterations = (
-                a[keep] for a in (live, G, log_q, gamma, value, w, grad, grad_norm, iterations)
+            live, G, log_q, theta, value, w, grad, grad_norm, iterations = (
+                a[keep] for a in (live, G, log_q, theta, value, w, grad, grad_norm, iterations)
             )
+            if cap is not None:
+                cap = tuple(a[keep] for a in cap)
             errors = [e for e, k in zip(errors, keep) if k]
             stopped = np.zeros(live.size, dtype=bool)
 
-        hessian = _hessian(G, w, grad) + ridge
+        hessian = _hessian(G, w, grad, None if cap is None else cap[0]) + ridge
         direction, solvable = _newton_directions(hessian, grad)
         for i in np.flatnonzero(~solvable):
             errors[i] = _singular(hessian[i])
             stopped[i] = True
+        if cap is not None:
+            # Every Newton direction of a capped problem is a candidate
+            # certificate of infeasibility, and checking one is cheap.
+            for i in np.flatnonzero(~stopped):
+                errors[i] = certified(i, direction[i])
+                stopped[i] = errors[i] is not None
         slope = (grad * direction).sum(axis=1)
 
         # Local phase: the certifiable Armijo decrease (half the Newton
@@ -270,8 +367,10 @@ def _newton(G, q, start: np.ndarray) -> list:
         while searching.any():
             rows = np.flatnonzero(searching)
             sub = slice(None) if rows.size == live.size else rows
-            candidate = gamma[sub] + step[sub, None] * direction[sub]
-            c_value, c_w, c_grad, c_finite = _dual_state(G[sub], log_q[sub], candidate)
+            candidate = theta[sub] + step[sub, None] * direction[sub]
+            c_value, c_w, c_grad, c_finite = _dual_state(
+                G[sub], log_q[sub], candidate, None if cap is None else (cap[0][sub], cap[1][sub])
+            )
             for j, i in enumerate(rows):
                 if not c_finite[j]:
                     errors[i] = NonFiniteDual(_OVERFLOW)
@@ -290,14 +389,17 @@ def _newton(G, q, start: np.ndarray) -> list:
                     # floor is reached and the final gradient check decides.
                     stopped[i] = True
                     continue
-                gamma[i], value[i], w[i], grad[i] = candidate[j], c_value[j], c_w[j], c_grad[j]
+                theta[i], value[i], w[i], grad[i] = candidate[j], c_value[j], c_w[j], c_grad[j]
                 iterations[i] += 1
                 traces[live[i]].append(float(c_value[j]))
-                if float(np.linalg.norm(gamma[i])) > _GAMMA_BOUND:
-                    errors[i] = InfeasibleConstraints(
-                        "dual multipliers diverged; the balance constraints admit no "
-                        "strictly positive weights"
-                    )
+                if float(np.linalg.norm(theta[i])) > _GAMMA_BOUND:
+                    # A capped problem that diverges is judged by its
+                    # certificate instead, as its uncapped problem solved.
+                    if cap is None:
+                        errors[i] = InfeasibleConstraints(
+                            "dual multipliers diverged; the balance constraints admit no "
+                            "strictly positive weights"
+                        )
                     stopped[i] = True
 
     retire(range(live.size))
@@ -315,7 +417,7 @@ def _prepare_start(m: int, start) -> np.ndarray:
     return gamma
 
 
-def solve_batch(matrices, base_weights=None, start=None) -> list:
+def solve_batch(matrices, base_weights=None, start=None, cap=None) -> list:
     """Solve many same-shape problems in one stacked Newton run.
 
     ``matrices`` is the B x n x m stack of balance-column matrices that
@@ -326,21 +428,23 @@ def solve_batch(matrices, base_weights=None, start=None) -> list:
     problem's Newton run starts from; None starts at zero. The dual is
     convex, so the start changes how many steps a problem takes, not the
     optimum it reaches (beyond the gradient tolerance); each trace begins at
-    J(start). Each Newton iteration factors and solves the Newton systems of
-    the whole stack in one numpy call. A problem that fails, a singular
-    Hessian included, does not disturb the others, and each problem's
-    weights, iterations and trace are exactly those ``solve`` gives it alone
-    from the same start.
+    the dual value at the start. ``cap`` is None or one positive n-vector
+    per matrix of upper bounds on the weights (see ``solve``). Each Newton
+    iteration factors and solves the Newton systems of the whole stack in
+    one numpy call. A problem that fails, a singular Hessian included, does
+    not disturb the others, and each problem's weights, iterations and trace
+    are exactly those ``solve`` gives it alone from the same start.
 
     Returns:
         One entry per matrix: ``(BalancingWeights, trace)`` on success,
-        where ``trace`` lists the accepted dual values from J(start) on,
+        where ``trace`` lists the accepted dual values from the start on,
         otherwise the exception ``solve`` would raise for it
-        (``NotConverged``, ``InfeasibleConstraints``, ``NonFiniteDual`` or
-        ``SingularHessian``).
+        (``NotConverged``, ``InfeasibleConstraints``, ``ThresholdInfeasible``,
+        ``NonFiniteDual`` or ``SingularHessian``).
 
     Raises:
-        ValueError: shapes disagree, or ``start`` is not a finite m-vector.
+        ValueError: shapes disagree, ``start`` is not a finite m-vector, or a
+            cap is not a positive finite n-vector.
     """
     if len(matrices) == 0:
         return []
@@ -355,13 +459,18 @@ def solve_batch(matrices, base_weights=None, start=None) -> list:
         base_weights = [None] * B
     elif len(base_weights) != B:
         raise ValueError(f"got {len(base_weights)} base weight vectors for {B} problems")
+    if cap is not None:
+        if len(cap) != B:
+            raise ValueError(f"got {len(cap)} cap vectors for {B} problems")
+        cap = np.stack([_prepare_base_weights(n, np.asarray(u, dtype=float), "cap") for u in cap])
     gamma = _prepare_start(m, start)
-    q = np.stack([_prepare_base_weights(n, bw) for bw in base_weights])
-    q /= q.sum(axis=1, keepdims=True)
-    return _newton(G, q, gamma)
+    log_q = np.stack([_prepare_base_weights(n, bw) for bw in base_weights])
+    log_q /= log_q.sum(axis=1, keepdims=True)
+    np.log(log_q, out=log_q)
+    return _newton(G, log_q, gamma, cap)
 
 
-def solve(G: np.ndarray, base_weights=None, start=None) -> tuple:
+def solve(G: np.ndarray, base_weights=None, start=None, cap=None) -> tuple:
     """Solve for entropy-balancing weights.
 
     Damped Newton with an analytic Hessian (plus a tiny ridge); the accepted
@@ -375,24 +484,44 @@ def solve(G: np.ndarray, base_weights=None, start=None) -> tuple:
     and reaches the same weights within the tolerance. This is the
     one-problem case of ``solve_batch``.
 
+    ``cap`` is None or a positive n-vector u of upper bounds on the weights.
+    With it the solver minimizes the same divergence subject to w_i <= u_i
+    as well. That is still one convex dual, over the normalization
+    multiplier eta and gamma, whose weights are w_i = min(u_i, q_i
+    e^{eta + gamma.g_i}); it starts at eta = -J(start), which are the
+    uncapped weights of ``start``. The Hessian sums over the rows below
+    their cap only. The returned weights are the last iterate's w / sum(w),
+    which meet the cap up to the gradient tolerance, and ``gamma`` is its
+    gamma part; ``truncate_and_rebalance`` derives from that gamma weights
+    exactly at or below the cap.
+
     Returns:
         (BalancingWeights, trace): the weights, which record convergence,
         iterations and the final gradient norm, and the list of accepted
-        dual values, starting at J(start).
+        dual values, starting at the dual value at the start.
 
     Raises:
-        NotConverged: iteration limit reached; the exception carries the last
+        NotConverged: the gradient tolerance was not reached (iteration
+            limit, or no acceptable step); the exception carries the last
             iterate's weights for callers that want to accept them.
-        InfeasibleConstraints: the dual diverged or a weight underflowed to
-            zero, meaning no strictly positive weights satisfy the constraints.
-        NonFiniteDual: an exponent overflowed.
+        InfeasibleConstraints: without a cap, the dual diverged or a weight
+            underflowed to zero, meaning no strictly positive weights satisfy
+            the constraints.
+        ThresholdInfeasible: under a cap, a Newton direction is a Farkas
+            certificate r (the exception's
+            ``certificate``) that no weights within the cap satisfy the
+            constraints: r_0 > sum_i u_i max(0, r_0 + r_gamma.g_i).
+        NonFiniteDual: an exponent overflowed, or, under a cap, a weight
+            underflowed without a certificate.
         SingularHessian: a Hessian is not finite (a balance column overflows
             when squared), or has no Cholesky factor at float precision
             despite the ridge (collinear balance columns).
-        ValueError: ``start`` is not a finite m-vector.
+        ValueError: ``start`` is not a finite m-vector, or ``cap`` is not a
+            positive finite n-vector.
     """
     # G[None] is a view: at large n a copy would double peak memory.
-    (outcome,) = solve_batch(_balance_matrix(G)[None], [base_weights], start)
+    cap = None if cap is None else [cap]
+    (outcome,) = solve_batch(_balance_matrix(G)[None], [base_weights], start, cap)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -406,37 +535,79 @@ def check_threshold(threshold: float, n: int) -> None:
         raise ThresholdInfeasible(f"threshold {threshold} is below 1/n = {1.0 / n}")
 
 
+def cap_weights(weights: BalancingWeights, threshold: float, counts=None) -> BalancingWeights:
+    """Cap weights at a threshold, renormalizing the rest in proportion.
+
+    Plain capping without re-solving any constraints: IPW's truncation, and
+    the last step of ``truncate_and_rebalance``, which needs it to put the
+    capped dual's iterate exactly at or below its cap. The result is the
+    fixed point of repeated cap-and-renormalize, computed in closed form:
+    the largest units sit exactly at the cap and the others keep their
+    ratios. ``counts`` gives each unit's positive number of copies, as in a
+    bootstrap resample; no counts means one copy of each unit. The cap
+    applies per copy, so unit i is capped at ``counts[i] * threshold``, and
+    the threshold must be at least 1/N for N = sum(counts).
+
+    Raises:
+        ThresholdInfeasible: threshold not finite or below 1/N.
+        ValueError: ``counts`` are invalid or not all positive.
+    """
+    w = weights.weights
+    _, counts = check_counts(counts, w.size, positive=True)
+    check_threshold(threshold, int(counts.sum()))
+    share = w / counts
+    if share.max() <= threshold:
+        return weights
+    # Capping the units of the k largest shares scales the rest by
+    # (1 - (their copies) c) / (their sum); the smallest k that leaves the
+    # largest remaining share at or below the cap is the fixed point. Copies
+    # of one unit pass or fail that test together.
+    order = np.argsort(-share, kind="stable")
+    tails = np.cumsum(w[order][::-1])[::-1]
+    copies = np.concatenate(([0], np.cumsum(counts[order])[:-1]))
+    fits = share[order] * (1.0 - copies * threshold) <= threshold * tails
+    fits[-1] = True
+    capped = int(np.argmax(fits))
+    out = np.empty(w.size)
+    out[order[:capped]] = counts[order[:capped]] * threshold
+    rest = order[capped:]
+    out[rest] = w[rest] * ((1.0 - copies[capped] * threshold) / w[rest].sum())
+    return replace(weights, weights=out)
+
+
 def truncate_and_rebalance(
     G: np.ndarray,
     weights: BalancingWeights,
     threshold: float,
     counts=None,
 ) -> BalancingWeights:
-    """Cap extreme weights and re-solve until no weight exceeds the threshold.
+    """Entropy-balancing weights with no weight share above the threshold.
 
-    Each round caps weights at ``threshold``, renormalizes, and re-runs the
-    solver with the capped weights as base weights; an iterate that stopped
-    at the iteration limit is capped all the same. The result still satisfies
-    the balance constraints within tolerance but concentrates less mass on
-    single units, and keeps the untruncated ``gamma`` of ``weights``. Its
-    ``iterations`` are the Newton steps of the untruncated solve plus those
-    of every round. Stops once the maximum weight is at or below the
-    threshold (within 1e-10); the excess over the threshold shrinks
-    geometrically, so a budget of 100 rounds is generous.
+    Minimizes the divergence from the base weights subject to the balance
+    constraints and w_i <= counts[i] * threshold, as one capped dual solve
+    (see ``solve``) started at the multipliers of ``weights``, which are the
+    untruncated weights, converged or not. The closed form of
+    ``cap_weights`` applied to the uncapped weights of the solve's gamma
+    then gives weights exactly at or below the cap, summing to one, for a
+    converged or unconverged solve alike. Weights already at or below the
+    cap are returned as they are. The result keeps the untruncated ``gamma`` of ``weights``,
+    the bootstrap's warm start; its ``iterations`` are the Newton steps of
+    the untruncated solve plus those of the capped one.
 
     ``counts`` gives the positive number of copies of each row of ``G``, as
     for the frequency-weighted problem of a bootstrap resample (see
-    ``standardize``); no counts means one copy of each row. Row i is capped
-    at ``counts[i] * threshold`` until ``w_i <= counts[i] * (threshold +
-    1e-10)``: a unit's weight is the total of its copies', so the cap
-    applies per copy, and the threshold must be at least 1/sum(counts).
+    ``standardize``); no counts means one copy of each row. A unit's weight
+    is the total of its copies', so the cap applies per copy, and the
+    threshold must be at least 1/sum(counts).
 
     Raises:
-        ThresholdInfeasible: threshold not finite or below 1/sum(counts) (no
-            weight vector summing to one can satisfy the cap), or the cap is
-            still exceeded after the round budget of re-solves.
-        NotConverged: ``weights`` or a round stopped at the iteration limit;
-            the first such error, carrying the capped weights.
+        ThresholdInfeasible: threshold not finite or below 1/sum(counts),
+            or no weights within the cap satisfy the balance constraints,
+            proven by a Farkas certificate that the exception carries.
+        NotConverged: ``weights`` or the capped solve stopped short of the
+            gradient tolerance without a certificate; the first such error,
+            carrying the capped weights.
+        NonFiniteDual: the capped solve overflowed or underflowed a weight.
         ValueError: ``weights`` and ``G`` differ in their number of units,
             or ``counts`` are invalid (see ``check_counts``) or not positive.
     """
@@ -445,33 +616,29 @@ def truncate_and_rebalance(
         raise ValueError(f"weights have length {weights.n}, but G has {G.shape[0]} rows")
     _, counts = check_counts(counts, weights.n, positive=True)
     check_threshold(threshold, int(counts.sum()))
-
+    cap = counts * threshold
     failure = None if weights.converged else NotConverged(weights)
-    current = weights
-    rounds = 0
-    iterations = weights.iterations
-    # The caps are recomputed per round, not kept: at large n an n-vector
-    # alive through every re-solve would raise the peak memory.
-    while (current.weights > counts * (threshold + 1e-10)).any():
-        if rounds == _MAX_ROUNDS:
-            share = float((current.weights / counts).max())
-            raise ThresholdInfeasible(
-                f"max weight share {share!r} still exceeds threshold "
-                f"{threshold} after {rounds} rebalancing rounds"
-            )
-        capped = np.minimum(current.weights, counts * threshold)
-        capped = capped / capped.sum()
+    result = weights
+    if not (weights.weights <= cap).all():
         try:
-            current, _ = solve(G, base_weights=capped)
+            capped, _ = solve(G, base_weights=counts, start=weights.gamma, cap=cap)
         except NotConverged as err:
-            current, failure = err.weights, failure or err
-        iterations += current.iterations
-        rounds += 1
-    if current is not weights:
-        current = replace(
-            current, gamma=weights.gamma, converged=failure is None, iterations=iterations
+            capped, failure = err.weights, failure or err
+        except ThresholdInfeasible as err:
+            raise ThresholdInfeasible(
+                f"threshold {threshold} is infeasible: {err}", certificate=err.certificate
+            ) from None
+        # Capping the uncapped weights of the solve's gamma in closed form
+        # gives min(u, k q e^{gamma.g}) summing to one: the capped optimum's
+        # form, exactly at or below the cap.
+        uncapped = replace(capped, weights=recover_weights(capped.gamma, G, counts))
+        result = replace(
+            cap_weights(uncapped, threshold, counts),
+            gamma=weights.gamma,
+            converged=failure is None,
+            iterations=weights.iterations + capped.iterations,
         )
     if failure is not None:
-        failure.weights = current
+        failure.weights = result
         raise failure
-    return current
+    return result

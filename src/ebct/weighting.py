@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -10,47 +9,7 @@ import numpy as np
 from .data import BalancingWeights, Dataset, check_counts, method_name, standardize, uniform_weights
 from .errors import NotConverged
 from .ipw import ipw_weights
-from .solver import check_threshold, solve, truncate_and_rebalance
-
-
-def cap_weights(weights: BalancingWeights, threshold: float, counts=None) -> BalancingWeights:
-    """Cap weights at a threshold, renormalizing the rest in proportion.
-
-    Plain capping without re-solving any constraints; used for optional IPW
-    robustness runs. The result is the fixed point of repeated
-    cap-and-renormalize, computed in closed form: the largest units sit
-    exactly at the cap and the others keep their ratios. Entropy-balancing
-    weights should go through ``truncate_and_rebalance`` instead so balance
-    is restored. ``counts`` gives each unit's positive number of copies, as
-    in a bootstrap resample; no counts means one copy of each unit. The cap
-    applies per copy, so unit i is capped at ``counts[i] * threshold``, and
-    the threshold must be at least 1/N for N = sum(counts).
-
-    Raises:
-        ThresholdInfeasible: threshold not finite or below 1/N.
-        ValueError: ``counts`` are invalid or not all positive.
-    """
-    w = weights.weights
-    _, counts = check_counts(counts, w.size, positive=True)
-    check_threshold(threshold, int(counts.sum()))
-    share = w / counts
-    if share.max() <= threshold:
-        return weights
-    # Capping the units of the k largest shares scales the rest by
-    # (1 - (their copies) c) / (their sum); the smallest k that leaves the
-    # largest remaining share at or below the cap is the fixed point. Copies
-    # of one unit pass or fail that test together.
-    order = np.argsort(-share, kind="stable")
-    tails = np.cumsum(w[order][::-1])[::-1]
-    copies = np.concatenate(([0], np.cumsum(counts[order])[:-1]))
-    fits = share[order] * (1.0 - copies * threshold) <= threshold * tails
-    fits[-1] = True
-    capped = int(np.argmax(fits))
-    out = np.empty(w.size)
-    out[order[:capped]] = counts[order[:capped]] * threshold
-    rest = order[capped:]
-    out[rest] = w[rest] * ((1.0 - copies[capped] * threshold) / w[rest].sum())
-    return replace(weights, weights=out)
+from .solver import cap_weights, solve, truncate_and_rebalance
 
 
 def estimate_weights(
@@ -69,8 +28,8 @@ def estimate_weights(
     of at least 1/n unchanged. A threshold that is not finite or is below
     1/n raises ThresholdInfeasible for every method.
     ``start`` gives the initial multipliers of the ebct solve (see
-    ``solve``); truncation rounds re-solve on their capped base weights from
-    zero. ``ipw`` and ``uniform`` solve no dual and ignore ``start``.
+    ``solve``); truncation's capped solve starts from that solve's
+    multipliers. ``ipw`` and ``uniform`` solve no dual and ignore ``start``.
 
     ``counts`` gives how often each unit is drawn, as a bootstrap resample
     does (see ``check_counts``); no counts means one copy of each unit. The

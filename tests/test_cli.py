@@ -151,9 +151,19 @@ class TestBalanceCommand:
         assert report["weighted"]["max_weight_share"] <= 0.04 + 1e-6
         assert report["weighted"]["max_abs_correlation"] < 1e-6
 
-    def test_truncated_iterations_count_every_round(self, tmp_path):
+    def test_truncated_iterations_count_both_solves(self, tmp_path, monkeypatch):
         # The report counts the Newton steps of the untruncated solve and of
-        # every rebalancing round, not only those of the last round.
+        # the one capped solve that truncation makes.
+        import ebct.solver as solver
+
+        solve, capped_steps = solver.solve, []
+
+        def recording(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            capped_steps.append(result[0].iterations)
+            return result
+
+        monkeypatch.setattr(solver, "solve", recording)
         reports = {}
         for name, extra in (("plain", ()), ("capped", ("--truncate", "0.03"))):
             (tmp_path / name).mkdir()
@@ -162,7 +172,24 @@ class TestBalanceCommand:
             reports[name] = load_json(out / "balance_report.json")
         assert reports["plain"]["weighted"]["max_weight_share"] > 0.03
         assert reports["capped"]["weighted"]["max_weight_share"] <= 0.03 + 1e-10
-        assert reports["capped"]["iterations"] >= reports["plain"]["iterations"] > 0
+        written = np.loadtxt(
+            tmp_path / "capped" / "out" / "weights.csv", delimiter=",", skiprows=1, usecols=1
+        )
+        assert written.max() <= 0.03
+        (steps,) = capped_steps
+        assert steps > 0 and reports["plain"]["iterations"] > 0
+        assert reports["capped"]["iterations"] == reports["plain"]["iterations"] + steps
+
+    def test_certified_infeasible_cap_is_one_error_line(self, tmp_path, capsys):
+        # 0.01 is above 1/n = 0.0083, but no balancing weights fit under it
+        # (an LP puts the smallest feasible cap at 0.0166).
+        code, out = self.run_balance(tmp_path, "--truncate", "0.01")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: threshold 0.01 is infeasible: no weights at or below the cap balance "
+            "the sample (Farkas certificate verified)\n"
+        )
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
         "command, method",
@@ -559,6 +586,34 @@ class TestDrfCommand:
         else:
             assert calls == ["ipw_weights"]
 
+    def test_certified_infeasible_replicate_is_redrawn(self, tmp_path, monkeypatch):
+        # The full sample fits under 0.03; a resample that does not is
+        # proven infeasible and drawn again.
+        from ebct.errors import ThresholdInfeasible
+
+        estimate_weights, certified = drf.estimate_weights, []
+
+        def recording(*args, **kwargs):
+            try:
+                return estimate_weights(*args, **kwargs)
+            except ThresholdInfeasible as err:
+                certified.append(err.certificate)
+                raise
+
+        monkeypatch.setattr(drf, "estimate_weights", recording)
+        data = write_simulated_csv(tmp_path / "data.csv")
+        out = tmp_path / "out"
+        argv = [
+            "drf", "--input", str(data), "--treatment-col", "T",
+            "--covariate-cols", COVARIATES, "--outcome-col", "Y", "--truncate", "0.03",
+            "--bootstrap", "5", "--grid-points", "4", "--seed", "1", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        assert len(certified) == 2 and all(r is not None for r in certified)
+        assert load_json(out / "drf.json")["bootstrap_reps"] == 5
+        with open(out / "drf.csv", newline="") as handle:
+            assert all(float(row["se"]) > 0 for row in csv.DictReader(handle))
+
     def test_non_convergence_with_bootstrap_still_writes_outputs(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -612,8 +667,8 @@ def limit_first_solve(monkeypatch, module, iterations):
     """Stop the first solve looked up as ``module.solve`` after ``iterations`` steps.
 
     ``ebct.weighting.solve`` is the untruncated full-sample solve and
-    ``ebct.solver.solve`` a rebalancing round; later solves, the bootstrap
-    replicates' included, run to convergence.
+    ``ebct.solver.solve`` the capped solve of its truncation; later solves,
+    the bootstrap replicates' included, run to convergence.
     """
     from unittest import mock
 
@@ -637,8 +692,9 @@ class TestTruncationFailurePaths:
 
     Without the limit both commands exit 0; with it they exit 2 with a
     warning, and the weights they use are capped all the same. The limits
-    are chosen so that the last iterate itself exceeds the cap: 0.044 for
-    the untruncated solve after 3 steps, 0.039 for the first round after 2.
+    are chosen so that the weights the cap acts on exceed it: 0.044 for the
+    untruncated solve after 3 steps, and 0.077 for the uncapped weights of
+    the capped solve's multipliers after 2 of the 3 steps it needs.
     """
 
     CAP = 0.03

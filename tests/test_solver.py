@@ -1,11 +1,15 @@
+import math
 import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from scipy.optimize import minimize_scalar
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog, minimize_scalar
 
 from ebct import (
+    Dataset,
     solve,
     solve_batch,
     standardize,
@@ -49,12 +53,16 @@ def kl_divergence(w, q):
     return float(np.sum(w * np.log(w / q)))
 
 
-def feasible_affine_basis(matrix):
-    """Particular solution and null-space basis of {w : sum w = 1, G'w = 0}."""
+def feasible_affine_basis(matrix, target=None):
+    """Particular solution and null-space basis of {w : [1, G]'w = target}.
+
+    The default target is (1, 0, ..., 0): sum w = 1 and G'w = 0.
+    """
     n = matrix.shape[0]
     constraints = np.column_stack([np.ones(n), matrix]).T
-    target = np.zeros(constraints.shape[0])
-    target[0] = 1.0
+    if target is None:
+        target = np.zeros(constraints.shape[0])
+        target[0] = 1.0
     particular, *_ = np.linalg.lstsq(constraints, target, rcond=None)
     _, singular, vt = np.linalg.svd(constraints)
     rank = int(np.sum(singular > 1e-12 * singular[0]))
@@ -120,6 +128,102 @@ def brute_force_weights(matrix, tol=1e-12):
                 )
                 coords[axis] = res.x
     return particular + null_basis @ coords
+
+
+def min_feasible_threshold(G, copies):
+    """Smallest per-copy threshold t with some w in [0, copies * t] that meets
+    sum w = 1 and G'w = 0: a HiGHS LP over (w, t), independent of the dual."""
+    n, m = G.shape
+    result = linprog(
+        np.r_[np.zeros(n), 1.0],
+        A_ub=np.column_stack([np.eye(n), -copies]),
+        b_ub=np.zeros(n),
+        A_eq=np.column_stack([np.vstack([np.ones(n), G.T]), np.zeros(m + 1)]),
+        b_eq=np.r_[1.0, np.zeros(m)],
+        method="highs",
+    )
+    assert result.status == 0, result.message
+    return result.x[-1]
+
+
+def capped_entropy_oracle(G, q, u, target):
+    """Minimize KL(w || q) over 0 < w < u with [1, G]'w = target, in the primal.
+
+    A HiGHS LP finds the point of the affine set deepest inside the box; a
+    log-barrier Newton method over the null space of the constraints then
+    follows the barrier weight down to 1e-15. Independent of the dual path.
+    """
+    n = G.shape[0]
+    A = np.vstack([np.ones(n), G.T])
+    deepest = linprog(
+        np.r_[np.zeros(n), -1.0],
+        A_ub=np.block([[-np.eye(n), np.ones((n, 1))], [np.eye(n), u[:, None]]]),
+        b_ub=np.r_[np.zeros(n), u],
+        A_eq=np.column_stack([A, np.zeros(A.shape[0])]),
+        b_eq=target,
+        bounds=(None, None),
+        method="highs",
+    )
+    assert deepest.status == 0 and deepest.x[-1] > 0, deepest.message
+    particular, null_basis = feasible_affine_basis(G, target)
+    w = particular + null_basis @ (null_basis.T @ (deepest.x[:n] - particular))
+    assert np.all(w > 0) and np.all(w < u)
+
+    def barrier(w, mu):
+        return np.sum(w * np.log(w / q)) - mu * np.sum(np.log(w) + np.log(u - w))
+
+    mu = 1e-2
+    while mu >= 1e-15:
+        for _ in range(100):
+            grad = null_basis.T @ (np.log(w / q) + 1 - mu / w + mu / (u - w))
+            curvature = 1 / w + mu / w**2 + mu / (u - w) ** 2
+            hessian = null_basis.T @ (curvature[:, None] * null_basis)
+            step_z = -np.linalg.lstsq(hessian, grad, rcond=None)[0]
+            decrement = -grad @ step_z
+            if decrement < 1e-30:
+                break
+            step, direction = 1.0, null_basis @ step_z
+            while step >= 1e-20:
+                candidate = w + step * direction
+                if (
+                    np.all(candidate > 0)
+                    and np.all(candidate < u)
+                    and barrier(candidate, mu) <= barrier(w, mu) - 0.25 * step * decrement
+                ):
+                    break
+                step *= 0.5
+            else:
+                break
+            w = candidate
+        mu *= 0.1
+    return w
+
+
+def assert_certifies(G, u, r):
+    """Check a Farkas certificate of an infeasible cap with compensated sums.
+
+    Weights 0 <= w <= u with sum w = 1 and G'w = 0 would give
+    r_0 = sum_i w_i (r_0 + r_gamma.g_i) <= sum_i u_i max(0, r_0 + r_gamma.g_i).
+    """
+    assert r is not None
+    t = r[0] + G @ r[1:]
+    bound = math.fsum(u * np.maximum(t, 0.0))
+    assert r[0] - bound > 1e-9 * math.fsum(u * np.abs(t))
+
+
+def benchmark_frame(n, seed):
+    """Treatment and ten covariates with moderate selection, as drawn by the
+    benchmark's input generator, returned as a Dataset."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(n,)))
+    x = np.empty((n, 10))
+    x[:, 0] = rng.uniform(0.0, 4.0, n)
+    x[:, 1] = rng.gamma(2.0, 1.0, n)
+    x[:, 2] = rng.binomial(1, 0.4, n)
+    block = np.full((7, 7), 0.3) + 0.7 * np.eye(7)
+    x[:, 3:] = rng.standard_normal((n, 7)) @ np.linalg.cholesky(block).T
+    beta = np.array([0.6, 0.4, 0.8, 0.5, 0.3, 0.3, 0.2, 0.2, 0.1, 0.1])
+    t = x @ beta + 1.5 * rng.standard_normal(n)
+    return Dataset(treatment=t, covariates=x)
 
 
 class TestDualObjective:
@@ -512,7 +616,6 @@ class TestSolverConstants:
         assert solver._GRADIENT_TOLERANCE == 1e-8
         assert solver._MAX_ITERATIONS == 200
         assert solver._RIDGE == 1e-9
-        assert solver._MAX_ROUNDS == 100
 
 
 class TestTruncateAndRebalance:
@@ -548,16 +651,15 @@ class TestTruncateAndRebalance:
         with pytest.raises(ThresholdInfeasible):
             truncate_and_rebalance(G, weights, threshold=1.0 / 20 - 1e-6)
 
-    def test_threshold_at_uniform_fails_to_reduce(self, monkeypatch):
-        # Uniform is the only candidate and violates the constraints, so the
-        # rounds run out with the cap still exceeded, which is an error.
+    def test_threshold_at_uniform_is_certified_infeasible(self):
+        # At 1/n the only candidate is uniform, which violates the
+        # constraints; the capped dual proves it.
         G = self.heavy_instance()
         weights, _ = solve(G)
-        monkeypatch.setattr(solver, "_MAX_ROUNDS", 5)
-        with pytest.raises(ThresholdInfeasible, match=r"after 5 rebalancing rounds") as excinfo:
-            truncate_and_rebalance(G, weights, threshold=1.0 / 50)
-        share = float(str(excinfo.value).split()[3])
-        assert share > 1.0 / 50 + 1e-10
+        threshold = 1.0 / 50
+        with pytest.raises(ThresholdInfeasible, match=r"threshold 0\.02 is infeasible") as excinfo:
+            truncate_and_rebalance(G, weights, threshold)
+        assert_certifies(G, np.full(50, threshold), excinfo.value.certificate)
 
     def test_four_percent_cap_with_balance(self):
         G = self.heavy_instance()
@@ -577,20 +679,23 @@ class TestTruncateAndRebalance:
         assert result.converged and result.max_share <= 0.04 + 1e-10 < weights.max_share
         assert result.gamma.tobytes() == weights.gamma.tobytes()
 
-    def test_iterations_total_the_solve_and_every_round(self, monkeypatch):
+    def test_iterations_total_the_solve_and_the_capped_solve(self, monkeypatch):
         G = self.heavy_instance()
         weights, _ = solve(G)
-        rounds = []
+        calls = []
 
-        def recording(G, base_weights):
-            result = solve(G, base_weights=base_weights)
-            rounds.append(result[0].iterations)
+        def recording(G, **kwargs):
+            result = solve(G, **kwargs)
+            calls.append((kwargs, result[0].iterations))
             return result
 
         monkeypatch.setattr(solver, "solve", recording)
         result = truncate_and_rebalance(G, weights, threshold=0.04)
-        assert len(rounds) > 1 and sum(rounds) > 0
-        assert result.iterations == weights.iterations + sum(rounds)
+        ((kwargs, steps),) = calls
+        assert kwargs["start"].tobytes() == weights.gamma.tobytes()
+        npt.assert_array_equal(kwargs["cap"], np.full(50, 0.04))
+        assert steps > 0
+        assert result.iterations == weights.iterations + steps
 
     def test_unconverged_input_is_capped_then_reraised(self, monkeypatch):
         G = self.heavy_instance()
@@ -609,23 +714,134 @@ class TestTruncateAndRebalance:
         assert capped.gamma.tobytes() == start.gamma.tobytes()
         assert np.abs(G.T @ capped.weights).max() <= 1e-7
 
-    def test_unconverged_round_continues_from_its_last_iterate(self, monkeypatch):
+    def test_unconverged_capped_solve_is_capped_then_raised(self, monkeypatch):
         G = self.heavy_instance()
         weights, _ = solve(G)
-        rounds = []
 
-        def first_round_stops_early(G, base_weights):
-            rounds.append(base_weights)
-            limit = 1 if len(rounds) == 1 else 200
+        def one_step(G, **kwargs):
             with monkeypatch.context() as patch:
-                patch.setattr(solver, "_MAX_ITERATIONS", limit)
-                return solve(G, base_weights=base_weights)
+                patch.setattr(solver, "_MAX_ITERATIONS", 1)
+                return solve(G, **kwargs)
 
-        monkeypatch.setattr(solver, "solve", first_round_stops_early)
+        monkeypatch.setattr(solver, "solve", one_step)
         with pytest.raises(NotConverged, match=r"after 1 iterations") as excinfo:
             truncate_and_rebalance(G, weights, threshold=0.04)
-        assert len(rounds) > 1
         capped = excinfo.value.weights
         assert not capped.converged
-        assert capped.max_share <= 0.04 + 1e-10
+        assert capped.iterations == weights.iterations + 1
+        assert capped.max_share <= 0.04
+        assert abs(capped.weights.sum() - 1.0) <= 1e-12
         assert capped.gamma.tobytes() == weights.gamma.tobytes()
+
+
+@pytest.fixture(scope="module")
+def edge_instance():
+    """n=1000 input whose feasible caps end near 0.00172 (HiGHS LP)."""
+    G = standardize(benchmark_frame(1000, 1))
+    weights, _ = solve(G)
+    return G, weights
+
+
+@st.composite
+def capped_problems(draw):
+    """A small selected sample, optional copy counts, and where the
+    threshold sits: ``margin`` is its distance above the smallest feasible
+    threshold t* in units of t* - 1/N, which is positive for n >= 2K+2."""
+    n = draw(st.integers(10, 24))
+    k = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, k))
+    t = draw(st.floats(0.0, 1.5)) * x.sum(axis=1) + rng.standard_normal(n)
+    counts = rng.integers(1, 4, size=n) if draw(st.booleans()) else None
+    margin = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.05, 0.9))
+    return Dataset(treatment=t, covariates=x), counts, margin
+
+
+class TestCappedDual:
+
+    def capped_state(self, G, theta, u):
+        n = G.shape[0]
+        log_q = np.log(np.full((1, n), 1.0 / n))
+        return solver._dual_state(G[None], log_q, theta[None], (u[None], np.log(u)[None]))
+
+    def test_gradient_and_hessian_match_finite_differences(self, rng):
+        G = random_sample(rng, n=30, k=2)
+        u = np.full(30, 0.05)
+        for _ in range(5):
+            theta = np.r_[0.2, rng.uniform(-0.5, 0.5, size=5)]
+            value, w, grad, finite = self.capped_state(G, theta, u)
+            capped = w[0] == u
+            assert finite[0] and 0 < capped.sum() < 30
+            fd = finite_difference_gradient(lambda t: self.capped_state(G, t, u)[0][0], theta)
+            npt.assert_allclose(grad[0], fd, rtol=1e-6, atol=1e-9)
+            # Away from the kinks the Hessian is the derivative of the gradient.
+            s = np.log(1.0 / 30) + theta[0] + G @ theta[1:]
+            assert np.all(np.abs(s - np.log(u)) > 1e-4)
+            hessian = solver._hessian(G[None], w, grad, u[None])[0]
+            fd = np.column_stack([
+                finite_difference_gradient(
+                    lambda t, j=j: self.capped_state(G, t, u)[2][0, j], theta, step=1e-7
+                )
+                for j in range(6)
+            ])
+            npt.assert_allclose(hessian, fd, rtol=1e-5, atol=1e-7)
+
+    @pytest.mark.parametrize("threshold", [0.00175, 0.0018, 0.0019])
+    def test_feasible_edge_cap_solves(self, edge_instance, threshold):
+        # The cap-renormalize-resolve rounds stalled here and reported these
+        # caps infeasible, though an LP finds weights under each.
+        G, weights = edge_instance
+        result = truncate_and_rebalance(G, weights, threshold)
+        assert result.converged
+        assert result.max_share <= threshold
+        assert abs(result.weights.sum() - 1.0) <= 1e-12
+        assert np.abs(G.T @ result.weights).max() <= 1e-8
+        assert result.iterations - weights.iterations <= 10
+
+    @pytest.mark.parametrize("threshold", [0.0016, 0.0017])
+    def test_infeasible_edge_cap_is_certified(self, edge_instance, threshold):
+        G, weights = edge_instance
+        assert min_feasible_threshold(G, np.ones(1000)) > threshold
+        with pytest.raises(ThresholdInfeasible, match=f"threshold {threshold} is infeasible") as excinfo:
+            truncate_and_rebalance(G, weights, threshold)
+        assert_certifies(G, np.full(1000, threshold), excinfo.value.certificate)
+
+    def test_cap_must_be_positive_and_fit_the_rows(self, rng):
+        G = random_sample(rng, n=30)
+        for cap, message in [(np.full(29, 0.1), "cap has length 29"),
+                             (np.r_[0.0, np.full(29, 0.1)], "cap must be strictly positive")]:
+            with pytest.raises(ValueError, match=message):
+                solve(G, cap=cap)
+        with pytest.raises(ValueError, match="got 1 cap vectors for 2 problems"):
+            solve_batch([G, G], cap=[np.full(30, 0.1)])
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(capped_problems())
+    def test_verdict_and_optimum_match_the_lp_and_the_primal(self, problem):
+        dataset, counts, margin = problem
+        G = standardize(dataset)
+        copies = np.ones(dataset.n) if counts is None else counts
+        try:
+            weights, _ = solve(G, base_weights=counts)
+        except EbctError:
+            assume(False)
+        edge = min_feasible_threshold(G, copies)
+        threshold = edge + margin * (edge - 1.0 / copies.sum())
+        u = copies * threshold
+        try:
+            result = truncate_and_rebalance(G, weights, threshold, counts)
+        except ThresholdInfeasible as err:
+            assert margin < 0
+            assert_certifies(G, u, err.certificate)
+            return
+        assert margin > 0
+        w = result.weights
+        assert np.all(w <= u)
+        assert np.abs(G.T @ w).max() <= 1e-8
+        assert abs(w.sum() - 1.0) <= 1e-12
+        # The gradient tolerance lets the moments miss zero by up to 1e-8,
+        # which moves the optimal KL by more than that near the boundary, so
+        # the oracle solves for the moments the weights reach.
+        q = copies / copies.sum()
+        oracle = capped_entropy_oracle(G, q, u, np.r_[w.sum(), G.T @ w])
+        assert kl_divergence(w, q) == pytest.approx(kl_divergence(oracle, q), abs=1e-8)
