@@ -223,9 +223,12 @@ def _balance_columns(t, x, datasets, size, freq=None) -> np.ndarray:
 
     ``freq`` (None: one copy each) are the n rows' copy counts, ``size`` in
     all, which weight every sum over the rows. The scales are
-    ``std(ddof=1)``'s own arithmetic, with each deviation computed once: it
-    is copied into the balance columns before it is squared in place, so no
-    n x K temporary besides it is live.
+    ``std(ddof=1)``'s own arithmetic, with each deviation computed once.
+    A plain single dataset may be large: its deviations are copied into the
+    balance columns before they are squared in place, so no n x K temporary
+    besides them is live. Stacks and resamples are small: they scale
+    contiguous arrays, which is faster than scaling strided column slices,
+    and join them in one copy.
     """
     B, n, k = x.shape
     if freq is None:
@@ -240,14 +243,19 @@ def _balance_columns(t, x, datasets, size, freq=None) -> np.ndarray:
             # rows and reducing them.
             return (freq @ a if a.ndim == 3 else a @ freq)[:, None]
 
-    G = np.empty((B, n, 2 * k + 1))
     t_dev = t - total(t) / size
     t_scale = np.sqrt(total(t_dev * t_dev) / (size - 1))
-    x_std = G[:, :, 1 : k + 1]
     dev = x - total(x) / size
-    x_std[...] = dev
-    dev *= dev
-    x_scales = total(dev)
+    in_place = B == 1 and freq is None
+    if in_place:
+        G = np.empty((B, n, 2 * k + 1))
+        x_std = G[:, :, 1 : k + 1]
+        x_std[...] = dev
+        dev *= dev
+        x_scales = total(dev)
+    else:
+        x_std = dev
+        x_scales = total(dev * dev)
     del dev
     x_scales /= size - 1
     np.sqrt(x_scales, out=x_scales)
@@ -257,9 +265,13 @@ def _balance_columns(t, x, datasets, size, freq=None) -> np.ndarray:
         if not varies_t[b]:
             raise ConstantColumn(datasets[b].treatment_name)
         raise ConstantColumn(datasets[b].covariate_names[int(np.argmin(varies_x[b]))])
-    np.divide(t_dev, t_scale, out=G[:, :, 0])
     x_std /= x_scales
-    np.multiply(G[:, :, :1], x_std, out=G[:, :, k + 1 :])
+    if in_place:
+        np.divide(t_dev, t_scale, out=G[:, :, 0])
+        np.multiply(G[:, :, :1], x_std, out=G[:, :, k + 1 :])
+    else:
+        t_std = (t_dev / t_scale)[:, :, None]
+        G = np.concatenate([t_std, x_std, t_std * x_std], axis=2)
     G.setflags(write=False)
     return G
 

@@ -18,17 +18,25 @@ from .data import BalancingWeights, Dataset
 _VARIANCE_FLOOR = 1e-24
 
 
-def _weight_rows(ws) -> np.ndarray:
-    """The weightings ``ws``, each normalized to sum one, as an M x n stack."""
-    rows = [
-        w.weights if isinstance(w, BalancingWeights) else np.ravel(np.asarray(w, dtype=float))
-        for w in ws
-    ]
-    # One weighting stays a view, so a large n pays no stacking copy.
-    stack = rows[0][None] if len(rows) == 1 else np.stack(rows)
+def _weight_vector(w) -> np.ndarray:
+    return w.weights if isinstance(w, BalancingWeights) else np.ravel(np.asarray(w, dtype=float))
+
+
+def _weight_rows(groups) -> np.ndarray:
+    """B x M x n stack of the weightings ``groups``, B sequences of M
+    weightings or a B x M x n array, each normalized to sum one."""
+    if isinstance(groups, np.ndarray):
+        stack = groups.astype(float, copy=False)
+        if stack.ndim != 3:
+            raise ValueError(f"stacked datasets take a B x M x n weight stack, got {stack.ndim}-d")
+    else:
+        rows = [[_weight_vector(w) for w in group] for group in groups]
+        # One weighting stays a view, so a large n pays no stacking copy.
+        one = len(rows) == 1 and len(rows[0]) == 1
+        stack = rows[0][0][None, None] if one else np.array(rows)
     if not (stack.min() > 0 and np.isfinite(stack).all()):
         raise ValueError("weights must be strictly positive and finite")
-    return stack / stack.sum(axis=1, keepdims=True)
+    return stack / stack.sum(axis=-1, keepdims=True)
 
 
 def _json_float(value) -> Optional[float]:
@@ -77,7 +85,7 @@ class BalanceReport:
         }
 
 
-def balance_report(w, dataset: Dataset, method_tag: str = ""):
+def balance_report(w, dataset, method_tag: str = ""):
     """Weighted treatment-covariate correlations for every covariate.
 
     Called with uniform weights this reproduces the plain unweighted Pearson
@@ -95,24 +103,46 @@ def balance_report(w, dataset: Dataset, method_tag: str = ""):
     its weighting gives alone, degenerate columns included. A report is
     tagged ``method_tag``, else its weights' method, else "uniform".
 
+    ``dataset`` may also be a sequence of B datasets that share n and K, with
+    ``w`` B sequences of M weightings, one per dataset, or a B x M x n
+    array. The result is then B lists of M reports from one pass over the
+    B x M x n stack, each bit for bit the report its weighting and dataset
+    give alone.
+
     Raises:
-        ValueError: a weighting is not positive and finite, or not of length n.
+        ValueError: a weighting is not positive and finite, or not of length
+            n; stacked datasets differ in shape, or their weightings are not
+            B groups of M.
     """
-    single = _is_one_weighting(w)
-    ws = [w] if single else list(w)
-    weights = _weight_rows(ws)
-    if weights.shape[1] != dataset.n:
-        raise ValueError(f"weights have {weights.shape[1]} entries per row, expected {dataset.n}")
-    # (M, 1, n) rows make every weighted mean one dot product or one
+    one_dataset = isinstance(dataset, Dataset)
+    if one_dataset:
+        single = _is_one_weighting(w)
+        datasets, groups = [dataset], [[w] if single else list(w)]
+    else:
+        datasets, groups = list(dataset), w
+        if any((d.n, d.k) != (datasets[0].n, datasets[0].k) for d in datasets):
+            raise ValueError("stacked datasets must share n and K")
+    weights = _weight_rows(groups)
+    B, M, n = weights.shape
+    if B != len(datasets):
+        raise ValueError(f"got {B} groups of weightings for {len(datasets)} datasets")
+    if n != datasets[0].n:
+        raise ValueError(f"weights have {n} entries per row, expected {datasets[0].n}")
+    if B == 1:
+        # Views: at large n a copy would raise the peak memory.
+        t, x = datasets[0].treatment[None], datasets[0].covariates[None]
+    else:
+        t = np.stack([d.treatment for d in datasets])
+        x = np.stack([d.covariates for d in datasets])
+    # (B, M, 1, n) rows make every weighted mean one dot product or one
     # vector-matrix product per weighting, the BLAS calls of a lone vector.
-    rows = weights[:, None, :]
-    t, x = dataset.treatment, dataset.covariates
-    dt = t - (rows @ t[:, None])[:, :, 0]
-    dx = x - rows @ x
-    cov = ((weights * dt)[:, None, :] @ dx)[:, 0]
-    var_t = (rows @ (dt * dt)[:, :, None])[:, 0]
+    rows = weights[:, :, None, :]
+    dt = t[:, None, :] - (rows @ t[:, None, :, None])[..., 0]
+    dx = x[:, None] - rows @ x[:, None]
+    cov = ((weights * dt)[:, :, None, :] @ dx)[:, :, 0]
+    var_t = (rows @ (dt * dt)[..., None])[..., 0]
     dx *= dx
-    var_x = (rows @ dx)[:, 0]
+    var_x = (rows @ dx)[:, :, 0]
     bad = (var_x < _VARIANCE_FLOOR) | (var_t < _VARIANCE_FLOOR)
     correlations = np.divide(
         cov, np.sqrt(var_t * var_x), out=np.full_like(cov, np.nan), where=~bad
@@ -122,32 +152,36 @@ def balance_report(w, dataset: Dataset, method_tag: str = ""):
     # Row-wise aggregates are each row's own: only a row with a degenerate
     # column needs them again over its finite entries.
     if magnitudes.size:
-        maxima = magnitudes.max(axis=1).tolist()
-        means = magnitudes.mean(axis=1).tolist()
+        maxima = magnitudes.max(axis=-1).tolist()
+        means = magnitudes.mean(axis=-1).tolist()
     else:  # no covariates
-        maxima, means = [float("nan")] * len(ws), [float("nan")] * len(ws)
-    shares = weights.max(axis=1).tolist()
-    names = dataset.covariate_names
+        maxima = means = np.full((B, M), np.nan).tolist()
+    shares = weights.max(axis=-1).tolist()
     reports = []
-    for m, item in enumerate(ws):
-        degenerate = ()
-        if bad[m].any():
-            finite = magnitudes[m][~bad[m]]
-            maxima[m] = float(finite.max()) if finite.size else float("nan")
-            means[m] = float(finite.mean()) if finite.size else float("nan")
-            degenerate = tuple(compress(names, bad[m]))
-        reports.append(
-            BalanceReport(
-                covariate_names=names,
-                per_covariate_correlation=correlations[m],
-                max_abs_correlation=maxima[m],
-                mean_abs_correlation=means[m],
-                max_weight_share=shares[m],
-                method_tag=method_tag or getattr(item, "method_tag", "uniform"),
-                degenerate_columns=degenerate,
+    for b, data in enumerate(datasets):
+        names = data.covariate_names
+        reports.append([])
+        for m in range(M):
+            maximum, mean, degenerate = maxima[b][m], means[b][m], ()
+            if bad[b, m].any():
+                finite = magnitudes[b, m][~bad[b, m]]
+                maximum = float(finite.max()) if finite.size else float("nan")
+                mean = float(finite.mean()) if finite.size else float("nan")
+                degenerate = tuple(compress(names, bad[b, m]))
+            reports[b].append(
+                BalanceReport(
+                    covariate_names=names,
+                    per_covariate_correlation=correlations[b, m],
+                    max_abs_correlation=maximum,
+                    mean_abs_correlation=mean,
+                    max_weight_share=shares[b][m],
+                    method_tag=method_tag or getattr(groups[b][m], "method_tag", "uniform"),
+                    degenerate_columns=degenerate,
+                )
             )
-        )
-    return reports[0] if single else reports
+    if not one_dataset:
+        return reports
+    return reports[0][0] if single else reports[0]
 
 
 def render_balance_table(reports: Sequence[BalanceReport]) -> str:

@@ -44,6 +44,11 @@ def fit_wls(y, design, w) -> np.ndarray:
     factorization. Each row of a stack is bit for bit the coefficients that
     row alone gives.
 
+    B samples of the same shape fit in one call as a B x n ``y``, a
+    B x n x p ``design`` and a B x M x n ``w``, M weightings of each sample,
+    giving a B x M x p array whose entry [b] is bit for bit the M x p
+    matrix that sample b alone gives.
+
     Raises:
         ValueError: the normal equations are not finite, or a weighting's
             length is not the design's row count (an n x 1 column is not a
@@ -52,16 +57,25 @@ def fit_wls(y, design, w) -> np.ndarray:
             With a stack, either error is raised for the whole call when
             any one weighting has it.
     """
-    y = np.ravel(np.asarray(y, dtype=float))
     design = np.asarray(design, dtype=float)
     w = np.asarray(w, dtype=float)
-    if w.ndim != 2:
-        w = np.ravel(w)
-    if w.shape[-1] != design.shape[0]:
-        raise ValueError(f"weights have {w.shape[-1]} entries per row, expected {design.shape[0]}")
+    if design.ndim == 3:
+        # Each sample's weightings meet its own design and outcome.
+        design, y = design[:, None], np.asarray(y, dtype=float)[:, None, :, None]
+        if w.ndim != 3:
+            raise ValueError(f"stacked designs take a B x M x n weight stack, got {w.ndim}-d")
+    else:
+        y = np.ravel(np.asarray(y, dtype=float))[:, None]
+        if w.ndim != 2:
+            w = np.ravel(w)
+    n = design.shape[-2]
+    if w.shape[-1] != n:
+        raise ValueError(f"weights have {w.shape[-1]} entries per row, expected {n}")
     weighted = design * w[..., None]
     weighted_t = np.swapaxes(weighted, -1, -2)
     gram = weighted_t @ design
+    # A column outcome keeps rhs a column: the matrix-vector product of a
+    # 1-d outcome, with the trailing axis the solves take.
     rhs = weighted_t @ y
     # numpy's Cholesky passes NaN and inf through without raising.
     if not np.isfinite(gram).all():
@@ -74,7 +88,7 @@ def fit_wls(y, design, w) -> np.ndarray:
         ) from None
     if not np.isfinite(rhs).all():
         raise ValueError(_NON_FINITE)
-    half = np.linalg.solve(lower, rhs[..., None])
+    half = np.linalg.solve(lower, rhs)
     return np.linalg.solve(np.swapaxes(lower, -1, -2), half)[..., 0]
 
 

@@ -23,7 +23,7 @@ def _normal_logpdf(t, mu, sigma):
     return -0.5 * z * z - np.log(sigma) - 0.5 * _LOG_2PI
 
 
-def ipw_weights(dataset: Dataset, counts=None) -> BalancingWeights:
+def ipw_weights(dataset, counts=None):
     """Normalized stabilized weights f_T(T_i) / f_{T|X}(T_i | X_i).
 
     The generalized propensity score f_{T|X} is the normal model
@@ -41,53 +41,79 @@ def ipw_weights(dataset: Dataset, counts=None) -> BalancingWeights:
     scaled by the counts' square roots, rank tolerance of N = sum(counts)
     rows), and the means and scales are count-weighted over N copies.
 
+    ``dataset`` may also be a sequence of B datasets that share n and K. The
+    result is then a list of their weights from one pass over the stacked
+    samples, each bit for bit the weights its dataset gives alone; only the
+    least-squares fits run one dataset at a time, so each keeps its own
+    rank decision.
+
     Raises:
-        ValueError: ``counts`` are invalid, or N < K+2 copies (n without
-            counts) leave the residual scale no degree of freedom.
+        ValueError: ``counts`` are invalid or come with a sequence, stacked
+            datasets differ in shape, or N < K+2 copies (n without counts)
+            leave the residual scale no degree of freedom.
         RankDeficientDesign: the design [1 | X] is not full column rank.
         ConstantColumn: the treatment does not vary.
         DegenerateResidual: a (near-) perfect fit leaves no residual scale.
+            With a sequence, each error is raised for the first dataset
+            that has it.
     """
-    k = dataset.k
-    kept, copies = check_counts(counts, dataset.n)
+    single = isinstance(dataset, Dataset)
+    datasets = [dataset] if single else list(dataset)
+    m, k = datasets[0].n, datasets[0].k
+    if any((d.n, d.k) != (m, k) for d in datasets):
+        raise ValueError("stacked datasets must share n and K")
+    if not single and counts is not None:
+        raise ValueError("counts apply to one dataset, not to a sequence")
+    kept, copies = check_counts(counts, m)
     n = int(copies.sum())
     if n < k + 2:
         raise ValueError(f"need at least K+2 = {k + 2} units for K={k} covariates, got {n}")
-    t, x = dataset.treatment[kept], dataset.covariates[kept]
+    if single:
+        t, x = dataset.treatment[kept][None], dataset.covariates[kept][None]
+    else:
+        t = np.stack([d.treatment for d in datasets])
+        x = np.stack([d.covariates for d in datasets])
     freq = copies.astype(float)
-    design = np.column_stack([np.ones(t.size), x])
+    design = np.empty(x.shape[:2] + (k + 1,))
+    design[:, :, 0] = 1.0
+    design[:, :, 1:] = x
     # The scaled rows have the Gram matrix of the N copies, and rcond is the
     # tolerance that lstsq's rcond=None and matrix_rank give the copies, so
     # the one SVD serves both the fit and the rank check.
     root = np.sqrt(freq)
     rcond = np.finfo(float).eps * max(n, k + 1)
-    beta, _, rank, _ = np.linalg.lstsq(design * root[:, None], t * root, rcond=rcond)
-    if rank < k + 1:
-        raise RankDeficientDesign("design matrix [1 | X] is rank deficient")
-    residuals = t - design @ beta
-    # Each sum is taken the way mean, std(ddof=1) and r @ r take it, so with
-    # one copy each these are the sample's own moments bit for bit.
-    mean = float((freq * t).sum()) / n
+    beta = np.empty((len(datasets), k + 1))
+    for b in range(len(datasets)):
+        beta[b], _, rank, _ = np.linalg.lstsq(design[b] * root[:, None], t[b] * root, rcond=rcond)
+        if rank < k + 1:
+            raise RankDeficientDesign("design matrix [1 | X] is rank deficient")
+    # Every product and sum below is one dataset's own, taken along its rows
+    # the way the one-dataset arithmetic takes it: mean, std(ddof=1) and
+    # r @ r with one copy each, so the sample's own moments bit for bit.
+    residuals = t - (design @ beta[:, :, None])[:, :, 0]
+    mean = (freq * t).sum(axis=1, keepdims=True) / n
     dev = t - mean
-    marginal_sigma = float(np.sqrt((freq * dev * dev).sum() / (n - 1)))
-    sigma = float(np.sqrt((residuals * freq) @ residuals / (n - k - 1)))
-
-    if not marginal_sigma > 0:
-        raise ConstantColumn(dataset.treatment_name)
-    if sigma < 1e-12 * marginal_sigma:
+    marginal_sigma = np.sqrt((freq * dev * dev).sum(axis=1, keepdims=True) / (n - 1))
+    sigma = np.sqrt(((residuals * freq)[:, None, :] @ residuals[:, :, None])[:, 0] / (n - k - 1))
+    for b in np.flatnonzero(~(marginal_sigma[:, 0] > 0) | (sigma < 1e-12 * marginal_sigma)[:, 0]):
+        if not marginal_sigma[b, 0] > 0:
+            raise ConstantColumn(datasets[b].treatment_name)
         raise DegenerateResidual(
             "treatment is (numerically) an exact function of the covariates"
         )
     log_ratio = _normal_logpdf(t, mean, marginal_sigma)
-    log_ratio -= _normal_logpdf(t, beta[0] + x @ beta[1:], sigma)
-    shifted = np.exp(log_ratio - log_ratio.max())
+    log_ratio -= _normal_logpdf(t, beta[:, :1] + (x @ beta[:, 1:, None])[:, :, 0], sigma)
+    shifted = np.exp(log_ratio - log_ratio.max(axis=1, keepdims=True))
     shifted *= freq
-    weights = shifted / shifted.sum()
-    return BalancingWeights(
-        weights=weights,
-        gamma=np.empty(0),
-        converged=True,
-        iterations=0,
-        final_gradient_norm=float("nan"),
-        method_tag="ipw",
-    )
+    weights = [
+        BalancingWeights(
+            weights=row,
+            gamma=np.empty(0),
+            converged=True,
+            iterations=0,
+            final_gradient_norm=float("nan"),
+            method_tag="ipw",
+        )
+        for row in shifted / shifted.sum(axis=1, keepdims=True)
+    ]
+    return weights[0] if single else weights

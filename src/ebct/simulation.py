@@ -190,28 +190,61 @@ def _draw(config: ScenarioConfig, replicate_index: int) -> Dataset:
     return Dataset(treatment=t, covariates=apply_specification(x, config.spec), outcome=y)
 
 
+def _stacked(step, items) -> list:
+    """One outcome per item of a step that takes one item or a sequence.
+
+    ``step(items)`` runs once over the whole sequence. When it raises, or
+    there is only one item, ``step(item)`` runs for each item alone, and the
+    EbctError or LinAlgError its own call raises is its outcome, so a
+    failure stays with its item.
+    """
+    if len(items) > 1:
+        try:
+            return step(items)
+        except (EbctError, ValueError, np.linalg.LinAlgError):
+            pass
+    outcomes = []
+    for item in items:
+        try:
+            outcomes.append(step(item))
+        except (EbctError, np.linalg.LinAlgError) as err:
+            outcomes.append(err)
+    return outcomes
+
+
 def _ebct_weights(datasets: Sequence[Dataset]) -> list:
     """EBCT weights for every dataset from one standardization and one stacked solve.
 
     Each entry is the dataset's BalancingWeights or the exception that
-    standardizing or solving it raised. When any dataset fails to
-    standardize, each is standardized alone, so a failure stays with its
-    dataset.
+    standardizing or solving it raised.
     """
-    outcomes = [None] * len(datasets)
-    try:
-        matrices, slots = standardize(datasets), range(len(datasets))
-    except (EbctError, ValueError):
-        matrices, slots = [], []
-        for slot, dataset in enumerate(datasets):
-            try:
-                matrices.append(standardize(dataset))
-                slots.append(slot)
-            except EbctError as err:
-                outcomes[slot] = err
+    matrices = _stacked(standardize, datasets)
+    outcomes = list(matrices)
+    slots = [slot for slot, G in enumerate(outcomes) if not isinstance(G, Exception)]
+    if len(slots) < len(outcomes):
+        matrices = [outcomes[slot] for slot in slots]
     for slot, outcome in zip(slots, solve_batch(matrices)):
         outcomes[slot] = outcome if isinstance(outcome, Exception) else outcome[0]
     return outcomes
+
+
+def _designs(datasets: Sequence[Dataset]) -> np.ndarray:
+    """The B x n x 2 stack of the datasets' effect-regression designs [1, T]."""
+    design = np.ones((len(datasets), datasets[0].n, 2))
+    design[:, :, 1] = [dataset.treatment for dataset in datasets]
+    return design
+
+
+def _records(methods, slopes, reports) -> dict:
+    """Each method's record from its effect slope and balance report."""
+    return {
+        method: ReplicationRecord(
+            estimate=slope,
+            max_abs_correlation=report.max_abs_correlation,
+            max_weight_share=report.max_weight_share,
+        )
+        for method, slope, report in zip(methods, slopes, reports)
+    }
 
 
 def _method_records(dataset: Dataset, weightings: dict) -> dict:
@@ -221,7 +254,7 @@ def _method_records(dataset: Dataset, weightings: dict) -> dict:
     weighting. When the stacked fit raises, each weighting is fitted alone,
     and only a method whose own fit fails is left without a record.
     """
-    design = np.column_stack([np.ones(dataset.n), dataset.treatment])
+    design = _designs([dataset])[0]
     stack = np.stack([weights.weights for weights in weightings.values()])
     try:
         slopes = dict(zip(weightings, fit_wls(dataset.outcome, design, stack)[:, 1].tolist()))
@@ -235,39 +268,63 @@ def _method_records(dataset: Dataset, weightings: dict) -> dict:
     if not slopes:
         return {}
     reports = balance_report([weightings[method] for method in slopes], dataset)
-    return {
-        method: ReplicationRecord(
-            estimate=slope,
-            max_abs_correlation=report.max_abs_correlation,
-            max_weight_share=report.max_weight_share,
-        )
-        for (method, slope), report in zip(slopes.items(), reports)
-    }
+    return _records(slopes, slopes.values(), reports)
+
+
+def _group_records(datasets: Sequence[Dataset], weightings: Sequence[dict]) -> list:
+    """``_method_records`` of replications whose weightings share their methods.
+
+    The group is fitted in one ``fit_wls`` call over the B x M x n stack of
+    its weightings and diagnosed in one ``balance_report`` call. When the
+    stacked fit raises, or the group has one replication, each replication
+    is fitted and diagnosed alone.
+    """
+    if len(datasets) > 1:
+        stack = np.array([[weights.weights for weights in row.values()] for row in weightings])
+        outcomes = np.stack([dataset.outcome for dataset in datasets])
+        try:
+            slopes = fit_wls(outcomes, _designs(datasets), stack)[:, :, 1].tolist()
+        except (EbctError, ValueError, np.linalg.LinAlgError):
+            pass
+        else:
+            reports = balance_report(stack, datasets)
+            return [_records(*fitted) for fitted in zip(weightings, slopes, reports)]
+    return [_method_records(*replication) for replication in zip(datasets, weightings)]
 
 
 def _run_replications(config: ScenarioConfig, indices: Sequence[int]) -> list:
     """Records for a group of replications.
 
-    The group's EBCT problems are standardized and solved as one stack, and
-    each replication's methods are fitted and diagnosed in one call each. A
-    method whose weights or fit fail records a failure.
+    Every step after the draws runs once over the group's stack: each
+    method's weights (the EBCT problems standardized and solved together),
+    then the effect regressions of every replication and method in one
+    ``fit_wls`` call and their diagnostics in one ``balance_report`` call.
+    When a stacked step raises, it is redone one replication at a time, and
+    the fit one method at a time, so a method whose weights or fit fail
+    records a failure without disturbing the others.
     """
     datasets = [_draw(config, index) for index in indices]
-    ebct = _ebct_weights(datasets) if "ebct" in config.methods else None
-    results = []
-    for slot, dataset in enumerate(datasets):
-        weightings = {}
-        for method in config.methods:
-            try:
-                weights = ebct[slot] if method == "ebct" else estimate_weights(dataset, method)
-            except (EbctError, np.linalg.LinAlgError):
-                continue
+    weightings = [{} for _ in datasets]
+    for method in config.methods:
+        if method == "ebct":
+            outcomes = _ebct_weights(datasets)
+        else:
+            outcomes = _stacked(lambda group: estimate_weights(group, method), datasets)
+        for row, weights in zip(weightings, outcomes):
             if not isinstance(weights, Exception):
-                weightings[method] = weights
-        records = _method_records(dataset, weightings) if weightings else {}
-        failed = ReplicationRecord.failure
-        results.append({method: records.get(method) or failed() for method in config.methods})
-    return results
+                row[method] = weights
+    # Replications whose weightings share their methods fit as one stack.
+    shared = {}
+    for slot, row in enumerate(weightings):
+        if row:
+            shared.setdefault(tuple(row), []).append(slot)
+    records = [{} for _ in datasets]
+    for slots in shared.values():
+        group = _group_records([datasets[s] for s in slots], [weightings[s] for s in slots])
+        for slot, fitted in zip(slots, group):
+            records[slot] = fitted
+    failed = ReplicationRecord.failure
+    return [{method: row.get(method) or failed() for method in config.methods} for row in records]
 
 
 def run_replication(config: ScenarioConfig, replicate_index: int) -> dict:
@@ -317,10 +374,10 @@ def _summarize(estimates, correlations, shares, failures) -> MethodSummary:
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Aggregate one cell over its replications.
 
-    Replications run in groups of ``CHUNK_REPLICATIONS``; each group's EBCT
-    problems are solved in one stacked Newton run and the group is dropped
-    before the next is drawn, so memory does not grow with the replication
-    count. Failed replicates are excluded per method; the scenario aborts if
+    Replications run in groups of ``CHUNK_REPLICATIONS``; each group is
+    weighted, fitted and diagnosed as one stack, its EBCT problems in one
+    stacked Newton run, and the group is dropped before the next is drawn,
+    so memory does not grow with the replication count. Failed replicates are excluded per method; the scenario aborts if
     any method loses more than 5% of them.
     """
     collected = {

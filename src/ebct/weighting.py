@@ -6,19 +6,19 @@ from typing import Optional
 
 import numpy as np
 
-from .data import BalancingWeights, Dataset, check_counts, method_name, standardize, uniform_weights
+from .data import Dataset, check_counts, method_name, standardize, uniform_weights
 from .errors import NotConverged
 from .ipw import ipw_weights
 from .solver import cap_weights, solve, truncate_and_rebalance
 
 
 def estimate_weights(
-    dataset: Dataset,
+    dataset,
     method: str,
     truncation: Optional[float] = None,
     start=None,
     counts=None,
-) -> BalancingWeights:
+):
     """Estimate weights for one of the supported methods.
 
     ``method`` is one of ``ebct``, ``ipw`` or ``uniform`` (``unweighted`` is
@@ -38,8 +38,23 @@ def estimate_weights(
     ebct solves the frequency-weighted problem, with the counts as base
     weights, on those units only, and every threshold applies per copy.
     Counted or not, ebct needs N >= 2K+2 copies, ipw K+2 and uniform one.
+
+    ``dataset`` may also be a sequence of B datasets that share n and K, for
+    ``ipw`` or ``uniform`` without truncation or counts. The result is then
+    the list of their weights, each bit for bit the weights its dataset
+    gives alone; ipw weighs the whole sequence in one ``ipw_weights`` pass
+    and raises the first dataset's error. ``solve_batch`` stacks ebct
+    problems.
     """
     name = method_name(method)
+    if not isinstance(dataset, Dataset):
+        if name == "ebct" or truncation is not None or counts is not None:
+            raise ValueError(
+                "a sequence of datasets takes ipw or uniform weights, without truncation or counts"
+            )
+        if name == "ipw":
+            return ipw_weights(list(dataset))
+        return [uniform_weights(d.n) for d in dataset]
     _, copies = check_counts(counts, dataset.n)
     if name == "ipw":
         weights = ipw_weights(dataset, counts)

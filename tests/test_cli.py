@@ -561,8 +561,8 @@ class TestDrfCommand:
     @pytest.mark.parametrize("method", ["ebct", "ipw"])
     def test_truncated_full_sample_is_estimated_once(self, tmp_path, monkeypatch, method):
         # Truncation acts on the weights already estimated: one standardize
-        # and one solve (the rounds go through ebct.solver.solve), or one GPS
-        # fit, then one truncation.
+        # and one solve (the capped solve goes through ebct.solver.solve), or
+        # one GPS fit, then one truncation.
         import ebct.weighting as weighting
 
         calls = []

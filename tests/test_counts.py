@@ -21,6 +21,7 @@ from ebct.ipw import ipw_weights
 from ebct.data import check_counts
 from ebct.simulation import gen_covariates, gen_outcome, gen_treatment, replication_rng
 from ebct.weighting import cap_weights
+from test_solver import assert_certifies
 
 
 def drf_dataset(n=120):
@@ -125,8 +126,8 @@ class TestEstimateWeights:
 
     def test_truncation_rounds_match_the_resample(self):
         ds = drf_dataset()
-        # This draw's largest weight share is 0.051, and the rounds reach a
-        # cap of 0.04 within their budget.
+        # This draw's largest weight share is 0.051, above the cap of 0.04,
+        # so one capped solve re-balances it from the untruncated multipliers.
         indices = draw(ds.n, 5)
         counts = np.bincount(indices, minlength=ds.n)
         kept = counts[counts > 0]
@@ -380,6 +381,12 @@ def test_threshold_is_checked_per_copy(method):
         estimate_weights(ds, method, truncation=1.0 / (ds.n + 10), counts=counts)
     threshold = 1.0 / (ds.n - 20)
     assert threshold < 1.0 / kept.size
-    if method != "ebct":  # rebalancing this close to uniform exhausts the rounds
+    if method == "ebct":
+        # So close to uniform no balancing weights fit under the per-copy
+        # cap, and the capped solve proves it with a Farkas certificate.
+        with pytest.raises(ThresholdInfeasible, match="Farkas certificate") as excinfo:
+            estimate_weights(ds, method, truncation=threshold, counts=counts)
+        assert_certifies(standardize(ds, counts), kept * threshold, excinfo.value.certificate)
+    else:
         weights = estimate_weights(ds, method, truncation=threshold, counts=counts)
         assert (weights.weights / kept).max() <= threshold * (1 + 1e-12)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -202,6 +203,47 @@ class TestBalanceReport:
                 bits = [np.float64(getattr(r, name)).tobytes() for r in (report, alone)]
                 assert bits[0] == bits[1]
             assert report.to_dict() == alone.to_dict()
+
+    def test_stacked_datasets_match_single_reports_bit_for_bit(self, rng):
+        B, n = 4, 40
+        datasets = []
+        for b in range(B):
+            x = rng.standard_normal((n, 3))
+            if b == 2:
+                x[:, 1] = 2.0  # a degenerate column in one dataset only
+            datasets.append(Dataset(treatment=rng.standard_normal(n), covariates=x))
+        stack = rng.uniform(0.2, 2.0, size=(B, 2, n))
+        reports = balance_report(stack, datasets)
+        ipw_tagged = replace(uniform_weights(n), method_tag="ipw")
+        tagged = balance_report([[ipw_tagged, w[1]] for w in stack], datasets)
+        assert [len(row) for row in reports] == [2] * B
+        assert [r.method_tag for r in tagged[0]] == ["ipw", "uniform"]
+        assert reports[2][0].degenerate_columns == ("X2",)
+        assert reports[1][0].degenerate_columns == ()
+        for b, dataset in enumerate(datasets):
+            for weights, report in zip(stack[b], reports[b]):
+                alone = balance_report(weights, dataset)
+                assert (
+                    report.per_covariate_correlation.tobytes()
+                    == alone.per_covariate_correlation.tobytes()
+                )
+                for name in ("max_abs_correlation", "mean_abs_correlation", "max_weight_share"):
+                    bits = [np.float64(getattr(r, name)).tobytes() for r in (report, alone)]
+                    assert bits[0] == bits[1]
+                assert report.to_dict() == alone.to_dict()
+            assert tagged[b][1].to_dict() == reports[b][1].to_dict()
+
+    def test_stacked_datasets_are_checked(self, rng):
+        datasets = [random_dataset(rng, 30, 2), random_dataset(rng, 30, 2)]
+        stack = np.full((2, 1, 30), 1.0 / 30)
+        with pytest.raises(ValueError, match="share n and K"):
+            balance_report(stack, [datasets[0], random_dataset(rng, 31, 2)])
+        with pytest.raises(ValueError, match="got 1 groups of weightings for 2 datasets"):
+            balance_report(stack[:1], datasets)
+        with pytest.raises(ValueError, match="B x M x n weight stack"):
+            balance_report(stack[:, 0], datasets)
+        with pytest.raises(ValueError, match="weights have 29 entries per row, expected 30"):
+            balance_report(stack[:, :, 1:], datasets)
 
     def test_constant_treatment_degenerates_every_column(self, rng):
         ds = Dataset(treatment=np.ones(12), covariates=rng.standard_normal((12, 2)))

@@ -98,6 +98,29 @@ class TestFitWls:
         with pytest.raises(ValueError, match="entries per row"):
             fit_wls(y, design, stack[0][:, None])
 
+    def test_stacked_samples_match_single_fits_bit_for_bit(self, rng):
+        # B samples with M weightings each: entry [b] is sample b's own call,
+        # and row [b, m] its weighting m alone.
+        B, M, n = 5, 3, 200
+        t = 2.0 * rng.standard_normal((B, n)) + 1.0
+        designs = np.stack([np.column_stack([np.ones(n), row]) for row in t])
+        y = rng.standard_normal((B, n))
+        stack = rng.uniform(0.05, 2.0, size=(B, M, n))
+        coefficients = fit_wls(y, designs, stack)
+        assert coefficients.shape == (B, M, 2)
+        for b in range(B):
+            assert coefficients[b].tobytes() == fit_wls(y[b], designs[b], stack[b]).tobytes()
+            for m in range(M):
+                alone = fit_wls(y[b], designs[b], stack[b, m])
+                assert coefficients[b, m].tobytes() == alone.tobytes()
+        with pytest.raises(ValueError, match="B x M x n weight stack"):
+            fit_wls(y, designs, stack[:, 0])
+        with pytest.raises(ValueError, match="entries per row"):
+            fit_wls(y, designs, stack[:, :, 1:])
+        stack[2, 1] = 0.0
+        with pytest.raises(RankDeficientDesign):
+            fit_wls(y, designs, stack)
+
     def test_one_rank_deficient_weighting_fails_the_stack(self, rng):
         # All weight on one unit leaves a rank-one Gram matrix for a line.
         design = np.column_stack([np.ones(10), rng.standard_normal(10)])

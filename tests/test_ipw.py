@@ -175,6 +175,37 @@ class TestIpwWeights:
         assert np.all(weights.weights > 0)
         assert weights.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_sequence_matches_single_calls_bit_for_bit(self):
+        datasets = []
+        for index in range(6):
+            rng = replication_rng(2718, index)
+            x = gen_covariates(200, rng)
+            datasets.append(Dataset(treatment=gen_treatment(x, 2.0, rng), covariates=x))
+        stacked = ipw_weights(datasets)
+        assert len(stacked) == len(datasets)
+        for dataset, weights in zip(datasets, stacked):
+            alone = ipw_weights(dataset)
+            assert weights.weights.tobytes() == alone.weights.tobytes()
+            assert weights.method_tag == "ipw"
+        assert ipw_weights(datasets[:1])[0].weights.tobytes() == stacked[0].weights.tobytes()
+
+    def test_sequence_raises_the_first_failing_datasets_error(self, rng):
+        fine = random_dataset(rng, 20, 2)
+        x1 = rng.standard_normal(20)
+        collinear = Dataset(
+            treatment=rng.standard_normal(20), covariates=np.column_stack([x1, x1])
+        )
+        constant = Dataset(treatment=np.full(20, 1.5), covariates=rng.standard_normal((20, 2)),
+                           column_names=("D", "X1", "X2", "Y"))
+        with pytest.raises(RankDeficientDesign):
+            ipw_weights([fine, collinear, constant])
+        with pytest.raises(ConstantColumn, match="'D'"):
+            ipw_weights([fine, constant])
+        with pytest.raises(ValueError, match="share n and K"):
+            ipw_weights([fine, random_dataset(rng, 21, 2)])
+        with pytest.raises(ValueError, match="counts apply to one dataset"):
+            ipw_weights([fine, fine], counts=np.ones(20, dtype=int))
+
     def test_moderate_selection_balance_is_erratic(self):
         # Simulated selection data: IPW balance varies a lot and sometimes
         # worsens the raw imbalance.

@@ -349,6 +349,61 @@ class TestRunScenario:
         assert records["unweighted"] == expected["unweighted"]
         assert records["ebct"] == expected["ebct"]
 
+    def test_rank_deficient_ipw_design_fails_only_its_replication(self, monkeypatch):
+        # Replication 3 draws a duplicated covariate column, so its IPW
+        # design [1 | X] is rank deficient and the group's stacked IPW pass
+        # raises; the group is then weighed one replication at a time.
+        config = ScenarioConfig(n=200, sigma=4.0, eta=1.0, spec=1, master_seed=5)
+        draw = sim._draw
+
+        def duplicated(config, index):
+            dataset = draw(config, index)
+            if index != 3:
+                return dataset
+            x = dataset.covariates.copy()
+            x[:, 9] = x[:, 8]
+            return Dataset(treatment=dataset.treatment, covariates=x, outcome=dataset.outcome)
+
+        monkeypatch.setattr(sim, "_draw", duplicated)
+        fit_wls, shapes = sim.fit_wls, []
+
+        def recording(y, design, w):
+            shapes.append(np.shape(w))
+            return fit_wls(y, design, w)
+
+        monkeypatch.setattr(sim, "fit_wls", recording)
+        grouped = sim._run_replications(config, range(sim.CHUNK_REPLICATIONS))
+        # The seven replications with every method still fit as one stack.
+        assert shapes[0] == (sim.CHUNK_REPLICATIONS - 1, 3, 200)
+        alone = [run_replication(config, index) for index in range(sim.CHUNK_REPLICATIONS)]
+        assert [records["ipw"].failed for records in grouped] == [
+            index == 3 for index in range(sim.CHUNK_REPLICATIONS)
+        ]
+        for records, expected in zip(grouped, alone):
+            for method, record in records.items():
+                assert record.failed == expected[method].failed
+                assert record.failed or record == expected[method]
+        assert not grouped[3]["unweighted"].failed
+
+    def test_each_layer_runs_once_per_group(self, monkeypatch):
+        # A layer that fell back to one call per replication would still give
+        # the same records, so count the calls.
+        import ebct.weighting as weighting
+
+        calls = {}
+        sites = ((sim, "fit_wls"), (sim, "balance_report"), (weighting, "ipw_weights"))
+        for module, name in sites:
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        config = ScenarioConfig(n=200, sigma=2.0, eta=1.25, spec=2,
+                                replications=2 * sim.CHUNK_REPLICATIONS + 3, master_seed=13)
+        result = run_scenario(config)
+        assert sum(summary.failures for summary in result.per_method.values()) == 0
+        assert calls == {"fit_wls": 3, "balance_report": 3, "ipw_weights": 3}
+
     def test_memory_does_not_grow_with_replications(self):
         # Replications are drawn and solved in fixed-size groups that are
         # dropped before the next, so the peak heap stays that of one group.

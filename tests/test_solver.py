@@ -671,8 +671,9 @@ class TestTruncateAndRebalance:
         assert np.abs(balance).max() <= 1e-7
 
     def test_keeps_the_untruncated_multipliers(self):
-        # A round's multipliers refer to capped base weights that no field
-        # records; the untruncated ones are the bootstrap's warm start.
+        # The capped solve's multipliers belong to the capped dual, not to the
+        # plain problem a replicate starts from; the untruncated ones are the
+        # bootstrap's warm start.
         G = self.heavy_instance()
         weights, _ = solve(G)
         result = truncate_and_rebalance(G, weights, threshold=0.04)

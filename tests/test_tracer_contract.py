@@ -64,9 +64,10 @@ def test_traced_run_finds_every_site(tmp_path, command, spans):
         names = [record[0] for record in records]
         problems = 1 + doc["counters"]["bootstrap.draws"]
         if "--truncate" in command:
-            # The full sample is truncated once, and so is every draw; the
-            # rounds re-solve through the traced solver.solve, which is what
-            # the benchmark's solver.truncate.resolves counts.
+            # The full sample is truncated once, and so is every draw; each
+            # truncation's one capped solve runs through the traced
+            # solver.solve, which is what the benchmark's
+            # solver.truncate.resolves counts.
             assert names.count("solver.truncate") == problems
             assert any(
                 name == "solver.solve" and parent >= 0 and records[parent][0] == "solver.truncate"

@@ -40,6 +40,20 @@ class TestEstimateWeights:
         with pytest.raises(ValueError, match="unknown weighting method"):
             estimate_weights(random_dataset(rng, 40, 1), "gbm")
 
+    def test_sequence_of_datasets(self, rng):
+        datasets = [random_dataset(rng, 50, 2) for _ in range(3)]
+        for method in ("ipw", "uniform", "unweighted"):
+            stacked = estimate_weights(datasets, method)
+            assert len(stacked) == len(datasets)
+            for dataset, weights in zip(datasets, stacked):
+                alone = estimate_weights(dataset, method)
+                assert weights.weights.tobytes() == alone.weights.tobytes()
+                assert weights.method_tag == alone.method_tag
+        message = "ipw or uniform weights, without truncation or counts"
+        for kwargs in ({}, {"truncation": 0.05}, {"counts": np.ones(50, dtype=int)}):
+            with pytest.raises(ValueError, match=message):
+                estimate_weights(datasets, "ebct" if not kwargs else "ipw", **kwargs)
+
     def test_ebct_truncation_keeps_balance(self):
         ds = selection_dataset()
         plain = estimate_weights(ds, "ebct")
