@@ -92,6 +92,20 @@ def fit_wls(y, design, w) -> np.ndarray:
     return np.linalg.solve(np.swapaxes(lower, -1, -2), half)[..., 0]
 
 
+def _check_distinct(distinct: int, degree: int) -> None:
+    """Raise RankDeficientDesign unless ``distinct`` treatment values fit a degree-d curve.
+
+    A Vandermonde design [1, t, ..., t^d] has full column rank exactly when
+    its rows hold at least d+1 distinct values of t, so counting them
+    decides what a Cholesky of the Gram matrix decides only up to rounding.
+    """
+    if distinct <= degree:
+        raise RankDeficientDesign(
+            f"a degree-{degree} fit needs {degree + 1} distinct treatment values "
+            f"among the positive-weight units, got {distinct}"
+        )
+
+
 def default_grid(treatment, points: int = 50) -> np.ndarray:
     """Evaluation grid: equally spaced between the 2nd and 98th percentiles.
 
@@ -164,6 +178,11 @@ def estimate_drf(
     The design is [1, T, ..., T^degree] on the original treatment scale.
     Points outside the observed treatment range trigger a non-fatal
     ExtrapolationWarning.
+
+    Raises:
+        RankDeficientDesign: fewer than degree+1 distinct treatment values
+            among the units of positive weight, or a design that is rank
+            deficient under the weights (see ``fit_wls``).
     """
     if dataset.outcome is None:
         raise ValueError("dataset has no outcome column")
@@ -179,6 +198,8 @@ def estimate_drf(
             stacklevel=2,
         )
     w = weights.weights if hasattr(weights, "weights") else np.asarray(weights, dtype=float)
+    if w.shape == t.shape:  # fit_wls rejects any other shape
+        _check_distinct(np.unique(t[w > 0]).size, degree)
     design = npoly.polyvander(t, degree)
     coefficients = fit_wls(dataset.outcome, design, w)
     return DrfFit(
@@ -248,7 +269,9 @@ def bootstrap_se(
     those of refits on the resampled datasets up to float rounding. Each
     replicate's dual solve starts at ``weights.gamma``, the untruncated
     full-sample multipliers, which saves Newton steps and moves the SEs only
-    within the solver tolerance. The SE at each grid point is the sample
+    within the solver tolerance. A replicate that draws fewer than degree+1
+    distinct treatment values raises ``RankDeficientDesign`` before it
+    estimates weights, and is redrawn. The SE at each grid point is the sample
     standard deviation (denominator B-1) across replicates; a point is
     flagged significant at the 10% level when |derivative| / SE exceeds
     1.645, with the derivatives of ``fit`` as the point estimates.
@@ -257,12 +280,19 @@ def bootstrap_se(
         ``fit`` with ``derivative_se`` and ``significant_10pct`` filled in.
     """
     design = npoly.polyvander(dataset.treatment, fit.degree)
+    # Every drawn unit has a positive weight, so with distinct treatment
+    # values a replicate's distinct values are its drawn units, and only a
+    # sample with ties sorts per replicate.
+    ties = np.unique(dataset.treatment).size < dataset.n
     # Row g holds d/dt t^j = j t^(j-1) at grid point g for j = 1..degree.
     slopes = npoly.polyvander(fit.grid, fit.degree - 1) * np.arange(1, fit.degree + 1)
 
     def derivatives(indices) -> np.ndarray:
         counts = np.bincount(indices, minlength=dataset.n)
-        kept, _ = check_counts(counts, dataset.n)
+        kept, copies = check_counts(counts, dataset.n)
+        _check_distinct(
+            np.unique(dataset.treatment[kept]).size if ties else len(copies), fit.degree
+        )
         resampled = estimate_weights(
             dataset, weights.method_tag, truncation, weights.gamma, counts=counts
         )

@@ -51,7 +51,8 @@ def ipw_weights(dataset, counts=None):
         ValueError: ``counts`` are invalid or come with a sequence, stacked
             datasets differ in shape, or N < K+2 copies (n without counts)
             leave the residual scale no degree of freedom.
-        RankDeficientDesign: the design [1 | X] is not full column rank.
+        RankDeficientDesign: the design [1 | X] is not full column rank, or
+            ``counts`` draw fewer than K+2 distinct units.
         ConstantColumn: the treatment does not vary.
         DegenerateResidual: a (near-) perfect fit leaves no residual scale.
             With a sequence, each error is raised for the first dataset
@@ -68,6 +69,14 @@ def ipw_weights(dataset, counts=None):
     n = int(copies.sum())
     if n < k + 2:
         raise ValueError(f"need at least K+2 = {k + 2} units for K={k} covariates, got {n}")
+    if len(copies) < k + 2:
+        # K+1 distinct rows of [1 | X] are fitted exactly, or are rank
+        # deficient: either way no residual scale exists, whatever rounding
+        # makes of it.
+        raise RankDeficientDesign(
+            f"need at least K+2 = {k + 2} distinct units for K={k} covariates, "
+            f"drew {len(copies)}"
+        )
     if single:
         t, x = dataset.treatment[kept][None], dataset.covariates[kept][None]
     else:

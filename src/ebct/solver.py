@@ -59,6 +59,10 @@ _RIDGE = 1e-9
 # Relative rounding margin a Farkas certificate of an infeasible cap must clear.
 _CERTIFICATE_TOLERANCE = 1e-9
 
+# Rows per block of the Hessian's weighted product: no n x m temporary at
+# any n, and a block x m product small enough to stay in cache.
+_HESSIAN_ROWS = 2048
+
 _OVERFLOW = "dual exponent overflowed; multipliers are pathological"
 
 
@@ -73,16 +77,16 @@ def _prepare_base_weights(n: int, base_weights, name="base_weights") -> np.ndarr
     return q
 
 
-def _dual_state(G, log_q, theta, cap=None) -> tuple:
+def _dual_state(G, log_q, theta, u=None) -> tuple:
     """Dual value, implied weights and gradient for every problem of a stack.
 
     ``G`` is a (B, n, m) stack of balance-column matrices and ``log_q`` the
-    (B, n) log base weights. Without ``cap``, ``theta`` holds the (B, m)
+    (B, n) log base weights. Without ``u``, ``theta`` holds the (B, m)
     multipliers gamma, and the values are J(gamma), the weights
     w_i = q_i e^{gamma.g_i} / Z and the gradients G'w; the max-shift keeps
-    every finite exponent representable. With ``cap = (u, log u)``, each a
-    (B, n) array of per-row weight caps, ``theta`` holds (eta, gamma) as
-    (B, m+1) and the values are those of the capped dual
+    every finite exponent representable. With ``u``, a (B, n) array of
+    per-row weight caps, ``theta`` holds (eta, gamma) as (B, m+1) and the
+    values are those of the capped dual
 
         F(theta) = sum_i psi_i(s_i) - eta,  s_i = log q_i + eta + gamma.g_i,
 
@@ -91,15 +95,15 @@ def _dual_state(G, log_q, theta, cap=None) -> tuple:
     returns a (B,) flag that is False where an exponent is not finite; rows
     flagged False carry meaningless numbers.
     """
-    gamma = theta if cap is None else theta[:, 1:]
+    gamma = theta if u is None else theta[:, 1:]
     s = (G @ gamma[:, :, None])[:, :, 0]
     s += log_q
-    if cap is not None:
+    if u is not None:
         s += theta[:, :1]
     finite = np.isfinite(s).all(axis=1)
     if not finite.all():
         s[~finite] = 0.0
-    if cap is None:
+    if u is None:
         top = s.max(axis=1, keepdims=True)
         s -= top
         np.exp(s, out=s)
@@ -107,14 +111,17 @@ def _dual_state(G, log_q, theta, cap=None) -> tuple:
         s /= total[:, None]
         value = top[:, 0] + np.log(total)
         return value, s, (s[:, None, :] @ G)[:, 0, :], finite
-    u, log_u = cap
-    excess = s - log_u
-    np.minimum(s, log_u, out=s)
+    # log u lives only in this buffer, which then holds s - log u: the state
+    # keeps no n-vector beyond its weights and this one.
+    excess = np.log(u)
+    np.subtract(s, excess, out=excess)
+    at_cap = excess >= 0.0
+    # Rows at their cap get u itself below; zero keeps their exponent finite.
+    np.copyto(s, 0.0, where=at_cap)
     np.exp(s, out=s)
-    # e^{log u} rounds either way: rows at their cap get u itself, and no
-    # row exceeds it.
+    # e^s rounds either way just below log u: no row exceeds its cap.
     np.minimum(s, u, out=s)
-    np.copyto(s, u, where=excess >= 0.0)
+    np.copyto(s, u, where=at_cap)
     np.maximum(excess, 0.0, out=excess)
     total = s.sum(axis=1)
     value = total + (excess[:, None, :] @ u[:, :, None])[:, 0, 0] - theta[:, 0]
@@ -125,25 +132,38 @@ def _dual_state(G, log_q, theta, cap=None) -> tuple:
 def _hessian(G, w, grad, u=None) -> np.ndarray:
     """Hessian of the dual, (B, m, m), or (B, m+1, m+1) under per-row caps ``u``.
 
-    Without caps it is the weighted covariance of the balance columns. With
-    caps it sums [1, g_i][1, g_i]' w_i over the rows below their cap only,
-    built in blocks from G. A column whose square overflows leaves inf or
-    NaN entries without a warning; the Newton driver reports them as a typed
-    error.
+    Without caps it is the weighted covariance of the balance columns,
+    sum_i w_i g_i g_i' - grad grad'. With caps it sums
+    [1, g_i][1, g_i]' w_i over the rows below their cap only. The
+    m x m product sum_i w_i g_i g_i' is summed over blocks of
+    ``_HESSIAN_ROWS`` rows, so the working memory beyond G is one
+    block x m product and a few n-vectors, however large n grows; a stack of
+    at most ``_HESSIAN_ROWS`` rows is one block, the one-shot product bit for
+    bit. A column whose square overflows leaves inf or NaN entries without a
+    warning; the Newton driver reports them as a typed error.
     """
+    B, n, m = G.shape
+    free = None if u is None else w < u
+    buffer = np.empty((B, min(n, _HESSIAN_ROWS), m))
     with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, _HESSIAN_ROWS):
+            rows = slice(start, start + _HESSIAN_ROWS)
+            block = buffer[:, : min(n - start, _HESSIAN_ROWS)]
+            np.multiply(G[:, rows], w[:, rows, None], out=block)
+            if free is not None:
+                block[~free[:, rows]] = 0.0
+            product = block.transpose(0, 2, 1) @ G[:, rows]
+            if start == 0:
+                products = product
+            else:
+                products += product
         if u is None:
-            return (G * w[:, :, None]).transpose(0, 2, 1) @ G - grad[:, :, None] * grad[:, None, :]
-        # No n-vector outlives its line, so the n x m product is the only
-        # large temporary.
-        free = w < u
-        B, _, m = G.shape
+            products -= grad[:, :, None] * grad[:, None, :]
+            return products
         hessian = np.empty((B, m + 1, m + 1))
+        hessian[:, 1:, 1:] = products
         hessian[:, 0, 0] = np.sum(w, axis=1, where=free)
         hessian[:, 0, 1:] = hessian[:, 1:, 0] = (np.where(free, w, 0.0)[:, None, :] @ G)[:, 0, :]
-        block = G * w[:, :, None]
-        block[~free] = 0.0
-        hessian[:, 1:, 1:] = block.transpose(0, 2, 1) @ G
         return hessian
 
 
@@ -271,11 +291,9 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> list:
     B, _, m = G.shape
     outcomes = [None] * B
     theta = np.tile(start, (B, 1))
-    cap = None
     if u is not None:
-        cap = (u, np.log(u))
         theta = np.column_stack([-_dual_state(G, log_q, theta)[0], theta])
-    value, w, grad, finite = _dual_state(G, log_q, theta, cap)
+    value, w, grad, finite = _dual_state(G, log_q, theta, u)
     traces = [[v] for v in value.tolist()]
     iterations = np.zeros(B, dtype=int)
     errors = [None if ok else NonFiniteDual(_OVERFLOW) for ok in finite]
@@ -284,7 +302,7 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> list:
     ridge = _RIDGE * np.eye(theta.shape[1])
 
     def certified(i, r):
-        if not _certifies(G[i], cap[0][i], r):
+        if not _certifies(G[i], u[i], r):
             return None
         return ThresholdInfeasible(
             "no weights at or below the cap balance the sample (Farkas certificate verified)",
@@ -295,7 +313,7 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> list:
         # A capped problem that stops short of its optimum: certified
         # infeasible by the Newton direction at its last iterate, or not.
         rows = slice(i, i + 1)
-        hessian = _hessian(G[rows], w[rows], grad[rows], cap[0][rows]) + ridge
+        hessian = _hessian(G[rows], w[rows], grad[rows], u[rows]) + ridge
         error = certified(i, _newton_directions(hessian, grad[rows])[0][0])
         if error is not None:
             return error
@@ -308,7 +326,7 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> list:
             b = live[i]
             grad_norm = float(np.abs(grad[i]).max())
             converged = grad_norm <= _GRADIENT_TOLERANCE
-            if cap is not None and errors[i] is None and not (converged and w[i].min() > 0):
+            if u is not None and errors[i] is None and not (converged and w[i].min() > 0):
                 errors[i] = capped_failure(i)
             if errors[i] is None and not w[i].min() > 0:
                 errors[i] = InfeasibleConstraints(
@@ -318,9 +336,11 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> list:
             if errors[i] is not None:
                 outcomes[b] = errors[i]
                 continue
+            if u is not None:
+                w[i] /= w[i].sum()  # in place: the row leaves the stack
             weights = BalancingWeights(
-                weights=w[i] if cap is None else w[i] / w[i].sum(),
-                gamma=theta[i] if cap is None else theta[i, 1:],
+                weights=w[i],
+                gamma=theta[i] if u is None else theta[i, 1:],
                 converged=converged,
                 iterations=int(iterations[i]),
                 final_gradient_norm=grad_norm,
@@ -339,17 +359,17 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> list:
             live, G, log_q, theta, value, w, grad, grad_norm, iterations = (
                 a[keep] for a in (live, G, log_q, theta, value, w, grad, grad_norm, iterations)
             )
-            if cap is not None:
-                cap = tuple(a[keep] for a in cap)
+            if u is not None:
+                u = u[keep]
             errors = [e for e, k in zip(errors, keep) if k]
             stopped = np.zeros(live.size, dtype=bool)
 
-        hessian = _hessian(G, w, grad, None if cap is None else cap[0]) + ridge
+        hessian = _hessian(G, w, grad, u) + ridge
         direction, solvable = _newton_directions(hessian, grad)
         for i in np.flatnonzero(~solvable):
             errors[i] = _singular(hessian[i])
             stopped[i] = True
-        if cap is not None:
+        if u is not None:
             # Every Newton direction of a capped problem is a candidate
             # certificate of infeasibility, and checking one is cheap.
             for i in np.flatnonzero(~stopped):
@@ -369,7 +389,7 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> list:
             sub = slice(None) if rows.size == live.size else rows
             candidate = theta[sub] + step[sub, None] * direction[sub]
             c_value, c_w, c_grad, c_finite = _dual_state(
-                G[sub], log_q[sub], candidate, None if cap is None else (cap[0][sub], cap[1][sub])
+                G[sub], log_q[sub], candidate, None if u is None else u[sub]
             )
             for j, i in enumerate(rows):
                 if not c_finite[j]:
@@ -395,12 +415,14 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> list:
                 if float(np.linalg.norm(theta[i])) > _GAMMA_BOUND:
                     # A capped problem that diverges is judged by its
                     # certificate instead, as its uncapped problem solved.
-                    if cap is None:
+                    if u is None:
                         errors[i] = InfeasibleConstraints(
                             "dual multipliers diverged; the balance constraints admit no "
                             "strictly positive weights"
                         )
                     stopped[i] = True
+            # Free the candidate's weights before the next candidate is built.
+            del c_w
 
     retire(range(live.size))
     return outcomes
@@ -429,7 +451,8 @@ def solve_batch(matrices, base_weights=None, start=None, cap=None) -> list:
     convex, so the start changes how many steps a problem takes, not the
     optimum it reaches (beyond the gradient tolerance); each trace begins at
     the dual value at the start. ``cap`` is None or one positive n-vector
-    per matrix of upper bounds on the weights (see ``solve``). Each Newton
+    per matrix of upper bounds on the weights (see ``solve``); a B x n
+    array of caps is used as it is, without a copy. Each Newton
     iteration factors and solves the Newton systems of the whole stack in
     one numpy call. A problem that fails, a singular Hessian included, does
     not disturb the others, and each problem's weights, iterations and trace
@@ -462,7 +485,10 @@ def solve_batch(matrices, base_weights=None, start=None, cap=None) -> list:
     if cap is not None:
         if len(cap) != B:
             raise ValueError(f"got {len(cap)} cap vectors for {B} problems")
-        cap = np.stack([_prepare_base_weights(n, np.asarray(u, dtype=float), "cap") for u in cap])
+        for u in cap:
+            _prepare_base_weights(n, u, "cap")
+        # A (B, n) array of caps is used as it is, as G is.
+        cap = np.asarray(cap, dtype=float).reshape(B, n)
     gamma = _prepare_start(m, start)
     log_q = np.stack([_prepare_base_weights(n, bw) for bw in base_weights])
     log_q /= log_q.sum(axis=1, keepdims=True)
@@ -519,8 +545,9 @@ def solve(G: np.ndarray, base_weights=None, start=None, cap=None) -> tuple:
         ValueError: ``start`` is not a finite m-vector, or ``cap`` is not a
             positive finite n-vector.
     """
-    # G[None] is a view: at large n a copy would double peak memory.
-    cap = None if cap is None else [cap]
+    # G[None] and the cap's [None] are views: at large n a copy of G would
+    # double peak memory.
+    cap = None if cap is None else np.asarray(cap, dtype=float)[None]
     (outcome,) = solve_batch(_balance_matrix(G)[None], [base_weights], start, cap)
     if isinstance(outcome, Exception):
         raise outcome

@@ -16,9 +16,15 @@ import ebct.drf as drf
 from ebct import Dataset, bootstrap_se, estimate_drf, estimate_weights, solve, standardize
 from ebct import truncate_and_rebalance
 from ebct.drf import default_grid
-from ebct.errors import ConstantColumn, EbctError, ExtrapolationWarning, ThresholdInfeasible
+from ebct.errors import (
+    ConstantColumn,
+    EbctError,
+    ExtrapolationWarning,
+    RankDeficientDesign,
+    ThresholdInfeasible,
+)
 from ebct.ipw import ipw_weights
-from ebct.data import check_counts
+from ebct.data import check_counts, uniform_weights
 from ebct.simulation import gen_covariates, gen_outcome, gen_treatment, replication_rng
 from ebct.weighting import cap_weights
 from test_solver import assert_certifies
@@ -390,3 +396,78 @@ def test_threshold_is_checked_per_copy(method):
     else:
         weights = estimate_weights(ds, method, truncation=threshold, counts=counts)
         assert (weights.weights / kept).max() <= threshold * (1 + 1e-12)
+
+
+def eight_rows(seed):
+    """Eight units with K=4: a uniform, a gamma, a binary and a normal
+    covariate and a treatment selected on them, so bootstrap draws often hold
+    fewer distinct units than a cubic or the IPW model has coefficients."""
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([
+        rng.uniform(0.0, 4.0, 8), rng.gamma(2.0, 1.0, 8),
+        rng.binomial(1, 0.4, 8), rng.standard_normal(8),
+    ])
+    t = x @ np.array([0.6, 0.4, 0.8, 0.5]) + 1.5 * rng.standard_normal(8)
+    y = t - 0.05 * t**2 + x[:, 0] + x[:, 1] + x[:, 3] + 2.0 * rng.standard_normal(8)
+    return Dataset(treatment=t, covariates=x, outcome=y)
+
+
+def replicate_statistic(monkeypatch, ds, method):
+    """The one-draw statistic ``bootstrap_se`` hands to the bootstrap loop,
+    for the cubic on ``method``'s full-sample weights."""
+    weights = estimate_weights(ds, method)
+    fit = estimate_drf(ds, weights, degree=3, grid=default_grid(ds.treatment, 5))
+    statistics = []
+
+    def capture(n_units, statistic, replications, seed):
+        statistics.append(statistic)
+        return np.zeros((replications, fit.grid.size))
+
+    monkeypatch.setattr(drf, "bootstrap_statistic", capture)
+    bootstrap_se(fit, ds, weights, None, 2, seed=0)
+    return statistics[0], fit.grid
+
+
+class TestDistinctUnits:
+    """Whether a replicate can be fitted is decided by counting its distinct
+    units, never by whether a Cholesky factor or a residual scale survives
+    rounding: a replicate below the count is redrawn on every draw."""
+
+    def test_uniform_cubic_needs_four_distinct_units(self, monkeypatch):
+        below = 0
+        for seed in range(10):
+            ds = eight_rows(seed)
+            statistic, grid = replicate_statistic(monkeypatch, ds, "uniform")
+            for attempt in range(200):
+                indices = draw(ds.n, attempt, seed)
+                sample = ds.subset(indices)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", ExtrapolationWarning)
+                    if np.unique(indices).size >= 4:
+                        statistic(indices)
+                        estimate_drf(sample, uniform_weights(ds.n), 3, grid)
+                        continue
+                    below += 1
+                    # The counted replicate and the refit on the resample agree.
+                    with pytest.raises(RankDeficientDesign, match="distinct treatment values"):
+                        statistic(indices)
+                    with pytest.raises(RankDeficientDesign, match="distinct treatment values"):
+                        estimate_drf(sample, uniform_weights(ds.n), 3, grid)
+        assert below >= 10
+
+    def test_counted_ipw_needs_k_plus_2_distinct_units(self, monkeypatch):
+        below = 0
+        for seed in range(10):
+            ds = eight_rows(seed)
+            statistic, _ = replicate_statistic(monkeypatch, ds, "ipw")
+            for attempt in range(200):
+                indices = draw(ds.n, attempt, seed)
+                if np.unique(indices).size >= ds.k + 2:
+                    continue
+                below += 1
+                counts = np.bincount(indices, minlength=ds.n)
+                with pytest.raises(RankDeficientDesign, match="K\\+2 = 6 distinct units"):
+                    ipw_weights(ds, counts)
+                with pytest.raises(RankDeficientDesign):
+                    statistic(indices)
+        assert below >= 100

@@ -185,6 +185,29 @@ class TestEstimateDrf:
         with pytest.raises(ValueError, match="outcome"):
             estimate_drf(ds, uniform_weights(30))
 
+    def test_rank_is_counted_on_distinct_treatment_values(self):
+        # Eight units on three treatment values: a cubic's Vandermonde design
+        # has rank 3, yet its Cholesky passes for some orders of the rows.
+        passed_by_rounding = 0
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            t = rng.standard_normal(3)[rng.permutation([0, 0, 0, 1, 1, 1, 2, 2])]
+            ds = Dataset(treatment=t, covariates=rng.standard_normal((8, 1)),
+                         outcome=rng.standard_normal(8))
+            try:
+                fit_wls(ds.outcome, np.polynomial.polynomial.polyvander(t, 3), np.full(8, 0.125))
+                passed_by_rounding += 1
+            except RankDeficientDesign:
+                pass
+            with pytest.raises(RankDeficientDesign, match="4 distinct treatment values"):
+                estimate_drf(ds, uniform_weights(8), degree=3)
+            estimate_drf(ds, uniform_weights(8), degree=2)
+        assert passed_by_rounding > 0
+        # Only units of positive weight count.
+        ds = random_dataset(np.random.default_rng(0), 8, 1, outcome=True)
+        with pytest.raises(RankDeficientDesign, match="got 3"):
+            estimate_drf(ds, np.r_[np.full(3, 1 / 3), np.zeros(5)], degree=3)
+
     def test_simulated_linear_effect_slope_near_one(self):
         # Design 1 (eta = 1) with balancing weights: degree-1 slope close to
         # the unit effect on a single large draw.

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -758,25 +759,36 @@ def capped_problems(draw):
     return Dataset(treatment=t, covariates=x), counts, margin
 
 
+# Four blocks of 64 rows, the last one ragged.
+RAGGED_ROWS = 3 * 64 + 17
+
+
 class TestCappedDual:
 
     def capped_state(self, G, theta, u):
         n = G.shape[0]
         log_q = np.log(np.full((1, n), 1.0 / n))
-        return solver._dual_state(G[None], log_q, theta[None], (u[None], np.log(u)[None]))
+        return solver._dual_state(G[None], log_q, theta[None], u[None])
 
     def test_gradient_and_hessian_match_finite_differences(self, rng):
-        G = random_sample(rng, n=30, k=2)
-        u = np.full(30, 0.05)
+        self.check_finite_differences(rng, 30)
+
+    def test_blocked_hessian_matches_finite_differences(self, rng, monkeypatch):
+        monkeypatch.setattr(solver, "_HESSIAN_ROWS", 64)
+        self.check_finite_differences(rng, RAGGED_ROWS)
+
+    def check_finite_differences(self, rng, n):
+        G = random_sample(rng, n=n, k=2)
+        u = np.full(n, 1.5 / n)
         for _ in range(5):
             theta = np.r_[0.2, rng.uniform(-0.5, 0.5, size=5)]
             value, w, grad, finite = self.capped_state(G, theta, u)
             capped = w[0] == u
-            assert finite[0] and 0 < capped.sum() < 30
+            assert finite[0] and 0 < capped.sum() < n
             fd = finite_difference_gradient(lambda t: self.capped_state(G, t, u)[0][0], theta)
             npt.assert_allclose(grad[0], fd, rtol=1e-6, atol=1e-9)
             # Away from the kinks the Hessian is the derivative of the gradient.
-            s = np.log(1.0 / 30) + theta[0] + G @ theta[1:]
+            s = np.log(1.0 / n) + theta[0] + G @ theta[1:]
             assert np.all(np.abs(s - np.log(u)) > 1e-4)
             hessian = solver._hessian(G[None], w, grad, u[None])[0]
             fd = np.column_stack([
@@ -846,3 +858,74 @@ class TestCappedDual:
         q = copies / copies.sum()
         oracle = capped_entropy_oracle(G, q, u, np.r_[w.sum(), G.T @ w])
         assert kl_divergence(w, q) == pytest.approx(kl_divergence(oracle, q), abs=1e-8)
+
+
+def one_shot_hessian(G, w, grad, u=None):
+    """The dual Hessian from one n x m product: the blocked kernel's reference."""
+    if u is None:
+        return (G * w[:, :, None]).transpose(0, 2, 1) @ G - grad[:, :, None] * grad[:, None, :]
+    free = w < u
+    B, _, m = G.shape
+    hessian = np.empty((B, m + 1, m + 1))
+    hessian[:, 0, 0] = np.sum(w, axis=1, where=free)
+    hessian[:, 0, 1:] = hessian[:, 1:, 0] = (np.where(free, w, 0.0)[:, None, :] @ G)[:, 0, :]
+    block = G * w[:, :, None]
+    block[~free] = 0.0
+    hessian[:, 1:, 1:] = block.transpose(0, 2, 1) @ G
+    return hessian
+
+
+class TestBlockedHessian:
+
+    def states(self, rng, B, n, k=3):
+        """Plain and capped dual states of a (B, n, 2K+1) stack, with rows at their cap."""
+        G = np.stack([random_sample(rng, n=n, k=k) for _ in range(B)])
+        log_q = np.log(np.full((B, n), 1.0 / n))
+        gamma = rng.uniform(-0.4, 0.4, size=(B, 2 * k + 1))
+        _, w, grad, finite = solver._dual_state(G, log_q, gamma)
+        assert finite.all()
+        u = np.full((B, n), 1.2 / n)
+        theta = np.column_stack([np.zeros(B), gamma])
+        _, w_cap, grad_cap, finite = solver._dual_state(G, log_q, theta, u)
+        assert finite.all() and (w_cap == u).any(axis=1).all() and (w_cap < u).any(axis=1).all()
+        return G, (w, grad, None), (w_cap, grad_cap, u)
+
+    @pytest.mark.parametrize("n", [200, 2048])
+    @pytest.mark.parametrize("B", [1, 8])
+    def test_one_block_is_the_one_shot_product_bit_for_bit(self, rng, B, n):
+        assert n <= solver._HESSIAN_ROWS
+        G, *states = self.states(rng, B, n)
+        for w, grad, u in states:
+            assert solver._hessian(G, w, grad, u).tobytes() == one_shot_hessian(G, w, grad, u).tobytes()
+
+    @pytest.mark.parametrize("B", [1, 8])
+    def test_ragged_blocks_match_the_one_shot_product(self, rng, monkeypatch, B):
+        monkeypatch.setattr(solver, "_HESSIAN_ROWS", 64)
+        G, *states = self.states(rng, B, RAGGED_ROWS)
+        for w, grad, u in states:
+            blocked, reference = solver._hessian(G, w, grad, u), one_shot_hessian(G, w, grad, u)
+            assert np.abs(blocked - reference).max() <= 1e-13 * np.abs(reference).max()
+
+    def test_overflow_in_a_later_block_names_its_column(self, rng, monkeypatch):
+        monkeypatch.setattr(solver, "_HESSIAN_ROWS", 64)
+        G = random_sample(rng, n=RAGGED_ROWS).copy()
+        G[200, 2] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularHessian, match="balance column 2 overflows when squared"):
+                solve(G)
+
+    def test_no_n_by_m_temporary(self, rng):
+        # Allocations beyond G itself, traced while one plain and one capped
+        # solve run at n = 50 000; an n x m temporary alone is G.nbytes.
+        G = random_sample(rng, n=50_000, k=10)
+        weights, _ = solve(G)
+        cap = np.full(G.shape[0], np.quantile(weights.weights, 0.99))
+        for kwargs in ({}, {"start": weights.gamma, "cap": cap}):
+            tracemalloc.start()
+            try:
+                solve(G, **kwargs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.25 * G.nbytes, (kwargs.keys(), peak / G.nbytes)
