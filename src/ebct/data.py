@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -19,8 +19,21 @@ from .errors import ConstantColumn, NonFiniteInput
 
 _WEIGHT_SUM_TOL = 1e-12
 
+# Sample rows a stacked layer (standardize, IPW, diagnostics) works on at
+# once: it takes a stack of datasets in blocks of whole datasets, at most this
+# many rows in all (one dataset when n is larger), so its temporaries stay a
+# few blocks in size however many datasets the stack holds.
+_BLOCK_ROWS = 2048
+
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
+    """``values`` as a read-only array: itself when it is a read-only row of a
+    read-only stack, as the solver and IPW hand over their results, so that
+    nothing writes it; else a read-only copy."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
+        owner = values.base
+        if isinstance(owner, np.ndarray) and owner.ndim == 2 and not owner.flags.writeable:
+            return values
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
@@ -130,6 +143,28 @@ class Dataset:
         )
 
 
+def sample_blocks(datasets, repeats: int = 1) -> Iterator:
+    """The blocks a stacked layer works through, for datasets that share n and K.
+
+    Yields ``(block, t, x)`` per block of consecutive datasets, at most
+    ``_BLOCK_ROWS`` sample rows in all, each counted ``repeats`` times for a
+    layer that takes each row that often, such as once per weighting (one
+    dataset when n is larger): ``block`` slices the sequence, and ``t`` and
+    ``x`` are the block's (b, n) treatments and (b, n, K) covariates, views
+    of a lone dataset's own arrays and stacked copies otherwise. A caller
+    that deletes ``t`` and ``x`` before asking for the next block holds one
+    block at a time.
+    """
+    span = max(1, _BLOCK_ROWS // (repeats * datasets[0].n))
+    for first in range(0, len(datasets), span):
+        block = slice(first, first + span)
+        part = datasets[block]
+        if len(part) == 1:
+            yield block, part[0].treatment[None], part[0].covariates[None]
+        else:
+            yield block, np.stack([d.treatment for d in part]), np.stack([d.covariates for d in part])
+
+
 def check_counts(counts, n: int, positive: bool = False) -> tuple:
     """Validate copy counts of n units: the drawn rows and their counts.
 
@@ -184,8 +219,10 @@ def standardize(dataset, counts=None) -> np.ndarray:
     equals the rows that the resample itself, with its repeats, would give.
 
     ``dataset`` may also be a sequence of B datasets that share n and K. The
-    result is then the read-only B x n x (2K+1) stack of their matrices from
-    one pass, each bit for bit the matrix its dataset gives alone.
+    result is then the read-only B x n x (2K+1) stack of their matrices,
+    filled block by block (see ``sample_blocks``) so that the working memory
+    beside it is one block's, each bit for bit the matrix its dataset gives
+    alone.
 
     Raises:
         ValueError: fewer copies than dual parameters plus one (N < 2K+2;
@@ -207,30 +244,35 @@ def standardize(dataset, counts=None) -> np.ndarray:
     freq, size = (None, n) if counts is None else (copies.astype(float), int(copies.sum()))
     if size < 2 * k + 2:
         raise ValueError(f"need at least 2K+2 = {2 * k + 2} units for K={k} covariates, got {size}")
+    G = np.empty((len(datasets), len(copies), 2 * k + 1))
     if single:
         # Views without counts: at large n a copy would raise the peak memory.
         t, x = dataset.treatment[kept][None], dataset.covariates[kept][None]
+        _balance_columns(t, x, datasets, size, freq, G)
     else:
-        t = np.stack([d.treatment for d in datasets])
-        x = np.stack([d.covariates for d in datasets])
-    G = _balance_columns(t, x, datasets, size, freq)
+        for block, t, x in sample_blocks(datasets):
+            _balance_columns(t, x, datasets[block], size, freq, G[block])
+            del t, x  # before the next block is stacked
+    G.setflags(write=False)
     return G[0] if single else G
 
 
-def _balance_columns(t, x, datasets, size, freq=None) -> np.ndarray:
-    """The (B, n, 2K+1) balance columns of a (B, n) treatment stack and a
-    (B, n, K) covariate stack; ``datasets`` name a zero-variance column.
+def _balance_columns(t, x, datasets, size, freq, G) -> None:
+    """Write into the (B, n, 2K+1) ``G`` the balance columns of a (B, n)
+    treatment stack and a (B, n, K) covariate stack; ``datasets`` name a
+    zero-variance column.
 
     ``freq`` (None: one copy each) are the n rows' copy counts, ``size`` in
     all, which weight every sum over the rows. The scales are
-    ``std(ddof=1)``'s own arithmetic, with each deviation computed once.
-    A plain single dataset may be large: its deviations are copied into the
-    balance columns before they are squared in place, so no n x K temporary
-    besides them is live. Stacks and resamples are small: they scale
-    contiguous arrays, which is faster than scaling strided column slices,
-    and join them in one copy.
+    ``std(ddof=1)``'s own arithmetic, with each deviation computed once, in
+    place when ``x`` is writable (a stacked or gathered copy). Without
+    counts the deviations are copied into the balance columns before they
+    are squared in place, so no n x K temporary besides them is live, at any
+    n or stack size. Resamples are small: they scale contiguous arrays,
+    which is faster than scaling strided column slices, and copy them into
+    ``G`` once.
     """
-    B, n, k = x.shape
+    k = x.shape[2]
     if freq is None:
 
         def total(a):
@@ -245,10 +287,9 @@ def _balance_columns(t, x, datasets, size, freq=None) -> np.ndarray:
 
     t_dev = t - total(t) / size
     t_scale = np.sqrt(total(t_dev * t_dev) / (size - 1))
-    dev = x - total(x) / size
-    in_place = B == 1 and freq is None
+    dev = np.subtract(x, total(x) / size, out=x if x.flags.writeable else None)
+    in_place = freq is None
     if in_place:
-        G = np.empty((B, n, 2 * k + 1))
         x_std = G[:, :, 1 : k + 1]
         x_std[...] = dev
         dev *= dev
@@ -266,14 +307,10 @@ def _balance_columns(t, x, datasets, size, freq=None) -> np.ndarray:
             raise ConstantColumn(datasets[b].treatment_name)
         raise ConstantColumn(datasets[b].covariate_names[int(np.argmin(varies_x[b]))])
     x_std /= x_scales
-    if in_place:
-        np.divide(t_dev, t_scale, out=G[:, :, 0])
-        np.multiply(G[:, :, :1], x_std, out=G[:, :, k + 1 :])
-    else:
-        t_std = (t_dev / t_scale)[:, :, None]
-        G = np.concatenate([t_std, x_std, t_std * x_std], axis=2)
-    G.setflags(write=False)
-    return G
+    np.divide(t_dev, t_scale, out=G[:, :, 0])
+    if not in_place:
+        G[:, :, 1 : k + 1] = x_std
+    np.multiply(G[:, :, :1], x_std, out=G[:, :, k + 1 :])
 
 
 # Weighting methods, in the order the CLI lists them. "unweighted" is an alias
@@ -312,7 +349,8 @@ class BalancingWeights:
     def __post_init__(self):
         w = _frozen_array(np.ravel(self.weights))
         g = _frozen_array(np.ravel(self.gamma))
-        if not np.all(w > 0):
+        # A minimum that is not above zero is zero, negative or NaN.
+        if w.size and not w.min() > 0:
             raise ValueError("weights must be strictly positive")
         if abs(w.sum() - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import BalancingWeights, Dataset
+from .data import BalancingWeights, Dataset, sample_blocks
 
 _VARIANCE_FLOOR = 1e-24
 
@@ -106,8 +106,9 @@ def balance_report(w, dataset, method_tag: str = ""):
     ``dataset`` may also be a sequence of B datasets that share n and K, with
     ``w`` B sequences of M weightings, one per dataset, or a B x M x n
     array. The result is then B lists of M reports from one pass over the
-    B x M x n stack, each bit for bit the report its weighting and dataset
-    give alone.
+    B x M x n stack, block by block (see ``sample_blocks``) so that the
+    working memory is one block's, each bit for bit the report its
+    weighting and dataset give alone.
 
     Raises:
         ValueError: a weighting is not positive and finite, or not of length
@@ -128,25 +129,24 @@ def balance_report(w, dataset, method_tag: str = ""):
         raise ValueError(f"got {B} groups of weightings for {len(datasets)} datasets")
     if n != datasets[0].n:
         raise ValueError(f"weights have {n} entries per row, expected {datasets[0].n}")
-    if B == 1:
-        # Views: at large n a copy would raise the peak memory.
-        t, x = datasets[0].treatment[None], datasets[0].covariates[None]
-    else:
-        t = np.stack([d.treatment for d in datasets])
-        x = np.stack([d.covariates for d in datasets])
-    # (B, M, 1, n) rows make every weighted mean one dot product or one
-    # vector-matrix product per weighting, the BLAS calls of a lone vector.
-    rows = weights[:, :, None, :]
-    dt = t[:, None, :] - (rows @ t[:, None, :, None])[..., 0]
-    dx = x[:, None] - rows @ x[:, None]
-    cov = ((weights * dt)[:, :, None, :] @ dx)[:, :, 0]
-    var_t = (rows @ (dt * dt)[..., None])[..., 0]
-    dx *= dx
-    var_x = (rows @ dx)[:, :, 0]
-    bad = (var_x < _VARIANCE_FLOOR) | (var_t < _VARIANCE_FLOOR)
-    correlations = np.divide(
-        cov, np.sqrt(var_t * var_x), out=np.full_like(cov, np.nan), where=~bad
-    )
+    k = datasets[0].k
+    correlations = np.full((B, M, k), np.nan)
+    bad = np.empty((B, M, k), dtype=bool)
+    # Block by block, so the (b, M, n, K) deviations stay block-sized.
+    for block, t, x in sample_blocks(datasets, M):
+        part = weights[block]
+        # (b, M, 1, n) rows make every weighted mean one dot product or one
+        # vector-matrix product per weighting, the BLAS calls of a lone vector.
+        rows = part[:, :, None, :]
+        dt = t[:, None, :] - (rows @ t[:, None, :, None])[..., 0]
+        dx = x[:, None] - rows @ x[:, None]
+        cov = ((part * dt)[:, :, None, :] @ dx)[:, :, 0]
+        var_t = (rows @ (dt * dt)[..., None])[..., 0]
+        dx *= dx
+        var_x = (rows @ dx)[:, :, 0]
+        del t, x, dx  # before the next block is stacked
+        np.logical_or(var_x < _VARIANCE_FLOOR, var_t < _VARIANCE_FLOOR, out=bad[block])
+        np.divide(cov, np.sqrt(var_t * var_x), out=correlations[block], where=~bad[block])
     np.clip(correlations, -1.0, 1.0, out=correlations)
     magnitudes = np.abs(correlations)
     # Row-wise aggregates are each row's own: only a row with a degenerate

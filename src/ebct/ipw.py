@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import BalancingWeights, Dataset, check_counts
+from .data import BalancingWeights, Dataset, check_counts, sample_blocks
 from .errors import ConstantColumn, DegenerateResidual, RankDeficientDesign
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -23,66 +23,11 @@ def _normal_logpdf(t, mu, sigma):
     return -0.5 * z * z - np.log(sigma) - 0.5 * _LOG_2PI
 
 
-def ipw_weights(dataset, counts=None):
-    """Normalized stabilized weights f_T(T_i) / f_{T|X}(T_i | X_i).
-
-    The generalized propensity score f_{T|X} is the normal model
-    T | X ~ N(beta . [1, X], sigma^2): beta is the OLS fit of the treatment
-    on an intercept plus all covariates, and sigma the residual scale on
-    n-K-1 degrees of freedom. The marginal density f_T is the normal with
-    the treatment's mean and standard deviation (denominator n-1). The
-    ratio is computed in log space so extreme treatment values cannot
-    underflow to zero weights.
-
-    ``counts`` gives how often each unit is drawn, as a bootstrap resample
-    does (see ``check_counts``); no counts means one copy of each unit. The
-    weights are the resample's, summed per unit, over the units with a
-    positive count in dataset order: the OLS fit is count-weighted (rows
-    scaled by the counts' square roots, rank tolerance of N = sum(counts)
-    rows), and the means and scales are count-weighted over N copies.
-
-    ``dataset`` may also be a sequence of B datasets that share n and K. The
-    result is then a list of their weights from one pass over the stacked
-    samples, each bit for bit the weights its dataset gives alone; only the
-    least-squares fits run one dataset at a time, so each keeps its own
-    rank decision.
-
-    Raises:
-        ValueError: ``counts`` are invalid or come with a sequence, stacked
-            datasets differ in shape, or N < K+2 copies (n without counts)
-            leave the residual scale no degree of freedom.
-        RankDeficientDesign: the design [1 | X] is not full column rank, or
-            ``counts`` draw fewer than K+2 distinct units.
-        ConstantColumn: the treatment does not vary.
-        DegenerateResidual: a (near-) perfect fit leaves no residual scale.
-            With a sequence, each error is raised for the first dataset
-            that has it.
-    """
-    single = isinstance(dataset, Dataset)
-    datasets = [dataset] if single else list(dataset)
-    m, k = datasets[0].n, datasets[0].k
-    if any((d.n, d.k) != (m, k) for d in datasets):
-        raise ValueError("stacked datasets must share n and K")
-    if not single and counts is not None:
-        raise ValueError("counts apply to one dataset, not to a sequence")
-    kept, copies = check_counts(counts, m)
-    n = int(copies.sum())
-    if n < k + 2:
-        raise ValueError(f"need at least K+2 = {k + 2} units for K={k} covariates, got {n}")
-    if len(copies) < k + 2:
-        # K+1 distinct rows of [1 | X] are fitted exactly, or are rank
-        # deficient: either way no residual scale exists, whatever rounding
-        # makes of it.
-        raise RankDeficientDesign(
-            f"need at least K+2 = {k + 2} distinct units for K={k} covariates, "
-            f"drew {len(copies)}"
-        )
-    if single:
-        t, x = dataset.treatment[kept][None], dataset.covariates[kept][None]
-    else:
-        t = np.stack([d.treatment for d in datasets])
-        x = np.stack([d.covariates for d in datasets])
-    freq = copies.astype(float)
+def _stabilized_ratios(t, x, freq, n, datasets) -> np.ndarray:
+    """Normalized stabilized weights of a (B, m) treatment and a (B, m, K)
+    covariate stack whose m rows have copy counts ``freq``, n in all;
+    ``datasets`` name a constant treatment. See ``ipw_weights``."""
+    k = x.shape[2]
     design = np.empty(x.shape[:2] + (k + 1,))
     design[:, :, 0] = 1.0
     design[:, :, 1:] = x
@@ -114,15 +59,84 @@ def ipw_weights(dataset, counts=None):
     log_ratio -= _normal_logpdf(t, beta[:, :1] + (x @ beta[:, 1:, None])[:, :, 0], sigma)
     shifted = np.exp(log_ratio - log_ratio.max(axis=1, keepdims=True))
     shifted *= freq
-    weights = [
-        BalancingWeights(
-            weights=row,
-            gamma=np.empty(0),
-            converged=True,
-            iterations=0,
-            final_gradient_norm=float("nan"),
-            method_tag="ipw",
+    return shifted / shifted.sum(axis=1, keepdims=True)
+
+
+def ipw_weights(dataset, counts=None):
+    """Normalized stabilized weights f_T(T_i) / f_{T|X}(T_i | X_i).
+
+    The generalized propensity score f_{T|X} is the normal model
+    T | X ~ N(beta . [1, X], sigma^2): beta is the OLS fit of the treatment
+    on an intercept plus all covariates, and sigma the residual scale on
+    n-K-1 degrees of freedom. The marginal density f_T is the normal with
+    the treatment's mean and standard deviation (denominator n-1). The
+    ratio is computed in log space so extreme treatment values cannot
+    underflow to zero weights.
+
+    ``counts`` gives how often each unit is drawn, as a bootstrap resample
+    does (see ``check_counts``); no counts means one copy of each unit. The
+    weights are the resample's, summed per unit, over the units with a
+    positive count in dataset order: the OLS fit is count-weighted (rows
+    scaled by the counts' square roots, rank tolerance of N = sum(counts)
+    rows), and the means and scales are count-weighted over N copies.
+
+    ``dataset`` may also be a sequence of B datasets that share n and K. The
+    result is then a list of their weights from one pass over the stacked
+    samples, block by block (see ``sample_blocks``) so that the working
+    memory is one block's, each bit for bit the weights its dataset gives
+    alone; only the least-squares fits run one dataset at a time, so each
+    keeps its own rank decision.
+
+    Raises:
+        ValueError: ``counts`` are invalid or come with a sequence, stacked
+            datasets differ in shape, or N < K+2 copies (n without counts)
+            leave the residual scale no degree of freedom.
+        RankDeficientDesign: the design [1 | X] is not full column rank, or
+            ``counts`` draw fewer than K+2 distinct units.
+        ConstantColumn: the treatment does not vary.
+        DegenerateResidual: a (near-) perfect fit leaves no residual scale.
+            With a sequence, the first block with a failing dataset raises
+            each error for the first of its datasets that has it.
+    """
+    single = isinstance(dataset, Dataset)
+    datasets = [dataset] if single else list(dataset)
+    m, k = datasets[0].n, datasets[0].k
+    if any((d.n, d.k) != (m, k) for d in datasets):
+        raise ValueError("stacked datasets must share n and K")
+    if not single and counts is not None:
+        raise ValueError("counts apply to one dataset, not to a sequence")
+    kept, copies = check_counts(counts, m)
+    n = int(copies.sum())
+    if n < k + 2:
+        raise ValueError(f"need at least K+2 = {k + 2} units for K={k} covariates, got {n}")
+    if len(copies) < k + 2:
+        # K+1 distinct rows of [1 | X] are fitted exactly, or are rank
+        # deficient: either way no residual scale exists, whatever rounding
+        # makes of it.
+        raise RankDeficientDesign(
+            f"need at least K+2 = {k + 2} distinct units for K={k} covariates, "
+            f"drew {len(copies)}"
         )
-        for row in shifted / shifted.sum(axis=1, keepdims=True)
-    ]
+    freq = copies.astype(float)
+    if single:
+        blocks = [(slice(0, 1), dataset.treatment[kept][None], dataset.covariates[kept][None])]
+    else:
+        blocks = sample_blocks(datasets)
+    weights = []
+    for block, t, x in blocks:
+        rows = _stabilized_ratios(t, x, freq, n, datasets[block])
+        del t, x  # before the next block is stacked
+        # Nothing writes these rows again: each result adopts its own.
+        rows.setflags(write=False)
+        weights.extend(
+            BalancingWeights(
+                weights=row,
+                gamma=np.empty(0),
+                converged=True,
+                iterations=0,
+                final_gradient_norm=float("nan"),
+                method_tag="ipw",
+            )
+            for row in rows
+        )
     return weights[0] if single else weights

@@ -33,17 +33,23 @@ METHODS = {"unweighted": "Unweighted", "ipw": "IPW", "ebct": "EBCT"}
 
 TRUE_EFFECT = 1.0
 
-# Replications drawn and solved together. Fixed, never derived from the
-# worker count, so the output bytes do not depend on --jobs. Larger groups
-# save little more per-call overhead but hold more draws and stacked
-# constraint matrices in memory at once.
-CHUNK_REPLICATIONS = 8
+# Sample rows a group of replications draws and solves together: a group
+# holds GROUP_ROWS // n replications, at least one. Fixed, never derived from
+# the worker count, so the output bytes do not depend on --jobs. Every stacked
+# layer works through its stack in bounded blocks, so a group's memory is
+# about that of its draws and its balance columns.
+GROUP_ROWS = 8000
 
 # Treatment equation coefficients on X1..X10.
 _TREATMENT_COEF = np.array([1.0, 0.6, 1.2, 1.0, 0.5, 1.0, 0.8, 0.8, 0.8, 0.8])
 
 # Outcome noise scale, read as a standard deviation.
 _OUTCOME_NOISE_SD = 5.0
+
+# The labels of every drawn sample, one copy each, shared by the draws a
+# group holds: a tuple of ids per draw would be a sizable part of the group.
+_COLUMN_NAMES = ("T",) + tuple(f"X{j}" for j in range(1, 11)) + ("Y",)
+_UNIT_IDS = {n: tuple(range(n)) for n in SAMPLE_SIZES}
 
 # Covariance of the jointly normal block X7..X10.
 _NORMAL_BLOCK_COV = np.full((4, 4), 0.2) + 0.8 * np.eye(4)
@@ -187,7 +193,13 @@ def _draw(config: ScenarioConfig, replicate_index: int) -> Dataset:
     x = gen_covariates(config.n, rng)
     t = gen_treatment(x, config.sigma, rng)
     y = gen_outcome(x, t, config.eta, rng)
-    return Dataset(treatment=t, covariates=apply_specification(x, config.spec), outcome=y)
+    return Dataset(
+        treatment=t,
+        covariates=apply_specification(x, config.spec),
+        outcome=y,
+        column_names=_COLUMN_NAMES,
+        unit_ids=_UNIT_IDS[config.n],
+    )
 
 
 def _stacked(step, items) -> list:
@@ -305,7 +317,9 @@ def _run_replications(config: ScenarioConfig, indices: Sequence[int]) -> list:
     """
     datasets = [_draw(config, index) for index in indices]
     weightings = [{} for _ in datasets]
-    for method in config.methods:
+    # EBCT first: its stacked solve, the group's largest working set, then
+    # holds no other method's weights.
+    for method in sorted(config.methods, key=lambda method: method != "ebct"):
         if method == "ebct":
             outcomes = _ebct_weights(datasets)
         else:
@@ -325,6 +339,11 @@ def _run_replications(config: ScenarioConfig, indices: Sequence[int]) -> list:
             records[slot] = fitted
     failed = ReplicationRecord.failure
     return [{method: row.get(method) or failed() for method in config.methods} for row in records]
+
+
+def group_replications(n: int) -> int:
+    """Replications per group of a cell whose samples have n units."""
+    return max(1, GROUP_ROWS // n)
 
 
 def run_replication(config: ScenarioConfig, replicate_index: int) -> dict:
@@ -374,18 +393,23 @@ def _summarize(estimates, correlations, shares, failures) -> MethodSummary:
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Aggregate one cell over its replications.
 
-    Replications run in groups of ``CHUNK_REPLICATIONS``; each group is
-    weighted, fitted and diagnosed as one stack, its EBCT problems in one
-    stacked Newton run, and the group is dropped before the next is drawn,
-    so memory does not grow with the replication count. Failed replicates are excluded per method; the scenario aborts if
-    any method loses more than 5% of them.
+    Replications run in groups of ``group_replications(n)``, up to
+    ``GROUP_ROWS`` sample rows: a whole n=200 cell of 30 replications, 16 at
+    n=500, 8 at n=1000. Each group is weighted, fitted and diagnosed as one
+    stack, its EBCT problems in one stacked Newton run, and every stacked
+    layer bounds its working memory to a few blocks of rows beside its
+    inputs and outputs. The group is dropped before the next is drawn, so
+    memory does not grow with the replication count. Failed replicates are
+    excluded per method; the scenario aborts if any method loses more than
+    5% of them.
     """
     collected = {
         method: {"estimates": [], "correlations": [], "shares": [], "failures": 0}
         for method in config.methods
     }
-    for start in range(0, config.replications, CHUNK_REPLICATIONS):
-        stop = min(start + CHUNK_REPLICATIONS, config.replications)
+    size = group_replications(config.n)
+    for start in range(0, config.replications, size):
+        stop = min(start + size, config.replications)
         for records in _run_replications(config, range(start, stop)):
             for method, record in records.items():
                 bucket = collected[method]

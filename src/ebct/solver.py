@@ -24,6 +24,7 @@ the cap, a Newton direction that passes Farkas' test for the box proves it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -62,6 +63,12 @@ _CERTIFICATE_TOLERANCE = 1e-9
 # Rows per block of the Hessian's weighted product: no n x m temporary at
 # any n, and a block x m product small enough to stay in cache.
 _HESSIAN_ROWS = 2048
+
+# Rows of whole problems a stacked Newton run takes at once, in the Hessian
+# and in the matrices of the problems left after some finish. The run holds
+# the whole stack already, so its working memory beside it is kept a few
+# such blocks.
+_STACK_ROWS = 512
 
 _OVERFLOW = "dual exponent overflowed; multipliers are pathological"
 
@@ -135,30 +142,41 @@ def _hessian(G, w, grad, u=None) -> np.ndarray:
     Without caps it is the weighted covariance of the balance columns,
     sum_i w_i g_i g_i' - grad grad'. With caps it sums
     [1, g_i][1, g_i]' w_i over the rows below their cap only. The
-    m x m product sum_i w_i g_i g_i' is summed over blocks of
-    ``_HESSIAN_ROWS`` rows, so the working memory beyond G is one
-    block x m product and a few n-vectors, however large n grows; a stack of
-    at most ``_HESSIAN_ROWS`` rows is one block, the one-shot product bit for
-    bit. A column whose square overflows leaves inf or NaN entries without a
+    m x m products sum_i w_i g_i g_i' are taken over blocks of whole
+    problems, at most ``_STACK_ROWS`` rows in all, and a problem of more
+    than ``_HESSIAN_ROWS`` rows is summed over blocks of that many rows. The
+    working memory beyond G is one block x m product and a few n-vectors
+    per problem, however large B or n grows, and each problem of at most
+    ``_HESSIAN_ROWS`` rows gets its own one-shot product bit for bit. A
+    column whose square overflows leaves inf or NaN entries without a
     warning; the Newton driver reports them as a typed error.
     """
     B, n, m = G.shape
     free = None if u is None else w < u
-    buffer = np.empty((B, min(n, _HESSIAN_ROWS), m))
+    span, rows = max(1, _STACK_ROWS // n), min(n, _HESSIAN_ROWS)
+    buffer = np.empty((min(B, span), rows, m))
+    products = None if B <= span else np.empty((B, m, m))
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, _HESSIAN_ROWS):
-            rows = slice(start, start + _HESSIAN_ROWS)
-            block = buffer[:, : min(n - start, _HESSIAN_ROWS)]
-            np.multiply(G[:, rows], w[:, rows, None], out=block)
-            if free is not None:
-                block[~free[:, rows]] = 0.0
-            product = block.transpose(0, 2, 1) @ G[:, rows]
-            if start == 0:
-                products = product
+        for first in range(0, B, span):
+            problems = slice(first, first + span)
+            for start in range(0, n, rows):
+                g = G[problems, start : start + rows]
+                block = buffer[: g.shape[0], : g.shape[1]]
+                np.multiply(g, w[problems, start : start + rows, None], out=block)
+                if free is not None:
+                    block[~free[problems, start : start + rows]] = 0.0
+                product = block.transpose(0, 2, 1) @ g
+                if start == 0:
+                    total = product
+                else:
+                    total += product
+            if u is None:
+                total -= grad[problems, :, None] * grad[problems, None, :]
+            if products is None:
+                products = total
             else:
-                products += product
+                products[problems] = total
         if u is None:
-            products -= grad[:, :, None] * grad[:, None, :]
             return products
         hessian = np.empty((B, m + 1, m + 1))
         hessian[:, 1:, 1:] = products
@@ -258,6 +276,31 @@ def _newton_directions(hessian, grad) -> tuple:
     return np.concatenate([d for d, _ in parts]), np.concatenate([ok for _, ok in parts])
 
 
+def _blockwise(f, G, index, *rows):
+    """``f(G[index], *rows)`` without a copy of G[index] larger than a block.
+
+    ``index`` holds increasing problem indices into the (B, n, m) stack
+    ``G``. While they are consecutive, G[index] is a view and ``f`` runs
+    once. Otherwise ``f`` runs on blocks of whole problems, at most
+    ``_STACK_ROWS`` rows each, with a copy of each block's matrices and
+    the matching rows of each array in ``rows`` (None stays None), and its
+    outputs, an array or a tuple of arrays, are joined along the problem
+    axis. ``f`` must treat each problem on its own, as ``_dual_state`` and
+    ``_hessian`` do, so the outputs are those of one call bit for bit.
+    """
+    first, last = index[0], index[-1] + 1
+    if last - first == len(index):
+        return f(G[first:last], *rows)
+    span = max(1, _STACK_ROWS // G.shape[1])
+    parts = [
+        f(G[index[block]], *(None if a is None else a[block] for a in rows))
+        for block in (slice(start, start + span) for start in range(0, len(index), span))
+    ]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(outputs) for outputs in zip(*parts))
+    return np.concatenate(parts)
+
+
 def _certifies(G, u, r) -> bool:
     """Whether r = (r_0, r_gamma) proves that no weights 0 <= w <= u balance G.
 
@@ -280,9 +323,12 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> list:
     and reaches exactly the iterates it would reach alone: every stacked
     operation acts row by row, and numpy's linear algebra factors each
     Newton system of the stack by itself. Problems that finish leave the
-    stack, so the rest do not pay for them. ``log_q`` holds the (B, n) log
-    base weights, each row normalized to sum one before the log. Every
-    problem starts at the m-vector ``start``. With (B, n) per-row caps
+    stack, so the rest do not pay for them; G itself is never compacted,
+    and the matrices of the problems left are read through ``_blockwise``,
+    so the working memory beside G is a few blocks and (B, n) arrays
+    however large B grows. ``log_q`` holds the (B, n) log base weights,
+    each row normalized to sum one before the log. Every problem starts at
+    the m-vector ``start``. With (B, n) per-row caps
     ``u`` the problems are the capped duals of ``_dual_state``, each
     started at (-J(start), start), which are the uncapped weights of
     ``start``. Returns per problem either ``(BalancingWeights, trace)`` or
@@ -298,11 +344,11 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> list:
     iterations = np.zeros(B, dtype=int)
     errors = [None if ok else NonFiniteDual(_OVERFLOW) for ok in finite]
     stopped = ~finite
-    live = np.arange(B)  # problem index of each row still in the stack
+    live = np.arange(B)  # problem index of each row still in the stack, increasing
     ridge = _RIDGE * np.eye(theta.shape[1])
 
     def certified(i, r):
-        if not _certifies(G[i], u[i], r):
+        if not _certifies(G[live[i]], u[i], r):
             return None
         return ThresholdInfeasible(
             "no weights at or below the cap balance the sample (Farkas certificate verified)",
@@ -312,8 +358,9 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> list:
     def capped_failure(i):
         # A capped problem that stops short of its optimum: certified
         # infeasible by the Newton direction at its last iterate, or not.
-        rows = slice(i, i + 1)
-        hessian = _hessian(G[rows], w[rows], grad[rows], u[rows]) + ridge
+        rows, b = slice(i, i + 1), live[i]
+        hessian = _hessian(G[b : b + 1], w[rows], grad[rows], u[rows])
+        hessian += ridge
         error = certified(i, _newton_directions(hessian, grad[rows])[0][0])
         if error is not None:
             return error
@@ -322,9 +369,9 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> list:
         return None
 
     def retire(rows) -> None:
-        for i in rows:
-            b = live[i]
-            grad_norm = float(np.abs(grad[i]).max())
+        norms = np.abs(grad[rows]).max(axis=1).tolist()
+        finished = []
+        for i, grad_norm in zip(rows, norms):
             converged = grad_norm <= _GRADIENT_TOLERANCE
             if u is not None and errors[i] is None and not (converged and w[i].min() > 0):
                 errors[i] = capped_failure(i)
@@ -333,13 +380,20 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> list:
                     "a weight underflowed to zero; the balance constraints admit no "
                     "strictly positive weights at float precision"
                 )
-            if errors[i] is not None:
-                outcomes[b] = errors[i]
-                continue
-            if u is not None:
-                w[i] /= w[i].sum()  # in place: the row leaves the stack
+            if errors[i] is None:
+                finished.append((i, grad_norm))
+            else:
+                outcomes[live[i]] = errors[i]
+        # One read-only copy of the finished rows' weights, which their results adopt.
+        kept = w[[i for i, _ in finished]]
+        for row in kept if u is not None else ():
+            row /= row.sum()
+        kept.setflags(write=False)
+        for (i, grad_norm), row in zip(finished, kept):
+            b = live[i]
+            converged = grad_norm <= _GRADIENT_TOLERANCE
             weights = BalancingWeights(
-                weights=w[i],
+                weights=row,
                 gamma=theta[i] if u is None else theta[i, 1:],
                 converged=converged,
                 iterations=int(iterations[i]),
@@ -356,19 +410,21 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> list:
             keep = ~stopped
             if not keep.any():
                 return outcomes
-            live, G, log_q, theta, value, w, grad, grad_norm, iterations = (
-                a[keep] for a in (live, G, log_q, theta, value, w, grad, grad_norm, iterations)
+            live, log_q, theta, value, w, grad, grad_norm, iterations = (
+                a[keep] for a in (live, log_q, theta, value, w, grad, grad_norm, iterations)
             )
             if u is not None:
                 u = u[keep]
             errors = [e for e, k in zip(errors, keep) if k]
             stopped = np.zeros(live.size, dtype=bool)
 
-        hessian = _hessian(G, w, grad, u) + ridge
+        hessian = _blockwise(_hessian, G, live, w, grad, u)
+        hessian += ridge
         direction, solvable = _newton_directions(hessian, grad)
         for i in np.flatnonzero(~solvable):
             errors[i] = _singular(hessian[i])
             stopped[i] = True
+        del hessian  # before the next iteration's
         if u is not None:
             # Every Newton direction of a capped problem is a candidate
             # certificate of infeasibility, and checking one is cheap.
@@ -388,15 +444,16 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> list:
             rows = np.flatnonzero(searching)
             sub = slice(None) if rows.size == live.size else rows
             candidate = theta[sub] + step[sub, None] * direction[sub]
-            c_value, c_w, c_grad, c_finite = _dual_state(
-                G[sub], log_q[sub], candidate, None if u is None else u[sub]
+            c_value, c_w, c_grad, c_finite = _blockwise(
+                _dual_state, G, live[sub], log_q[sub], candidate, None if u is None else u[sub]
             )
+            c_norms = np.abs(c_grad).max(axis=1)
             for j, i in enumerate(rows):
                 if not c_finite[j]:
                     errors[i] = NonFiniteDual(_OVERFLOW)
                     ok = False
                 elif local[i]:
-                    ok = np.abs(c_grad[j]).max() < grad_norm[i]
+                    ok = c_norms[j] < grad_norm[i]
                 else:
                     ok = c_value[j] <= value[i] + _ARMIJO_C * step[i] * slope[i]
                     if not ok:
@@ -412,7 +469,8 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> list:
                 theta[i], value[i], w[i], grad[i] = candidate[j], c_value[j], c_w[j], c_grad[j]
                 iterations[i] += 1
                 traces[live[i]].append(float(c_value[j]))
-                if float(np.linalg.norm(theta[i])) > _GAMMA_BOUND:
+                # The Euclidean norm as np.linalg.norm takes it, without its overhead.
+                if math.sqrt(theta[i] @ theta[i]) > _GAMMA_BOUND:
                     # A capped problem that diverges is judged by its
                     # certificate instead, as its uncapped problem solved.
                     if u is None:
@@ -454,9 +512,14 @@ def solve_batch(matrices, base_weights=None, start=None, cap=None) -> list:
     per matrix of upper bounds on the weights (see ``solve``); a B x n
     array of caps is used as it is, without a copy. Each Newton
     iteration factors and solves the Newton systems of the whole stack in
-    one numpy call. A problem that fails, a singular Hessian included, does
-    not disturb the others, and each problem's weights, iterations and trace
-    are exactly those ``solve`` gives it alone from the same start.
+    one numpy call. The stack is never copied: the Hessians and, once some
+    problems finish, the matrices of the others are taken in blocks of
+    whole problems of at most ``_STACK_ROWS`` rows, so the working memory
+    beside the stack is a few such blocks, the (B, m, m) Hessians and a few
+    B x n arrays of weights. A problem that fails, a singular Hessian
+    included, does not disturb the others, and each problem's weights,
+    iterations and trace are exactly those ``solve`` gives it alone from the
+    same start.
 
     Returns:
         One entry per matrix: ``(BalancingWeights, trace)`` on success,

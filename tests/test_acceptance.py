@@ -23,7 +23,7 @@ from ebct import (
 )
 from ebct.data import uniform_weights
 from ebct.errors import EbctError
-from ebct.simulation import TRUE_EFFECT, run_replication
+from ebct.simulation import TRUE_EFFECT, group_replications, run_replication
 from ebct.solver import dual_gradient, dual_hessian, dual_objective
 
 from conftest import random_dataset
@@ -265,11 +265,14 @@ def test_criterion_8_diagnostics_logic_substitute():
 
 
 def test_criterion_9_cli_determinism(tmp_path):
-    # 18 cells, so --jobs 2 runs them in worker processes; 20 replications
-    # per cell, so every cell solves full and partial stacked groups.
+    # 18 cells, so --jobs 2 runs them in worker processes; five replications
+    # more than a group holds at n=200, so every cell solves a full and a
+    # partial stacked group.
+    replications = str(group_replications(200) + 5)
+
     def run(out, jobs):
         argv = [
-            "simulate", "--paper-grid", "--sizes", "200", "--replications", "20",
+            "simulate", "--paper-grid", "--sizes", "200", "--replications", replications,
             "--seed", "77", "--jobs", jobs, "--out", str(out),
         ]
         assert cli.main(argv) == 0

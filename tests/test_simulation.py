@@ -292,7 +292,7 @@ class TestRunScenario:
     def test_estimates_equal_single_replications(self, monkeypatch):
         # More replications than one stacked group, so a partial group runs.
         config = ScenarioConfig(n=200, sigma=2.0, eta=1.25, spec=2,
-                                replications=sim.CHUNK_REPLICATIONS + 4, master_seed=13)
+                                replications=sim.group_replications(200) + 4, master_seed=13)
         grouped = []
 
         def recording(config, indices):
@@ -372,12 +372,13 @@ class TestRunScenario:
             return fit_wls(y, design, w)
 
         monkeypatch.setattr(sim, "fit_wls", recording)
-        grouped = sim._run_replications(config, range(sim.CHUNK_REPLICATIONS))
-        # The seven replications with every method still fit as one stack.
-        assert shapes[0] == (sim.CHUNK_REPLICATIONS - 1, 3, 200)
-        alone = [run_replication(config, index) for index in range(sim.CHUNK_REPLICATIONS)]
+        size = sim.group_replications(config.n)
+        grouped = sim._run_replications(config, range(size))
+        # The other replications, with every method, still fit as one stack.
+        assert shapes[0] == (size - 1, 3, 200)
+        alone = [run_replication(config, index) for index in range(size)]
         assert [records["ipw"].failed for records in grouped] == [
-            index == 3 for index in range(sim.CHUNK_REPLICATIONS)
+            index == 3 for index in range(size)
         ]
         for records, expected in zip(grouped, alone):
             for method, record in records.items():
@@ -399,10 +400,39 @@ class TestRunScenario:
 
             monkeypatch.setattr(module, name, counted)
         config = ScenarioConfig(n=200, sigma=2.0, eta=1.25, spec=2,
-                                replications=2 * sim.CHUNK_REPLICATIONS + 3, master_seed=13)
+                                replications=2 * sim.group_replications(200) + 3, master_seed=13)
         result = run_scenario(config)
         assert sum(summary.failures for summary in result.per_method.values()) == 0
         assert calls == {"fit_wls": 3, "balance_report": 3, "ipw_weights": 3}
+
+    @pytest.mark.parametrize("n", [200, 500])
+    def test_group_size_changes_no_record(self, monkeypatch, n):
+        # Row budgets of one replication, of eight and of the whole cell: the
+        # groups differ, partial ones included, and nothing else does.
+        config = ScenarioConfig(n=n, sigma=2.0, eta=1.25, spec=2, replications=11,
+                                master_seed=17)
+        run_group, runs = sim._run_replications, []
+        for size in (1, 8, config.replications):
+            groups, records = [], []
+
+            def recording(config, indices, groups=groups, records=records):
+                groups.append(len(indices))
+                group = run_group(config, indices)
+                records.extend(group)
+                return group
+
+            monkeypatch.setattr(sim, "GROUP_ROWS", size * n)
+            monkeypatch.setattr(sim, "_run_replications", recording)
+            result = run_scenario(config)
+            assert groups == [size] * (11 // size) + [11 % size] * (11 % size > 0)
+            summaries = {
+                method: (s.bias_pct, s.rmse_pct, s.mean_max_abs_correlation,
+                         s.mean_max_weight_share, s.failures, s.estimates.tobytes())
+                for method, s in result.per_method.items()
+            }
+            runs.append((result.config, summaries, records))
+        assert sum(summary[4] for summary in runs[0][1].values()) == 0
+        assert runs[0] == runs[1] == runs[2]
 
     def test_memory_does_not_grow_with_replications(self):
         # Replications are drawn and solved in fixed-size groups that are
@@ -419,6 +449,43 @@ class TestRunScenario:
                 tracemalloc.stop()
 
         assert peak(100) <= 1.1 * peak(20)
+
+
+class TestGroupMemory:
+    # A whole n=200 cell of 30 replications is one (30, 200, 21) stack of
+    # balance columns. Each stacked layer works through it in blocks, so
+    # what it allocates beyond its inputs and outputs is a fraction of the
+    # stack; stacked whole, each layer took more than the stack again.
+    FRACTION = 0.5
+
+    @pytest.fixture(scope="class")
+    def group(self):
+        config = ScenarioConfig(n=200, sigma=4.0, eta=1.0, spec=1, master_seed=3)
+        datasets = [sim._draw(config, index) for index in range(30)]
+        G = standardize(datasets)
+        ebct = [weights for weights, _ in sim.solve_batch(G)]
+        ipw = estimate_weights(datasets, "ipw")
+        stack = np.array([[np.full(200, 1 / 200), i.weights, e.weights]
+                          for i, e in zip(ipw, ebct)])
+        return datasets, G, stack
+
+    @pytest.mark.parametrize("layer", ["standardize", "solve_batch", "balance_report"])
+    def test_working_memory_is_a_fraction_of_the_stack(self, group, layer):
+        datasets, G, stack = group
+        call = {
+            "standardize": lambda: standardize(datasets),
+            "solve_batch": lambda: sim.solve_batch(G),
+            "balance_report": lambda: sim.balance_report(stack, datasets),
+        }[layer]
+        assert G.shape == (30, 200, 21)
+        tracemalloc.start()
+        try:
+            result = call()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result) == 30
+        assert peak - current < self.FRACTION * G.nbytes, (peak - current) / G.nbytes
 
 
 class TestGrid:
