@@ -143,19 +143,17 @@ class Dataset:
         )
 
 
-def sample_blocks(datasets, repeats: int = 1) -> Iterator:
+def sample_blocks(datasets) -> Iterator:
     """The blocks a stacked layer works through, for datasets that share n and K.
 
     Yields ``(block, t, x)`` per block of consecutive datasets, at most
-    ``_BLOCK_ROWS`` sample rows in all, each counted ``repeats`` times for a
-    layer that takes each row that often, such as once per weighting (one
-    dataset when n is larger): ``block`` slices the sequence, and ``t`` and
-    ``x`` are the block's (b, n) treatments and (b, n, K) covariates, views
-    of a lone dataset's own arrays and stacked copies otherwise. A caller
-    that deletes ``t`` and ``x`` before asking for the next block holds one
-    block at a time.
+    ``_BLOCK_ROWS`` sample rows in all (one dataset when n is larger):
+    ``block`` slices the sequence, and ``t`` and ``x`` are the block's (b, n)
+    treatments and (b, n, K) covariates, views of a lone dataset's own arrays
+    and stacked copies otherwise. A caller that deletes ``t`` and ``x``
+    before asking for the next block holds one block at a time.
     """
-    span = max(1, _BLOCK_ROWS // (repeats * datasets[0].n))
+    span = max(1, _BLOCK_ROWS // datasets[0].n)
     for first in range(0, len(datasets), span):
         block = slice(first, first + span)
         part = datasets[block]

@@ -19,37 +19,20 @@ _VARIANCE_FLOOR = 1e-24
 
 
 def _weight_vector(w) -> np.ndarray:
-    return w.weights if isinstance(w, BalancingWeights) else np.ravel(np.asarray(w, dtype=float))
-
-
-def _weight_rows(groups) -> np.ndarray:
-    """B x M x n stack of the weightings ``groups``, B sequences of M
-    weightings or a B x M x n array, each normalized to sum one."""
-    if isinstance(groups, np.ndarray):
-        stack = groups.astype(float, copy=False)
-        if stack.ndim != 3:
-            raise ValueError(f"stacked datasets take a B x M x n weight stack, got {stack.ndim}-d")
-    else:
-        rows = [[_weight_vector(w) for w in group] for group in groups]
-        # One weighting stays a view, so a large n pays no stacking copy.
-        one = len(rows) == 1 and len(rows[0]) == 1
-        stack = rows[0][0][None, None] if one else np.array(rows)
-    if not (stack.min() > 0 and np.isfinite(stack).all()):
-        raise ValueError("weights must be strictly positive and finite")
-    return stack / stack.sum(axis=-1, keepdims=True)
+    """The weights of one weighting: a ``BalancingWeights`` or a vector."""
+    if isinstance(w, BalancingWeights):
+        return w.weights
+    vector = np.asarray(w)
+    if vector.ndim != 1 or vector.dtype == object:
+        raise ValueError(
+            "a weighting is a BalancingWeights or a 1-d vector; stacked "
+            "weightings take one dataset each, as a sequence of datasets"
+        )
+    return vector.astype(float, copy=False)
 
 
 def _json_float(value) -> Optional[float]:
     return None if np.isnan(value) else float(value)
-
-
-def _is_one_weighting(w) -> bool:
-    """True for one weighting, False for a sequence or 2-d stack of them."""
-    if isinstance(w, BalancingWeights):
-        return True
-    if isinstance(w, (list, tuple)):
-        return not w or np.ndim(getattr(w[0], "weights", w[0])) == 0
-    return np.ndim(w) < 2
 
 
 @dataclass(frozen=True)
@@ -97,53 +80,52 @@ def balance_report(w, dataset, method_tag: str = ""):
     whole report.
 
     ``w`` is one weighting of ``dataset`` (``BalancingWeights`` or a positive
-    vector), giving one ``BalanceReport``, or a sequence of weightings (or an
-    M x n array), giving a list of reports in the same order from one pass
-    over the M x n stack. Each report of a stack is bit for bit the report
-    its weighting gives alone, degenerate columns included. A report is
-    tagged ``method_tag``, else its weights' method, else "uniform".
+    vector), giving one ``BalanceReport`` tagged ``method_tag``, else its
+    weights' method, else "uniform".
 
     ``dataset`` may also be a sequence of B datasets that share n and K, with
-    ``w`` B sequences of M weightings, one per dataset, or a B x M x n
-    array. The result is then B lists of M reports from one pass over the
-    B x M x n stack, block by block (see ``sample_blocks``) so that the
-    working memory is one block's, each bit for bit the report its
-    weighting and dataset give alone.
+    ``w`` a sequence of B weightings, one per dataset, or a B x n array. The
+    result is then the list of their B reports from one pass over the
+    B x n stack, block by block (see ``sample_blocks``) so that the working
+    memory is one block's, each bit for bit the report its weighting and
+    dataset give alone, degenerate columns included.
 
     Raises:
         ValueError: a weighting is not positive and finite, or not of length
-            n; stacked datasets differ in shape, or their weightings are not
-            B groups of M.
+            n; one dataset comes with several weightings; stacked datasets
+            differ in shape or in number from their weightings.
     """
-    one_dataset = isinstance(dataset, Dataset)
-    if one_dataset:
-        single = _is_one_weighting(w)
-        datasets, groups = [dataset], [[w] if single else list(w)]
-    else:
-        datasets, groups = list(dataset), w
-        if any((d.n, d.k) != (datasets[0].n, datasets[0].k) for d in datasets):
-            raise ValueError("stacked datasets must share n and K")
-    weights = _weight_rows(groups)
-    B, M, n = weights.shape
-    if B != len(datasets):
-        raise ValueError(f"got {B} groups of weightings for {len(datasets)} datasets")
+    single = isinstance(dataset, Dataset)
+    datasets, weightings = ([dataset], [w]) if single else (list(dataset), list(w))
+    if any((d.n, d.k) != (datasets[0].n, datasets[0].k) for d in datasets):
+        raise ValueError("stacked datasets must share n and K")
+    if len(weightings) != len(datasets):
+        raise ValueError(f"got {len(weightings)} weightings for {len(datasets)} datasets")
+    vectors = [_weight_vector(weighting) for weighting in weightings]
+    # One weighting stays a view, so a large n pays no stacking copy.
+    stack = vectors[0][None] if single else np.array(vectors)
+    B, n = stack.shape
     if n != datasets[0].n:
         raise ValueError(f"weights have {n} entries per row, expected {datasets[0].n}")
+    if not (stack.min() > 0 and np.isfinite(stack).all()):
+        raise ValueError("weights must be strictly positive and finite")
+    weights = stack / stack.sum(axis=1, keepdims=True)
     k = datasets[0].k
-    correlations = np.full((B, M, k), np.nan)
-    bad = np.empty((B, M, k), dtype=bool)
-    # Block by block, so the (b, M, n, K) deviations stay block-sized.
-    for block, t, x in sample_blocks(datasets, M):
+    correlations = np.full((B, k), np.nan)
+    bad = np.empty((B, k), dtype=bool)
+    # Block by block, so the (b, n, K) deviations stay block-sized.
+    for block, t, x in sample_blocks(datasets):
         part = weights[block]
-        # (b, M, 1, n) rows make every weighted mean one dot product or one
-        # vector-matrix product per weighting, the BLAS calls of a lone vector.
-        rows = part[:, :, None, :]
-        dt = t[:, None, :] - (rows @ t[:, None, :, None])[..., 0]
-        dx = x[:, None] - rows @ x[:, None]
-        cov = ((part * dt)[:, :, None, :] @ dx)[:, :, 0]
-        var_t = (rows @ (dt * dt)[..., None])[..., 0]
+        # (b, 1, n) rows make every weighted mean one dot product or one
+        # vector-matrix product per dataset, the BLAS calls of a lone vector.
+        rows = part[:, None, :]
+        dt = t - (rows @ t[:, :, None])[:, 0]
+        # In place when x is a stacked copy, not a lone dataset's own array.
+        dx = np.subtract(x, rows @ x, out=x if x.flags.writeable else None)
+        cov = ((part * dt)[:, None, :] @ dx)[:, 0]
+        var_t = (rows @ (dt * dt)[:, :, None])[:, 0]
         dx *= dx
-        var_x = (rows @ dx)[:, :, 0]
+        var_x = (rows @ dx)[:, 0]
         del t, x, dx  # before the next block is stacked
         np.logical_or(var_x < _VARIANCE_FLOOR, var_t < _VARIANCE_FLOOR, out=bad[block])
         np.divide(cov, np.sqrt(var_t * var_x), out=correlations[block], where=~bad[block])
@@ -155,33 +137,28 @@ def balance_report(w, dataset, method_tag: str = ""):
         maxima = magnitudes.max(axis=-1).tolist()
         means = magnitudes.mean(axis=-1).tolist()
     else:  # no covariates
-        maxima = means = np.full((B, M), np.nan).tolist()
+        maxima = means = [float("nan")] * B
     shares = weights.max(axis=-1).tolist()
     reports = []
     for b, data in enumerate(datasets):
-        names = data.covariate_names
-        reports.append([])
-        for m in range(M):
-            maximum, mean, degenerate = maxima[b][m], means[b][m], ()
-            if bad[b, m].any():
-                finite = magnitudes[b, m][~bad[b, m]]
-                maximum = float(finite.max()) if finite.size else float("nan")
-                mean = float(finite.mean()) if finite.size else float("nan")
-                degenerate = tuple(compress(names, bad[b, m]))
-            reports[b].append(
-                BalanceReport(
-                    covariate_names=names,
-                    per_covariate_correlation=correlations[b, m],
-                    max_abs_correlation=maximum,
-                    mean_abs_correlation=mean,
-                    max_weight_share=shares[b][m],
-                    method_tag=method_tag or getattr(groups[b][m], "method_tag", "uniform"),
-                    degenerate_columns=degenerate,
-                )
+        maximum, mean, degenerate = maxima[b], means[b], ()
+        if bad[b].any():
+            finite = magnitudes[b][~bad[b]]
+            maximum = float(finite.max()) if finite.size else float("nan")
+            mean = float(finite.mean()) if finite.size else float("nan")
+            degenerate = tuple(compress(data.covariate_names, bad[b]))
+        reports.append(
+            BalanceReport(
+                covariate_names=data.covariate_names,
+                per_covariate_correlation=correlations[b],
+                max_abs_correlation=maximum,
+                mean_abs_correlation=mean,
+                max_weight_share=shares[b],
+                method_tag=method_tag or getattr(weightings[b], "method_tag", "uniform"),
+                degenerate_columns=degenerate,
             )
-    if not one_dataset:
-        return reports
-    return reports[0][0] if single else reports[0]
+        )
+    return reports[0] if single else reports
 
 
 def render_balance_table(reports: Sequence[BalanceReport]) -> str:

@@ -39,43 +39,32 @@ def fit_wls(y, design, w) -> np.ndarray:
 
     Solves the normal equations with a Cholesky factorization; the weight
     scale is irrelevant (doubling all weights changes nothing). ``w`` is one
-    length-n weight vector, giving the p coefficients, or an M x n stack of
-    weightings of the same sample, giving an M x p matrix from one stacked
-    factorization. Each row of a stack is bit for bit the coefficients that
-    row alone gives.
+    length-n weight vector, giving the p coefficients.
 
     B samples of the same shape fit in one call as a B x n ``y``, a
-    B x n x p ``design`` and a B x M x n ``w``, M weightings of each sample,
-    giving a B x M x p array whose entry [b] is bit for bit the M x p
-    matrix that sample b alone gives.
+    B x n x p ``design`` and a B x n ``w``, one weighting of each sample,
+    giving a B x p array whose row b is bit for bit the coefficients that
+    sample b alone gives.
 
     Raises:
-        ValueError: the normal equations are not finite, or a weighting's
-            length is not the design's row count (an n x 1 column is not a
-            weight vector but n weightings of one unit).
+        ValueError: the normal equations are not finite, or the weights'
+            shape is not the design's rows (an n x 1 column is not a
+            weight vector).
         RankDeficientDesign: the design is rank deficient under the weights.
             With a stack, either error is raised for the whole call when
-            any one weighting has it.
+            any one sample has it.
     """
     design = np.asarray(design, dtype=float)
     w = np.asarray(w, dtype=float)
-    if design.ndim == 3:
-        # Each sample's weightings meet its own design and outcome.
-        design, y = design[:, None], np.asarray(y, dtype=float)[:, None, :, None]
-        if w.ndim != 3:
-            raise ValueError(f"stacked designs take a B x M x n weight stack, got {w.ndim}-d")
-    else:
-        y = np.ravel(np.asarray(y, dtype=float))[:, None]
-        if w.ndim != 2:
-            w = np.ravel(w)
-    n = design.shape[-2]
-    if w.shape[-1] != n:
-        raise ValueError(f"weights have {w.shape[-1]} entries per row, expected {n}")
+    rows = design.shape[:-1]
+    if w.shape != rows:
+        raise ValueError(f"weights have shape {w.shape}, expected {rows}")
+    # A column outcome keeps rhs a column: the matrix-vector product of a
+    # 1-d outcome, with the trailing axis the solves take.
+    y = np.asarray(y, dtype=float).reshape(rows + (1,))
     weighted = design * w[..., None]
     weighted_t = np.swapaxes(weighted, -1, -2)
     gram = weighted_t @ design
-    # A column outcome keeps rhs a column: the matrix-vector product of a
-    # 1-d outcome, with the trailing axis the solves take.
     rhs = weighted_t @ y
     # numpy's Cholesky passes NaN and inf through without raising.
     if not np.isfinite(gram).all():

@@ -203,11 +203,11 @@ def _draw(config: ScenarioConfig, replicate_index: int) -> Dataset:
 
 
 def _stacked(step, items) -> list:
-    """One outcome per item of a step that takes one item or a sequence.
+    """One outcome per item of a step that takes a sequence of items.
 
     ``step(items)`` runs once over the whole sequence. When it raises, or
-    there is only one item, ``step(item)`` runs for each item alone, and the
-    EbctError or LinAlgError its own call raises is its outcome, so a
+    there is only one item, ``step([item])[0]`` runs for each item alone, and
+    the EbctError or LinAlgError its own call raises is its outcome, so a
     failure stays with its item.
     """
     if len(items) > 1:
@@ -218,7 +218,7 @@ def _stacked(step, items) -> list:
     outcomes = []
     for item in items:
         try:
-            outcomes.append(step(item))
+            outcomes.append(step([item])[0])
         except (EbctError, np.linalg.LinAlgError) as err:
             outcomes.append(err)
     return outcomes
@@ -240,105 +240,55 @@ def _ebct_weights(datasets: Sequence[Dataset]) -> list:
     return outcomes
 
 
-def _designs(datasets: Sequence[Dataset]) -> np.ndarray:
-    """The B x n x 2 stack of the datasets' effect-regression designs [1, T]."""
-    design = np.ones((len(datasets), datasets[0].n, 2))
-    design[:, :, 1] = [dataset.treatment for dataset in datasets]
-    return design
-
-
-def _records(methods, slopes, reports) -> dict:
-    """Each method's record from its effect slope and balance report."""
-    return {
-        method: ReplicationRecord(
-            estimate=slope,
-            max_abs_correlation=report.max_abs_correlation,
-            max_weight_share=report.max_weight_share,
-        )
-        for method, slope, report in zip(methods, slopes, reports)
-    }
-
-
-def _method_records(dataset: Dataset, weightings: dict) -> dict:
-    """Effect slope and balance record of each method whose weights fit.
-
-    One stacked ``fit_wls`` and one ``balance_report`` call cover every
-    weighting. When the stacked fit raises, each weighting is fitted alone,
-    and only a method whose own fit fails is left without a record.
-    """
-    design = _designs([dataset])[0]
-    stack = np.stack([weights.weights for weights in weightings.values()])
-    try:
-        slopes = dict(zip(weightings, fit_wls(dataset.outcome, design, stack)[:, 1].tolist()))
-    except (EbctError, ValueError, np.linalg.LinAlgError):
-        slopes = {}
-        for method, weights in weightings.items():
-            try:
-                slopes[method] = float(fit_wls(dataset.outcome, design, weights.weights)[1])
-            except (EbctError, np.linalg.LinAlgError):
-                pass
-    if not slopes:
-        return {}
-    reports = balance_report([weightings[method] for method in slopes], dataset)
-    return _records(slopes, slopes.values(), reports)
-
-
-def _group_records(datasets: Sequence[Dataset], weightings: Sequence[dict]) -> list:
-    """``_method_records`` of replications whose weightings share their methods.
-
-    The group is fitted in one ``fit_wls`` call over the B x M x n stack of
-    its weightings and diagnosed in one ``balance_report`` call. When the
-    stacked fit raises, or the group has one replication, each replication
-    is fitted and diagnosed alone.
-    """
-    if len(datasets) > 1:
-        stack = np.array([[weights.weights for weights in row.values()] for row in weightings])
-        outcomes = np.stack([dataset.outcome for dataset in datasets])
-        try:
-            slopes = fit_wls(outcomes, _designs(datasets), stack)[:, :, 1].tolist()
-        except (EbctError, ValueError, np.linalg.LinAlgError):
-            pass
-        else:
-            reports = balance_report(stack, datasets)
-            return [_records(*fitted) for fitted in zip(weightings, slopes, reports)]
-    return [_method_records(*replication) for replication in zip(datasets, weightings)]
+def _slopes(pairs: Sequence[tuple]) -> list:
+    """Effect slopes of (dataset, weights) pairs from one ``fit_wls`` call
+    over the B x n stack of their regressions on [1, T]."""
+    design = np.ones((len(pairs), pairs[0][0].n, 2))
+    design[:, :, 1] = [dataset.treatment for dataset, _ in pairs]
+    outcomes = np.stack([dataset.outcome for dataset, _ in pairs])
+    weights = np.stack([weights.weights for _, weights in pairs])
+    return fit_wls(outcomes, design, weights)[:, 1].tolist()
 
 
 def _run_replications(config: ScenarioConfig, indices: Sequence[int]) -> list:
     """Records for a group of replications.
 
-    Every step after the draws runs once over the group's stack: each
-    method's weights (the EBCT problems standardized and solved together),
-    then the effect regressions of every replication and method in one
-    ``fit_wls`` call and their diagnostics in one ``balance_report`` call.
-    When a stacked step raises, it is redone one replication at a time, and
-    the fit one method at a time, so a method whose weights or fit fail
-    records a failure without disturbing the others.
+    Each method runs once over the group's stack: its weights (the EBCT
+    problems standardized and solved together), then the effect regressions
+    of the replications it weighed in one ``fit_wls`` call and their
+    diagnostics in one ``balance_report`` call. When a stacked step raises,
+    it is redone one replication at a time, so a replication whose weights
+    or fit fail records a failure for that method alone.
     """
     datasets = [_draw(config, index) for index in indices]
-    weightings = [{} for _ in datasets]
+    records = [{} for _ in datasets]
     # EBCT first: its stacked solve, the group's largest working set, then
     # holds no other method's weights.
     for method in sorted(config.methods, key=lambda method: method != "ebct"):
         if method == "ebct":
-            outcomes = _ebct_weights(datasets)
+            weightings = _ebct_weights(datasets)
         else:
-            outcomes = _stacked(lambda group: estimate_weights(group, method), datasets)
-        for row, weights in zip(weightings, outcomes):
-            if not isinstance(weights, Exception):
-                row[method] = weights
-    # Replications whose weightings share their methods fit as one stack.
-    shared = {}
-    for slot, row in enumerate(weightings):
-        if row:
-            shared.setdefault(tuple(row), []).append(slot)
-    records = [{} for _ in datasets]
-    for slots in shared.values():
-        group = _group_records([datasets[s] for s in slots], [weightings[s] for s in slots])
-        for slot, fitted in zip(slots, group):
-            records[slot] = fitted
-    failed = ReplicationRecord.failure
-    return [{method: row.get(method) or failed() for method in config.methods} for row in records]
+            weightings = _stacked(lambda group: estimate_weights(group, method), datasets)
+        weighed = [slot for slot, w in enumerate(weightings) if not isinstance(w, Exception)]
+        slopes = _stacked(_slopes, [(datasets[slot], weightings[slot]) for slot in weighed])
+        fitted = {
+            slot: slope
+            for slot, slope in zip(weighed, slopes)
+            if not isinstance(slope, Exception)
+        }
+        if not fitted:
+            continue
+        reports = balance_report(
+            [weightings[slot] for slot in fitted], [datasets[slot] for slot in fitted]
+        )
+        for (slot, slope), report in zip(fitted.items(), reports):
+            records[slot][method] = ReplicationRecord(
+                estimate=slope,
+                max_abs_correlation=report.max_abs_correlation,
+                max_weight_share=report.max_weight_share,
+            )
+    failed = ReplicationRecord.failure()
+    return [{method: row.get(method, failed) for method in config.methods} for row in records]
 
 
 def group_replications(n: int) -> int:
@@ -395,8 +345,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     Replications run in groups of ``group_replications(n)``, up to
     ``GROUP_ROWS`` sample rows: a whole n=200 cell of 30 replications, 16 at
-    n=500, 8 at n=1000. Each group is weighted, fitted and diagnosed as one
-    stack, its EBCT problems in one stacked Newton run, and every stacked
+    n=500, 8 at n=1000. Each method weighs, fits and diagnoses a group as
+    one stack, its EBCT problems in one stacked Newton run, and every stacked
     layer bounds its working memory to a few blocks of rows beside its
     inputs and outputs. The group is dropped before the next is drawn, so
     memory does not grow with the replication count. Failed replicates are

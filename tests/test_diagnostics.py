@@ -182,15 +182,16 @@ class TestBalanceReport:
                 assert report.per_covariate_correlation[j] == pytest.approx(expected, abs=1e-12)
 
     def test_stack_matches_single_reports_bit_for_bit(self, rng):
+        # Three weightings of one sample, stacked as three datasets.
         x = rng.standard_normal((40, 3))
         x[:, 1] = 2.0
         ds = Dataset(treatment=rng.standard_normal(40), covariates=x)
         balanced = Dataset(treatment=ds.treatment, covariates=x[:, [0, 2]])
         ebct_weights, _ = solve(standardize(balanced))
         weightings = [uniform_weights(40), ebct_weights, rng.uniform(0.2, 2.0, size=40)]
-        reports = balance_report(weightings, ds)
+        reports = balance_report(weightings, [ds] * 3)
         assert [r.method_tag for r in reports] == ["uniform", "ebct", "uniform"]
-        as_array = balance_report(np.stack([w.weights for w in weightings[:2]]), ds, "x")
+        as_array = balance_report(np.stack([w.weights for w in weightings[:2]]), [ds] * 2, "x")
         assert [r.method_tag for r in as_array] == ["x", "x"]
         for weights, report in zip(weightings, reports):
             alone = balance_report(weights, ds)
@@ -212,38 +213,47 @@ class TestBalanceReport:
             if b == 2:
                 x[:, 1] = 2.0  # a degenerate column in one dataset only
             datasets.append(Dataset(treatment=rng.standard_normal(n), covariates=x))
-        stack = rng.uniform(0.2, 2.0, size=(B, 2, n))
+        stack = rng.uniform(0.2, 2.0, size=(B, n))
         reports = balance_report(stack, datasets)
         ipw_tagged = replace(uniform_weights(n), method_tag="ipw")
-        tagged = balance_report([[ipw_tagged, w[1]] for w in stack], datasets)
-        assert [len(row) for row in reports] == [2] * B
-        assert [r.method_tag for r in tagged[0]] == ["ipw", "uniform"]
-        assert reports[2][0].degenerate_columns == ("X2",)
-        assert reports[1][0].degenerate_columns == ()
-        for b, dataset in enumerate(datasets):
-            for weights, report in zip(stack[b], reports[b]):
-                alone = balance_report(weights, dataset)
-                assert (
-                    report.per_covariate_correlation.tobytes()
-                    == alone.per_covariate_correlation.tobytes()
-                )
-                for name in ("max_abs_correlation", "mean_abs_correlation", "max_weight_share"):
-                    bits = [np.float64(getattr(r, name)).tobytes() for r in (report, alone)]
-                    assert bits[0] == bits[1]
-                assert report.to_dict() == alone.to_dict()
-            assert tagged[b][1].to_dict() == reports[b][1].to_dict()
+        tagged = balance_report([ipw_tagged, *stack[1:]], datasets)
+        assert len(reports) == B
+        assert [r.method_tag for r in tagged] == ["ipw"] + ["uniform"] * (B - 1)
+        assert reports[2].degenerate_columns == ("X2",)
+        assert reports[1].degenerate_columns == ()
+        for weights, dataset, report in zip(stack, datasets, reports):
+            alone = balance_report(weights, dataset)
+            assert (
+                report.per_covariate_correlation.tobytes()
+                == alone.per_covariate_correlation.tobytes()
+            )
+            for name in ("max_abs_correlation", "mean_abs_correlation", "max_weight_share"):
+                bits = [np.float64(getattr(r, name)).tobytes() for r in (report, alone)]
+                assert bits[0] == bits[1]
+            assert report.to_dict() == alone.to_dict()
+        assert tagged[0].to_dict() == balance_report(ipw_tagged, datasets[0]).to_dict()
+        assert [r.to_dict() for r in tagged[1:]] == [r.to_dict() for r in reports[1:]]
 
     def test_stacked_datasets_are_checked(self, rng):
         datasets = [random_dataset(rng, 30, 2), random_dataset(rng, 30, 2)]
-        stack = np.full((2, 1, 30), 1.0 / 30)
+        stack = np.full((2, 30), 1.0 / 30)
         with pytest.raises(ValueError, match="share n and K"):
             balance_report(stack, [datasets[0], random_dataset(rng, 31, 2)])
-        with pytest.raises(ValueError, match="got 1 groups of weightings for 2 datasets"):
+        with pytest.raises(ValueError, match="got 1 weightings for 2 datasets"):
             balance_report(stack[:1], datasets)
-        with pytest.raises(ValueError, match="B x M x n weight stack"):
-            balance_report(stack[:, 0], datasets)
+        with pytest.raises(ValueError, match="a weighting is a BalancingWeights or a 1-d vector"):
+            balance_report(stack[:, None], datasets)
         with pytest.raises(ValueError, match="weights have 29 entries per row, expected 30"):
-            balance_report(stack[:, :, 1:], datasets)
+            balance_report(stack[:, 1:], datasets)
+
+    def test_several_weightings_of_one_dataset_are_rejected(self, rng):
+        # Weightings stack only over datasets, one each: a sequence of them
+        # with one dataset is never read as a single weighting.
+        ds = random_dataset(rng, 30, 2)
+        w = rng.uniform(0.2, 2.0, size=30)
+        for several in ([w, w], np.stack([w, w]), [uniform_weights(30), uniform_weights(30)]):
+            with pytest.raises(ValueError, match="stacked weightings take one dataset each"):
+                balance_report(several, ds)
 
     def test_constant_treatment_degenerates_every_column(self, rng):
         ds = Dataset(treatment=np.ones(12), covariates=rng.standard_normal((12, 2)))
@@ -260,7 +270,7 @@ class TestBalanceReport:
         ds = random_dataset(rng, 25, 2)
         w = np.full(24, 1.0 / 24)
         with pytest.raises(ValueError, match="weights have 24 entries per row, expected 25"):
-            balance_report([w, w] if stacked else w, ds)
+            balance_report([w, w], [ds, ds]) if stacked else balance_report(w, ds)
 
     def test_json_round_trip(self, rng):
         ds = random_dataset(rng, 25, 2)

@@ -86,38 +86,34 @@ class TestFitWls:
 
     @pytest.mark.parametrize("degree", [1, 3])
     def test_stack_matches_single_fits_bit_for_bit(self, rng, degree):
-        n = 200
-        t = 2.0 * rng.standard_normal(n) + 1.0
-        design = np.polynomial.polynomial.polyvander(t, degree)
-        y = rng.standard_normal(n)
-        stack = rng.uniform(0.05, 2.0, size=(4, n))
-        coefficients = fit_wls(y, design, stack)
-        assert coefficients.shape == (4, degree + 1)
-        for w, row in zip(stack, coefficients):
-            assert row.tobytes() == fit_wls(y, design, w).tobytes()
-        with pytest.raises(ValueError, match="entries per row"):
-            fit_wls(y, design, stack[0][:, None])
+        # B samples with one weighting each: row [b] is sample b's own call.
+        B, n = 4, 200
+        t = 2.0 * rng.standard_normal((B, n)) + 1.0
+        designs = np.polynomial.polynomial.polyvander(t, degree)
+        y = rng.standard_normal((B, n))
+        stack = rng.uniform(0.05, 2.0, size=(B, n))
+        coefficients = fit_wls(y, designs, stack)
+        assert coefficients.shape == (B, degree + 1)
+        for b in range(B):
+            alone = fit_wls(y[b], designs[b], stack[b])
+            assert coefficients[b].tobytes() == alone.tobytes()
+        with pytest.raises(ValueError, match="weights have shape"):
+            fit_wls(y[0], designs[0], stack[0][:, None])
 
     def test_stacked_samples_match_single_fits_bit_for_bit(self, rng):
-        # B samples with M weightings each: entry [b] is sample b's own call,
-        # and row [b, m] its weighting m alone.
-        B, M, n = 5, 3, 200
+        # The stack takes one weighting per sample, of the samples' length.
+        B, n = 5, 200
         t = 2.0 * rng.standard_normal((B, n)) + 1.0
         designs = np.stack([np.column_stack([np.ones(n), row]) for row in t])
         y = rng.standard_normal((B, n))
-        stack = rng.uniform(0.05, 2.0, size=(B, M, n))
+        stack = rng.uniform(0.05, 2.0, size=(B, n))
         coefficients = fit_wls(y, designs, stack)
-        assert coefficients.shape == (B, M, 2)
         for b in range(B):
             assert coefficients[b].tobytes() == fit_wls(y[b], designs[b], stack[b]).tobytes()
-            for m in range(M):
-                alone = fit_wls(y[b], designs[b], stack[b, m])
-                assert coefficients[b, m].tobytes() == alone.tobytes()
-        with pytest.raises(ValueError, match="B x M x n weight stack"):
-            fit_wls(y, designs, stack[:, 0])
-        with pytest.raises(ValueError, match="entries per row"):
-            fit_wls(y, designs, stack[:, :, 1:])
-        stack[2, 1] = 0.0
+        for bad in (stack[:, None], stack[:, 1:], stack[1:]):
+            with pytest.raises(ValueError, match="weights have shape"):
+                fit_wls(y, designs, bad)
+        stack[2] = 0.0
         with pytest.raises(RankDeficientDesign):
             fit_wls(y, designs, stack)
 
@@ -129,7 +125,7 @@ class TestFitWls:
         point_mass[3] = 1.0
         stack = np.stack([np.full(10, 0.1), point_mass, rng.uniform(0.5, 1.0, 10)])
         with pytest.raises(RankDeficientDesign):
-            fit_wls(y, design, stack)
+            fit_wls(np.stack([y] * 3), np.stack([design] * 3), stack)
         with pytest.raises(RankDeficientDesign):
             fit_wls(y, design, point_mass)
         for w in stack[[0, 2]]:

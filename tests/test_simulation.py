@@ -338,16 +338,58 @@ class TestRunScenario:
 
         def failing_for_ipw(y, design, w):
             calls.append(np.shape(w))
-            if (np.atleast_2d(w) == ipw).all(axis=1).any():
+            if (w == ipw).all(axis=1).any():
                 raise RankDeficientDesign("synthetic")
             return fit_wls(y, design, w)
 
         monkeypatch.setattr(sim, "fit_wls", failing_for_ipw)
         records = run_replication(config, 2)
-        assert calls == [(3, 200), (200,), (200,), (200,)]
+        # One B x n stack per method, EBCT first; a lone replication is B=1.
+        assert calls == [(1, 200)] * 3
         assert records["ipw"].failed
         assert records["unweighted"] == expected["unweighted"]
         assert records["ebct"] == expected["ebct"]
+
+    def test_solve_and_fit_failures_stay_with_their_replication(self, monkeypatch):
+        # In one group, replication 1's EBCT solve fails and replication 4's
+        # IPW fit fails: those two records fail, and every record is the one
+        # the replication gives alone.
+        from ebct.errors import InfeasibleConstraints
+
+        config = ScenarioConfig(n=200, sigma=2.0, eta=1.25, spec=2, replications=6,
+                                master_seed=21)
+        infeasible = standardize(sim._draw(config, 1))
+        ipw = estimate_weights(sim._draw(config, 4), "ipw").weights
+        solve_batch, fit_wls = sim.solve_batch, sim.fit_wls
+
+        def failing_solve(samples, base_weights=None, start=None):
+            outcomes = solve_batch(samples, base_weights, start)
+            return [
+                InfeasibleConstraints("synthetic") if np.array_equal(G, infeasible) else outcome
+                for G, outcome in zip(samples, outcomes)
+            ]
+
+        def failing_fit(y, design, w):
+            if (w == ipw).all(axis=1).any():
+                raise RankDeficientDesign("synthetic")
+            return fit_wls(y, design, w)
+
+        monkeypatch.setattr(sim, "solve_batch", failing_solve)
+        monkeypatch.setattr(sim, "fit_wls", failing_fit)
+        grouped = sim._run_replications(config, range(config.replications))
+        failed = {
+            (index, method)
+            for index, records in enumerate(grouped)
+            for method, record in records.items()
+            if record.failed
+        }
+        assert failed == {(1, "ebct"), (4, "ipw")}
+        for index, records in enumerate(grouped):
+            alone = run_replication(config, index)
+            for method, record in records.items():
+                # A failure's NaN fields never compare equal.
+                assert record.failed == alone[method].failed
+                assert record.failed or record == alone[method]
 
     def test_rank_deficient_ipw_design_fails_only_its_replication(self, monkeypatch):
         # Replication 3 draws a duplicated covariate column, so its IPW
@@ -374,8 +416,8 @@ class TestRunScenario:
         monkeypatch.setattr(sim, "fit_wls", recording)
         size = sim.group_replications(config.n)
         grouped = sim._run_replications(config, range(size))
-        # The other replications, with every method, still fit as one stack.
-        assert shapes[0] == (size - 1, 3, 200)
+        # Each method fits its group as one stack; IPW's lacks replication 3.
+        assert shapes == [(size, 200), (size, 200), (size - 1, 200)]
         alone = [run_replication(config, index) for index in range(size)]
         assert [records["ipw"].failed for records in grouped] == [
             index == 3 for index in range(size)
@@ -403,7 +445,8 @@ class TestRunScenario:
                                 replications=2 * sim.group_replications(200) + 3, master_seed=13)
         result = run_scenario(config)
         assert sum(summary.failures for summary in result.per_method.values()) == 0
-        assert calls == {"fit_wls": 3, "balance_report": 3, "ipw_weights": 3}
+        # fit_wls and balance_report run once per group and method.
+        assert calls == {"fit_wls": 9, "balance_report": 9, "ipw_weights": 3}
 
     @pytest.mark.parametrize("n", [200, 500])
     def test_group_size_changes_no_record(self, monkeypatch, n):
@@ -464,18 +507,15 @@ class TestGroupMemory:
         datasets = [sim._draw(config, index) for index in range(30)]
         G = standardize(datasets)
         ebct = [weights for weights, _ in sim.solve_batch(G)]
-        ipw = estimate_weights(datasets, "ipw")
-        stack = np.array([[np.full(200, 1 / 200), i.weights, e.weights]
-                          for i, e in zip(ipw, ebct)])
-        return datasets, G, stack
+        return datasets, G, ebct
 
     @pytest.mark.parametrize("layer", ["standardize", "solve_batch", "balance_report"])
     def test_working_memory_is_a_fraction_of_the_stack(self, group, layer):
-        datasets, G, stack = group
+        datasets, G, ebct = group
         call = {
             "standardize": lambda: standardize(datasets),
             "solve_batch": lambda: sim.solve_batch(G),
-            "balance_report": lambda: sim.balance_report(stack, datasets),
+            "balance_report": lambda: sim.balance_report(ebct, datasets),
         }[layer]
         assert G.shape == (30, 200, 21)
         tracemalloc.start()
