@@ -81,7 +81,9 @@ def balance_report(w, dataset, method_tag: str = ""):
 
     ``w`` is one weighting of ``dataset`` (``BalancingWeights`` or a positive
     vector), giving one ``BalanceReport`` tagged ``method_tag``, else its
-    weights' method, else "uniform".
+    weights' method, else "uniform". Its weight share is the largest weight
+    of a ``BalancingWeights`` as it stands (``max_share``), and of a vector
+    normalized to sum one.
 
     ``dataset`` may also be a sequence of B datasets that share n and K, with
     ``w`` a sequence of B weightings, one per dataset, or a B x n array. The
@@ -138,7 +140,12 @@ def balance_report(w, dataset, method_tag: str = ""):
         means = magnitudes.mean(axis=-1).tolist()
     else:  # no covariates
         maxima = means = [float("nan")] * B
-    shares = weights.max(axis=-1).tolist()
+    # Weights that sum to one give their largest entry as written: divided
+    # by their float sum again, it can move past a cap they meet.
+    shares = [
+        weighting.max_share if isinstance(weighting, BalancingWeights) else float(row.max())
+        for weighting, row in zip(weightings, weights)
+    ]
     reports = []
     for b, data in enumerate(datasets):
         maximum, mean, degenerate = maxima[b], means[b], ()

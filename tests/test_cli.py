@@ -151,6 +151,16 @@ class TestBalanceCommand:
         assert report["weighted"]["max_weight_share"] <= 0.04 + 1e-6
         assert report["weighted"]["max_abs_correlation"] < 1e-6
 
+    def test_reported_share_is_the_written_maximum(self, tmp_path):
+        # The report's share is the largest weight weights.csv holds, not
+        # that weight after a second division by the weights' float sum.
+        code, out = self.run_balance(tmp_path, "--truncate", "0.03")
+        assert code == 0
+        share = load_json(out / "balance_report.json")["weighted"]["max_weight_share"]
+        written = np.loadtxt(out / "weights.csv", delimiter=",", skiprows=1, usecols=1)
+        assert share == written.max()
+        assert share <= 0.03
+
     def test_truncated_iterations_count_both_solves(self, tmp_path, monkeypatch):
         # The report counts the Newton steps of the untruncated solve and of
         # the one capped solve that truncation makes.

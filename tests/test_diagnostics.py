@@ -100,7 +100,8 @@ class TestWeightedPearson:
 
 
 class TestMaxWeightShare:
-    """The largest normalized weight, as ``balance_report`` records it."""
+    """The largest weight, as ``balance_report`` records it: a vector's after
+    normalizing, a ``BalancingWeights``' as it stands."""
 
     @staticmethod
     def share(w, rng):
