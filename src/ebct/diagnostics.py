@@ -24,10 +24,7 @@ def _weight_vector(w) -> np.ndarray:
         return w.weights
     vector = np.asarray(w)
     if vector.ndim != 1 or vector.dtype == object:
-        raise ValueError(
-            "a weighting is a BalancingWeights or a 1-d vector; stacked "
-            "weightings take one dataset each, as a sequence of datasets"
-        )
+        raise ValueError("each dataset takes one weighting: a BalancingWeights or a 1-d vector")
     return vector.astype(float, copy=False)
 
 
@@ -140,8 +137,7 @@ def balance_report(w, dataset, method_tag: str = ""):
         means = magnitudes.mean(axis=-1).tolist()
     else:  # no covariates
         maxima = means = [float("nan")] * B
-    # Weights that sum to one give their largest entry as written: divided
-    # by their float sum again, it can move past a cap they meet.
+    # As written: divided by its float sum again, a share can pass a cap it meets.
     shares = [
         weighting.max_share if isinstance(weighting, BalancingWeights) else float(row.max())
         for weighting, row in zip(weightings, weights)

@@ -242,7 +242,7 @@ class TestBalanceReport:
             balance_report(stack, [datasets[0], random_dataset(rng, 31, 2)])
         with pytest.raises(ValueError, match="got 1 weightings for 2 datasets"):
             balance_report(stack[:1], datasets)
-        with pytest.raises(ValueError, match="a weighting is a BalancingWeights or a 1-d vector"):
+        with pytest.raises(ValueError, match="each dataset takes one weighting"):
             balance_report(stack[:, None], datasets)
         with pytest.raises(ValueError, match="weights have 29 entries per row, expected 30"):
             balance_report(stack[:, 1:], datasets)
@@ -253,7 +253,7 @@ class TestBalanceReport:
         ds = random_dataset(rng, 30, 2)
         w = rng.uniform(0.2, 2.0, size=30)
         for several in ([w, w], np.stack([w, w]), [uniform_weights(30), uniform_weights(30)]):
-            with pytest.raises(ValueError, match="stacked weightings take one dataset each"):
+            with pytest.raises(ValueError, match="each dataset takes one weighting"):
                 balance_report(several, ds)
 
     def test_constant_treatment_degenerates_every_column(self, rng):
