@@ -54,6 +54,14 @@ EXIT_SCENARIO_DEGENERATE = 4
 # The characters that make csv.writer's default dialect quote a field.
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
+# Unit ids as read: variable-width strings that, unlike numpy's fixed-width
+# ones, keep trailing NULs.
+_IDS = np.dtypes.StringDType()
+
+# Rows of weights.csv formatted per write: the strings of a whole large file
+# at once would set the run's peak memory.
+_WRITE_ROWS = 8192
+
 
 def read_csv(
     path,
@@ -64,8 +72,10 @@ def read_csv(
     """Parse a header-first, comma-delimited UTF-8 file into a Dataset.
 
     Rows are counted from 1 including the header, so the first data row is
-    row 2. An ``id`` column, when present, supplies unit identifiers;
-    otherwise the data-row index is used. ``_parse_reference`` defines the
+    row 2. An ``id`` column, when present, supplies unit identifiers, as a
+    numpy ``StringDType`` array that keeps every character of a cell;
+    otherwise they are the data-row indices, ``range(1, n + 1)``.
+    ``_parse_reference`` defines the
     accepted grammar; numpy's C reader parses the files it reads the same
     way, and the reference parser parses the rest.
     """
@@ -87,7 +97,8 @@ def read_csv(
 
 
 def _parse_reference(path, wanted) -> tuple:
-    """The wanted columns as an n x len(wanted) matrix, plus the unit ids.
+    """The wanted columns as an n x len(wanted) matrix, plus the unit ids
+    (see ``read_csv``).
 
     Cells are split by ``csv.reader`` (quotes, CR, LF and CRLF line ends) and
     converted by ``float(cell)``, one column after another, so the first
@@ -122,12 +133,12 @@ def _parse_reference(path, wanted) -> tuple:
                 raise ParseError(i + 2, name, cell) from None
 
     if "id" not in positions:
-        return values, tuple(range(1, len(rows) + 1))
+        return values, range(1, len(rows) + 1)
     col = positions["id"]
     for i, row in enumerate(rows):
         if col >= len(row):
             raise ParseError(i + 2, "id", "")
-    return values, tuple(row[col] for row in rows)
+    return values, np.array([row[col] for row in rows], dtype=_IDS)
 
 
 def _parse_fast(path, wanted) -> Optional[tuple]:
@@ -172,7 +183,8 @@ def _parse_fast(path, wanted) -> Optional[tuple]:
     fields = [("values", float, (len(wanted),))]
     usecols = [positions[name] for name in wanted]
     if "id" in positions:
-        # object, not str: numpy strings drop trailing NULs.
+        # object, not str: numpy strings drop trailing NULs. A structured
+        # array cannot hold StringDType, so the ids are converted below.
         fields.append(("id", object))
         usecols.append(positions["id"])
     try:
@@ -187,8 +199,9 @@ def _parse_fast(path, wanted) -> Optional[tuple]:
         return None
     if table.size != lines:
         return None
-    ids = tuple(table["id"].tolist()) if "id" in positions else tuple(range(1, lines + 1))
-    return table["values"], ids
+    if "id" not in positions:
+        return table["values"], range(1, lines + 1)
+    return table["values"], table["id"].astype(_IDS)
 
 
 def _prepare_outputs(directory: Path, filenames, force: bool) -> list:
@@ -204,19 +217,21 @@ def _prepare_outputs(directory: Path, filenames, force: bool) -> list:
 
 
 def _write_weights_csv(path: Path, dataset: Dataset, weights) -> None:
-    """weights.csv byte for byte as ``csv.writer`` writes it, in one write."""
-    ids = list(map(str, dataset.unit_ids))
-    # One scan of all ids; most files have no id that needs quoting.
-    if _NEEDS_QUOTES.search("".join(ids)):
-        ids = [
-            '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
-            for text in ids
-        ]
-    body = "".join(
-        [f"{text},{weight!r}\r\n" for text, weight in zip(ids, weights.weights.tolist())]
-    )
+    """weights.csv byte for byte as ``csv.writer`` writes it, one write per
+    ``_WRITE_ROWS`` rows."""
     with open(path, "w", newline="") as handle:
-        handle.write("id,weight\r\n" + body)
+        handle.write("id,weight\r\n")
+        for first in range(0, dataset.n, _WRITE_ROWS):
+            rows = slice(first, first + _WRITE_ROWS)
+            ids = list(map(str, dataset.unit_ids[rows]))
+            # One scan of the block's ids; most files have no id that needs quoting.
+            if _NEEDS_QUOTES.search("".join(ids)):
+                ids = [
+                    '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
+                    for text in ids
+                ]
+            shares = weights.weights[rows].tolist()
+            handle.write("".join([f"{text},{weight!r}\r\n" for text, weight in zip(ids, shares)]))
 
 
 def _read_input(args) -> Dataset:

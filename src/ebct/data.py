@@ -9,9 +9,10 @@ names are registered here once.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -62,14 +63,18 @@ class Dataset:
         column_names: K+2 labels (treatment, covariates..., outcome), unique
             among the columns the dataset holds.
         unit_ids: n opaque identifiers, preserved through every pipeline stage
-            so weights can be joined back to input rows.
+            so weights can be joined back to input rows. A sequence with a
+            length is kept as given: ``read_csv`` gives a numpy
+            ``StringDType`` array, or ``range(1, n + 1)`` for a file without
+            an ``id`` column. Any other iterable becomes a tuple, and none
+            (or an empty one) means ``range(n)``.
     """
 
     treatment: np.ndarray
     covariates: np.ndarray
     outcome: Optional[np.ndarray] = None
     column_names: tuple = ()
-    unit_ids: tuple = ()
+    unit_ids: Sequence = ()
 
     def __post_init__(self):
         t = _frozen_array(np.ravel(self.treatment))
@@ -101,7 +106,9 @@ class Dataset:
         if len(set(held)) != len(held):
             raise ValueError("column names must be unique")
 
-        ids = tuple(self.unit_ids) or tuple(range(n))
+        ids = self.unit_ids if hasattr(self.unit_ids, "__len__") else tuple(self.unit_ids)
+        if len(ids) == 0:
+            ids = range(n)
         if len(ids) != n:
             raise ValueError(f"expected {n} unit ids, got {len(ids)}")
 
@@ -134,12 +141,17 @@ class Dataset:
             raise ValueError("indices must be a 1-d sequence")
         if idx.size < 2:
             raise ValueError("at least two units are required")
+        ids = self.unit_ids
+        if isinstance(ids, np.ndarray):
+            ids = ids[idx]
+        else:
+            ids = operator.itemgetter(*idx.tolist())(ids)
         return Dataset(
             treatment=self.treatment[idx],
             covariates=self.covariates[idx],
             outcome=None if self.outcome is None else self.outcome[idx],
             column_names=self.column_names,
-            unit_ids=operator.itemgetter(*idx.tolist())(self.unit_ids),
+            unit_ids=ids,
         )
 
 
@@ -262,15 +274,16 @@ def _balance_columns(t, x, datasets, size, freq, G) -> None:
 
     ``freq`` (None: one copy each) are the n rows' copy counts, ``size`` in
     all, which weight every sum over the rows. The scales are
-    ``std(ddof=1)``'s own arithmetic, with each deviation computed once, in
-    place when ``x`` is writable (a stacked or gathered copy). Without
-    counts the deviations are copied into the balance columns before they
-    are squared in place, so no n x K temporary besides them is live, at any
-    n or stack size. Resamples are small: they scale contiguous arrays,
-    which is faster than scaling strided column slices, and copy them into
-    ``G`` once.
+    ``std(ddof=1)``'s own arithmetic, with each deviation computed once.
+    Without counts the deviations are written straight into G's covariate
+    columns and squared into its product columns, which are filled last, so
+    no temporary of the covariates' size is live, at any n or stack size.
+    Resamples are small: they scale contiguous arrays, which is faster than
+    scaling strided column slices, and copy them into ``G`` once. Every
+    step that writes G's strided columns goes one column and one row block
+    at a time (see ``_column_blocks``).
     """
-    k = x.shape[2]
+    _, n, k = x.shape
     if freq is None:
 
         def total(a):
@@ -285,17 +298,17 @@ def _balance_columns(t, x, datasets, size, freq, G) -> None:
 
     t_dev = t - total(t) / size
     t_scale = np.sqrt(total(t_dev * t_dev) / (size - 1))
-    dev = np.subtract(x, total(x) / size, out=x if x.flags.writeable else None)
-    in_place = freq is None
-    if in_place:
-        x_std = G[:, :, 1 : k + 1]
-        x_std[...] = dev
-        dev *= dev
-        x_scales = total(dev)
+    x_mean = total(x) / size
+    x_std, products = G[:, :, 1 : k + 1], G[:, :, k + 1 :]
+    if freq is None:
+        for rows, j in _column_blocks(n, k):
+            column = x_std[:, rows, j]
+            np.subtract(x[:, rows, j], x_mean[:, :, j], out=column)
+            np.multiply(column, column, out=products[:, rows, j])
+        x_scales = total(products)
     else:
-        x_std = dev
+        dev = np.subtract(x, x_mean, out=x if x.flags.writeable else None)
         x_scales = total(dev * dev)
-    del dev
     x_scales /= size - 1
     np.sqrt(x_scales, out=x_scales)
     varies_t = t_scale[:, 0] > 0
@@ -304,11 +317,29 @@ def _balance_columns(t, x, datasets, size, freq, G) -> None:
         if not varies_t[b]:
             raise ConstantColumn(datasets[b].treatment_name)
         raise ConstantColumn(datasets[b].covariate_names[int(np.argmin(varies_x[b]))])
-    x_std /= x_scales
-    np.divide(t_dev, t_scale, out=G[:, :, 0])
-    if not in_place:
-        G[:, :, 1 : k + 1] = x_std
-    np.multiply(G[:, :, :1], x_std, out=G[:, :, k + 1 :])
+    t_dev /= t_scale
+    G[:, :, 0] = t_dev
+    if freq is not None:
+        dev /= x_scales
+        x_std[...] = dev
+    for rows, j in _column_blocks(n, k):
+        column = x_std[:, rows, j]
+        if freq is None:
+            column /= x_scales[:, :, j]
+        np.multiply(t_dev[:, rows], column, out=products[:, rows, j])
+
+
+def _column_blocks(n: int, k: int):
+    """``(rows, j)`` for each of k strided columns of a stack of n-row
+    matrices, in blocks of ``_BLOCK_ROWS`` rows.
+
+    numpy buffers a ufunc over several strided columns of one array at once,
+    with buffers larger than a small stack's covariates; over one column it
+    runs a plain strided loop, and one block of rows keeps the columns it
+    visits in cache.
+    """
+    row_blocks = [slice(i, i + _BLOCK_ROWS) for i in range(0, n, _BLOCK_ROWS)]
+    return itertools.product(row_blocks, range(k))
 
 
 # Weighting methods, in the order the CLI lists them. "unweighted" is an alias

@@ -46,10 +46,9 @@ _TREATMENT_COEF = np.array([1.0, 0.6, 1.2, 1.0, 0.5, 1.0, 0.8, 0.8, 0.8, 0.8])
 # Outcome noise scale, read as a standard deviation.
 _OUTCOME_NOISE_SD = 5.0
 
-# The labels of every drawn sample, one copy each, shared by the draws a
-# group holds: a tuple of ids per draw would be a sizable part of the group.
+# The column labels of every drawn sample, one copy shared by the draws a
+# group holds; each draw's unit ids are the default range(n).
 _COLUMN_NAMES = ("T",) + tuple(f"X{j}" for j in range(1, 11)) + ("Y",)
-_UNIT_IDS = {n: tuple(range(n)) for n in SAMPLE_SIZES}
 
 # Covariance of the jointly normal block X7..X10.
 _NORMAL_BLOCK_COV = np.full((4, 4), 0.2) + 0.8 * np.eye(4)
@@ -198,7 +197,6 @@ def _draw(config: ScenarioConfig, replicate_index: int) -> Dataset:
         covariates=apply_specification(x, config.spec),
         outcome=y,
         column_names=_COLUMN_NAMES,
-        unit_ids=_UNIT_IDS[config.n],
     )
 
 

@@ -70,6 +70,9 @@ _HESSIAN_ROWS = 2048
 # such blocks.
 _STACK_ROWS = 512
 
+# Rounds of candidates ``cap_weights`` takes before it sorts every share.
+_CAP_ROUNDS = 20
+
 _OVERFLOW = "dual exponent overflowed; multipliers are pathological"
 
 
@@ -643,26 +646,56 @@ def cap_weights(weights: BalancingWeights, threshold: float, counts=None) -> Bal
         ValueError: ``counts`` are invalid or not all positive.
     """
     w = weights.weights
-    _, counts = check_counts(counts, w.size, positive=True)
-    check_threshold(threshold, int(counts.sum()))
-    share = w / counts
+    _, copies = check_counts(counts, w.size, positive=True)
+    check_threshold(threshold, int(copies.sum()))
+    share = w if counts is None else w / copies
     if share.max() <= threshold:
         return weights
-    # Capping the units of the k largest shares scales the rest by
-    # (1 - (their copies) c) / (their sum); the smallest k that leaves the
-    # largest remaining share at or below the cap is the fixed point. Copies
-    # of one unit pass or fail that test together.
-    order = np.argsort(-share, kind="stable")
-    tails = np.cumsum(w[order][::-1])[::-1]
-    copies = np.concatenate(([0], np.cumsum(counts[order])[:-1]))
-    fits = share[order] * (1.0 - copies * threshold) <= threshold * tails
-    fits[-1] = True
-    capped = int(np.argmax(fits))
-    out = np.empty(w.size)
-    out[order[:capped]] = counts[order[:capped]] * threshold
-    rest = order[capped:]
-    out[rest] = w[rest] * ((1.0 - copies[capped] * threshold) / w[rest].sum())
-    return replace(weights, weights=out)
+    capped, held = _capped_units(w, share, copies, threshold)
+    rest = np.ones(w.size, dtype=bool)
+    rest[capped] = False
+    # Pairwise over the rest in unit order, before the result is allocated.
+    scale = (1.0 - held * threshold) / w[rest].sum()
+    # A row of a read-only stack, which BalancingWeights keeps uncopied.
+    out = np.empty((1, w.size))
+    np.multiply(w, scale, out=out[0])
+    out[0, capped] = copies[capped] * threshold
+    out.setflags(write=False)
+    return replace(weights, weights=out[0])
+
+
+def _capped_units(w, share, copies, threshold) -> tuple:
+    """The units ``cap_weights`` caps, as indices, and their copies in all.
+
+    Capping the units of the k largest shares scales the rest by
+    (1 - (their copies) threshold) / (their sum); the smallest k that leaves
+    the largest remaining share at or below the cap is the fixed point.
+    Copies of one unit pass or fail that test together. Each round sorts
+    only the units above a bound and sums the rest. When no k among them
+    fits, every unit above threshold / scale, the scale of capping them all,
+    is capped at the fixed point too, so that is the next bound; after
+    ``_CAP_ROUNDS`` such rounds the bound drops below every share.
+    """
+    bound, rounds = threshold, 0
+    while True:
+        below = share <= bound
+        top = np.flatnonzero(~below)
+        top = top[np.argsort(-share[top], kind="stable")]
+        # The rest's totals, pairwise over the units below the bound and then
+        # from the smallest share up: no total minus a partial sum.
+        tails = np.cumsum(np.concatenate(([np.add.reduce(w, where=below)], w[top][::-1])))[::-1]
+        held = np.concatenate(([0], np.cumsum(copies[top])))
+        # The last test is of the largest share below the bound.
+        shares = np.append(share[top], np.max(share, where=below, initial=0.0))
+        fits = shares * (1.0 - held * threshold) <= threshold * tails
+        if top.size == w.size:
+            fits[-2] = True  # one unit is always left to scale
+        if fits.any():
+            k = int(np.argmax(fits))
+            return top[:k], held[k]
+        rounds += 1
+        free = 1.0 - held[-1] * threshold
+        bound = threshold * tails[-1] / free if free > 0 and rounds < _CAP_ROUNDS else -np.inf
 
 
 def truncate_and_rebalance(
@@ -704,14 +737,14 @@ def truncate_and_rebalance(
     G = _balance_matrix(G)
     if weights.n != G.shape[0]:
         raise ValueError(f"weights have length {weights.n}, but G has {G.shape[0]} rows")
-    _, counts = check_counts(counts, weights.n, positive=True)
-    check_threshold(threshold, int(counts.sum()))
-    cap = counts * threshold
+    _, copies = check_counts(counts, weights.n, positive=True)
+    check_threshold(threshold, int(copies.sum()))
+    cap = copies * threshold
     failure = None if weights.converged else NotConverged(weights)
     result = weights
     if not (weights.weights <= cap).all():
         try:
-            capped, _ = solve(G, base_weights=counts, start=weights.gamma, cap=cap)
+            capped, _ = solve(G, base_weights=copies, start=weights.gamma, cap=cap)
         except NotConverged as err:
             capped, failure = err.weights, failure or err
         except ThresholdInfeasible as err:
@@ -721,7 +754,7 @@ def truncate_and_rebalance(
         # Capping the uncapped weights of the solve's gamma in closed form
         # gives min(u, k q e^{gamma.g}) summing to one: the capped optimum's
         # form, exactly at or below the cap.
-        uncapped = replace(capped, weights=recover_weights(capped.gamma, G, counts))
+        uncapped = replace(capped, weights=recover_weights(capped.gamma, G, copies))
         result = replace(
             cap_weights(uncapped, threshold, counts),
             gamma=weights.gamma,

@@ -55,18 +55,22 @@ def estimate_weights(
         if name == "ipw":
             return ipw_weights(list(dataset))
         return [uniform_weights(d.n) for d in dataset]
-    _, copies = check_counts(counts, dataset.n)
+    # The drawn units' copies; None when every unit is one copy, so that no
+    # step divides or weights by ones.
+    copies = None if counts is None else check_counts(counts, dataset.n)[1]
     if name == "ipw":
         weights = ipw_weights(dataset, counts)
     elif name == "uniform":
         weights = uniform_weights(dataset.n, counts)
     if name != "ebct":
-        return weights if truncation is None else cap_weights(weights, truncation, copies)
+        if truncation is None:
+            return weights
+        return cap_weights(weights, truncation, copies)
     G = standardize(dataset, counts)
     try:
         # The full sample keeps the solver's own uniform base weights:
         # full(n, 1/n) normalized is not bit for bit ones / n.
-        weights, _ = solve(G, base_weights=None if counts is None else copies, start=start)
+        weights, _ = solve(G, base_weights=copies, start=start)
     except NotConverged as err:
         if truncation is None:
             raise

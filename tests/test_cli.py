@@ -56,7 +56,7 @@ class TestReadCsv:
         path.write_text("id,T,X1\n1,0.5,1.0\n2,1.5,2.0\n")
         ds = read_csv(path, "T", ["X1"])
         assert ds.n == 2 and ds.k == 1
-        assert ds.unit_ids == ("1", "2")
+        assert list(ds.unit_ids) == ["1", "2"]
         np.testing.assert_array_equal(ds.treatment, [0.5, 1.5])
 
     def test_parse_error_location(self, tmp_path):
@@ -77,7 +77,7 @@ class TestReadCsv:
         path = tmp_path / "noid.csv"
         path.write_text("T,X1\n0.5,1.0\n1.5,2.0\n")
         ds = read_csv(path, "T", ["X1"])
-        assert ds.unit_ids == (1, 2)
+        assert list(ds.unit_ids) == [1, 2]
 
 
 class TestBalanceCommand:
@@ -386,6 +386,29 @@ class TestBalanceCommand:
             treatment=rng.standard_normal(n), covariates=rng.standard_normal((n, 1)), unit_ids=ids
         )
         weights = SimpleNamespace(weights=rng.dirichlet(np.full(n, 0.05)))
+        cli._write_weights_csv(tmp_path / "weights.csv", dataset, weights)
+        with open(tmp_path / "oracle.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["id", "weight"])
+            for unit_id, weight in zip(ids, weights.weights):
+                writer.writerow([unit_id, repr(float(weight))])
+        assert (tmp_path / "weights.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_weights_csv_quotes_an_id_past_the_first_block(self, tmp_path):
+        # The writer looks for ids that need quoting one block of rows at a
+        # time; here the first such id is in the second block, read back as
+        # read_csv gives it.
+        n = cli._WRITE_ROWS + 100
+        ids = [f"u{i}" for i in range(n)]
+        ids[cli._WRITE_ROWS + 7] = 'x,"y"'
+        rng = np.random.default_rng(4)
+        with open(tmp_path / "input.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["id", "T", "X"])
+            writer.writerows(zip(ids, rng.standard_normal(n).tolist(), rng.standard_normal(n).tolist()))
+        dataset = read_csv(tmp_path / "input.csv", "T", ["X"])
+        assert dataset.unit_ids.dtype == np.dtypes.StringDType()
+        weights = SimpleNamespace(weights=rng.dirichlet(np.ones(n)))
         cli._write_weights_csv(tmp_path / "weights.csv", dataset, weights)
         with open(tmp_path / "oracle.csv", "w", newline="") as handle:
             writer = csv.writer(handle)

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ebct import BalancingWeights, Dataset, standardize
+from ebct import BalancingWeights, Dataset, data, standardize
 from ebct.errors import ConstantColumn, NonFiniteInput
 
 from conftest import balance_columns, random_dataset
@@ -39,7 +41,7 @@ class TestDataset:
     def test_default_names_and_ids(self):
         ds = Dataset(treatment=np.arange(6.0), covariates=np.arange(6.0).reshape(-1, 1) ** 2)
         assert ds.column_names == ("T", "X1", "Y")
-        assert ds.unit_ids == tuple(range(6))
+        assert list(ds.unit_ids) == list(range(6))
         assert ds.n == 6 and ds.k == 1
 
     def test_subset_repeats_and_ids(self):
@@ -49,7 +51,7 @@ class TestDataset:
             unit_ids=tuple("abcdef"),
         )
         sub = ds.subset([5, 0, 0, 1, 2, 3])
-        assert sub.unit_ids == ("f", "a", "a", "b", "c", "d")
+        assert list(sub.unit_ids) == ["f", "a", "a", "b", "c", "d"]
         npt.assert_array_equal(sub.treatment, [5, 0, 0, 1, 2, 3])
 
     def test_subset_matches_a_dataset_of_the_rows(self, rng):
@@ -67,11 +69,11 @@ class TestDataset:
         for name in ("treatment", "covariates", "outcome"):
             npt.assert_array_equal(getattr(sub, name), getattr(rows, name))
             assert not getattr(sub, name).flags.writeable
-        assert sub.unit_ids == rows.unit_ids
+        assert list(sub.unit_ids) == list(rows.unit_ids)
         assert sub.column_names == rows.column_names
         assert ds.subset([1, 2]).outcome.shape == (2,)
         no_outcome = Dataset(ds.treatment, ds.covariates).subset([0, 0, 1])
-        assert no_outcome.outcome is None and no_outcome.unit_ids == (0, 0, 1)
+        assert no_outcome.outcome is None and list(no_outcome.unit_ids) == [0, 0, 1]
 
     @pytest.mark.parametrize("indices", [[], [3], [[0, 1], [2, 3]]])
     def test_subset_needs_two_rows(self, indices):
@@ -148,6 +150,17 @@ class TestStandardize:
         with pytest.raises(ValueError, match="share n and K"):
             standardize([good, random_dataset(rng, 13, 2)])
 
+    def test_row_blocks_keep_the_bits(self, rng, monkeypatch):
+        # G's strided columns are written in blocks of rows: many blocks and
+        # a ragged last one give the bits of one block, counted or not.
+        ds = random_dataset(rng, 300, 3)
+        group = [random_dataset(rng, 300, 3) for _ in range(4)]
+        counts = rng.integers(0, 3, 300)
+        expected = [standardize(ds), standardize(group), standardize(ds, counts)]
+        monkeypatch.setattr(data, "_BLOCK_ROWS", 64)
+        got = [standardize(ds), standardize(group), standardize(ds, counts)]
+        assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+
     def test_permutation_permutes_rows(self, rng):
         ds = random_dataset(rng, 30, 2)
         perm = rng.permutation(30)
@@ -157,6 +170,35 @@ class TestStandardize:
             standardize(ds)[perm],
             atol=1e-13,
         )
+
+
+class TestStandardizeMemory:
+    # What standardize allocates beside the matrix it returns, traced, as a
+    # fraction of that matrix.
+
+    def working_memory(self, datasets):
+        tracemalloc.start()
+        try:
+            G = standardize(datasets)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return G, (peak - current) / G.nbytes
+
+    def test_plain_dataset_has_no_deviation_copy(self, rng):
+        # The deviations go straight into G; an n x K copy of them alone is
+        # 0.48 G.nbytes at K = 10.
+        G, fraction = self.working_memory(random_dataset(rng, 50_000, 10))
+        assert G.shape == (50_000, 21)
+        assert fraction < 0.2, fraction
+
+    def test_stacked_block_is_not_buffered(self, rng):
+        # One block of a simulation group: its stacked treatments and
+        # covariates take 0.52 G.nbytes. numpy's buffers for ufuncs over G's
+        # strided 3-d column slices took 0.6 G.nbytes more.
+        G, fraction = self.working_memory([random_dataset(rng, 200, 10) for _ in range(10)])
+        assert G.shape == (10, 200, 21)
+        assert fraction < 0.75, fraction
 
 
 class TestConstraintMatrix:

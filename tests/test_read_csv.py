@@ -35,8 +35,13 @@ def outcome(path, covariates=("X1",), outcome_col=None):
     y = None if ds.outcome is None else ds.outcome.tobytes()
     return (
         ds.treatment.tobytes(), ds.covariates.shape, ds.covariates.tobytes(), y,
-        ds.column_names, ds.unit_ids,
+        ds.column_names, id_elements(ds.unit_ids),
     )
+
+
+def id_elements(ids):
+    """Unit ids in comparable form: their type, dtype and elements."""
+    return type(ids), getattr(ids, "dtype", None), list(ids)
 
 
 def reference_outcome(path, *args):
@@ -118,6 +123,37 @@ def test_same_result_as_reference(name, tmp_path):
         assert got[0] is error
         if fields[0] is not None:
             assert got[2] == tuple(fields)
+
+
+@pytest.mark.parametrize(
+    "text, ids",
+    [
+        ('id,T,X1\n"a,b",1,2\n"c ""q""",3,4\n d ,5,7\n', ["a,b", 'c "q"', " d "]),
+        ("T,id,X1\n1,7,2\n3,007,4\n5,,7\n", ["7", "007", ""]),
+        ("T,X1\n1,2\n3,4\n5,7\n", range(1, 4)),
+    ],
+    ids=["quoted", "numeric or empty", "no id column"],
+)
+def test_both_parsers_give_the_same_ids(text, ids, tmp_path):
+    # Ids are kept as text, in one StringDType array; without an id column
+    # they are the data-row indices.
+    path = write(tmp_path, text)
+    for parse in (cli._parse_fast, cli._parse_reference):
+        got = parse(path, ["T", "X1"])[1]
+        if isinstance(ids, range):
+            assert got == ids
+        else:
+            assert got.dtype == np.dtypes.StringDType()
+            assert got.tolist() == ids
+
+
+def test_trailing_nuls_in_ids_are_kept(tmp_path):
+    # numpy's reader is never given a NUL: the reference parser reads the file.
+    path = write(tmp_path, "id,T,X1\na\x00,1,2\nb\x00\x00,3,4\nc,5,7\n")
+    assert not fast_path_taken(path)
+    ids = read_csv(path, "T", ["X1"]).unit_ids
+    assert ids.dtype == np.dtypes.StringDType()
+    assert ids.tolist() == ["a\x00", "b\x00\x00", "c"]
 
 
 def test_outcome_and_repeated_columns(tmp_path):

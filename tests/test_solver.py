@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog, minimize_scalar
 
 from ebct import (
+    BalancingWeights,
     Dataset,
     solve,
     solve_batch,
@@ -26,7 +27,7 @@ from ebct.errors import (
 )
 from ebct import solver
 from ebct.simulation import gen_covariates, gen_treatment, replication_rng
-from ebct.solver import dual_gradient, dual_hessian, dual_objective, recover_weights
+from ebct.solver import cap_weights, dual_gradient, dual_hessian, dual_objective, recover_weights
 
 from conftest import balance_columns, random_dataset
 
@@ -858,6 +859,114 @@ class TestCappedDual:
         q = copies / copies.sum()
         oracle = capped_entropy_oracle(G, q, u, np.r_[w.sum(), G.T @ w])
         assert kl_divergence(w, q) == pytest.approx(kl_divergence(oracle, q), abs=1e-8)
+
+
+def full_sort_cap(w, threshold, copies):
+    """``cap_weights``' reference: the closed form over all n shares sorted.
+
+    Returns the capped weights and the capped units, in ascending order.
+    """
+    share = w / copies
+    order = np.argsort(-share, kind="stable")
+    tails = np.cumsum(w[order][::-1])[::-1]
+    held = np.concatenate(([0], np.cumsum(copies[order])[:-1]))
+    fits = share[order] * (1.0 - held * threshold) <= threshold * tails
+    fits[-1] = True
+    k = int(np.argmax(fits))
+    out = np.empty(w.size)
+    out[order[:k]] = copies[order[:k]] * threshold
+    rest = order[k:]
+    out[rest] = w[rest] * ((1.0 - held[k] * threshold) / w[rest].sum())
+    return out, np.sort(order[:k])
+
+
+@st.composite
+def capping_problems(draw):
+    """Weights, optional copy counts, and a threshold from 1/N up to the
+    largest share. Ties come from drawing every weight from a few values,
+    and, with counts, from weights proportional to them."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.lognormal(0.0, draw(st.floats(0.1, 3.0)), n)
+    if draw(st.booleans()):
+        raw = raw[rng.integers(0, draw(st.integers(1, n)), n)]
+    counts = rng.integers(1, 4, n) if draw(st.booleans()) else None
+    if counts is not None and draw(st.booleans()):
+        raw = raw * counts
+    copies = np.ones(n, dtype=np.int64) if counts is None else counts
+    w = raw / raw.sum()
+    floor = 1.0 / copies.sum()
+    top = max(floor, (w / copies).max())  # equal shares may round below 1/N
+    threshold = draw(st.sampled_from([floor, top]) | st.floats(floor, top))
+    return w, threshold, counts
+
+
+class TestCapWeights:
+
+    def assert_matches_full_sort(self, w, threshold, counts):
+        copies = np.ones(w.size, dtype=np.int64) if counts is None else counts
+        weights = BalancingWeights(w, np.empty(0), True, 0, 0.0, "ipw")
+        result = cap_weights(weights, threshold, counts).weights
+        expected, expected_capped = full_sort_cap(w, threshold, copies)
+        if (w / copies).max() <= threshold:
+            assert cap_weights(weights, threshold, counts) is weights
+            return
+        cap = copies * threshold
+        capped, _ = solver._capped_units(w, w / copies, copies, threshold)
+        assert np.array_equal(result[capped], cap[capped])
+        # The same units are capped, except where a unit's scaled weight ties
+        # with its cap: capping and scaling then give it the same weight, and
+        # rounding decides either way.
+        differ = np.setxor1d(capped, expected_capped)
+        npt.assert_allclose(result[differ], cap[differ], rtol=1e-15, atol=0)
+        npt.assert_allclose(expected[differ], cap[differ], rtol=1e-15, atol=0)
+        assert abs(result.sum() - 1.0) <= 1e-12
+        # Both scale the rest by (1 - held) / (its sum), which loses digits
+        # as the capped copies' mass, held, nears one: at a threshold of 1/N
+        # the rest is the last unit's copies.
+        held = cap[expected_capped].sum()
+        npt.assert_allclose(result, expected, rtol=1e-15 * max(1.0, held / (1.0 - held)), atol=0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(capping_problems())
+    def test_matches_the_full_sort(self, problem):
+        self.assert_matches_full_sort(*problem)
+
+    @pytest.mark.parametrize("threshold", [0.00175, 0.0018, 0.0019])
+    def test_matches_the_full_sort_on_the_edge_instance(self, edge_instance, threshold):
+        # The EBCT weights, and the uncapped weights of the capped solve's
+        # gamma that truncate_and_rebalance caps.
+        G, weights = edge_instance
+        ones = np.ones(G.shape[0])
+        capped, _ = solve(G, base_weights=ones, start=weights.gamma, cap=ones * threshold)
+        for w in (weights.weights, recover_weights(capped.gamma, G, ones)):
+            self.assert_matches_full_sort(w, threshold, None)
+
+    @pytest.mark.parametrize("rounds", [0, 1, 3])
+    def test_few_rounds_fall_back_to_every_share(self, rng, monkeypatch, rounds):
+        # A cap just above 1/n takes several rounds of candidates; after
+        # _CAP_ROUNDS of them every share is a candidate.
+        monkeypatch.setattr(solver, "_CAP_ROUNDS", rounds)
+        raw = rng.lognormal(0.0, 1.0, 500)
+        counts = rng.integers(1, 4, 500)
+        for copies in (None, counts):
+            n = 500 if copies is None else counts.sum()
+            self.assert_matches_full_sort(raw / raw.sum(), 1.0001 / n, copies)
+
+    def test_peak_is_a_few_n_vectors(self):
+        # The full sort held about seven n-vectors at these caps.
+        n = 50_000
+        raw = np.random.default_rng(0).lognormal(0.0, 1.0, n)
+        weights = BalancingWeights(raw / raw.sum(), np.empty(0), True, 0, 0.0, "ipw")
+        for units in (1.5, 10.0):
+            tracemalloc.start()
+            try:
+                capped = cap_weights(weights, units / n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (capped.weights == units / n).sum() > 100
+            assert peak <= 3 * 8 * n, (units, peak / (8 * n))
 
 
 def one_shot_hessian(G, w, grad, u=None):
