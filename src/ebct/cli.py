@@ -73,8 +73,8 @@ def read_csv(
 
     Rows are counted from 1 including the header, so the first data row is
     row 2. An ``id`` column, when present, supplies unit identifiers, as a
-    numpy ``StringDType`` array that keeps every character of a cell;
-    otherwise they are the data-row indices, ``range(1, n + 1)``.
+    read-only numpy ``StringDType`` array that keeps every character of a
+    cell; otherwise they are the data-row indices, ``range(1, n + 1)``.
     ``_parse_reference`` defines the
     accepted grammar; numpy's C reader parses the files it reads the same
     way, and the reference parser parses the rest.
@@ -138,7 +138,9 @@ def _parse_reference(path, wanted) -> tuple:
     for i, row in enumerate(rows):
         if col >= len(row):
             raise ParseError(i + 2, "id", "")
-    return values, np.array([row[col] for row in rows], dtype=_IDS)
+    ids = np.array([row[col] for row in rows], dtype=_IDS)
+    ids.setflags(write=False)
+    return values, ids
 
 
 def _parse_fast(path, wanted) -> Optional[tuple]:
@@ -201,7 +203,9 @@ def _parse_fast(path, wanted) -> Optional[tuple]:
         return None
     if "id" not in positions:
         return table["values"], range(1, lines + 1)
-    return table["values"], table["id"].astype(_IDS)
+    ids = table["id"].astype(_IDS)
+    ids.setflags(write=False)
+    return table["values"], ids
 
 
 def _prepare_outputs(directory: Path, filenames, force: bool) -> list:

@@ -63,8 +63,9 @@ class Dataset:
         column_names: K+2 labels (treatment, covariates..., outcome), unique
             among the columns the dataset holds.
         unit_ids: n opaque identifiers, preserved through every pipeline stage
-            so weights can be joined back to input rows. A sequence with a
-            length is kept as given: ``read_csv`` gives a numpy
+            so weights can be joined back to input rows. A ``range`` is kept
+            as given and a numpy array is kept read-only, copied unless it
+            is read-only and owns its data: ``read_csv`` gives a read-only
             ``StringDType`` array, or ``range(1, n + 1)`` for a file without
             an ``id`` column. Any other iterable becomes a tuple, and none
             (or an empty one) means ``range(n)``.
@@ -106,7 +107,15 @@ class Dataset:
         if len(set(held)) != len(held):
             raise ValueError("column names must be unique")
 
-        ids = self.unit_ids if hasattr(self.unit_ids, "__len__") else tuple(self.unit_ids)
+        ids = self.unit_ids
+        if isinstance(ids, np.ndarray):
+            # Kept only when nothing else can write it: read-only and owning
+            # its data, as read_csv and subset give it; else a read-only copy.
+            if ids.flags.writeable or ids.base is not None:
+                ids = ids.copy()
+                ids.setflags(write=False)
+        elif not isinstance(ids, range):
+            ids = tuple(ids)
         if len(ids) == 0:
             ids = range(n)
         if len(ids) != n:
@@ -144,6 +153,7 @@ class Dataset:
         ids = self.unit_ids
         if isinstance(ids, np.ndarray):
             ids = ids[idx]
+            ids.setflags(write=False)
         else:
             ids = operator.itemgetter(*idx.tolist())(ids)
         return Dataset(

@@ -54,6 +54,26 @@ class TestDataset:
         assert list(sub.unit_ids) == ["f", "a", "a", "b", "c", "d"]
         npt.assert_array_equal(sub.treatment, [5, 0, 0, 1, 2, 3])
 
+    def test_ids_cannot_change_under_the_dataset(self):
+        t, x = np.arange(4.0), np.arange(4.0).reshape(-1, 1) ** 2
+        given = np.array(["a", "b", "c", "d"], dtype=np.dtypes.StringDType())
+        ds = Dataset(t, x, unit_ids=given)
+        given[0] = "z"
+        assert ds.unit_ids.tolist() == ["a", "b", "c", "d"]
+        assert not ds.unit_ids.flags.writeable
+        assert not ds.subset([3, 0]).unit_ids.flags.writeable
+        # A read-only array that owns its data is kept; a read-only view is copied.
+        given.setflags(write=False)
+        assert Dataset(t, x, unit_ids=given).unit_ids is given
+        view = given[::-1]
+        assert Dataset(t, x, unit_ids=view).unit_ids is not view
+        # Other sequences become tuples, as do iterables; a range is kept.
+        ids = ["a", "b", "c", "d"]
+        assert Dataset(t, x, unit_ids=ids).unit_ids == tuple(ids)
+        assert Dataset(t, x, unit_ids=iter(ids)).unit_ids == tuple(ids)
+        assert Dataset(t, x, unit_ids=range(10, 14)).unit_ids == range(10, 14)
+        assert Dataset(t, x, unit_ids={"a": 0, "b": 1, "c": 2, "d": 3}).subset([3, 0]).unit_ids == ("d", "a")
+
     def test_subset_matches_a_dataset_of_the_rows(self, rng):
         ds = random_dataset(rng, 30, 3, outcome=True)
         ids = tuple(f"u{i}" for i in range(30))

@@ -145,15 +145,21 @@ def test_both_parsers_give_the_same_ids(text, ids, tmp_path):
         else:
             assert got.dtype == np.dtypes.StringDType()
             assert got.tolist() == ids
+            assert not got.flags.writeable
 
 
 def test_trailing_nuls_in_ids_are_kept(tmp_path):
     # numpy's reader is never given a NUL: the reference parser reads the file.
     path = write(tmp_path, "id,T,X1\na\x00,1,2\nb\x00\x00,3,4\nc,5,7\n")
     assert not fast_path_taken(path)
-    ids = read_csv(path, "T", ["X1"]).unit_ids
+    dataset = read_csv(path, "T", ["X1"])
+    ids = dataset.unit_ids
     assert ids.dtype == np.dtypes.StringDType()
     assert ids.tolist() == ["a\x00", "b\x00\x00", "c"]
+    # A frozen dataset's ids are read-only, as are its subsets'.
+    assert not ids.flags.writeable
+    assert not dataset.subset([2, 0]).unit_ids.flags.writeable
+    assert dataset.subset([2, 0]).unit_ids.tolist() == ["c", "a\x00"]
 
 
 def test_outcome_and_repeated_columns(tmp_path):
