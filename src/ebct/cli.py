@@ -335,8 +335,14 @@ def _simulation_jobs(args) -> int:
 def cmd_simulate(args) -> int:
     """Run one scenario cell or the full grid; write CSV plus text table."""
     jobs = _simulation_jobs(args)
+    if args.sizes is not None and not args.paper_grid:
+        raise ValueError("--sizes applies only with --paper-grid")
     if args.paper_grid:
-        sizes = tuple(int(s) for s in args.sizes.split(",")) if args.sizes else SAMPLE_SIZES
+        try:
+            sizes = SAMPLE_SIZES if args.sizes is None else tuple(map(int, args.sizes.split(",")))
+        except ValueError:
+            message = f"--sizes must be comma-separated sample sizes, got {args.sizes!r}"
+            raise ValueError(message) from None
         configs = paper_grid(
             sizes=sizes,
             replications=args.replications,

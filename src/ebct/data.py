@@ -28,33 +28,28 @@ _BLOCK_ROWS = 2048
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
-    """``values`` as a read-only array: itself when it is a read-only row of a
-    read-only stack, as the solver and IPW hand over their results, so that
-    nothing writes it; else a read-only copy."""
-    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
-        owner = values.base
-        if isinstance(owner, np.ndarray) and owner.ndim == 2 and not owner.flags.writeable:
+    """``values`` as a read-only contiguous array: itself when it and the
+    array that owns its memory are read-only, as the solver, IPW and the
+    simulation's group draws hand over their results, so that nothing writes
+    it; else a read-only copy."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype and values.flags.c_contiguous:
+        owner = values if values.base is None else values.base
+        if isinstance(owner, np.ndarray) and not (owner.flags.writeable or values.flags.writeable):
             return values
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
 
 
-def _as_matrix(values, n_rows: int) -> np.ndarray:
-    """Coerce to a read-only n x K float matrix (1-d input means K=1)."""
-    x = np.asarray(values, dtype=float)
-    if x.size == 0:
-        x = np.empty((n_rows, 0))
-    elif x.ndim == 1:
-        x = x.reshape(-1, 1)
-    if x.ndim != 2:
-        raise ValueError("covariates must be a 2-d matrix")
-    return _frozen_array(x)
-
-
 @dataclass(frozen=True)
 class Dataset:
     """An observed sample: treatment intensity, covariates, optional outcome.
+
+    A batch of B samples that share n, K and labels is one Dataset too:
+    B x n x K covariates, with a B x n treatment and outcome, which
+    ``standardize``, ``estimate_weights`` and ``balance_report`` take in one
+    pass. Arrays are kept read-only, without a copy when they and the array
+    that owns their memory are read-only already.
 
     Attributes:
         treatment: length-n vector of treatment intensities (arbitrary units).
@@ -78,12 +73,17 @@ class Dataset:
     unit_ids: Sequence = ()
 
     def __post_init__(self):
-        t = _frozen_array(np.ravel(self.treatment))
-        x = _as_matrix(self.covariates, t.size)
-        n = t.size
-        if x.shape[0] != n:
-            raise ValueError(f"covariates have {x.shape[0]} rows, expected {n}")
-        k = x.shape[1]
+        batched = np.ndim(self.covariates) == 3
+        t = _frozen_array(self.treatment if batched else np.ravel(self.treatment))
+        x = np.asarray(self.covariates, dtype=float)
+        if x.size == 0:
+            x = np.empty(t.shape + (0,))
+        elif x.ndim == 1:  # K=1
+            x = x.reshape(-1, 1)
+        x = _frozen_array(x)
+        n, k = t.shape[-1], x.shape[-1]
+        if x.shape[:-1] != t.shape:
+            raise ValueError(f"covariates have shape {x.shape}, expected {t.shape} by K")
         if n < 2:
             raise ValueError("at least two units are required")
         if not np.all(np.isfinite(t)) or not np.all(np.isfinite(x)):
@@ -91,9 +91,9 @@ class Dataset:
 
         y = self.outcome
         if y is not None:
-            y = _frozen_array(np.ravel(y))
-            if y.size != n:
-                raise ValueError(f"outcome has {y.size} entries, expected {n}")
+            y = _frozen_array(y if batched else np.ravel(y))
+            if y.shape != t.shape:
+                raise ValueError(f"outcome has shape {y.shape}, expected {t.shape}")
             if not np.all(np.isfinite(y)):
                 raise NonFiniteInput("outcome contains non-finite entries")
 
@@ -129,11 +129,11 @@ class Dataset:
 
     @property
     def n(self) -> int:
-        return self.treatment.size
+        return self.treatment.shape[-1]
 
     @property
     def k(self) -> int:
-        return self.covariates.shape[1]
+        return self.covariates.shape[-1]
 
     @property
     def treatment_name(self) -> str:
@@ -165,24 +165,23 @@ class Dataset:
         )
 
 
-def sample_blocks(datasets) -> Iterator:
-    """The blocks a stacked layer works through, for datasets that share n and K.
+def sample_blocks(dataset, kept=slice(None)) -> Iterator:
+    """The blocks of a dataset's samples that a stacked layer works through.
 
-    Yields ``(block, t, x)`` per block of consecutive datasets, at most
-    ``_BLOCK_ROWS`` sample rows in all (one dataset when n is larger):
-    ``block`` slices the sequence, and ``t`` and ``x`` are the block's (b, n)
-    treatments and (b, n, K) covariates, views of a lone dataset's own arrays
-    and stacked copies otherwise. A caller that deletes ``t`` and ``x``
-    before asking for the next block holds one block at a time.
+    A lone sample is a stack of one. A batch (see ``Dataset``) is taken in
+    blocks of consecutive samples, at most ``_BLOCK_ROWS`` sample rows in
+    all (one sample when n is larger). Yields ``(block, t, x)`` per block:
+    ``block`` slices the batch, and ``t`` and ``x`` are the block's (b, m)
+    treatments and (b, m, K) covariates on the rows ``kept`` selects, views
+    of the dataset's own read-only arrays unless ``kept`` is an index array.
     """
-    span = max(1, _BLOCK_ROWS // datasets[0].n)
-    for first in range(0, len(datasets), span):
+    t, x = dataset.treatment[..., kept], dataset.covariates[..., kept, :]
+    t = t.reshape(-1, t.shape[-1])
+    x = x.reshape(t.shape + x.shape[-1:])
+    span = max(1, _BLOCK_ROWS // dataset.n)
+    for first in range(0, len(t), span):
         block = slice(first, first + span)
-        part = datasets[block]
-        if len(part) == 1:
-            yield block, part[0].treatment[None], part[0].covariates[None]
-        else:
-            yield block, np.stack([d.treatment for d in part]), np.stack([d.covariates for d in part])
+        yield block, t[block], x[block]
 
 
 def check_counts(counts, n: int, positive: bool = False) -> tuple:
@@ -238,49 +237,40 @@ def standardize(dataset, counts=None) -> np.ndarray:
     deviation over the N = sum(counts) copies (denominator N-1): each row
     equals the rows that the resample itself, with its repeats, would give.
 
-    ``dataset`` may also be a sequence of B datasets that share n and K. The
+    ``dataset`` may also be a batch of B samples (see ``Dataset``). The
     result is then the read-only B x n x (2K+1) stack of their matrices,
     filled block by block (see ``sample_blocks``) so that the working memory
-    beside it is one block's, each bit for bit the matrix its dataset gives
+    beside it is one block's, each bit for bit the matrix its sample gives
     alone.
 
     Raises:
         ValueError: fewer copies than dual parameters plus one (N < 2K+2;
             N = n without counts), which leaves the balance problem
-            underdetermined, stacked datasets of different shapes,
-            ``counts`` with a sequence, or invalid ``counts``.
+            underdetermined, ``counts`` with a batch, or invalid ``counts``.
         ConstantColumn: if the treatment or any covariate has zero variance;
-            with a sequence, for the first dataset that has one.
+            with a batch, for the first sample that has one.
     """
-    single = isinstance(dataset, Dataset)
-    datasets = [dataset] if single else list(dataset)
-    n, k = datasets[0].n, datasets[0].k
-    if any((d.n, d.k) != (n, k) for d in datasets):
-        raise ValueError("stacked datasets must share n and K")
+    single = dataset.treatment.ndim == 1
+    n, k = dataset.n, dataset.k
     if not single and counts is not None:
-        raise ValueError("counts apply to one dataset, not to a sequence")
+        raise ValueError("counts apply to one dataset, not to a batch")
     kept, copies = check_counts(counts, n)
     # The summation: pairwise over the sample's own rows, or weighted by the copies.
     freq, size = (None, n) if counts is None else (copies.astype(float), int(copies.sum()))
     if size < 2 * k + 2:
         raise ValueError(f"need at least 2K+2 = {2 * k + 2} units for K={k} covariates, got {size}")
-    G = np.empty((len(datasets), len(copies), 2 * k + 1))
-    if single:
-        # Views without counts: at large n a copy would raise the peak memory.
-        t, x = dataset.treatment[kept][None], dataset.covariates[kept][None]
-        _balance_columns(t, x, datasets, size, freq, G)
-    else:
-        for block, t, x in sample_blocks(datasets):
-            _balance_columns(t, x, datasets[block], size, freq, G[block])
-            del t, x  # before the next block is stacked
+    G = np.empty(dataset.treatment.shape[:-1] + (len(copies), 2 * k + 1))
+    stack = G.reshape((-1,) + G.shape[-2:])
+    for block, t, x in sample_blocks(dataset, kept):
+        _balance_columns(t, x, dataset, size, freq, stack[block])
     G.setflags(write=False)
-    return G[0] if single else G
+    return G
 
 
-def _balance_columns(t, x, datasets, size, freq, G) -> None:
+def _balance_columns(t, x, dataset, size, freq, G) -> None:
     """Write into the (B, n, 2K+1) ``G`` the balance columns of a (B, n)
-    treatment stack and a (B, n, K) covariate stack; ``datasets`` name a
-    zero-variance column.
+    treatment stack and a (B, n, K) covariate stack; ``dataset``'s labels
+    name a zero-variance column.
 
     ``freq`` (None: one copy each) are the n rows' copy counts, ``size`` in
     all, which weight every sum over the rows. The scales are
@@ -325,8 +315,8 @@ def _balance_columns(t, x, datasets, size, freq, G) -> None:
     varies_x = x_scales[:, 0] > 0
     for b in np.flatnonzero(~(varies_t & varies_x.all(axis=1))):
         if not varies_t[b]:
-            raise ConstantColumn(datasets[b].treatment_name)
-        raise ConstantColumn(datasets[b].covariate_names[int(np.argmin(varies_x[b]))])
+            raise ConstantColumn(dataset.treatment_name)
+        raise ConstantColumn(dataset.covariate_names[int(np.argmin(varies_x[b]))])
     t_dev /= t_scale
     G[:, :, 0] = t_dev
     if freq is not None:

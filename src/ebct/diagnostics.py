@@ -13,19 +13,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import BalancingWeights, Dataset, sample_blocks
+from .data import _WEIGHT_SUM_TOL, BalancingWeights, sample_blocks
 
 _VARIANCE_FLOOR = 1e-24
-
-
-def _weight_vector(w) -> np.ndarray:
-    """The weights of one weighting: a ``BalancingWeights`` or a vector."""
-    if isinstance(w, BalancingWeights):
-        return w.weights
-    vector = np.asarray(w)
-    if vector.ndim != 1 or vector.dtype == object:
-        raise ValueError("each dataset takes one weighting: a BalancingWeights or a 1-d vector")
-    return vector.astype(float, copy=False)
 
 
 def _json_float(value) -> Optional[float]:
@@ -78,54 +68,57 @@ def balance_report(w, dataset, method_tag: str = ""):
 
     ``w`` is one weighting of ``dataset`` (``BalancingWeights`` or a positive
     vector), giving one ``BalanceReport`` tagged ``method_tag``, else its
-    weights' method, else "uniform". Its weight share is the largest weight
-    of a ``BalancingWeights`` as it stands (``max_share``), and of a vector
-    normalized to sum one.
+    weights' method, else "uniform". Its weight share is its largest weight
+    as written when its weights sum to one within a ``BalancingWeights``'
+    tolerance, as they always do in one (``max_share``), so that a share
+    capped at a threshold reads back as the threshold; otherwise it is the
+    largest weight of the vector normalized to sum one.
 
-    ``dataset`` may also be a sequence of B datasets that share n and K, with
-    ``w`` a sequence of B weightings, one per dataset, or a B x n array. The
-    result is then the list of their B reports from one pass over the
-    B x n stack, block by block (see ``sample_blocks``) so that the working
-    memory is one block's, each bit for bit the report its weighting and
-    dataset give alone, degenerate columns included.
+    ``dataset`` may also be a batch of B samples (see ``Dataset``), with
+    ``w`` the B x n array of their weights, one row per sample. The result
+    is then the list of their B reports from one pass over the batch, block
+    by block (see ``sample_blocks``) so that the working memory is one
+    block's, each bit for bit the report its row and sample give alone,
+    degenerate columns included.
 
     Raises:
         ValueError: a weighting is not positive and finite, or not of length
-            n; one dataset comes with several weightings; stacked datasets
-            differ in shape or in number from their weightings.
+            n; one dataset comes with several weightings; a batch differs in
+            number from its weightings.
     """
-    single = isinstance(dataset, Dataset)
-    datasets, weightings = ([dataset], [w]) if single else (list(dataset), list(w))
-    if any((d.n, d.k) != (datasets[0].n, datasets[0].k) for d in datasets):
-        raise ValueError("stacked datasets must share n and K")
-    if len(weightings) != len(datasets):
-        raise ValueError(f"got {len(weightings)} weightings for {len(datasets)} datasets")
-    vectors = [_weight_vector(weighting) for weighting in weightings]
+    batch, n = dataset.treatment.shape[:-1], dataset.n
+    stack = np.asarray(w.weights if isinstance(w, BalancingWeights) else w)
+    if stack.ndim != len(batch) + 1 or stack.dtype == object:
+        raise ValueError(
+            "each dataset takes one weighting: a BalancingWeights or a 1-d vector, "
+            "and a batch a B x n array"
+        )
+    if stack.shape[:-1] != batch:
+        raise ValueError(f"got {len(stack)} weightings for {batch[0]} datasets")
+    if stack.shape[-1] != n:
+        raise ValueError(f"weights have {stack.shape[-1]} entries per row, expected {n}")
     # One weighting stays a view, so a large n pays no stacking copy.
-    stack = vectors[0][None] if single else np.array(vectors)
-    B, n = stack.shape
-    if n != datasets[0].n:
-        raise ValueError(f"weights have {n} entries per row, expected {datasets[0].n}")
+    stack = stack.reshape(-1, n).astype(float, copy=False)
+    B = len(stack)
     if not (stack.min() > 0 and np.isfinite(stack).all()):
         raise ValueError("weights must be strictly positive and finite")
-    weights = stack / stack.sum(axis=1, keepdims=True)
-    k = datasets[0].k
+    totals = stack.sum(axis=1, keepdims=True)
+    weights = stack / totals
+    k = dataset.k
     correlations = np.full((B, k), np.nan)
     bad = np.empty((B, k), dtype=bool)
     # Block by block, so the (b, n, K) deviations stay block-sized.
-    for block, t, x in sample_blocks(datasets):
+    for block, t, x in sample_blocks(dataset):
         part = weights[block]
         # (b, 1, n) rows make every weighted mean one dot product or one
-        # vector-matrix product per dataset, the BLAS calls of a lone vector.
+        # vector-matrix product per sample, the BLAS calls of a lone vector.
         rows = part[:, None, :]
         dt = t - (rows @ t[:, :, None])[:, 0]
-        # In place when x is a stacked copy, not a lone dataset's own array.
-        dx = np.subtract(x, rows @ x, out=x if x.flags.writeable else None)
+        dx = x - rows @ x
         cov = ((part * dt)[:, None, :] @ dx)[:, 0]
         var_t = (rows @ (dt * dt)[:, :, None])[:, 0]
         dx *= dx
         var_x = (rows @ dx)[:, 0]
-        del t, x, dx  # before the next block is stacked
         np.logical_or(var_x < _VARIANCE_FLOOR, var_t < _VARIANCE_FLOOR, out=bad[block])
         np.divide(cov, np.sqrt(var_t * var_x), out=correlations[block], where=~bad[block])
     np.clip(correlations, -1.0, 1.0, out=correlations)
@@ -136,32 +129,30 @@ def balance_report(w, dataset, method_tag: str = ""):
         maxima = magnitudes.max(axis=-1).tolist()
         means = magnitudes.mean(axis=-1).tolist()
     else:  # no covariates
-        maxima = means = [float("nan")] * B
+        maxima, means = [float("nan")] * B, [float("nan")] * B
+    degenerate = [()] * B
+    for b in np.flatnonzero(bad.any(axis=1)):
+        finite = magnitudes[b][~bad[b]]
+        maxima[b] = float(finite.max()) if finite.size else float("nan")
+        means[b] = float(finite.mean()) if finite.size else float("nan")
+        degenerate[b] = tuple(compress(dataset.covariate_names, bad[b]))
     # As written: divided by its float sum again, a share can pass a cap it meets.
-    shares = [
-        weighting.max_share if isinstance(weighting, BalancingWeights) else float(row.max())
-        for weighting, row in zip(weightings, weights)
-    ]
-    reports = []
-    for b, data in enumerate(datasets):
-        maximum, mean, degenerate = maxima[b], means[b], ()
-        if bad[b].any():
-            finite = magnitudes[b][~bad[b]]
-            maximum = float(finite.max()) if finite.size else float("nan")
-            mean = float(finite.mean()) if finite.size else float("nan")
-            degenerate = tuple(compress(data.covariate_names, bad[b]))
-        reports.append(
-            BalanceReport(
-                covariate_names=data.covariate_names,
-                per_covariate_correlation=correlations[b],
-                max_abs_correlation=maximum,
-                mean_abs_correlation=mean,
-                max_weight_share=shares[b],
-                method_tag=method_tag or getattr(weightings[b], "method_tag", "uniform"),
-                degenerate_columns=degenerate,
-            )
+    written = np.abs(totals[:, 0] - 1.0) <= _WEIGHT_SUM_TOL
+    shares = np.where(written, stack.max(axis=1), weights.max(axis=1)).tolist()
+    method_tag = method_tag or getattr(w, "method_tag", "uniform")
+    reports = [
+        BalanceReport(
+            covariate_names=dataset.covariate_names,
+            per_covariate_correlation=correlations[b],
+            max_abs_correlation=maxima[b],
+            mean_abs_correlation=means[b],
+            max_weight_share=shares[b],
+            method_tag=method_tag,
+            degenerate_columns=degenerate[b],
         )
-    return reports[0] if single else reports
+        for b in range(B)
+    ]
+    return reports if batch else reports[0]
 
 
 def render_balance_table(reports: Sequence[BalanceReport]) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import BalancingWeights, Dataset, check_counts, sample_blocks
+from .data import BalancingWeights, check_counts, sample_blocks
 from .errors import ConstantColumn, DegenerateResidual, RankDeficientDesign
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -23,10 +23,10 @@ def _normal_logpdf(t, mu, sigma):
     return -0.5 * z * z - np.log(sigma) - 0.5 * _LOG_2PI
 
 
-def _stabilized_ratios(t, x, freq, n, datasets) -> np.ndarray:
+def _stabilized_ratios(t, x, freq, n, dataset) -> np.ndarray:
     """Normalized stabilized weights of a (B, m) treatment and a (B, m, K)
     covariate stack whose m rows have copy counts ``freq``, n in all;
-    ``datasets`` name a constant treatment. See ``ipw_weights``."""
+    ``dataset``'s labels name a constant treatment. See ``ipw_weights``."""
     k = x.shape[2]
     design = np.empty(x.shape[:2] + (k + 1,))
     design[:, :, 0] = 1.0
@@ -36,8 +36,8 @@ def _stabilized_ratios(t, x, freq, n, datasets) -> np.ndarray:
     # the one SVD serves both the fit and the rank check.
     root = np.sqrt(freq)
     rcond = np.finfo(float).eps * max(n, k + 1)
-    beta = np.empty((len(datasets), k + 1))
-    for b in range(len(datasets)):
+    beta = np.empty((len(t), k + 1))
+    for b in range(len(t)):
         beta[b], _, rank, _ = np.linalg.lstsq(design[b] * root[:, None], t[b] * root, rcond=rcond)
         if rank < k + 1:
             raise RankDeficientDesign("design matrix [1 | X] is rank deficient")
@@ -51,7 +51,7 @@ def _stabilized_ratios(t, x, freq, n, datasets) -> np.ndarray:
     sigma = np.sqrt(((residuals * freq)[:, None, :] @ residuals[:, :, None])[:, 0] / (n - k - 1))
     for b in np.flatnonzero(~(marginal_sigma[:, 0] > 0) | (sigma < 1e-12 * marginal_sigma)[:, 0]):
         if not marginal_sigma[b, 0] > 0:
-            raise ConstantColumn(datasets[b].treatment_name)
+            raise ConstantColumn(dataset.treatment_name)
         raise DegenerateResidual(
             "treatment is (numerically) an exact function of the covariates"
         )
@@ -80,31 +80,28 @@ def ipw_weights(dataset, counts=None):
     scaled by the counts' square roots, rank tolerance of N = sum(counts)
     rows), and the means and scales are count-weighted over N copies.
 
-    ``dataset`` may also be a sequence of B datasets that share n and K. The
-    result is then a list of their weights from one pass over the stacked
-    samples, block by block (see ``sample_blocks``) so that the working
-    memory is one block's, each bit for bit the weights its dataset gives
-    alone; only the least-squares fits run one dataset at a time, so each
-    keeps its own rank decision.
+    ``dataset`` may also be a batch of B samples (see ``Dataset``). The
+    result is then the read-only B x n array of their weights from one pass
+    over the batch, block by block (see ``sample_blocks``) so that the
+    working memory is one block's, each row bit for bit the weights its
+    sample gives alone; only the least-squares fits run one sample at a
+    time, so each keeps its own rank decision.
 
     Raises:
-        ValueError: ``counts`` are invalid or come with a sequence, stacked
-            datasets differ in shape, or N < K+2 copies (n without counts)
-            leave the residual scale no degree of freedom.
+        ValueError: ``counts`` are invalid or come with a batch, or N < K+2
+            copies (n without counts) leave the residual scale no degree of
+            freedom.
         RankDeficientDesign: the design [1 | X] is not full column rank, or
             ``counts`` draw fewer than K+2 distinct units.
         ConstantColumn: the treatment does not vary.
         DegenerateResidual: a (near-) perfect fit leaves no residual scale.
-            With a sequence, the first block with a failing dataset raises
-            each error for the first of its datasets that has it.
+            With a batch, the first block with a failing sample raises each
+            error for the first of its samples that has it.
     """
-    single = isinstance(dataset, Dataset)
-    datasets = [dataset] if single else list(dataset)
-    m, k = datasets[0].n, datasets[0].k
-    if any((d.n, d.k) != (m, k) for d in datasets):
-        raise ValueError("stacked datasets must share n and K")
+    single = dataset.treatment.ndim == 1
+    m, k = dataset.n, dataset.k
     if not single and counts is not None:
-        raise ValueError("counts apply to one dataset, not to a sequence")
+        raise ValueError("counts apply to one dataset, not to a batch")
     kept, copies = check_counts(counts, m)
     n = int(copies.sum())
     if n < k + 2:
@@ -118,25 +115,19 @@ def ipw_weights(dataset, counts=None):
             f"drew {len(copies)}"
         )
     freq = copies.astype(float)
-    if single:
-        blocks = [(slice(0, 1), dataset.treatment[kept][None], dataset.covariates[kept][None])]
-    else:
-        blocks = sample_blocks(datasets)
-    weights = []
-    for block, t, x in blocks:
-        rows = _stabilized_ratios(t, x, freq, n, datasets[block])
-        del t, x  # before the next block is stacked
-        # Nothing writes these rows again: each result adopts its own.
-        rows.setflags(write=False)
-        weights.extend(
-            BalancingWeights(
-                weights=row,
-                gamma=np.empty(0),
-                converged=True,
-                iterations=0,
-                final_gradient_norm=float("nan"),
-                method_tag="ipw",
-            )
-            for row in rows
-        )
-    return weights[0] if single else weights
+    blocks = [
+        _stabilized_ratios(t, x, freq, n, dataset) for _, t, x in sample_blocks(dataset, kept)
+    ]
+    weights = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    # Nothing writes these weights again: a lone sample's result adopts its row.
+    weights.setflags(write=False)
+    if not single:
+        return weights
+    return BalancingWeights(
+        weights=weights[0],
+        gamma=np.empty(0),
+        converged=True,
+        iterations=0,
+        final_gradient_norm=float("nan"),
+        method_tag="ipw",
+    )

@@ -11,7 +11,7 @@ of the true effect over independent replications.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -186,107 +186,131 @@ class ReplicationRecord:
         )
 
 
-def _draw(config: ScenarioConfig, replicate_index: int) -> Dataset:
-    """The replication's sample, with the specification's covariate set."""
-    rng = replication_rng(config.master_seed, replicate_index)
-    x = gen_covariates(config.n, rng)
-    t = gen_treatment(x, config.sigma, rng)
-    y = gen_outcome(x, t, config.eta, rng)
-    return Dataset(
-        treatment=t,
-        covariates=apply_specification(x, config.spec),
-        outcome=y,
-        column_names=_COLUMN_NAMES,
+def _draw(config: ScenarioConfig, indices: Sequence[int]) -> Dataset:
+    """The group's samples, one per replication index, as one read-only
+    batch with the specification's covariate set."""
+    shape = (len(indices), config.n)
+    t, y, x = np.empty(shape), np.empty(shape), np.empty(shape + (_TREATMENT_COEF.size,))
+    for b, index in enumerate(indices):
+        rng = replication_rng(config.master_seed, index)
+        covariates = gen_covariates(config.n, rng)
+        t[b] = gen_treatment(covariates, config.sigma, rng)
+        y[b] = gen_outcome(covariates, t[b], config.eta, rng)
+        x[b] = apply_specification(covariates, config.spec)
+    for array in (t, x, y):
+        array.setflags(write=False)
+    return Dataset(treatment=t, covariates=x, outcome=y, column_names=_COLUMN_NAMES)
+
+
+def _rows(group: Dataset, rows) -> Dataset:
+    """The group's samples at sorted distinct ``rows``; the group itself when
+    they are all of them."""
+    if len(rows) == len(group.treatment):
+        return group
+    return replace(
+        group,
+        treatment=group.treatment[rows],
+        covariates=group.covariates[rows],
+        outcome=group.outcome[rows],
     )
 
 
-def _stacked(step, items) -> list:
-    """One outcome per item of a step that takes a sequence of items.
+def _stacked(step, group: Dataset, *stacks) -> tuple:
+    """``(values, rows)``: the rows that ``step(group, *stacks)`` returns,
+    one per sample, for the samples it succeeds for, and their indices.
 
-    ``step(items)`` runs once over the whole sequence. When it raises, or
-    there is only one item, ``step([item])[0]`` runs for each item alone, and
-    the EbctError or LinAlgError its own call raises is its outcome, so a
-    failure stays with its item.
+    The step runs once over the whole group, with stacks that hold one row
+    per sample. When that raises, or the group holds one sample, it runs for
+    each sample alone, with its rows of the stacks, and a sample whose own
+    call raises an EbctError or LinAlgError is left out, so a failure stays
+    with its sample.
     """
-    if len(items) > 1:
+    size = len(group.treatment)
+    if size > 1:
         try:
-            return step(items)
+            return step(group, *stacks), np.arange(size)
         except (EbctError, ValueError, np.linalg.LinAlgError):
             pass
-    outcomes = []
-    for item in items:
+    rows, values = [], []
+    for b in range(size):
         try:
-            outcomes.append(step([item])[0])
-        except (EbctError, np.linalg.LinAlgError) as err:
-            outcomes.append(err)
-    return outcomes
+            values.append(step(_rows(group, [b]), *(stack[[b]] for stack in stacks)))
+        except (EbctError, np.linalg.LinAlgError):
+            continue
+        rows.append(b)
+    return (np.concatenate(values) if values else np.empty(0)), np.array(rows, dtype=int)
 
 
-def _ebct_weights(datasets: Sequence[Dataset]) -> list:
-    """EBCT weights for every dataset from one standardization and one stacked solve.
+def _ebct_weights(group: Dataset) -> tuple:
+    """EBCT weights of a group's samples from one standardization and one
+    stacked solve, as ``(weights, rows)``: the (b, n) weights of the samples
+    whose standardization and solve succeed, and their indices in the
+    group."""
+    G, rows = _stacked(standardize, group)
+    outcomes = solve_batch(G)
+    solved = [slot for slot, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
+    weights = np.array([outcomes[slot][0].weights for slot in solved])
+    return weights, rows[solved]
 
-    Each entry is the dataset's BalancingWeights or the exception that
-    standardizing or solving it raised.
+
+def _slopes(group: Dataset, weights) -> np.ndarray:
+    """Effect slopes of a group's samples under their (b, n) weights, from
+    one ``fit_wls`` call over the b x n stack of their regressions on
+    [1, T]."""
+    design = np.ones(group.treatment.shape + (2,))
+    design[:, :, 1] = group.treatment
+    return fit_wls(group.outcome, design, weights)[:, 1]
+
+
+def _run_replications(config: ScenarioConfig, indices: Sequence[int]) -> dict:
+    """Per method, ``(values, failed)``: the (3, B) estimates, maximum
+    absolute correlations and maximum weight shares of a group of B
+    replications, NaN where the ``failed`` mask marks a failed weighting or
+    fit.
+
+    Each method runs once over the group's batch: its weights (the EBCT
+    problems standardized and solved together), the effect regressions it
+    weighed in one ``fit_wls`` call and their diagnostics in one
+    ``balance_report`` call. A stacked step that raises is redone one
+    replication at a time (see ``_stacked``).
     """
-    matrices = _stacked(standardize, datasets)
-    outcomes = list(matrices)
-    slots = [slot for slot, G in enumerate(outcomes) if not isinstance(G, Exception)]
-    if len(slots) < len(outcomes):
-        matrices = [outcomes[slot] for slot in slots]
-    for slot, outcome in zip(slots, solve_batch(matrices)):
-        outcomes[slot] = outcome if isinstance(outcome, Exception) else outcome[0]
-    return outcomes
-
-
-def _slopes(pairs: Sequence[tuple]) -> list:
-    """Effect slopes of (dataset, weights) pairs from one ``fit_wls`` call
-    over the B x n stack of their regressions on [1, T]."""
-    design = np.ones((len(pairs), pairs[0][0].n, 2))
-    design[:, :, 1] = [dataset.treatment for dataset, _ in pairs]
-    outcomes = np.stack([dataset.outcome for dataset, _ in pairs])
-    weights = np.stack([weights.weights for _, weights in pairs])
-    return fit_wls(outcomes, design, weights)[:, 1].tolist()
-
-
-def _run_replications(config: ScenarioConfig, indices: Sequence[int]) -> list:
-    """Records for a group of replications.
-
-    Each method runs once over the group's stack: its weights (the EBCT
-    problems standardized and solved together), then the effect regressions
-    of the replications it weighed in one ``fit_wls`` call and their
-    diagnostics in one ``balance_report`` call. When a stacked step raises,
-    it is redone one replication at a time, so a replication whose weights
-    or fit fail records a failure for that method alone.
-    """
-    datasets = [_draw(config, index) for index in indices]
-    records = [{} for _ in datasets]
+    group = _draw(config, indices)
+    records = {
+        method: (np.full((3, len(indices)), np.nan), np.ones(len(indices), dtype=bool))
+        for method in config.methods
+    }
     # EBCT first: its stacked solve, the group's largest working set, then
     # holds no other method's weights.
     for method in sorted(config.methods, key=lambda method: method != "ebct"):
+        values, failed = records[method]
         if method == "ebct":
-            weightings = _ebct_weights(datasets)
+            weights, weighed = _ebct_weights(group)
         else:
-            weightings = _stacked(lambda group: estimate_weights(group, method), datasets)
-        weighed = [slot for slot, w in enumerate(weightings) if not isinstance(w, Exception)]
-        slopes = _stacked(_slopes, [(datasets[slot], weightings[slot]) for slot in weighed])
-        fitted = {
-            slot: slope
-            for slot, slope in zip(weighed, slopes)
-            if not isinstance(slope, Exception)
-        }
-        if not fitted:
+            weights, weighed = _stacked(lambda part: estimate_weights(part, method), group)
+        if not len(weighed):
             continue
-        reports = balance_report(
-            [weightings[slot] for slot in fitted], [datasets[slot] for slot in fitted]
+        sample = _rows(group, weighed)
+        slopes, fitted = _stacked(_slopes, sample, weights)
+        if not len(fitted):
+            continue
+        reports = balance_report(weights[fitted], _rows(sample, fitted))
+        rows = weighed[fitted]
+        values[0, rows] = slopes
+        values[1, rows] = [report.max_abs_correlation for report in reports]
+        values[2, rows] = [report.max_weight_share for report in reports]
+        failed[rows] = False
+    return records
+
+
+def _records(group: dict, slot: int) -> dict:
+    """The ReplicationRecord of each method for the replication at ``slot``
+    of ``_run_replications``' arrays."""
+    return {
+        method: ReplicationRecord.failure() if failed[slot] else ReplicationRecord(
+            *values[:, slot].tolist()
         )
-        for (slot, slope), report in zip(fitted.items(), reports):
-            records[slot][method] = ReplicationRecord(
-                estimate=slope,
-                max_abs_correlation=report.max_abs_correlation,
-                max_weight_share=report.max_weight_share,
-            )
-    failed = ReplicationRecord.failure()
-    return [{method: row.get(method, failed) for method in config.methods} for row in records]
+        for method, (values, failed) in group.items()
+    }
 
 
 def group_replications(n: int) -> int:
@@ -304,7 +328,7 @@ def run_replication(config: ScenarioConfig, replicate_index: int) -> dict:
     aborting the replication. Deterministic given (master_seed, index), and
     equal to the record ``run_scenario`` computes for the same index.
     """
-    return _run_replications(config, [replicate_index])[0]
+    return _records(_run_replications(config, [replicate_index]), 0)
 
 
 @dataclass(frozen=True)
@@ -351,33 +375,24 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     excluded per method; the scenario aborts if any method loses more than
     5% of them.
     """
-    collected = {
-        method: {"estimates": [], "correlations": [], "shares": [], "failures": 0}
-        for method in config.methods
-    }
+    kept = {method: [] for method in config.methods}
+    failures = dict.fromkeys(config.methods, 0)
     size = group_replications(config.n)
     for start in range(0, config.replications, size):
         stop = min(start + size, config.replications)
-        for records in _run_replications(config, range(start, stop)):
-            for method, record in records.items():
-                bucket = collected[method]
-                if record.failed:
-                    bucket["failures"] += 1
-                else:
-                    bucket["estimates"].append(record.estimate)
-                    bucket["correlations"].append(record.max_abs_correlation)
-                    bucket["shares"].append(record.max_weight_share)
+        for method, (values, failed) in _run_replications(config, range(start, stop)).items():
+            kept[method].append(values[:, ~failed])
+            failures[method] += int(failed.sum())
 
     per_method = {}
-    for method, bucket in collected.items():
-        if bucket["failures"] > 0.05 * config.replications:
+    for method in config.methods:
+        if failures[method] > 0.05 * config.replications:
             raise ScenarioDegenerate(
-                f"method {method!r} failed {bucket['failures']} of "
+                f"method {method!r} failed {failures[method]} of "
                 f"{config.replications} replications"
             )
-        per_method[method] = _summarize(
-            bucket["estimates"], bucket["correlations"], bucket["shares"], bucket["failures"]
-        )
+        # (3, R) with contiguous rows: each mean sums as over a list.
+        per_method[method] = _summarize(*np.concatenate(kept[method], axis=1), failures[method])
     return ScenarioResult(config=config, per_method=per_method)
 
 

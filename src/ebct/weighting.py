@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, check_counts, method_name, standardize, uniform_weights
+from .data import check_counts, method_name, standardize, uniform_weights
 from .errors import NotConverged
 from .ipw import ipw_weights
 from .solver import cap_weights, solve, truncate_and_rebalance
@@ -39,22 +39,24 @@ def estimate_weights(
     weights, on those units only, and every threshold applies per copy.
     Counted or not, ebct needs N >= 2K+2 copies, ipw K+2 and uniform one.
 
-    ``dataset`` may also be a sequence of B datasets that share n and K, for
+    ``dataset`` may also be a batch of B samples (see ``Dataset``), for
     ``ipw`` or ``uniform`` without truncation or counts. The result is then
-    the list of their weights, each bit for bit the weights its dataset
-    gives alone; ipw weighs the whole sequence in one ``ipw_weights`` pass
-    and raises the first dataset's error. ``solve_batch`` stacks ebct
-    problems.
+    the read-only B x n array of their weights, each row bit for bit the
+    weights its sample gives alone; ipw weighs the whole batch in one
+    ``ipw_weights`` pass and raises the first sample's error.
+    ``solve_batch`` stacks ebct problems.
     """
     name = method_name(method)
-    if not isinstance(dataset, Dataset):
+    if dataset.treatment.ndim > 1:
         if name == "ebct" or truncation is not None or counts is not None:
             raise ValueError(
-                "a sequence of datasets takes ipw or uniform weights, without truncation or counts"
+                "a batch of datasets takes ipw or uniform weights, without truncation or counts"
             )
         if name == "ipw":
-            return ipw_weights(list(dataset))
-        return [uniform_weights(d.n) for d in dataset]
+            return ipw_weights(dataset)
+        weights = np.full(dataset.treatment.shape, uniform_weights(dataset.n).weights[0])
+        weights.setflags(write=False)
+        return weights
     # The drawn units' copies; None when every unit is one copy, so that no
     # step divides or weights by ones.
     copies = None if counts is None else check_counts(counts, dataset.n)[1]

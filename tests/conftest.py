@@ -23,6 +23,20 @@ def random_dataset(rng, n, k, outcome=False):
     return Dataset(treatment=t, covariates=x, outcome=y)
 
 
+def batch(datasets, column_names=()):
+    """One Dataset holding the samples of ``datasets``, which share n and K,
+    as a batch under the first one's labels unless ``column_names`` are
+    given."""
+    first = datasets[0]
+    outcome = None if first.outcome is None else np.stack([d.outcome for d in datasets])
+    return Dataset(
+        treatment=np.stack([d.treatment for d in datasets]),
+        covariates=np.stack([d.covariates for d in datasets]),
+        outcome=outcome,
+        column_names=column_names or first.column_names,
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

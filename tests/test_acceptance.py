@@ -23,7 +23,8 @@ from ebct import (
 )
 from ebct.data import uniform_weights
 from ebct.errors import EbctError
-from ebct.simulation import TRUE_EFFECT, group_replications, run_replication
+import ebct.simulation as sim
+from ebct.simulation import TRUE_EFFECT, group_replications
 from ebct.solver import dual_gradient, dual_hessian, dual_objective
 
 from conftest import random_dataset
@@ -117,21 +118,42 @@ def test_criterion_3_orderings_across_cells(spec1_cells):
     )
 
 
+def test_criterion_10_ebct_avoids_extreme_weights(spec1_cells):
+    # The abstract's third claim: EBCT "is more successful in avoiding
+    # extreme weights" than IPW.
+    shares = {
+        key: (cell.per_method["ebct"].mean_max_weight_share,
+              cell.per_method["ipw"].mean_max_weight_share)
+        for key, cell in spec1_cells.items() if key != "elapsed"
+    }
+    below = [ebct < ipw for ebct, ipw in shares.values()]
+    worst = max(ebct / ipw for ebct, ipw in shares.values())
+    report(
+        "criterion 10 (EBCT mean max weight share < IPW's in all 6 cells)",
+        len(below) == 6 and all(below),
+        f"{sum(below)}/6 cells, largest EBCT/IPW share ratio {worst:.3f}",
+    )
+
+
 def test_criterion_4_balance_distributions():
-    ebct_metric, ipw_metric, raw_metric = [], [], []
+    # Every replication's records, read a whole group at a time: each equals
+    # the replication's own run_replication record (see
+    # test_simulation.py::TestRunScenario::test_estimates_equal_single_replications).
+    metrics = {"ebct": [], "ipw": [], "unweighted": []}
     for sigma, seed in ((4.0, 2201), (2.0, 2202)):
         config = ScenarioConfig(
             n=200, sigma=sigma, eta=1.0, spec=1, replications=500, master_seed=seed
         )
-        for index in range(config.replications):
-            records = run_replication(config, index)
-            assert not records["ebct"].failed
-            ebct_metric.append(records["ebct"].max_abs_correlation)
-            ipw_metric.append(records["ipw"].max_abs_correlation)
-            raw_metric.append(records["unweighted"].max_abs_correlation)
-    ebct_metric = np.asarray(ebct_metric)
-    ipw_metric = np.asarray(ipw_metric)
-    raw_metric = np.asarray(raw_metric)
+        size = group_replications(config.n)
+        for start in range(0, config.replications, size):
+            indices = range(start, min(start + size, config.replications))
+            group = sim._run_replications(config, indices)
+            assert not group["ebct"][1].any()
+            for method, metric in metrics.items():
+                # A failed record's correlation is NaN, as run_replication's is.
+                metric.extend(group[method][0][1])
+    ebct_metric, ipw_metric, raw_metric = (np.asarray(metrics[m]) for m in metrics)
+    assert ebct_metric.size == ipw_metric.size == raw_metric.size == 1000
     ok = (
         ebct_metric.max() < 1e-6
         and np.median(ipw_metric) > 1e-3

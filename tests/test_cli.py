@@ -846,6 +846,27 @@ class TestSimulateCommand:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--sizes", "500"], "--sizes applies only with --paper-grid"),
+            (["--paper-grid", "--sizes", ""],
+             "--sizes must be comma-separated sample sizes, got ''"),
+            (["--paper-grid", "--sizes", "200,"],
+             "--sizes must be comma-separated sample sizes, got '200,'"),
+        ],
+        ids=["without-paper-grid", "empty", "trailing-comma"],
+    )
+    def test_sizes_it_would_ignore_or_widen_are_an_input_error(
+        self, tmp_path, capsys, extra, message
+    ):
+        # Each would otherwise run cells nobody asked for: the default n=200
+        # cell, or every size's.
+        out = tmp_path / "out"
+        assert main(["simulate", "--replications", "2", "--out", str(out), *extra]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_negative_seed_is_an_input_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(self.simulate_argv(out, seed="-1")) == 1

@@ -27,6 +27,7 @@ from ebct.ipw import ipw_weights
 from ebct.data import check_counts, uniform_weights
 from ebct.simulation import gen_covariates, gen_outcome, gen_treatment, replication_rng
 from ebct.weighting import cap_weights
+from conftest import batch
 from test_solver import assert_certifies
 
 
@@ -83,7 +84,7 @@ class TestStandardize:
     def test_counts_need_one_dataset(self):
         ds = drf_dataset()
         with pytest.raises(ValueError, match="one dataset"):
-            standardize([ds, ds], np.ones(ds.n, dtype=int))
+            standardize(batch([ds, ds]), np.ones(ds.n, dtype=int))
 
 
 class TestEstimateWeights:

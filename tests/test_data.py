@@ -7,7 +7,7 @@ import pytest
 from ebct import BalancingWeights, Dataset, data, standardize
 from ebct.errors import ConstantColumn, NonFiniteInput
 
-from conftest import balance_columns, random_dataset
+from conftest import balance_columns, batch, random_dataset
 
 
 class TestDataset:
@@ -73,6 +73,26 @@ class TestDataset:
         assert Dataset(t, x, unit_ids=iter(ids)).unit_ids == tuple(ids)
         assert Dataset(t, x, unit_ids=range(10, 14)).unit_ids == range(10, 14)
         assert Dataset(t, x, unit_ids={"a": 0, "b": 1, "c": 2, "d": 3}).subset([3, 0]).unit_ids == ("d", "a")
+
+    def test_a_batch_keeps_read_only_arrays_and_checks_its_shapes(self, rng):
+        t, x, y = rng.standard_normal((3, 12)), rng.standard_normal((3, 12, 2)), np.ones((3, 12))
+        writable = Dataset(treatment=t, covariates=x, outcome=y)
+        assert (writable.n, writable.k) == (12, 2)
+        assert writable.treatment is not t and not writable.treatment.flags.writeable
+        for array in (t, x, y):
+            array.setflags(write=False)
+        batch = Dataset(treatment=t, covariates=x, outcome=y)
+        assert batch.treatment is t and batch.covariates is x and batch.outcome is y
+        # A read-only row of a read-only batch is kept too; a strided view is copied.
+        row = Dataset(treatment=t[1], covariates=x[1])
+        assert np.shares_memory(row.treatment, t) and np.shares_memory(row.covariates, x)
+        assert not np.shares_memory(Dataset(treatment=t[1], covariates=x[1, :, ::-1]).covariates, x)
+        with pytest.raises(ValueError, match="outcome has shape"):
+            Dataset(treatment=t, covariates=x, outcome=y[:2])
+        with pytest.raises(ValueError, match="covariates have shape"):
+            Dataset(treatment=t[0], covariates=x)
+        with pytest.raises(NonFiniteInput):
+            Dataset(treatment=np.where(np.eye(3, 12) > 0, np.nan, t), covariates=x)
 
     def test_subset_matches_a_dataset_of_the_rows(self, rng):
         ds = random_dataset(rng, 30, 3, outcome=True)
@@ -152,12 +172,12 @@ class TestStandardize:
 
     def test_group_matches_single_bit_for_bit(self, rng):
         group = [random_dataset(rng, 40, 3) for _ in range(3)]
-        stack = standardize(group)
+        stack = standardize(batch(group))
         assert stack.shape == (3, 40, 7)
         assert not stack.flags.writeable
         for dataset, matrix in zip(group, stack):
             assert matrix.tobytes() == standardize(dataset).tobytes()
-        assert standardize(group[:1])[0].tobytes() == standardize(group[0]).tobytes()
+        assert standardize(batch(group[:1]))[0].tobytes() == standardize(group[0]).tobytes()
 
     def test_group_raises_for_its_first_failing_dataset(self, rng):
         good = random_dataset(rng, 12, 2)
@@ -166,15 +186,18 @@ class TestStandardize:
             covariates=np.column_stack([rng.standard_normal(12), np.full(12, 3.0)]),
         )
         with pytest.raises(ConstantColumn, match="X2"):
-            standardize([good, constant, good])
-        with pytest.raises(ValueError, match="share n and K"):
-            standardize([good, random_dataset(rng, 13, 2)])
+            standardize(batch([good, constant, good]))
+        # A batch's samples share n and K by construction.
+        with pytest.raises(ValueError, match="covariates have shape"):
+            Dataset(treatment=np.ones((2, 12)), covariates=np.ones((2, 13, 2)))
+        with pytest.raises(ValueError, match="covariates have shape"):
+            Dataset(treatment=np.ones((3, 12)), covariates=np.ones((2, 12, 2)))
 
     def test_row_blocks_keep_the_bits(self, rng, monkeypatch):
         # G's strided columns are written in blocks of rows: many blocks and
         # a ragged last one give the bits of one block, counted or not.
         ds = random_dataset(rng, 300, 3)
-        group = [random_dataset(rng, 300, 3) for _ in range(4)]
+        group = batch([random_dataset(rng, 300, 3) for _ in range(4)])
         counts = rng.integers(0, 3, 300)
         expected = [standardize(ds), standardize(group), standardize(ds, counts)]
         monkeypatch.setattr(data, "_BLOCK_ROWS", 64)
@@ -213,12 +236,13 @@ class TestStandardizeMemory:
         assert fraction < 0.2, fraction
 
     def test_stacked_block_is_not_buffered(self, rng):
-        # One block of a simulation group: its stacked treatments and
-        # covariates take 0.52 G.nbytes. numpy's buffers for ufuncs over G's
-        # strided 3-d column slices took 0.6 G.nbytes more.
-        G, fraction = self.working_memory([random_dataset(rng, 200, 10) for _ in range(10)])
+        # One block of a simulation group, read as views of the batch's own
+        # arrays: stacked copies of its treatments and covariates took 0.52
+        # G.nbytes, and numpy's buffers for ufuncs over G's strided 3-d
+        # column slices 0.6 G.nbytes more.
+        G, fraction = self.working_memory(batch([random_dataset(rng, 200, 10) for _ in range(10)]))
         assert G.shape == (10, 200, 21)
-        assert fraction < 0.75, fraction
+        assert fraction < 0.25, fraction
 
 
 class TestConstraintMatrix:

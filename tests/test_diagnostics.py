@@ -8,7 +8,7 @@ from ebct import Dataset, balance_report, solve, standardize
 from ebct.data import uniform_weights
 from ebct.diagnostics import render_balance_table
 
-from conftest import random_dataset
+from conftest import batch, random_dataset
 
 # Printed unweighted correlation column of a 13-covariate balance table;
 # the aggregation contract is that its mean absolute value rounds to 0.14.
@@ -183,19 +183,20 @@ class TestBalanceReport:
                 assert report.per_covariate_correlation[j] == pytest.approx(expected, abs=1e-12)
 
     def test_stack_matches_single_reports_bit_for_bit(self, rng):
-        # Three weightings of one sample, stacked as three datasets.
+        # Three weightings of one sample, stacked as a batch of three copies.
         x = rng.standard_normal((40, 3))
         x[:, 1] = 2.0
         ds = Dataset(treatment=rng.standard_normal(40), covariates=x)
         balanced = Dataset(treatment=ds.treatment, covariates=x[:, [0, 2]])
         ebct_weights, _ = solve(standardize(balanced))
         weightings = [uniform_weights(40), ebct_weights, rng.uniform(0.2, 2.0, size=40)]
-        reports = balance_report(weightings, [ds] * 3)
-        assert [r.method_tag for r in reports] == ["uniform", "ebct", "uniform"]
-        as_array = balance_report(np.stack([w.weights for w in weightings[:2]]), [ds] * 2, "x")
-        assert [r.method_tag for r in as_array] == ["x", "x"]
+        stack = np.stack([getattr(w, "weights", w) for w in weightings])
+        reports = balance_report(stack, batch([ds] * 3), "x")
+        assert [r.method_tag for r in reports] == ["x", "x", "x"]
+        untagged = balance_report(stack, batch([ds] * 3))
+        assert [r.method_tag for r in untagged] == ["uniform"] * 3
         for weights, report in zip(weightings, reports):
-            alone = balance_report(weights, ds)
+            alone = balance_report(weights, ds, "x")
             assert report.degenerate_columns == alone.degenerate_columns == ("X2",)
             assert (
                 report.per_covariate_correlation.tobytes()
@@ -215,11 +216,13 @@ class TestBalanceReport:
                 x[:, 1] = 2.0  # a degenerate column in one dataset only
             datasets.append(Dataset(treatment=rng.standard_normal(n), covariates=x))
         stack = rng.uniform(0.2, 2.0, size=(B, n))
-        reports = balance_report(stack, datasets)
+        # A row of weights that sum to one: its share is read as written.
         ipw_tagged = replace(uniform_weights(n), method_tag="ipw")
-        tagged = balance_report([ipw_tagged, *stack[1:]], datasets)
+        stack[0] = ipw_tagged.weights
+        reports = balance_report(stack, batch(datasets))
+        tagged = balance_report(stack, batch(datasets), "ipw")
         assert len(reports) == B
-        assert [r.method_tag for r in tagged] == ["ipw"] + ["uniform"] * (B - 1)
+        assert [r.method_tag for r in tagged] == ["ipw"] * B
         assert reports[2].degenerate_columns == ("X2",)
         assert reports[1].degenerate_columns == ()
         for weights, dataset, report in zip(stack, datasets, reports):
@@ -233,19 +236,24 @@ class TestBalanceReport:
                 assert bits[0] == bits[1]
             assert report.to_dict() == alone.to_dict()
         assert tagged[0].to_dict() == balance_report(ipw_tagged, datasets[0]).to_dict()
-        assert [r.to_dict() for r in tagged[1:]] == [r.to_dict() for r in reports[1:]]
+        assert [dict(r.to_dict(), method="uniform") for r in tagged] == [
+            r.to_dict() for r in reports
+        ]
 
     def test_stacked_datasets_are_checked(self, rng):
-        datasets = [random_dataset(rng, 30, 2), random_dataset(rng, 30, 2)]
+        group = batch([random_dataset(rng, 30, 2), random_dataset(rng, 30, 2)])
         stack = np.full((2, 30), 1.0 / 30)
-        with pytest.raises(ValueError, match="share n and K"):
-            balance_report(stack, [datasets[0], random_dataset(rng, 31, 2)])
+        longer = batch([random_dataset(rng, 31, 2), random_dataset(rng, 31, 2)])
+        with pytest.raises(ValueError, match="weights have 30 entries per row, expected 31"):
+            balance_report(stack, longer)
         with pytest.raises(ValueError, match="got 1 weightings for 2 datasets"):
-            balance_report(stack[:1], datasets)
+            balance_report(stack[:1], group)
         with pytest.raises(ValueError, match="each dataset takes one weighting"):
-            balance_report(stack[:, None], datasets)
+            balance_report(stack[:, None], group)
+        with pytest.raises(ValueError, match="each dataset takes one weighting"):
+            balance_report(stack[0], group)
         with pytest.raises(ValueError, match="weights have 29 entries per row, expected 30"):
-            balance_report(stack[:, 1:], datasets)
+            balance_report(stack[:, 1:], group)
 
     def test_several_weightings_of_one_dataset_are_rejected(self, rng):
         # Weightings stack only over datasets, one each: a sequence of them
@@ -271,7 +279,7 @@ class TestBalanceReport:
         ds = random_dataset(rng, 25, 2)
         w = np.full(24, 1.0 / 24)
         with pytest.raises(ValueError, match="weights have 24 entries per row, expected 25"):
-            balance_report([w, w], [ds, ds]) if stacked else balance_report(w, ds)
+            balance_report(np.stack([w, w]), batch([ds, ds])) if stacked else balance_report(w, ds)
 
     def test_json_round_trip(self, rng):
         ds = random_dataset(rng, 25, 2)

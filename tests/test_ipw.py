@@ -10,7 +10,7 @@ from ebct.ipw import _normal_logpdf, ipw_weights
 from ebct.errors import ConstantColumn, DegenerateResidual, RankDeficientDesign
 from ebct.simulation import gen_covariates, gen_treatment, replication_rng
 
-from conftest import random_dataset
+from conftest import batch, random_dataset
 
 
 def density_ratio_oracle(t, fitted, residual_dof):
@@ -181,13 +181,14 @@ class TestIpwWeights:
             rng = replication_rng(2718, index)
             x = gen_covariates(200, rng)
             datasets.append(Dataset(treatment=gen_treatment(x, 2.0, rng), covariates=x))
-        stacked = ipw_weights(datasets)
-        assert len(stacked) == len(datasets)
+        stacked = ipw_weights(batch(datasets))
+        assert stacked.shape == (len(datasets), 200)
+        assert not stacked.flags.writeable
         for dataset, weights in zip(datasets, stacked):
             alone = ipw_weights(dataset)
-            assert weights.weights.tobytes() == alone.weights.tobytes()
-            assert weights.method_tag == "ipw"
-        assert ipw_weights(datasets[:1])[0].weights.tobytes() == stacked[0].weights.tobytes()
+            assert weights.tobytes() == alone.weights.tobytes()
+            assert alone.method_tag == "ipw"
+        assert ipw_weights(batch(datasets[:1]))[0].tobytes() == stacked[0].tobytes()
 
     def test_sequence_raises_the_first_failing_datasets_error(self, rng):
         fine = random_dataset(rng, 20, 2)
@@ -195,16 +196,14 @@ class TestIpwWeights:
         collinear = Dataset(
             treatment=rng.standard_normal(20), covariates=np.column_stack([x1, x1])
         )
-        constant = Dataset(treatment=np.full(20, 1.5), covariates=rng.standard_normal((20, 2)),
-                           column_names=("D", "X1", "X2", "Y"))
+        constant = Dataset(treatment=np.full(20, 1.5), covariates=rng.standard_normal((20, 2)))
         with pytest.raises(RankDeficientDesign):
-            ipw_weights([fine, collinear, constant])
+            ipw_weights(batch([fine, collinear, constant]))
+        # A batch's labels name the failing sample's column.
         with pytest.raises(ConstantColumn, match="'D'"):
-            ipw_weights([fine, constant])
-        with pytest.raises(ValueError, match="share n and K"):
-            ipw_weights([fine, random_dataset(rng, 21, 2)])
+            ipw_weights(batch([fine, constant], column_names=("D", "X1", "X2", "Y")))
         with pytest.raises(ValueError, match="counts apply to one dataset"):
-            ipw_weights([fine, fine], counts=np.ones(20, dtype=int))
+            ipw_weights(batch([fine, fine]), counts=np.ones(20, dtype=int))
 
     def test_moderate_selection_balance_is_erratic(self):
         # Simulated selection data: IPW balance varies a lot and sometimes

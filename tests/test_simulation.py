@@ -297,7 +297,7 @@ class TestRunScenario:
 
         def recording(config, indices):
             records = run_group(config, indices)
-            grouped.extend(records)
+            grouped.extend(sim._records(records, slot) for slot in range(len(indices)))
             return records
 
         run_group = sim._run_replications
@@ -314,26 +314,36 @@ class TestRunScenario:
             expected = [records[method].estimate for records in alone]
             npt.assert_array_equal(summary.estimates, expected)
 
-    def test_constant_covariate_fails_only_its_dataset(self):
+    def test_constant_covariate_fails_only_its_dataset(self, monkeypatch):
         config = ScenarioConfig(n=200, sigma=4.0, eta=1.0, spec=1, master_seed=5)
-        first, second = sim._draw(config, 0), sim._draw(config, 1)
-        x = second.covariates.copy()
-        x[:, 3] = 1.0
-        constant = Dataset(treatment=second.treatment, covariates=x, outcome=second.outcome)
-        outcomes = sim._ebct_weights([first, constant, second])
-        assert isinstance(outcomes[1], ConstantColumn)
-        assert "X4" in str(outcomes[1])
-        for dataset, weights in ((first, outcomes[0]), (second, outcomes[2])):
-            expected, _ = solve(standardize(dataset))
-            assert weights.weights.tobytes() == expected.weights.tobytes()
-            assert weights.iterations == expected.iterations
+        drawn = sim._draw(config, [0, 1, 1])
+        x = drawn.covariates.copy()
+        x[1, :, 3] = 1.0
+        group = Dataset(treatment=drawn.treatment, covariates=x, outcome=drawn.outcome)
+        solve_batch, solved = sim.solve_batch, []
+
+        def recording(G):
+            outcomes = solve_batch(G)
+            solved.extend(outcomes)
+            return outcomes
+
+        monkeypatch.setattr(sim, "solve_batch", recording)
+        weights, rows = sim._ebct_weights(group)
+        assert rows.tolist() == [0, 2]
+        with pytest.raises(ConstantColumn, match="X4"):
+            standardize(sim._rows(group, [1]))
+        for slot, b in enumerate(rows):
+            one = sim._rows(group, [b])
+            expected, _ = solve(standardize(one)[0])
+            assert weights[slot].tobytes() == expected.weights.tobytes()
+            assert solved[slot][0].iterations == expected.iterations
 
     def test_rank_deficient_weighting_fails_only_its_method(self, monkeypatch):
         # fit_wls fails any call whose weights include the IPW weighting, as
         # a rank-deficient design under those weights would.
         config = ScenarioConfig(n=200, sigma=4.0, eta=1.0, spec=1, master_seed=5)
         expected = run_replication(config, 2)
-        ipw = estimate_weights(sim._draw(config, 2), "ipw").weights
+        ipw = estimate_weights(sim._draw(config, [2]), "ipw")[0]
         fit_wls, calls = sim.fit_wls, []
 
         def failing_for_ipw(y, design, w):
@@ -358,8 +368,8 @@ class TestRunScenario:
 
         config = ScenarioConfig(n=200, sigma=2.0, eta=1.25, spec=2, replications=6,
                                 master_seed=21)
-        infeasible = standardize(sim._draw(config, 1))
-        ipw = estimate_weights(sim._draw(config, 4), "ipw").weights
+        infeasible = standardize(sim._draw(config, [1]))[0]
+        ipw = estimate_weights(sim._draw(config, [4]), "ipw")[0]
         solve_batch, fit_wls = sim.solve_batch, sim.fit_wls
 
         def failing_solve(samples, base_weights=None, start=None):
@@ -376,7 +386,8 @@ class TestRunScenario:
 
         monkeypatch.setattr(sim, "solve_batch", failing_solve)
         monkeypatch.setattr(sim, "fit_wls", failing_fit)
-        grouped = sim._run_replications(config, range(config.replications))
+        group = sim._run_replications(config, range(config.replications))
+        grouped = [sim._records(group, slot) for slot in range(config.replications)]
         failed = {
             (index, method)
             for index, records in enumerate(grouped)
@@ -398,13 +409,13 @@ class TestRunScenario:
         config = ScenarioConfig(n=200, sigma=4.0, eta=1.0, spec=1, master_seed=5)
         draw = sim._draw
 
-        def duplicated(config, index):
-            dataset = draw(config, index)
-            if index != 3:
-                return dataset
-            x = dataset.covariates.copy()
-            x[:, 9] = x[:, 8]
-            return Dataset(treatment=dataset.treatment, covariates=x, outcome=dataset.outcome)
+        def duplicated(config, indices):
+            group = draw(config, indices)
+            if 3 not in indices:
+                return group
+            x = group.covariates.copy()
+            x[list(indices).index(3), :, 9] = x[list(indices).index(3), :, 8]
+            return Dataset(treatment=group.treatment, covariates=x, outcome=group.outcome)
 
         monkeypatch.setattr(sim, "_draw", duplicated)
         fit_wls, shapes = sim.fit_wls, []
@@ -415,7 +426,8 @@ class TestRunScenario:
 
         monkeypatch.setattr(sim, "fit_wls", recording)
         size = sim.group_replications(config.n)
-        grouped = sim._run_replications(config, range(size))
+        group = sim._run_replications(config, range(size))
+        grouped = [sim._records(group, slot) for slot in range(size)]
         # Each method fits its group as one stack; IPW's lacks replication 3.
         assert shapes == [(size, 200), (size, 200), (size - 1, 200)]
         alone = [run_replication(config, index) for index in range(size)]
@@ -461,7 +473,7 @@ class TestRunScenario:
             def recording(config, indices, groups=groups, records=records):
                 groups.append(len(indices))
                 group = run_group(config, indices)
-                records.extend(group)
+                records.extend(sim._records(group, slot) for slot in range(len(indices)))
                 return group
 
             monkeypatch.setattr(sim, "GROUP_ROWS", size * n)
@@ -494,6 +506,88 @@ class TestRunScenario:
         assert peak(100) <= 1.1 * peak(20)
 
 
+class TestGroupDraw:
+    # A group is drawn straight into one read-only batch: the (B, n)
+    # treatments and outcomes and the (B, n, K) covariates that every
+    # stacked layer reads without a copy.
+
+    @pytest.mark.parametrize("spec", sim.SPECIFICATIONS)
+    def test_group_arrays_equal_the_per_replication_draws(self, spec):
+        config = ScenarioConfig(n=200, sigma=2.0, eta=1.5, spec=spec, master_seed=29)
+        indices = [4, 0, 11]
+        group = sim._draw(config, indices)
+        assert group.treatment.shape == group.outcome.shape == (3, 200)
+        assert group.covariates.shape == (3, 200, 10)
+        for b, index in enumerate(indices):
+            rng = replication_rng(config.master_seed, index)
+            x = gen_covariates(config.n, rng)
+            t = gen_treatment(x, config.sigma, rng)
+            y = gen_outcome(x, t, config.eta, rng)
+            assert group.treatment[b].tobytes() == t.tobytes()
+            assert group.outcome[b].tobytes() == y.tobytes()
+            assert group.covariates[b].tobytes() == apply_specification(x, spec).tobytes()
+
+    def test_group_arrays_are_read_only_and_no_layer_writes_them(self):
+        config = ScenarioConfig(n=200, sigma=4.0, eta=1.0, spec=2, master_seed=31)
+        group = sim._draw(config, range(12))
+        arrays = (group.treatment, group.covariates, group.outcome)
+        before = [array.tobytes() for array in arrays]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        ebct = np.array([weights.weights for weights, _ in sim.solve_batch(standardize(group))])
+        for weights in (ebct, estimate_weights(group, "ipw"), estimate_weights(group, "uniform")):
+            sim.balance_report(weights, group)
+            sim._slopes(group, weights)
+        assert [array.tobytes() for array in arrays] == before
+
+    def test_shares_are_the_written_maxima(self):
+        # Each record's share is the largest weight its replication's own
+        # BalancingWeights holds, not that of the weights normalized again.
+        config = ScenarioConfig(n=200, sigma=2.0, eta=1.25, spec=1, replications=6,
+                                master_seed=37)
+        records = sim._run_replications(config, range(6))
+        group = sim._draw(config, range(6))
+        for b in range(6):
+            one = Dataset(treatment=group.treatment[b], covariates=group.covariates[b])
+            for method in config.methods:
+                share = records[method][0][2, b]
+                assert share == estimate_weights(one, method).max_share
+
+    def test_a_constant_covariate_fails_only_its_replications_weighted_methods(
+        self, monkeypatch
+    ):
+        # Replication 2 draws a constant X4: its EBCT standardization and its
+        # IPW design [1 | X] fail, its unweighted record and every other
+        # replication's records do not.
+        config = ScenarioConfig(n=200, sigma=4.0, eta=1.0, spec=1, master_seed=5)
+        draw = sim._draw
+
+        def constant(config, indices):
+            group = draw(config, indices)
+            if 2 not in indices:
+                return group
+            x = group.covariates.copy()
+            x[list(indices).index(2), :, 3] = 1.0
+            return Dataset(treatment=group.treatment, covariates=x, outcome=group.outcome)
+
+        monkeypatch.setattr(sim, "_draw", constant)
+        size = 6
+        records = sim._run_replications(config, range(size))
+        failed = {
+            (slot, method)
+            for method, (_, mask) in records.items()
+            for slot in np.flatnonzero(mask).tolist()
+        }
+        assert failed == {(2, "ebct"), (2, "ipw")}
+        for slot in range(size):
+            alone = run_replication(config, slot)
+            for method, record in sim._records(records, slot).items():
+                assert record.failed == alone[method].failed
+                assert record.failed or record == alone[method]
+
+
 class TestGroupMemory:
     # A whole n=200 cell of 30 replications is one (30, 200, 21) stack of
     # balance columns. Each stacked layer works through it in blocks, so
@@ -504,18 +598,18 @@ class TestGroupMemory:
     @pytest.fixture(scope="class")
     def group(self):
         config = ScenarioConfig(n=200, sigma=4.0, eta=1.0, spec=1, master_seed=3)
-        datasets = [sim._draw(config, index) for index in range(30)]
-        G = standardize(datasets)
-        ebct = [weights for weights, _ in sim.solve_batch(G)]
-        return datasets, G, ebct
+        group = sim._draw(config, range(30))
+        G = standardize(group)
+        ebct = np.array([weights.weights for weights, _ in sim.solve_batch(G)])
+        return group, G, ebct
 
     @pytest.mark.parametrize("layer", ["standardize", "solve_batch", "balance_report"])
     def test_working_memory_is_a_fraction_of_the_stack(self, group, layer):
-        datasets, G, ebct = group
+        group, G, ebct = group
         call = {
-            "standardize": lambda: standardize(datasets),
+            "standardize": lambda: standardize(group),
             "solve_batch": lambda: sim.solve_batch(G),
-            "balance_report": lambda: sim.balance_report(ebct, datasets),
+            "balance_report": lambda: sim.balance_report(ebct, group),
         }[layer]
         assert G.shape == (30, 200, 21)
         tracemalloc.start()

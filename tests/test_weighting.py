@@ -7,7 +7,7 @@ from ebct.errors import ThresholdInfeasible
 from ebct.simulation import gen_covariates, gen_treatment, replication_rng
 from ebct.weighting import cap_weights
 
-from conftest import random_dataset
+from conftest import batch, random_dataset
 
 
 def selection_dataset(n=150, sigma=2.0, seed=4):
@@ -42,17 +42,18 @@ class TestEstimateWeights:
 
     def test_sequence_of_datasets(self, rng):
         datasets = [random_dataset(rng, 50, 2) for _ in range(3)]
+        group = batch(datasets)
         for method in ("ipw", "uniform", "unweighted"):
-            stacked = estimate_weights(datasets, method)
-            assert len(stacked) == len(datasets)
+            stacked = estimate_weights(group, method)
+            assert stacked.shape == (len(datasets), 50)
+            assert not stacked.flags.writeable
             for dataset, weights in zip(datasets, stacked):
                 alone = estimate_weights(dataset, method)
-                assert weights.weights.tobytes() == alone.weights.tobytes()
-                assert weights.method_tag == alone.method_tag
+                assert weights.tobytes() == alone.weights.tobytes()
         message = "ipw or uniform weights, without truncation or counts"
         for kwargs in ({}, {"truncation": 0.05}, {"counts": np.ones(50, dtype=int)}):
             with pytest.raises(ValueError, match=message):
-                estimate_weights(datasets, "ebct" if not kwargs else "ipw", **kwargs)
+                estimate_weights(group, "ebct" if not kwargs else "ipw", **kwargs)
 
     def test_ebct_truncation_keeps_balance(self):
         ds = selection_dataset()
