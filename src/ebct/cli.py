@@ -332,12 +332,21 @@ def _simulation_jobs(args) -> int:
     return jobs
 
 
+# The scenario cell that ``simulate`` runs without --paper-grid, unless given.
+_CELL_DEFAULTS = {"n": 200, "sigma": 4.0, "eta": 1.0, "spec": 1}
+
+
 def cmd_simulate(args) -> int:
     """Run one scenario cell or the full grid; write CSV plus text table."""
     jobs = _simulation_jobs(args)
     if args.sizes is not None and not args.paper_grid:
         raise ValueError("--sizes applies only with --paper-grid")
+    # None unless given, so that the grid, which would ignore them, can refuse them.
+    cell = {name: getattr(args, name) for name in _CELL_DEFAULTS}
     if args.paper_grid:
+        given = [f"--{name}" for name, value in cell.items() if value is not None]
+        if given:
+            raise ValueError(f"{', '.join(given)} cannot be given with --paper-grid")
         try:
             sizes = SAMPLE_SIZES if args.sizes is None else tuple(map(int, args.sizes.split(",")))
         except ValueError:
@@ -350,12 +359,10 @@ def cmd_simulate(args) -> int:
             seed=args.seed,
         )
     else:
+        cell = {name: _CELL_DEFAULTS[name] if v is None else v for name, v in cell.items()}
         configs = [
             ScenarioConfig(
-                n=args.n,
-                sigma=args.sigma,
-                eta=args.eta,
-                spec=args.spec,
+                **cell,
                 replications=args.replications,
                 methods=tuple(args.methods.split(",")),
                 master_seed=cell_seed(args.seed, 0),
@@ -431,10 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
     drf.add_argument("--seed", type=int, default=0)
 
     simulate = sub.add_parser("simulate", help="run the bias/RMSE study")
-    simulate.add_argument("--n", type=int, default=200, choices=SAMPLE_SIZES)
-    simulate.add_argument("--sigma", type=float, default=4.0)
-    simulate.add_argument("--eta", type=float, default=1.0)
-    simulate.add_argument("--spec", type=int, default=1, choices=(1, 2, 3))
+    simulate.add_argument("--n", type=int, default=None, choices=SAMPLE_SIZES)
+    simulate.add_argument("--sigma", type=float, default=None)
+    simulate.add_argument("--eta", type=float, default=None)
+    simulate.add_argument("--spec", type=int, default=None, choices=(1, 2, 3))
     simulate.add_argument("--replications", type=int, default=1000)
     simulate.add_argument(
         "--methods", default=",".join(SIMULATION_METHODS), help="comma-separated method names"

@@ -175,7 +175,10 @@ def sample_blocks(dataset, kept=slice(None)) -> Iterator:
     treatments and (b, m, K) covariates on the rows ``kept`` selects, views
     of the dataset's own read-only arrays unless ``kept`` is an index array.
     """
-    t, x = dataset.treatment[..., kept], dataset.covariates[..., kept, :]
+    if isinstance(kept, slice):
+        t, x = dataset.treatment[..., kept], dataset.covariates[..., kept, :]
+    else:  # take gathers rows at half the cost of fancy indexing
+        t, x = dataset.treatment.take(kept, axis=-1), dataset.covariates.take(kept, axis=-2)
     t = t.reshape(-1, t.shape[-1])
     x = x.reshape(t.shape + x.shape[-1:])
     span = max(1, _BLOCK_ROWS // dataset.n)
@@ -278,10 +281,10 @@ def _balance_columns(t, x, dataset, size, freq, G) -> None:
     Without counts the deviations are written straight into G's covariate
     columns and squared into its product columns, which are filled last, so
     no temporary of the covariates' size is live, at any n or stack size.
-    Resamples are small: they scale contiguous arrays, which is faster than
-    scaling strided column slices, and copy them into ``G`` once. Every
-    step that writes G's strided columns goes one column and one row block
-    at a time (see ``_column_blocks``).
+    Resamples are small: they scale contiguous arrays and form the products
+    in whole-array operations, which is faster than going column by column.
+    Without counts, every step that writes G's strided columns goes one
+    column and one row block at a time (see ``_column_blocks``).
     """
     _, n, k = x.shape
     if freq is None:
@@ -322,10 +325,11 @@ def _balance_columns(t, x, dataset, size, freq, G) -> None:
     if freq is not None:
         dev /= x_scales
         x_std[...] = dev
+        np.multiply(t_dev[:, :, None], dev, out=products)
+        return
     for rows, j in _column_blocks(n, k):
         column = x_std[:, rows, j]
-        if freq is None:
-            column /= x_scales[:, :, j]
+        column /= x_scales[:, :, j]
         np.multiply(t_dev[:, rows], column, out=products[:, rows, j])
 
 

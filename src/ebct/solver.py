@@ -85,7 +85,8 @@ def _prepare_base_weights(n: int, base_weights, name="base_weights") -> np.ndarr
     q = np.ravel(np.asarray(base_weights, dtype=float))
     if q.size != n:
         raise ValueError(f"{name} has length {q.size}, expected {n}")
-    if np.any(q <= 0) or not np.all(np.isfinite(q)):
+    # A minimum that is not above zero is zero, negative or NaN.
+    if not (q.min() > 0 and q.max() < np.inf):
         raise ValueError(f"{name} must be strictly positive and finite")
     return q
 
@@ -154,41 +155,40 @@ def _hessian(G, w, grad, u=None) -> np.ndarray:
     working memory beyond G is one block x m product and a few n-vectors
     per problem, however large B or n grows, and each problem of at most
     ``_HESSIAN_ROWS`` rows gets its own one-shot product bit for bit. A
-    column whose square overflows leaves inf or NaN entries without a
-    warning; the Newton driver reports them as a typed error.
+    column whose square overflows leaves inf or NaN entries, which the
+    Newton driver, under its own ``np.errstate``, reports as a typed error.
     """
     B, n, m = G.shape
     free = None if u is None else w < u
     span, rows = max(1, _STACK_ROWS // n), min(n, _HESSIAN_ROWS)
     buffer = np.empty((min(B, span), rows, m))
     products = None if B <= span else np.empty((B, m, m))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, B, span):
-            problems = slice(first, first + span)
-            for start in range(0, n, rows):
-                g = G[problems, start : start + rows]
-                block = buffer[: g.shape[0], : g.shape[1]]
-                np.multiply(g, w[problems, start : start + rows, None], out=block)
-                if free is not None:
-                    block[~free[problems, start : start + rows]] = 0.0
-                product = block.transpose(0, 2, 1) @ g
-                if start == 0:
-                    total = product
-                else:
-                    total += product
-            if u is None:
-                total -= grad[problems, :, None] * grad[problems, None, :]
-            if products is None:
-                products = total
+    for first in range(0, B, span):
+        problems = slice(first, first + span)
+        for start in range(0, n, rows):
+            g = G[problems, start : start + rows]
+            block = buffer[: g.shape[0], : g.shape[1]]
+            np.multiply(g, w[problems, start : start + rows, None], out=block)
+            if free is not None:
+                block[~free[problems, start : start + rows]] = 0.0
+            product = block.transpose(0, 2, 1) @ g
+            if start == 0:
+                total = product
             else:
-                products[problems] = total
+                total += product
         if u is None:
-            return products
-        hessian = np.empty((B, m + 1, m + 1))
-        hessian[:, 1:, 1:] = products
-        hessian[:, 0, 0] = np.sum(w, axis=1, where=free)
-        hessian[:, 0, 1:] = hessian[:, 1:, 0] = (np.where(free, w, 0.0)[:, None, :] @ G)[:, 0, :]
-        return hessian
+            total -= grad[problems, :, None] * grad[problems, None, :]
+        if products is None:
+            products = total
+        else:
+            products[problems] = total
+    if u is None:
+        return products
+    hessian = np.empty((B, m + 1, m + 1))
+    hessian[:, 1:, 1:] = products
+    hessian[:, 0, 0] = np.sum(w, axis=1, where=free)
+    hessian[:, 0, 1:] = hessian[:, 1:, 0] = (np.where(free, w, 0.0)[:, None, :] @ G)[:, 0, :]
+    return hessian
 
 
 def _singular(hessian) -> SingularHessian:
@@ -221,34 +221,6 @@ def _single_state(gamma, G, base_weights) -> tuple:
     return value[0], w[0], grad[0]
 
 
-def dual_objective(gamma, G, base_weights=None) -> float:
-    """Value of J(gamma) = log sum_i q_i exp(gamma . g_i).
-
-    Evaluated with a max-shift so no representable gamma overflows; this is
-    the negated dual, so the solver minimizes it.
-    """
-    return float(_single_state(gamma, G, base_weights)[0])
-
-
-def dual_gradient(gamma, G, base_weights=None) -> np.ndarray:
-    """Gradient of J: the weighted means of the balance columns at gamma.
-
-    Uses the implied weights w_i(gamma), base weights included in numerator
-    and denominator alike.
-    """
-    return _single_state(gamma, G, base_weights)[2]
-
-
-def dual_hessian(gamma, G, base_weights=None) -> np.ndarray:
-    """Hessian of J: the weighted covariance of the balance columns at gamma.
-
-    Positive semidefinite by construction.
-    """
-    G = _balance_matrix(G)
-    _, w, grad = _single_state(gamma, G, base_weights)
-    return _hessian(G[None], w[None], grad[None])[0]
-
-
 def recover_weights(gamma, G, base_weights=None) -> np.ndarray:
     """Weights implied by the multipliers: w_i = q_i e^{gamma.g_i} / Z.
 
@@ -267,25 +239,25 @@ def _newton_directions(hessian, grad) -> tuple:
     and a singular Hessian stops its own problem only. numpy passes NaN and
     inf through its Cholesky without raising, so a Hessian that is not
     finite counts as singular. Returns the (B, m) directions, zero where
-    none exists, and a (B,) flag that is False for a singular Hessian.
+    none exists, and a list of B flags that are False for a singular Hessian.
     """
     try:
         if np.isfinite(hessian).all():
             np.linalg.cholesky(hessian)
             direction = np.linalg.solve(hessian, grad[:, :, None])[:, :, 0]
-            return -direction, np.ones(len(grad), dtype=bool)
+            return -direction, [True] * len(grad)
     except np.linalg.LinAlgError:
         pass
     if len(grad) == 1:
-        return np.zeros_like(grad), np.zeros(1, dtype=bool)
+        return np.zeros_like(grad), [False]
     parts = [_newton_directions(hessian[i : i + 1], grad[i : i + 1]) for i in range(len(grad))]
-    return np.concatenate([d for d, _ in parts]), np.concatenate([ok for _, ok in parts])
+    return np.concatenate([d for d, _ in parts]), [ok for _, (ok,) in parts]
 
 
 def _blockwise(f, G, index, *rows):
     """``f(G[index], *rows)`` without a copy of G[index] larger than a block.
 
-    ``index`` holds increasing problem indices into the (B, n, m) stack
+    ``index`` lists increasing problem indices into the (B, n, m) stack
     ``G``. While they are consecutive, G[index] is a view and ``f`` runs
     once. Otherwise ``f`` runs on blocks of whole problems, at most
     ``_STACK_ROWS`` rows each, with a copy of each block's matrices and
@@ -322,23 +294,27 @@ def _certifies(G, u, r) -> bool:
     return bool(r[0] - bound > _CERTIFICATE_TOLERANCE * (u @ np.abs(t)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _newton(G, log_q, start: np.ndarray, u=None) -> list:
     """Damped Newton on every problem of a (B, n, m) stack at once.
 
     Each problem keeps its own phase, step size, trace and iteration count,
     and reaches exactly the iterates it would reach alone: every stacked
     operation acts row by row, and numpy's linear algebra factors each
-    Newton system of the stack by itself. Problems that finish leave the
-    stack, so the rest do not pay for them; G itself is never compacted,
-    and the matrices of the problems left are read through ``_blockwise``,
-    so the working memory beside G is a few blocks and (B, n) arrays
-    however large B grows. ``log_q`` holds the (B, n) log base weights,
-    each row normalized to sum one before the log. Every problem starts at
-    the m-vector ``start``. With (B, n) per-row caps
+    Newton system of the stack by itself. Each problem's policy (stopping
+    test, phase, Armijo test, step size, multiplier bound) runs on Python
+    floats taken out of the stack once per line-search round. Problems that
+    finish leave the stack, so the rest do not pay for them; G itself is
+    never compacted, and the matrices of the problems left are read through
+    ``_blockwise``, so the working memory beside G is a few blocks and
+    (B, n) arrays however large B grows. ``log_q`` holds the (B, n) log
+    base weights, each row normalized to sum one before the log. Every
+    problem starts at the m-vector ``start``. With (B, n) per-row caps
     ``u`` the problems are the capped duals of ``_dual_state``, each
     started at (-J(start), start), which are the uncapped weights of
-    ``start``. Returns per problem either ``(BalancingWeights, trace)`` or
-    the exception that problem raises.
+    ``start``. Overflows warn of nothing: they surface as typed errors.
+    Returns per problem either ``(BalancingWeights, trace)`` or the
+    exception that problem raises.
     """
     B, _, m = G.shape
     outcomes = [None] * B
@@ -346,11 +322,12 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> list:
     if u is not None:
         theta = np.column_stack([-_dual_state(G, log_q, theta)[0], theta])
     value, w, grad, finite = _dual_state(G, log_q, theta, u)
-    traces = [[v] for v in value.tolist()]
-    iterations = np.zeros(B, dtype=int)
-    errors = [None if ok else NonFiniteDual(_OVERFLOW) for ok in finite]
-    stopped = ~finite
-    live = np.arange(B)  # problem index of each row still in the stack, increasing
+    value, norm = value.tolist(), np.abs(grad).max(axis=1).tolist()
+    traces = [[v] for v in value]
+    iterations = [0] * B
+    errors = [None if ok else NonFiniteDual(_OVERFLOW) for ok in finite.tolist()]
+    stopped = [e is not None for e in errors]
+    live = list(range(B))  # problem of each row still in the stack, increasing
     ridge = _RIDGE * np.eye(theta.shape[1])
 
     def certified(i, r):
@@ -375,10 +352,9 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> list:
         return None
 
     def retire(rows) -> None:
-        norms = np.abs(grad[rows]).max(axis=1).tolist()
         finished = []
-        for i, grad_norm in zip(rows, norms):
-            converged = grad_norm <= _GRADIENT_TOLERANCE
+        for i in rows:
+            converged = norm[i] <= _GRADIENT_TOLERANCE
             if u is not None and errors[i] is None and not (converged and w[i].min() > 0):
                 errors[i] = capped_failure(i)
             if errors[i] is None and not w[i].min() > 0:
@@ -387,96 +363,100 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> list:
                     "strictly positive weights at float precision"
                 )
             if errors[i] is None:
-                finished.append((i, grad_norm))
+                finished.append(i)
             else:
                 outcomes[live[i]] = errors[i]
         # One read-only copy of the finished rows' weights, which their results adopt.
-        kept = w[[i for i, _ in finished]]
+        kept = w[finished]
         for row in kept if u is not None else ():
             row /= row.sum()
         kept.setflags(write=False)
-        for (i, grad_norm), row in zip(finished, kept):
-            b = live[i]
-            converged = grad_norm <= _GRADIENT_TOLERANCE
+        for i, row in zip(finished, kept):
+            converged = norm[i] <= _GRADIENT_TOLERANCE
             weights = BalancingWeights(
                 weights=row,
                 gamma=theta[i] if u is None else theta[i, 1:],
                 converged=converged,
-                iterations=int(iterations[i]),
-                final_gradient_norm=grad_norm,
+                iterations=iterations[i],
+                final_gradient_norm=norm[i],
                 method_tag="ebct",
             )
+            b = live[i]
             outcomes[b] = (weights, traces[b]) if converged else NotConverged(weights)
 
     for _ in range(_MAX_ITERATIONS):
-        grad_norm = np.abs(grad).max(axis=1)
-        stopped |= grad_norm <= _GRADIENT_TOLERANCE
-        if stopped.any():
-            retire(np.flatnonzero(stopped))
-            keep = ~stopped
-            if not keep.any():
+        leaving = [s or g <= _GRADIENT_TOLERANCE for s, g in zip(stopped, norm)]
+        if any(leaving):
+            retire([i for i, gone in enumerate(leaving) if gone])
+            keep = [i for i, gone in enumerate(leaving) if not gone]
+            if not keep:
                 return outcomes
-            live, log_q, theta, value, w, grad, grad_norm, iterations = (
-                a[keep] for a in (live, log_q, theta, value, w, grad, grad_norm, iterations)
-            )
+            theta, w, grad, log_q = theta[keep], w[keep], grad[keep], log_q[keep]
             if u is not None:
                 u = u[keep]
-            errors = [e for e, k in zip(errors, keep) if k]
-            stopped = np.zeros(live.size, dtype=bool)
+            live, value, norm, iterations, errors = (
+                [a[i] for i in keep] for a in (live, value, norm, iterations, errors)
+            )
+            stopped = [False] * len(live)
 
         hessian = _blockwise(_hessian, G, live, w, grad, u)
         hessian += ridge
         direction, solvable = _newton_directions(hessian, grad)
-        for i in np.flatnonzero(~solvable):
+        for i in [i for i, ok in enumerate(solvable) if not ok]:
             errors[i] = _singular(hessian[i])
             stopped[i] = True
         del hessian  # before the next iteration's
         if u is not None:
             # Every Newton direction of a capped problem is a candidate
             # certificate of infeasibility, and checking one is cheap.
-            for i in np.flatnonzero(~stopped):
+            for i in [i for i, gone in enumerate(stopped) if not gone]:
                 errors[i] = certified(i, direction[i])
                 stopped[i] = errors[i] is not None
-        slope = (grad * direction).sum(axis=1)
+        slope = (grad * direction).sum(axis=1).tolist()
 
         # Local phase: the certifiable Armijo decrease (half the Newton
         # decrement squared) is below the objective's float resolution, so
         # objective comparisons are pure noise. Take the full Newton step as
         # long as it shrinks the gradient.
-        local = -slope <= 1e-13 * (1.0 + np.abs(value))
-        step = np.ones(live.size)
-        searching = ~stopped
-        while searching.any():
-            rows = np.flatnonzero(searching)
-            sub = slice(None) if rows.size == live.size else rows
-            candidate = theta[sub] + step[sub, None] * direction[sub]
+        local = [-s <= 1e-13 * (1.0 + abs(v)) for s, v in zip(slope, value)]
+        step = [1.0] * len(live)
+        searching = [i for i, gone in enumerate(stopped) if not gone]
+        while searching:
+            sub = slice(None) if len(searching) == len(live) else searching
+            move = direction[sub]
+            if step[searching[0]] < 1.0:  # not the first round, where 1.0 * d would be d
+                move = np.array([step[i] for i in searching])[:, None] * move
+            candidate = theta[sub] + move
             c_value, c_w, c_grad, c_finite = _blockwise(
-                _dual_state, G, live[sub], log_q[sub], candidate, None if u is None else u[sub]
+                _dual_state, G, [live[i] for i in searching], log_q[sub], candidate,
+                None if u is None else u[sub],
             )
-            c_norms = np.abs(c_grad).max(axis=1)
-            for j, i in enumerate(rows):
-                if not c_finite[j]:
+            c_values, c_norms = c_value.tolist(), np.abs(c_grad).max(axis=1).tolist()
+            # Euclidean norms as np.linalg.norm takes them, without its overhead.
+            sizes = np.vecdot(candidate, candidate).tolist()
+            accepted, retry = [], []
+            for j, (i, ok) in enumerate(zip(searching, c_finite.tolist())):
+                if not ok:
                     errors[i] = NonFiniteDual(_OVERFLOW)
-                    ok = False
                 elif local[i]:
-                    ok = c_norms[j] < grad_norm[i]
+                    ok = c_norms[j] < norm[i]
                 else:
-                    ok = c_value[j] <= value[i] + _ARMIJO_C * step[i] * slope[i]
+                    ok = c_values[j] <= value[i] + _ARMIJO_C * step[i] * slope[i]
                     if not ok:
                         step[i] *= _SHRINK
                         if step[i] >= _MIN_STEP:
+                            retry.append(i)
                             continue
-                searching[i] = False
                 if not ok:
                     # No acceptable step (or an overflow): the numerical
                     # floor is reached and the final gradient check decides.
                     stopped[i] = True
                     continue
-                theta[i], value[i], w[i], grad[i] = candidate[j], c_value[j], c_w[j], c_grad[j]
+                accepted.append(j)
+                value[i], norm[i] = c_values[j], c_norms[j]
                 iterations[i] += 1
-                traces[live[i]].append(float(c_value[j]))
-                # The Euclidean norm as np.linalg.norm takes it, without its overhead.
-                if math.sqrt(theta[i] @ theta[i]) > _GAMMA_BOUND:
+                traces[live[i]].append(c_values[j])
+                if math.sqrt(sizes[j]) > _GAMMA_BOUND:
                     # A capped problem that diverges is judged by its
                     # certificate instead, as its uncapped problem solved.
                     if u is None:
@@ -485,10 +465,17 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> list:
                             "strictly positive weights"
                         )
                     stopped[i] = True
+            if len(accepted) == len(live):
+                # Every problem moves: the candidate state is the state.
+                theta, w, grad = candidate, c_w, c_grad
+            elif accepted:
+                rows = [searching[j] for j in accepted]
+                theta[rows], w[rows], grad[rows] = (a[accepted] for a in (candidate, c_w, c_grad))
             # Free the candidate's weights before the next candidate is built.
             del c_w
+            searching = retry
 
-    retire(range(live.size))
+    retire(range(len(live)))
     return outcomes
 
 
@@ -518,7 +505,8 @@ def solve_batch(matrices, base_weights=None, start=None, cap=None) -> list:
     per matrix of upper bounds on the weights (see ``solve``); a B x n
     array of caps is used as it is, without a copy. Each Newton
     iteration factors and solves the Newton systems of the whole stack in
-    one numpy call. The stack is never copied: the Hessians and, once some
+    one numpy call, and each problem's stopping test, Armijo test and step
+    size run on Python floats. The stack is never copied: the Hessians and, once some
     problems finish, the matrices of the others are taken in blocks of
     whole problems of at most ``_STACK_ROWS`` rows, so the working memory
     beside the stack is a few such blocks, the (B, m, m) Hessians and a few

@@ -25,11 +25,13 @@ from ebct.data import uniform_weights
 from ebct.errors import EbctError
 import ebct.simulation as sim
 from ebct.simulation import TRUE_EFFECT, group_replications
-from ebct.solver import dual_gradient, dual_hessian, dual_objective
 
 from conftest import random_dataset
 from test_solver import (
     brute_force_weights,
+    dual_gradient,
+    dual_hessian,
+    dual_value,
     finite_difference_gradient,
     kl_divergence,
     random_sample,
@@ -179,7 +181,7 @@ def test_criterion_5_solver_correctness_suite():
         for _ in range(10):
             gamma = rng.uniform(-0.8, 0.8, size=m)
             grad = dual_gradient(gamma, G)
-            fd_grad = finite_difference_gradient(lambda g: dual_objective(g, G), gamma)
+            fd_grad = finite_difference_gradient(lambda g: dual_value(g, G), gamma)
             scale = max(1.0, np.abs(grad).max())
             worst_grad = max(worst_grad, np.abs(grad - fd_grad).max() / scale)
             hess = dual_hessian(gamma, G)

@@ -867,6 +867,43 @@ class TestSimulateCommand:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--n", "500"], "--n cannot be given with --paper-grid"),
+            (["--sigma", "2"], "--sigma cannot be given with --paper-grid"),
+            (["--eta", "1.5"], "--eta cannot be given with --paper-grid"),
+            (["--spec", "3"], "--spec cannot be given with --paper-grid"),
+            # A value equal to the one-cell default is still a given option.
+            (["--n", "200"], "--n cannot be given with --paper-grid"),
+            (["--n", "500", "--spec", "3", "--sigma", "2"],
+             "--n, --sigma, --spec cannot be given with --paper-grid"),
+        ],
+        ids=["n", "sigma", "eta", "spec", "n-at-default", "several"],
+    )
+    def test_cell_options_under_paper_grid_are_an_input_error(
+        self, tmp_path, capsys, extra, message
+    ):
+        # The grid runs its own cells, so it would silently ignore them.
+        out = tmp_path / "out"
+        argv = ["simulate", "--paper-grid", "--sizes", "200", "--replications", "2",
+                "--out", str(out), *extra]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_one_cell_defaults(self, tmp_path):
+        # Without the cell options, the one cell is n=200, sigma 4, eta 1, spec 1.
+        implicit, explicit = tmp_path / "implicit", tmp_path / "explicit"
+        base = ["simulate", "--replications", "3", "--seed", "4", "--methods", "ebct"]
+        assert main([*base, "--out", str(implicit)]) == 0
+        assert main([*base, "--out", str(explicit), "--n", "200", "--sigma", "4.0",
+                     "--eta", "1.0", "--spec", "1"]) == 0
+        for name in ("scenarios.csv", "scenarios_table.txt", "scenarios.json"):
+            assert (implicit / name).read_bytes() == (explicit / name).read_bytes()
+        row = (implicit / "scenarios.csv").read_text().splitlines()[1]
+        assert row.startswith("200,4.0,1.0,1,ebct,")
+
     def test_negative_seed_is_an_input_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(self.simulate_argv(out, seed="-1")) == 1

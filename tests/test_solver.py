@@ -27,7 +27,7 @@ from ebct.errors import (
 )
 from ebct import solver
 from ebct.simulation import gen_covariates, gen_treatment, replication_rng
-from ebct.solver import cap_weights, dual_gradient, dual_hessian, dual_objective, recover_weights
+from ebct.solver import cap_weights, recover_weights
 
 from conftest import balance_columns, random_dataset
 
@@ -39,6 +39,32 @@ def two_point_sample():
 
 def random_sample(rng, n=30, k=2):
     return standardize(random_dataset(rng, n, k))
+
+
+def dual_state(gamma, G, base_weights=None) -> tuple:
+    """J(gamma) = log sum_i q_i exp(gamma . g_i), its weights and its gradient
+    for one n x m matrix, from the solver's stacked kernel; uniform q = 1/n
+    without base weights."""
+    n = G.shape[0]
+    q = np.full(n, 1.0 / n) if base_weights is None else np.asarray(base_weights, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
+    value, w, grad, finite = solver._dual_state(G[None], np.log(q)[None], gamma[None])
+    assert finite[0]
+    return float(value[0]), w[0], grad[0]
+
+
+def dual_value(gamma, G, base_weights=None) -> float:
+    return dual_state(gamma, G, base_weights)[0]
+
+
+def dual_gradient(gamma, G) -> np.ndarray:
+    return dual_state(gamma, G)[2]
+
+
+def dual_hessian(gamma, G) -> np.ndarray:
+    """The m x m Hessian of J at gamma, from the solver's stacked kernel."""
+    _, w, grad = dual_state(gamma, G)
+    return solver._hessian(G[None], w[None], grad[None])[0]
 
 
 def finite_difference_gradient(fun, gamma, step=1e-6):
@@ -232,11 +258,11 @@ class TestDualObjective:
 
     def test_zero_gamma_uniform_base(self, rng):
         G = random_sample(rng)
-        assert dual_objective(np.zeros(5), G) == pytest.approx(0.0, abs=1e-12)
+        assert dual_value(np.zeros(5), G) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_point_log_cosh(self):
         # ln(0.5 e^{-1} + 0.5 e^{1}) = ln cosh(1)
-        value = dual_objective(np.array([1.0]), two_point_sample())
+        value = dual_value(np.array([1.0]), two_point_sample())
         assert value == pytest.approx(np.log(np.cosh(1.0)), abs=1e-12)
         assert value == pytest.approx(0.43378, abs=1e-5)
 
@@ -246,27 +272,28 @@ class TestDualObjective:
         gbar = G.T @ q
         for _ in range(10):
             gamma = rng.standard_normal(3)
-            assert dual_objective(gamma, G, q) >= float(gamma @ gbar) - 1e-12
+            assert dual_value(gamma, G, q) >= float(gamma @ gbar) - 1e-12
 
     def test_no_overflow_with_large_gamma(self):
         # Max-shift keeps huge exponents representable.
-        value = dual_objective(np.array([500.0]), two_point_sample())
+        value = dual_value(np.array([500.0]), two_point_sample())
         assert np.isfinite(value)
         assert value == pytest.approx(500.0 + np.log(0.5), rel=1e-12)
 
     def test_pathological_gamma_raises(self):
-        from ebct.errors import NonFiniteDual
-
+        G = two_point_sample()
+        *_, finite = solver._dual_state(G[None], np.log(np.full((1, 2), 0.5)), np.array([[np.inf]]))
+        assert not finite[0]
         with pytest.raises(NonFiniteDual):
-            dual_objective(np.array([np.inf]), two_point_sample())
+            recover_weights(np.array([np.inf]), G)
 
     def test_convexity_along_segments(self, rng):
         G = random_sample(rng, n=25, k=2)
         for _ in range(10):
             g1, g2 = rng.standard_normal((2, 5))
             alpha = rng.uniform(0.05, 0.95)
-            lhs = dual_objective(alpha * g1 + (1 - alpha) * g2, G)
-            rhs = alpha * dual_objective(g1, G) + (1 - alpha) * dual_objective(g2, G)
+            lhs = dual_value(alpha * g1 + (1 - alpha) * g2, G)
+            rhs = alpha * dual_value(g1, G) + (1 - alpha) * dual_value(g2, G)
             assert lhs <= rhs + 1e-10
 
 
@@ -283,7 +310,7 @@ class TestDualGradient:
         for _ in range(10):
             gamma = rng.uniform(-1.0, 1.0, size=5)
             grad = dual_gradient(gamma, G)
-            fd = finite_difference_gradient(lambda g: dual_objective(g, G), gamma)
+            fd = finite_difference_gradient(lambda g: dual_value(g, G), gamma)
             npt.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
 
     def test_zero_at_solution(self, rng):
@@ -480,7 +507,101 @@ def selected_sample(seed, n=50):
     return standardize(Dataset(treatment=t, covariates=x))
 
 
+def lone_path(monkeypatch, G, **kwargs) -> tuple:
+    """Solve G alone and retrace its Newton path.
+
+    Returns the outcome, as ``solve_batch`` gives it; per Newton direction
+    of a solved problem, whether that step began in the local phase; per
+    accepted step, whether it was below 1; and the number of Newton
+    directions taken. A step below 1 is an accepted candidate that is not
+    the first candidate of its iteration: the full step failed the Armijo
+    test first.
+    """
+    values, slopes = [], []
+    real_state, real_directions = solver._dual_state, solver._newton_directions
+
+    def state(*args):
+        out = real_state(*args)
+        values.append(float(out[0][0]))
+        return out
+
+    def directions(hessian, grad):
+        out = real_directions(hessian, grad)
+        slopes.append(float((grad * out[0]).sum()))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_dual_state", state)
+        patch.setattr(solver, "_newton_directions", directions)
+        try:
+            outcome = solve(G, **kwargs)
+        except EbctError as err:
+            outcome = err
+    trace = [] if isinstance(outcome, Exception) else outcome[1]
+    local = [-s <= 1e-13 * (1.0 + abs(v)) for s, v in zip(slopes, trace)]
+    shrunk, accepted, first = [], 1, True
+    for value in values[1:]:
+        if accepted < len(trace) and value == trace[accepted]:
+            shrunk.append(not first)
+            accepted, first = accepted + 1, True
+        else:
+            first = False
+    return outcome, local, shrunk, len(slopes)
+
+
+def assert_same_outcome(stacked, alone) -> None:
+    """A stacked outcome is the lone one bit for bit, error or result."""
+    if isinstance(alone, Exception):
+        assert type(stacked) is type(alone) and str(stacked) == str(alone)
+        if isinstance(alone, ThresholdInfeasible):
+            assert stacked.certificate.tobytes() == alone.certificate.tobytes()
+        return
+    (weights, trace), (lone, lone_trace) = stacked, alone
+    assert weights.weights.tobytes() == lone.weights.tobytes()
+    assert weights.gamma.tobytes() == lone.gamma.tobytes()
+    assert weights.iterations == lone.iterations
+    assert weights.final_gradient_norm == lone.final_gradient_norm
+    assert trace == lone_trace
+
+
 class TestSolveBatch:
+
+    def test_backtracking_and_local_steps_match_lone_solves(self, monkeypatch):
+        # From this start, problems of the stack take steps below 1, enter
+        # the local phase and finish at different iterations, while two
+        # diverge; the stack runs each through its own path.
+        matrices = [selected_sample(seed) for seed in range(12)]
+        start = np.random.default_rng(3).uniform(-1.0, 1.0, size=5)
+        batch = solve_batch(matrices, start=start)
+        paths = [lone_path(monkeypatch, G, start=start) for G in matrices]
+        for stacked, (alone, *_) in zip(batch, paths):
+            assert_same_outcome(stacked, alone)
+        solved = [path for path in paths if not isinstance(path[0], Exception)]
+        assert len(paths) - len(solved) == 2
+        assert len({alone[0].iterations for alone, *_ in solved}) > 1
+        assert sum(any(shrunk) for *_, shrunk, _ in solved) >= 3
+        assert sum(any(local) for _, local, *_ in solved) >= 2
+        # A step below 1 also ends in a problem that enters the local phase.
+        assert any(any(local) and any(shrunk) for _, local, shrunk, _ in solved)
+
+    def test_capped_certificates_at_different_iterations_match_lone_solves(self, monkeypatch):
+        # Per-row caps c_i * share, as a bootstrap resample's truncation
+        # gives them: some problems converge, the others are certified
+        # infeasible after different numbers of Newton directions.
+        copies = np.random.default_rng(5).integers(1, 4, size=50)
+        shares = np.array([2.5, 4.0, 6.0, 10.0, 3.0, 6.0]) / copies.sum()
+        matrices = [selected_sample(seed) for seed in range(6)]
+        caps = [copies * share for share in shares]
+        batch = solve_batch(matrices, [copies] * 6, cap=caps)
+        paths = [
+            lone_path(monkeypatch, G, base_weights=copies, cap=u) for G, u in zip(matrices, caps)
+        ]
+        for stacked, (alone, *_) in zip(batch, paths):
+            assert_same_outcome(stacked, alone)
+        certified = [steps for alone, *_, steps in paths if isinstance(alone, ThresholdInfeasible)]
+        assert len(certified) >= 3
+        assert len(set(certified)) > 1
+        assert any(not isinstance(alone, Exception) for alone, *_ in paths)
 
     def test_matches_one_problem_solves(self, rng):
         # Non-uniform base weights; the problems need different iteration
@@ -562,7 +683,7 @@ class TestSolveBatch:
         with pytest.raises(ValueError, match="2-d"):
             solve(random_sample(rng, n=30)[:, 0])
         with pytest.raises(ValueError, match="2-d"):
-            dual_objective(np.zeros(5), random_sample(rng, n=30)[None])
+            recover_weights(np.zeros(5), random_sample(rng, n=30)[None])
 
 
 class TestStart:
@@ -578,7 +699,7 @@ class TestStart:
         G = random_sample(rng)
         start = rng.uniform(-0.5, 0.5, size=5)
         _, trace = solve(G, start=start)
-        assert trace[0] == pytest.approx(dual_objective(start, G), abs=1e-14)
+        assert trace[0] == pytest.approx(dual_value(start, G), abs=1e-14)
 
     def test_batch_matches_one_problem_solves(self, rng):
         matrices = [selected_sample(seed) for seed in range(12)]
