@@ -223,7 +223,7 @@ def check_counts(counts, n: int, positive: bool = False) -> tuple:
     return kept, c[kept]
 
 
-def standardize(dataset, counts=None) -> np.ndarray:
+def standardize(dataset) -> np.ndarray:
     """Balance columns of the standardized sample: the solver's input.
 
     Treatment and covariates are centered and scaled to unit sample variance
@@ -231,14 +231,8 @@ def standardize(dataset, counts=None) -> np.ndarray:
     unit, the standardized treatment, the K standardized covariates and their
     K products with the treatment, in the order [T, X1..XK, T*X1..T*XK].
     Zero weighted means of these columns are exactly the zero-correlation
-    balance conditions.
-
-    ``counts`` gives how often each unit of one dataset is drawn, as a
-    bootstrap resample does; no counts means one copy of each unit. The
-    matrix has a row for each unit with a positive count, in dataset order,
-    and the centering and scaling are the count-weighted mean and standard
-    deviation over the N = sum(counts) copies (denominator N-1): each row
-    equals the rows that the resample itself, with its repeats, would give.
+    balance conditions. A bootstrap resample's matrix is made from this one
+    (see ``resample``).
 
     ``dataset`` may also be a batch of B samples (see ``Dataset``). The
     result is then the read-only B x n x (2K+1) stack of their matrices,
@@ -247,72 +241,49 @@ def standardize(dataset, counts=None) -> np.ndarray:
     alone.
 
     Raises:
-        ValueError: fewer copies than dual parameters plus one (N < 2K+2;
-            N = n without counts), which leaves the balance problem
-            underdetermined, ``counts`` with a batch, or invalid ``counts``.
+        ValueError: fewer units than dual parameters plus one (n < 2K+2),
+            which leaves the balance problem underdetermined.
         ConstantColumn: if the treatment or any covariate has zero variance;
             with a batch, for the first sample that has one.
     """
-    single = dataset.treatment.ndim == 1
     n, k = dataset.n, dataset.k
-    if not single and counts is not None:
-        raise ValueError("counts apply to one dataset, not to a batch")
-    kept, copies = check_counts(counts, n)
-    # The summation: pairwise over the sample's own rows, or weighted by the copies.
-    freq, size = (None, n) if counts is None else (copies.astype(float), int(copies.sum()))
-    if size < 2 * k + 2:
-        raise ValueError(f"need at least 2K+2 = {2 * k + 2} units for K={k} covariates, got {size}")
-    G = np.empty(dataset.treatment.shape[:-1] + (len(copies), 2 * k + 1))
+    if n < 2 * k + 2:
+        raise ValueError(f"need at least 2K+2 = {2 * k + 2} units for K={k} covariates, got {n}")
+    G = np.empty(dataset.treatment.shape + (2 * k + 1,))
     stack = G.reshape((-1,) + G.shape[-2:])
-    for block, t, x in sample_blocks(dataset, kept):
-        _balance_columns(t, x, dataset, size, freq, stack[block])
+    for block, t, x in sample_blocks(dataset):
+        _balance_columns(t, x, dataset, stack[block])
     G.setflags(write=False)
     return G
 
 
-def _balance_columns(t, x, dataset, size, freq, G) -> None:
+def _balance_columns(t, x, dataset, G) -> None:
     """Write into the (B, n, 2K+1) ``G`` the balance columns of a (B, n)
     treatment stack and a (B, n, K) covariate stack; ``dataset``'s labels
     name a zero-variance column.
 
-    ``freq`` (None: one copy each) are the n rows' copy counts, ``size`` in
-    all, which weight every sum over the rows. The scales are
-    ``std(ddof=1)``'s own arithmetic, with each deviation computed once.
-    Without counts the deviations are written straight into G's covariate
+    The scales are ``std(ddof=1)``'s own arithmetic, with each deviation
+    computed once. The deviations are written straight into G's covariate
     columns and squared into its product columns, which are filled last, so
     no temporary of the covariates' size is live, at any n or stack size.
-    Resamples are small: they scale contiguous arrays and form the products
-    in whole-array operations, which is faster than going column by column.
-    Without counts, every step that writes G's strided columns goes one
-    column and one row block at a time (see ``_column_blocks``).
+    Every step that writes G's strided columns goes one column and one row
+    block at a time (see ``_column_blocks``).
     """
     _, n, k = x.shape
-    if freq is None:
 
-        def total(a):
-            return np.add.reduce(a, axis=1, keepdims=True)
+    def total(a):
+        return np.add.reduce(a, axis=1, keepdims=True)
 
-    else:
-
-        def total(a):
-            # A matrix product: several times faster than weighting the
-            # rows and reducing them.
-            return (freq @ a if a.ndim == 3 else a @ freq)[:, None]
-
-    t_dev = t - total(t) / size
-    t_scale = np.sqrt(total(t_dev * t_dev) / (size - 1))
-    x_mean = total(x) / size
+    t_dev = t - total(t) / n
+    t_scale = np.sqrt(total(t_dev * t_dev) / (n - 1))
+    x_mean = total(x) / n
     x_std, products = G[:, :, 1 : k + 1], G[:, :, k + 1 :]
-    if freq is None:
-        for rows, j in _column_blocks(n, k):
-            column = x_std[:, rows, j]
-            np.subtract(x[:, rows, j], x_mean[:, :, j], out=column)
-            np.multiply(column, column, out=products[:, rows, j])
-        x_scales = total(products)
-    else:
-        dev = np.subtract(x, x_mean, out=x if x.flags.writeable else None)
-        x_scales = total(dev * dev)
-    x_scales /= size - 1
+    for rows, j in _column_blocks(n, k):
+        column = x_std[:, rows, j]
+        np.subtract(x[:, rows, j], x_mean[:, :, j], out=column)
+        np.multiply(column, column, out=products[:, rows, j])
+    x_scales = total(products)
+    x_scales /= n - 1
     np.sqrt(x_scales, out=x_scales)
     varies_t = t_scale[:, 0] > 0
     varies_x = x_scales[:, 0] > 0
@@ -322,15 +293,57 @@ def _balance_columns(t, x, dataset, size, freq, G) -> None:
         raise ConstantColumn(dataset.covariate_names[int(np.argmin(varies_x[b]))])
     t_dev /= t_scale
     G[:, :, 0] = t_dev
-    if freq is not None:
-        dev /= x_scales
-        x_std[...] = dev
-        np.multiply(t_dev[:, :, None], dev, out=products)
-        return
     for rows, j in _column_blocks(n, k):
         column = x_std[:, rows, j]
         column /= x_scales[:, :, j]
         np.multiply(t_dev[:, rows], column, out=products[:, rows, j])
+
+
+def resample(Z, counts, names) -> tuple:
+    """The balance matrix of a bootstrap resample, from its full sample's.
+
+    ``Z`` is the n x (2K+1) matrix ``standardize`` gives for a dataset and
+    ``counts`` how often a resample draws each unit (see ``check_counts``).
+    Standardizing is affine, so the resample's own balance conditions are
+    zero weighted means of Z's columns less a target row tau: the
+    count-weighted means tau_T and tau_X of Z's treatment and covariate
+    columns, and tau_T tau_X for their products, since given the first
+    conditions sum w (z_T - tau_T)(z_X - tau_X) = sum w z_T z_X - tau_T tau_X.
+    Both matrices set one constraint set, so their solves reach one optimum
+    within the solver tolerance.
+
+    Returns ``(kept, copies, G)``: the drawn rows and their counts, as
+    ``check_counts`` gives them, and the read-only matrix of Z's drawn rows
+    less tau, the resample's EBCT problem with ``copies`` as base weights.
+
+    Raises:
+        ValueError: ``Z`` is a batch's stack, ``counts`` are invalid, or
+            they are fewer than 2K+2 copies.
+        ConstantColumn: the drawn units share one value of the treatment or
+            of a covariate, named by ``names`` (the dataset's column names).
+            Equal values standardize to equal entries of Z, so this is
+            decided exactly on the drawn rows.
+    """
+    if np.ndim(Z) != 2:
+        raise ValueError("counts apply to one dataset's n x m matrix, not to a batch")
+    n, m = Z.shape
+    k = m // 2
+    kept, copies = check_counts(counts, n)
+    size = int(copies.sum())
+    if size < 2 * k + 2:
+        raise ValueError(f"need at least 2K+2 = {2 * k + 2} units for K={k} covariates, got {size}")
+    # take gathers rows at half the cost of fancy indexing
+    G = Z.copy() if isinstance(kept, slice) else Z.take(kept, axis=0)
+    drawn = G[:, : k + 1]
+    # A column whose first and last drawn rows differ varies; only the
+    # others are compared row by row.
+    for j in np.flatnonzero(drawn[0] == drawn[-1]).tolist():
+        if (drawn[:, j] == drawn[0, j]).all():
+            raise ConstantColumn(names[j])
+    tau = (copies @ drawn) / size
+    G -= np.concatenate((tau, tau[0] * tau[1:]))
+    G.setflags(write=False)
+    return kept, copies, G
 
 
 def _column_blocks(n: int, k: int):

@@ -23,7 +23,7 @@ from .errors import (
     RankDeficientDesign,
     ResampleDegenerate,
 )
-from .weighting import estimate_weights
+from .weighting import counted_ebct, estimate_weights
 
 # Normal critical value for a two-sided test at the 10% level.
 _Z_10PCT = 1.645
@@ -247,20 +247,24 @@ def bootstrap_se(
     """Bootstrap standard errors for the dose-response derivative.
 
     Resamples units with replacement and re-runs the full pipeline per
-    replicate: ``estimate_weights`` with the method of the full-sample
+    replicate: weight estimation with the method of the full-sample
     ``weights`` and ``truncation``, then the fit at the degree and on the
     grid of ``fit``, which propagates weight-estimation uncertainty. A
     resample that draws unit i c_i times is the frequency-weighted problem
-    on the units it drew: each replicate passes the counts to
-    ``estimate_weights`` and fits on those units alone, with each unit's
-    weight the total of its copies', so no resampled dataset is built and
-    the solve has a row per distinct unit (about 63% of n). The SEs equal
-    those of refits on the resampled datasets up to float rounding. Each
+    on the units it drew: each replicate weighs those units with the counts
+    (see ``estimate_weights``) and fits on them alone, with each unit's
+    weight the total of its copies', so no resampled dataset is built. For
+    ebct the full sample is standardized once, by ``counted_ebct``, and each
+    replicate solves its drawn rows of that matrix centred at the
+    resample's target means (see ``resample``), which has a row per distinct
+    unit (about 63% of n) and the resample's own constraint set. The SEs
+    equal those of refits on the resampled datasets up to the solver
+    tolerance for ebct and float rounding for the other methods. Each
     replicate's dual solve starts at ``weights.gamma``, the untruncated
     full-sample multipliers, which saves Newton steps and moves the SEs only
     within the solver tolerance. A replicate that draws fewer than degree+1
-    distinct treatment values raises ``RankDeficientDesign`` before it
-    estimates weights, and is redrawn. The SE at each grid point is the sample
+    distinct treatment values raises ``RankDeficientDesign`` and is redrawn,
+    as is one whose weights fail. The SE at each grid point is the sample
     standard deviation (denominator B-1) across replicates; a point is
     flagged significant at the 10% level when |derivative| / SE exceeds
     1.645, with the derivatives of ``fit`` as the point estimates.
@@ -275,15 +279,19 @@ def bootstrap_se(
     ties = np.unique(dataset.treatment).size < dataset.n
     # Row g holds d/dt t^j = j t^(j-1) at grid point g for j = 1..degree.
     slopes = npoly.polyvander(fit.grid, fit.degree - 1) * np.arange(1, fit.degree + 1)
+    method = weights.method_tag
+    if method == "ebct":
+        weigh = counted_ebct(dataset, truncation, weights.gamma)
+    else:
+
+        def weigh(counts) -> tuple:
+            kept, copies = check_counts(counts, dataset.n)
+            return kept, copies, estimate_weights(dataset, method, truncation, counts=counts)
 
     def derivatives(indices) -> np.ndarray:
-        counts = np.bincount(indices, minlength=dataset.n)
-        kept, copies = check_counts(counts, dataset.n)
+        kept, copies, resampled = weigh(np.bincount(indices, minlength=dataset.n))
         _check_distinct(
             np.unique(dataset.treatment[kept]).size if ties else len(copies), fit.degree
-        )
-        resampled = estimate_weights(
-            dataset, weights.method_tag, truncation, weights.gamma, counts=counts
         )
         coefficients = fit_wls(dataset.outcome[kept], design[kept], resampled.weights)
         return slopes @ coefficients[1:]

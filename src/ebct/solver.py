@@ -523,8 +523,8 @@ def solve_batch(matrices, base_weights=None, start=None, cap=None) -> list:
         ``NonFiniteDual`` or ``SingularHessian``).
 
     Raises:
-        ValueError: shapes disagree, ``start`` is not a finite m-vector, or a
-            cap is not a positive finite n-vector.
+        ValueError: shapes disagree, the matrices have no rows, ``start`` is
+            not a finite m-vector, or a cap is not a positive finite n-vector.
     """
     if len(matrices) == 0:
         return []
@@ -535,6 +535,8 @@ def solve_batch(matrices, base_weights=None, start=None, cap=None) -> list:
     if G.ndim != 3:
         raise ValueError(f"stacked problems must be n x m matrices, got a {G.ndim}-d stack")
     B, n, m = G.shape
+    if n == 0:
+        raise ValueError("the balance-column matrix is empty: it has no rows to weight")
     if base_weights is None:
         base_weights = [None] * B
     elif len(base_weights) != B:
@@ -599,8 +601,8 @@ def solve(G: np.ndarray, base_weights=None, start=None, cap=None) -> tuple:
         SingularHessian: a Hessian is not finite (a balance column overflows
             when squared), or has no Cholesky factor at float precision
             despite the ridge (collinear balance columns).
-        ValueError: ``start`` is not a finite m-vector, or ``cap`` is not a
-            positive finite n-vector.
+        ValueError: ``G`` has no rows, ``start`` is not a finite m-vector,
+            or ``cap`` is not a positive finite n-vector.
     """
     # G[None] and the cap's [None] are views: at large n a copy of G would
     # double peak memory.
@@ -710,7 +712,7 @@ def truncate_and_rebalance(
 
     ``counts`` gives the positive number of copies of each row of ``G``, as
     for the frequency-weighted problem of a bootstrap resample (see
-    ``standardize``); no counts means one copy of each row. A unit's weight
+    ``resample``); no counts means one copy of each row. A unit's weight
     is the total of its copies', so the cap applies per copy, and the
     threshold must be at least 1/sum(counts).
 

@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import check_counts, method_name, standardize, uniform_weights
+from .data import check_counts, method_name, resample, standardize, uniform_weights
 from .errors import NotConverged
 from .ipw import ipw_weights
 from .solver import cap_weights, solve, truncate_and_rebalance
@@ -34,10 +34,12 @@ def estimate_weights(
     ``counts`` gives how often each unit is drawn, as a bootstrap resample
     does (see ``check_counts``); no counts means one copy of each unit. The
     result is the weights of that resample, each unit's weight the total of
-    its copies', over the units with a positive count in dataset order:
-    ebct solves the frequency-weighted problem, with the counts as base
-    weights, on those units only, and every threshold applies per copy.
-    Counted or not, ebct needs N >= 2K+2 copies, ipw K+2 and uniform one.
+    its copies', over the units with a positive count in dataset order, and
+    every threshold applies per copy. ebct solves the resample's balance
+    matrix from the full sample's (see ``resample``), with the counts as
+    base weights, on the drawn units only, as ``counted_ebct`` does.
+    Counted or not, ebct needs N >= 2K+2 copies, ipw K+2 and uniform one;
+    counted ebct also standardizes the full sample, so it needs n >= 2K+2.
 
     ``dataset`` may also be a batch of B samples (see ``Dataset``), for
     ``ipw`` or ``uniform`` without truncation or counts. The result is then
@@ -57,18 +59,46 @@ def estimate_weights(
         weights = np.full(dataset.treatment.shape, uniform_weights(dataset.n).weights[0])
         weights.setflags(write=False)
         return weights
+    if name == "ebct":
+        if counts is None:
+            return _ebct(standardize(dataset), None, truncation, start)
+        return counted_ebct(dataset, truncation, start)(counts)[2]
     # The drawn units' copies; None when every unit is one copy, so that no
     # step divides or weights by ones.
     copies = None if counts is None else check_counts(counts, dataset.n)[1]
     if name == "ipw":
         weights = ipw_weights(dataset, counts)
-    elif name == "uniform":
+    else:
         weights = uniform_weights(dataset.n, counts)
-    if name != "ebct":
-        if truncation is None:
-            return weights
-        return cap_weights(weights, truncation, copies)
-    G = standardize(dataset, counts)
+    if truncation is None:
+        return weights
+    return cap_weights(weights, truncation, copies)
+
+
+def counted_ebct(dataset, truncation: Optional[float] = None, start=None):
+    """EBCT weights of bootstrap resamples of one dataset, from one
+    standardization.
+
+    Standardizes ``dataset`` once, here, and returns ``weigh(counts)``,
+    which gives a resample's ``(kept, copies, weights)``: its drawn rows and
+    their counts (see ``check_counts``), validated once, and the EBCT
+    weights of its balance matrix (see ``resample``) with the counts as base
+    weights, the solve started at ``start`` and ``truncation`` applied per
+    copy. This is ``estimate_weights`` with those counts, bit for bit.
+    """
+    Z = standardize(dataset)
+
+    def weigh(counts) -> tuple:
+        kept, copies, G = resample(Z, counts, dataset.column_names)
+        return kept, copies, _ebct(G, copies, truncation, start)
+
+    return weigh
+
+
+def _ebct(G, copies, truncation, start):
+    """Solve the balance problem of ``G`` with base weights ``copies`` (None:
+    the solver's own uniform ones) from ``start``, then truncate; a solve
+    that stops short is truncated all the same, which raises its error."""
     try:
         # The full sample keeps the solver's own uniform base weights:
         # full(n, 1/n) normalized is not bit for bit ones / n.

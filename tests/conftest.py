@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ebct import Dataset
+from ebct import Dataset, solve, standardize, truncate_and_rebalance
+from ebct.errors import ConstantColumn, NotConverged
 
 
 def balance_columns(t_std, x_std):
@@ -35,6 +36,37 @@ def batch(datasets, column_names=()):
         outcome=outcome,
         column_names=column_names or first.column_names,
     )
+
+
+def repeated_rows(ds, indices):
+    """A bootstrap resample's EBCT matrix, built the long way: the full
+    sample's standardized rows, one per drawn copy, centred at the target
+    row tau (the copies' means of the treatment and covariate columns, and
+    tau_T tau_X for each product). Raises ConstantColumn, naming the column,
+    when the copies share one value of the treatment or of a covariate."""
+    rows = standardize(ds)[np.asarray(indices)]
+    m = rows.shape[1]
+    single = np.ptp(rows[:, : m // 2 + 1], axis=0) == 0
+    if single.any():
+        raise ConstantColumn(ds.column_names[int(np.flatnonzero(single)[0])])
+    tau = rows[:, : m // 2 + 1].mean(axis=0)
+    return rows - np.r_[tau, tau[0] * tau[1:]]
+
+
+def repeated_ebct(ds, indices, truncation=None, start=None):
+    """EBCT weights of a resample from ``repeated_rows``: one weight per
+    drawn copy, the solve started at ``start``, then truncated as
+    ``estimate_weights`` truncates, a solve that stops short included."""
+    G = repeated_rows(ds, indices)
+    try:
+        weights, _ = solve(G, start=start)
+    except NotConverged as err:
+        if truncation is None:
+            raise
+        weights = err.weights
+    if truncation is not None:
+        weights = truncate_and_rebalance(G, weights, truncation)
+    return weights
 
 
 @pytest.fixture

@@ -622,18 +622,19 @@ class TestDrfCommand:
     def test_certified_infeasible_replicate_is_redrawn(self, tmp_path, monkeypatch):
         # The full sample fits under 0.03; a resample that does not is
         # proven infeasible and drawn again.
+        import ebct.weighting as weighting
         from ebct.errors import ThresholdInfeasible
 
-        estimate_weights, certified = drf.estimate_weights, []
+        truncate, certified = weighting.truncate_and_rebalance, []
 
         def recording(*args, **kwargs):
             try:
-                return estimate_weights(*args, **kwargs)
+                return truncate(*args, **kwargs)
             except ThresholdInfeasible as err:
                 certified.append(err.certificate)
                 raise
 
-        monkeypatch.setattr(drf, "estimate_weights", recording)
+        monkeypatch.setattr(weighting, "truncate_and_rebalance", recording)
         data = write_simulated_csv(tmp_path / "data.csv")
         out = tmp_path / "out"
         argv = [

@@ -1,9 +1,13 @@
 """Bootstrap resamples as frequency-weighted problems on the drawn units.
 
 A resample that draws unit i c_i times is the same problem as its n rows
-with repeats. The oracle is ``Dataset.subset``, which builds those rows:
-each counts path must give, per drawn unit, what the resample gives summed
-over that unit's copies, up to the order in which floats are summed.
+with repeats. The oracle builds those rows: ``Dataset.subset`` for IPW and
+uniform weights, and for EBCT the full sample's standardized rows repeated
+per copy and centred at the resample's target row (``repeated_rows``). Each
+counts path must give, per drawn unit, what the resample gives summed over
+that unit's copies, up to the order in which floats are summed. That EBCT
+matrix and the resample's own standardized one set the same constraints,
+so their weights agree within the solver tolerance (``TestAffineInvariance``).
 """
 
 import warnings
@@ -14,7 +18,7 @@ import pytest
 
 import ebct.drf as drf
 from ebct import Dataset, bootstrap_se, estimate_drf, estimate_weights, solve, standardize
-from ebct import truncate_and_rebalance
+from ebct import solver, truncate_and_rebalance
 from ebct.drf import default_grid
 from ebct.errors import (
     ConstantColumn,
@@ -24,10 +28,10 @@ from ebct.errors import (
     ThresholdInfeasible,
 )
 from ebct.ipw import ipw_weights
-from ebct.data import check_counts, uniform_weights
+from ebct.data import check_counts, resample, uniform_weights
 from ebct.simulation import gen_covariates, gen_outcome, gen_treatment, replication_rng
 from ebct.weighting import cap_weights
-from conftest import batch
+from conftest import batch, repeated_ebct, repeated_rows
 from test_solver import assert_certifies
 
 
@@ -53,6 +57,11 @@ def outcome(call, *args, **kwargs):
         return type(err)
 
 
+def counted(ds, counts):
+    """The counted standardization: a resample's matrix from the full sample's."""
+    return resample(standardize(ds), counts, ds.column_names)[2]
+
+
 def per_unit(indices, copy_weights, n):
     """The resample's weights summed over each drawn unit's copies."""
     counts = np.bincount(indices, minlength=n)
@@ -71,20 +80,20 @@ class TestStandardize:
         # order; the first copy of each is its row.
         ordered = np.sort(indices)
         _, first = np.unique(ordered, return_index=True)
-        expected = standardize(ds.subset(ordered))[first]
-        G = standardize(ds, counts)
+        expected = repeated_rows(ds, ordered)[first]
+        G = counted(ds, counts)
         assert G.shape == (np.count_nonzero(counts), 2 * ds.k + 1)
         assert not G.flags.writeable
         npt.assert_allclose(G, expected, rtol=0, atol=1e-13)
 
     def test_one_copy_each_is_the_sample(self):
         ds = drf_dataset()
-        npt.assert_allclose(standardize(ds, np.ones(ds.n, dtype=int)), standardize(ds), atol=1e-14)
+        npt.assert_allclose(counted(ds, np.ones(ds.n, dtype=int)), standardize(ds), atol=1e-14)
 
     def test_counts_need_one_dataset(self):
         ds = drf_dataset()
         with pytest.raises(ValueError, match="one dataset"):
-            standardize(batch([ds, ds]), np.ones(ds.n, dtype=int))
+            counted(batch([ds, ds]), np.ones(ds.n, dtype=int))
 
 
 class TestEstimateWeights:
@@ -100,8 +109,10 @@ class TestEstimateWeights:
         for attempt in range(8):
             indices = draw(ds.n, attempt)
             counts = np.bincount(indices, minlength=ds.n)
-            sample = ds.subset(indices)
-            expected = outcome(estimate_weights, sample, method, truncation, full.gamma)
+            if method == "ebct":
+                expected = outcome(repeated_ebct, ds, indices, truncation, full.gamma)
+            else:
+                expected = outcome(estimate_weights, ds.subset(indices), method, truncation)
             got = outcome(estimate_weights, ds, method, truncation, full.gamma, counts=counts)
             if isinstance(expected, type):
                 # A cap too tight for this draw fails both ways alike.
@@ -113,7 +124,10 @@ class TestEstimateWeights:
             assert got.method_tag == expected.method_tag
             assert got.converged == expected.converged
             if truncation is not None:
-                untruncated = estimate_weights(sample, method, None, full.gamma)
+                untruncated = (
+                    repeated_ebct(ds, indices, None, full.gamma) if method == "ebct"
+                    else estimate_weights(ds.subset(indices), method)
+                )
                 binding += untruncated.max_share > truncation
                 per_copy = got.weights / counts[counts > 0]
                 assert per_copy.max() <= truncation + 1e-10
@@ -138,9 +152,9 @@ class TestEstimateWeights:
         indices = draw(ds.n, 5)
         counts = np.bincount(indices, minlength=ds.n)
         kept = counts[counts > 0]
-        G_sample = standardize(ds.subset(indices))
+        G_sample = repeated_rows(ds, indices)
         sample_weights, _ = solve(G_sample)
-        G = standardize(ds, counts)
+        G = counted(ds, counts)
         weights, _ = solve(G, base_weights=kept)
         threshold = 0.04
         assert sample_weights.max_share > threshold
@@ -152,11 +166,61 @@ class TestEstimateWeights:
         assert got.iterations > weights.iterations
 
 
+def weight_error_bound(G, w):
+    """How far, in log weight, a solve that stopped at the gradient tolerance
+    can be from the optimum of its problem, to first order.
+
+    The stopping gradient g = G'w has infinity norm at most tol, so its
+    2-norm is at most sqrt(m) tol; the multipliers are then off by
+    delta = H^-1 g, for H the weighted covariance of the rows, and
+    log w_i by G_i . delta - g . delta.
+    """
+    m = G.shape[1]
+    centred = G - w @ G
+    hessian = (centred * w[:, None]).T @ centred
+    gradient_norm = np.sqrt(m) * solver._GRADIENT_TOLERANCE
+    step = gradient_norm / np.linalg.eigvalsh(hessian)[0]
+    return (np.linalg.norm(G, axis=1).max() + gradient_norm) * step
+
+
+class TestAffineInvariance:
+    """A resample's counted EBCT matrix, the full sample's rows centred at
+    the resample's target row, sets the same constraints as the resample's
+    own standardization, and so gives the same weights up to the solver
+    tolerance."""
+
+    @pytest.mark.parametrize("attempt", range(4))
+    def test_same_constraints_and_weights_as_the_resample(self, attempt):
+        ds = drf_dataset()
+        full = estimate_weights(ds, "ebct")
+        indices = draw(ds.n, attempt)
+        counts = np.bincount(indices, minlength=ds.n)
+        kept, _, G = resample(standardize(ds), counts, ds.column_names)
+        # One row per copy, in the resample's order.
+        counted_rows = G[np.searchsorted(kept, indices)]
+        own = standardize(ds.subset(indices))
+        # Each matrix is the other times an m x m map, with no intercept:
+        # the same weighted means vanish for both.
+        for a, b in [(own, counted_rows), (counted_rows, own)]:
+            mapping = np.linalg.lstsq(a, b, rcond=None)[0]
+            assert np.abs(a @ mapping - b).max() <= 1e-12
+        got = estimate_weights(ds, "ebct", start=full.gamma, counts=counts)
+        expected, _ = solve(own, start=full.gamma)
+        # Both solves are within their bound of the one optimum. The bounds
+        # are 1.6e-5 to 4.5e-4 on these draws, and the weights differ by at
+        # most 2.6e-8 relative.
+        bound = weight_error_bound(G, got.weights) + weight_error_bound(own, expected.weights)
+        assert bound < 1e-3
+        error = np.abs(np.log(got.weights) - np.log(per_unit(indices, expected.weights, ds.n)))
+        assert error.max() <= bound
+
+
 class TestOneCopyEach:
     """All-ones counts are no counts, bit for bit: one body serves both.
 
-    ``standardize`` is left out: it sums an uncounted sample pairwise and a
-    counted one by a matrix product, which round differently.
+    EBCT is left out: a counted matrix is centred at its target row, the
+    copies' means of the full sample's columns, which are zero only up to
+    rounding.
     """
 
     def test_no_counts_are_a_view_of_one(self):
@@ -225,7 +289,7 @@ class TestConstantColumn:
         with pytest.raises(ConstantColumn, match="rare"):
             standardize(ds.subset(indices))
         with pytest.raises(ConstantColumn, match="rare"):
-            standardize(ds, counts)
+            counted(ds, counts)
         with pytest.raises(ConstantColumn, match="rare"):
             estimate_weights(ds, "ebct", counts=counts)
 
@@ -236,13 +300,18 @@ class TestConstantColumn:
         replications, seed = 20, 13
         rows, failed, attempt = [], [], 0
         while len(rows) < replications:
-            sample = ds.subset(draw(ds.n, attempt, seed))
+            indices = draw(ds.n, attempt, seed)
+            sample = ds.subset(indices)
+            # The resample's own standardization fails on the same draws.
+            own = outcome(estimate_weights, sample, "ebct", None, weights.gamma)
             try:
-                resampled = estimate_weights(sample, "ebct", None, weights.gamma)
+                resampled = repeated_ebct(ds, indices, None, weights.gamma)
             except EbctError:
+                assert isinstance(own, type)
                 failed.append(attempt)
                 attempt += 1
                 continue
+            assert not isinstance(own, type)
             attempt += 1
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ExtrapolationWarning)
@@ -280,7 +349,8 @@ INVALID_COUNTS = {
     "strings": (np.array(["1"] * 120), "integers"),
 }
 COUNTED_CALLS = {
-    "standardize": lambda ds, c: standardize(ds, c),
+    # The counted standardization: resample the full sample's matrix.
+    "standardize": counted,
     "estimate_weights": lambda ds, c: estimate_weights(ds, "ebct", counts=c),
     "uniform": lambda ds, c: estimate_weights(ds, "uniform", counts=c),
     "ipw_weights": lambda ds, c: ipw_weights(ds, c),
@@ -393,7 +463,7 @@ def test_threshold_is_checked_per_copy(method):
         # cap, and the capped solve proves it with a Farkas certificate.
         with pytest.raises(ThresholdInfeasible, match="Farkas certificate") as excinfo:
             estimate_weights(ds, method, truncation=threshold, counts=counts)
-        assert_certifies(standardize(ds, counts), kept * threshold, excinfo.value.certificate)
+        assert_certifies(counted(ds, counts), kept * threshold, excinfo.value.certificate)
     else:
         weights = estimate_weights(ds, method, truncation=threshold, counts=counts)
         assert (weights.weights / kept).max() <= threshold * (1 + 1e-12)

@@ -199,9 +199,13 @@ class TestStandardize:
         ds = random_dataset(rng, 300, 3)
         group = batch([random_dataset(rng, 300, 3) for _ in range(4)])
         counts = rng.integers(0, 3, 300)
-        expected = [standardize(ds), standardize(group), standardize(ds, counts)]
+
+        def resampled():
+            return data.resample(standardize(ds), counts, ds.column_names)[2]
+
+        expected = [standardize(ds), standardize(group), resampled()]
         monkeypatch.setattr(data, "_BLOCK_ROWS", 64)
-        got = [standardize(ds), standardize(group), standardize(ds, counts)]
+        got = [standardize(ds), standardize(group), resampled()]
         assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
 
     def test_permutation_permutes_rows(self, rng):

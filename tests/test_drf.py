@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 
 import ebct.weighting as weighting
+from ebct import data, drf, ipw, simulation, solver
 from ebct import (
     Dataset,
     bootstrap_se,
@@ -18,7 +19,7 @@ from ebct.drf import bootstrap_statistic, default_grid, fit_wls
 from ebct.errors import EbctError, ExtrapolationWarning, RankDeficientDesign, ResampleDegenerate
 from ebct.simulation import gen_covariates, gen_outcome, gen_treatment, replication_rng
 
-from conftest import random_dataset
+from conftest import random_dataset, repeated_ebct
 
 
 class TestFitWls:
@@ -325,10 +326,16 @@ class TestBootstrapSe:
         rows, attempt = [], 0
         while len(rows) < replications:
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(attempt,)))
-            sample = ds.subset(rng.integers(0, ds.n, size=ds.n))
+            indices = rng.integers(0, ds.n, size=ds.n)
+            sample = ds.subset(indices)
             attempt += 1
             try:
-                resampled = estimate_weights(sample, method, truncation, weights.gamma)
+                if method == "ebct":
+                    # The resample's rows of the full sample's standardized
+                    # columns, centred at its target row.
+                    resampled = repeated_ebct(ds, indices, truncation, weights.gamma)
+                else:
+                    resampled = estimate_weights(sample, method, truncation)
             except EbctError:
                 continue
             with warnings.catch_warnings():
@@ -340,6 +347,54 @@ class TestBootstrapSe:
         # The replicates solve the frequency-weighted problem on the drawn
         # units, whose sums run in another order than the resample's.
         npt.assert_allclose(result.derivative_se, expected, rtol=1e-12, atol=0)
+
+    def counting(self, monkeypatch, name, modules):
+        """Count the calls of ``name`` in each module that looks it up."""
+        calls = []
+        for module in modules:
+            if hasattr(module, name):
+                fn = getattr(module, name)
+
+                def counted(*args, _fn=fn, **kwargs):
+                    calls.append(1)
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def counting_draws(self, monkeypatch):
+        draws = []
+        statistic_of = drf.bootstrap_statistic
+
+        def recording(n_units, statistic, *args):
+            def counted(indices):
+                draws.append(1)
+                return statistic(indices)
+
+            return statistic_of(n_units, counted, *args)
+
+        monkeypatch.setattr(drf, "bootstrap_statistic", recording)
+        return draws
+
+    def test_ebct_replicate_validates_its_counts_once(self, monkeypatch):
+        ds = self.drf_dataset()
+        fit, weights = self.drf_fit(ds, 5, method="ebct")
+        calls = self.counting(monkeypatch, "check_counts", [data, drf, weighting, solver, ipw])
+        draws = self.counting_draws(monkeypatch)
+        bootstrap_se(fit, ds, weights, None, 30, seed=21)
+        assert len(draws) >= 30
+        assert len(calls) == len(draws)
+
+    def test_ebct_standardizes_once_whatever_the_replicates(self, monkeypatch):
+        ds = self.drf_dataset()
+        fit, weights = self.drf_fit(ds, 5, method="ebct")
+        calls = self.counting(monkeypatch, "standardize", [data, drf, weighting, simulation])
+        counts = []
+        for replications in (5, 40):
+            calls.clear()
+            bootstrap_se(fit, ds, weights, None, replications, seed=21)
+            counts.append(len(calls))
+        assert counts == [1, 1]
 
     @pytest.mark.parametrize("truncation", [None, 0.03], ids=["plain", "truncated"])
     def test_full_sample_start_saves_steps_not_precision(self, monkeypatch, truncation):

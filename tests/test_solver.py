@@ -381,6 +381,13 @@ class TestRecoverWeights:
 
 class TestSolve:
 
+    def test_empty_matrix_is_named(self):
+        for G in (np.empty((0, 3)), np.empty((0, 0))):
+            with pytest.raises(ValueError, match="balance-column matrix is empty"):
+                solve(G)
+        with pytest.raises(ValueError, match="balance-column matrix is empty"):
+            solve_batch(np.empty((2, 0, 3)))
+
     def test_presatisfied_constraints_stay_uniform(self):
         # All balance columns have exact zero means, so gamma* = 0.
         G = balance_columns([-1.0, -1.0, 1.0, 1.0], [[-1.0], [1.0], [-1.0], [1.0]])
