@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .data import Dataset, check_counts
 from .errors import (
@@ -81,6 +80,49 @@ def fit_wls(y, design, w) -> np.ndarray:
     return np.linalg.solve(np.swapaxes(lower, -1, -2), half)[..., 0]
 
 
+# Bit-for-bit stand-ins for numpy.polynomial's polyvander, polyval and
+# polyder, np.unique's count and np.percentile: those import numpy.polynomial
+# and numpy.ma, which every run would then hold in memory for a few short loops.
+
+
+def _polyvander(x, degree: int) -> np.ndarray:
+    """The Vandermonde matrix [1, x, ..., x^degree] of points ``x``.
+
+    Its powers axis is last, moved there from first, so each power is one
+    contiguous column, as ``numpy.polynomial.polynomial.polyvander`` lays it out.
+    """
+    x = np.array(x, copy=None, ndmin=1) + 0.0
+    v = np.empty((degree + 1,) + x.shape, dtype=x.dtype)
+    v[0] = x * 0 + 1
+    if degree > 0:
+        v[1] = x
+        for i in range(2, degree + 1):
+            v[i] = v[i - 1] * x
+    return np.moveaxis(v, 0, -1)
+
+
+def _polyval(x, coefficients) -> np.ndarray:
+    """The polynomial with ``coefficients`` (intercept first) at points ``x``, by Horner's rule."""
+    value = coefficients[-1] + x * 0
+    for c in coefficients[-2::-1]:
+        value = c + value * x
+    return value
+
+
+def _polyder(coefficients) -> np.ndarray:
+    """Coefficients of the derivative of the polynomial with ``coefficients``."""
+    c = np.array(coefficients, dtype=float, ndmin=1)
+    if c.size == 1:
+        return c * 0
+    return np.arange(1, c.size) * c[1:]
+
+
+def _count_distinct(values) -> int:
+    """How many distinct values ``values`` holds, counted from one sort."""
+    ordered = np.sort(values, axis=None)
+    return int(ordered.size and 1 + np.count_nonzero(ordered[1:] != ordered[:-1]))
+
+
 def _check_distinct(distinct: int, degree: int) -> None:
     """Raise RankDeficientDesign unless ``distinct`` treatment values fit a degree-d curve.
 
@@ -105,8 +147,30 @@ def default_grid(treatment, points: int = 50) -> np.ndarray:
     """
     if points < 1:
         raise ValueError(f"grid points must be at least 1, got {points}")
-    lo, hi = np.percentile(np.asarray(treatment, dtype=float), [2.0, 98.0])
+    lo, hi = _percentiles(np.asarray(treatment, dtype=float), [2.0, 98.0])
     return np.linspace(lo, hi, points)
+
+
+def _percentiles(values, percents) -> np.ndarray:
+    """``np.percentile(values, percents)``, bit for bit, for finite values.
+
+    numpy's default linear method: the order statistics on either side of
+    each virtual index (n-1) q, found by the same partition, and numpy's
+    interpolation between them.
+    """
+    n = values.size
+    index = (n - 1) * (np.asarray(percents, dtype=float) / 100)
+    below = np.floor(index)
+    above = below + 1
+    top = index >= n - 1  # the largest value, as numpy takes it
+    below[top] = above[top] = -1
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    ordered = np.partition(values, sorted({0, -1, *below.tolist(), *above.tolist()}), axis=None)
+    lo, hi, t = ordered[below], ordered[above], index - below
+    diff = hi - lo
+    result = lo + diff * t
+    np.subtract(hi, diff * (1 - t), out=result, where=t >= 0.5)
+    return result
 
 
 @dataclass(frozen=True)
@@ -188,14 +252,14 @@ def estimate_drf(
         )
     w = weights.weights if hasattr(weights, "weights") else np.asarray(weights, dtype=float)
     if w.shape == t.shape:  # fit_wls rejects any other shape
-        _check_distinct(np.unique(t[w > 0]).size, degree)
-    design = npoly.polyvander(t, degree)
+        _check_distinct(_count_distinct(t[w > 0]), degree)
+    design = _polyvander(t, degree)
     coefficients = fit_wls(dataset.outcome, design, w)
     return DrfFit(
         coefficients=coefficients,
         grid=grid,
-        drf_values=npoly.polyval(grid, coefficients),
-        drf_derivatives=npoly.polyval(grid, npoly.polyder(coefficients)),
+        drf_values=_polyval(grid, coefficients),
+        drf_derivatives=_polyval(grid, _polyder(coefficients)),
     )
 
 
@@ -272,13 +336,13 @@ def bootstrap_se(
     Returns:
         ``fit`` with ``derivative_se`` and ``significant_10pct`` filled in.
     """
-    design = npoly.polyvander(dataset.treatment, fit.degree)
+    design = _polyvander(dataset.treatment, fit.degree)
     # Every drawn unit has a positive weight, so with distinct treatment
     # values a replicate's distinct values are its drawn units, and only a
     # sample with ties sorts per replicate.
-    ties = np.unique(dataset.treatment).size < dataset.n
+    ties = _count_distinct(dataset.treatment) < dataset.n
     # Row g holds d/dt t^j = j t^(j-1) at grid point g for j = 1..degree.
-    slopes = npoly.polyvander(fit.grid, fit.degree - 1) * np.arange(1, fit.degree + 1)
+    slopes = _polyvander(fit.grid, fit.degree - 1) * np.arange(1, fit.degree + 1)
     method = weights.method_tag
     if method == "ebct":
         weigh = counted_ebct(dataset, truncation, weights.gamma)
@@ -291,7 +355,7 @@ def bootstrap_se(
     def derivatives(indices) -> np.ndarray:
         kept, copies, resampled = weigh(np.bincount(indices, minlength=dataset.n))
         _check_distinct(
-            np.unique(dataset.treatment[kept]).size if ties else len(copies), fit.degree
+            _count_distinct(dataset.treatment[kept]) if ties else len(copies), fit.degree
         )
         coefficients = fit_wls(dataset.outcome[kept], design[kept], resampled.weights)
         return slopes @ coefficients[1:]

@@ -80,27 +80,38 @@ _OVERFLOW = "dual exponent overflowed; multipliers are pathological"
 
 
 def _prepare_base_weights(n: int, base_weights, name="base_weights") -> np.ndarray:
+    """Validated positive finite weights of n rows, as floats.
+
+    Uniform weights come back as one entry, a (1,) row that broadcasts over
+    the rows: None (1/n each), a zero-stride broadcast of one value, and a
+    vector whose entries are all equal. Otherwise the n-vector.
+    """
     if base_weights is None:
-        return np.full(n, 1.0 / n)
-    q = np.ravel(np.asarray(base_weights, dtype=float))
+        return np.array([1.0 / n])
+    q = np.asarray(base_weights)
     if q.size != n:
         raise ValueError(f"{name} has length {q.size}, expected {n}")
+    if n and not any(q.strides):
+        q = q.reshape(-1)[:1]  # one value, never converted n times over
+    q = np.ravel(q.astype(float, copy=False))
+    low, high = q.min(), q.max()
     # A minimum that is not above zero is zero, negative or NaN.
-    if not (q.min() > 0 and q.max() < np.inf):
+    if not (low > 0 and high < np.inf):
         raise ValueError(f"{name} must be strictly positive and finite")
-    return q
+    return q[:1] if low == high else q
 
 
 def _dual_state(G, log_q, theta, u=None) -> tuple:
     """Dual value, implied weights and gradient for every problem of a stack.
 
     ``G`` is a (B, n, m) stack of balance-column matrices and ``log_q`` the
-    (B, n) log base weights. Without ``u``, ``theta`` holds the (B, m)
+    (B, n) log base weights, or a (B, 1) column when each problem's are
+    uniform. Without ``u``, ``theta`` holds the (B, m)
     multipliers gamma, and the values are J(gamma), the weights
     w_i = q_i e^{gamma.g_i} / Z and the gradients G'w; the max-shift keeps
-    every finite exponent representable. With ``u``, a (B, n) array of
-    per-row weight caps, ``theta`` holds (eta, gamma) as (B, m+1) and the
-    values are those of the capped dual
+    every finite exponent representable. With ``u``, (B, n) per-row weight
+    caps or a (B, 1) column of uniform ones, ``theta`` holds (eta, gamma) as
+    (B, m+1) and the values are those of the capped dual
 
         F(theta) = sum_i psi_i(s_i) - eta,  s_i = log q_i + eta + gamma.g_i,
 
@@ -125,20 +136,21 @@ def _dual_state(G, log_q, theta, u=None) -> tuple:
         s /= total[:, None]
         value = top[:, 0] + np.log(total)
         return value, s, (s[:, None, :] @ G)[:, 0, :], finite
-    # log u lives only in this buffer, which then holds s - log u: the state
-    # keeps no n-vector beyond its weights and this one.
-    excess = np.log(u)
-    np.subtract(s, excess, out=excess)
-    at_cap = excess >= 0.0
+    log_u = np.log(u)
+    at_cap = s >= log_u
+    # The tangent terms u_i (s_i - log u_i) of the rows at their cap, summed
+    # in s's own buffer: the state keeps no n-vector beyond its weights.
+    np.subtract(s, log_u, out=s, where=at_cap)
+    np.multiply(s, u, out=s, where=at_cap)
+    tangents = np.sum(s, axis=1, where=at_cap)
     # Rows at their cap get u itself below; zero keeps their exponent finite.
     np.copyto(s, 0.0, where=at_cap)
     np.exp(s, out=s)
     # e^s rounds either way just below log u: no row exceeds its cap.
     np.minimum(s, u, out=s)
     np.copyto(s, u, where=at_cap)
-    np.maximum(excess, 0.0, out=excess)
     total = s.sum(axis=1)
-    value = total + (excess[:, None, :] @ u[:, :, None])[:, 0, 0] - theta[:, 0]
+    value = total + tangents - theta[:, 0]
     grad = np.concatenate([(total - 1.0)[:, None], (s[:, None, :] @ G)[:, 0, :]], axis=1)
     return value, s, grad, finite
 
@@ -159,7 +171,13 @@ def _hessian(G, w, grad, u=None) -> np.ndarray:
     Newton driver, under its own ``np.errstate``, reports as a typed error.
     """
     B, n, m = G.shape
-    free = None if u is None else w < u
+    if u is not None:
+        free = w < u
+        # The border sum_i w_i [1, g_i] over the free rows, before the blocks'
+        # buffer exists: its n-vector of free weights is the larger temporary.
+        hessian = np.empty((B, m + 1, m + 1))
+        hessian[:, 0, 0] = np.sum(w, axis=1, where=free)
+        hessian[:, 0, 1:] = hessian[:, 1:, 0] = (np.where(free, w, 0.0)[:, None, :] @ G)[:, 0, :]
     span, rows = max(1, _STACK_ROWS // n), min(n, _HESSIAN_ROWS)
     buffer = np.empty((min(B, span), rows, m))
     products = None if B <= span else np.empty((B, m, m))
@@ -169,7 +187,7 @@ def _hessian(G, w, grad, u=None) -> np.ndarray:
             g = G[problems, start : start + rows]
             block = buffer[: g.shape[0], : g.shape[1]]
             np.multiply(g, w[problems, start : start + rows, None], out=block)
-            if free is not None:
+            if u is not None:
                 block[~free[problems, start : start + rows]] = 0.0
             product = block.transpose(0, 2, 1) @ g
             if start == 0:
@@ -184,10 +202,7 @@ def _hessian(G, w, grad, u=None) -> np.ndarray:
             products[problems] = total
     if u is None:
         return products
-    hessian = np.empty((B, m + 1, m + 1))
     hessian[:, 1:, 1:] = products
-    hessian[:, 0, 0] = np.sum(w, axis=1, where=free)
-    hessian[:, 0, 1:] = hessian[:, 1:, 0] = (np.where(free, w, 0.0)[:, None, :] @ G)[:, 0, :]
     return hessian
 
 
@@ -286,12 +301,18 @@ def _certifies(G, u, r) -> bool:
     at most sum_i u_i max(0, r_0 + r_gamma.g_i) when 0 <= w <= u (Farkas'
     lemma for a box). So r certifies infeasibility when r_0 exceeds that
     bound, by more than a rounding margin relative to
-    sum_i u_i |r_0 + r_gamma.g_i|.
+    sum_i u_i |r_0 + r_gamma.g_i|. ``u`` is the n-vector of caps or a (1,)
+    row of one uniform cap.
     """
     t = G @ r[1:]
     t += r[0]
-    bound = u @ np.maximum(t, 0.0)
-    return bool(r[0] - bound > _CERTIFICATE_TOLERANCE * (u @ np.abs(t)))
+    t *= u
+    # sum max(0, t) = (sum t + sum |t|) / 2, whose rounding, a few ulps of
+    # sum |t|, is far inside the margin.
+    total = t.sum()
+    size = np.abs(t, out=t).sum()
+    bound = 0.5 * (total + size)
+    return bool(r[0] - bound > _CERTIFICATE_TOLERANCE * size)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -308,11 +329,12 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> list:
     never compacted, and the matrices of the problems left are read through
     ``_blockwise``, so the working memory beside G is a few blocks and
     (B, n) arrays however large B grows. ``log_q`` holds the (B, n) log
-    base weights, each row normalized to sum one before the log. Every
-    problem starts at the m-vector ``start``. With (B, n) per-row caps
-    ``u`` the problems are the capped duals of ``_dual_state``, each
-    started at (-J(start), start), which are the uncapped weights of
-    ``start``. Overflows warn of nothing: they surface as typed errors.
+    base weights, each row normalized to sum one before the log, or a
+    (B, 1) column of them when each problem's are uniform. Every problem
+    starts at the m-vector ``start``. With caps ``u``, (B, n) per row or a
+    (B, 1) column of uniform ones, the problems are the capped duals of
+    ``_dual_state``, each started at (-J(start), start), which are the
+    uncapped weights of ``start``. Overflows warn of nothing: they surface as typed errors.
     Returns per problem either ``(BalancingWeights, trace)`` or the
     exception that problem raises.
     """
@@ -502,8 +524,10 @@ def solve_batch(matrices, base_weights=None, start=None, cap=None) -> list:
     convex, so the start changes how many steps a problem takes, not the
     optimum it reaches (beyond the gradient tolerance); each trace begins at
     the dual value at the start. ``cap`` is None or one positive n-vector
-    per matrix of upper bounds on the weights (see ``solve``); a B x n
-    array of caps is used as it is, without a copy. Each Newton
+    per matrix of upper bounds on the weights (see ``solve``); one
+    problem's cap is used without a copy. Uniform base weights or caps (no
+    base weights, a zero-stride broadcast, or equal entries) enter the
+    kernel as one broadcast entry per problem, not as n of them. Each Newton
     iteration factors and solves the Newton systems of the whole stack in
     one numpy call, and each problem's stopping test, Armijo test and step
     size run on Python floats. The stack is never copied: the Hessians and, once some
@@ -544,13 +568,13 @@ def solve_batch(matrices, base_weights=None, start=None, cap=None) -> list:
     if cap is not None:
         if len(cap) != B:
             raise ValueError(f"got {len(cap)} cap vectors for {B} problems")
-        for u in cap:
-            _prepare_base_weights(n, u, "cap")
-        # A (B, n) array of caps is used as it is, as G is.
-        cap = np.asarray(cap, dtype=float).reshape(B, n)
+        cap = [_prepare_base_weights(n, u, "cap") for u in cap]
+        # One problem's cap stays a view of the caller's vector, as G does.
+        cap = cap[0][None] if B == 1 else np.stack(np.broadcast_arrays(*cap))
     gamma = _prepare_start(m, start)
-    log_q = np.stack([_prepare_base_weights(n, bw) for bw in base_weights])
-    log_q /= log_q.sum(axis=1, keepdims=True)
+    log_q = np.stack(np.broadcast_arrays(*[_prepare_base_weights(n, bw) for bw in base_weights]))
+    # A uniform row's total is the pairwise sum of its n equal entries.
+    log_q /= np.broadcast_to(log_q, (B, n)).sum(axis=1, keepdims=True)
     np.log(log_q, out=log_q)
     return _newton(G, log_q, gamma, cap)
 
@@ -604,9 +628,8 @@ def solve(G: np.ndarray, base_weights=None, start=None, cap=None) -> tuple:
         ValueError: ``G`` has no rows, ``start`` is not a finite m-vector,
             or ``cap`` is not a positive finite n-vector.
     """
-    # G[None] and the cap's [None] are views: at large n a copy of G would
-    # double peak memory.
-    cap = None if cap is None else np.asarray(cap, dtype=float)[None]
+    # G[None] is a view: at large n a copy of G would double peak memory.
+    cap = None if cap is None else [cap]
     (outcome,) = solve_batch(_balance_matrix(G)[None], [base_weights], start, cap)
     if isinstance(outcome, Exception):
         raise outcome
@@ -638,23 +661,36 @@ def cap_weights(weights: BalancingWeights, threshold: float, counts=None) -> Bal
         ThresholdInfeasible: threshold not finite or below 1/N.
         ValueError: ``counts`` are invalid or not all positive.
     """
-    w = weights.weights
+    capped = _cap(weights.weights, threshold, counts)
+    return weights if capped is None else replace(weights, weights=capped)
+
+
+def _cap(w, threshold: float, counts) -> np.ndarray | None:
+    """``cap_weights`` of the weight vector ``w``: the capped weights, as a
+    read-only row of a read-only stack, which ``BalancingWeights`` keeps
+    uncopied, or None when no share exceeds the threshold."""
     _, copies = check_counts(counts, w.size, positive=True)
-    check_threshold(threshold, int(copies.sum()))
+    total = int(copies.sum())
+    check_threshold(threshold, total)
     share = w if counts is None else w / copies
     if share.max() <= threshold:
-        return weights
-    capped, held = _capped_units(w, share, copies, threshold)
-    rest = np.ones(w.size, dtype=bool)
-    rest[capped] = False
-    # Pairwise over the rest in unit order, before the result is allocated.
-    scale = (1.0 - held * threshold) / w[rest].sum()
-    # A row of a read-only stack, which BalancingWeights keeps uncopied.
+        return None
+    if threshold == 1.0 / total:
+        # Only every unit at its cap sums to one; scaling a last unit by the
+        # mass the others leave would miss its cap by rounding.
+        capped, scale = slice(None), 0.0
+    else:
+        capped, held = _capped_units(w, share, copies, threshold)
+        rest = np.ones(w.size, dtype=bool)
+        rest[capped] = False
+        # Pairwise over the rest in unit order, before the result is allocated.
+        scale = (1.0 - held * threshold) / w[rest].sum()
+        del rest
     out = np.empty((1, w.size))
     np.multiply(w, scale, out=out[0])
     out[0, capped] = copies[capped] * threshold
     out.setflags(write=False)
-    return replace(weights, weights=out[0])
+    return out[0]
 
 
 def _capped_units(w, share, copies, threshold) -> tuple:
@@ -732,7 +768,9 @@ def truncate_and_rebalance(
         raise ValueError(f"weights have length {weights.n}, but G has {G.shape[0]} rows")
     _, copies = check_counts(counts, weights.n, positive=True)
     check_threshold(threshold, int(copies.sum()))
-    cap = copies * threshold
+    # Without counts the copies are a zero-stride view of ones, and so the
+    # cap is one of the threshold: no n-vector holds either.
+    cap = np.broadcast_to(threshold, copies.shape) if counts is None else copies * threshold
     failure = None if weights.converged else NotConverged(weights)
     result = weights
     if not (weights.weights <= cap).all():
@@ -746,13 +784,20 @@ def truncate_and_rebalance(
             ) from None
         # Capping the uncapped weights of the solve's gamma in closed form
         # gives min(u, k q e^{gamma.g}) summing to one: the capped optimum's
-        # form, exactly at or below the cap.
-        uncapped = replace(capped, weights=recover_weights(capped.gamma, G, copies))
-        result = replace(
-            cap_weights(uncapped, threshold, counts),
+        # form, exactly at or below the cap. The solve's own weights go
+        # first, so that beside G and ``weights`` at most two n-vectors are
+        # held here.
+        gamma, steps, norm = capped.gamma, capped.iterations, capped.final_gradient_norm
+        del capped
+        uncapped = recover_weights(gamma, G, copies)
+        final = _cap(uncapped, threshold, counts)
+        result = BalancingWeights(
+            weights=uncapped if final is None else final,
             gamma=weights.gamma,
             converged=failure is None,
-            iterations=weights.iterations + capped.iterations,
+            iterations=weights.iterations + steps,
+            final_gradient_norm=norm,
+            method_tag="ebct",
         )
     if failure is not None:
         failure.weights = result

@@ -1056,3 +1056,23 @@ class TestImports:
         modules = imported_modules("-c", "import ebct.cli")
         assert "ebct.simulation" in modules
         assert "concurrent.futures.process" not in modules
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("balance", "--truncate", "0.03"),
+            ("drf", "--outcome-col", "Y", "--bootstrap", "5"),
+            ("simulate", "--paper-grid", "--sizes", "200", "--replications", "2"),
+        ],
+        ids=["balance-truncate", "drf-bootstrap", "simulate-paper-grid"],
+    )
+    def test_runs_load_neither_numpy_polynomial_nor_numpy_ma(self, tmp_path, command):
+        # Each would stay in memory for the whole run, and no command needs
+        # either: drf's polynomials, distinct counts and grid are numpy core.
+        name, *options = command
+        if name != "simulate":
+            data = write_simulated_csv(tmp_path / "in.csv")
+            options += ["--input", str(data), "--treatment-col", "T", "--covariate-cols", COVARIATES]
+        modules = imported_modules("-m", "ebct.cli", name, *options, "--out", str(tmp_path / "out"))
+        assert {"numpy", "numpy.linalg", "ebct.drf"} <= modules
+        assert not [m for m in modules if m.split(".")[:2] in (["numpy", "polynomial"], ["numpy", "ma"])]

@@ -4,6 +4,9 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 import ebct.weighting as weighting
 from ebct import data, drf, ipw, simulation, solver
@@ -438,3 +441,58 @@ class TestDrfCsv:
         assert lines[0] == "t,drf,derivative,se,significant"
         assert len(lines) == 5
         assert lines[1].endswith(",,")  # no bootstrap: se and significant empty
+
+
+# Finite points with ties, signed zeros and negative values: most draws take
+# their entries from a handful of values.
+points = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 1.5, -2.0, 3.25]), st.floats(-1e3, 1e3)),
+    min_size=1,
+    max_size=40,
+).map(np.array)
+STAND_IN = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def same_array(actual, expected):
+    """Equal bytes, dtype, shape and strides: the same array bit for bit."""
+    assert (actual.dtype, actual.shape, actual.strides) == (
+        expected.dtype, expected.shape, expected.strides,
+    )
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestNumpyStandIns:
+    """drf's stand-ins for numpy.polynomial, np.unique and np.percentile,
+    which a run no longer imports, against numpy's own functions."""
+
+    @STAND_IN
+    @given(points, st.integers(0, 5))
+    @example(np.array([-0.0]), 3)
+    @example(np.array([0.0, -0.0]), 1)
+    def test_vandermonde_is_polyvander(self, x, degree):
+        same_array(drf._polyvander(x, degree), npoly.polyvander(x, degree))
+
+    @STAND_IN
+    @given(points, st.lists(st.one_of(st.just(-0.0), st.floats(-10, 10)), min_size=1, max_size=6))
+    @example(np.array([-0.0, 2.0]), [-0.0])
+    def test_horner_and_derivative_are_polyval_and_polyder(self, x, coefficients):
+        c = np.array(coefficients)
+        same_array(drf._polyder(c), npoly.polyder(c))
+        same_array(drf._polyval(x, c), npoly.polyval(x, c))
+        same_array(drf._polyval(x, drf._polyder(c)), npoly.polyval(x, npoly.polyder(c)))
+
+    @STAND_IN
+    @given(points)
+    @example(np.array([7.0]))
+    @example(np.array([-0.0, 0.0]))
+    @example(np.array([0.0, -0.0]))
+    def test_grid_is_the_percentile_grid(self, t):
+        lo, hi = np.percentile(t, [2.0, 98.0])
+        same_array(default_grid(t), np.linspace(lo, hi, 50))
+
+    @STAND_IN
+    @given(points)
+    @example(np.array([1.0]))
+    @example(np.array([-0.0, 0.0, -2.0]))
+    def test_distinct_count_is_unique_size(self, t):
+        assert drf._count_distinct(t) == np.unique(t).size

@@ -775,6 +775,25 @@ class TestTruncateAndRebalance:
         with pytest.raises(ValueError, match="weights have length 40, but G has 50 rows"):
             truncate_and_rebalance(G, weights, threshold)
 
+    def test_peak_memory_is_the_plain_solves(self, rng):
+        # The uniform base weights and cap enter the capped solve as
+        # broadcast rows, and its own weights go before recover_weights and
+        # cap_weights: each step holds about two n-vectors, as the plain
+        # solve does. A base-weight or cap n-vector would add one each.
+        G = random_sample(rng, n=50_000, k=10)
+        weights, _ = solve(G)
+        threshold = 10.0 / G.shape[0]
+        peaks = []
+        for run in (lambda: solve(G), lambda: truncate_and_rebalance(G, weights, threshold)):
+            tracemalloc.start()
+            try:
+                result = run()
+                peaks.append(tracemalloc.get_traced_memory()[1] / (8 * G.shape[0]))
+            finally:
+                tracemalloc.stop()
+        assert result.max_share == threshold
+        assert max(peaks) < 2.5, peaks
+
     def test_threshold_below_uniform_rejected(self, rng):
         G = random_sample(rng, n=20, k=1)
         weights, _ = solve(G)
@@ -1123,9 +1142,14 @@ class TestBlockedHessian:
         assert finite.all()
         u = np.full((B, n), 1.2 / n)
         theta = np.column_stack([np.zeros(B), gamma])
-        _, w_cap, grad_cap, finite = solver._dual_state(G, log_q, theta, u)
+        capped = solver._dual_state(G, log_q, theta, u)
+        _, w_cap, grad_cap, finite = capped
         assert finite.all() and (w_cap == u).any(axis=1).all() and (w_cap < u).any(axis=1).all()
-        return G, (w, grad, None), (w_cap, grad_cap, u)
+        # Uniform base weights and caps as broadcast (B, 1) rows give the
+        # same state bit for bit, and their Hessians are checked below too.
+        rows = solver._dual_state(G, log_q[:, :1], theta, u[:, :1])
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(rows, capped))
+        return G, (w, grad, None), (w_cap, grad_cap, u), (w_cap, grad_cap, u[:, :1])
 
     @pytest.mark.parametrize("n", [200, 2048])
     @pytest.mark.parametrize("B", [1, 8])

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ebct import balance_report, estimate_weights
+from ebct import BalancingWeights, balance_report, estimate_weights
 from ebct.errors import ThresholdInfeasible
 from ebct.simulation import gen_covariates, gen_treatment, replication_rng
 from ebct.weighting import cap_weights
@@ -115,6 +115,20 @@ class TestCapWeights:
             w = np.minimum(w, threshold)
             w = w / w.sum()
         npt.assert_allclose(cap_weights(weights, threshold).weights, w, rtol=0, atol=1e-10)
+
+    def test_cap_of_one_over_n_puts_every_unit_at_its_cap(self):
+        # At 1/N only c_i/N for every unit sums to one. Scaling the one unit
+        # left after the others are capped by the mass they leave, 1 - held/N,
+        # misses its cap by rounding: by 3.1e-15 relative on this draw
+        # (n=33, N=76).
+        rng = np.random.default_rng(284)
+        raw = rng.lognormal(0.0, 1.0, 33)
+        counts = rng.integers(1, 4, 33)
+        assert counts.sum() == 76
+        weights = BalancingWeights(raw / raw.sum(), np.empty(0), True, 0, 0.0, "ipw")
+        capped = cap_weights(weights, 1.0 / 76, counts).weights
+        assert np.array_equal(capped, counts * (1.0 / 76))
+        assert capped.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_cap_above_max_returns_input(self, rng):
         weights = estimate_weights(random_dataset(rng, 30, 1), "ipw")
