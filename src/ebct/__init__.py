@@ -6,9 +6,9 @@ stabilized inverse-probability baseline, balance diagnostics, weighted
 polynomial dose-response estimation with bootstrap uncertainty, and a
 Monte-Carlo bias/RMSE harness.
 
-This namespace holds the user API. Internals (DGP pieces, dual references,
-IPW, capping, diagnostics helpers) are imported from their own modules, for
-example ``ebct.simulation`` or ``ebct.solver``.
+This namespace holds the user API. Internals (DGP pieces, IPW, capping,
+diagnostics helpers) are imported from their own modules, for example
+``ebct.simulation`` or ``ebct.solver``.
 """
 
 __version__ = "0.1.0"

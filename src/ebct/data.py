@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -383,6 +383,11 @@ class BalancingWeights:
     solve's, the warm start of bootstrap replicates and of the capped solve.
     The normalization multiplier has no field: without a cap it is
     eliminated analytically, and with one it follows from gamma.
+
+    A stack of B weightings, as ``solve_batch`` returns it, is one too:
+    (B, n) weights, (B, m) gamma and (B,) ``iterations`` and
+    ``final_gradient_norm``. Arrays are kept read-only, as ``Dataset`` keeps
+    them.
     """
 
     weights: np.ndarray
@@ -393,21 +398,31 @@ class BalancingWeights:
     method_tag: str
 
     def __post_init__(self):
-        w = _frozen_array(np.ravel(self.weights))
-        g = _frozen_array(np.ravel(self.gamma))
+        w, g = _frozen_array(self.weights), _frozen_array(self.gamma)
         # A minimum that is not above zero is zero, negative or NaN.
         if w.size and not w.min() > 0:
             raise ValueError("weights must be strictly positive")
-        if abs(w.sum() - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
+        total = w.sum(axis=-1)
+        if (abs(total - 1.0) > _WEIGHT_SUM_TOL).any():
+            raise ValueError(f"weights must sum to 1, got {total!r}")
         if self.method_tag not in METHODS:
             raise ValueError(f"unknown method tag {self.method_tag!r}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "gamma", g)
+        if w.ndim == 2:
+            object.__setattr__(self, "iterations", _frozen_array(self.iterations, np.int64))
+            object.__setattr__(self, "final_gradient_norm", _frozen_array(self.final_gradient_norm))
+
+    def row(self, b: int) -> "BalancingWeights":
+        """The weighting of problem b of a stack; its arrays are views."""
+        return replace(
+            self, weights=self.weights[b], gamma=self.gamma[b], iterations=int(self.iterations[b]),
+            final_gradient_norm=float(self.final_gradient_norm[b]),
+        )
 
     @property
     def n(self) -> int:
-        return self.weights.size
+        return self.weights.shape[-1]
 
     @property
     def max_share(self) -> float:

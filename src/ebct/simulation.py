@@ -16,11 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, standardize
+from .data import Dataset
 from .diagnostics import balance_report
 from .drf import fit_wls
 from .errors import EbctError, ScenarioDegenerate
-from .solver import solve_batch
 from .weighting import estimate_weights
 
 SAMPLE_SIZES = (200, 500, 1000)
@@ -241,18 +240,6 @@ def _stacked(step, group: Dataset, *stacks) -> tuple:
     return (np.concatenate(values) if values else np.empty(0)), np.array(rows, dtype=int)
 
 
-def _ebct_weights(group: Dataset) -> tuple:
-    """EBCT weights of a group's samples from one standardization and one
-    stacked solve, as ``(weights, rows)``: the (b, n) weights of the samples
-    whose standardization and solve succeed, and their indices in the
-    group."""
-    G, rows = _stacked(standardize, group)
-    outcomes = solve_batch(G)
-    solved = [slot for slot, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
-    weights = np.array([outcomes[slot][0].weights for slot in solved])
-    return weights, rows[solved]
-
-
 def _slopes(group: Dataset, weights) -> np.ndarray:
     """Effect slopes of a group's samples under their (b, n) weights, from
     one ``fit_wls`` call over the b x n stack of their regressions on
@@ -271,8 +258,8 @@ def _run_replications(config: ScenarioConfig, indices: Sequence[int]) -> dict:
     Each method runs once over the group's batch: its weights (the EBCT
     problems standardized and solved together), the effect regressions it
     weighed in one ``fit_wls`` call and their diagnostics in one
-    ``balance_report`` call. A stacked step that raises is redone one
-    replication at a time (see ``_stacked``).
+    ``balance_report`` call. A stacked step that raises, as EBCT's solve does
+    for one failing problem, is redone one replication at a time (see ``_stacked``).
     """
     group = _draw(config, indices)
     records = {
@@ -283,10 +270,7 @@ def _run_replications(config: ScenarioConfig, indices: Sequence[int]) -> dict:
     # holds no other method's weights.
     for method in sorted(config.methods, key=lambda method: method != "ebct"):
         values, failed = records[method]
-        if method == "ebct":
-            weights, weighed = _ebct_weights(group)
-        else:
-            weights, weighed = _stacked(lambda part: estimate_weights(part, method), group)
+        weights, weighed = _stacked(lambda part: estimate_weights(part, method), group)
         if not len(weighed):
             continue
         sample = _rows(group, weighed)

@@ -226,47 +226,45 @@ def _balance_matrix(G) -> np.ndarray:
     return G
 
 
-def _single_state(gamma, G, base_weights) -> tuple:
-    G = _balance_matrix(G)
-    q = _prepare_base_weights(G.shape[0], base_weights)
-    gamma = np.asarray(gamma, dtype=float).reshape(1, -1)
-    value, w, grad, finite = _dual_state(G[None], np.log(q)[None], gamma)
-    if not finite[0]:
-        raise NonFiniteDual(_OVERFLOW)
-    return value[0], w[0], grad[0]
-
-
 def recover_weights(gamma, G, base_weights=None) -> np.ndarray:
     """Weights implied by the multipliers: w_i = q_i e^{gamma.g_i} / Z.
 
     Strictly positive and normalized to sum one; any constant factor on the
     base weights cancels.
     """
-    return _single_state(gamma, G, base_weights)[1]
+    G = _balance_matrix(G)
+    q = _prepare_base_weights(G.shape[0], base_weights)
+    gamma = np.asarray(gamma, dtype=float).reshape(1, -1)
+    _, w, _, finite = _dual_state(G[None], np.log(q)[None], gamma)
+    if not finite[0]:
+        raise NonFiniteDual(_OVERFLOW)
+    return w[0]
 
 
-def _newton_directions(hessian, grad) -> tuple:
-    """Newton directions -H^{-1} g for a (B, m, m) stack, and which exist.
+def _newton_directions(hessian, grad) -> np.ndarray:
+    """Newton directions -H^{-1} g for a (B, m, m) stack, as (B, m).
 
     One stacked Cholesky certifies every Hessian positive definite, then one
-    stacked solve gives every direction. numpy raises for the whole stack
-    when one factorization fails, so only then is each problem taken alone,
-    and a singular Hessian stops its own problem only. numpy passes NaN and
-    inf through its Cholesky without raising, so a Hessian that is not
-    finite counts as singular. Returns the (B, m) directions, zero where
-    none exists, and a list of B flags that are False for a singular Hessian.
+    stacked solve gives every direction. numpy passes NaN and inf through
+    its Cholesky without raising, so a Hessian that is not finite counts as
+    singular. numpy raises for the whole stack when one factorization
+    fails; only then is each Hessian taken alone, to raise the
+    ``SingularHessian`` of the first that has no factor.
     """
     try:
         if np.isfinite(hessian).all():
             np.linalg.cholesky(hessian)
-            direction = np.linalg.solve(hessian, grad[:, :, None])[:, :, 0]
-            return -direction, [True] * len(grad)
+            return -np.linalg.solve(hessian, grad[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         pass
-    if len(grad) == 1:
-        return np.zeros_like(grad), [False]
-    parts = [_newton_directions(hessian[i : i + 1], grad[i : i + 1]) for i in range(len(grad))]
-    return np.concatenate([d for d, _ in parts]), [ok for _, (ok,) in parts]
+    for h in hessian:
+        try:
+            if np.isfinite(h).all():
+                np.linalg.cholesky(h)
+                continue
+        except np.linalg.LinAlgError:
+            pass
+        raise _singular(h)
 
 
 def _blockwise(f, G, index, *rows):
@@ -316,7 +314,7 @@ def _certifies(G, u, r) -> bool:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _newton(G, log_q, start: np.ndarray, u=None) -> list:
+def _newton(G, log_q, start: np.ndarray, u=None) -> tuple:
     """Damped Newton on every problem of a (B, n, m) stack at once.
 
     Each problem keeps its own phase, step size, trace and iteration count,
@@ -335,76 +333,68 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> list:
     (B, 1) column of uniform ones, the problems are the capped duals of
     ``_dual_state``, each started at (-J(start), start), which are the
     uncapped weights of ``start``. Overflows warn of nothing: they surface as typed errors.
-    Returns per problem either ``(BalancingWeights, trace)`` or the
-    exception that problem raises.
+
+    Returns ``(weights, gamma, iterations, norms, traces)`` at each
+    problem's last iterate: the read-only (B, n) weights and (B, m)
+    multipliers gamma, and per problem its iteration count, final gradient
+    norm and list of accepted dual values. A problem that stops short of the
+    gradient tolerance keeps its last iterate. Any other failure stops the
+    whole run at once and raises the error that problem raises alone.
     """
-    B, _, m = G.shape
-    outcomes = [None] * B
+    B, n, m = G.shape
     theta = np.tile(start, (B, 1))
     if u is not None:
         theta = np.column_stack([-_dual_state(G, log_q, theta)[0], theta])
     value, w, grad, finite = _dual_state(G, log_q, theta, u)
+    if not finite.all():
+        raise NonFiniteDual(_OVERFLOW)
     value, norm = value.tolist(), np.abs(grad).max(axis=1).tolist()
     traces = [[v] for v in value]
     iterations = [0] * B
-    errors = [None if ok else NonFiniteDual(_OVERFLOW) for ok in finite.tolist()]
-    stopped = [e is not None for e in errors]
+    stopped = [False] * B
     live = list(range(B))  # problem of each row still in the stack, increasing
     ridge = _RIDGE * np.eye(theta.shape[1])
+    # The stacked result, allocated when the first problems finish.
+    weights = gamma = None
+    final_iterations, final_norms = [0] * B, [0.0] * B
 
-    def certified(i, r):
-        if not _certifies(G[live[i]], u[i], r):
-            return None
-        return ThresholdInfeasible(
-            "no weights at or below the cap balance the sample (Farkas certificate verified)",
-            certificate=r,
-        )
+    def certify(i, r) -> None:
+        if _certifies(G[live[i]], u[i], r):
+            raise ThresholdInfeasible(
+                "no weights at or below the cap balance the sample (Farkas certificate verified)",
+                certificate=r,
+            )
 
-    def capped_failure(i):
+    def capped_failure(i) -> None:
         # A capped problem that stops short of its optimum: certified
         # infeasible by the Newton direction at its last iterate, or not.
         rows, b = slice(i, i + 1), live[i]
         hessian = _hessian(G[b : b + 1], w[rows], grad[rows], u[rows])
         hessian += ridge
-        error = certified(i, _newton_directions(hessian, grad[rows])[0][0])
-        if error is not None:
-            return error
+        try:
+            certify(i, _newton_directions(hessian, grad[rows])[0])
+        except SingularHessian:  # no direction, so no certificate
+            pass
         if not w[i].min() > 0:
-            return NonFiniteDual("a capped weight underflowed to zero")
-        return None
+            raise NonFiniteDual("a capped weight underflowed to zero")
 
     def retire(rows) -> None:
-        finished = []
+        nonlocal weights, gamma
         for i in rows:
-            converged = norm[i] <= _GRADIENT_TOLERANCE
-            if u is not None and errors[i] is None and not (converged and w[i].min() > 0):
-                errors[i] = capped_failure(i)
-            if errors[i] is None and not w[i].min() > 0:
-                errors[i] = InfeasibleConstraints(
+            if u is not None and not (norm[i] <= _GRADIENT_TOLERANCE and w[i].min() > 0):
+                capped_failure(i)
+            if not w[i].min() > 0:
+                raise InfeasibleConstraints(
                     "a weight underflowed to zero; the balance constraints admit no "
                     "strictly positive weights at float precision"
                 )
-            if errors[i] is None:
-                finished.append(i)
-            else:
-                outcomes[live[i]] = errors[i]
-        # One read-only copy of the finished rows' weights, which their results adopt.
-        kept = w[finished]
-        for row in kept if u is not None else ():
-            row /= row.sum()
-        kept.setflags(write=False)
-        for i, row in zip(finished, kept):
-            converged = norm[i] <= _GRADIENT_TOLERANCE
-            weights = BalancingWeights(
-                weights=row,
-                gamma=theta[i] if u is None else theta[i, 1:],
-                converged=converged,
-                iterations=iterations[i],
-                final_gradient_norm=norm[i],
-                method_tag="ebct",
-            )
+            if weights is None:
+                weights, gamma = np.empty((B, n)), np.empty((B, m))
             b = live[i]
-            outcomes[b] = (weights, traces[b]) if converged else NotConverged(weights)
+            weights[b], gamma[b] = w[i], theta[i, -m:]
+            if u is not None:
+                weights[b] /= weights[b].sum()
+            final_iterations[b], final_norms[b] = iterations[i], norm[i]
 
     for _ in range(_MAX_ITERATIONS):
         leaving = [s or g <= _GRADIENT_TOLERANCE for s, g in zip(stopped, norm)]
@@ -412,28 +402,24 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> list:
             retire([i for i, gone in enumerate(leaving) if gone])
             keep = [i for i, gone in enumerate(leaving) if not gone]
             if not keep:
-                return outcomes
+                break
             theta, w, grad, log_q = theta[keep], w[keep], grad[keep], log_q[keep]
             if u is not None:
                 u = u[keep]
-            live, value, norm, iterations, errors = (
-                [a[i] for i in keep] for a in (live, value, norm, iterations, errors)
+            live, value, norm, iterations = (
+                [a[i] for i in keep] for a in (live, value, norm, iterations)
             )
             stopped = [False] * len(live)
 
         hessian = _blockwise(_hessian, G, live, w, grad, u)
         hessian += ridge
-        direction, solvable = _newton_directions(hessian, grad)
-        for i in [i for i, ok in enumerate(solvable) if not ok]:
-            errors[i] = _singular(hessian[i])
-            stopped[i] = True
+        direction = _newton_directions(hessian, grad)
         del hessian  # before the next iteration's
         if u is not None:
             # Every Newton direction of a capped problem is a candidate
             # certificate of infeasibility, and checking one is cheap.
-            for i in [i for i, gone in enumerate(stopped) if not gone]:
-                errors[i] = certified(i, direction[i])
-                stopped[i] = errors[i] is not None
+            for i in range(len(live)):
+                certify(i, direction[i])
         slope = (grad * direction).sum(axis=1).tolist()
 
         # Local phase: the certifiable Armijo decrease (half the Newton
@@ -442,7 +428,7 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> list:
         # long as it shrinks the gradient.
         local = [-s <= 1e-13 * (1.0 + abs(v)) for s, v in zip(slope, value)]
         step = [1.0] * len(live)
-        searching = [i for i, gone in enumerate(stopped) if not gone]
+        searching = list(range(len(live)))
         while searching:
             sub = slice(None) if len(searching) == len(live) else searching
             move = direction[sub]
@@ -453,14 +439,14 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> list:
                 _dual_state, G, [live[i] for i in searching], log_q[sub], candidate,
                 None if u is None else u[sub],
             )
+            if not c_finite.all():
+                raise NonFiniteDual(_OVERFLOW)
             c_values, c_norms = c_value.tolist(), np.abs(c_grad).max(axis=1).tolist()
             # Euclidean norms as np.linalg.norm takes them, without its overhead.
             sizes = np.vecdot(candidate, candidate).tolist()
             accepted, retry = [], []
-            for j, (i, ok) in enumerate(zip(searching, c_finite.tolist())):
-                if not ok:
-                    errors[i] = NonFiniteDual(_OVERFLOW)
-                elif local[i]:
+            for j, i in enumerate(searching):
+                if local[i]:
                     ok = c_norms[j] < norm[i]
                 else:
                     ok = c_values[j] <= value[i] + _ARMIJO_C * step[i] * slope[i]
@@ -470,8 +456,8 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> list:
                             retry.append(i)
                             continue
                 if not ok:
-                    # No acceptable step (or an overflow): the numerical
-                    # floor is reached and the final gradient check decides.
+                    # No acceptable step: the numerical floor is reached and
+                    # the final gradient check decides.
                     stopped[i] = True
                     continue
                 accepted.append(j)
@@ -482,7 +468,7 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> list:
                     # A capped problem that diverges is judged by its
                     # certificate instead, as its uncapped problem solved.
                     if u is None:
-                        errors[i] = InfeasibleConstraints(
+                        raise InfeasibleConstraints(
                             "dual multipliers diverged; the balance constraints admit no "
                             "strictly positive weights"
                         )
@@ -496,9 +482,11 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> list:
             # Free the candidate's weights before the next candidate is built.
             del c_w
             searching = retry
-
-    retire(range(len(live)))
-    return outcomes
+    else:
+        retire(list(range(len(live))))
+    weights.setflags(write=False)
+    gamma.setflags(write=False)
+    return weights, gamma, final_iterations, final_norms, traces
 
 
 def _prepare_start(m: int, start) -> np.ndarray:
@@ -512,7 +500,7 @@ def _prepare_start(m: int, start) -> np.ndarray:
     return gamma
 
 
-def solve_batch(matrices, base_weights=None, start=None, cap=None) -> list:
+def solve_batch(matrices, base_weights=None, start=None, cap=None) -> tuple:
     """Solve many same-shape problems in one stacked Newton run.
 
     ``matrices`` is the B x n x m stack of balance-column matrices that
@@ -534,24 +522,24 @@ def solve_batch(matrices, base_weights=None, start=None, cap=None) -> list:
     problems finish, the matrices of the others are taken in blocks of
     whole problems of at most ``_STACK_ROWS`` rows, so the working memory
     beside the stack is a few such blocks, the (B, m, m) Hessians and a few
-    B x n arrays of weights. A problem that fails, a singular Hessian
-    included, does not disturb the others, and each problem's weights,
-    iterations and trace are exactly those ``solve`` gives it alone from the
-    same start.
+    B x n arrays of weights. Each problem's weights, iterations and trace
+    are exactly those ``solve`` gives it alone from the same start, and
+    ``solve`` is this on a stack of one.
 
     Returns:
-        One entry per matrix: ``(BalancingWeights, trace)`` on success,
-        where ``trace`` lists the accepted dual values from the start on,
-        otherwise the exception ``solve`` would raise for it
-        (``NotConverged``, ``InfeasibleConstraints``, ``ThresholdInfeasible``,
-        ``NonFiniteDual`` or ``SingularHessian``).
+        ``(weights, traces)``: one stacked ``BalancingWeights`` of the B
+        problems (``weights.row(b)`` is problem b's) and per problem the
+        list of accepted dual values from the start on.
 
     Raises:
-        ValueError: shapes disagree, the matrices have no rows, ``start`` is
-            not a finite m-vector, or a cap is not a positive finite n-vector.
+        The error ``solve`` raises for a problem that fails, which fails the
+        whole stack; a ``NotConverged`` carries that problem's weights.
+        ValueError: the stack is empty or shapes disagree, the matrices
+            have no rows, ``start`` is not a finite m-vector, or a cap is
+            not a positive finite n-vector.
     """
     if len(matrices) == 0:
-        return []
+        raise ValueError("the stack holds no problems")
     try:
         G = np.asarray(matrices, dtype=float)
     except ValueError:  # matrices of unequal shapes
@@ -576,7 +564,19 @@ def solve_batch(matrices, base_weights=None, start=None, cap=None) -> list:
     # A uniform row's total is the pairwise sum of its n equal entries.
     log_q /= np.broadcast_to(log_q, (B, n)).sum(axis=1, keepdims=True)
     np.log(log_q, out=log_q)
-    return _newton(G, log_q, gamma, cap)
+    weights, gamma, iterations, norms, traces = _newton(G, log_q, gamma, cap)
+    stalled = [b for b, norm in enumerate(norms) if not norm <= _GRADIENT_TOLERANCE]
+    weights = BalancingWeights(
+        weights=weights,
+        gamma=gamma,
+        converged=not stalled,
+        iterations=iterations,
+        final_gradient_norm=norms,
+        method_tag="ebct",
+    )
+    if stalled:
+        raise NotConverged(weights.row(stalled[0]))
+    return weights, traces
 
 
 def solve(G: np.ndarray, base_weights=None, start=None, cap=None) -> tuple:
@@ -630,10 +630,8 @@ def solve(G: np.ndarray, base_weights=None, start=None, cap=None) -> tuple:
     """
     # G[None] is a view: at large n a copy of G would double peak memory.
     cap = None if cap is None else [cap]
-    (outcome,) = solve_batch(_balance_matrix(G)[None], [base_weights], start, cap)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    weights, (trace,) = solve_batch(_balance_matrix(G)[None], [base_weights], start, cap)
+    return weights.row(0), trace
 
 
 def check_threshold(threshold: float, n: int) -> None:

@@ -9,7 +9,7 @@ import numpy as np
 from .data import check_counts, method_name, resample, standardize, uniform_weights
 from .errors import NotConverged
 from .ipw import ipw_weights
-from .solver import cap_weights, solve, truncate_and_rebalance
+from .solver import cap_weights, solve, solve_batch, truncate_and_rebalance
 
 
 def estimate_weights(
@@ -41,19 +41,19 @@ def estimate_weights(
     Counted or not, ebct needs N >= 2K+2 copies, ipw K+2 and uniform one;
     counted ebct also standardizes the full sample, so it needs n >= 2K+2.
 
-    ``dataset`` may also be a batch of B samples (see ``Dataset``), for
-    ``ipw`` or ``uniform`` without truncation or counts. The result is then
-    the read-only B x n array of their weights, each row bit for bit the
-    weights its sample gives alone; ipw weighs the whole batch in one
-    ``ipw_weights`` pass and raises the first sample's error.
-    ``solve_batch`` stacks ebct problems.
+    ``dataset`` may also be a batch of B samples (see ``Dataset``), without
+    truncation or counts. The result is then the read-only B x n array of
+    their weights, each row bit for bit the weights its sample gives alone.
+    ebct standardizes the whole batch and solves it in one ``solve_batch``
+    run, and ipw weighs it in one ``ipw_weights`` pass; a sample that fails
+    fails the batch with its error.
     """
     name = method_name(method)
     if dataset.treatment.ndim > 1:
-        if name == "ebct" or truncation is not None or counts is not None:
-            raise ValueError(
-                "a batch of datasets takes ipw or uniform weights, without truncation or counts"
-            )
+        if truncation is not None or counts is not None:
+            raise ValueError("a batch of datasets takes no truncation or counts")
+        if name == "ebct":
+            return solve_batch(standardize(dataset), start=start)[0].weights
         if name == "ipw":
             return ipw_weights(dataset)
         weights = np.full(dataset.treatment.shape, uniform_weights(dataset.n).weights[0])

@@ -143,6 +143,21 @@ class TestBalancingWeights:
             )
 
 
+    def test_a_stack_checks_every_row_and_gives_lone_rows(self):
+        weights = np.array([[0.25, 0.75], [0.5, 0.5]])
+        stack = BalancingWeights(weights, np.zeros((2, 3)), True, [3, 4], [1e-9, 2e-9], "ebct")
+        assert stack.n == 2 and stack.gamma.shape == (2, 3)
+        assert stack.iterations.tolist() == [3, 4]
+        row = stack.row(1)
+        assert row.weights.base is stack.weights and row.gamma.shape == (3,)
+        assert (row.iterations, row.final_gradient_norm) == (4, 2e-9)
+        assert isinstance(row.iterations, int) and isinstance(row.final_gradient_norm, float)
+        for bad, message in (([[0.25, 0.75], [0.5, 0.6]], "sum to 1"),
+                             ([[0.25, 0.75], [1.0, 0.0]], "strictly positive")):
+            with pytest.raises(ValueError, match=message):
+                BalancingWeights(np.array(bad), np.zeros((2, 3)), True, [3, 4], [0.0, 0.0], "ebct")
+
+
 class TestStandardize:
 
     def test_three_point_treatment(self):

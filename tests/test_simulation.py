@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 import ebct.simulation as sim
+import ebct.weighting as weighting
 from ebct import (
     Dataset,
     ScenarioConfig,
@@ -15,9 +16,16 @@ from ebct import (
     run_grid,
     run_scenario,
     solve,
+    solve_batch,
     standardize,
 )
-from ebct.errors import ConstantColumn, RankDeficientDesign, ScenarioDegenerate
+from ebct.data import BalancingWeights
+from ebct.errors import (
+    ConstantColumn,
+    InfeasibleConstraints,
+    RankDeficientDesign,
+    ScenarioDegenerate,
+)
 from ebct.simulation import (
     apply_specification,
     gen_covariates,
@@ -278,12 +286,11 @@ class TestRunScenario:
         assert sum(summary.failures for summary in result.per_method.values()) == 0
 
     def test_degenerate_scenario_aborts(self, monkeypatch):
-        def broken(samples, base_weights=None, start=None):
-            from ebct.errors import InfeasibleConstraints
+        # Every EBCT solve fails, stacked and alone.
+        def broken(matrices, base_weights=None, start=None, cap=None):
+            raise InfeasibleConstraints("synthetic")
 
-            return [InfeasibleConstraints("synthetic") for _ in samples]
-
-        monkeypatch.setattr(sim, "solve_batch", broken)
+        monkeypatch.setattr(weighting, "solve_batch", broken)
         config = ScenarioConfig(n=200, sigma=4.0, eta=1.0, spec=1, replications=5,
                                 methods=("ebct",), master_seed=1)
         with pytest.raises(ScenarioDegenerate):
@@ -320,23 +327,25 @@ class TestRunScenario:
         x = drawn.covariates.copy()
         x[1, :, 3] = 1.0
         group = Dataset(treatment=drawn.treatment, covariates=x, outcome=drawn.outcome)
-        solve_batch, solved = sim.solve_batch, []
+        solved = []
 
-        def recording(G):
-            outcomes = solve_batch(G)
-            solved.extend(outcomes)
-            return outcomes
+        def recording(matrices, base_weights=None, start=None, cap=None):
+            weights, traces = solve_batch(matrices, base_weights, start, cap)
+            solved.append(weights)
+            return weights, traces
 
-        monkeypatch.setattr(sim, "solve_batch", recording)
-        weights, rows = sim._ebct_weights(group)
+        monkeypatch.setattr(weighting, "solve_batch", recording)
+        # The group's standardization fails, so each dataset is weighed alone.
+        weights, rows = sim._stacked(lambda part: estimate_weights(part, "ebct"), group)
         assert rows.tolist() == [0, 2]
         with pytest.raises(ConstantColumn, match="X4"):
             standardize(sim._rows(group, [1]))
+        assert [stack.weights.shape for stack in solved] == [(1, 200), (1, 200)]
         for slot, b in enumerate(rows):
             one = sim._rows(group, [b])
             expected, _ = solve(standardize(one)[0])
             assert weights[slot].tobytes() == expected.weights.tobytes()
-            assert solved[slot][0].iterations == expected.iterations
+            assert solved[slot].iterations[0] == expected.iterations
 
     def test_rank_deficient_weighting_fails_only_its_method(self, monkeypatch):
         # fit_wls fails any call whose weights include the IPW weighting, as
@@ -364,27 +373,24 @@ class TestRunScenario:
         # In one group, replication 1's EBCT solve fails and replication 4's
         # IPW fit fails: those two records fail, and every record is the one
         # the replication gives alone.
-        from ebct.errors import InfeasibleConstraints
-
         config = ScenarioConfig(n=200, sigma=2.0, eta=1.25, spec=2, replications=6,
                                 master_seed=21)
         infeasible = standardize(sim._draw(config, [1]))[0]
         ipw = estimate_weights(sim._draw(config, [4]), "ipw")[0]
-        solve_batch, fit_wls = sim.solve_batch, sim.fit_wls
+        fit_wls = sim.fit_wls
 
-        def failing_solve(samples, base_weights=None, start=None):
-            outcomes = solve_batch(samples, base_weights, start)
-            return [
-                InfeasibleConstraints("synthetic") if np.array_equal(G, infeasible) else outcome
-                for G, outcome in zip(samples, outcomes)
-            ]
+        def failing_solve(matrices, base_weights=None, start=None, cap=None):
+            # A stack that holds replication 1's problem fails as a whole.
+            if any(np.array_equal(G, infeasible) for G in matrices):
+                raise InfeasibleConstraints("synthetic")
+            return solve_batch(matrices, base_weights, start, cap)
 
         def failing_fit(y, design, w):
             if (w == ipw).all(axis=1).any():
                 raise RankDeficientDesign("synthetic")
             return fit_wls(y, design, w)
 
-        monkeypatch.setattr(sim, "solve_batch", failing_solve)
+        monkeypatch.setattr(weighting, "solve_batch", failing_solve)
         monkeypatch.setattr(sim, "fit_wls", failing_fit)
         group = sim._run_replications(config, range(config.replications))
         grouped = [sim._records(group, slot) for slot in range(config.replications)]
@@ -459,6 +465,22 @@ class TestRunScenario:
         assert sum(summary.failures for summary in result.per_method.values()) == 0
         # fit_wls and balance_report run once per group and method.
         assert calls == {"fit_wls": 9, "balance_report": 9, "ipw_weights": 3}
+
+    def test_ebct_builds_one_weighting_per_group(self, monkeypatch):
+        # A group's stacked solve returns one BalancingWeights for all its
+        # replications, not one object per replication stacked back.
+        shapes, post_init = [], BalancingWeights.__post_init__
+
+        def counted(weights):
+            shapes.append(np.shape(weights.weights))
+            post_init(weights)
+
+        monkeypatch.setattr(BalancingWeights, "__post_init__", counted)
+        config = ScenarioConfig(n=200, sigma=2.0, eta=1.25, spec=2, replications=12,
+                                methods=("ebct",), master_seed=13)
+        records = sim._run_replications(config, range(config.replications))
+        assert not records["ebct"][1].any()
+        assert shapes == [(12, 200)]
 
     @pytest.mark.parametrize("n", [200, 500])
     def test_group_size_changes_no_record(self, monkeypatch, n):
@@ -536,8 +558,8 @@ class TestGroupDraw:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
-        ebct = np.array([weights.weights for weights, _ in sim.solve_batch(standardize(group))])
-        for weights in (ebct, estimate_weights(group, "ipw"), estimate_weights(group, "uniform")):
+        for method in ("ebct", "ipw", "uniform"):
+            weights = estimate_weights(group, method)
             sim.balance_report(weights, group)
             sim._slopes(group, weights)
         assert [array.tobytes() for array in arrays] == before
@@ -600,15 +622,14 @@ class TestGroupMemory:
         config = ScenarioConfig(n=200, sigma=4.0, eta=1.0, spec=1, master_seed=3)
         group = sim._draw(config, range(30))
         G = standardize(group)
-        ebct = np.array([weights.weights for weights, _ in sim.solve_batch(G)])
-        return group, G, ebct
+        return group, G, solve_batch(G)[0].weights
 
     @pytest.mark.parametrize("layer", ["standardize", "solve_batch", "balance_report"])
     def test_working_memory_is_a_fraction_of_the_stack(self, group, layer):
         group, G, ebct = group
         call = {
             "standardize": lambda: standardize(group),
-            "solve_batch": lambda: sim.solve_batch(G),
+            "solve_batch": lambda: solve_batch(G)[0].weights,
             "balance_report": lambda: sim.balance_report(ebct, group),
         }[layer]
         assert G.shape == (30, 200, 21)

@@ -517,7 +517,7 @@ def selected_sample(seed, n=50):
 def lone_path(monkeypatch, G, **kwargs) -> tuple:
     """Solve G alone and retrace its Newton path.
 
-    Returns the outcome, as ``solve_batch`` gives it; per Newton direction
+    Returns the outcome, ``solve``'s result or its error; per Newton direction
     of a solved problem, whether that step began in the local phase; per
     accepted step, whether it was below 1; and the number of Newton
     directions taken. A step below 1 is an accepted candidate that is not
@@ -562,13 +562,53 @@ def assert_same_outcome(stacked, alone) -> None:
         assert type(stacked) is type(alone) and str(stacked) == str(alone)
         if isinstance(alone, ThresholdInfeasible):
             assert stacked.certificate.tobytes() == alone.certificate.tobytes()
+        if isinstance(alone, NotConverged):
+            assert_same_outcome((stacked.weights, None), (alone.weights, None))
         return
     (weights, trace), (lone, lone_trace) = stacked, alone
     assert weights.weights.tobytes() == lone.weights.tobytes()
     assert weights.gamma.tobytes() == lone.gamma.tobytes()
+    assert weights.converged == lone.converged
     assert weights.iterations == lone.iterations
     assert weights.final_gradient_norm == lone.final_gradient_norm
     assert trace == lone_trace
+
+
+def lone_outcome(G, **kwargs):
+    """``solve``'s result for one problem, or the error it raises."""
+    try:
+        return solve(G, **kwargs)
+    except EbctError as err:
+        return err
+
+
+def assert_stack_matches_lone(matrices, alone, start=None, **per_problem) -> None:
+    """``solve_batch`` of ``matrices`` against the lone ``alone`` outcomes.
+
+    ``per_problem`` holds lists of ``base_weights`` or ``cap``, one entry per
+    matrix. When some problem fails alone, the whole stack raises that error
+    of one of them, bit for bit; the stack of the others then gives each its
+    lone result bit for bit, with its trace.
+    """
+    failures = [outcome for outcome in alone if isinstance(outcome, Exception)]
+    if failures:
+        with pytest.raises(EbctError) as excinfo:
+            solve_batch(matrices, start=start, **per_problem)
+        assert any(type(excinfo.value) is type(err) for err in failures)
+        assert_same_outcome(
+            excinfo.value, next(err for err in failures if str(err) == str(excinfo.value))
+        )
+    kept = [b for b, outcome in enumerate(alone) if not isinstance(outcome, Exception)]
+    if not kept:
+        return
+    weights, traces = solve_batch(
+        [matrices[b] for b in kept],
+        start=start,
+        **{name: [values[b] for b in kept] for name, values in per_problem.items()},
+    )
+    assert weights.weights.shape == (len(kept), matrices[0].shape[0])
+    for slot, b in enumerate(kept):
+        assert_same_outcome((weights.row(slot), traces[slot]), alone[b])
 
 
 class TestSolveBatch:
@@ -579,10 +619,8 @@ class TestSolveBatch:
         # diverge; the stack runs each through its own path.
         matrices = [selected_sample(seed) for seed in range(12)]
         start = np.random.default_rng(3).uniform(-1.0, 1.0, size=5)
-        batch = solve_batch(matrices, start=start)
         paths = [lone_path(monkeypatch, G, start=start) for G in matrices]
-        for stacked, (alone, *_) in zip(batch, paths):
-            assert_same_outcome(stacked, alone)
+        assert_stack_matches_lone(matrices, [alone for alone, *_ in paths], start=start)
         solved = [path for path in paths if not isinstance(path[0], Exception)]
         assert len(paths) - len(solved) == 2
         assert len({alone[0].iterations for alone, *_ in solved}) > 1
@@ -599,12 +637,12 @@ class TestSolveBatch:
         shares = np.array([2.5, 4.0, 6.0, 10.0, 3.0, 6.0]) / copies.sum()
         matrices = [selected_sample(seed) for seed in range(6)]
         caps = [copies * share for share in shares]
-        batch = solve_batch(matrices, [copies] * 6, cap=caps)
         paths = [
             lone_path(monkeypatch, G, base_weights=copies, cap=u) for G, u in zip(matrices, caps)
         ]
-        for stacked, (alone, *_) in zip(batch, paths):
-            assert_same_outcome(stacked, alone)
+        assert_stack_matches_lone(
+            matrices, [alone for alone, *_ in paths], base_weights=[copies] * 6, cap=caps
+        )
         certified = [steps for alone, *_, steps in paths if isinstance(alone, ThresholdInfeasible)]
         assert len(certified) >= 3
         assert len(set(certified)) > 1
@@ -612,77 +650,113 @@ class TestSolveBatch:
 
     def test_matches_one_problem_solves(self, rng):
         # Non-uniform base weights; the problems need different iteration
-        # counts, two of them diverge and one underflows a weight to zero
-        # while the others still iterate.
+        # counts, two of them diverge and one underflows a weight to zero.
         matrices = [selected_sample(seed) for seed in range(12)]
         base = [rng.uniform(0.5, 2.0, size=50) for _ in matrices]
-        batch = solve_batch(matrices, base)
-        iterations = set()
-        for G, q, outcome in zip(matrices, base, batch):
-            try:
-                alone, alone_trace = solve(G, base_weights=q)
-            except EbctError as err:
-                assert type(outcome) is type(err)
-                continue
-            weights, trace = outcome
-            npt.assert_allclose(weights.weights, alone.weights, rtol=0, atol=1e-12)
-            recovered = recover_weights(weights.gamma, G, q)
-            npt.assert_allclose(recovered, alone.weights, rtol=0, atol=1e-12)
-            assert weights.iterations == alone.iterations
-            assert trace == pytest.approx(alone_trace, abs=1e-12)
-            iterations.add(weights.iterations)
-        assert len(iterations) > 1
-        infeasible = [str(o) for o in batch if isinstance(o, InfeasibleConstraints)]
+        alone = [lone_outcome(G, base_weights=q) for G, q in zip(matrices, base)]
+        assert_stack_matches_lone(matrices, alone, base_weights=base)
+        for G, q, outcome in zip(matrices, base, alone):
+            if not isinstance(outcome, Exception):
+                recovered = recover_weights(outcome[0].gamma, G, q)
+                npt.assert_allclose(recovered, outcome[0].weights, rtol=0, atol=1e-12)
+        solved = [outcome[0] for outcome in alone if not isinstance(outcome, Exception)]
+        assert len({weights.iterations for weights in solved}) > 1
+        infeasible = [str(o) for o in alone if isinstance(o, InfeasibleConstraints)]
         assert sum("diverged" in message for message in infeasible) == 2
         assert sum("underflowed" in message for message in infeasible) == 1
 
     def test_failures_stay_with_their_problem(self):
+        # A stack with one failing problem raises that problem's own error,
+        # and the stack without it gives the others their lone weights.
         feasible = [random_sample(np.random.default_rng(seed), n=6, k=1) for seed in (2, 5, 10)]
         t = np.array([-2.0, -1.0, -1.0, 1.0, 1.0, 2.0])
         # Cross-product column strictly positive: no balancing weights exist.
         infeasible = balance_columns(t, [[-1.0], [-2.0], [-1.0], [1.0], [2.0], [1.0]])
         non_finite = balance_columns(t, [[-1.0], [1.0], [0.0], [np.nan], [1.0], [-1.0]])
+        assert isinstance(lone_outcome(infeasible), InfeasibleConstraints)
+        assert isinstance(lone_outcome(non_finite), NonFiniteDual)
+        for failing in (infeasible, non_finite):
+            matrices = [feasible[0], failing, *feasible[1:]]
+            assert_stack_matches_lone(matrices, [lone_outcome(G) for G in matrices])
         matrices = [feasible[0], infeasible, feasible[1], non_finite, feasible[2]]
-        batch = solve_batch(matrices)
-        assert isinstance(batch[1], InfeasibleConstraints)
-        assert isinstance(batch[3], NonFiniteDual)
-        for G, outcome in zip(matrices, batch):
-            try:
-                alone, _ = solve(G)
-            except EbctError as err:
-                assert type(outcome) is type(err)
-            else:
-                npt.assert_allclose(outcome[0].weights, alone.weights, rtol=0, atol=1e-12)
+        assert_stack_matches_lone(matrices, [lone_outcome(G) for G in matrices])
 
     def test_singular_hessian_stays_with_its_problem(self, rng, monkeypatch):
-        # One stacked Cholesky fails for the whole stack; the regular problems
-        # must still reach bit for bit what they reach alone.
+        # One stacked Cholesky fails for the whole stack; the problem that
+        # has no factor is found and its own message raised, and the regular
+        # problems still reach bit for bit what they reach alone.
         t, x1 = rng.standard_normal(30), rng.standard_normal(30)
         collinear = balance_columns(t, np.column_stack([x1, x1]))
         overflowing = random_sample(rng) * np.array([1e200, 1, 1, 1, 1])
         regular = [random_sample(rng), random_sample(rng)]
         monkeypatch.setattr(solver, "_RIDGE", 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            batch = solve_batch([regular[0], collinear, overflowing, regular[1]])
-        assert isinstance(batch[1], SingularHessian)
-        assert isinstance(batch[2], SingularHessian)
-        for G, (weights, _) in zip(regular, (batch[0], batch[3])):
-            alone, _ = solve(G)
-            assert weights.converged
-            assert weights.weights.tobytes() == alone.weights.tobytes()
-            assert weights.gamma.tobytes() == alone.gamma.tobytes()
-            assert weights.iterations == alone.iterations
+            for failing, message in ((collinear, "collinear"), (overflowing, "column 0")):
+                alone = lone_outcome(failing)
+                assert isinstance(alone, SingularHessian) and message in str(alone)
+                matrices = [regular[0], failing, regular[1]]
+                assert_stack_matches_lone(matrices, [lone_outcome(G) for G in matrices])
+            matrices = [regular[0], collinear, overflowing, regular[1]]
+            assert_stack_matches_lone(matrices, [lone_outcome(G) for G in matrices])
+        assert all(lone_outcome(G)[0].converged for G in regular)
 
     def test_not_converged_per_problem(self, rng, monkeypatch):
+        # The stack raises the first problem's NotConverged, carrying that
+        # problem's lone weights; each problem alone raises its own.
         matrices = [random_sample(rng, n=30, k=2) for _ in range(3)]
         monkeypatch.setattr(solver, "_MAX_ITERATIONS", 2)
         monkeypatch.setattr(solver, "_GRADIENT_TOLERANCE", 1e-12)
-        for outcome in solve_batch(matrices):
+        alone = [lone_outcome(G) for G in matrices]
+        for outcome in alone:
             assert isinstance(outcome, NotConverged)
             assert outcome.weights.iterations == 2
+            assert not outcome.weights.converged
+        with pytest.raises(NotConverged) as excinfo:
+            solve_batch(matrices)
+        assert_same_outcome(excinfo.value, alone[0])
+        assert excinfo.value.weights.weights.shape == (30,)
+
+    @pytest.mark.parametrize(
+        "kind", ["infeasible", "non-finite", "singular", "not-converged", "certified"]
+    )
+    def test_stack_of_one_raises_what_solve_raises(self, rng, monkeypatch, kind):
+        t = np.array([-2.0, -1.0, -1.0, 1.0, 1.0, 2.0])
+        kwargs = {}
+        if kind == "infeasible":
+            G = balance_columns(t, [[-1.0], [-2.0], [-1.0], [1.0], [2.0], [1.0]])
+        elif kind == "non-finite":
+            G = balance_columns(t, [[-1.0], [1.0], [0.0], [np.nan], [1.0], [-1.0]])
+        elif kind == "singular":
+            G = random_sample(rng) * np.array([1, 1, 1e200, 1, 1])
+        elif kind == "not-converged":
+            G = random_sample(rng)
+            monkeypatch.setattr(solver, "_MAX_ITERATIONS", 1)
+        else:
+            G = selected_sample(0)
+            kwargs = {"cap": np.full(50, 1.5 / 50)}
+        with np.errstate(over="ignore", invalid="ignore"):
+            alone = lone_outcome(G, **kwargs)
+            assert isinstance(alone, EbctError)
+            with pytest.raises(EbctError) as excinfo:
+                solve_batch([G], **{name: [value] for name, value in kwargs.items()})
+        assert_same_outcome(excinfo.value, alone)
+
+    def test_returns_one_stacked_weighting(self, rng):
+        matrices = [random_sample(rng, n=30, k=2) for _ in range(3)]
+        weights, traces = solve_batch(matrices)
+        assert weights.weights.shape == (3, 30) and weights.gamma.shape == (3, 5)
+        assert weights.iterations.shape == weights.final_gradient_norm.shape == (3,)
+        assert weights.converged and weights.method_tag == "ebct" and len(traces) == 3
+        for array in (weights.weights, weights.gamma, weights.iterations):
+            assert not array.flags.writeable
+        # A lone solve's weights are a view of its stack of one, not a copy.
+        lone, _ = solve(matrices[0])
+        assert lone.weights.base is not None and lone.weights.base.shape == (1, 30)
+        assert isinstance(lone.iterations, int) and isinstance(lone.final_gradient_norm, float)
 
     def test_shapes_must_agree(self, rng):
-        assert solve_batch([]) == []
+        with pytest.raises(ValueError, match="no problems"):
+            solve_batch([])
         with pytest.raises(ValueError, match="share n and K"):
             solve_batch([random_sample(rng, n=30), random_sample(rng, n=31)])
         with pytest.raises(ValueError):
@@ -711,20 +785,9 @@ class TestStart:
     def test_batch_matches_one_problem_solves(self, rng):
         matrices = [selected_sample(seed) for seed in range(12)]
         start = rng.uniform(-0.5, 0.5, size=5)
-        batch = solve_batch(matrices, start=start)
-        solved = 0
-        for G, outcome in zip(matrices, batch):
-            try:
-                alone, alone_trace = solve(G, start=start)
-            except EbctError as err:
-                assert type(outcome) is type(err) and str(outcome) == str(err)
-                continue
-            weights, trace = outcome
-            assert weights.weights.tobytes() == alone.weights.tobytes()
-            assert weights.gamma.tobytes() == alone.gamma.tobytes()
-            assert trace == alone_trace
-            solved += 1
-        assert solved > 0
+        alone = [lone_outcome(G, start=start) for G in matrices]
+        assert_stack_matches_lone(matrices, alone, start=start)
+        assert any(not isinstance(outcome, Exception) for outcome in alone)
 
     @pytest.mark.parametrize(
         "start",

@@ -43,17 +43,38 @@ class TestEstimateWeights:
     def test_sequence_of_datasets(self, rng):
         datasets = [random_dataset(rng, 50, 2) for _ in range(3)]
         group = batch(datasets)
-        for method in ("ipw", "uniform", "unweighted"):
+        for method in ("ebct", "ipw", "uniform", "unweighted"):
             stacked = estimate_weights(group, method)
             assert stacked.shape == (len(datasets), 50)
             assert not stacked.flags.writeable
             for dataset, weights in zip(datasets, stacked):
                 alone = estimate_weights(dataset, method)
                 assert weights.tobytes() == alone.weights.tobytes()
-        message = "ipw or uniform weights, without truncation or counts"
-        for kwargs in ({}, {"truncation": 0.05}, {"counts": np.ones(50, dtype=int)}):
-            with pytest.raises(ValueError, match=message):
-                estimate_weights(group, "ebct" if not kwargs else "ipw", **kwargs)
+        message = "a batch of datasets takes no truncation or counts"
+        for method in ("ebct", "ipw"):
+            for kwargs in ({"truncation": 0.05}, {"counts": np.ones(50, dtype=int)}):
+                with pytest.raises(ValueError, match=message):
+                    estimate_weights(group, method, **kwargs)
+
+    def test_ebct_batch_is_one_stacked_solve(self, rng, monkeypatch):
+        # The batch is standardized and solved as one stack; the lone
+        # solve, whose per-call spans the benchmark counts, is never run.
+        import ebct.weighting as weighting
+
+        datasets = [random_dataset(rng, 50, 2) for _ in range(4)]
+        stacks, solve_batch = [], weighting.solve_batch
+
+        def recording(matrices, **kwargs):
+            stacks.append(np.shape(matrices))
+            return solve_batch(matrices, **kwargs)
+
+        def lone(*args, **kwargs):
+            raise AssertionError("a batch reached the lone solve")
+
+        monkeypatch.setattr(weighting, "solve_batch", recording)
+        monkeypatch.setattr(weighting, "solve", lone)
+        estimate_weights(batch(datasets), "ebct")
+        assert stacks == [(4, 50, 5)]
 
     def test_ebct_truncation_keeps_balance(self):
         ds = selection_dataset()
