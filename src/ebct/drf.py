@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .data import Dataset, check_counts
 from .errors import (
@@ -22,6 +23,7 @@ from .errors import (
     RankDeficientDesign,
     ResampleDegenerate,
 )
+from .solver import _lapack
 from .weighting import counted_ebct, estimate_weights
 
 # Normal critical value for a two-sided test at the 10% level.
@@ -68,16 +70,17 @@ def fit_wls(y, design, w) -> np.ndarray:
     # numpy's Cholesky passes NaN and inf through without raising.
     if not np.isfinite(gram).all():
         raise ValueError(_NON_FINITE)
+    # np.linalg.cholesky and np.linalg.solve, bit for bit (see ``_lapack``).
     try:
-        lower = np.linalg.cholesky(gram)
+        lower = _lapack(_umath_linalg.cholesky_lo, gram)
     except np.linalg.LinAlgError:
         raise RankDeficientDesign(
             "design matrix is rank deficient under the weight metric"
         ) from None
     if not np.isfinite(rhs).all():
         raise ValueError(_NON_FINITE)
-    half = np.linalg.solve(lower, rhs)
-    return np.linalg.solve(np.swapaxes(lower, -1, -2), half)[..., 0]
+    half = _lapack(_umath_linalg.solve, lower, rhs)
+    return _lapack(_umath_linalg.solve, np.swapaxes(lower, -1, -2), half)[..., 0]
 
 
 # Bit-for-bit stand-ins for numpy.polynomial's polyvander, polyval and
@@ -357,7 +360,12 @@ def bootstrap_se(
         _check_distinct(
             _count_distinct(dataset.treatment[kept]) if ties else len(copies), fit.degree
         )
-        coefficients = fit_wls(dataset.outcome[kept], design[kept], resampled.weights)
+        # take gathers rows at half the cost of fancy indexing
+        if not isinstance(kept, slice):
+            y, rows = dataset.outcome.take(kept), design.take(kept, axis=0)
+        else:
+            y, rows = dataset.outcome, design
+        coefficients = fit_wls(y, rows, resampled.weights)
         return slopes @ coefficients[1:]
 
     draws = bootstrap_statistic(dataset.n, derivatives, replications, seed)

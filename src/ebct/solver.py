@@ -28,6 +28,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .data import BalancingWeights, check_counts
 from .errors import (
@@ -241,20 +242,38 @@ def recover_weights(gamma, G, base_weights=None) -> np.ndarray:
     return w[0]
 
 
+def _linalg_error(*_) -> None:
+    raise np.linalg.LinAlgError
+
+
+def _lapack(kernel, *operands) -> np.ndarray:
+    """numpy's LAPACK gufunc ``kernel`` (``_umath_linalg.cholesky_lo`` or
+    ``.solve``) on float operands, as ``np.linalg.cholesky`` and
+    ``np.linalg.solve`` call it: the same kernel under the same error state,
+    which raises ``LinAlgError`` when a factorization fails, so its results
+    are theirs bit for bit. Their argument checks are left out; on the
+    small systems of a lone Newton step or fit they cost as much as the
+    kernel."""
+    with np.errstate(
+        call=_linalg_error, invalid="call", over="ignore", divide="ignore", under="ignore"
+    ):
+        return kernel(*operands, signature="d" * len(operands) + "->d")
+
+
 def _newton_directions(hessian, grad) -> np.ndarray:
     """Newton directions -H^{-1} g for a (B, m, m) stack, as (B, m).
 
     One stacked Cholesky certifies every Hessian positive definite, then one
-    stacked solve gives every direction. numpy passes NaN and inf through
-    its Cholesky without raising, so a Hessian that is not finite counts as
-    singular. numpy raises for the whole stack when one factorization
-    fails; only then is each Hessian taken alone, to raise the
-    ``SingularHessian`` of the first that has no factor.
+    stacked solve gives every direction (see ``_lapack``). numpy passes NaN
+    and inf through its Cholesky without raising, so a Hessian that is not
+    finite counts as singular. numpy raises for the whole stack when one
+    factorization fails; only then is each Hessian taken alone, to raise
+    the ``SingularHessian`` of the first that has no factor.
     """
     try:
         if np.isfinite(hessian).all():
-            np.linalg.cholesky(hessian)
-            return -np.linalg.solve(hessian, grad[:, :, None])[:, :, 0]
+            _lapack(_umath_linalg.cholesky_lo, hessian)
+            return -_lapack(_umath_linalg.solve, hessian, grad[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         pass
     for h in hessian:
@@ -500,48 +519,12 @@ def _prepare_start(m: int, start) -> np.ndarray:
     return gamma
 
 
-def solve_batch(matrices, base_weights=None, start=None, cap=None) -> tuple:
-    """Solve many same-shape problems in one stacked Newton run.
-
-    ``matrices`` is the B x n x m stack of balance-column matrices that
-    ``standardize`` returns for B datasets, or a sequence of B n x m
-    matrices; a stack is used as it is, without a copy. ``base_weights`` is
-    None (uniform for every problem) or one entry per matrix, each None or a
-    positive vector. ``start`` is the m-vector of multipliers every
-    problem's Newton run starts from; None starts at zero. The dual is
-    convex, so the start changes how many steps a problem takes, not the
-    optimum it reaches (beyond the gradient tolerance); each trace begins at
-    the dual value at the start. ``cap`` is None or one positive n-vector
-    per matrix of upper bounds on the weights (see ``solve``); one
-    problem's cap is used without a copy. Uniform base weights or caps (no
-    base weights, a zero-stride broadcast, or equal entries) enter the
-    kernel as one broadcast entry per problem, not as n of them. Each Newton
-    iteration factors and solves the Newton systems of the whole stack in
-    one numpy call, and each problem's stopping test, Armijo test and step
-    size run on Python floats. The stack is never copied: the Hessians and, once some
-    problems finish, the matrices of the others are taken in blocks of
-    whole problems of at most ``_STACK_ROWS`` rows, so the working memory
-    beside the stack is a few such blocks, the (B, m, m) Hessians and a few
-    B x n arrays of weights. Each problem's weights, iterations and trace
-    are exactly those ``solve`` gives it alone from the same start, and
-    ``solve`` is this on a stack of one.
-
-    Returns:
-        ``(weights, traces)``: one stacked ``BalancingWeights`` of the B
-        problems (``weights.row(b)`` is problem b's) and per problem the
-        list of accepted dual values from the start on.
-
-    Raises:
-        The error ``solve`` raises for a problem that fails, which fails the
-        whole stack; a ``NotConverged`` carries that problem's weights.
-        ValueError: the stack is empty or shapes disagree, the matrices
-            have no rows, ``start`` is not a finite m-vector, or a cap is
-            not a positive finite n-vector.
-    """
-    if len(matrices) == 0:
+def _run(G, base_weights, start, cap) -> tuple:
+    """Check a stack's inputs and run ``_newton`` on it (see ``solve_batch``)."""
+    if len(G) == 0:
         raise ValueError("the stack holds no problems")
     try:
-        G = np.asarray(matrices, dtype=float)
+        G = np.asarray(G, dtype=float)
     except ValueError:  # matrices of unequal shapes
         raise ValueError("stacked problems must share n and K") from None
     if G.ndim != 3:
@@ -560,20 +543,68 @@ def solve_batch(matrices, base_weights=None, start=None, cap=None) -> tuple:
         # One problem's cap stays a view of the caller's vector, as G does.
         cap = cap[0][None] if B == 1 else np.stack(np.broadcast_arrays(*cap))
     gamma = _prepare_start(m, start)
-    log_q = np.stack(np.broadcast_arrays(*[_prepare_base_weights(n, bw) for bw in base_weights]))
+    q = [_prepare_base_weights(n, bw) for bw in base_weights]
+    log_q = np.array(q[0], ndmin=2) if B == 1 else np.stack(np.broadcast_arrays(*q))
     # A uniform row's total is the pairwise sum of its n equal entries.
     log_q /= np.broadcast_to(log_q, (B, n)).sum(axis=1, keepdims=True)
     np.log(log_q, out=log_q)
-    weights, gamma, iterations, norms, traces = _newton(G, log_q, gamma, cap)
-    stalled = [b for b, norm in enumerate(norms) if not norm <= _GRADIENT_TOLERANCE]
-    weights = BalancingWeights(
+    return _newton(G, log_q, gamma, cap)
+
+
+def _weighting(weights, gamma, iterations, norms, converged) -> BalancingWeights:
+    return BalancingWeights(
         weights=weights,
         gamma=gamma,
-        converged=not stalled,
+        converged=converged,
         iterations=iterations,
         final_gradient_norm=norms,
         method_tag="ebct",
     )
+
+
+def solve_batch(matrices, base_weights=None, start=None, cap=None) -> tuple:
+    """Solve many same-shape problems in one stacked Newton run.
+
+    ``matrices`` is the B x n x m stack of balance-column matrices that
+    ``standardize`` returns for B datasets, or a sequence of B n x m
+    matrices; a stack is used as it is, without a copy. ``base_weights`` is
+    None (uniform for every problem) or one entry per matrix, each None or a
+    positive vector. ``start`` is the m-vector of multipliers every
+    problem's Newton run starts from; None starts at zero. The dual is
+    convex, so the start changes how many steps a problem takes, not the
+    optimum it reaches (beyond the gradient tolerance); each trace begins at
+    the dual value at the start. ``cap`` is None or one positive n-vector
+    per matrix of upper bounds on the weights (see ``solve``); one
+    problem's cap and base weights are used without a broadcast or stack.
+    Uniform base weights or caps (no base weights, a zero-stride broadcast,
+    or equal entries) enter the kernel as one broadcast entry per problem,
+    not as n of them. Each Newton
+    iteration factors and solves the Newton systems of the whole stack in
+    one numpy call, and each problem's stopping test, Armijo test and step
+    size run on Python floats. The stack is never copied: the Hessians and, once some
+    problems finish, the matrices of the others are taken in blocks of
+    whole problems of at most ``_STACK_ROWS`` rows, so the working memory
+    beside the stack is a few such blocks, the (B, m, m) Hessians and a few
+    B x n arrays of weights. Each problem's weights, iterations and trace
+    are exactly those ``solve`` gives it alone from the same start: both
+    run the same checks and the same Newton driver, ``solve`` on a stack of
+    one.
+
+    Returns:
+        ``(weights, traces)``: one stacked ``BalancingWeights`` of the B
+        problems (``weights.row(b)`` is problem b's) and per problem the
+        list of accepted dual values from the start on.
+
+    Raises:
+        The error ``solve`` raises for a problem that fails, which fails the
+        whole stack; a ``NotConverged`` carries that problem's weights.
+        ValueError: the stack is empty or shapes disagree, the matrices
+            have no rows, ``start`` is not a finite m-vector, or a cap is
+            not a positive finite n-vector.
+    """
+    weights, gamma, iterations, norms, traces = _run(matrices, base_weights, start, cap)
+    stalled = [b for b, norm in enumerate(norms) if not norm <= _GRADIENT_TOLERANCE]
+    weights = _weighting(weights, gamma, iterations, norms, not stalled)
     if stalled:
         raise NotConverged(weights.row(stalled[0]))
     return weights, traces
@@ -591,7 +622,9 @@ def solve(G: np.ndarray, base_weights=None, start=None, cap=None) -> tuple:
     m-vector of initial multipliers (None: zero); a start near the optimum,
     such as the multipliers of a closely related sample, saves Newton steps
     and reaches the same weights within the tolerance. This is the
-    one-problem case of ``solve_batch``.
+    one-problem case of ``solve_batch``: the same checks and Newton driver
+    on a stack of one, whose row 0 is the result. Its weights and gamma are
+    views of that stack, and one ``BalancingWeights`` is built per solve.
 
     ``cap`` is None or a positive n-vector u of upper bounds on the weights.
     With it the solver minimizes the same divergence subject to w_i <= u_i
@@ -630,8 +663,13 @@ def solve(G: np.ndarray, base_weights=None, start=None, cap=None) -> tuple:
     """
     # G[None] is a view: at large n a copy of G would double peak memory.
     cap = None if cap is None else [cap]
-    weights, (trace,) = solve_batch(_balance_matrix(G)[None], [base_weights], start, cap)
-    return weights.row(0), trace
+    weights, gamma, (iterations,), (norm,), (trace,) = _run(
+        _balance_matrix(G)[None], [base_weights], start, cap
+    )
+    weights = _weighting(weights[0], gamma[0], iterations, norm, norm <= _GRADIENT_TOLERANCE)
+    if not weights.converged:
+        raise NotConverged(weights)
+    return weights, trace
 
 
 def check_threshold(threshold: float, n: int) -> None:
@@ -769,34 +807,44 @@ def truncate_and_rebalance(
     # Without counts the copies are a zero-stride view of ones, and so the
     # cap is one of the threshold: no n-vector holds either.
     cap = np.broadcast_to(threshold, copies.shape) if counts is None else copies * threshold
+    if (weights.weights <= cap).all():
+        if not weights.converged:
+            raise NotConverged(weights)
+        return weights
+    # The capped solve needs only the multipliers, step count and
+    # convergence of the untruncated weights, so their n-vector is let go
+    # before it: when the caller holds no other reference, as
+    # ``estimate_weights`` holds none, truncation peaks no higher than the
+    # untruncated solve.
+    start, iterations = weights.gamma, weights.iterations
     failure = None if weights.converged else NotConverged(weights)
-    result = weights
-    if not (weights.weights <= cap).all():
-        try:
-            capped, _ = solve(G, base_weights=copies, start=weights.gamma, cap=cap)
-        except NotConverged as err:
-            capped, failure = err.weights, failure or err
-        except ThresholdInfeasible as err:
-            raise ThresholdInfeasible(
-                f"threshold {threshold} is infeasible: {err}", certificate=err.certificate
-            ) from None
-        # Capping the uncapped weights of the solve's gamma in closed form
-        # gives min(u, k q e^{gamma.g}) summing to one: the capped optimum's
-        # form, exactly at or below the cap. The solve's own weights go
-        # first, so that beside G and ``weights`` at most two n-vectors are
-        # held here.
-        gamma, steps, norm = capped.gamma, capped.iterations, capped.final_gradient_norm
-        del capped
-        uncapped = recover_weights(gamma, G, copies)
-        final = _cap(uncapped, threshold, counts)
-        result = BalancingWeights(
-            weights=uncapped if final is None else final,
-            gamma=weights.gamma,
-            converged=failure is None,
-            iterations=weights.iterations + steps,
-            final_gradient_norm=norm,
-            method_tag="ebct",
-        )
+    if failure is not None:
+        failure.weights = None  # the truncated weights, below
+    del weights
+    try:
+        capped, _ = solve(G, base_weights=copies, start=start, cap=cap)
+    except NotConverged as err:
+        capped, failure = err.weights, failure or err
+    except ThresholdInfeasible as err:
+        raise ThresholdInfeasible(
+            f"threshold {threshold} is infeasible: {err}", certificate=err.certificate
+        ) from None
+    # Capping the uncapped weights of the solve's gamma in closed form
+    # gives min(u, k q e^{gamma.g}) summing to one: the capped optimum's
+    # form, exactly at or below the cap. The solve's own weights go first,
+    # so that beside G at most two n-vectors are held here.
+    gamma, steps, norm = capped.gamma, capped.iterations, capped.final_gradient_norm
+    del capped
+    uncapped = recover_weights(gamma, G, copies)
+    final = _cap(uncapped, threshold, counts)
+    result = BalancingWeights(
+        weights=uncapped if final is None else final,
+        gamma=start,
+        converged=failure is None,
+        iterations=iterations + steps,
+        final_gradient_norm=norm,
+        method_tag="ebct",
+    )
     if failure is not None:
         failure.weights = result
         raise failure

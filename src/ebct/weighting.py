@@ -99,14 +99,19 @@ def _ebct(G, copies, truncation, start):
     """Solve the balance problem of ``G`` with base weights ``copies`` (None:
     the solver's own uniform ones) from ``start``, then truncate; a solve
     that stops short is truncated all the same, which raises its error."""
+    # The full sample keeps the solver's own uniform base weights:
+    # full(n, 1/n) normalized is not bit for bit ones / n.
+    if truncation is None:
+        return solve(G, base_weights=copies, start=start)[0]
+    # The untruncated weights go straight into truncation, with no reference
+    # kept here, so that it can release them before its capped solve.
+    return truncate_and_rebalance(G, _untruncated(G, copies, start), truncation, copies)
+
+
+def _untruncated(G, copies, start):
+    """``solve``'s weights, or those a ``NotConverged`` carries, which
+    ``truncate_and_rebalance`` raises again."""
     try:
-        # The full sample keeps the solver's own uniform base weights:
-        # full(n, 1/n) normalized is not bit for bit ones / n.
-        weights, _ = solve(G, base_weights=copies, start=start)
+        return solve(G, base_weights=copies, start=start)[0]
     except NotConverged as err:
-        if truncation is None:
-            raise
-        weights = err.weights  # truncate_and_rebalance raises it again
-    if truncation is not None:
-        weights = truncate_and_rebalance(G, weights, truncation, copies)
-    return weights
+        return err.weights

@@ -306,6 +306,21 @@ class TestBootstrapSe:
         for name in ("degree", "coefficients", "grid", "drf_values", "drf_derivatives"):
             npt.assert_array_equal(getattr(result, name), getattr(fit, name))
 
+    def test_ebct_replicates_build_one_weighting_each(self, monkeypatch):
+        # Each replicate's lone solve builds its BalancingWeights once; with
+        # the full sample's, B replicates build at most B + 1.
+        built, post_init = [], data.BalancingWeights.__post_init__
+
+        def counted(weights):
+            built.append(weights.n)
+            post_init(weights)
+
+        monkeypatch.setattr(data.BalancingWeights, "__post_init__", counted)
+        ds = self.drf_dataset()
+        fit, weights = self.drf_fit(ds, 5, method="ebct")
+        bootstrap_se(fit, ds, weights, None, 30, seed=21)
+        assert 30 < len(built) <= 31
+
     def test_reestimates_weights_per_replicate(self):
         # The ebct pipeline re-solves on each resample, so its spread must
         # reflect more than outcome noise: SEs strictly positive and finite.

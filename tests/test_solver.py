@@ -754,6 +754,37 @@ class TestSolveBatch:
         assert lone.weights.base is not None and lone.weights.base.shape == (1, 30)
         assert isinstance(lone.iterations, int) and isinstance(lone.final_gradient_norm, float)
 
+    @pytest.mark.parametrize("kind", ["converged", "capped", "not-converged"])
+    def test_lone_solve_is_row_zero_of_a_stack_of_one(self, monkeypatch, kind):
+        # Same weights, gamma, iterations, gradient norm and trace bit for
+        # bit; a NotConverged carries the same lone weights either way.
+        G, per_problem = selected_sample(5), {}
+        if kind == "capped":
+            # A binding cap: the uncapped weights reach a share of 0.12.
+            per_problem = {"base_weights": [np.arange(1, 51) % 3 + 1.0], "cap": [np.full(50, 0.08)]}
+        elif kind == "not-converged":
+            monkeypatch.setattr(solver, "_MAX_ITERATIONS", 2)
+        alone = lone_outcome(G, **{name: values[0] for name, values in per_problem.items()})
+        assert isinstance(alone, NotConverged) == (kind == "not-converged")
+        assert_stack_matches_lone([G], [alone], **per_problem)
+        if kind == "capped":
+            assert alone[0].converged and alone[0].weights.max() <= 0.08 * (1 + 1e-7)
+
+    @pytest.mark.parametrize("capped", [False, True], ids=["plain", "capped"])
+    def test_lone_solve_builds_one_weighting(self, monkeypatch, capped):
+        # The lone result is built once, as row 0 of the driver's stack of
+        # one, not as a stack whose row is then validated again.
+        built, post_init = [], BalancingWeights.__post_init__
+
+        def counted(weights):
+            built.append(np.shape(weights.weights))
+            post_init(weights)
+
+        monkeypatch.setattr(BalancingWeights, "__post_init__", counted)
+        weights, _ = solve(selected_sample(5), cap=np.full(50, 0.08) if capped else None)
+        assert built == [(50,)]
+        assert weights.weights.base.shape == (1, 50)
+
     def test_shapes_must_agree(self, rng):
         with pytest.raises(ValueError, match="no problems"):
             solve_batch([])

@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -83,6 +86,24 @@ class TestEstimateWeights:
         assert capped.weights.max() <= 0.03 + 1e-6
         assert balance_report(capped, ds).max_abs_correlation < 1e-6
         assert plain.weights.max() >= capped.weights.max()
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="CPython before 3.11 keeps a call's arguments referenced by its caller",
+    )
+    def test_ebct_truncation_peaks_as_the_plain_estimate(self, rng):
+        # Truncation lets the untruncated weights go before its capped
+        # solve, so it holds no n-vector beyond the plain estimate's peak.
+        ds = random_dataset(rng, 50_000, 10)
+        peaks = []
+        for truncation in (None, 10.0 / ds.n):
+            tracemalloc.start()
+            try:
+                estimate_weights(ds, "ebct", truncation=truncation)
+                peaks.append(tracemalloc.get_traced_memory()[1] / (8 * ds.n))
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 0.1, peaks
 
     def test_ipw_truncation_caps_only(self):
         ds = selection_dataset(seed=9)
