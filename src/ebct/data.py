@@ -31,12 +31,12 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     """``values`` as a read-only contiguous array: itself when it and the
     array that owns its memory are read-only, as the solver, IPW and the
     simulation's group draws hand over their results, so that nothing writes
-    it; else a read-only copy."""
+    it; else a read-only C-order copy, whatever the layout of ``values``."""
     if isinstance(values, np.ndarray) and values.dtype == dtype and values.flags.c_contiguous:
         owner = values if values.base is None else values.base
         if isinstance(owner, np.ndarray) and not (owner.flags.writeable or values.flags.writeable):
             return values
-    out = np.array(values, dtype=dtype)
+    out = np.array(values, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
 
@@ -384,9 +384,10 @@ class BalancingWeights:
     The normalization multiplier has no field: without a cap it is
     eliminated analytically, and with one it follows from gamma.
 
-    A stack of B weightings, as ``solve_batch`` returns it, is one too:
-    (B, n) weights, (B, m) gamma and (B,) ``iterations`` and
-    ``final_gradient_norm``. Arrays are kept read-only, as ``Dataset`` keeps
+    A stack of B weightings, as every batch weighting returns it, is one
+    too: (B, n) weights, (B, m) gamma and (B,) ``iterations`` and
+    ``final_gradient_norm``, where a scalar of either and a 1-d gamma
+    broadcast over the rows. Arrays are kept read-only, as ``Dataset`` keeps
     them.
     """
 
@@ -407,11 +408,14 @@ class BalancingWeights:
             raise ValueError(f"weights must sum to 1, got {total!r}")
         if self.method_tag not in METHODS:
             raise ValueError(f"unknown method tag {self.method_tag!r}")
+        if w.ndim == 2:
+            g = _frozen_array(np.broadcast_to(g, w.shape[:1] + g.shape[-1:]))
+            iterations = np.broadcast_to(self.iterations, w.shape[:1])
+            object.__setattr__(self, "iterations", _frozen_array(iterations, np.int64))
+            norms = np.broadcast_to(self.final_gradient_norm, w.shape[:1])
+            object.__setattr__(self, "final_gradient_norm", _frozen_array(norms))
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "gamma", g)
-        if w.ndim == 2:
-            object.__setattr__(self, "iterations", _frozen_array(self.iterations, np.int64))
-            object.__setattr__(self, "final_gradient_norm", _frozen_array(self.final_gradient_norm))
 
     def row(self, b: int) -> "BalancingWeights":
         """The weighting of problem b of a stack; its arrays are views."""

@@ -75,9 +75,9 @@ def balance_report(w, dataset, method_tag: str = ""):
     largest weight of the vector normalized to sum one.
 
     ``dataset`` may also be a batch of B samples (see ``Dataset``), with
-    ``w`` the B x n array of their weights, one row per sample. The result
-    is then the list of their B reports from one pass over the batch, block
-    by block (see ``sample_blocks``) so that the working memory is one
+    ``w`` their stacked weighting or B x n weights, one row per sample. The
+    result is then the list of their B reports from one pass over the batch,
+    block by block (see ``sample_blocks``) so that the working memory is one
     block's, each bit for bit the report its row and sample give alone,
     degenerate columns included.
 

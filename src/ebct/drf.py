@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .data import Dataset, check_counts
 from .errors import (
@@ -23,7 +22,7 @@ from .errors import (
     RankDeficientDesign,
     ResampleDegenerate,
 )
-from .solver import _lapack
+from .solver import _cholesky, _solve
 from .weighting import counted_ebct, estimate_weights
 
 # Normal critical value for a two-sided test at the 10% level.
@@ -70,17 +69,16 @@ def fit_wls(y, design, w) -> np.ndarray:
     # numpy's Cholesky passes NaN and inf through without raising.
     if not np.isfinite(gram).all():
         raise ValueError(_NON_FINITE)
-    # np.linalg.cholesky and np.linalg.solve, bit for bit (see ``_lapack``).
     try:
-        lower = _lapack(_umath_linalg.cholesky_lo, gram)
+        lower = _cholesky(gram)
     except np.linalg.LinAlgError:
         raise RankDeficientDesign(
             "design matrix is rank deficient under the weight metric"
         ) from None
     if not np.isfinite(rhs).all():
         raise ValueError(_NON_FINITE)
-    half = _lapack(_umath_linalg.solve, lower, rhs)
-    return _lapack(_umath_linalg.solve, np.swapaxes(lower, -1, -2), half)[..., 0]
+    half = _solve(lower, rhs)
+    return _solve(np.swapaxes(lower, -1, -2), half)[..., 0]
 
 
 # Bit-for-bit stand-ins for numpy.polynomial's polyvander, polyval and

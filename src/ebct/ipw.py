@@ -62,7 +62,7 @@ def _stabilized_ratios(t, x, freq, n, dataset) -> np.ndarray:
     return shifted / shifted.sum(axis=1, keepdims=True)
 
 
-def ipw_weights(dataset, counts=None):
+def ipw_weights(dataset, counts=None) -> BalancingWeights:
     """Normalized stabilized weights f_T(T_i) / f_{T|X}(T_i | X_i).
 
     The generalized propensity score f_{T|X} is the normal model
@@ -81,11 +81,11 @@ def ipw_weights(dataset, counts=None):
     rows), and the means and scales are count-weighted over N copies.
 
     ``dataset`` may also be a batch of B samples (see ``Dataset``). The
-    result is then the read-only B x n array of their weights from one pass
-    over the batch, block by block (see ``sample_blocks``) so that the
-    working memory is one block's, each row bit for bit the weights its
-    sample gives alone; only the least-squares fits run one sample at a
-    time, so each keeps its own rank decision.
+    result is then their stacked ``BalancingWeights`` from one pass over the
+    batch, block by block (see ``sample_blocks``) so that the working memory
+    is one block's, each row bit for bit the weighting its sample gives
+    alone; only the least-squares fits run one sample at a time, so each
+    keeps its own rank decision.
 
     Raises:
         ValueError: ``counts`` are invalid or come with a batch, or N < K+2
@@ -119,12 +119,11 @@ def ipw_weights(dataset, counts=None):
         _stabilized_ratios(t, x, freq, n, dataset) for _, t, x in sample_blocks(dataset, kept)
     ]
     weights = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    # Nothing writes these weights again: a lone sample's result adopts its row.
+    # Nothing writes these weights again: the result adopts them, or a lone
+    # sample's row of them.
     weights.setflags(write=False)
-    if not single:
-        return weights
     return BalancingWeights(
-        weights=weights[0],
+        weights=weights[0] if single else weights,
         gamma=np.empty(0),
         converged=True,
         iterations=0,

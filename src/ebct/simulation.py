@@ -201,52 +201,49 @@ def _draw(config: ScenarioConfig, indices: Sequence[int]) -> Dataset:
     return Dataset(treatment=t, covariates=x, outcome=y, column_names=_COLUMN_NAMES)
 
 
-def _rows(group: Dataset, rows) -> Dataset:
-    """The group's samples at sorted distinct ``rows``; the group itself when
-    they are all of them."""
-    if len(rows) == len(group.treatment):
-        return group
-    return replace(
-        group,
-        treatment=group.treatment[rows],
-        covariates=group.covariates[rows],
-        outcome=group.outcome[rows],
-    )
+def _stacked(step, group: Dataset) -> tuple:
+    """``(values, rows)``: the rows that ``step(group)`` returns, one per
+    sample, for the samples it succeeds for, and their indices.
 
-
-def _stacked(step, group: Dataset, *stacks) -> tuple:
-    """``(values, rows)``: the rows that ``step(group, *stacks)`` returns,
-    one per sample, for the samples it succeeds for, and their indices.
-
-    The step runs once over the whole group, with stacks that hold one row
-    per sample. When that raises, or the group holds one sample, it runs for
-    each sample alone, with its rows of the stacks, and a sample whose own
-    call raises an EbctError or LinAlgError is left out, so a failure stays
-    with its sample.
+    The step runs once over the whole group. When that raises, or the group
+    holds one sample, it runs for each sample alone, as a group of one, and
+    a sample whose own call raises an EbctError or LinAlgError is left out,
+    so a failure stays with its sample.
     """
     size = len(group.treatment)
     if size > 1:
         try:
-            return step(group, *stacks), np.arange(size)
+            return step(group), np.arange(size)
         except (EbctError, ValueError, np.linalg.LinAlgError):
             pass
     rows, values = [], []
     for b in range(size):
+        one = slice(b, b + 1)
+        sample = replace(
+            group, treatment=group.treatment[one], covariates=group.covariates[one],
+            outcome=group.outcome[one],
+        )
         try:
-            values.append(step(_rows(group, [b]), *(stack[[b]] for stack in stacks)))
+            values.append(step(sample))
         except (EbctError, np.linalg.LinAlgError):
             continue
         rows.append(b)
     return (np.concatenate(values) if values else np.empty(0)), np.array(rows, dtype=int)
 
 
-def _slopes(group: Dataset, weights) -> np.ndarray:
-    """Effect slopes of a group's samples under their (b, n) weights, from
-    one ``fit_wls`` call over the b x n stack of their regressions on
-    [1, T]."""
+def _measure(group: Dataset, method: str) -> np.ndarray:
+    """(B, 3) rows of a group's B samples under ``method``: each sample's
+    effect slope on [1, T], maximum absolute correlation and maximum weight
+    share, from one call each to ``estimate_weights``, ``fit_wls`` and
+    ``balance_report``."""
+    weights = estimate_weights(group, method)
     design = np.ones(group.treatment.shape + (2,))
     design[:, :, 1] = group.treatment
-    return fit_wls(group.outcome, design, weights)[:, 1]
+    slopes = fit_wls(group.outcome, design, weights.weights)[:, 1].tolist()
+    return np.array([
+        [slope, report.max_abs_correlation, report.max_weight_share]
+        for slope, report in zip(slopes, balance_report(weights, group))
+    ])
 
 
 def _run_replications(config: ScenarioConfig, indices: Sequence[int]) -> dict:
@@ -255,34 +252,20 @@ def _run_replications(config: ScenarioConfig, indices: Sequence[int]) -> dict:
     replications, NaN where the ``failed`` mask marks a failed weighting or
     fit.
 
-    Each method runs once over the group's batch: its weights (the EBCT
-    problems standardized and solved together), the effect regressions it
-    weighed in one ``fit_wls`` call and their diagnostics in one
-    ``balance_report`` call. A stacked step that raises, as EBCT's solve does
-    for one failing problem, is redone one replication at a time (see ``_stacked``).
+    Each method in turn measures the group's batch in one stacked step (see
+    ``_measure``), its EBCT problems standardized and solved together. A
+    step that raises, as EBCT's solve does for one failing problem, is
+    redone one replication at a time, weighting included (see ``_stacked``).
     """
     group = _draw(config, indices)
-    records = {
-        method: (np.full((3, len(indices)), np.nan), np.ones(len(indices), dtype=bool))
-        for method in config.methods
-    }
-    # EBCT first: its stacked solve, the group's largest working set, then
-    # holds no other method's weights.
-    for method in sorted(config.methods, key=lambda method: method != "ebct"):
-        values, failed = records[method]
-        weights, weighed = _stacked(lambda part: estimate_weights(part, method), group)
-        if not len(weighed):
-            continue
-        sample = _rows(group, weighed)
-        slopes, fitted = _stacked(_slopes, sample, weights)
-        if not len(fitted):
-            continue
-        reports = balance_report(weights[fitted], _rows(sample, fitted))
-        rows = weighed[fitted]
-        values[0, rows] = slopes
-        values[1, rows] = [report.max_abs_correlation for report in reports]
-        values[2, rows] = [report.max_weight_share for report in reports]
-        failed[rows] = False
+    records = {}
+    for method in config.methods:
+        values = np.full((3, len(indices)), np.nan)
+        failed = np.ones(len(indices), dtype=bool)
+        rows, measured = _stacked(lambda part: _measure(part, method), group)
+        values[:, measured] = rows.T
+        failed[measured] = False
+        records[method] = values, failed
     return records
 
 
@@ -351,13 +334,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     Replications run in groups of ``group_replications(n)``, up to
     ``GROUP_ROWS`` sample rows: a whole n=200 cell of 30 replications, 16 at
-    n=500, 8 at n=1000. Each method weighs, fits and diagnoses a group as
-    one stack, its EBCT problems in one stacked Newton run, and every stacked
-    layer bounds its working memory to a few blocks of rows beside its
-    inputs and outputs. The group is dropped before the next is drawn, so
-    memory does not grow with the replication count. Failed replicates are
-    excluded per method; the scenario aborts if any method loses more than
-    5% of them.
+    n=500, 8 at n=1000. One method after another weighs, fits and diagnoses
+    a group as one stack, its EBCT problems in one stacked Newton run, and
+    every stacked layer bounds its working memory to a few blocks of rows
+    beside its inputs and outputs. The group is dropped before the next is
+    drawn, so memory does not grow with the replication count. Failed
+    replicates are excluded per method; the scenario aborts if any method
+    loses more than 5% of them.
     """
     kept = {method: [] for method in config.methods}
     failures = dict.fromkeys(config.methods, 0)

@@ -247,17 +247,27 @@ def _linalg_error(*_) -> None:
 
 
 def _lapack(kernel, *operands) -> np.ndarray:
-    """numpy's LAPACK gufunc ``kernel`` (``_umath_linalg.cholesky_lo`` or
-    ``.solve``) on float operands, as ``np.linalg.cholesky`` and
-    ``np.linalg.solve`` call it: the same kernel under the same error state,
-    which raises ``LinAlgError`` when a factorization fails, so its results
-    are theirs bit for bit. Their argument checks are left out; on the
-    small systems of a lone Newton step or fit they cost as much as the
-    kernel."""
+    """numpy's LAPACK gufunc ``kernel`` on float operands, as
+    ``np.linalg.cholesky`` and ``np.linalg.solve`` call it: the same kernel
+    under the same error state, which raises ``LinAlgError`` when a
+    factorization fails, so its results are theirs bit for bit. Their
+    argument checks are left out; on the small systems of a lone Newton
+    step or fit they cost as much as the kernel. No other module imports
+    numpy's private ``_umath_linalg``: they call ``_cholesky`` and ``_solve``."""
     with np.errstate(
         call=_linalg_error, invalid="call", over="ignore", divide="ignore", under="ignore"
     ):
         return kernel(*operands, signature="d" * len(operands) + "->d")
+
+
+def _cholesky(a) -> np.ndarray:
+    """``np.linalg.cholesky(a)`` of a float (..., m, m) stack (see ``_lapack``)."""
+    return _lapack(_umath_linalg.cholesky_lo, a)
+
+
+def _solve(a, b) -> np.ndarray:
+    """``np.linalg.solve(a, b)`` of float stacks, ``b`` of columns (see ``_lapack``)."""
+    return _lapack(_umath_linalg.solve, a, b)
 
 
 def _newton_directions(hessian, grad) -> np.ndarray:
@@ -272,8 +282,8 @@ def _newton_directions(hessian, grad) -> np.ndarray:
     """
     try:
         if np.isfinite(hessian).all():
-            _lapack(_umath_linalg.cholesky_lo, hessian)
-            return -_lapack(_umath_linalg.solve, hessian, grad[:, :, None])[:, :, 0]
+            _cholesky(hessian)
+            return -_solve(hessian, grad[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         pass
     for h in hessian:

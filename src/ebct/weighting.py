@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -42,23 +43,22 @@ def estimate_weights(
     counted ebct also standardizes the full sample, so it needs n >= 2K+2.
 
     ``dataset`` may also be a batch of B samples (see ``Dataset``), without
-    truncation or counts. The result is then the read-only B x n array of
-    their weights, each row bit for bit the weights its sample gives alone.
-    ebct standardizes the whole batch and solves it in one ``solve_batch``
-    run, and ipw weighs it in one ``ipw_weights`` pass; a sample that fails
-    fails the batch with its error.
+    truncation or counts. The result is then their stacked weighting, each
+    row bit for bit the weighting its sample gives alone. ebct standardizes
+    the whole batch and solves it in one ``solve_batch`` run, and ipw weighs
+    it in one ``ipw_weights`` pass; a sample that fails fails the batch with
+    its error.
     """
     name = method_name(method)
     if dataset.treatment.ndim > 1:
         if truncation is not None or counts is not None:
             raise ValueError("a batch of datasets takes no truncation or counts")
         if name == "ebct":
-            return solve_batch(standardize(dataset), start=start)[0].weights
+            return solve_batch(standardize(dataset), start=start)[0]
         if name == "ipw":
             return ipw_weights(dataset)
-        weights = np.full(dataset.treatment.shape, uniform_weights(dataset.n).weights[0])
-        weights.setflags(write=False)
-        return weights
+        uniform = uniform_weights(dataset.n)
+        return replace(uniform, weights=np.broadcast_to(uniform.weights, dataset.treatment.shape))
     if name == "ebct":
         if counts is None:
             return _ebct(standardize(dataset), None, truncation, start)

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -1049,6 +1050,27 @@ class TestImports:
         modules = imported_modules(*args)
         assert {"numpy", "ebct.solver", "ebct.drf"} <= modules
         assert not [name for name in modules if name.split(".")[0] == "scipy"]
+
+    def test_only_the_solver_imports_numpy_internals(self):
+        # A numpy module with a private component in its dotted name, such as
+        # numpy.linalg._umath_linalg, may change in any release. One module
+        # owns that dependency, and its tests pin what it relies on.
+        def private(name):
+            parts = name.split(".")
+            return parts[0] == "numpy" and any(part.startswith("_") for part in parts)
+
+        importers = set()
+        for path in Path(ebct.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names = [f"{node.module}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                if any(map(private, names)):
+                    importers.add(path.name)
+        assert importers == {"solver.py"}
 
     def test_cli_does_not_import_the_process_pool(self):
         # Only simulate --jobs 2 and up needs it; test_jobs_do_not_change_bytes

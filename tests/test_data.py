@@ -38,6 +38,15 @@ class TestDataset:
         with pytest.raises(ValueError, match="unique"):
             Dataset(t, x, outcome=np.arange(4.0), column_names=("T", "Y", "Y"))
 
+    def test_arrays_are_kept_in_c_order(self, rng):
+        # A Fortran-ordered covariate matrix is copied to C order, so every
+        # result is that of the same values in C order, bit for bit.
+        ds = random_dataset(rng, 40, 3)
+        fortran = Dataset(treatment=ds.treatment, covariates=np.asfortranarray(ds.covariates))
+        assert fortran.covariates.flags.c_contiguous
+        G, G_fortran = standardize(ds), standardize(fortran)
+        assert G.tobytes() == G_fortran.tobytes()
+
     def test_default_names_and_ids(self):
         ds = Dataset(treatment=np.arange(6.0), covariates=np.arange(6.0).reshape(-1, 1) ** 2)
         assert ds.column_names == ("T", "X1", "Y")
@@ -156,6 +165,23 @@ class TestBalancingWeights:
                              ([[0.25, 0.75], [1.0, 0.0]], "strictly positive")):
             with pytest.raises(ValueError, match=message):
                 BalancingWeights(np.array(bad), np.zeros((2, 3)), True, [3, 4], [0.0, 0.0], "ebct")
+
+    def test_a_stack_broadcasts_lone_provenance_over_its_rows(self):
+        weights = np.array([[0.25, 0.75], [0.5, 0.5], [0.125, 0.875]])
+        stack = BalancingWeights(weights, np.array([0.5, -1.0]), True, 7, 3e-9, "ebct")
+        assert stack.gamma.shape == (3, 2) and stack.gamma.flags.c_contiguous
+        assert stack.iterations.tolist() == [7] * 3
+        assert stack.final_gradient_norm.tolist() == [3e-9] * 3
+        for array in (stack.gamma, stack.iterations, stack.final_gradient_norm):
+            assert not array.flags.writeable
+        row = stack.row(2)
+        assert row.gamma.tolist() == [0.5, -1.0]
+        assert (row.iterations, row.final_gradient_norm) == (7, 3e-9)
+        empty = BalancingWeights(weights, np.empty(0), True, 0, float("nan"), "ipw")
+        assert empty.gamma.shape == (3, 0) and empty.row(0).gamma.shape == (0,)
+        with pytest.raises(ValueError):
+            BalancingWeights(weights, np.zeros((2, 2)), True, [1, 2], [0.0, 0.0], "ebct")
+
 
 
 class TestStandardize:

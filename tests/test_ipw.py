@@ -181,14 +181,14 @@ class TestIpwWeights:
             rng = replication_rng(2718, index)
             x = gen_covariates(200, rng)
             datasets.append(Dataset(treatment=gen_treatment(x, 2.0, rng), covariates=x))
-        stacked = ipw_weights(batch(datasets))
+        stacked = ipw_weights(batch(datasets)).weights
         assert stacked.shape == (len(datasets), 200)
         assert not stacked.flags.writeable
         for dataset, weights in zip(datasets, stacked):
             alone = ipw_weights(dataset)
             assert weights.tobytes() == alone.weights.tobytes()
             assert alone.method_tag == "ipw"
-        assert ipw_weights(batch(datasets[:1]))[0].tobytes() == stacked[0].tobytes()
+        assert ipw_weights(batch(datasets[:1])).weights[0].tobytes() == stacked[0].tobytes()
 
     def test_sequence_raises_the_first_failing_datasets_error(self, rng):
         fine = random_dataset(rng, 20, 2)

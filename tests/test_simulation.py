@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -47,6 +48,14 @@ class _StubRng:
 
     def normal(self, loc, scale, size=None):
         return np.full(size, loc + scale * self.value)
+
+
+def one_sample(group, b):
+    """Sample b of a drawn group, as a group of one."""
+    return dataclasses.replace(
+        group, treatment=group.treatment[[b]], covariates=group.covariates[[b]],
+        outcome=group.outcome[[b]],
+    )
 
 
 @pytest.fixture(scope="module")
@@ -336,13 +345,13 @@ class TestRunScenario:
 
         monkeypatch.setattr(weighting, "solve_batch", recording)
         # The group's standardization fails, so each dataset is weighed alone.
-        weights, rows = sim._stacked(lambda part: estimate_weights(part, "ebct"), group)
+        weights, rows = sim._stacked(lambda part: estimate_weights(part, "ebct").weights, group)
         assert rows.tolist() == [0, 2]
         with pytest.raises(ConstantColumn, match="X4"):
-            standardize(sim._rows(group, [1]))
+            standardize(one_sample(group, 1))
         assert [stack.weights.shape for stack in solved] == [(1, 200), (1, 200)]
         for slot, b in enumerate(rows):
-            one = sim._rows(group, [b])
+            one = one_sample(group, b)
             expected, _ = solve(standardize(one)[0])
             assert weights[slot].tobytes() == expected.weights.tobytes()
             assert solved[slot].iterations[0] == expected.iterations
@@ -352,7 +361,7 @@ class TestRunScenario:
         # a rank-deficient design under those weights would.
         config = ScenarioConfig(n=200, sigma=4.0, eta=1.0, spec=1, master_seed=5)
         expected = run_replication(config, 2)
-        ipw = estimate_weights(sim._draw(config, [2]), "ipw")[0]
+        ipw = estimate_weights(sim._draw(config, [2]), "ipw").weights[0]
         fit_wls, calls = sim.fit_wls, []
 
         def failing_for_ipw(y, design, w):
@@ -363,7 +372,7 @@ class TestRunScenario:
 
         monkeypatch.setattr(sim, "fit_wls", failing_for_ipw)
         records = run_replication(config, 2)
-        # One B x n stack per method, EBCT first; a lone replication is B=1.
+        # One B x n stack per method; a lone replication is B=1.
         assert calls == [(1, 200)] * 3
         assert records["ipw"].failed
         assert records["unweighted"] == expected["unweighted"]
@@ -376,7 +385,7 @@ class TestRunScenario:
         config = ScenarioConfig(n=200, sigma=2.0, eta=1.25, spec=2, replications=6,
                                 master_seed=21)
         infeasible = standardize(sim._draw(config, [1]))[0]
-        ipw = estimate_weights(sim._draw(config, [4]), "ipw")[0]
+        ipw = estimate_weights(sim._draw(config, [4]), "ipw").weights[0]
         fit_wls = sim.fit_wls
 
         def failing_solve(matrices, base_weights=None, start=None, cap=None):
@@ -411,7 +420,7 @@ class TestRunScenario:
     def test_rank_deficient_ipw_design_fails_only_its_replication(self, monkeypatch):
         # Replication 3 draws a duplicated covariate column, so its IPW
         # design [1 | X] is rank deficient and the group's stacked IPW pass
-        # raises; the group is then weighed one replication at a time.
+        # raises; the group is then measured one replication at a time.
         config = ScenarioConfig(n=200, sigma=4.0, eta=1.0, spec=1, master_seed=5)
         draw = sim._draw
 
@@ -434,8 +443,9 @@ class TestRunScenario:
         size = sim.group_replications(config.n)
         group = sim._run_replications(config, range(size))
         grouped = [sim._records(group, slot) for slot in range(size)]
-        # Each method fits its group as one stack; IPW's lacks replication 3.
-        assert shapes == [(size, 200), (size, 200), (size - 1, 200)]
+        # Each method fits its group as one stack, in config.methods order,
+        # except IPW: its step fails, so each other replication fits alone.
+        assert shapes == [(size, 200)] + [(1, 200)] * (size - 1) + [(size, 200)]
         alone = [run_replication(config, index) for index in range(size)]
         assert [records["ipw"].failed for records in grouped] == [
             index == 3 for index in range(size)
@@ -559,9 +569,7 @@ class TestGroupDraw:
             with pytest.raises(ValueError):
                 array[0] = 0.0
         for method in ("ebct", "ipw", "uniform"):
-            weights = estimate_weights(group, method)
-            sim.balance_report(weights, group)
-            sim._slopes(group, weights)
+            sim._measure(group, method)
         assert [array.tobytes() for array in arrays] == before
 
     def test_shares_are_the_written_maxima(self):

@@ -842,6 +842,107 @@ class TestSolverConstants:
         assert solver._RIDGE == 1e-9
 
 
+class TestFailureExits:
+    # Typed exits of the Newton driver that well-posed problems never take.
+
+    def test_a_step_below_the_float_floor_stops_the_solve(self, rng, monkeypatch):
+        # Without a gradient tolerance the local phase takes full steps while
+        # they shrink the gradient; the first that does not is the "no
+        # acceptable step" stop, and the final gradient check reports it.
+        G = random_sample(rng, n=30, k=2)
+        converged, _ = solve(G)
+        monkeypatch.setattr(solver, "_GRADIENT_TOLERANCE", 0.0)
+        with pytest.raises(NotConverged, match=r"^no convergence after \d+ iterations") as excinfo:
+            solve(G)
+        stopped = excinfo.value.weights
+        assert not stopped.converged
+        assert converged.iterations <= stopped.iterations < solver._MAX_ITERATIONS
+        assert 0.0 < stopped.final_gradient_norm <= converged.final_gradient_norm
+
+    def test_an_overflowing_line_search_candidate_is_a_non_finite_dual(self):
+        # A constant column has a zero Hessian, so the ridge alone scales the
+        # Newton step, and at 1e152 the candidate's exponents overflow.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteDual, match="^dual exponent overflowed"):
+                solve(np.full((4, 1), 1e152))
+
+    def test_a_capped_problem_past_the_multiplier_bound_stops_uncertified(
+        self, rng, monkeypatch
+    ):
+        # Past the bound an uncapped problem is infeasible, while a capped one
+        # is judged by its certificate; a feasible one has none and stops.
+        G = random_sample(rng, n=30, k=2)
+        monkeypatch.setattr(solver, "_GAMMA_BOUND", 1e-3)
+        with pytest.raises(InfeasibleConstraints, match="^dual multipliers diverged"):
+            solve(G)
+        with pytest.raises(NotConverged, match=r"^no convergence after 1 iterations") as excinfo:
+            solve(G, cap=np.full(30, 0.2))
+        assert not excinfo.value.weights.converged
+
+    def test_a_capped_stop_without_a_newton_direction_is_reported_as_it_stands(
+        self, rng, monkeypatch
+    ):
+        # A column at 1e160 overflows the Hessian, so the stop's last iterate
+        # has no Newton direction to try as a certificate.
+        G = random_sample(rng, n=30, k=2) * np.array([1, 1, 1e160, 1, 1])
+        monkeypatch.setattr(solver, "_MAX_ITERATIONS", 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotConverged, match=r"^no convergence after 0 iterations"):
+                solve(G, cap=np.full(30, 0.2))
+
+    def test_an_underflowed_capped_weight_is_a_non_finite_dual(self, monkeypatch):
+        # The problem is feasible under the cap (uniform weights meet it), so
+        # no certificate exists; started at gamma = 1000, the lowest units'
+        # exponents are below the smallest double.
+        G = np.linspace(-1.0, 1.0, 21)[:, None]
+        monkeypatch.setattr(solver, "_MAX_ITERATIONS", 0)
+        with pytest.raises(NonFiniteDual, match="^a capped weight underflowed to zero"):
+            solve(G, start=[1000.0], cap=np.full(21, 0.5))
+
+    def test_unconverged_weights_under_the_cap_are_raised_again(self, rng, monkeypatch):
+        G = random_sample(rng, n=30, k=2)
+        monkeypatch.setattr(solver, "_MAX_ITERATIONS", 1)
+        monkeypatch.setattr(solver, "_GRADIENT_TOLERANCE", 1e-12)
+        with pytest.raises(NotConverged) as first:
+            solve(G)
+        weights = first.value.weights
+        assert weights.max_share < 0.5
+        with pytest.raises(NotConverged, match=r"^no convergence after 1 iterations") as excinfo:
+            truncate_and_rebalance(G, weights, threshold=0.5)
+        assert str(excinfo.value) == str(first.value)
+        assert excinfo.value.weights is weights
+
+
+class TestLapackShim:
+    # ``_cholesky`` and ``_solve`` call numpy's private LAPACK gufuncs
+    # without np.linalg's argument checks. A numpy release that changes
+    # those gufuncs shows here first, on every numpy the project supports.
+
+    @pytest.mark.parametrize("m", [2, 21])
+    @pytest.mark.parametrize("B", [1, 3])
+    def test_results_are_numpys_bit_for_bit(self, rng, B, m):
+        a = rng.standard_normal((B, m, m))
+        definite = a @ np.swapaxes(a, -1, -2) + m * np.eye(m)
+        rhs = rng.standard_normal((B, m, 2))
+        for stack, columns in [(definite, rhs), (definite[0], rhs[0])]:
+            lower = solver._cholesky(stack)
+            assert lower.tobytes() == np.linalg.cholesky(stack).tobytes()
+            assert solver._solve(stack, columns).tobytes() == np.linalg.solve(stack, columns).tobytes()
+            assert solver._solve(lower, columns).tobytes() == np.linalg.solve(lower, columns).tobytes()
+
+    def test_failures_raise_as_numpys_do(self):
+        indefinite = np.array([[[1.0, 2.0], [2.0, 1.0]]])
+        singular = np.array([[[1.0, 2.0], [2.0, 4.0]]])
+        for factor in (np.linalg.cholesky, solver._cholesky):
+            with pytest.raises(np.linalg.LinAlgError):
+                factor(indefinite)
+        for solve_system in (np.linalg.solve, solver._solve):
+            with pytest.raises(np.linalg.LinAlgError):
+                solve_system(singular, np.ones((1, 2, 1)))
+
+
 class TestTruncateAndRebalance:
 
     def heavy_instance(self):

@@ -7,6 +7,7 @@ import pytest
 
 from ebct import BalancingWeights, balance_report, estimate_weights
 from ebct.errors import ThresholdInfeasible
+from ebct.ipw import ipw_weights
 from ebct.simulation import gen_covariates, gen_treatment, replication_rng
 from ebct.weighting import cap_weights
 
@@ -47,7 +48,7 @@ class TestEstimateWeights:
         datasets = [random_dataset(rng, 50, 2) for _ in range(3)]
         group = batch(datasets)
         for method in ("ebct", "ipw", "uniform", "unweighted"):
-            stacked = estimate_weights(group, method)
+            stacked = estimate_weights(group, method).weights
             assert stacked.shape == (len(datasets), 50)
             assert not stacked.flags.writeable
             for dataset, weights in zip(datasets, stacked):
@@ -58,6 +59,31 @@ class TestEstimateWeights:
             for kwargs in ({"truncation": 0.05}, {"counts": np.ones(50, dtype=int)}):
                 with pytest.raises(ValueError, match=message):
                     estimate_weights(group, method, **kwargs)
+
+    @pytest.mark.parametrize("method", ["ebct", "ipw", "uniform"])
+    def test_a_batch_gives_one_stacked_weighting(self, rng, method):
+        # Each row of the stack is the weighting its sample gives alone, in
+        # every field, for every method.
+        datasets = [random_dataset(rng, 50, 2) for _ in range(3)]
+        stacks = [estimate_weights(batch(datasets), method)]
+        if method == "ipw":
+            stacks.append(ipw_weights(batch(datasets)))
+        for stack in stacks:
+            assert isinstance(stack, BalancingWeights)
+            assert stack.weights.shape == (len(datasets), 50)
+            for array in (stack.weights, stack.gamma, stack.iterations, stack.final_gradient_norm):
+                assert not array.flags.writeable
+            for b, dataset in enumerate(datasets):
+                row, alone = stack.row(b), estimate_weights(dataset, method)
+                assert row.weights.tobytes() == alone.weights.tobytes()
+                assert row.gamma.shape == alone.gamma.shape
+                assert row.gamma.tobytes() == alone.gamma.tobytes()
+                assert row.iterations == alone.iterations
+                assert np.array_equal(
+                    row.final_gradient_norm, alone.final_gradient_norm, equal_nan=True
+                )
+                assert row.converged == alone.converged
+                assert row.method_tag == alone.method_tag
 
     def test_ebct_batch_is_one_stacked_solve(self, rng, monkeypatch):
         # The batch is standardized and solved as one stack; the lone
