@@ -65,10 +65,9 @@ _CERTIFICATE_TOLERANCE = 1e-9
 # any n, and a block x m product small enough to stay in cache.
 _HESSIAN_ROWS = 2048
 
-# Rows of whole problems a stacked Newton run takes at once, in the Hessian
-# and in the matrices of the problems left after some finish. The run holds
-# the whole stack already, so its working memory beside it is kept a few
-# such blocks.
+# Rows of whole problems a stacked Newton run takes at once in the Hessian.
+# The run holds the whole stack already, so its working memory beside it is
+# kept a few such blocks.
 _STACK_ROWS = 512
 
 # Rounds of candidates ``cap_weights`` takes before it sorts every share.
@@ -122,7 +121,8 @@ def _dual_state(G, log_q, theta, u=None) -> tuple:
     flagged False carry meaningless numbers.
     """
     gamma = theta if u is None else theta[:, 1:]
-    s = (G @ gamma[:, :, None])[:, :, 0]
+    s = np.empty(G.shape[:2])
+    np.matmul(G, gamma[:, :, None], out=s[:, :, None])
     s += log_q
     if u is not None:
         s += theta[:, :1]
@@ -161,15 +161,17 @@ def _hessian(G, w, grad, u=None) -> np.ndarray:
 
     Without caps it is the weighted covariance of the balance columns,
     sum_i w_i g_i g_i' - grad grad'. With caps it sums
-    [1, g_i][1, g_i]' w_i over the rows below their cap only. The
-    m x m products sum_i w_i g_i g_i' are taken over blocks of whole
-    problems, at most ``_STACK_ROWS`` rows in all, and a problem of more
-    than ``_HESSIAN_ROWS`` rows is summed over blocks of that many rows. The
+    [1, g_i][1, g_i]' w_i over the rows below their cap only. Each problem's
+    Hessian depends on its own rows alone. The m x m products
+    sum_i w_i g_i g_i' are taken over blocks of whole problems, at most
+    ``_STACK_ROWS`` rows in all, and a problem of more than
+    ``_HESSIAN_ROWS`` rows is summed over blocks of that many rows. The
     working memory beyond G is one block x m product and a few n-vectors
     per problem, however large B or n grows, and each problem of at most
     ``_HESSIAN_ROWS`` rows gets its own one-shot product bit for bit. A
     column whose square overflows leaves inf or NaN entries, which the
-    Newton driver, under its own ``np.errstate``, reports as a typed error.
+    Newton driver, under its own ``np.errstate``, reports as a typed error
+    when that problem is still running.
     """
     B, n, m = G.shape
     if u is not None:
@@ -289,36 +291,11 @@ def _newton_directions(hessian, grad) -> np.ndarray:
     for h in hessian:
         try:
             if np.isfinite(h).all():
-                np.linalg.cholesky(h)
+                _cholesky(h)
                 continue
         except np.linalg.LinAlgError:
             pass
         raise _singular(h)
-
-
-def _blockwise(f, G, index, *rows):
-    """``f(G[index], *rows)`` without a copy of G[index] larger than a block.
-
-    ``index`` lists increasing problem indices into the (B, n, m) stack
-    ``G``. While they are consecutive, G[index] is a view and ``f`` runs
-    once. Otherwise ``f`` runs on blocks of whole problems, at most
-    ``_STACK_ROWS`` rows each, with a copy of each block's matrices and
-    the matching rows of each array in ``rows`` (None stays None), and its
-    outputs, an array or a tuple of arrays, are joined along the problem
-    axis. ``f`` must treat each problem on its own, as ``_dual_state`` and
-    ``_hessian`` do, so the outputs are those of one call bit for bit.
-    """
-    first, last = index[0], index[-1] + 1
-    if last - first == len(index):
-        return f(G[first:last], *rows)
-    span = max(1, _STACK_ROWS // G.shape[1])
-    parts = [
-        f(G[index[block]], *(None if a is None else a[block] for a in rows))
-        for block in (slice(start, start + span) for start in range(0, len(index), span))
-    ]
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(outputs) for outputs in zip(*parts))
-    return np.concatenate(parts)
 
 
 def _certifies(G, u, r) -> bool:
@@ -346,22 +323,22 @@ def _certifies(G, u, r) -> bool:
 def _newton(G, log_q, start: np.ndarray, u=None) -> tuple:
     """Damped Newton on every problem of a (B, n, m) stack at once.
 
-    Each problem keeps its own phase, step size, trace and iteration count,
-    and reaches exactly the iterates it would reach alone: every stacked
-    operation acts row by row, and numpy's linear algebra factors each
-    Newton system of the stack by itself. Each problem's policy (stopping
-    test, phase, Armijo test, step size, multiplier bound) runs on Python
-    floats taken out of the stack once per line-search round. Problems that
-    finish leave the stack, so the rest do not pay for them; G itself is
-    never compacted, and the matrices of the problems left are read through
-    ``_blockwise``, so the working memory beside G is a few blocks and
-    (B, n) arrays however large B grows. ``log_q`` holds the (B, n) log
-    base weights, each row normalized to sum one before the log, or a
-    (B, 1) column of them when each problem's are uniform. Every problem
-    starts at the m-vector ``start``. With caps ``u``, (B, n) per row or a
-    (B, 1) column of uniform ones, the problems are the capped duals of
-    ``_dual_state``, each started at (-J(start), start), which are the
-    uncapped weights of ``start``. Overflows warn of nothing: they surface as typed errors.
+    Each problem keeps its own row, phase, step size, trace and iteration
+    count, and reaches exactly the iterates it would reach alone: every
+    stacked operation acts row by row, and numpy's linear algebra factors
+    each Newton system of the stack by itself. Each problem's policy
+    (stopping test, phase, Armijo test, step size, multiplier bound) runs on
+    Python floats taken out of the stack once per line-search round. A
+    problem that finishes keeps its row at its last iterate: the stacked
+    operations recompute it bit for bit, and only the Newton systems and
+    steps of the problems still running are taken. ``log_q`` holds the
+    (B, n) log base weights, each row normalized to sum one before the log,
+    or a (B, 1) column of them when each problem's are uniform. Every
+    problem starts at the m-vector ``start``. With caps ``u``, (B, n) per
+    row or a (B, 1) column of uniform ones, the problems are the capped
+    duals of ``_dual_state``, each started at (-J(start), start), which are
+    the uncapped weights of ``start``. Overflows warn of nothing: they
+    surface as typed errors.
 
     Returns ``(weights, gamma, iterations, norms, traces)`` at each
     problem's last iterate: the read-only (B, n) weights and (B, m)
@@ -370,7 +347,7 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> tuple:
     gradient tolerance keeps its last iterate. Any other failure stops the
     whole run at once and raises the error that problem raises alone.
     """
-    B, n, m = G.shape
+    B = len(G)
     theta = np.tile(start, (B, 1))
     if u is not None:
         theta = np.column_stack([-_dual_state(G, log_q, theta)[0], theta])
@@ -381,74 +358,57 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> tuple:
     traces = [[v] for v in value]
     iterations = [0] * B
     stopped = [False] * B
-    live = list(range(B))  # problem of each row still in the stack, increasing
+    live = list(range(B))  # problems still running, increasing
     ridge = _RIDGE * np.eye(theta.shape[1])
-    # The stacked result, allocated when the first problems finish.
-    weights = gamma = None
-    final_iterations, final_norms = [0] * B, [0.0] * B
 
-    def certify(i, r) -> None:
-        if _certifies(G[live[i]], u[i], r):
+    def certify(b, r) -> None:
+        if _certifies(G[b], u[b], r):
             raise ThresholdInfeasible(
                 "no weights at or below the cap balance the sample (Farkas certificate verified)",
                 certificate=r,
             )
 
-    def capped_failure(i) -> None:
+    def capped_failure(b) -> None:
         # A capped problem that stops short of its optimum: certified
         # infeasible by the Newton direction at its last iterate, or not.
-        rows, b = slice(i, i + 1), live[i]
-        hessian = _hessian(G[b : b + 1], w[rows], grad[rows], u[rows])
+        rows = slice(b, b + 1)
+        hessian = _hessian(G[rows], w[rows], grad[rows], u[rows])
         hessian += ridge
         try:
-            certify(i, _newton_directions(hessian, grad[rows])[0])
+            certify(b, _newton_directions(hessian, grad[rows])[0])
         except SingularHessian:  # no direction, so no certificate
             pass
-        if not w[i].min() > 0:
+        if not w[b].min() > 0:
             raise NonFiniteDual("a capped weight underflowed to zero")
 
-    def retire(rows) -> None:
-        nonlocal weights, gamma
-        for i in rows:
-            if u is not None and not (norm[i] <= _GRADIENT_TOLERANCE and w[i].min() > 0):
-                capped_failure(i)
-            if not w[i].min() > 0:
+    def retire(problems) -> None:
+        for b in problems:
+            if u is not None and not (norm[b] <= _GRADIENT_TOLERANCE and w[b].min() > 0):
+                capped_failure(b)
+            if not w[b].min() > 0:
                 raise InfeasibleConstraints(
                     "a weight underflowed to zero; the balance constraints admit no "
                     "strictly positive weights at float precision"
                 )
-            if weights is None:
-                weights, gamma = np.empty((B, n)), np.empty((B, m))
-            b = live[i]
-            weights[b], gamma[b] = w[i], theta[i, -m:]
-            if u is not None:
-                weights[b] /= weights[b].sum()
-            final_iterations[b], final_norms[b] = iterations[i], norm[i]
 
     for _ in range(_MAX_ITERATIONS):
-        leaving = [s or g <= _GRADIENT_TOLERANCE for s, g in zip(stopped, norm)]
+        leaving = [stopped[b] or norm[b] <= _GRADIENT_TOLERANCE for b in live]
         if any(leaving):
-            retire([i for i, gone in enumerate(leaving) if gone])
-            keep = [i for i, gone in enumerate(leaving) if not gone]
-            if not keep:
+            retire([b for b, gone in zip(live, leaving) if gone])
+            live = [b for b, gone in zip(live, leaving) if not gone]
+            if not live:
                 break
-            theta, w, grad, log_q = theta[keep], w[keep], grad[keep], log_q[keep]
-            if u is not None:
-                u = u[keep]
-            live, value, norm, iterations = (
-                [a[i] for i in keep] for a in (live, value, norm, iterations)
-            )
-            stopped = [False] * len(live)
 
-        hessian = _blockwise(_hessian, G, live, w, grad, u)
+        hessian = _hessian(G, w, grad, u)[live]
         hessian += ridge
-        direction = _newton_directions(hessian, grad)
+        direction = np.zeros_like(theta)
+        direction[live] = _newton_directions(hessian, grad[live])
         del hessian  # before the next iteration's
         if u is not None:
             # Every Newton direction of a capped problem is a candidate
             # certificate of infeasibility, and checking one is cheap.
-            for i in range(len(live)):
-                certify(i, direction[i])
+            for b in live:
+                certify(b, direction[b])
         slope = (grad * direction).sum(axis=1).tolist()
 
         # Local phase: the certifiable Armijo decrease (half the Newton
@@ -456,44 +416,41 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> tuple:
         # objective comparisons are pure noise. Take the full Newton step as
         # long as it shrinks the gradient.
         local = [-s <= 1e-13 * (1.0 + abs(v)) for s, v in zip(slope, value)]
-        step = [1.0] * len(live)
-        searching = list(range(len(live)))
+        step = [1.0] * B
+        searching = live
         while searching:
-            sub = slice(None) if len(searching) == len(live) else searching
-            move = direction[sub]
+            move = direction[searching]
             if step[searching[0]] < 1.0:  # not the first round, where 1.0 * d would be d
-                move = np.array([step[i] for i in searching])[:, None] * move
-            candidate = theta[sub] + move
-            c_value, c_w, c_grad, c_finite = _blockwise(
-                _dual_state, G, [live[i] for i in searching], log_q[sub], candidate,
-                None if u is None else u[sub],
-            )
-            if not c_finite.all():
+                move *= np.array([step[b] for b in searching])[:, None]
+            candidate = theta.copy()
+            candidate[searching] += move
+            c_value, c_w, c_grad, c_finite = _dual_state(G, log_q, candidate, u)
+            if not c_finite[searching].all():
                 raise NonFiniteDual(_OVERFLOW)
             c_values, c_norms = c_value.tolist(), np.abs(c_grad).max(axis=1).tolist()
             # Euclidean norms as np.linalg.norm takes them, without its overhead.
             sizes = np.vecdot(candidate, candidate).tolist()
             accepted, retry = [], []
-            for j, i in enumerate(searching):
-                if local[i]:
-                    ok = c_norms[j] < norm[i]
+            for b in searching:
+                if local[b]:
+                    ok = c_norms[b] < norm[b]
                 else:
-                    ok = c_values[j] <= value[i] + _ARMIJO_C * step[i] * slope[i]
+                    ok = c_values[b] <= value[b] + _ARMIJO_C * step[b] * slope[b]
                     if not ok:
-                        step[i] *= _SHRINK
-                        if step[i] >= _MIN_STEP:
-                            retry.append(i)
+                        step[b] *= _SHRINK
+                        if step[b] >= _MIN_STEP:
+                            retry.append(b)
                             continue
                 if not ok:
                     # No acceptable step: the numerical floor is reached and
                     # the final gradient check decides.
-                    stopped[i] = True
+                    stopped[b] = True
                     continue
-                accepted.append(j)
-                value[i], norm[i] = c_values[j], c_norms[j]
-                iterations[i] += 1
-                traces[live[i]].append(c_values[j])
-                if math.sqrt(sizes[j]) > _GAMMA_BOUND:
+                accepted.append(b)
+                value[b], norm[b] = c_values[b], c_norms[b]
+                iterations[b] += 1
+                traces[b].append(c_values[b])
+                if math.sqrt(sizes[b]) > _GAMMA_BOUND:
                     # A capped problem that diverges is judged by its
                     # certificate instead, as its uncapped problem solved.
                     if u is None:
@@ -501,21 +458,26 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> tuple:
                             "dual multipliers diverged; the balance constraints admit no "
                             "strictly positive weights"
                         )
-                    stopped[i] = True
-            if len(accepted) == len(live):
-                # Every problem moves: the candidate state is the state.
+                    stopped[b] = True
+            if len(accepted) == len(searching):
+                # Every problem that moved is accepted, and the rows that did
+                # not move are recomputed bit for bit: the candidate state is
+                # the state.
                 theta, w, grad = candidate, c_w, c_grad
             elif accepted:
-                rows = [searching[j] for j in accepted]
-                theta[rows], w[rows], grad[rows] = (a[accepted] for a in (candidate, c_w, c_grad))
+                theta[accepted], w[accepted], grad[accepted] = (
+                    a[accepted] for a in (candidate, c_w, c_grad)
+                )
             # Free the candidate's weights before the next candidate is built.
             del c_w
             searching = retry
     else:
-        retire(list(range(len(live))))
-    weights.setflags(write=False)
-    gamma.setflags(write=False)
-    return weights, gamma, final_iterations, final_norms, traces
+        retire(live)
+    if u is not None:
+        w /= w.sum(axis=1, keepdims=True)
+    w.setflags(write=False)
+    theta.setflags(write=False)
+    return w, theta if u is None else theta[:, 1:], iterations, norm, traces
 
 
 def _prepare_start(m: int, start) -> np.ndarray:
@@ -588,11 +550,10 @@ def solve_batch(matrices, base_weights=None, start=None, cap=None) -> tuple:
     problem's cap and base weights are used without a broadcast or stack.
     Uniform base weights or caps (no base weights, a zero-stride broadcast,
     or equal entries) enter the kernel as one broadcast entry per problem,
-    not as n of them. Each Newton
-    iteration factors and solves the Newton systems of the whole stack in
-    one numpy call, and each problem's stopping test, Armijo test and step
-    size run on Python floats. The stack is never copied: the Hessians and, once some
-    problems finish, the matrices of the others are taken in blocks of
+    not as n of them. Each Newton iteration factors and solves the Newton
+    systems of the problems still running in one numpy call, and each
+    problem's stopping test, Armijo test and step size run on Python
+    floats. The stack is never copied: the Hessians are taken in blocks of
     whole problems of at most ``_STACK_ROWS`` rows, so the working memory
     beside the stack is a few such blocks, the (B, m, m) Hessians and a few
     B x n arrays of weights. Each problem's weights, iterations and trace

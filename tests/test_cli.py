@@ -1072,6 +1072,33 @@ class TestImports:
                     importers.add(path.name)
         assert importers == {"solver.py"}
 
+    def test_every_private_helper_is_used(self):
+        # A module-level private function, class or constant that no module
+        # of the package reads is dead code left behind by a change.
+        defined, loaded = set(), set()
+        for path in Path(ebct.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                else:
+                    continue
+                defined.update(
+                    (path.name, name)
+                    for name in names
+                    if name.startswith("_") and not name.endswith("__")
+                )
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    loaded.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    loaded.add(node.attr)
+        assert len(defined) > 50
+        assert sorted(f"{module}:{name}" for module, name in defined if name not in loaded) == []
+
     def test_cli_does_not_import_the_process_pool(self):
         # Only simulate --jobs 2 and up needs it; test_jobs_do_not_change_bytes
         # covers that path.

@@ -25,8 +25,8 @@ from ebct.errors import (
     SingularHessian,
     ThresholdInfeasible,
 )
-from ebct import solver
-from ebct.simulation import gen_covariates, gen_treatment, replication_rng
+from ebct import simulation, solver
+from ebct.simulation import ScenarioConfig, gen_covariates, gen_treatment, replication_rng
 from ebct.solver import cap_weights, recover_weights
 
 from conftest import balance_columns, random_dataset
@@ -1171,6 +1171,14 @@ class TestCappedDual:
         with pytest.raises(ValueError, match="got 1 cap vectors for 2 problems"):
             solve_batch([G, G], cap=[np.full(30, 0.1)])
 
+    def test_no_balance_columns_under_a_cap_return_no_multipliers(self):
+        # The capped dual's extra multiplier eta is not part of gamma, even
+        # when gamma has no entries.
+        weights, trace = solve(np.empty((5, 0)), cap=np.full(5, 0.5))
+        assert weights.converged and trace == [1.0]
+        assert weights.gamma.shape == (0,)
+        npt.assert_array_equal(weights.weights, np.full(5, 0.2))
+
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(capped_problems())
     def test_verdict_and_optimum_match_the_lp_and_the_primal(self, problem):
@@ -1385,3 +1393,18 @@ class TestBlockedHessian:
             finally:
                 tracemalloc.stop()
             assert peak < 0.25 * G.nbytes, (kwargs.keys(), peak / G.nbytes)
+
+    def test_stack_holds_a_few_weight_arrays(self):
+        # Allocations beyond G itself while a stack of 40 simulated problems
+        # of n = 500 is solved; its problems finish at different iterations.
+        # A copy of G alone would be 21 (B, n) arrays of floats.
+        config = ScenarioConfig(n=500, sigma=4.0, eta=1.0, spec=1, master_seed=3)
+        G = standardize(simulation._draw(config, range(40)))
+        tracemalloc.start()
+        try:
+            weights, _ = solve_batch(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(set(weights.iterations.tolist())) > 1
+        assert peak < 4 * 8 * G.shape[0] * G.shape[1], peak / (8 * G.shape[0] * G.shape[1])
