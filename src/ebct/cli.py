@@ -16,6 +16,7 @@ import os
 import re
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -262,7 +263,8 @@ def cmd_balance(args) -> int:
     )
 
     weights, exit_code = _estimate(dataset, args)
-    unweighted = balance_report(uniform_weights(dataset.n), dataset, method_tag="unweighted")
+    uniform = balance_report(uniform_weights(dataset.n), dataset)
+    unweighted = replace(uniform, method_tag="unweighted")
     weighted = balance_report(weights, dataset)
 
     _write_weights_csv(weights_path, dataset, weights)

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import _WEIGHT_SUM_TOL, BalancingWeights, sample_blocks
+from .data import BalancingWeights, sample_blocks
 
 _VARIANCE_FLOOR = 1e-24
 
@@ -55,7 +55,7 @@ class BalanceReport:
         }
 
 
-def balance_report(w, dataset, method_tag: str = ""):
+def balance_report(weights: BalancingWeights, dataset):
     """Weighted treatment-covariate correlations for every covariate.
 
     Called with uniform weights this reproduces the plain unweighted Pearson
@@ -66,50 +66,38 @@ def balance_report(w, dataset, method_tag: str = ""):
     numerically zero are skipped with a warning flag rather than failing the
     whole report.
 
-    ``w`` is one weighting of ``dataset`` (``BalancingWeights`` or a positive
-    vector), giving one ``BalanceReport`` tagged ``method_tag``, else its
-    weights' method, else "uniform". Its weight share is its largest weight
-    as written when its weights sum to one within a ``BalancingWeights``'
-    tolerance, as they always do in one (``max_share``), so that a share
-    capped at a threshold reads back as the threshold; otherwise it is the
-    largest weight of the vector normalized to sum one.
+    ``weights`` is one weighting of ``dataset``, giving one ``BalanceReport``
+    tagged with its ``method_tag``. The report's weight share is its largest
+    weight as written (``max_share``), so a share capped at a threshold reads
+    back as the threshold.
 
     ``dataset`` may also be a batch of B samples (see ``Dataset``), with
-    ``w`` their stacked weighting or B x n weights, one row per sample. The
-    result is then the list of their B reports from one pass over the batch,
-    block by block (see ``sample_blocks``) so that the working memory is one
-    block's, each bit for bit the report its row and sample give alone,
-    degenerate columns included.
+    ``weights`` their stacked weighting, one row per sample. The result is
+    then the list of their B reports from one pass over the batch, block by
+    block (see ``sample_blocks``) so that the working memory is one block's,
+    each bit for bit the report its row and sample give alone, degenerate
+    columns included.
 
     Raises:
-        ValueError: a weighting is not positive and finite, or not of length
-            n; one dataset comes with several weightings; a batch differs in
-            number from its weightings.
+        TypeError: ``weights`` is not a ``BalancingWeights``.
+        ValueError: the weights' shape is not the dataset's: n for one
+            sample, B x n for a batch of B.
     """
+    if not isinstance(weights, BalancingWeights):
+        raise TypeError(f"weights must be a BalancingWeights, got {type(weights).__name__}")
     batch, n = dataset.treatment.shape[:-1], dataset.n
-    stack = np.asarray(w.weights if isinstance(w, BalancingWeights) else w)
-    if stack.ndim != len(batch) + 1 or stack.dtype == object:
-        raise ValueError(
-            "each dataset takes one weighting: a BalancingWeights or a 1-d vector, "
-            "and a batch a B x n array"
-        )
-    if stack.shape[:-1] != batch:
-        raise ValueError(f"got {len(stack)} weightings for {batch[0]} datasets")
-    if stack.shape[-1] != n:
-        raise ValueError(f"weights have {stack.shape[-1]} entries per row, expected {n}")
+    if weights.weights.shape != batch + (n,):
+        raise ValueError(f"weights have shape {weights.weights.shape}, expected {batch + (n,)}")
     # One weighting stays a view, so a large n pays no stacking copy.
-    stack = stack.reshape(-1, n).astype(float, copy=False)
+    stack = weights.weights.reshape(-1, n)
     B = len(stack)
-    if not (stack.min() > 0 and np.isfinite(stack).all()):
-        raise ValueError("weights must be strictly positive and finite")
-    totals = stack.sum(axis=1, keepdims=True)
-    weights = stack / totals
+    normalized = stack / stack.sum(axis=1, keepdims=True)
     k = dataset.k
     correlations = np.full((B, k), np.nan)
     bad = np.empty((B, k), dtype=bool)
     # Block by block, so the (b, n, K) deviations stay block-sized.
     for block, t, x in sample_blocks(dataset):
-        part = weights[block]
+        part = normalized[block]
         # (b, 1, n) rows make every weighted mean one dot product or one
         # vector-matrix product per sample, the BLAS calls of a lone vector.
         rows = part[:, None, :]
@@ -137,9 +125,7 @@ def balance_report(w, dataset, method_tag: str = ""):
         means[b] = float(finite.mean()) if finite.size else float("nan")
         degenerate[b] = tuple(compress(dataset.covariate_names, bad[b]))
     # As written: divided by its float sum again, a share can pass a cap it meets.
-    written = np.abs(totals[:, 0] - 1.0) <= _WEIGHT_SUM_TOL
-    shares = np.where(written, stack.max(axis=1), weights.max(axis=1)).tolist()
-    method_tag = method_tag or getattr(w, "method_tag", "uniform")
+    shares = stack.max(axis=1).tolist()
     reports = [
         BalanceReport(
             covariate_names=dataset.covariate_names,
@@ -147,7 +133,7 @@ def balance_report(w, dataset, method_tag: str = ""):
             max_abs_correlation=maxima[b],
             mean_abs_correlation=means[b],
             max_weight_share=shares[b],
-            method_tag=method_tag,
+            method_tag=weights.method_tag,
             degenerate_columns=degenerate[b],
         )
         for b in range(B)

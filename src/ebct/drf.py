@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .data import Dataset, check_counts
+from .data import BalancingWeights, Dataset, check_counts
 from .errors import (
     EbctError,
     ExtrapolationWarning,
@@ -223,20 +223,21 @@ class DrfFit:
 
 def estimate_drf(
     dataset: Dataset,
-    weights,
+    weights: BalancingWeights,
     degree: int = 3,
     grid=None,
 ) -> DrfFit:
     """Weighted polynomial fit of the outcome on the treatment.
 
-    The design is [1, T, ..., T^degree] on the original treatment scale.
-    Points outside the observed treatment range trigger a non-fatal
-    ExtrapolationWarning.
+    The design is [1, T, ..., T^degree] on the original treatment scale,
+    fitted under ``weights``, one weighting of ``dataset``. Points outside
+    the observed treatment range trigger a non-fatal ExtrapolationWarning.
 
     Raises:
-        RankDeficientDesign: fewer than degree+1 distinct treatment values
-            among the units of positive weight, or a design that is rank
-            deficient under the weights (see ``fit_wls``).
+        RankDeficientDesign: fewer than degree+1 distinct treatment values,
+            or a design that is rank deficient under the weights (see
+            ``fit_wls``).
+        ValueError: the weights are not of length n (see ``fit_wls``).
     """
     if dataset.outcome is None:
         raise ValueError("dataset has no outcome column")
@@ -251,11 +252,10 @@ def estimate_drf(
             ExtrapolationWarning,
             stacklevel=2,
         )
-    w = weights.weights if hasattr(weights, "weights") else np.asarray(weights, dtype=float)
-    if w.shape == t.shape:  # fit_wls rejects any other shape
-        _check_distinct(_count_distinct(t[w > 0]), degree)
+    # Every unit has a positive weight, so every treatment value counts.
+    _check_distinct(_count_distinct(t), degree)
     design = _polyvander(t, degree)
-    coefficients = fit_wls(dataset.outcome, design, w)
+    coefficients = fit_wls(dataset.outcome, design, weights.weights)
     return DrfFit(
         coefficients=coefficients,
         grid=grid,

@@ -354,7 +354,7 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> tuple:
     value, w, grad, finite = _dual_state(G, log_q, theta, u)
     if not finite.all():
         raise NonFiniteDual(_OVERFLOW)
-    value, norm = value.tolist(), np.abs(grad).max(axis=1).tolist()
+    value, norm = value.tolist(), np.abs(grad).max(axis=1, initial=0.0).tolist()
     traces = [[v] for v in value]
     iterations = [0] * B
     stopped = [False] * B
@@ -419,9 +419,7 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> tuple:
         step = [1.0] * B
         searching = live
         while searching:
-            move = direction[searching]
-            if step[searching[0]] < 1.0:  # not the first round, where 1.0 * d would be d
-                move *= np.array([step[b] for b in searching])[:, None]
+            move = direction[searching] * np.array(step)[searching, None]
             candidate = theta.copy()
             candidate[searching] += move
             c_value, c_w, c_grad, c_finite = _dual_state(G, log_q, candidate, u)

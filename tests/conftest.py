@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ebct import Dataset, solve, standardize, truncate_and_rebalance
+from ebct.data import uniform_weights
 from ebct.errors import ConstantColumn, NotConverged
 
 
@@ -36,6 +39,14 @@ def batch(datasets, column_names=()):
         outcome=outcome,
         column_names=column_names or first.column_names,
     )
+
+
+def weighting(w, method_tag="uniform"):
+    """Positive weights ``w``, one vector or B x n rows, as a
+    ``BalancingWeights`` tagged ``method_tag``, each row divided by its sum."""
+    w = np.asarray(w, dtype=float)
+    normalized = w / w.sum(axis=-1, keepdims=True)
+    return replace(uniform_weights(w.shape[-1]), weights=normalized, method_tag=method_tag)
 
 
 def repeated_rows(ds, indices):

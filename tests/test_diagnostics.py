@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from ebct import Dataset, balance_report, solve, standardize
 from ebct.data import uniform_weights
 from ebct.diagnostics import render_balance_table
 
-from conftest import batch, random_dataset
+from conftest import batch, random_dataset, weighting
 
 # Printed unweighted correlation column of a 13-covariate balance table;
 # the aggregation contract is that its mean absolute value rounds to 0.14.
@@ -100,12 +101,11 @@ class TestWeightedPearson:
 
 
 class TestMaxWeightShare:
-    """The largest weight, as ``balance_report`` records it: a vector's after
-    normalizing, a ``BalancingWeights``' as it stands."""
+    """The largest weight, as ``balance_report`` records it: as it stands."""
 
     @staticmethod
     def share(w, rng):
-        return balance_report(w, random_dataset(rng, len(w), 1)).max_weight_share
+        return balance_report(weighting(w), random_dataset(rng, len(w), 1)).max_weight_share
 
     def test_uniform_share(self, rng):
         assert self.share(np.full(200, 1.0 / 200), rng) == pytest.approx(0.005)
@@ -114,9 +114,6 @@ class TestMaxWeightShare:
         w = np.full(31, 0.001)
         w[7] = 0.97
         assert self.share(w, rng) == pytest.approx(0.97)
-
-    def test_unnormalized_input_is_normalized(self, rng):
-        assert self.share([2.0, 1.0, 1.0], rng) == pytest.approx(0.5)
 
 
 class TestBalanceReport:
@@ -138,7 +135,7 @@ class TestBalanceReport:
     def test_random_weights_match_double_loop(self, rng):
         ds = random_dataset(rng, 20, 3)
         w = rng.uniform(0.5, 2.0, size=20)
-        report = balance_report(w, ds)
+        report = balance_report(weighting(w), ds)
         for j in range(3):
             expected = naive_weighted_corr(w, ds.treatment, ds.covariates[:, j])
             assert report.per_covariate_correlation[j] == pytest.approx(expected, abs=1e-12)
@@ -172,7 +169,7 @@ class TestBalanceReport:
         x[:, 3] = 1.0 + 1e-14 * rng.standard_normal(30)
         ds = Dataset(treatment=rng.standard_normal(30), covariates=x)
         w = rng.uniform(0.2, 2.0, size=30)
-        report = balance_report(w, ds)
+        report = balance_report(weighting(w), ds)
         assert report.degenerate_columns == ("X2", "X4")
         for j in range(5):
             try:
@@ -189,14 +186,13 @@ class TestBalanceReport:
         ds = Dataset(treatment=rng.standard_normal(40), covariates=x)
         balanced = Dataset(treatment=ds.treatment, covariates=x[:, [0, 2]])
         ebct_weights, _ = solve(standardize(balanced))
-        weightings = [uniform_weights(40), ebct_weights, rng.uniform(0.2, 2.0, size=40)]
-        stack = np.stack([getattr(w, "weights", w) for w in weightings])
-        reports = balance_report(stack, batch([ds] * 3), "x")
-        assert [r.method_tag for r in reports] == ["x", "x", "x"]
-        untagged = balance_report(stack, batch([ds] * 3))
-        assert [r.method_tag for r in untagged] == ["uniform"] * 3
+        weightings = [uniform_weights(40), ebct_weights, weighting(rng.uniform(0.2, 2.0, size=40))]
+        rows = np.stack([w.weights for w in weightings])
+        stack = replace(uniform_weights(40), weights=rows, method_tag="ipw")
+        reports = balance_report(stack, batch([ds] * 3))
+        assert [r.method_tag for r in reports] == ["ipw", "ipw", "ipw"]
         for weights, report in zip(weightings, reports):
-            alone = balance_report(weights, ds, "x")
+            alone = balance_report(replace(weights, method_tag="ipw"), ds)
             assert report.degenerate_columns == alone.degenerate_columns == ("X2",)
             assert (
                 report.per_covariate_correlation.tobytes()
@@ -216,17 +212,18 @@ class TestBalanceReport:
                 x[:, 1] = 2.0  # a degenerate column in one dataset only
             datasets.append(Dataset(treatment=rng.standard_normal(n), covariates=x))
         stack = rng.uniform(0.2, 2.0, size=(B, n))
-        # A row of weights that sum to one: its share is read as written.
+        # A uniform row, which dividing by its sum leaves as it is.
         ipw_tagged = replace(uniform_weights(n), method_tag="ipw")
         stack[0] = ipw_tagged.weights
-        reports = balance_report(stack, batch(datasets))
-        tagged = balance_report(stack, batch(datasets), "ipw")
+        stacked = weighting(stack)
+        reports = balance_report(stacked, batch(datasets))
+        tagged = balance_report(weighting(stack, "ipw"), batch(datasets))
         assert len(reports) == B
         assert [r.method_tag for r in tagged] == ["ipw"] * B
         assert reports[2].degenerate_columns == ("X2",)
         assert reports[1].degenerate_columns == ()
-        for weights, dataset, report in zip(stack, datasets, reports):
-            alone = balance_report(weights, dataset)
+        for b, (dataset, report) in enumerate(zip(datasets, reports)):
+            alone = balance_report(stacked.row(b), dataset)
             assert (
                 report.per_covariate_correlation.tobytes()
                 == alone.per_covariate_correlation.tobytes()
@@ -244,25 +241,27 @@ class TestBalanceReport:
         group = batch([random_dataset(rng, 30, 2), random_dataset(rng, 30, 2)])
         stack = np.full((2, 30), 1.0 / 30)
         longer = batch([random_dataset(rng, 31, 2), random_dataset(rng, 31, 2)])
-        with pytest.raises(ValueError, match="weights have 30 entries per row, expected 31"):
-            balance_report(stack, longer)
-        with pytest.raises(ValueError, match="got 1 weightings for 2 datasets"):
-            balance_report(stack[:1], group)
-        with pytest.raises(ValueError, match="each dataset takes one weighting"):
-            balance_report(stack[:, None], group)
-        with pytest.raises(ValueError, match="each dataset takes one weighting"):
-            balance_report(stack[0], group)
-        with pytest.raises(ValueError, match="weights have 29 entries per row, expected 30"):
-            balance_report(stack[:, 1:], group)
+        with pytest.raises(ValueError, match=re.escape("shape (2, 30), expected (2, 31)")):
+            balance_report(weighting(stack), longer)
+        with pytest.raises(ValueError, match=re.escape("shape (1, 30), expected (2, 30)")):
+            balance_report(weighting(stack[:1]), group)
+        with pytest.raises(ValueError, match=re.escape("shape (2, 1, 30), expected (2, 30)")):
+            balance_report(weighting(stack[:, None]), group)
+        with pytest.raises(ValueError, match=re.escape("shape (30,), expected (2, 30)")):
+            balance_report(weighting(stack[0]), group)
+        with pytest.raises(ValueError, match=re.escape("shape (2, 29), expected (2, 30)")):
+            balance_report(weighting(stack[:, 1:]), group)
 
     def test_several_weightings_of_one_dataset_are_rejected(self, rng):
-        # Weightings stack only over datasets, one each: a sequence of them
-        # with one dataset is never read as a single weighting.
+        # A weighting is one BalancingWeights: a sequence of them, or bare
+        # weights, are not read as one, and a stack of them weighs a batch.
         ds = random_dataset(rng, 30, 2)
         w = rng.uniform(0.2, 2.0, size=30)
-        for several in ([w, w], np.stack([w, w]), [uniform_weights(30), uniform_weights(30)]):
-            with pytest.raises(ValueError, match="each dataset takes one weighting"):
+        for several in (w, [w, w], np.stack([w, w]), [uniform_weights(30), uniform_weights(30)]):
+            with pytest.raises(TypeError, match="weights must be a BalancingWeights"):
                 balance_report(several, ds)
+        with pytest.raises(ValueError, match=re.escape("shape (2, 30), expected (30,)")):
+            balance_report(weighting(np.stack([w, w])), ds)
 
     def test_constant_treatment_degenerates_every_column(self, rng):
         ds = Dataset(treatment=np.ones(12), covariates=rng.standard_normal((12, 2)))
@@ -278,8 +277,12 @@ class TestBalanceReport:
     def test_weights_of_another_length_are_named(self, rng, stacked):
         ds = random_dataset(rng, 25, 2)
         w = np.full(24, 1.0 / 24)
-        with pytest.raises(ValueError, match="weights have 24 entries per row, expected 25"):
-            balance_report(np.stack([w, w]), batch([ds, ds])) if stacked else balance_report(w, ds)
+        expected = "(2, 24), expected (2, 25)" if stacked else "(24,), expected (25,)"
+        with pytest.raises(ValueError, match=re.escape(f"weights have shape {expected}")):
+            if stacked:
+                balance_report(weighting(np.stack([w, w])), batch([ds, ds]))
+            else:
+                balance_report(weighting(w), ds)
 
     def test_json_round_trip(self, rng):
         ds = random_dataset(rng, 25, 2)
@@ -294,7 +297,7 @@ class TestRenderTable:
 
     def test_layout_and_rounding(self, rng):
         ds = random_dataset(rng, 50, 2)
-        unweighted = balance_report(uniform_weights(50), ds, method_tag="unweighted")
+        unweighted = replace(balance_report(uniform_weights(50), ds), method_tag="unweighted")
         weights, _ = solve(standardize(ds))
         weighted = balance_report(weights, ds)
         table = render_balance_table([unweighted, weighted])

@@ -203,10 +203,6 @@ class TestEstimateDrf:
                 estimate_drf(ds, uniform_weights(8), degree=3)
             estimate_drf(ds, uniform_weights(8), degree=2)
         assert passed_by_rounding > 0
-        # Only units of positive weight count.
-        ds = random_dataset(np.random.default_rng(0), 8, 1, outcome=True)
-        with pytest.raises(RankDeficientDesign, match="got 3"):
-            estimate_drf(ds, np.r_[np.full(3, 1 / 3), np.zeros(5)], degree=3)
 
     def test_simulated_linear_effect_slope_near_one(self):
         # Design 1 (eta = 1) with balancing weights: degree-1 slope close to

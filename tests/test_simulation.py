@@ -630,7 +630,7 @@ class TestGroupMemory:
         config = ScenarioConfig(n=200, sigma=4.0, eta=1.0, spec=1, master_seed=3)
         group = sim._draw(config, range(30))
         G = standardize(group)
-        return group, G, solve_batch(G)[0].weights
+        return group, G, solve_batch(G)[0]
 
     @pytest.mark.parametrize("layer", ["standardize", "solve_batch", "balance_report"])
     def test_working_memory_is_a_fraction_of_the_stack(self, group, layer):

@@ -1173,11 +1173,21 @@ class TestCappedDual:
 
     def test_no_balance_columns_under_a_cap_return_no_multipliers(self):
         # The capped dual's extra multiplier eta is not part of gamma, even
-        # when gamma has no entries.
+        # when gamma has no entries. Without a cap, or in a stack, a problem
+        # with no balance columns is solved at its start: the gradient has no
+        # entries, so its norm is zero.
         weights, trace = solve(np.empty((5, 0)), cap=np.full(5, 0.5))
         assert weights.converged and trace == [1.0]
         assert weights.gamma.shape == (0,)
         npt.assert_array_equal(weights.weights, np.full(5, 0.2))
+        weights, trace = solve(np.empty((5, 0)))
+        assert weights.converged and weights.iterations == 0 and trace == [0.0]
+        assert weights.gamma.shape == (0,)
+        npt.assert_array_equal(weights.weights, np.full(5, 0.2))
+        stacked, traces = solve_batch(np.empty((3, 5, 0)))
+        assert stacked.converged and traces == [[0.0]] * 3
+        assert stacked.gamma.shape == (3, 0)
+        npt.assert_array_equal(stacked.weights, np.full((3, 5), 0.2))
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(capped_problems())

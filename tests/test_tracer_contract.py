@@ -81,9 +81,10 @@ def test_traced_run_finds_every_site(tmp_path, command, spans):
 
 
 def test_traced_simulation_finds_every_site(tmp_path):
-    # The grid must reach fit_wls, balance_report and estimate_weights
-    # through the module names the tracer wraps; a call to a private kernel
-    # instead would drop those layers from the sim_grid metrics.
+    # The grid must reach standardize, fit_wls, balance_report and
+    # estimate_weights through the module names the tracer wraps; a call to
+    # a private kernel instead would drop those layers from the sim_grid
+    # metrics.
     spans_path = tmp_path / "spans.json"
     argv = [
         sys.executable, str(TRACER), str(spans_path), "0",
@@ -97,6 +98,6 @@ def test_traced_simulation_finds_every_site(tmp_path):
     doc = json.loads(spans_path.read_text())
     assert doc["missing"] == []
     assert {
-        "diagnostics.balance_report", "drf.fit_wls", "weighting.estimate_weights",
-        "ipw.ipw_weights", "simulation.dgp",
+        "data.standardize", "diagnostics.balance_report", "drf.fit_wls",
+        "weighting.estimate_weights", "ipw.ipw_weights", "simulation.dgp",
     } <= {span[0] for span in doc["spans"]}
