@@ -37,6 +37,7 @@ from .errors import (
 from .simulation import (
     METHODS as SIMULATION_METHODS,
     SAMPLE_SIZES,
+    SPECIFICATIONS,
     ScenarioConfig,
     cell_seed,
     paper_grid,
@@ -443,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--n", type=int, default=None, choices=SAMPLE_SIZES)
     simulate.add_argument("--sigma", type=float, default=None)
     simulate.add_argument("--eta", type=float, default=None)
-    simulate.add_argument("--spec", type=int, default=None, choices=(1, 2, 3))
+    simulate.add_argument("--spec", type=int, default=None, choices=SPECIFICATIONS)
     simulate.add_argument("--replications", type=int, default=1000)
     simulate.add_argument(
         "--methods", default=",".join(SIMULATION_METHODS), help="comma-separated method names"

@@ -81,41 +81,18 @@ def fit_wls(y, design, w) -> np.ndarray:
     return _solve(np.swapaxes(lower, -1, -2), half)[..., 0]
 
 
-# Bit-for-bit stand-ins for numpy.polynomial's polyvander, polyval and
-# polyder, np.unique's count and np.percentile: those import numpy.polynomial
-# and numpy.ma, which every run would then hold in memory for a few short loops.
+# The polynomials are numpy core's np.vander, np.polyval and np.polyder. The
+# distinct count and grid percentiles are bit-for-bit stand-ins for np.unique
+# and np.percentile, whose numpy.ma import every run would hold in memory.
 
 
 def _polyvander(x, degree: int) -> np.ndarray:
-    """The Vandermonde matrix [1, x, ..., x^degree] of points ``x``.
-
-    Its powers axis is last, moved there from first, so each power is one
-    contiguous column, as ``numpy.polynomial.polynomial.polyvander`` lays it out.
-    """
-    x = np.array(x, copy=None, ndmin=1) + 0.0
-    v = np.empty((degree + 1,) + x.shape, dtype=x.dtype)
-    v[0] = x * 0 + 1
-    if degree > 0:
-        v[1] = x
-        for i in range(2, degree + 1):
-            v[i] = v[i - 1] * x
-    return np.moveaxis(v, 0, -1)
-
-
-def _polyval(x, coefficients) -> np.ndarray:
-    """The polynomial with ``coefficients`` (intercept first) at points ``x``, by Horner's rule."""
-    value = coefficients[-1] + x * 0
-    for c in coefficients[-2::-1]:
-        value = c + value * x
-    return value
-
-
-def _polyder(coefficients) -> np.ndarray:
-    """Coefficients of the derivative of the polynomial with ``coefficients``."""
-    c = np.array(coefficients, dtype=float, ndmin=1)
-    if c.size == 1:
-        return c * 0
-    return np.arange(1, c.size) * c[1:]
+    """The Vandermonde matrix [1, x, ..., x^degree] of points ``x``, bit for
+    bit and stride for stride ``numpy.polynomial.polynomial.polyvander``'s."""
+    # + 0.0 turns -0.0 into +0.0, as polyvander does. The transposed copy keeps
+    # each power one contiguous column, as fit_wls's rounding needs; for a
+    # one-point grid np.asfortranarray would not give polyvander's strides.
+    return np.vander(x + 0.0, degree + 1, increasing=True).T.copy().T
 
 
 def _count_distinct(values) -> int:
@@ -234,11 +211,14 @@ def estimate_drf(
     the observed treatment range trigger a non-fatal ExtrapolationWarning.
 
     Raises:
+        TypeError: ``weights`` is not a ``BalancingWeights``.
         RankDeficientDesign: fewer than degree+1 distinct treatment values,
             or a design that is rank deficient under the weights (see
             ``fit_wls``).
         ValueError: the weights are not of length n (see ``fit_wls``).
     """
+    if not isinstance(weights, BalancingWeights):
+        raise TypeError(f"weights must be a BalancingWeights, got {type(weights).__name__}")
     if dataset.outcome is None:
         raise ValueError("dataset has no outcome column")
     if degree < 1:
@@ -259,8 +239,8 @@ def estimate_drf(
     return DrfFit(
         coefficients=coefficients,
         grid=grid,
-        drf_values=_polyval(grid, coefficients),
-        drf_derivatives=_polyval(grid, _polyder(coefficients)),
+        drf_values=np.polyval(coefficients[::-1], grid),
+        drf_derivatives=np.polyval(np.polyder(coefficients[::-1]), grid),
     )
 
 
@@ -304,7 +284,7 @@ def bootstrap_statistic(
 def bootstrap_se(
     fit: DrfFit,
     dataset: Dataset,
-    weights,
+    weights: BalancingWeights,
     truncation: Optional[float],
     replications: int,
     seed: int,
@@ -336,12 +316,13 @@ def bootstrap_se(
 
     Returns:
         ``fit`` with ``derivative_se`` and ``significant_10pct`` filled in.
+
+    Raises:
+        TypeError: ``weights`` is not a ``BalancingWeights``.
     """
+    if not isinstance(weights, BalancingWeights):
+        raise TypeError(f"weights must be a BalancingWeights, got {type(weights).__name__}")
     design = _polyvander(dataset.treatment, fit.degree)
-    # Every drawn unit has a positive weight, so with distinct treatment
-    # values a replicate's distinct values are its drawn units, and only a
-    # sample with ties sorts per replicate.
-    ties = _count_distinct(dataset.treatment) < dataset.n
     # Row g holds d/dt t^j = j t^(j-1) at grid point g for j = 1..degree.
     slopes = _polyvander(fit.grid, fit.degree - 1) * np.arange(1, fit.degree + 1)
     method = weights.method_tag
@@ -350,14 +331,12 @@ def bootstrap_se(
     else:
 
         def weigh(counts) -> tuple:
-            kept, copies = check_counts(counts, dataset.n)
-            return kept, copies, estimate_weights(dataset, method, truncation, counts=counts)
+            kept, _ = check_counts(counts, dataset.n)
+            return kept, estimate_weights(dataset, method, truncation, counts=counts)
 
     def derivatives(indices) -> np.ndarray:
-        kept, copies, resampled = weigh(np.bincount(indices, minlength=dataset.n))
-        _check_distinct(
-            _count_distinct(dataset.treatment[kept]) if ties else len(copies), fit.degree
-        )
+        kept, resampled = weigh(np.bincount(indices, minlength=dataset.n))
+        _check_distinct(_count_distinct(dataset.treatment[kept]), fit.degree)
         # take gathers rows at half the cost of fancy indexing
         if not isinstance(kept, slice):
             y, rows = dataset.outcome.take(kept), design.take(kept, axis=0)

@@ -62,7 +62,7 @@ def estimate_weights(
     if name == "ebct":
         if counts is None:
             return _ebct(standardize(dataset), None, truncation, start)
-        return counted_ebct(dataset, truncation, start)(counts)[2]
+        return counted_ebct(dataset, truncation, start)(counts)[1]
     # The drawn units' copies; None when every unit is one copy, so that no
     # step divides or weights by ones.
     copies = None if counts is None else check_counts(counts, dataset.n)[1]
@@ -80,17 +80,17 @@ def counted_ebct(dataset, truncation: Optional[float] = None, start=None):
     standardization.
 
     Standardizes ``dataset`` once, here, and returns ``weigh(counts)``,
-    which gives a resample's ``(kept, copies, weights)``: its drawn rows and
-    their counts (see ``check_counts``), validated once, and the EBCT
-    weights of its balance matrix (see ``resample``) with the counts as base
-    weights, the solve started at ``start`` and ``truncation`` applied per
-    copy. This is ``estimate_weights`` with those counts, bit for bit.
+    which gives a resample's ``(kept, weights)``: its drawn rows (see
+    ``check_counts``), validated once, and the EBCT weights of its balance
+    matrix (see ``resample``) with the counts as base weights, the solve
+    started at ``start`` and ``truncation`` applied per copy. This is
+    ``estimate_weights`` with those counts, bit for bit.
     """
     Z = standardize(dataset)
 
     def weigh(counts) -> tuple:
         kept, copies, G = resample(Z, counts, dataset.column_names)
-        return kept, copies, _ebct(G, copies, truncation, start)
+        return kept, _ebct(G, copies, truncation, start)
 
     return weigh
 

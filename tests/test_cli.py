@@ -1111,13 +1111,18 @@ class TestImports:
         [
             ("balance", "--truncate", "0.03"),
             ("drf", "--outcome-col", "Y", "--bootstrap", "5"),
+            (
+                "drf", "--outcome-col", "Y", "--method", "ipw", "--truncate", "0.02",
+                "--bootstrap", "5", "--degree", "1",
+            ),
             ("simulate", "--paper-grid", "--sizes", "200", "--replications", "2"),
         ],
-        ids=["balance-truncate", "drf-bootstrap", "simulate-paper-grid"],
+        ids=["balance-truncate", "drf-bootstrap", "drf-ipw-truncate-linear", "simulate-paper-grid"],
     )
     def test_runs_load_neither_numpy_polynomial_nor_numpy_ma(self, tmp_path, command):
         # Each would stay in memory for the whole run, and no command needs
-        # either: drf's polynomials, distinct counts and grid are numpy core.
+        # either: drf's polynomials are numpy core's np.vander, np.polyval and
+        # np.polyder, and its distinct counts and grid are stand-ins.
         name, *options = command
         if name != "simulate":
             data = write_simulated_csv(tmp_path / "in.csv")

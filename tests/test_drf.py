@@ -302,6 +302,20 @@ class TestBootstrapSe:
         for name in ("degree", "coefficients", "grid", "drf_values", "drf_derivatives"):
             npt.assert_array_equal(getattr(result, name), getattr(fit, name))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda fit, ds, w: estimate_drf(ds, w, degree=1),
+            lambda fit, ds, w: bootstrap_se(fit, ds, w, None, 5, seed=2),
+        ],
+        ids=["estimate_drf", "bootstrap_se"],
+    )
+    def test_bare_weights_are_a_type_error(self, call):
+        ds = self.drf_dataset()
+        fit, weights = self.drf_fit(ds, 5)
+        with pytest.raises(TypeError, match="weights must be a BalancingWeights, got ndarray"):
+            call(fit, ds, weights.weights)
+
     def test_ebct_replicates_build_one_weighting_each(self, monkeypatch):
         # Each replicate's lone solve builds its BalancingWeights once; with
         # the full sample's, B replicates build at most B + 1.
@@ -473,8 +487,9 @@ def same_array(actual, expected):
 
 
 class TestNumpyStandIns:
-    """drf's stand-ins for numpy.polynomial, np.unique and np.percentile,
-    which a run no longer imports, against numpy's own functions."""
+    """drf's polynomials, built from numpy core's np.vander, np.polyval and
+    np.polyder, and its stand-ins for np.unique and np.percentile, against
+    numpy.polynomial and numpy's own functions, which a run does not import."""
 
     @STAND_IN
     @given(points, st.integers(0, 5))
@@ -484,13 +499,20 @@ class TestNumpyStandIns:
         same_array(drf._polyvander(x, degree), npoly.polyvander(x, degree))
 
     @STAND_IN
-    @given(points, st.lists(st.one_of(st.just(-0.0), st.floats(-10, 10)), min_size=1, max_size=6))
-    @example(np.array([-0.0, 2.0]), [-0.0])
-    def test_horner_and_derivative_are_polyval_and_polyder(self, x, coefficients):
-        c = np.array(coefficients)
-        same_array(drf._polyder(c), npoly.polyder(c))
-        same_array(drf._polyval(x, c), npoly.polyval(x, c))
-        same_array(drf._polyval(x, drf._polyder(c)), npoly.polyval(x, npoly.polyder(c)))
+    @given(points.map(np.unique), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @example(np.array([-2.0, -0.0, 1.5]), 1, 0)
+    @example(np.array([-0.0]), 5, 1)
+    @example(np.array([0.0]), 2, 2)
+    def test_curve_and_derivative_are_polyval_and_polyder(self, grid, degree, seed):
+        # A grid is strictly increasing, so it holds one of the signed zeros.
+        rng = np.random.default_rng(seed)
+        ds = random_dataset(rng, 12, 1, outcome=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExtrapolationWarning)
+            fit = estimate_drf(ds, uniform_weights(12), degree=degree, grid=grid)
+        c = fit.coefficients
+        same_array(fit.drf_values, npoly.polyval(grid, c))
+        same_array(fit.drf_derivatives, npoly.polyval(grid, npoly.polyder(c)))
 
     @STAND_IN
     @given(points)
