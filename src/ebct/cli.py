@@ -12,7 +12,6 @@ import argparse
 import csv
 import functools
 import json
-import os
 import re
 import sys
 import warnings
@@ -322,26 +321,14 @@ def cmd_drf(args) -> int:
     return exit_code
 
 
-def _simulation_jobs(args) -> int:
-    """Worker count of at least 1: ``--jobs``, else $EBCT_JOBS, else 1."""
-    source = "--jobs" if args.jobs is not None else "EBCT_JOBS"
-    value = args.jobs if args.jobs is not None else os.environ.get("EBCT_JOBS", "1")
-    try:
-        jobs = int(value)
-    except ValueError:
-        raise ValueError(f"{source} must be an integer, got {value!r}") from None
-    if jobs < 1:
-        raise ValueError(f"{source} must be at least 1, got {jobs}")
-    return jobs
-
-
 # The scenario cell that ``simulate`` runs without --paper-grid, unless given.
 _CELL_DEFAULTS = {"n": 200, "sigma": 4.0, "eta": 1.0, "spec": 1}
 
 
 def cmd_simulate(args) -> int:
     """Run one scenario cell or the full grid; write CSV plus text table."""
-    jobs = _simulation_jobs(args)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if args.sizes is not None and not args.paper_grid:
         raise ValueError("--sizes applies only with --paper-grid")
     # None unless given, so that the grid, which would ignore them, can refuse them.
@@ -377,7 +364,7 @@ def cmd_simulate(args) -> int:
         ["scenarios.csv", "scenarios_table.txt", "scenarios.json"],
         args.force,
     )
-    results = run_grid(configs, jobs=jobs)
+    results = run_grid(configs, jobs=args.jobs)
     write_grid_csv(results, csv_path)
     table = render_grid_table(results)
     table_path.write_text(table)
@@ -461,8 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--jobs",
         type=int,
-        default=None,
-        help="worker processes for scenario cells (default $EBCT_JOBS or 1)",
+        default=1,
+        help="worker processes for scenario cells (default 1)",
     )
     simulate.add_argument("--out", default=".", help="output directory")
     simulate.add_argument("--force", action="store_true")

@@ -17,7 +17,6 @@ def estimate_weights(
     dataset,
     method: str,
     truncation: Optional[float] = None,
-    start=None,
     counts=None,
 ):
     """Estimate weights for one of the supported methods.
@@ -27,10 +26,8 @@ def estimate_weights(
     weights, converged or not, to truncate-and-rebalance for ebct and to a
     simple cap-and-renormalize for ipw; uniform weights meet any threshold
     of at least 1/n unchanged. A threshold that is not finite or is below
-    1/n raises ThresholdInfeasible for every method.
-    ``start`` gives the initial multipliers of the ebct solve (see
-    ``solve``); truncation's capped solve starts from that solve's
-    multipliers. ``ipw`` and ``uniform`` solve no dual and ignore ``start``.
+    1/n raises ThresholdInfeasible for every method. The ebct solve starts
+    at zero multipliers, and truncation's capped solve from that solve's.
 
     ``counts`` gives how often each unit is drawn, as a bootstrap resample
     does (see ``check_counts``); no counts means one copy of each unit. The
@@ -54,24 +51,24 @@ def estimate_weights(
         if truncation is not None or counts is not None:
             raise ValueError("a batch of datasets takes no truncation or counts")
         if name == "ebct":
-            return solve_batch(standardize(dataset), start=start)[0]
+            return solve_batch(standardize(dataset))[0]
         if name == "ipw":
             return ipw_weights(dataset)
         uniform = uniform_weights(dataset.n)
         return replace(uniform, weights=np.broadcast_to(uniform.weights, dataset.treatment.shape))
     if name == "ebct":
         if counts is None:
-            return _ebct(standardize(dataset), None, truncation, start)
-        return counted_ebct(dataset, truncation, start)(counts)[1]
-    # The drawn units' copies; None when every unit is one copy, so that no
-    # step divides or weights by ones.
-    copies = None if counts is None else check_counts(counts, dataset.n)[1]
+            return _ebct(standardize(dataset), None, truncation, None)
+        return counted_ebct(dataset, truncation)(counts)[1]
     if name == "ipw":
         weights = ipw_weights(dataset, counts)
     else:
         weights = uniform_weights(dataset.n, counts)
     if truncation is None:
         return weights
+    # The drawn units' copies; None when every unit is one copy, so that no
+    # step divides or weights by ones.
+    copies = None if counts is None else check_counts(counts, dataset.n)[1]
     return cap_weights(weights, truncation, copies)
 
 

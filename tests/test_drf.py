@@ -404,14 +404,22 @@ class TestBootstrapSe:
         monkeypatch.setattr(drf, "bootstrap_statistic", recording)
         return draws
 
-    def test_ebct_replicate_validates_its_counts_once(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "method, per_draw",
+        [("ebct", 1), ("ipw", 2), ("uniform", 2)],
+        ids=["ebct", "ipw", "uniform"],
+    )
+    def test_replicate_validates_its_counts_once_per_layer(self, monkeypatch, method, per_draw):
+        # ebct's resample validates the counts once. ipw and uniform count
+        # twice, once each: drf for the drawn rows and the weighting for its
+        # own; without truncation no cap checks them again.
         ds = self.drf_dataset()
-        fit, weights = self.drf_fit(ds, 5, method="ebct")
+        fit, weights = self.drf_fit(ds, 5, method=method)
         calls = self.counting(monkeypatch, "check_counts", [data, drf, weighting, solver, ipw])
         draws = self.counting_draws(monkeypatch)
         bootstrap_se(fit, ds, weights, None, 30, seed=21)
         assert len(draws) >= 30
-        assert len(calls) == len(draws)
+        assert len(calls) == per_draw * len(draws)
 
     def test_ebct_standardizes_once_whatever_the_replicates(self, monkeypatch):
         ds = self.drf_dataset()
