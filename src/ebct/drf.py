@@ -22,7 +22,7 @@ from .errors import (
     RankDeficientDesign,
     ResampleDegenerate,
 )
-from .solver import _cholesky, _solve
+from .solver import _cholesky, _lapack_errors, _solve
 from .weighting import counted_ebct, estimate_weights
 
 # Normal critical value for a two-sided test at the 10% level.
@@ -63,22 +63,23 @@ def fit_wls(y, design, w) -> np.ndarray:
     # 1-d outcome, with the trailing axis the solves take.
     y = np.asarray(y, dtype=float).reshape(rows + (1,))
     weighted = design * w[..., None]
-    weighted_t = np.swapaxes(weighted, -1, -2)
+    weighted_t = weighted.swapaxes(-1, -2)
     gram = weighted_t @ design
     rhs = weighted_t @ y
     # numpy's Cholesky passes NaN and inf through without raising.
     if not np.isfinite(gram).all():
         raise ValueError(_NON_FINITE)
-    try:
-        lower = _cholesky(gram)
-    except np.linalg.LinAlgError:
-        raise RankDeficientDesign(
-            "design matrix is rank deficient under the weight metric"
-        ) from None
-    if not np.isfinite(rhs).all():
-        raise ValueError(_NON_FINITE)
-    half = _solve(lower, rhs)
-    return _solve(np.swapaxes(lower, -1, -2), half)[..., 0]
+    with _lapack_errors():
+        try:
+            lower = _cholesky(gram)
+        except np.linalg.LinAlgError:
+            raise RankDeficientDesign(
+                "design matrix is rank deficient under the weight metric"
+            ) from None
+        if not np.isfinite(rhs).all():
+            raise ValueError(_NON_FINITE)
+        half = _solve(lower, rhs)
+        return _solve(lower.swapaxes(-1, -2), half)[..., 0]
 
 
 # The polynomials are numpy core's np.vander, np.polyval and np.polyder. The
@@ -322,7 +323,10 @@ def bootstrap_se(
     """
     if not isinstance(weights, BalancingWeights):
         raise TypeError(f"weights must be a BalancingWeights, got {type(weights).__name__}")
-    design = _polyvander(dataset.treatment, fit.degree)
+    # take returns the drawn rows row-major whatever the design's order, and
+    # from a row-major design it moves each row as one block. A draw of every
+    # unit fits the column-major design, as estimate_drf does.
+    design = np.ascontiguousarray(_polyvander(dataset.treatment, fit.degree))
     # Row g holds d/dt t^j = j t^(j-1) at grid point g for j = 1..degree.
     slopes = _polyvander(fit.grid, fit.degree - 1) * np.arange(1, fit.degree + 1)
     method = weights.method_tag
@@ -341,7 +345,7 @@ def bootstrap_se(
         if not isinstance(kept, slice):
             y, rows = dataset.outcome.take(kept), design.take(kept, axis=0)
         else:
-            y, rows = dataset.outcome, design
+            y, rows = dataset.outcome, _polyvander(dataset.treatment, fit.degree)
         coefficients = fit_wls(y, rows, resampled.weights)
         return slopes @ coefficients[1:]
 

@@ -76,8 +76,6 @@ _STACK_ROWS = 512
 # nearly every share cost more than one full sort.
 _CAP_ROUNDS = 5
 
-_OVERFLOW = "dual exponent overflowed; multipliers are pathological"
-
 
 def _prepare_base_weights(n: int, base_weights, name="base_weights") -> np.ndarray:
     """Validated positive finite weights of n rows, as floats.
@@ -93,7 +91,7 @@ def _prepare_base_weights(n: int, base_weights, name="base_weights") -> np.ndarr
         raise ValueError(f"{name} has length {q.size}, expected {n}")
     if n and not any(q.strides):
         q = q.reshape(-1)[:1]  # one value, never converted n times over
-    q = np.ravel(q.astype(float, copy=False))
+    q = q.astype(float, copy=False).ravel()
     low, high = q.min(), q.max()
     # A minimum that is not above zero is zero, negative or NaN.
     if not (low > 0 and high < np.inf):
@@ -116,9 +114,12 @@ def _dual_state(G, log_q, theta, u=None) -> tuple:
         F(theta) = sum_i psi_i(s_i) - eta,  s_i = log q_i + eta + gamma.g_i,
 
     where psi_i(s) is e^s up to log u_i and continues along its tangent, so
-    w_i = min(u_i, e^{s_i}) and the gradient is [sum w - 1, G'w]. Also
-    returns a (B,) flag that is False where an exponent is not finite; rows
-    flagged False carry meaningless numbers.
+    w_i = min(u_i, e^{s_i}) and the gradient is [sum w - 1, G'w].
+
+    Raises NonFiniteDual when an exponent of any problem is not finite. The
+    Newton driver moves only the problems still searching; every other row
+    holds an iterate whose state was finite when it was first taken, and is
+    recomputed bit for bit, so only a problem that moved can raise.
     """
     gamma = theta if u is None else theta[:, 1:]
     s = np.empty(G.shape[:2])
@@ -126,9 +127,8 @@ def _dual_state(G, log_q, theta, u=None) -> tuple:
     s += log_q
     if u is not None:
         s += theta[:, :1]
-    finite = np.isfinite(s).all(axis=1)
-    if not finite.all():
-        s[~finite] = 0.0
+    if not np.isfinite(s).all():
+        raise NonFiniteDual("dual exponent overflowed; multipliers are pathological")
     if u is None:
         top = s.max(axis=1, keepdims=True)
         s -= top
@@ -136,7 +136,7 @@ def _dual_state(G, log_q, theta, u=None) -> tuple:
         total = s.sum(axis=1)
         s /= total[:, None]
         value = top[:, 0] + np.log(total)
-        return value, s, (s[:, None, :] @ G)[:, 0, :], finite
+        return value, s, (s[:, None, :] @ G)[:, 0, :]
     log_u = np.log(u)
     at_cap = s >= log_u
     # The tangent terms u_i (s_i - log u_i) of the rows at their cap, summed
@@ -153,7 +153,7 @@ def _dual_state(G, log_q, theta, u=None) -> tuple:
     total = s.sum(axis=1)
     value = total + tangents - theta[:, 0]
     grad = np.concatenate([(total - 1.0)[:, None], (s[:, None, :] @ G)[:, 0, :]], axis=1)
-    return value, s, grad, finite
+    return value, s, grad
 
 
 def _hessian(G, w, grad, u=None) -> np.ndarray:
@@ -238,64 +238,81 @@ def recover_weights(gamma, G, base_weights=None) -> np.ndarray:
     G = _balance_matrix(G)
     q = _prepare_base_weights(G.shape[0], base_weights)
     gamma = np.asarray(gamma, dtype=float).reshape(1, -1)
-    _, w, _, finite = _dual_state(G[None], np.log(q)[None], gamma)
-    if not finite[0]:
-        raise NonFiniteDual(_OVERFLOW)
-    return w[0]
+    return _dual_state(G[None], np.log(q)[None], gamma)[1][0]
 
 
 def _linalg_error(*_) -> None:
     raise np.linalg.LinAlgError
 
 
-def _lapack(kernel, *operands) -> np.ndarray:
-    """numpy's LAPACK gufunc ``kernel`` on float operands, as
-    ``np.linalg.cholesky`` and ``np.linalg.solve`` call it: the same kernel
-    under the same error state, which raises ``LinAlgError`` when a
-    factorization fails, so its results are theirs bit for bit. Their
-    argument checks are left out; on the small systems of a lone Newton
-    step or fit they cost as much as the kernel. No other module imports
-    numpy's private ``_umath_linalg``: they call ``_cholesky`` and ``_solve``."""
-    with np.errstate(
+def _lapack_errors() -> np.errstate:
+    """The error state ``np.linalg.cholesky`` and ``np.linalg.solve`` call
+    their LAPACK kernels under: a factorization that fails raises
+    ``LinAlgError``, and overflow and underflow pass silently.
+
+    ``_cholesky`` and ``_solve`` are those kernels without ``np.linalg``'s
+    argument checks, which on the small systems of a lone Newton step or fit
+    cost as much as the kernel. Under this state their results and failures
+    are ``np.linalg``'s bit for bit; outside it a failure is no error but a
+    NaN result, so every call runs under it, a factor and its solves under
+    one entry. No other module imports numpy's private ``_umath_linalg``.
+    """
+    return np.errstate(
         call=_linalg_error, invalid="call", over="ignore", divide="ignore", under="ignore"
-    ):
-        return kernel(*operands, signature="d" * len(operands) + "->d")
+    )
 
 
 def _cholesky(a) -> np.ndarray:
-    """``np.linalg.cholesky(a)`` of a float (..., m, m) stack (see ``_lapack``)."""
-    return _lapack(_umath_linalg.cholesky_lo, a)
+    """``np.linalg.cholesky(a)`` of a float (..., m, m) stack, under
+    ``_lapack_errors``."""
+    return _umath_linalg.cholesky_lo(a, signature="d->d")
 
 
 def _solve(a, b) -> np.ndarray:
-    """``np.linalg.solve(a, b)`` of float stacks, ``b`` of columns (see ``_lapack``)."""
-    return _lapack(_umath_linalg.solve, a, b)
+    """``np.linalg.solve(a, b)`` of float stacks, ``b`` of columns, under
+    ``_lapack_errors``."""
+    return _umath_linalg.solve(a, b, signature="dd->d")
 
 
 def _newton_directions(hessian, grad) -> np.ndarray:
     """Newton directions -H^{-1} g for a (B, m, m) stack, as (B, m).
 
     One stacked Cholesky certifies every Hessian positive definite, then one
-    stacked solve gives every direction (see ``_lapack``). numpy passes NaN
-    and inf through its Cholesky without raising, so a Hessian that is not
-    finite counts as singular. numpy raises for the whole stack when one
-    factorization fails; only then is each Hessian taken alone, to raise
-    the ``SingularHessian`` of the first that has no factor.
+    stacked solve gives every direction, both under one entry of
+    ``_lapack_errors``. numpy passes NaN and inf through its Cholesky
+    without raising, so a Hessian that is not finite counts as singular.
+    numpy raises for the whole stack when one system fails; only then is
+    each problem taken alone. That raises the ``SingularHessian`` of the
+    first problem with no factor or no solution, or else gives the stack's
+    directions bit for bit: the kernels solve each system by itself.
     """
-    try:
-        if np.isfinite(hessian).all():
-            _cholesky(hessian)
-            return -_solve(hessian, grad[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        pass
-    for h in hessian:
+    columns = grad[:, :, None]
+    with _lapack_errors():
         try:
-            if np.isfinite(h).all():
-                _cholesky(h)
-                continue
+            if np.isfinite(hessian).all():
+                _cholesky(hessian)
+                return -_solve(hessian, columns)[:, :, 0]
         except np.linalg.LinAlgError:
             pass
-        raise _singular(h)
+        directions = np.empty_like(grad)
+        for h, g, d in zip(hessian, columns, directions):
+            try:
+                if np.isfinite(h).all():
+                    _cholesky(h)
+                    d[:] = -_solve(h, g)[:, 0]
+                    continue
+            except np.linalg.LinAlgError:
+                pass
+            raise _singular(h)
+    return directions
+
+
+def _rows(problems: list):
+    """The index of the stack rows ``problems``, a non-empty increasing list:
+    a slice when they run contiguously, as a lone problem's row does, so
+    that gathers and scatters of them are views, else the list itself."""
+    first, last = problems[0], problems[-1]
+    return slice(first, last + 1) if last - first == len(problems) - 1 else problems
 
 
 def _certifies(G, u, r) -> bool:
@@ -351,9 +368,7 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> tuple:
     theta = np.tile(start, (B, 1))
     if u is not None:
         theta = np.column_stack([-_dual_state(G, log_q, theta)[0], theta])
-    value, w, grad, finite = _dual_state(G, log_q, theta, u)
-    if not finite.all():
-        raise NonFiniteDual(_OVERFLOW)
+    value, w, grad = _dual_state(G, log_q, theta, u)
     value, norm = value.tolist(), np.abs(grad).max(axis=1, initial=0.0).tolist()
     traces = [[v] for v in value]
     iterations = [0] * B
@@ -399,10 +414,11 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> tuple:
             if not live:
                 break
 
-        hessian = _hessian(G, w, grad, u)[live]
+        rows = _rows(live)
+        hessian = _hessian(G, w, grad, u)[rows]
         hessian += ridge
-        direction = np.zeros_like(theta)
-        direction[live] = _newton_directions(hessian, grad[live])
+        direction = np.zeros(theta.shape)
+        direction[rows] = _newton_directions(hessian, grad[rows])
         del hessian  # before the next iteration's
         if u is not None:
             # Every Newton direction of a capped problem is a candidate
@@ -419,12 +435,10 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> tuple:
         step = [1.0] * B
         searching = live
         while searching:
-            move = direction[searching] * np.array(step)[searching, None]
+            rows = _rows(searching)
             candidate = theta.copy()
-            candidate[searching] += move
-            c_value, c_w, c_grad, c_finite = _dual_state(G, log_q, candidate, u)
-            if not c_finite[searching].all():
-                raise NonFiniteDual(_OVERFLOW)
+            candidate[rows] += direction[rows] * np.array(step)[rows, None]
+            c_value, c_w, c_grad = _dual_state(G, log_q, candidate, u)
             c_values, c_norms = c_value.tolist(), np.abs(c_grad).max(axis=1).tolist()
             # Euclidean norms as np.linalg.norm takes them, without its overhead.
             sizes = np.vecdot(candidate, candidate).tolist()
@@ -463,9 +477,8 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> tuple:
                 # the state.
                 theta, w, grad = candidate, c_w, c_grad
             elif accepted:
-                theta[accepted], w[accepted], grad[accepted] = (
-                    a[accepted] for a in (candidate, c_w, c_grad)
-                )
+                rows = _rows(accepted)
+                theta[rows], w[rows], grad[rows] = candidate[rows], c_w[rows], c_grad[rows]
             # Free the candidate's weights before the next candidate is built.
             del c_w
             searching = retry
@@ -516,7 +529,8 @@ def _run(G, base_weights, start, cap) -> tuple:
     q = [_prepare_base_weights(n, bw) for bw in base_weights]
     log_q = np.array(q[0], ndmin=2) if B == 1 else np.stack(np.broadcast_arrays(*q))
     # A uniform row's total is the pairwise sum of its n equal entries.
-    log_q /= np.broadcast_to(log_q, (B, n)).sum(axis=1, keepdims=True)
+    rows = log_q if log_q.shape[1] == n else np.broadcast_to(log_q, (B, n))
+    log_q /= rows.sum(axis=1, keepdims=True)
     np.log(log_q, out=log_q)
     return _newton(G, log_q, gamma, cap)
 

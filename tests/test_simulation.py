@@ -705,6 +705,21 @@ class TestGrid:
         run_grid(configs, jobs=2)
         assert sizes == [3, 2]
 
+    def test_paper_grid_steps_are_never_redone_sample_by_sample(self, monkeypatch):
+        # A stacked step that raises is redone one sample at a time with the
+        # same bytes, only slower (see simulation._stacked). So a fault that
+        # only stacked solves hit shows here alone: as solves of other
+        # shapes than one (R, n, 2K+1) stack per cell.
+        replications, shapes = 4, []
+
+        def recording_solve(matrices, *args, **kwargs):
+            shapes.append(np.shape(matrices))
+            return solve_batch(matrices, *args, **kwargs)
+
+        monkeypatch.setattr(weighting, "solve_batch", recording_solve)
+        run_grid(paper_grid(sizes=(200,), replications=replications))
+        assert shapes == [(replications, 200, 21)] * 18
+
     def test_csv_and_table_rendering(self, tmp_path):
         config = ScenarioConfig(n=200, sigma=4.0, eta=1.0, spec=1, replications=4, master_seed=2)
         results = run_grid([config])

@@ -48,8 +48,7 @@ def dual_state(gamma, G, base_weights=None) -> tuple:
     n = G.shape[0]
     q = np.full(n, 1.0 / n) if base_weights is None else np.asarray(base_weights, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    value, w, grad, finite = solver._dual_state(G[None], np.log(q)[None], gamma[None])
-    assert finite[0]
+    value, w, grad = solver._dual_state(G[None], np.log(q)[None], gamma[None])
     return float(value[0]), w[0], grad[0]
 
 
@@ -282,8 +281,8 @@ class TestDualObjective:
 
     def test_pathological_gamma_raises(self):
         G = two_point_sample()
-        *_, finite = solver._dual_state(G[None], np.log(np.full((1, 2), 0.5)), np.array([[np.inf]]))
-        assert not finite[0]
+        with pytest.raises(NonFiniteDual, match="^dual exponent overflowed"):
+            solver._dual_state(G[None], np.log(np.full((1, 2), 0.5)), np.array([[np.inf]]))
         with pytest.raises(NonFiniteDual):
             recover_weights(np.array([np.inf]), G)
 
@@ -845,6 +844,32 @@ class TestSolverConstants:
 class TestFailureExits:
     # Typed exits of the Newton driver that well-posed problems never take.
 
+    def test_a_stacked_system_that_fails_is_solved_problem_by_problem(self, rng, monkeypatch):
+        # numpy raises for a whole stack when one system fails. Each problem
+        # is then solved alone: its directions are bit for bit the stacked
+        # ones, and a system without a solution raises its SingularHessian,
+        # never NaN directions that surface as an overflow.
+        G = rng.standard_normal((50, 5))
+        expected = solve(G)
+        real = solver._solve
+
+        def stack_fails(a, b):
+            if a.ndim == 3:
+                raise np.linalg.LinAlgError
+            return real(a, b)
+
+        def every_system_fails(a, b):
+            raise np.linalg.LinAlgError
+
+        monkeypatch.setattr(solver, "_solve", stack_fails)
+        weights, trace = solve(G)
+        assert weights.weights.tobytes() == expected[0].weights.tobytes()
+        assert weights.gamma.tobytes() == expected[0].gamma.tobytes()
+        assert trace == expected[1]
+        monkeypatch.setattr(solver, "_solve", every_system_fails)
+        with pytest.raises(SingularHessian, match="collinear"):
+            solve(G)
+
     def test_a_step_below_the_float_floor_stops_the_solve(self, rng, monkeypatch):
         # Without a gradient tolerance the local phase takes full steps while
         # they shrink the gradient; the first that does not is the "no
@@ -917,8 +942,9 @@ class TestFailureExits:
 
 class TestLapackShim:
     # ``_cholesky`` and ``_solve`` call numpy's private LAPACK gufuncs
-    # without np.linalg's argument checks. A numpy release that changes
-    # those gufuncs shows here first, on every numpy the project supports.
+    # without np.linalg's argument checks, and raise under
+    # ``_lapack_errors``. A numpy release that changes those gufuncs shows
+    # here first, on every numpy the project supports.
 
     @pytest.mark.parametrize("m", [2, 21])
     @pytest.mark.parametrize("B", [1, 3])
@@ -935,12 +961,13 @@ class TestLapackShim:
     def test_failures_raise_as_numpys_do(self):
         indefinite = np.array([[[1.0, 2.0], [2.0, 1.0]]])
         singular = np.array([[[1.0, 2.0], [2.0, 4.0]]])
-        for factor in (np.linalg.cholesky, solver._cholesky):
-            with pytest.raises(np.linalg.LinAlgError):
-                factor(indefinite)
-        for solve_system in (np.linalg.solve, solver._solve):
-            with pytest.raises(np.linalg.LinAlgError):
-                solve_system(singular, np.ones((1, 2, 1)))
+        with solver._lapack_errors():
+            for factor in (np.linalg.cholesky, solver._cholesky):
+                with pytest.raises(np.linalg.LinAlgError):
+                    factor(indefinite)
+            for solve_system in (np.linalg.solve, solver._solve):
+                with pytest.raises(np.linalg.LinAlgError):
+                    solve_system(singular, np.ones((1, 2, 1)))
 
 
 class TestTruncateAndRebalance:
@@ -1125,9 +1152,9 @@ class TestCappedDual:
         u = np.full(n, 1.5 / n)
         for _ in range(5):
             theta = np.r_[0.2, rng.uniform(-0.5, 0.5, size=5)]
-            value, w, grad, finite = self.capped_state(G, theta, u)
+            value, w, grad = self.capped_state(G, theta, u)
             capped = w[0] == u
-            assert finite[0] and 0 < capped.sum() < n
+            assert 0 < capped.sum() < n
             fd = finite_difference_gradient(lambda t: self.capped_state(G, t, u)[0][0], theta)
             npt.assert_allclose(grad[0], fd, rtol=1e-6, atol=1e-9)
             # Away from the kinks the Hessian is the derivative of the gradient.
@@ -1351,13 +1378,12 @@ class TestBlockedHessian:
         G = np.stack([random_sample(rng, n=n, k=k) for _ in range(B)])
         log_q = np.log(np.full((B, n), 1.0 / n))
         gamma = rng.uniform(-0.4, 0.4, size=(B, 2 * k + 1))
-        _, w, grad, finite = solver._dual_state(G, log_q, gamma)
-        assert finite.all()
+        _, w, grad = solver._dual_state(G, log_q, gamma)
         u = np.full((B, n), 1.2 / n)
         theta = np.column_stack([np.zeros(B), gamma])
         capped = solver._dual_state(G, log_q, theta, u)
-        _, w_cap, grad_cap, finite = capped
-        assert finite.all() and (w_cap == u).any(axis=1).all() and (w_cap < u).any(axis=1).all()
+        _, w_cap, grad_cap = capped
+        assert (w_cap == u).any(axis=1).all() and (w_cap < u).any(axis=1).all()
         # Uniform base weights and caps as broadcast (B, 1) rows give the
         # same state bit for bit, and their Hessians are checked below too.
         rows = solver._dual_state(G, log_q[:, :1], theta, u[:, :1])
