@@ -213,14 +213,14 @@ def check_counts(counts, n: int, positive: bool = False) -> tuple:
         if c.dtype.kind != "f" or not np.isfinite(c).all() or (c != np.trunc(c)).any():
             raise ValueError("counts must be finite integers")
         c = c.astype(np.int64)
-    if c.min() < int(positive):
+    if np.minimum.reduce(c) < int(positive):
         raise ValueError("counts must be positive" if positive else "counts must be non-negative")
-    if c.all():
+    kept = c.nonzero()[0]
+    if kept.size == n:
         return slice(None), c
-    kept = np.flatnonzero(c)
     if kept.size == 0:
         raise ValueError("counts must draw at least one unit")
-    return kept, c[kept]
+    return kept, c.take(kept)
 
 
 def standardize(dataset) -> np.ndarray:
@@ -324,12 +324,12 @@ def resample(Z, counts, names) -> tuple:
             Equal values standardize to equal entries of Z, so this is
             decided exactly on the drawn rows.
     """
-    if np.ndim(Z) != 2:
+    if Z.ndim != 2:
         raise ValueError("counts apply to one dataset's n x m matrix, not to a batch")
     n, m = Z.shape
     k = m // 2
     kept, copies = check_counts(counts, n)
-    size = int(copies.sum())
+    size = int(np.add.reduce(copies))
     if size < 2 * k + 2:
         raise ValueError(f"need at least 2K+2 = {2 * k + 2} units for K={k} covariates, got {size}")
     # take gathers rows at half the cost of fancy indexing
@@ -337,8 +337,8 @@ def resample(Z, counts, names) -> tuple:
     drawn = G[:, : k + 1]
     # A column whose first and last drawn rows differ varies; only the
     # others are compared row by row.
-    for j in np.flatnonzero(drawn[0] == drawn[-1]).tolist():
-        if (drawn[:, j] == drawn[0, j]).all():
+    for j in (drawn[0] == drawn[-1]).nonzero()[0].tolist():
+        if np.logical_and.reduce(drawn[:, j] == drawn[0, j]):
             raise ConstantColumn(names[j])
     tau = (copies @ drawn) / size
     G -= np.concatenate((tau, tau[0] * tau[1:]))
@@ -401,10 +401,15 @@ class BalancingWeights:
     def __post_init__(self):
         w, g = _frozen_array(self.weights), _frozen_array(self.gamma)
         # A minimum that is not above zero is zero, negative or NaN.
-        if w.size and not w.min() > 0:
+        if w.size and not np.minimum.reduce(w, axis=None) > 0:
             raise ValueError("weights must be strictly positive")
-        total = w.sum(axis=-1)
-        if (abs(total - 1.0) > _WEIGHT_SUM_TOL).any():
+        total = np.add.reduce(w, axis=-1)
+        # A lone weighting's total is a numpy scalar, whose comparison is the
+        # verdict itself: only a stack's totals need a reduction.
+        off = abs(total - 1.0) > _WEIGHT_SUM_TOL
+        if w.ndim > 1:
+            off = np.logical_or.reduce(off, axis=None)
+        if off:
             raise ValueError(f"weights must sum to 1, got {total!r}")
         if self.method_tag not in METHODS:
             raise ValueError(f"unknown method tag {self.method_tag!r}")

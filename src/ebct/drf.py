@@ -67,19 +67,26 @@ def fit_wls(y, design, w) -> np.ndarray:
     gram = weighted_t @ design
     rhs = weighted_t @ y
     # numpy's Cholesky passes NaN and inf through without raising.
-    if not np.isfinite(gram).all():
+    if not np.logical_and.reduce(np.isfinite(gram), axis=None):
         raise ValueError(_NON_FINITE)
-    with _lapack_errors():
-        try:
-            lower = _cholesky(gram)
-        except np.linalg.LinAlgError:
-            raise RankDeficientDesign(
-                "design matrix is rank deficient under the weight metric"
-            ) from None
-        if not np.isfinite(rhs).all():
-            raise ValueError(_NON_FINITE)
-        half = _solve(lower, rhs)
-        return _solve(lower.swapaxes(-1, -2), half)[..., 0]
+    return _normal_solution(gram, rhs)
+
+
+@_lapack_errors()
+def _normal_solution(gram, rhs) -> np.ndarray:
+    """``fit_wls``'s coefficients from its finite Gram matrices and
+    right-hand sides: a Cholesky factor and two triangular solves, under
+    ``_lapack_errors`` entered once as the decorator."""
+    try:
+        lower = _cholesky(gram)
+    except np.linalg.LinAlgError:
+        raise RankDeficientDesign(
+            "design matrix is rank deficient under the weight metric"
+        ) from None
+    if not np.logical_and.reduce(np.isfinite(rhs), axis=None):
+        raise ValueError(_NON_FINITE)
+    half = _solve(lower, rhs)
+    return _solve(lower.swapaxes(-1, -2), half)[..., 0]
 
 
 # The polynomials are numpy core's np.vander, np.polyval and np.polyder. The
@@ -97,8 +104,10 @@ def _polyvander(x, degree: int) -> np.ndarray:
 
 
 def _count_distinct(values) -> int:
-    """How many distinct values ``values`` holds, counted from one sort."""
-    ordered = np.sort(values, axis=None)
+    """How many distinct values ``values`` holds, counted from one sort of
+    a flat copy."""
+    ordered = values.flatten()
+    ordered.sort()
     return int(ordered.size and 1 + np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
@@ -276,7 +285,7 @@ def bootstrap_statistic(
         indices = rng.integers(0, n_units, size=n_units)
         attempt += 1
         try:
-            rows.append(np.ravel(np.asarray(statistic(indices), dtype=float)))
+            rows.append(np.asarray(statistic(indices), dtype=float).ravel())
         except (EbctError, np.linalg.LinAlgError):
             continue
     return np.vstack(rows)
@@ -323,33 +332,34 @@ def bootstrap_se(
     """
     if not isinstance(weights, BalancingWeights):
         raise TypeError(f"weights must be a BalancingWeights, got {type(weights).__name__}")
+    n, degree, method = dataset.n, fit.degree, weights.method_tag
     # take returns the drawn rows row-major whatever the design's order, and
     # from a row-major design it moves each row as one block. A draw of every
     # unit fits the column-major design, as estimate_drf does.
-    design = np.ascontiguousarray(_polyvander(dataset.treatment, fit.degree))
+    design = np.ascontiguousarray(_polyvander(dataset.treatment, degree))
     # Row g holds d/dt t^j = j t^(j-1) at grid point g for j = 1..degree.
-    slopes = _polyvander(fit.grid, fit.degree - 1) * np.arange(1, fit.degree + 1)
-    method = weights.method_tag
+    slopes = _polyvander(fit.grid, degree - 1) * np.arange(1, degree + 1)
     if method == "ebct":
         weigh = counted_ebct(dataset, truncation, weights.gamma)
     else:
 
         def weigh(counts) -> tuple:
-            kept, _ = check_counts(counts, dataset.n)
+            kept, _ = check_counts(counts, n)
             return kept, estimate_weights(dataset, method, truncation, counts=counts)
 
     def derivatives(indices) -> np.ndarray:
-        kept, resampled = weigh(np.bincount(indices, minlength=dataset.n))
-        _check_distinct(_count_distinct(dataset.treatment[kept]), fit.degree)
+        kept, resampled = weigh(np.bincount(indices, minlength=n))
+        t, y = dataset.treatment, dataset.outcome
         # take gathers rows at half the cost of fancy indexing
         if not isinstance(kept, slice):
-            y, rows = dataset.outcome.take(kept), design.take(kept, axis=0)
+            t, y, rows = t.take(kept), y.take(kept), design.take(kept, axis=0)
         else:
-            y, rows = dataset.outcome, _polyvander(dataset.treatment, fit.degree)
+            rows = _polyvander(t, degree)
+        _check_distinct(_count_distinct(t), degree)
         coefficients = fit_wls(y, rows, resampled.weights)
         return slopes @ coefficients[1:]
 
-    draws = bootstrap_statistic(dataset.n, derivatives, replications, seed)
+    draws = bootstrap_statistic(n, derivatives, replications, seed)
     se = draws.std(axis=0, ddof=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.abs(fit.drf_derivatives) / se

@@ -24,6 +24,7 @@ the cap, a Newton direction that passes Farkas' test for the box proves it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 
@@ -71,9 +72,11 @@ _HESSIAN_ROWS = 2048
 _STACK_ROWS = 512
 
 # Rounds of candidates ``cap_weights`` takes before it sorts every share.
-# Caps of 1.5/n and above took at most five rounds on the generated
-# 100k-row inputs; closer to 1/n, where most units are capped, rounds of
-# nearly every share cost more than one full sort.
+# They save memory: the peak stays a few n-vectors, where one full sort held
+# about seven (test_peak_is_a_few_n_vectors). They save time only far from
+# 1/n: on the generated 100k-row input's EBCT weights (2-vCPU host), 10/n
+# took two rounds in 0.6 ms, but 1.5/n five in 40 ms and 1.2/n six, the last
+# a full sort, in 80 ms, against 13 ms for one stable argsort of every share.
 _CAP_ROUNDS = 5
 
 
@@ -92,7 +95,7 @@ def _prepare_base_weights(n: int, base_weights, name="base_weights") -> np.ndarr
     if n and not any(q.strides):
         q = q.reshape(-1)[:1]  # one value, never converted n times over
     q = q.astype(float, copy=False).ravel()
-    low, high = q.min(), q.max()
+    low, high = np.minimum.reduce(q), np.maximum.reduce(q)
     # A minimum that is not above zero is zero, negative or NaN.
     if not (low > 0 and high < np.inf):
         raise ValueError(f"{name} must be strictly positive and finite")
@@ -127,30 +130,32 @@ def _dual_state(G, log_q, theta, u=None) -> tuple:
     s += log_q
     if u is not None:
         s += theta[:, :1]
-    if not np.isfinite(s).all():
+    if not np.logical_and.reduce(np.isfinite(s), axis=None):
         raise NonFiniteDual("dual exponent overflowed; multipliers are pathological")
     if u is None:
-        top = s.max(axis=1, keepdims=True)
+        top = np.maximum.reduce(s, axis=1, keepdims=True)
         s -= top
         np.exp(s, out=s)
-        total = s.sum(axis=1)
-        s /= total[:, None]
-        value = top[:, 0] + np.log(total)
-        return value, s, (s[:, None, :] @ G)[:, 0, :]
+        total = np.add.reduce(s, axis=1, keepdims=True)
+        s /= total
+        # The value top + log(total), taken in total's own buffer.
+        np.log(total, out=total)
+        total += top
+        return total[:, 0], s, (s[:, None, :] @ G)[:, 0, :]
     log_u = np.log(u)
     at_cap = s >= log_u
     # The tangent terms u_i (s_i - log u_i) of the rows at their cap, summed
     # in s's own buffer: the state keeps no n-vector beyond its weights.
     np.subtract(s, log_u, out=s, where=at_cap)
     np.multiply(s, u, out=s, where=at_cap)
-    tangents = np.sum(s, axis=1, where=at_cap)
+    tangents = np.add.reduce(s, axis=1, where=at_cap)
     # Rows at their cap get u itself below; zero keeps their exponent finite.
     np.copyto(s, 0.0, where=at_cap)
     np.exp(s, out=s)
     # e^s rounds either way just below log u: no row exceeds its cap.
     np.minimum(s, u, out=s)
     np.copyto(s, u, where=at_cap)
-    total = s.sum(axis=1)
+    total = np.add.reduce(s, axis=1)
     value = total + tangents - theta[:, 0]
     grad = np.concatenate([(total - 1.0)[:, None], (s[:, None, :] @ G)[:, 0, :]], axis=1)
     return value, s, grad
@@ -176,23 +181,22 @@ def _hessian(G, w, grad, u=None) -> np.ndarray:
     B, n, m = G.shape
     if u is not None:
         free = w < u
-        # The border sum_i w_i [1, g_i] over the free rows, before the blocks'
-        # buffer exists: its n-vector of free weights is the larger temporary.
+        # The border sum_i w_i [1, g_i] over the free rows, before any block
+        # exists: its n-vector of free weights is the larger temporary.
         hessian = np.empty((B, m + 1, m + 1))
-        hessian[:, 0, 0] = np.sum(w, axis=1, where=free)
+        hessian[:, 0, 0] = np.add.reduce(w, axis=1, where=free)
         hessian[:, 0, 1:] = hessian[:, 1:, 0] = (np.where(free, w, 0.0)[:, None, :] @ G)[:, 0, :]
     span, rows = max(1, _STACK_ROWS // n), min(n, _HESSIAN_ROWS)
-    buffer = np.empty((min(B, span), rows, m))
     products = None if B <= span else np.empty((B, m, m))
     for first in range(0, B, span):
         problems = slice(first, first + span)
         for start in range(0, n, rows):
             g = G[problems, start : start + rows]
-            block = buffer[: g.shape[0], : g.shape[1]]
-            np.multiply(g, w[problems, start : start + rows, None], out=block)
+            block = g * w[problems, start : start + rows, None]
             if u is not None:
                 block[~free[problems, start : start + rows]] = 0.0
             product = block.transpose(0, 2, 1) @ g
+            del block  # before the next block's
             if start == 0:
                 total = product
             else:
@@ -255,55 +259,51 @@ def _lapack_errors() -> np.errstate:
     cost as much as the kernel. Under this state their results and failures
     are ``np.linalg``'s bit for bit; outside it a failure is no error but a
     NaN result, so every call runs under it, a factor and its solves under
-    one entry. No other module imports numpy's private ``_umath_linalg``.
+    one entry, a ``with`` block or, cheaper, the state as a decorator. No
+    other module imports numpy's private ``_umath_linalg``.
     """
     return np.errstate(
         call=_linalg_error, invalid="call", over="ignore", divide="ignore", under="ignore"
     )
 
 
-def _cholesky(a) -> np.ndarray:
-    """``np.linalg.cholesky(a)`` of a float (..., m, m) stack, under
-    ``_lapack_errors``."""
-    return _umath_linalg.cholesky_lo(a, signature="d->d")
+# ``np.linalg.cholesky(a)`` of a float (..., m, m) stack and
+# ``np.linalg.solve(a, b)`` of float stacks, ``b`` of columns, to be called
+# under ``_lapack_errors``: partial objects, with no Python frame.
+_cholesky = functools.partial(_umath_linalg.cholesky_lo, signature="d->d")
+_solve = functools.partial(_umath_linalg.solve, signature="dd->d")
 
 
-def _solve(a, b) -> np.ndarray:
-    """``np.linalg.solve(a, b)`` of float stacks, ``b`` of columns, under
-    ``_lapack_errors``."""
-    return _umath_linalg.solve(a, b, signature="dd->d")
-
-
+@_lapack_errors()
 def _newton_directions(hessian, grad) -> np.ndarray:
     """Newton directions -H^{-1} g for a (B, m, m) stack, as (B, m).
 
     One stacked Cholesky certifies every Hessian positive definite, then one
-    stacked solve gives every direction, both under one entry of
-    ``_lapack_errors``. numpy passes NaN and inf through its Cholesky
-    without raising, so a Hessian that is not finite counts as singular.
-    numpy raises for the whole stack when one system fails; only then is
-    each problem taken alone. That raises the ``SingularHessian`` of the
-    first problem with no factor or no solution, or else gives the stack's
-    directions bit for bit: the kernels solve each system by itself.
+    stacked solve gives every direction, both under ``_lapack_errors``.
+    numpy passes NaN and inf through its Cholesky without raising, so a
+    Hessian that is not finite counts as singular. numpy raises for the
+    whole stack when one system fails; only then is each problem taken
+    alone. That raises the ``SingularHessian`` of the first problem with no
+    factor or no solution, or else gives the stack's directions bit for bit:
+    the kernels solve each system by itself.
     """
     columns = grad[:, :, None]
-    with _lapack_errors():
+    try:
+        if np.logical_and.reduce(np.isfinite(hessian), axis=None):
+            _cholesky(hessian)
+            return -_solve(hessian, columns)[:, :, 0]
+    except np.linalg.LinAlgError:
+        pass
+    directions = np.empty_like(grad)
+    for h, g, d in zip(hessian, columns, directions):
         try:
-            if np.isfinite(hessian).all():
-                _cholesky(hessian)
-                return -_solve(hessian, columns)[:, :, 0]
+            if np.logical_and.reduce(np.isfinite(h), axis=None):
+                _cholesky(h)
+                d[:] = -_solve(h, g)[:, 0]
+                continue
         except np.linalg.LinAlgError:
             pass
-        directions = np.empty_like(grad)
-        for h, g, d in zip(hessian, columns, directions):
-            try:
-                if np.isfinite(h).all():
-                    _cholesky(h)
-                    d[:] = -_solve(h, g)[:, 0]
-                    continue
-            except np.linalg.LinAlgError:
-                pass
-            raise _singular(h)
+        raise _singular(h)
     return directions
 
 
@@ -337,7 +337,7 @@ def _certifies(G, u, r) -> bool:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _newton(G, log_q, start: np.ndarray, u=None) -> tuple:
+def _newton(G, log_q, theta: np.ndarray, u=None) -> tuple:
     """Damped Newton on every problem of a (B, n, m) stack at once.
 
     Each problem keeps its own row, phase, step size, trace and iteration
@@ -345,17 +345,18 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> tuple:
     stacked operation acts row by row, and numpy's linear algebra factors
     each Newton system of the stack by itself. Each problem's policy
     (stopping test, phase, Armijo test, step size, multiplier bound) runs on
-    Python floats taken out of the stack once per line-search round. A
-    problem that finishes keeps its row at its last iterate: the stacked
-    operations recompute it bit for bit, and only the Newton systems and
-    steps of the problems still running are taken. ``log_q`` holds the
-    (B, n) log base weights, each row normalized to sum one before the log,
-    or a (B, 1) column of them when each problem's are uniform. Every
-    problem starts at the m-vector ``start``. With caps ``u``, (B, n) per
-    row or a (B, 1) column of uniform ones, the problems are the capped
-    duals of ``_dual_state``, each started at (-J(start), start), which are
-    the uncapped weights of ``start``. Overflows warn of nothing: they
-    surface as typed errors.
+    Python floats taken out of the stack once per line-search round, in one
+    loop that also notes the problems that finish, so the running rows are
+    re-indexed only when some leave. A problem that finishes keeps its row
+    at its last iterate: the stacked operations recompute it bit for bit,
+    and only the Newton systems and steps of the problems still running are
+    taken. ``log_q`` holds the (B, n) log base weights, each row normalized
+    to sum one before the log, or a (B, 1) column of them when each
+    problem's are uniform. ``theta`` holds each problem's starting
+    multipliers, (B, m). With caps ``u``, (B, n) per row or a (B, 1) column
+    of uniform ones, the problems are the capped duals of ``_dual_state``,
+    each started at (-J(start), start), which are the uncapped weights of
+    its start. Overflows warn of nothing: they surface as typed errors.
 
     Returns ``(weights, gamma, iterations, norms, traces)`` at each
     problem's last iterate: the read-only (B, n) weights and (B, m)
@@ -365,16 +366,24 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> tuple:
     whole run at once and raises the error that problem raises alone.
     """
     B = len(G)
-    theta = np.tile(start, (B, 1))
     if u is not None:
         theta = np.column_stack([-_dual_state(G, log_q, theta)[0], theta])
     value, w, grad = _dual_state(G, log_q, theta, u)
-    value, norm = value.tolist(), np.abs(grad).max(axis=1, initial=0.0).tolist()
+    value = value.tolist()
+    norm = np.maximum.reduce(np.abs(grad), axis=1, initial=0.0).tolist()
     traces = [[v] for v in value]
     iterations = [0] * B
     stopped = [False] * B
-    live = list(range(B))  # problems still running, increasing
-    ridge = _RIDGE * np.eye(theta.shape[1])
+    # The problems still running, increasing, the index of their rows, and
+    # those of them that stopped or reached the tolerance.
+    live, rows = list(range(B)), slice(0, B)
+    finished = [b for b in live if norm[b] <= _GRADIENT_TOLERANCE]
+    m = theta.shape[1]
+    ridge = np.zeros((m, m))
+    ridge.flat[:: m + 1] = _RIDGE
+    # x + (-0.0) is x for every float x: the move of a problem not searching.
+    unmoved = np.empty(theta.shape)
+    unmoved.fill(-0.0)
 
     def certify(b, r) -> None:
         if _certifies(G[b], u[b], r):
@@ -393,31 +402,32 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> tuple:
             certify(b, _newton_directions(hessian, grad[rows])[0])
         except SingularHessian:  # no direction, so no certificate
             pass
-        if not w[b].min() > 0:
+        if not np.minimum.reduce(w[b]) > 0:
             raise NonFiniteDual("a capped weight underflowed to zero")
 
     def retire(problems) -> None:
         for b in problems:
-            if u is not None and not (norm[b] <= _GRADIENT_TOLERANCE and w[b].min() > 0):
-                capped_failure(b)
-            if not w[b].min() > 0:
+            positive = np.minimum.reduce(w[b]) > 0
+            if u is not None and not (norm[b] <= _GRADIENT_TOLERANCE and positive):
+                capped_failure(b)  # returns only when every weight is positive
+            elif not positive:
                 raise InfeasibleConstraints(
                     "a weight underflowed to zero; the balance constraints admit no "
                     "strictly positive weights at float precision"
                 )
 
     for _ in range(_MAX_ITERATIONS):
-        leaving = [stopped[b] or norm[b] <= _GRADIENT_TOLERANCE for b in live]
-        if any(leaving):
-            retire([b for b, gone in zip(live, leaving) if gone])
-            live = [b for b, gone in zip(live, leaving) if not gone]
-            if not live:
+        if finished:
+            finished.sort()
+            retire(finished)
+            if len(finished) == len(live):
                 break
+            live = sorted(set(live).difference(finished))
+            rows, finished = _rows(live), []
 
-        rows = _rows(live)
         hessian = _hessian(G, w, grad, u)[rows]
         hessian += ridge
-        direction = np.zeros(theta.shape)
+        direction = unmoved.copy()
         direction[rows] = _newton_directions(hessian, grad[rows])
         del hessian  # before the next iteration's
         if u is not None:
@@ -425,26 +435,23 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> tuple:
             # certificate of infeasibility, and checking one is cheap.
             for b in live:
                 certify(b, direction[b])
-        slope = (grad * direction).sum(axis=1).tolist()
-
-        # Local phase: the certifiable Armijo decrease (half the Newton
-        # decrement squared) is below the objective's float resolution, so
-        # objective comparisons are pure noise. Take the full Newton step as
-        # long as it shrinks the gradient.
-        local = [-s <= 1e-13 * (1.0 + abs(v)) for s, v in zip(slope, value)]
-        step = [1.0] * B
-        searching = live
+        slope = np.add.reduce(grad * direction, axis=1).tolist()
+        step = [1.0] * B  # the first round takes every full Newton step
+        searching, move = live, direction
         while searching:
-            rows = _rows(searching)
-            candidate = theta.copy()
-            candidate[rows] += direction[rows] * np.array(step)[rows, None]
+            candidate = theta + move
             c_value, c_w, c_grad = _dual_state(G, log_q, candidate, u)
-            c_values, c_norms = c_value.tolist(), np.abs(c_grad).max(axis=1).tolist()
+            c_values = c_value.tolist()
+            c_norms = np.maximum.reduce(np.abs(c_grad), axis=1).tolist()
             # Euclidean norms as np.linalg.norm takes them, without its overhead.
             sizes = np.vecdot(candidate, candidate).tolist()
             accepted, retry = [], []
             for b in searching:
-                if local[b]:
+                # Local phase: the certifiable Armijo decrease (half the
+                # Newton decrement squared) is below the objective's float
+                # resolution, so objective comparisons are pure noise. Take
+                # the full Newton step as long as it shrinks the gradient.
+                if -slope[b] <= 1e-13 * (1.0 + abs(value[b])):
                     ok = c_norms[b] < norm[b]
                 else:
                     ok = c_values[b] <= value[b] + _ARMIJO_C * step[b] * slope[b]
@@ -457,6 +464,7 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> tuple:
                     # No acceptable step: the numerical floor is reached and
                     # the final gradient check decides.
                     stopped[b] = True
+                    finished.append(b)
                     continue
                 accepted.append(b)
                 value[b], norm[b] = c_values[b], c_norms[b]
@@ -471,35 +479,42 @@ def _newton(G, log_q, start: np.ndarray, u=None) -> tuple:
                             "strictly positive weights"
                         )
                     stopped[b] = True
+                if stopped[b] or norm[b] <= _GRADIENT_TOLERANCE:
+                    finished.append(b)
             if len(accepted) == len(searching):
                 # Every problem that moved is accepted, and the rows that did
                 # not move are recomputed bit for bit: the candidate state is
                 # the state.
                 theta, w, grad = candidate, c_w, c_grad
             elif accepted:
-                rows = _rows(accepted)
-                theta[rows], w[rows], grad[rows] = candidate[rows], c_w[rows], c_grad[rows]
+                index = _rows(accepted)
+                theta[index], w[index], grad[index] = candidate[index], c_w[index], c_grad[index]
             # Free the candidate's weights before the next candidate is built.
             del c_w
             searching = retry
+            if retry:
+                index = _rows(retry)
+                move = unmoved.copy()
+                move[index] = direction[index] * np.array(step)[index, None]
     else:
         retire(live)
     if u is not None:
-        w /= w.sum(axis=1, keepdims=True)
+        w /= np.add.reduce(w, axis=1, keepdims=True)
     w.setflags(write=False)
     theta.setflags(write=False)
     return w, theta if u is None else theta[:, 1:], iterations, norm, traces
 
 
-def _prepare_start(m: int, start) -> np.ndarray:
+def _prepare_start(B: int, m: int, start) -> np.ndarray:
+    """The (B, m) starts: the finite m-vector ``start`` (None: zeros) per row."""
     if start is None:
-        return np.zeros(m)
+        return np.zeros((B, m))
     gamma = np.asarray(start, dtype=float)
     if gamma.shape != (m,):
         raise ValueError(f"start has shape {gamma.shape}, expected ({m},)")
-    if not np.isfinite(gamma).all():
+    if not np.logical_and.reduce(np.isfinite(gamma)):
         raise ValueError("start must be finite")
-    return gamma
+    return gamma[None].repeat(B, axis=0)
 
 
 def _run(G, base_weights, start, cap) -> tuple:
@@ -525,14 +540,14 @@ def _run(G, base_weights, start, cap) -> tuple:
         cap = [_prepare_base_weights(n, u, "cap") for u in cap]
         # One problem's cap stays a view of the caller's vector, as G does.
         cap = cap[0][None] if B == 1 else np.stack(np.broadcast_arrays(*cap))
-    gamma = _prepare_start(m, start)
+    theta = _prepare_start(B, m, start)
     q = [_prepare_base_weights(n, bw) for bw in base_weights]
-    log_q = np.array(q[0], ndmin=2) if B == 1 else np.stack(np.broadcast_arrays(*q))
+    q = q[0][None] if B == 1 else np.stack(np.broadcast_arrays(*q))
     # A uniform row's total is the pairwise sum of its n equal entries.
-    rows = log_q if log_q.shape[1] == n else np.broadcast_to(log_q, (B, n))
-    log_q /= rows.sum(axis=1, keepdims=True)
+    rows = q if q.shape[1] == n else np.broadcast_to(q, (B, n))
+    log_q = q / np.add.reduce(rows, axis=1, keepdims=True)
     np.log(log_q, out=log_q)
-    return _newton(G, log_q, gamma, cap)
+    return _newton(G, log_q, theta, cap)
 
 
 def _weighting(weights, gamma, iterations, norms, converged) -> BalancingWeights:

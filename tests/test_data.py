@@ -152,6 +152,23 @@ class TestBalancingWeights:
             )
 
 
+    def test_a_sum_off_one_is_named_lone_or_stacked(self):
+        # A lone weighting's total is a numpy scalar and a stack's a (B,)
+        # array; both are checked, and the message shows the total.
+        lone = np.array([0.25, 0.75 + 2e-12])
+        total = np.add.reduce(lone)
+        with pytest.raises(ValueError) as caught:
+            BalancingWeights(lone, np.zeros(3), True, 3, 1e-9, "ebct")
+        assert str(caught.value) == f"weights must sum to 1, got {total!r}"
+        stack = np.array([[0.25, 0.75], [0.5, 0.5 - 2e-12]])
+        with pytest.raises(ValueError) as caught:
+            BalancingWeights(stack, np.zeros((2, 3)), True, [3, 4], [0.0, 0.0], "ebct")
+        assert str(caught.value) == f"weights must sum to 1, got {stack.sum(axis=-1)!r}"
+        # Within the tolerance both are kept.
+        BalancingWeights(np.array([0.25, 0.75 + 5e-13]), np.zeros(3), True, 3, 1e-9, "ebct")
+        near = stack + [[0.0, 0.0], [0.0, 1.5e-12]]
+        BalancingWeights(near, np.zeros((2, 3)), True, [3, 4], [0.0, 0.0], "ebct")
+
     def test_a_stack_checks_every_row_and_gives_lone_rows(self):
         weights = np.array([[0.25, 0.75], [0.5, 0.5]])
         stack = BalancingWeights(weights, np.zeros((2, 3)), True, [3, 4], [1e-9, 2e-9], "ebct")

@@ -1,4 +1,7 @@
+import os
+import sys
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
+import ebct
 import ebct.weighting as weighting
 from ebct import data, drf, ipw, simulation, solver
 from ebct import (
@@ -420,6 +424,59 @@ class TestBootstrapSe:
         bootstrap_se(fit, ds, weights, None, 30, seed=21)
         assert len(draws) >= 30
         assert len(calls) == per_draw * len(draws)
+
+    def package_frames(self, call) -> Counter:
+        """The Python frames whose code lives in the package that ``call()``
+        enters, by function name, counted with ``sys.setprofile``; numpy's
+        frames are left out, which differ across numpy releases."""
+        package, frames = os.path.dirname(ebct.__file__) + os.sep, Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                frames[frame.f_code.co_name] += 1
+
+        sys.setprofile(profile)
+        try:
+            call()
+        finally:
+            sys.setprofile(None)
+        return frames
+
+    def test_ebct_replicate_enters_few_package_frames(self, monkeypatch):
+        # The frames of 40 replicates: a 60-replicate run less a 20-replicate
+        # run of the same fixed input, which share their first 20 draws, so
+        # that the per-run setup cancels. Each frame is a Python call that
+        # every replicate, or every Newton step of its lone solve, pays.
+        ds = self.drf_dataset()
+        fit, weights = self.drf_fit(ds, 5, method="ebct")
+        draws, steps = self.counting_draws(monkeypatch), []
+
+        def counting_solve(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            steps.append(result[0].iterations)
+            return result
+
+        monkeypatch.setattr(weighting, "solve", counting_solve)
+        runs = []
+        for replications in (20, 60):
+            draws.clear()
+            steps.clear()
+            frames = self.package_frames(
+                lambda: bootstrap_se(fit, ds, weights, None, replications, seed=22)
+            )
+            assert len(draws) == len(steps) == replications  # no redraw
+            runs.append((frames, sum(steps)))
+        (first, first_steps), (last, last_steps) = runs
+        frames, newton_steps = last - first, last_steps - first_steps
+        backtracks = frames["_dual_state"] - 40 - newton_steps
+        assert frames["_hessian"] == frames["_newton_directions"] == newton_steps
+        assert backtracks >= 0
+        # Per replicate 23 frames for its resample, solve and fit and one for
+        # the start's dual state; per Newton step three, for its Hessian, its
+        # directions and its dual state; per backtracking round two, for the
+        # retry's rows and dual state. Here that is 39.2 per replicate:
+        # 5.05 steps each and one backtracking round in all.
+        assert frames.total() <= 40 * (23 + 1) + 3 * newton_steps + 2 * backtracks
 
     def test_ebct_standardizes_once_whatever_the_replicates(self, monkeypatch):
         ds = self.drf_dataset()
